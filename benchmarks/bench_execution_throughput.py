@@ -29,9 +29,6 @@ the warm compiled path.
 A third workload measures the **generation-persistent trie**: one
 engine kept alive across an island run's successive generations (the
 incremental-trie path) against a cold columnar rebuild per generation.
-A fourth measures **cross-job fusion**: two same-inputs populations
-dispatched through one shared columnar plane versus two private
-evaluators (:mod:`repro.execution.fusion`).
 
 Scale knobs: ``NETSYN_BENCH_PROGRAMS`` (distinct genes, default 60),
 ``NETSYN_BENCH_ROUNDS`` (re-evaluations per gene, default 5),
@@ -49,8 +46,6 @@ from pathlib import Path
 
 import numpy as np
 
-import threading
-
 from repro.dsl import Interpreter, Program, clear_compile_cache
 from repro.data import make_synthesis_task
 from repro.execution import (
@@ -58,7 +53,6 @@ from repro.execution import (
     ColumnarEvaluator,
     EvaluationCache,
     ExecutionEngine,
-    FusionPlane,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -462,109 +456,3 @@ def test_warm_trie_throughput_vs_cold_columnar():
             f"warm-trie speedup {warm_speedup:.2f}x below the 1.5x target "
             f"at full scale (population={per_generation})"
         )
-
-
-def test_fused_jobs_shared_dispatches():
-    """Two same-inputs jobs through one fusion plane vs private evaluators.
-
-    The timed comparison models the plane's combined call without thread
-    scheduling noise: one evaluator dispatching the concatenated
-    populations (their tries merge, shared prefixes dispatch once)
-    versus a private evaluator per job.  A threaded pass through the
-    real :class:`FusionPlane` cross-checks row ownership and records the
-    ``fused_dispatches`` each job observes.
-    """
-    pop_a, io_set = _island_workload(seed=17)
-    pop_b, _ = _island_workload(seed=29)
-    example_inputs = [example.inputs for example in io_set]
-    rounds = max(1, N_ROUNDS)
-    candidates = len(pop_a) + len(pop_b)
-
-    # -- correctness through the real rendezvous ------------------------
-    plane = FusionPlane(example_inputs, max_wait=5.0)
-    tokens = {plane.register(): pop for pop in (pop_a, pop_b)}
-    rows: dict = {}
-
-    def job(token, population):
-        rows[token] = plane.evaluate(token, "outputs", population)
-        plane.unregister(token)
-
-    threads = [
-        threading.Thread(target=job, args=(token, population))
-        for token, population in tokens.items()
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    control = ColumnarEvaluator(example_inputs)
-    for token, population in tokens.items():
-        assert rows[token] == control.outputs(population), (
-            "fused rows diverge from a private evaluation"
-        )
-    plane_fused = min(plane.fused_dispatches(token) for token in tokens)
-    assert plane_fused > 0, "concurrent same-inputs jobs never shared a dispatch"
-
-    # -- timed: combined dispatch vs per-job evaluators -----------------
-    separate_times: list = []
-    fused_times: list = []
-    separate_dispatches = fused_dispatches = 0
-    for _ in range(rounds):
-        evaluators = [ColumnarEvaluator(example_inputs) for _ in range(2)]
-        start = time.perf_counter()
-        evaluators[0].outputs(pop_a)
-        evaluators[1].outputs(pop_b)
-        separate_times.append(time.perf_counter() - start)
-        separate_dispatches = sum(
-            evaluator.stats()["dispatch_count"] for evaluator in evaluators
-        )
-        shared = ColumnarEvaluator(example_inputs)
-        start = time.perf_counter()
-        shared.outputs(list(pop_a) + list(pop_b))
-        fused_times.append(time.perf_counter() - start)
-        fused_dispatches = shared.stats()["dispatch_count"]
-
-    separate_s, fused_s = min(separate_times), min(fused_times)
-    fused_speedup = _round_ratio(separate_times, fused_times)
-    savings = 1.0 - fused_dispatches / max(1, separate_dispatches)
-
-    print(
-        f"\nFused-jobs dispatch sharing (2 jobs x {len(pop_a)} genes, best of "
-        f"{rounds} rounds x {len(io_set)} examples, length {PROGRAM_LENGTH})"
-    )
-    print(
-        f"  separate        : {candidates / separate_s:10.0f} candidates/sec  "
-        f"({separate_s:.3f}s/round, {separate_dispatches} dispatches)"
-    )
-    print(
-        f"  fused           : {candidates / fused_s:10.0f} candidates/sec  "
-        f"({fused_s:.3f}s/round, {fused_dispatches} dispatches, "
-        f"{fused_speedup:.2f}x, {savings:.1%} fewer dispatches)"
-    )
-
-    _append_trajectory(
-        {
-            "benchmark": "fused_jobs_dispatch_sharing",
-            "n_jobs": 2,
-            "population_size": len(pop_a),
-            "n_rounds": rounds,
-            "n_examples": len(io_set),
-            "program_length": PROGRAM_LENGTH,
-            "separate_candidates_per_sec": candidates / separate_s,
-            "fused_candidates_per_sec": candidates / fused_s,
-            "fused_speedup": fused_speedup,
-            "separate_dispatch_count": separate_dispatches,
-            "fused_dispatch_count": fused_dispatches,
-            "dispatch_savings": savings,
-            "plane_fused_dispatches": plane_fused,
-        }
-    )
-
-    # CI gate: fusing must strictly reduce kernel dispatches.  This is
-    # deterministic (the union trie shares prefix nodes), unlike the
-    # wall-clock ratio of two sub-50ms passes, which is recorded as
-    # telemetry above but too load-sensitive to gate on.
-    assert fused_dispatches < separate_dispatches, (
-        f"fused dispatch count {fused_dispatches} not below separate "
-        f"{separate_dispatches}"
-    )

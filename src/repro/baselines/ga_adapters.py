@@ -84,17 +84,6 @@ class NetSynSynthesizer(Synthesizer):
     def attach_remote_tier(self, remote) -> None:
         self.backend.attach_remote_tier(remote)
 
-    # -- cross-job fusion surface (delegated so the session's fused-run
-    # path sees the inner backend's plane/engine builders) --------------
-    def supports_fusion(self) -> bool:
-        return self.backend.supports_fusion()
-
-    def fused_executor(self, plane, token):
-        return self.backend.fused_executor(plane, token)
-
-    def merge_fused_cache(self, engine) -> int:
-        return self.backend.merge_fused_cache(engine)
-
     # ------------------------------------------------------------------
     def synthesize(
         self,
@@ -113,12 +102,9 @@ class NetSynSynthesizer(Synthesizer):
         budget: Optional[SearchBudget] = None,
         seed: int = 0,
         listener: Optional[ProgressListener] = None,
-        executor=None,
     ) -> SynthesisResult:
         """Delegate to the backend so GA generation events are streamed."""
-        return self.backend.solve(
-            task, budget=budget, seed=seed, listener=listener, executor=executor
-        )
+        return self.backend.solve(task, budget=budget, seed=seed, listener=listener)
 
 
 class EditGASynthesizer(NetSynSynthesizer):

@@ -356,11 +356,6 @@ class ServiceConfig:
     persist_caches: bool = True
     #: budget charges between two "candidates" progress events
     progress_every: int = 50
-    #: fuse concurrent same-inputs jobs of one ``run()`` call into shared
-    #: columnar kernel dispatches (see :mod:`repro.execution.fusion`).
-    #: Results, per-job events and budget charges are unchanged; progress
-    #: events additionally carry a ``fused_dispatches`` counter
-    fuse_jobs: bool = False
     #: most recent events retained on each job (older ones are dropped so
     #: paper-scale budgets cannot grow job.events without bound)
     max_events_per_job: int = 10_000
@@ -526,11 +521,6 @@ class ServingConfig:
     #: seconds a graceful drain (SIGTERM / ``request_drain``) waits for
     #: running jobs before stopping anyway (leftovers stay journaled)
     drain_timeout: float = 30.0
-    #: fuse co-admitted jobs that share example inputs into the same
-    #: columnar kernel dispatches (forwarded to the session's
-    #: ``ServiceConfig.fuse_jobs``); per-job results, event streams and
-    #: budget charges are unchanged — see docs/serving.md
-    fuse_jobs: bool = False
 
     def __post_init__(self) -> None:
         self.validate()

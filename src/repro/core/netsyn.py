@@ -38,8 +38,6 @@ from repro.events import ProgressListener
 from repro.execution import (
     BatchExecutionEngine,
     ExecutionEngine,
-    FusedBatchEngine,
-    FusionPlane,
     LRUCache,
     TieredScoreCache,
 )
@@ -356,45 +354,35 @@ class NetSynBackend(SynthesisBackend):
         self,
         target: Optional[Program] = None,
         executor: Optional[ExecutionEngine] = None,
-        caches: Optional[dict] = None,
     ) -> FitnessFunction:
         """Construct the fitness function configured for Phase 2.
 
         ``executor`` is the run's shared execution engine; passing it lets
         the fitness reuse executions cached by the GA's solution check
-        (and vice versa).  ``caches`` (keys ``score``/``sample``/``map``)
-        overrides the backend-lifetime fitness caches — the fused-serving
-        path passes job-private instances so concurrent jobs never share
-        counter objects (see :meth:`_private_fitness_caches`).
+        (and vice versa).
         """
         cfg = self.config
         kind = cfg.fitness_kind
         if kind in ("cf", "lcs"):
             if self._trace_artifacts is None:
                 raise RuntimeError("call fit() before synthesize(): the trace model is untrained")
-            if caches is not None:
-                score_cache = caches["score"] if cfg.memoize_scores else None
-                sample_cache = caches["sample"]
-            else:
-                if cfg.memoize_scores and self._score_cache is None:
-                    self._score_cache = TieredScoreCache(
-                        capacity=cfg.score_cache_size,
-                        namespace=f"score:nnff_{kind}",
-                        table=self._score_table,
-                        remote=self._remote_tier,
-                    )
-                if self._sample_cache is None:
-                    self._sample_cache = LRUCache(cfg.sample_cache_size)
-                score_cache = self._score_cache
-                sample_cache = self._sample_cache
+            if cfg.memoize_scores and self._score_cache is None:
+                self._score_cache = TieredScoreCache(
+                    capacity=cfg.score_cache_size,
+                    namespace=f"score:nnff_{kind}",
+                    table=self._score_table,
+                    remote=self._remote_tier,
+                )
+            if self._sample_cache is None:
+                self._sample_cache = LRUCache(cfg.sample_cache_size)
             return LearnedTraceFitness(
                 self._trace_artifacts.model,
                 kind=kind,
                 encoder=self._trace_artifacts.encoder,
                 executor=executor,
                 memoize=cfg.memoize_scores,
-                score_cache=score_cache,
-                sample_cache=sample_cache,
+                score_cache=self._score_cache,
+                sample_cache=self._sample_cache,
                 program_length=cfg.program_length,
             )
         if kind == "fp":
@@ -405,7 +393,7 @@ class NetSynBackend(SynthesisBackend):
                 encoder=self._fp_artifacts.encoder,
                 executor=executor,
                 cache_tag="fp",
-                map_cache=caches["map"] if caches is not None else self._fp_map_cache(),
+                map_cache=self._fp_map_cache(),
             )
         if kind == "edit":
             return EditDistanceFitness(executor=executor)
@@ -422,9 +410,7 @@ class NetSynBackend(SynthesisBackend):
         return self._map_cache
 
     def _fp_fitness_for_mutation(
-        self,
-        executor: Optional[ExecutionEngine] = None,
-        caches: Optional[dict] = None,
+        self, executor: Optional[ExecutionEngine] = None
     ) -> Optional[ProbabilityMapFitness]:
         if not self.config.fp_guided_mutation or self._fp_artifacts is None:
             return None
@@ -433,33 +419,8 @@ class NetSynBackend(SynthesisBackend):
             encoder=self._fp_artifacts.encoder,
             executor=executor,
             cache_tag="fp",
-            map_cache=caches["map"] if caches is not None else self._fp_map_cache(),
+            map_cache=self._fp_map_cache(),
         )
-
-    def _private_fitness_caches(self) -> dict:
-        """Fresh fitness caches for one fused job.
-
-        Concurrent fused jobs must not share :class:`CacheStats` objects
-        (per-generation events report counter *deltas*, which would
-        otherwise include sibling activity).  Sharing the instances is
-        also unnecessary for warmth: every fitness cache key includes the
-        IO key, and fused jobs have pairwise-distinct IO sets, so one
-        job's entries can never answer another's lookups.  The L2 table
-        and L4 remote tier still attach — those are cross-process tiers
-        whose counters are documented advisory.  Entries merge back into
-        the backend-lifetime caches via :meth:`merge_fused_cache`.
-        """
-        cfg = self.config
-        return {
-            "score": TieredScoreCache(
-                capacity=cfg.score_cache_size,
-                namespace=f"score:nnff_{cfg.fitness_kind}",
-                table=self._score_table,
-                remote=self._remote_tier,
-            ),
-            "sample": LRUCache(cfg.sample_cache_size),
-            "map": LRUCache(cfg.map_cache_size),
-        }
 
     # ------------------------------------------------------------------
     def solve_io(
@@ -470,7 +431,6 @@ class NetSynBackend(SynthesisBackend):
         seed: Optional[int] = None,
         task_id: str = "",
         listener: Optional[ProgressListener] = None,
-        executor: Optional[ExecutionEngine] = None,
     ) -> SynthesisResult:
         """Phase 2: search for a program satisfying ``io_set``.
 
@@ -503,22 +463,14 @@ class NetSynBackend(SynthesisBackend):
         # backend's runs (fit-once-serve-many sessions re-solve the same
         # specs with different seeds): every cached value is deterministic
         # per (program, io_set), so reuse cannot change results.
-        caches = None
-        if executor is None:
-            if cfg.share_evaluation_cache:
-                if self._shared_executor is None:
-                    self._shared_executor = self._make_executor()
-                executor = self._shared_executor
-            else:
-                executor = self._make_executor()
+        if cfg.share_evaluation_cache:
+            if self._shared_executor is None:
+                self._shared_executor = self._make_executor()
+            executor = self._shared_executor
         else:
-            # explicit engine = a fused job: give it private fitness
-            # caches too, so concurrent jobs never share counter objects
-            # (the session merges them back after the group joins)
-            caches = self._private_fitness_caches()
-            executor._fitness_caches = caches
-        fitness = self.build_fitness(target=target, executor=executor, caches=caches)
-        fp_fitness = self._fp_fitness_for_mutation(executor=executor, caches=caches)
+            executor = self._make_executor()
+        fitness = self.build_fitness(target=target, executor=executor)
+        fp_fitness = self._fp_fitness_for_mutation(executor=executor)
 
         operators = GeneOperators(
             program_length=cfg.program_length,
@@ -583,15 +535,8 @@ class NetSynBackend(SynthesisBackend):
         budget: Optional[SearchBudget] = None,
         seed: int = 0,
         listener: Optional[ProgressListener] = None,
-        executor: Optional[ExecutionEngine] = None,
     ) -> SynthesisResult:
-        """Synthesize one task through the unified backend protocol.
-
-        ``executor`` overrides the backend's engine selection for this
-        call only (the fused-serving path passes a per-job
-        :class:`~repro.execution.FusedBatchEngine` here); ``None`` keeps
-        the usual run-shared engine.
-        """
+        """Synthesize one task through the unified backend protocol."""
         budget = budget or SearchBudget(limit=self.config.max_search_space)
         self._start_events(task, budget, listener)
         result = self.solve_io(
@@ -601,67 +546,9 @@ class NetSynBackend(SynthesisBackend):
             seed=seed,
             task_id=task.task_id,
             listener=listener,
-            executor=executor,
         )
         self._finish_events(task, result, listener)
         return result
-
-    # ------------------------------------------------------------------
-    def supports_fusion(self) -> bool:
-        """True when populations evaluate on the columnar batch path —
-        the precondition for cross-job dispatch fusion."""
-        return bool(self.config.vectorized)
-
-    def fused_executor(self, plane: "FusionPlane", token: int) -> "FusedBatchEngine":
-        """A per-job engine whose population batches ride ``plane``.
-
-        Reads fall through to this backend's shared evaluation cache (so
-        fused jobs start as warm as serial ones); writes stay job-private
-        until :meth:`merge_fused_cache` replays them after the job
-        settled.
-        """
-        base = None
-        if self.config.share_evaluation_cache:
-            if self._shared_executor is None:
-                self._shared_executor = self._make_executor()
-            base = self._shared_executor.cache
-        return FusedBatchEngine(plane, token, base_cache=base)
-
-    def merge_fused_cache(self, engine: "FusedBatchEngine") -> int:
-        """Fold a fused job's private caches back into the backend.
-
-        Evaluation-cache writes replay into the shared engine (when
-        sharing is on); the job-private fitness caches merge into the
-        backend-lifetime ones so later runs stay warm.  Values are
-        deterministic per key, so merging is idempotent and
-        order-independent across the group's jobs (their keys are
-        disjoint anyway).  Returns the number of evaluation entries
-        merged.
-        """
-        merged = 0
-        if self.config.share_evaluation_cache:
-            if self._shared_executor is None:
-                self._shared_executor = self._make_executor()
-            merged = engine.merge_into(self._shared_executor.cache)
-        caches = getattr(engine, "_fitness_caches", None)
-        if caches is not None:
-            cfg = self.config
-            if cfg.memoize_scores and len(caches["score"]):
-                if self._score_cache is None:
-                    self._score_cache = TieredScoreCache(
-                        capacity=cfg.score_cache_size,
-                        namespace=f"score:nnff_{cfg.fitness_kind}",
-                        table=self._score_table,
-                        remote=self._remote_tier,
-                    )
-                self._score_cache.load_snapshot(caches["score"].snapshot())
-            if len(caches["sample"]):
-                if self._sample_cache is None:
-                    self._sample_cache = LRUCache(cfg.sample_cache_size)
-                self._sample_cache.load(caches["sample"].items())
-            if len(caches["map"]):
-                self._fp_map_cache().load(caches["map"].items())
-        return merged
 
 
 class NetSyn:

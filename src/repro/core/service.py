@@ -63,8 +63,7 @@ from repro.core.result import SynthesisResult
 from repro.core.supervisor import FailureReport, WorkerSupervisor
 from repro.data.tasks import SynthesisTask
 from repro.events import JobCancelled, ProgressEvent, ProgressListener
-from repro.execution import FusionPlane, faults, io_set_key
-from repro.execution.fusion import inputs_key
+from repro.execution import faults
 from repro.ga.budget import SearchBudget
 from repro.utils.logging import get_logger
 
@@ -690,6 +689,7 @@ class SynthesisSession:
         ``budget`` may be a candidate count or a ``SearchBudget``; it
         defaults to the configuration's ``max_search_space``.  Jobs run
         when :meth:`run` is called (or :meth:`run_job` for one job).
+        A budget or ``program_length`` below 1 raises ``ValueError``.
 
         ``job_id`` lets a caller re-admit a recovered job under its
         original id (the serving journal does this after a server
@@ -707,6 +707,12 @@ class SynthesisSession:
             limit = self.config.max_search_space
         else:
             limit = int(budget)
+        # reject here, not at run time: a job that cannot build its
+        # SearchBudget would abort the whole run() batch it lands in
+        if limit < 1:
+            raise ValueError(f"budget must be a positive candidate count, got {limit}")
+        if program_length is not None and program_length < 1:
+            raise ValueError(f"program_length must be positive, got {program_length}")
         if job_id is None:
             self._next_job_number += 1
             job_id = f"job-{self._next_job_number}"
@@ -780,135 +786,6 @@ class SynthesisSession:
     def _finish(self, job: SynthesisJob, result: SynthesisResult) -> None:
         job.result = result
         job.state = JobState.SOLVED if result.found else JobState.EXHAUSTED
-
-    # ------------------------------------------------------------------
-    # Cross-job batch fusion (ServiceConfig.fuse_jobs): concurrent jobs
-    # over the *same example inputs* contribute their population rows to
-    # the same columnar kernel dispatches (repro.execution.fusion).
-    def _fusion_groups(
-        self, pending: List[SynthesisJob]
-    ) -> Tuple[List[List[SynthesisJob]], List[SynthesisJob]]:
-        """Partition pending jobs into fusable groups and serial leftovers.
-
-        A group shares ``(method, program_length)`` — one backend — and
-        the structural key of its example inputs, with pairwise-distinct
-        IO sets: distinct IO keys make every cache key disjoint across
-        the group, which is what keeps per-job counters exact.  A job
-        whose IO set duplicates an earlier group member stays a leftover
-        and runs *after* the groups, so it observes the same warm cache
-        a serial run (where its twin precedes it) would have produced.
-        Backends without columnar batching are never fused.
-        """
-        groups: Dict[Tuple, List[SynthesisJob]] = {}
-        io_keys: Dict[Tuple, set] = {}
-        leftovers: List[SynthesisJob] = []
-        for job in pending:
-            backend = self.backend(job.method, job.program_length)
-            if not getattr(backend, "supports_fusion", lambda: False)():
-                leftovers.append(job)
-                continue
-            key = (
-                job.method,
-                job.program_length,
-                inputs_key([example.inputs for example in job.task.io_set]),
-            )
-            io_key = io_set_key(job.task.io_set)
-            seen = io_keys.setdefault(key, set())
-            if io_key in seen:
-                leftovers.append(job)
-                continue
-            seen.add(io_key)
-            groups.setdefault(key, []).append(job)
-        fusable: List[List[SynthesisJob]] = []
-        for group in groups.values():
-            if len(group) > 1:
-                fusable.append(group)
-            else:
-                leftovers.append(group[0])
-        return fusable, leftovers
-
-    def _run_fused(self, pending: List[SynthesisJob]) -> None:
-        """Run pending jobs with cross-job dispatch fusion.
-
-        Same-inputs groups run first (their members concurrently, fused
-        on one plane per group), then the leftovers serially in
-        submission order — so a job whose IO set duplicates a fused one
-        still starts from the warm caches its twin produced, exactly as
-        in a serial run.
-        """
-        fusable, leftovers = self._fusion_groups(pending)
-        for group in fusable:
-            self._run_fused_group(group)
-        for job in leftovers:
-            self.run_job(job)
-
-    def _run_fused_group(self, group: List[SynthesisJob]) -> None:
-        """One fusion group: per-job threads over one shared plane.
-
-        Registration, engine construction and the final cache merge all
-        happen in the main thread in admission order, so the only
-        concurrency is inside the evaluation rendezvous — where results
-        are deterministic per (program, io_set) and row ownership is
-        positional.  A job that finishes (or cancels, or fails) leaves
-        the plane in its ``finally``, so stragglers never wait out
-        rendezvous timeouts on its account.
-        """
-        first = group[0]
-        backend = self.backend(first.method, first.program_length)
-        plane = FusionPlane([example.inputs for example in first.task.io_set])
-        engines = []
-        for job in group:
-            token = plane.register()
-            engines.append(backend.fused_executor(plane, token))
-        threads = [
-            threading.Thread(
-                target=self._run_fused_job,
-                args=(job, backend, engine, plane),
-                name=f"fused-{job.job_id}",
-                daemon=True,
-            )
-            for job, engine in zip(group, engines)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for engine in engines:
-            backend.merge_fused_cache(engine)
-
-    def _run_fused_job(self, job: SynthesisJob, backend, engine, plane) -> None:
-        """``run_job`` body for one member of a fusion group."""
-        if job.state is not JobState.PENDING:
-            plane.unregister(engine._token)
-            return
-        if job._cancel_requested:
-            job.state = JobState.CANCELLED
-            plane.unregister(engine._token)
-            return
-        job.state = JobState.RUNNING
-        budget = SearchBudget(limit=job.budget_limit)
-        try:
-            result = backend.solve(
-                job.task,
-                budget=budget,
-                seed=job.seed,
-                listener=self._job_listener(job),
-                executor=engine,
-            )
-        except JobCancelled:
-            job.state = JobState.CANCELLED
-            logger.info("job %s cancelled after %d candidates", job.job_id, budget.used)
-            return
-        except Exception as error:  # noqa: BLE001 - job isolation boundary
-            job.state = JobState.FAILED
-            job.error = f"{type(error).__name__}: {error}"
-            logger.warning("job %s failed: %s", job.job_id, job.error)
-            return
-        finally:
-            # leaving the plane first means sibling jobs stop waiting for
-            # this job's rows the moment it has no more batches to offer
-            plane.unregister(engine._token)
-        self._finish(job, result)
 
     # ------------------------------------------------------------------
     def _shared_directory(self) -> Path:
@@ -1122,8 +999,6 @@ class SynthesisSession:
         n_workers = self.service_config.n_workers if n_workers is None else int(n_workers)
         if n_workers > 1 and len(pending) > 1:
             self._run_parallel(pending, n_workers)
-        elif self.service_config.fuse_jobs and len(pending) > 1:
-            self._run_fused(pending)
         else:
             for job in pending:
                 self.run_job(job)

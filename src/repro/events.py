@@ -65,10 +65,11 @@ class JobCancelled(Exception):
 
 
 #: version of the serialized :class:`ProgressEvent` form.  Bump when a
-#: field is renamed or its meaning changes; *adding* fields does not need
-#: a bump because :meth:`ProgressEvent.from_dict` deterministically drops
-#: keys it does not know (forward compatibility for wire-streamed events:
-#: an old reader fed a newer event keeps every field it understands).
+#: field is renamed or its meaning changes; *adding* or *dropping* fields
+#: does not need a bump because :meth:`ProgressEvent.from_dict`
+#: deterministically drops keys it does not know (an old reader fed a
+#: newer event, or a new reader fed an older log carrying a retired
+#: field, keeps every field it understands).
 EVENT_SCHEMA_VERSION = 1
 
 
@@ -104,10 +105,6 @@ class ProgressEvent:
     #: attached — see ``repro.serving``); every remote hit is also an
     #: L1/L2 miss, mirroring how ``shared_hits`` relate to ``cache_hits``
     remote_hits: int = 0
-    #: kernel dispatches this job shared with concurrent same-inputs
-    #: jobs so far (zero unless ``fuse_jobs`` is on — see
-    #: ``repro.execution.fusion``); cumulative, not per-generation
-    fused_dispatches: int = 0
     #: outcome fields ("finished" events only)
     found: Optional[bool] = None
     found_by: str = ""
@@ -141,7 +138,6 @@ class ProgressEvent:
             "shared_hits": self.shared_hits,
             "shared_cross_hits": self.shared_cross_hits,
             "remote_hits": self.remote_hits,
-            "fused_dispatches": self.fused_dispatches,
             "found": self.found,
             "found_by": self.found_by,
             "worker_id": self.worker_id,

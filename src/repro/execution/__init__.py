@@ -17,7 +17,6 @@ from repro.execution.cache import (
 )
 from repro.execution.engine import ExecutionEngine, uncached_engine
 from repro.execution.faults import Fault, FaultInjected, FaultPlan
-from repro.execution.fusion import FusedBatchEngine, FusionPlane, inputs_key
 from repro.execution.score_cache import LRUCache, ScoreCache, TieredScoreCache
 from repro.execution.shared_table import SharedScoreTable
 from repro.execution.vectorized import BatchExecutionEngine, ColumnarEvaluator
@@ -31,14 +30,11 @@ __all__ = [
     "Fault",
     "FaultInjected",
     "FaultPlan",
-    "FusedBatchEngine",
-    "FusionPlane",
     "LRUCache",
     "ScoreCache",
     "SharedScoreTable",
     "TieredScoreCache",
     "freeze_value",
-    "inputs_key",
     "io_set_key",
     "program_key",
     "uncached_engine",

@@ -162,7 +162,6 @@ class GeneticAlgorithm:
                 shared_hits=shared_hits,
                 shared_cross_hits=shared_cross,
                 remote_hits=remote_hits,
-                fused_dispatches=getattr(self.executor, "fused_dispatches", 0),
             )
         )
 

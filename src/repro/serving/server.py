@@ -101,10 +101,6 @@ class SynthesisServer:
         # misses are answered from what clients pushed back
         session.attach_remote_score_tier(LocalPoolTier(self.pool))
         session.add_listener(self._on_event)
-        if self.config.fuse_jobs:
-            # co-admitted same-inputs jobs share kernel dispatches; the
-            # session-level knob is what run() branches on
-            session.service_config.fuse_jobs = True
         self._jobs: Dict[str, SynthesisJob] = {}
         self._streams: Dict[str, _JobStream] = {}
         self._registry_lock = threading.Lock()

@@ -328,6 +328,20 @@ class TestJobLifecycle:
         with pytest.raises(KeyError):
             edit_session.submit(tiny_task, method="pushgp")
 
+    def test_submit_rejects_non_positive_budget_and_length(self, edit_session, tiny_suite):
+        task = tiny_suite[0]
+        good = edit_session.submit(task, budget=300, seed=1)
+        for bad in (dict(budget=0), dict(budget=-5), dict(program_length=0)):
+            with pytest.raises(ValueError):
+                edit_session.submit(task, seed=1, **bad)
+        after = edit_session.submit(tiny_suite[1], budget=300, seed=1)
+        # rejected submits never reach the queue or consume a job id
+        assert edit_session.jobs == [good, after]
+        assert [good.job_id, after.job_id] == ["job-1", "job-2"]
+        edit_session.run()
+        for job in (good, after):
+            assert job.state in (JobState.SOLVED, JobState.EXHAUSTED)
+
     def test_cancel_pending_job(self, edit_session, tiny_task):
         job = edit_session.submit(tiny_task, budget=300)
         assert job.cancel()

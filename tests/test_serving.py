@@ -44,6 +44,7 @@ from repro.serving import (
 )
 from repro.serving import protocol
 from repro.serving.client import RemoteError
+from repro.serving.journal import JobJournal
 
 
 EDIT_CONFIG = NetSynConfig.small().replace(fitness_kind="edit", fp_guided_mutation=False)
@@ -201,10 +202,14 @@ class TestEventSchema:
     def test_from_dict_drops_unknown_fields(self):
         data = ProgressEvent(kind="generation", generation=2).to_dict()
         data["from_the_future"] = {"nested": True}
+        # a retired field, as carried by logs and journals written before
+        # it was dropped
+        data["fused_dispatches"] = 3
         event = ProgressEvent.from_dict(data)
         assert event.kind == "generation"
         assert event.generation == 2
         assert not hasattr(event, "from_the_future")
+        assert not hasattr(event, "fused_dispatches")
 
     def test_from_dict_without_kind_is_unknown(self):
         assert ProgressEvent.from_dict({"generation": 1}).kind == "unknown"
@@ -475,6 +480,26 @@ class TestServerFailurePaths:
                     client._request({"type": "submit", "task": {"target": [0]}})
                 assert excinfo.value.code == "bad_frame"
                 assert client.ping()["active_jobs"] == 0
+
+    def test_non_positive_budget_rejected_before_journal(self, tmp_path):
+        task = make_synthesis_task(length=3, seed=22)
+        serving = ServingConfig(batch_window=0.5, journal_dir=str(tmp_path))
+        with SynthesisServer(edit_session(), serving) as server:
+            with RemoteSynthesisSession(server.address) as good_client:
+                good = good_client.submit(task, budget=1500, seed=0)
+                # a second client's bad submit lands inside the good job's
+                # batch window
+                with RemoteSynthesisSession(server.address) as bad_client:
+                    with pytest.raises(RemoteError) as excinfo:
+                        bad_client.submit(task, budget=0, seed=0)
+                    assert excinfo.value.code == "bad_frame"
+                good_client.run([good])
+        assert good.state in (JobState.SOLVED, JobState.EXHAUSTED)
+        with JobJournal(tmp_path) as journal:
+            state = journal.replay()
+        # only the valid job was ever admitted
+        assert not state.pending
+        assert list(state.settled) == [good.job_id]
 
 
 # ---------------------------------------------------------------------------
