@@ -80,7 +80,6 @@ class NetSynBackend(SynthesisBackend):
         # so reuse across jobs cannot change results, only skip work.
         self._shared_executor: Optional[ExecutionEngine] = None
         self._score_cache: Optional[TieredScoreCache] = None
-        self._sample_cache: Optional[LRUCache] = None
         self._map_cache: Optional[LRUCache] = None
         #: the L2 shared mmap score table of a parallel session (None on
         #: the default single-tier path); see execution/shared_table.py
@@ -172,7 +171,6 @@ class NetSynBackend(SynthesisBackend):
         """
         self._shared_executor = None
         self._score_cache = None
-        self._sample_cache = None
         self._map_cache = None
         self._score_table = None
         self._remote_tier = None
@@ -373,8 +371,6 @@ class NetSynBackend(SynthesisBackend):
                     table=self._score_table,
                     remote=self._remote_tier,
                 )
-            if self._sample_cache is None:
-                self._sample_cache = LRUCache(cfg.sample_cache_size)
             return LearnedTraceFitness(
                 self._trace_artifacts.model,
                 kind=kind,
@@ -382,7 +378,6 @@ class NetSynBackend(SynthesisBackend):
                 executor=executor,
                 memoize=cfg.memoize_scores,
                 score_cache=self._score_cache,
-                sample_cache=self._sample_cache,
                 program_length=cfg.program_length,
             )
         if kind == "fp":

@@ -19,7 +19,7 @@ from repro.execution.engine import ExecutionEngine, uncached_engine
 from repro.execution.faults import Fault, FaultInjected, FaultPlan
 from repro.execution.score_cache import LRUCache, ScoreCache, TieredScoreCache
 from repro.execution.shared_table import SharedScoreTable
-from repro.execution.vectorized import BatchExecutionEngine, ColumnarEvaluator
+from repro.execution.vectorized import BatchExecutionEngine, ColumnarEvaluator, TraceColumns
 
 __all__ = [
     "BatchExecutionEngine",
@@ -34,6 +34,7 @@ __all__ = [
     "ScoreCache",
     "SharedScoreTable",
     "TieredScoreCache",
+    "TraceColumns",
     "freeze_value",
     "io_set_key",
     "program_key",

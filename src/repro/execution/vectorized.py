@@ -29,15 +29,17 @@ per ``(registry, history length, mask, fid)`` in a module-level cache —
 the analog of the compiler's compile cache, warm across calls.
 
 :class:`BatchExecutionEngine` wraps the evaluator behind the
-:class:`~repro.execution.engine.ExecutionEngine` contract: batch results
-land in the same ``outputs``/``traces``/``solutions`` cache namespaces
+:class:`~repro.execution.engine.ExecutionEngine` contract: batch outputs
+and verdicts land in the same ``outputs``/``solutions`` cache namespaces
 with the same per-program hit/miss accounting, so the L1-L3 cache tiers,
 snapshots and the fitness layer see vectorized traffic exactly like
-serial traffic.  Values and traces are bit-identical to the compiled and
-reference paths (``tests/test_vectorized.py``); functions without a
-vectorized kernel (extended registries) fall back to their scalar
-``impl`` row by row, and inputs outside the int64-safe range route the
-whole signature block to the serial compiled path.
+serial traffic.  Traces come back as :class:`TraceColumns`, gathered from
+the trie levels the solution check already filled, never decoded into
+``StepRecord`` objects.  Values and traces are bit-identical to the
+compiled and reference paths (``tests/test_vectorized.py``); functions
+without a vectorized kernel (extended registries) fall back to their
+scalar ``impl`` row by row, and inputs outside the int64-safe range route
+the whole signature block to the serial compiled path.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 from repro.dsl.compiler import compile_program, input_signature, normalize_inputs
 from repro.dsl.equivalence import IOSet
 from repro.dsl.functions import DSLFunction, FunctionRegistry
-from repro.dsl.interpreter import ExecutionTrace, StepRecord
+from repro.dsl.interpreter import ExecutionTrace
 from repro.dsl.program import Program
 from repro.dsl.types import DSLType, Value, default_for, values_equal
 from repro.dsl.vector_ops import SAFE_INT_BOUND, batch_impl_for
@@ -351,6 +353,104 @@ class _ColumnarUnsupported(Exception):
     the caller reverts to the serial compiled path."""
 
 
+@dataclass
+class TraceColumns:
+    """The execution traces of a batch of programs, as step-value columns.
+
+    The tensor form of a batch's traces: what
+    :meth:`BatchExecutionEngine.traces_batch` returns and
+    :meth:`repro.fitness.features.FeatureEncoder.encode_trace_batch`
+    turns into model tokens.  For ``B`` programs over ``m`` examples,
+    padded to ``L`` steps and ``W`` cells per step value (all ``int64``):
+
+    * ``fids [B, L]`` — each program's function ids, 0 past its end;
+    * ``lengths [B]`` — each program's step count;
+    * ``values [B, m, L, W]`` — step ``k``'s output on example ``e``: an
+      int as a one-cell row, a list as its elements, zero-padded;
+    * ``sizes [B, m, L]`` — how many cells of that row hold the value: 1
+      for an int step, the list's length for a list step, 0 past the
+      program's end (the lengths ``flatten_value`` gives).
+
+    ``L`` is the longest program and ``W`` the longest step value.
+    """
+
+    fids: np.ndarray
+    lengths: np.ndarray
+    values: np.ndarray
+    sizes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def take(self, indices) -> "TraceColumns":
+        """The rows ``indices`` (in that order, repeats allowed)."""
+        indices = np.asarray(indices, dtype=np.int64)
+        return TraceColumns(
+            self.fids[indices], self.lengths[indices], self.values[indices], self.sizes[indices]
+        )
+
+    @classmethod
+    def from_steps(
+        cls, function_ids: Sequence[Sequence[int]], steps: Sequence[Sequence[Sequence[Value]]]
+    ) -> "TraceColumns":
+        """Columns from Python values: ``steps[b][e]`` lists the step
+        outputs of program ``b`` (function ids ``function_ids[b]``) on
+        example ``e``.  Steps past a program's length are ignored, and
+        ints beyond ``SAFE_INT_BOUND`` saturate to it (the token range
+        lies far inside)."""
+        batch = len(function_ids)
+        m = len(steps[0]) if batch else 0
+        max_len = max((len(seq) for seq in function_ids), default=0)
+        fids = np.zeros((batch, max_len), dtype=np.int64)
+        lengths = np.zeros(batch, dtype=np.int64)
+        rows: List[list] = []
+        positions: List[int] = []
+        for b, (seq, per_example) in enumerate(zip(function_ids, steps)):
+            length = len(seq)
+            lengths[b] = length
+            fids[b, :length] = seq
+            if len(per_example) != m:
+                raise ValueError("every program needs one trace per example")
+            for e, outputs in enumerate(per_example):
+                base = (b * m + e) * max_len
+                for k, value in enumerate(outputs[:length]):
+                    rows.append(list(value) if isinstance(value, (list, tuple)) else [value])
+                    positions.append(base + k)
+        row_sizes = [len(row) for row in rows]
+        width = max(row_sizes, default=0)
+        values = np.zeros((batch * m * max_len, width), dtype=np.int64)
+        sizes = np.zeros(batch * m * max_len, dtype=np.int64)
+        if rows:
+            padded = [row + [0] * (width - len(row)) for row in rows]
+            try:
+                block = np.array(padded, dtype=np.int64)
+            except OverflowError:
+                block = np.array(
+                    [[max(-SAFE_INT_BOUND, min(SAFE_INT_BOUND, v)) for v in row] for row in padded],
+                    dtype=np.int64,
+                )
+            np.clip(block, -SAFE_INT_BOUND, SAFE_INT_BOUND, out=block)
+            values[positions] = block
+            sizes[positions] = row_sizes
+        return cls(
+            fids,
+            lengths,
+            values.reshape(batch, m, max_len, width),
+            sizes.reshape(batch, m, max_len),
+        )
+
+    @classmethod
+    def from_traces(
+        cls, programs: Sequence[Program], traces: Sequence[Sequence[ExecutionTrace]]
+    ) -> "TraceColumns":
+        """Columns of per-program traces (``traces[b][e]``: program ``b``
+        on example ``e``) — the path for whatever the trie cannot serve."""
+        return cls.from_steps(
+            [program.function_ids for program in programs],
+            [[trace.intermediate_outputs for trace in per_example] for per_example in traces],
+        )
+
+
 class _SignatureBlock:
     """The examples of one input type signature, encoded as columns."""
 
@@ -452,7 +552,6 @@ class _TrieRun(object):
         registry: FunctionRegistry,
         fn_table: Dict[int, _FnInfo],
         bind_cache: Dict,
-        want_traces: bool,
         stats: Optional[KernelStats] = None,
     ) -> None:
         self.block = block
@@ -468,16 +567,14 @@ class _TrieRun(object):
         self.seq_lens: List[int] = [len(p.function_ids) for p in programs]
         self._erange = np.arange(self.m, dtype=np.int64)
         self._tiles: Dict[int, tuple] = {}
-        self._decoded: Dict[Tuple[int, int], list] = {}
         self._level_raw: Dict[int, tuple] = {}
-        self._records: Dict[Tuple[int, int, int], StepRecord] = {}
-        self._run(want_traces)
+        self._run()
 
     # -- trie construction + execution ---------------------------------
     def _fn_info(self, fid: int) -> _FnInfo:
         return _fn_info_of(fid, self.registry, self.fn_table)
 
-    def _run(self, want_traces: bool) -> None:
+    def _run(self) -> None:
         n = len(self.programs)
         seq_lens = self.seq_lens
         max_len = max(seq_lens, default=0)
@@ -550,35 +647,30 @@ class _TrieRun(object):
         self.paths = paths
         self.paths_list = paths.tolist()
 
-        # -- phase 2: liveness — outputs-only runs skip any group whose
-        # value no live prefix (a leaf, or an argument of a live group)
-        # ever reads; trace runs need every intermediate value
-        if want_traces:
-            for level in levels:
-                level.glive = [True] * len(level.group_meta)
-        else:
-            live = [np.zeros(len(level.fid_arr), dtype=bool) for level in levels]
-            for length in np.unique(lengths):
-                if length == 0:
-                    continue
-                rows = np.nonzero(lengths == length)[0]
-                live[length - 1][paths[rows, length - 1]] = True
-            for j in range(max_len - 1, -1, -1):
-                level = levels[j]
-                bounds = level.bounds
-                starts = np.concatenate(([0], bounds[:-1]))
-                group_live = np.logical_or.reduceat(live[j], starts).tolist()
-                level.glive = group_live
-                bounds_list = bounds.tolist()
-                s = 0
-                for gid, (fid, bind, _ret) in enumerate(level.group_meta):
-                    e = bounds_list[gid]
-                    if group_live[gid]:
-                        for binding in bind:
-                            if binding >= n_inputs:
-                                src_j = binding - n_inputs
-                                live[src_j][level.anc[src_j][s:e]] = True
-                    s = e
+        # -- phase 2: liveness — skip any group whose value no live prefix
+        # (a leaf, or an argument of a live group) ever reads
+        live = [np.zeros(len(level.fid_arr), dtype=bool) for level in levels]
+        for length in np.unique(lengths):
+            if length == 0:
+                continue
+            rows = np.nonzero(lengths == length)[0]
+            live[length - 1][paths[rows, length - 1]] = True
+        for j in range(max_len - 1, -1, -1):
+            level = levels[j]
+            bounds = level.bounds
+            starts = np.concatenate(([0], bounds[:-1]))
+            group_live = np.logical_or.reduceat(live[j], starts).tolist()
+            level.glive = group_live
+            bounds_list = bounds.tolist()
+            s = 0
+            for gid, (fid, bind, _ret) in enumerate(level.group_meta):
+                e = bounds_list[gid]
+                if group_live[gid]:
+                    for binding in bind:
+                        if binding >= n_inputs:
+                            src_j = binding - n_inputs
+                            live[src_j][level.anc[src_j][s:e]] = True
+                s = e
 
         # -- phase 3: execute live groups, one kernel dispatch each -----
         m = self.m
@@ -730,28 +822,11 @@ class _TrieRun(object):
             self._level_raw[j] = raw
         return raw
 
-    def _decode(self, j: int, pid: int) -> list:
-        """This prefix's value on every example, as Python objects (memoized)."""
-        key = (j, pid)
-        got = self._decoded.get(key)
-        if got is None:
-            ints, lists, lens, is_list = self._raw_level(j)
-            base = pid * self.m
-            top = base + self.m
-            if is_list[pid]:
-                got = [row[:k] for row, k in zip(lists[base:top], lens[base:top])]
-            else:
-                got = ints[base:top]
-            self._decoded[key] = got
-        return got
-
     def outputs_of(self, i: int) -> List[Value]:
         """Program ``i``'s final output per example (block-local order)."""
         length = self.seq_lens[i]
         if length == 0:
             return [_DEFAULT_INT] * self.m
-        # leaves are unique per (deduplicated) program: decode directly,
-        # skipping the memo the trace path uses for shared interior nodes
         pid = self.paths_list[i][length - 1]
         ints, lists, lens, is_list = self._raw_level(length - 1)
         base = pid * self.m
@@ -759,47 +834,6 @@ class _TrieRun(object):
         if is_list[pid]:
             return [row[:k] for row, k in zip(lists[base:top], lens[base:top])]
         return ints[base:top]
-
-    def _record(self, j: int, pid: int, e: int) -> StepRecord:
-        """The StepRecord of prefix ``pid`` on example ``e`` — shared by
-        every program whose path goes through the prefix."""
-        key = (j, pid, e)
-        record = self._records.get(key)
-        if record is None:
-            level = self.levels[j]
-            fid = int(level.fid_arr[pid])
-            fn, _kernel, arg_types, _returns_list = self._fn_info(fid)
-            bind = level.pair_binds[int(level.pair_idx[pid])]
-            n_inputs = self.block.n_inputs
-            args: List[Value] = []
-            for binding, arg_type in zip(bind, arg_types):
-                if binding < 0:
-                    args.append(0 if arg_type is _INT else [])
-                elif binding < n_inputs:
-                    args.append(self.block.norm_inputs[e][binding])
-                else:
-                    src_j = binding - n_inputs
-                    args.append(self._decode(src_j, int(level.anc[src_j][pid]))[e])
-            record = StepRecord(
-                index=j,
-                fid=fid,
-                name=fn.name,
-                args=tuple(args),
-                output=self._decode(j, pid)[e],
-            )
-            self._records[key] = record
-        return record
-
-    def trace_of(self, i: int, e: int) -> ExecutionTrace:
-        """Program ``i``'s full trace on block-local example ``e``."""
-        length = self.seq_lens[i]
-        path = self.paths_list[i][:length]
-        steps = [self._record(j, pid, e) for j, pid in enumerate(path)]
-        return ExecutionTrace(
-            inputs=tuple(self.block.norm_inputs[e]),
-            steps=steps,
-            output=steps[-1].output if steps else _DEFAULT_INT,
-        )
 
 
 class _LevelStore:
@@ -910,9 +944,11 @@ class _PersistentTrie(object):
     Differences from the transient run, both invisible to results: every
     inserted node is computed (a node dead for this batch may be an
     ancestor of the next batch's leaves, so there is no dead-code
-    elimination), and decoded leaf outputs are memoized per node.  Trace
-    requests stay on the transient path — they need every intermediate
-    ``StepRecord`` and are memoized per program upstream.
+    elimination), and decoded leaf outputs are memoized per node.  Since
+    every node's values stay resident, traces are read off the levels
+    too (:meth:`gather`): a program's steps are its leaf and the leaf's
+    ancestors, so a population the solution check already inserted
+    yields its trace columns without executing anything.
     """
 
     def __init__(
@@ -981,6 +1017,66 @@ class _PersistentTrie(object):
         for i, fids in pending:
             results[i] = list(memo[(len(fids) - 1, leaves[fids])])
         return results
+
+    def gather(self, programs: Sequence[Program]) -> Tuple[np.ndarray, np.ndarray]:
+        """The :class:`TraceColumns` ``(values, sizes)`` of every program
+        over the block-local examples; inserts any program not yet
+        resident first.
+
+        Each length group walks ``parent`` up from its leaves, reading one
+        level per step.  A node's cells in the other kind's columns are
+        zero (an int node has list length 0, a list node int value 0), so
+        a step's first cell is ``list_vals + int_vals`` and its size
+        ``lens + (not is_list)`` without masking.
+        """
+        m = self.m
+        n = len(programs)
+        leaves = self._leaves
+        stats = self.stats
+        stats.leaf_lookups += n
+        novel: List[Program] = []
+        for program in programs:
+            fids = program.function_ids
+            if fids and fids not in leaves:
+                novel.append(program)
+            else:
+                stats.leaf_hits += 1
+        if novel:
+            self._insert(novel)
+        lengths = np.fromiter((len(p.function_ids) for p in programs), dtype=np.int64, count=n)
+        max_len = int(lengths.max(initial=0))
+        leaf_ids = np.fromiter(
+            (leaves[p.function_ids] if p.function_ids else -1 for p in programs),
+            dtype=np.int64,
+            count=n,
+        )
+        sizes = np.zeros((n, m, max_len), dtype=np.int64)
+        steps = []
+        uniform = n > 0 and int(lengths.min()) == max_len
+        for length in np.unique(lengths).tolist():
+            if length == 0:
+                continue
+            members = slice(None) if uniform else np.nonzero(lengths == length)[0]
+            node = leaf_ids[members]
+            for j in range(length - 1, -1, -1):
+                level = self.levels[j]
+                rows = (node[:, None] * m + self._erange).ravel()
+                step_sizes = np.repeat(~level.is_list[node], m).astype(np.int64)
+                if level.lens is not None:
+                    step_sizes += level.lens[rows]
+                sizes[members, :, j] = step_sizes.reshape(-1, m)
+                steps.append((members, j, level, rows))
+                node = level.parent[node]
+        width = int(sizes.max(initial=0))
+        values = np.zeros((n, m, max_len, width), dtype=np.int64)
+        if width:
+            for members, j, level, rows in steps:
+                w = 0 if level.list_vals is None else min(width, level.list_vals.shape[1])
+                if w:
+                    values[members, :, j, :w] = level.list_vals[rows, :w].reshape(-1, m, w)
+                if level.int_vals is not None:
+                    values[members, :, j, 0] += level.int_vals[rows].reshape(-1, m)
+        return values, sizes
 
     def _insert(self, programs: Sequence[Program]) -> None:
         seq_lens = [len(p.function_ids) for p in programs]
@@ -1209,18 +1305,20 @@ class ColumnarEvaluator:
     """Evaluates batches of programs against one example set, columnar.
 
     One instance is bound to the *inputs* of an IO specification (outputs
-    play no role in execution); :meth:`outputs` and :meth:`traces` accept
-    any batch of programs.  Examples are grouped by input type signature
-    and each group is evaluated as its own prefix trie.
+    play no role in execution); :meth:`outputs` and :meth:`trace_columns`
+    accept any batch of programs.  Examples are grouped by input type
+    signature and each group is evaluated as its own prefix trie.
 
-    Output evaluation keeps a :class:`_PersistentTrie` alive per
-    ``(signature block, registry)`` between calls, so repeated batches pay
-    only for their novel program suffixes.  The tries are invalidated by
-    :meth:`invalidate` (the inputs changed — in practice a new evaluator
-    is built instead), retired when a registry object is swapped for the
-    same key, and swept once ``trie_node_budget`` resident nodes are
-    exceeded.  Trace evaluation always uses the per-call path: traces
-    need every intermediate step and are memoized per program upstream.
+    Both keep a :class:`_PersistentTrie` alive per ``(signature block,
+    registry)`` between calls, so repeated batches pay only for their
+    novel program suffixes, and a trace request for programs the solution
+    check already evaluated executes nothing.  The tries are invalidated
+    by :meth:`invalidate` (the inputs changed — in practice a new
+    evaluator is built instead), retired when a registry object is
+    swapped for the same key, and swept once ``trie_node_budget``
+    resident nodes are exceeded.  Where no trie can serve, outputs fall
+    back to a per-call :class:`_TrieRun` and traces to per-program
+    compiled runs.
     """
 
     def __init__(
@@ -1253,11 +1351,61 @@ class ColumnarEvaluator:
     # ------------------------------------------------------------------
     def outputs(self, programs: Sequence[Program]) -> List[List[Value]]:
         """Final outputs, ``[program][example]`` in original example order."""
-        return self._evaluate(programs, want_traces=False)
+        results: List[List] = [[None] * self.n_examples for _ in programs]
+        for registry, indices, part in self._partitions(programs):
+            for block_idx, block in enumerate(self.blocks):
+                per_program = self._block_outputs(block_idx, block, part, registry)
+                # single-block fast path: block-local example order IS the
+                # global order, so results rows can be assigned wholesale
+                direct = block.m == self.n_examples
+                for i, per_example in zip(indices, per_program):
+                    if direct:
+                        results[i] = per_example  # freshly allocated per program
+                    else:
+                        for local_e, e in enumerate(block.example_indices):
+                            results[i][e] = per_example[local_e]
+        return results
 
-    def traces(self, programs: Sequence[Program]) -> List[List[ExecutionTrace]]:
-        """Full execution traces, ``[program][example]``."""
-        return self._evaluate(programs, want_traces=True)
+    def trace_columns(self, programs: Sequence[Program]) -> TraceColumns:
+        """Every program's trace on every example, as :class:`TraceColumns`
+        (examples in original order)."""
+        n = len(programs)
+        max_len = max((len(p.function_ids) for p in programs), default=0)
+        fids = np.zeros((n, max_len), dtype=np.int64)
+        lengths = np.zeros(n, dtype=np.int64)
+        for i, program in enumerate(programs):
+            seq = program.function_ids
+            fids[i, : len(seq)] = seq
+            lengths[i] = len(seq)
+        pieces = []
+        for registry, indices, part in self._partitions(programs):
+            for block_idx, block in enumerate(self.blocks):
+                got = self._trie_call(block_idx, block, registry, lambda trie: trie.gather(part))
+                if got is None:
+                    traces = [
+                        [compiled.run(inputs, trace=True) for inputs in block.norm_inputs]
+                        for compiled in (compile_program(p, block.signature) for p in part)
+                    ]
+                    cols = TraceColumns.from_traces(part, traces)
+                    got = (cols.values, cols.sizes)
+                pieces.append((indices, block.example_indices, got))
+        if len(pieces) == 1:
+            # one registry and one signature block: already in program and
+            # example order
+            values, sizes = pieces[0][2]
+            return TraceColumns(fids, lengths, values, sizes)
+        # scatter every (registry, block) piece back into program and
+        # example order
+        width = max((got[0].shape[3] for _, _, got in pieces), default=0)
+        values = np.zeros((n, self.n_examples, max_len, width), dtype=np.int64)
+        sizes = np.zeros((n, self.n_examples, max_len), dtype=np.int64)
+        for indices, examples, (part_values, part_sizes) in pieces:
+            rows = np.asarray(indices, dtype=np.int64)[:, None]
+            cols = np.asarray(examples, dtype=np.int64)[None, :]
+            steps, cells = part_values.shape[2], part_values.shape[3]
+            values[rows, cols, :steps, :cells] = part_values
+            sizes[rows, cols, :steps] = part_sizes
+        return TraceColumns(fids, lengths, values, sizes)
 
     def stats(self) -> dict:
         """Kernel + trie telemetry accumulated over this evaluator's life."""
@@ -1271,21 +1419,16 @@ class ColumnarEvaluator:
             self._tries.clear()
 
     # ------------------------------------------------------------------
-    def _evaluate(self, programs: Sequence[Program], want_traces: bool):
-        results: List[List] = [[None] * self.n_examples for _ in programs]
-        # programs from different registries never share a trie: equal fids
-        # would alias different functions
+    @staticmethod
+    def _partitions(programs: Sequence[Program]):
+        """``(registry, indices, programs)`` per registry: programs from
+        different registries never share a trie (equal fids would alias
+        different functions)."""
         partitions: "OrderedDict[int, List[int]]" = OrderedDict()
         for i, program in enumerate(programs):
             partitions.setdefault(id(program.registry), []).append(i)
         for indices in partitions.values():
-            part = [programs[i] for i in indices]
-            registry = part[0].registry
-            for block_idx, block in enumerate(self.blocks):
-                self._evaluate_block(
-                    block_idx, block, part, registry, indices, results, want_traces
-                )
-        return results
+            yield programs[indices[0]].registry, indices, [programs[i] for i in indices]
 
     def _trie_for(
         self, block_idx: int, block, registry, fn_table, bind_cache
@@ -1308,75 +1451,61 @@ class ColumnarEvaluator:
         self._tries[key] = (registry, trie)
         return trie
 
-    def _evaluate_block(
-        self, block_idx, block, part, registry, indices, results, want_traces
-    ) -> None:
-        run: Optional[_TrieRun] = None
-        trie_outputs: Optional[List[list]] = None
+    def _trie_call(self, block_idx: int, block: _SignatureBlock, registry, call):
+        """``call(trie)`` on the block's persistent trie, or None when no
+        trie can serve: the block's inputs leave the int64-safe range,
+        the registry is unsupported, or an insert overflowed the safe
+        range mid-round (which disables the combination for good)."""
+        if not block.vector_ok:
+            return None
+        _registry, fn_table, bind_cache = _tables_for(registry)
+        trie = self._trie_for(block_idx, block, registry, fn_table, bind_cache)
+        if trie is None:
+            return None
+        key = (block_idx, id(registry))
+        try:
+            result = call(trie)
+        except _ColumnarUnsupported:
+            self._tries[key] = (registry, None)
+            return None
+        if trie.node_count > self.trie_node_budget:
+            # size-bounded eviction: drop the trie; the next batch
+            # rebuilds incrementally from empty
+            self._stats.trie_evictions += 1
+            del self._tries[key]
+        return result
+
+    def _block_outputs(self, block_idx, block, part, registry) -> List[list]:
+        """Final outputs of ``part`` per block-local example: from the
+        persistent trie, else a per-call run, else compiled one by one."""
+        got = self._trie_call(block_idx, block, registry, lambda trie: trie.outputs(part))
+        if got is not None:
+            return got
         if block.vector_ok:
             _registry, fn_table, bind_cache = _tables_for(registry)
-            if not want_traces:
-                trie = self._trie_for(block_idx, block, registry, fn_table, bind_cache)
-                if trie is not None:
-                    try:
-                        trie_outputs = trie.outputs(part)
-                    except _ColumnarUnsupported:
-                        # an insert overflowed the safe range mid-round:
-                        # disable this (block, registry) combination and
-                        # fall through to the per-call paths below
-                        self._tries[(block_idx, id(registry))] = (registry, None)
-                        trie_outputs = None
-                    else:
-                        if trie.node_count > self.trie_node_budget:
-                            # size-bounded eviction: drop the trie; the
-                            # next batch rebuilds incrementally from empty
-                            self._stats.trie_evictions += 1
-                            del self._tries[(block_idx, id(registry))]
-            if trie_outputs is None:
-                try:
-                    run = _TrieRun(
-                        block, part, registry, fn_table, bind_cache, want_traces,
-                        stats=self._stats,
-                    )
-                except _ColumnarUnsupported:
-                    run = None
-        # single-block fast path: block-local example order IS the global
-        # order, so results rows can be assigned wholesale
-        direct = block.m == self.n_examples
-        for local_i, i in enumerate(indices):
-            if trie_outputs is not None:
-                per_example = trie_outputs[local_i]
-            elif run is not None:
-                if want_traces:
-                    per_example = [run.trace_of(local_i, e) for e in range(block.m)]
-                else:
-                    per_example = run.outputs_of(local_i)
+            try:
+                run = _TrieRun(block, part, registry, fn_table, bind_cache, stats=self._stats)
+            except _ColumnarUnsupported:
+                pass
             else:
-                per_example = self._serial(part[local_i], block, want_traces)
-            if direct:
-                results[i] = per_example  # freshly allocated by every branch above
-            else:
-                for local_e, e in enumerate(block.example_indices):
-                    results[i][e] = per_example[local_e]
-
-    @staticmethod
-    def _serial(program: Program, block: _SignatureBlock, want_traces: bool):
-        compiled = compile_program(program, block.signature)
-        if want_traces:
-            return [compiled.run(inputs, trace=True) for inputs in block.norm_inputs]
-        return [compiled.output(inputs) for inputs in block.norm_inputs]
+                return [run.outputs_of(i) for i in range(len(part))]
+        return [
+            [compiled.output(inputs) for inputs in block.norm_inputs]
+            for compiled in (compile_program(p, block.signature) for p in part)
+        ]
 
 
 class BatchExecutionEngine(ExecutionEngine):
     """An :class:`ExecutionEngine` with population-batch entry points.
 
-    ``outputs_batch`` / ``traces_batch`` / ``satisfies_batch`` answer for
-    a whole population in one call: cached programs are served from the
-    usual namespaces (with the same hit/miss accounting as the serial
-    methods), the misses — deduplicated by program key — are evaluated in
-    one columnar pass, and the results are stored back so every cache
-    tier, snapshot and sibling consumer observes exactly what a serial
-    run would have produced.
+    ``outputs_batch`` / ``satisfies_batch`` answer for a whole population
+    in one call: cached programs are served from the usual namespaces
+    (with the same hit/miss accounting as the serial methods), the misses
+    — deduplicated by program key — are evaluated in one columnar pass,
+    and the results are stored back so every cache tier, snapshot and
+    sibling consumer observes exactly what a serial run would have
+    produced.  ``traces_batch`` returns :class:`TraceColumns` read off the
+    same persistent tries and caches nothing.
 
     Single-program calls (``outputs``/``traces``/``satisfies``) inherit
     the serial path unchanged: a columnar pass only pays off when a batch
@@ -1435,17 +1564,6 @@ class BatchExecutionEngine(ExecutionEngine):
             return [[self._execute_output(program, example.inputs) for example in io_set]]
         return self._evaluator_for(io_set, io_key).outputs(programs)
 
-    def _batch_traces(self, programs: List[Program], io_set: IOSet, io_key: Tuple) -> List[List[ExecutionTrace]]:
-        if not self.compiled:
-            return [
-                [self._execute_trace(program, example.inputs) for example in io_set]
-                for program in programs
-            ]
-        if len(programs) == 1:
-            program = programs[0]
-            return [[self._execute_trace(program, example.inputs) for example in io_set]]
-        return self._evaluator_for(io_set, io_key).traces(programs)
-
     # ------------------------------------------------------------------
     def outputs_batch(
         self, programs: Sequence[Program], io_set: IOSet, io_key: Optional[Tuple] = None
@@ -1499,33 +1617,23 @@ class BatchExecutionEngine(ExecutionEngine):
 
     def traces_batch(
         self, programs: Sequence[Program], io_set: IOSet, io_key: Optional[Tuple] = None
-    ) -> List[List[ExecutionTrace]]:
-        """:meth:`~ExecutionEngine.traces` for a whole population."""
+    ) -> TraceColumns:
+        """:meth:`~ExecutionEngine.traces` for a whole population, as
+        :class:`TraceColumns` (one row per program, duplicates included).
+
+        The columns are gathered from the persistent trie the solution
+        check (:meth:`satisfies_batch`) has already filled, so tracing a
+        checked population executes nothing.  Nothing is stored in the
+        evaluation cache: regathering is a few array reads, and the
+        fitness layer memoizes its predicted scores above this call.
+        """
         resolved = self.io_key(io_set) if io_key is None else io_key
-        results: List[Optional[List[ExecutionTrace]]] = [None] * len(programs)
-        pending: "OrderedDict[Tuple, List[int]]" = OrderedDict()
-        pending_programs: List[Program] = []
-        for idx, program in enumerate(programs):
-            pkey = program_key(program)
-            cached = self.cache.get(_NS_TRACES, (pkey, resolved))
-            if cached is not None:
-                results[idx] = cached
-                continue
-            positions = pending.get(pkey)
-            if positions is None:
-                pending[pkey] = [idx]
-                pending_programs.append(program)
-            else:
-                positions.append(idx)
-        if not pending_programs:
-            self.batch_full_hits += 1
-            return results
-        evaluated = self._batch_traces(pending_programs, io_set, resolved)
-        for (pkey, positions), traces in zip(pending.items(), evaluated):
-            self.cache.put(_NS_TRACES, (pkey, resolved), traces)
-            for idx in positions:
-                results[idx] = traces
-        return results
+        if not self.compiled:
+            # reference-interpreter engines are the cross-check control:
+            # keep them on the exact (per-program cached) reference path
+            traces = [self.traces(program, io_set, io_key=resolved) for program in programs]
+            return TraceColumns.from_traces(programs, traces)
+        return self._evaluator_for(io_set, resolved).trace_columns(programs)
 
     def satisfies_batch(
         self, programs: Sequence[Program], io_set: IOSet, io_key: Optional[Tuple] = None

@@ -17,7 +17,7 @@ function embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,9 +26,13 @@ from repro.dsl.functions import FunctionRegistry, REGISTRY
 from repro.dsl.interpreter import ExecutionTrace
 from repro.dsl.program import Program
 from repro.dsl.types import DSLType, INT_MAX, INT_MIN, Value, clamp_int, type_of
+from repro.execution.vectorized import TraceColumns
 
 #: padding token for value sequences
 VALUE_PAD = 0
+
+#: the IO half of an encoded trace batch, one row per (candidate, example)
+_IO_KEYS = ("input_tokens", "input_mask", "output_tokens", "output_mask")
 
 
 def value_vocabulary_size() -> int:
@@ -109,7 +113,7 @@ def sample_from_execution(
 
 @dataclass
 class FeatureEncoder:
-    """Encodes batches of :class:`FitnessSample` into padded arrays.
+    """Encodes trace batches and IO specifications into padded arrays.
 
     Parameters
     ----------
@@ -160,7 +164,7 @@ class FeatureEncoder:
         return [value_to_token(v) for v in flat]
 
     def _pack_values(self, values: Sequence[Value]) -> Tuple[np.ndarray, np.ndarray]:
-        """Pad a list of DSL values into (tokens, mask) arrays.
+        """Pad a list of DSL values (the IO rows) into (tokens, mask) arrays.
 
         The width is the longest sequence in the batch, or the fixed
         ``pad_value_width`` when configured (batch-shape invariance).
@@ -179,12 +183,20 @@ class FeatureEncoder:
         return tokens, mask
 
     # ------------------------------------------------------------------
-    def encode_trace_batch(self, samples: Sequence[FitnessSample]) -> Dict[str, np.ndarray]:
-        """Encode samples for the trace-based (CF/LCS) model.
+    def encode_trace_batch(
+        self,
+        batch: Union[TraceColumns, Sequence[FitnessSample]],
+        io: Optional[Dict[str, np.ndarray]] = None,
+    ) -> Dict[str, np.ndarray]:
+        """Encode a batch for the trace-based (CF/LCS) model.
 
-        All samples in a batch must have the same number of IO examples;
-        program lengths may differ (shorter programs are padded and
-        masked).  Returns a dict of arrays:
+        ``batch`` is either the :class:`~repro.execution.TraceColumns` of
+        ``B`` candidates run on one specification, with ``io`` that
+        specification's rows from ``encode_io_batch([io_set])`` (scoring),
+        or ``B`` :class:`FitnessSample` with their own IO (training).  All
+        rows must have the same number of IO examples ``m``; program
+        lengths may differ (shorter programs are padded and masked).
+        Returns a dict of arrays:
 
         ``input_tokens/input_mask``  — ``(B*m, T_in)``
         ``output_tokens/output_mask`` — ``(B*m, T_out)``
@@ -194,13 +206,60 @@ class FeatureEncoder:
         ``labels``                    — ``(B,)`` when every sample has one
         ``shape``                     — ``(B, m, L)`` bookkeeping triple
         """
-        if not samples:
+        if not len(batch):
             raise ValueError("cannot encode an empty batch")
+        if isinstance(batch, TraceColumns):
+            if io is None or len(io["input_tokens"]) != batch.values.shape[1]:
+                raise ValueError("trace columns need one IO row per example of their specification")
+            columns = batch
+            # the specification's rows, broadcast to every candidate
+            encoded = {key: np.tile(io[key], (len(columns), 1)) for key in _IO_KEYS}
+            labels = None
+        else:
+            columns, encoded, labels = self._sample_columns(batch)
+        encoded.update(self._encode_steps(columns))
+        if labels is not None:
+            encoded["labels"] = labels
+        return encoded
+
+    def _sample_columns(self, samples: Sequence[FitnessSample]):
+        """Step columns, per-row IO arrays and labels of training samples."""
         m = samples[0].n_examples
         if any(s.n_examples != m for s in samples):
             raise ValueError("all samples in a batch must have the same number of IO examples")
-        batch = len(samples)
-        max_len = max(s.program_length for s in samples)
+        columns = TraceColumns.from_steps(
+            [s.function_ids for s in samples], [s.traces for s in samples]
+        )
+        # inputs: a program may take several inputs; concatenate them into
+        # one token sequence (they are separated by truncation boundaries
+        # only, which is sufficient for the encoder)
+        flat_inputs = [
+            [v for value in inputs for v in flatten_value(value)]
+            for s in samples
+            for inputs in s.io_inputs
+        ]
+        flat_outputs = [output for s in samples for output in s.io_outputs]
+        input_tokens, input_mask = self._pack_values(flat_inputs)
+        output_tokens, output_mask = self._pack_values(flat_outputs)
+        io_rows = {
+            "input_tokens": input_tokens,
+            "input_mask": input_mask,
+            "output_tokens": output_tokens,
+            "output_mask": output_mask,
+        }
+        labels = None
+        if all(s.label is not None for s in samples):
+            labels = np.array([s.label for s in samples], dtype=np.int64)
+        return columns, io_rows, labels
+
+    def _encode_steps(self, columns: TraceColumns) -> Dict[str, np.ndarray]:
+        """The step arrays of a batch: one clip, offset and mask for every
+        step value (a token is ``clamp(v) - INT_MIN + 1``, as
+        :func:`value_to_token` maps it)."""
+        batch = len(columns)
+        lengths = columns.lengths
+        _, m, have_len, have_width = columns.values.shape
+        max_len = int(lengths.max())
         if self.pad_program_length is not None:
             if max_len > self.pad_program_length:
                 raise ValueError(
@@ -208,53 +267,35 @@ class FeatureEncoder:
                     f"pad_program_length={self.pad_program_length}"
                 )
             max_len = self.pad_program_length
+        steps = min(have_len, max_len)
 
-        # flatten (sample, example) pairs
-        flat_inputs: List[Value] = []
-        flat_outputs: List[Value] = []
-        step_functions = np.zeros((batch * m, max_len), dtype=np.int64)
-        step_mask = np.zeros((batch * m, max_len), dtype=np.float64)
-        flat_step_values: List[Value] = []
+        valid = np.arange(max_len) < lengths[:, None]
+        functions = np.zeros((batch, max_len), dtype=np.int64)
+        fids, where = np.unique(columns.fids[:, :steps][valid[:, :steps]], return_inverse=True)
+        index = np.array([self.registry.index_of(int(f)) for f in fids.tolist()], dtype=np.int64)
+        functions[valid] = index[where]
 
-        for b, sample in enumerate(samples):
-            for e in range(m):
-                row = b * m + e
-                # inputs: a program may take several inputs; concatenate them
-                # into one token sequence (they are separated by truncation
-                # boundaries only, which is sufficient for the encoder).
-                combined_input: List[int] = []
-                for value in sample.io_inputs[e]:
-                    combined_input.extend(flatten_value(value))
-                flat_inputs.append(combined_input)
-                flat_outputs.append(sample.io_outputs[e])
-
-                trace = sample.traces[e]
-                for k in range(max_len):
-                    if k < sample.program_length:
-                        step_functions[row, k] = self.registry.index_of(sample.function_ids[k])
-                        step_mask[row, k] = 1.0
-                        flat_step_values.append(trace[k] if k < len(trace) else [])
-                    else:
-                        flat_step_values.append([])
-
-        input_tokens, input_mask = self._pack_values(flat_inputs)
-        output_tokens, output_mask = self._pack_values(flat_outputs)
-        step_value_tokens, step_value_mask = self._pack_values(flat_step_values)
-
-        encoded: Dict[str, np.ndarray] = {
-            "input_tokens": input_tokens,
-            "input_mask": input_mask,
-            "output_tokens": output_tokens,
-            "output_mask": output_mask,
-            "step_functions": step_functions,
-            "step_mask": step_mask,
-            "step_value_tokens": step_value_tokens,
-            "step_value_mask": step_value_mask,
+        sizes = np.minimum(columns.sizes[:, :, :steps], self.max_value_length)
+        if self.pad_value_width is not None:
+            width = self.pad_value_width
+        else:
+            width = int(sizes.max(initial=1))
+        cells = min(have_width, self.max_value_length, width)
+        mask = np.arange(cells) < sizes[..., None]
+        tokens = np.clip(columns.values[:, :, :steps, :cells], INT_MIN, INT_MAX)
+        tokens -= INT_MIN - 1
+        tokens[~mask] = VALUE_PAD
+        step_tokens = np.zeros((batch, m, max_len, width), dtype=np.int64)
+        step_mask = np.zeros((batch, m, max_len, width), dtype=np.float64)
+        step_tokens[:, :, :steps, :cells] = tokens
+        step_mask[:, :, :steps, :cells] = mask
+        return {
+            "step_functions": np.repeat(functions, m, axis=0),
+            "step_mask": np.repeat(valid.astype(np.float64), m, axis=0),
+            "step_value_tokens": step_tokens.reshape(batch * m * max_len, width),
+            "step_value_mask": step_mask.reshape(batch * m * max_len, width),
             "shape": np.array([batch, m, max_len], dtype=np.int64),
         }
-        if all(s.label is not None for s in samples):
-            encoded["labels"] = np.array([s.label for s in samples], dtype=np.int64)
-        return encoded
 
     # ------------------------------------------------------------------
     def encode_io_batch(

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,10 +20,12 @@ from repro.dsl.equivalence import IOSet
 from repro.dsl.functions import FunctionRegistry, REGISTRY
 from repro.dsl.interpreter import Interpreter
 from repro.dsl.program import Program
-from repro.execution import ExecutionEngine, LRUCache, ScoreCache, io_set_key
-from repro.execution.cache import CacheStats, program_key
+from repro.execution import ExecutionEngine, LRUCache, ScoreCache, TraceColumns, io_set_key
+from repro.execution.cache import CacheStats
 from repro.fitness.base import FitnessFunction
-from repro.fitness.features import FeatureEncoder, FitnessSample, sample_from_execution
+# sample_from_execution stays importable here (perfbench/tracing.py times
+# sample assembly under this name); scoring itself encodes trace columns
+from repro.fitness.features import FeatureEncoder, sample_from_execution  # noqa: F401
 from repro.fitness.ideal import (
     common_functions,
     fp_score,
@@ -51,6 +53,13 @@ class LearnedTraceFitness(FitnessFunction):
     version of the predicted CF/LCS), which gives the Roulette Wheel
     smoother weights than the hard argmax.
 
+    A scoring pass asks the executor for the candidates' traces as
+    :class:`~repro.execution.TraceColumns` — a batch engine gathers them
+    from the trie its solution check already filled, a serial engine's
+    per-program traces are packed into the same columns — and encodes
+    them together with the specification's IO rows, which are encoded
+    once per ``io_set`` and broadcast to every candidate.
+
     Scoring is memoized per ``(program, io_set)`` by default: the encoder
     pads every batch to fixed, config-derived widths and forward batches
     are never singletons (a lone gene is doubled and the first row kept),
@@ -61,6 +70,9 @@ class LearnedTraceFitness(FitnessFunction):
     pass.  ``memoize=False`` restores the historical
     score-everything-every-generation path (the bit-identity control).
     """
+
+    #: specifications whose encoded IO rows are kept (a run scores one)
+    _IO_ROWS_KEPT = 32
 
     def __init__(
         self,
@@ -73,8 +85,6 @@ class LearnedTraceFitness(FitnessFunction):
         memoize: bool = True,
         score_cache: Optional[ScoreCache] = None,
         score_cache_size: int = 100_000,
-        sample_cache: Optional[LRUCache] = None,
-        sample_cache_size: int = 50_000,
         program_length: Optional[int] = None,
     ) -> None:
         if kind not in ("cf", "lcs"):
@@ -102,56 +112,31 @@ class LearnedTraceFitness(FitnessFunction):
                 pad_value_width=self.encoder.pad_value_width or self.encoder.max_value_length,
                 pad_program_length=program_length or self.encoder.pad_program_length,
             )
-        # Trace-sample memo (bounded LRU); shareable across fitness
-        # instances serving the same model, e.g. across a backend's runs.
-        self._sample_cache = (
-            sample_cache if sample_cache is not None else LRUCache(sample_cache_size)
-        )
+        #: ``io_key`` -> the specification's encoded IO rows
+        self._io_rows: Dict[Tuple, Dict[str, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
-    def _samples_for(self, programs: Sequence[Program], io_set: IOSet) -> List[FitnessSample]:
-        """One :class:`FitnessSample` per program, trace-cached per spec.
+    def _columns(self, programs: Sequence[Program], io_set: IOSet, io_key: Tuple) -> TraceColumns:
+        """The candidates' traces on every example, as step columns."""
+        if getattr(self.executor, "is_batch", False):
+            return self.executor.traces_batch(programs, io_set, io_key=io_key)
+        traces = [self.executor.traces(program, io_set, io_key=io_key) for program in programs]
+        return TraceColumns.from_traces(programs, traces)
 
-        Trace collection (interpreting the candidate on every example) is
-        an expensive part of NN-FF scoring; the shared executor memoizes
-        the raw traces and a bounded LRU keeps the assembled samples, so
-        candidates the GA already executed for the solution check cost a
-        lookup.  The forward pass on top is memoized separately in
-        :attr:`score_cache` (see :meth:`score`).
-        """
-        io_key = self.executor.io_key(io_set)
-        samples: List[Optional[FitnessSample]] = [None] * len(programs)
-        pending: List[int] = []
-        for index, program in enumerate(programs):
-            key = (program_key(program), io_key)
-            sample = self._sample_cache.get(key, namespace="samples")
-            if sample is None:
-                pending.append(index)
-            else:
-                samples[index] = sample
-        if pending:
-            # batch-capable executors collect every missing trace in one
-            # columnar pass; traces land in the shared evaluation cache
-            # exactly as the per-program path would store them
-            if getattr(self.executor, "is_batch", False):
-                traces_list = self.executor.traces_batch(
-                    [programs[i] for i in pending], io_set, io_key=io_key
-                )
-            else:
-                traces_list = [
-                    self.executor.traces(programs[i], io_set, io_key=io_key) for i in pending
-                ]
-            for index, traces in zip(pending, traces_list):
-                program = programs[index]
-                sample = sample_from_execution(program, io_set, traces)
-                self._sample_cache.put((program_key(program), io_key), sample)
-                samples[index] = sample
-        return samples
+    def _io_for(self, io_set: IOSet, io_key: Tuple) -> Dict[str, np.ndarray]:
+        """The specification's encoded IO rows (memoized per ``io_key``)."""
+        rows = self._io_rows.get(io_key)
+        if rows is None:
+            if len(self._io_rows) >= self._IO_ROWS_KEPT:
+                self._io_rows.clear()
+            rows = self.encoder.encode_io_batch([io_set])
+            self._io_rows[io_key] = rows
+        return rows
 
-    def _forward_samples(self, samples: Sequence[FitnessSample], pad_singletons: bool) -> np.ndarray:
-        """Predicted fitness per sample, in ``batch_size`` chunks.
+    def _forward(self, programs: Sequence[Program], io_set: IOSet, io_key: Tuple, pad_singletons: bool) -> np.ndarray:
+        """Predicted fitness per program, in ``batch_size`` chunks.
 
-        With ``pad_singletons`` a 1-sample chunk is encoded twice and the
+        With ``pad_singletons`` a 1-program chunk is encoded twice and the
         first prediction kept: BLAS routes single-row matmuls through a
         different (gemv) kernel whose rounding can differ from the batched
         one, and a 2-row batch restores the batched kernel — keeping every
@@ -159,39 +144,39 @@ class LearnedTraceFitness(FitnessFunction):
         batch.  (``batch_size=1`` scoring never pads: there the historical
         contract is one single-row forward per gene.)
         """
-        scores = np.zeros(len(samples))
-        for start in range(0, len(samples), self.batch_size):
-            chunk = samples[start : start + self.batch_size]
-            if pad_singletons and len(chunk) == 1:
-                batch = self.encoder.encode_trace_batch([chunk[0], chunk[0]])
+        columns = self._columns(programs, io_set, io_key)
+        io = self._io_for(io_set, io_key)
+        total = len(columns)
+        scores = np.zeros(total)
+        for start in range(0, total, self.batch_size):
+            stop = min(start + self.batch_size, total)
+            if pad_singletons and stop - start == 1:
+                batch = self.encoder.encode_trace_batch(columns.take([start, start]), io)
                 scores[start] = self.model.predict_fitness(batch)[0]
             else:
-                batch = self.encoder.encode_trace_batch(chunk)
-                scores[start : start + len(chunk)] = self.model.predict_fitness(batch)
+                chunk = columns if stop - start == total else columns.take(np.arange(start, stop))
+                batch = self.encoder.encode_trace_batch(chunk, io)
+                scores[start:stop] = self.model.predict_fitness(batch)
         return scores
 
     def score(self, programs: Sequence[Program], io_set: IOSet) -> np.ndarray:
         if not programs:
             return np.zeros(0)
+        io_key = self.executor.io_key(io_set)
         if self.score_cache is None:
             # historical path: forward the entire population every call
-            return self._forward_samples(self._samples_for(programs, io_set), False)
-        io_key = self.executor.io_key(io_set)
+            return self._forward(programs, io_set, io_key, False)
         scores, pending = self.score_cache.partition(programs, io_key)
         if pending:
             fresh = [program for program, _ in pending.values()]
-            samples = self._samples_for(fresh, io_set)
-            values = self._forward_samples(samples, self.batch_size > 1)
+            values = self._forward(fresh, io_set, io_key, self.batch_size > 1)
             for (key, (_, positions)), value in zip(pending.items(), values):
                 self.score_cache.put_key(key, io_key, value)
                 scores[positions] = value
         return scores
 
     def cache_stats(self) -> List[CacheStats]:
-        stats = [self._sample_cache.stats]
-        if self.score_cache is not None:
-            stats.append(self.score_cache.stats)
-        return stats
+        return [] if self.score_cache is None else [self.score_cache.stats]
 
     def mutation_scores(self, program: Program, io_set: IOSet) -> Optional[np.ndarray]:
         """Score each position by how much removing confidence it carries.

@@ -27,6 +27,7 @@ from repro.core.netsyn import NetSynBackend
 from repro.core.service import SynthesisSession
 from repro.events import EventLog
 from repro.execution import LRUCache, ScoreCache, io_set_key
+from repro.fitness.features import sample_from_execution
 from repro.fitness.functions import LearnedTraceFitness, ProbabilityMapFitness
 from repro.ga.budget import SearchBudget
 from repro.ga.operators import GeneOperators
@@ -237,7 +238,10 @@ class TestScoreMemoizationBitIdentity:
             encoder=tiny_trace_artifacts.encoder,
             memoize=False,
         )
-        samples = dynamic._samples_for(programs, tiny_task.io_set)
+        samples = [
+            sample_from_execution(program, tiny_task.io_set, dynamic.executor.traces(program, tiny_task.io_set))
+            for program in programs
+        ]
         wide = dataclasses.replace(
             tiny_trace_artifacts.encoder, pad_value_width=16, pad_program_length=3
         )
@@ -325,18 +329,6 @@ class TestBoundedFitnessCaches:
         # repeat lookups on a cached spec are hits and surface in cache_stats
         fitness.probability_map(tasks[-1].io_set)
         assert fitness.cache_stats()[0].hits == 1
-
-    def test_sample_cache_is_bounded(self, tiny_trace_artifacts, tiny_task):
-        fitness = LearnedTraceFitness(
-            tiny_trace_artifacts.model,
-            kind="cf",
-            encoder=tiny_trace_artifacts.encoder,
-            memoize=False,
-            sample_cache_size=8,
-        )
-        fitness.score(_population(30), tiny_task.io_set)
-        assert len(fitness._sample_cache) == 8
-        assert fitness._sample_cache.stats.evictions > 0
 
 
 # ---------------------------------------------------------------------------

@@ -46,16 +46,26 @@ def _reference_traces(program, example_inputs):
     return [reference.run(program, inputs) for inputs in example_inputs]
 
 
-def _assert_traces_equal(actual, expected):
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert list(got.inputs) == list(want.inputs)
-        assert got.output == want.output
-        assert len(got.steps) == len(want.steps)
-        for a, b in zip(got.steps, want.steps):
-            assert (a.index, a.fid, a.name) == (b.index, b.fid, b.name)
-            assert list(a.args) == list(b.args)
-            assert a.output == b.output
+def _assert_columns_match(columns, population, traces):
+    """``columns`` hold exactly the reference ``traces[b][e]``: function
+    ids, and every step's intermediate output (ints as one-cell rows,
+    zero padding past each value and each program)."""
+    assert len(columns) == len(population)
+    for b, (program, per_example) in enumerate(zip(population, traces)):
+        length = len(program.function_ids)
+        assert columns.lengths[b] == length
+        assert not columns.fids[b, length:].any()
+        for e, trace in enumerate(per_example):
+            assert columns.fids[b, :length].tolist() == trace.function_ids
+            for k in range(columns.values.shape[2]):
+                size = int(columns.sizes[b, e, k])
+                row = columns.values[b, e, k]
+                if k < length:
+                    want = trace.intermediate_outputs[k]
+                    assert row[:size].tolist() == (list(want) if isinstance(want, (list, tuple)) else [want])
+                else:
+                    assert size == 0
+                assert not row[size:].any()
 
 
 def _population(rng: np.random.Generator, size: int, alphabet=None) -> list:
@@ -90,9 +100,9 @@ class TestColumnarEvaluator:
         ]
         population = _population(rng, 25)
         evaluator = ColumnarEvaluator(example_inputs)
-        batch = evaluator.traces(population)
-        for program, got in zip(population, batch):
-            _assert_traces_equal(got, _reference_traces(program, example_inputs))
+        columns = evaluator.trace_columns(population)
+        reference = [_reference_traces(program, example_inputs) for program in population]
+        _assert_columns_match(columns, population, reference)
 
     def test_mixed_signatures_split_into_blocks(self):
         # one evaluator, examples of different input signatures: each
@@ -155,15 +165,15 @@ class TestColumnarEvaluator:
         ]
         evaluator = ColumnarEvaluator(example_inputs)
         outputs = evaluator.outputs(population)
-        traces = evaluator.traces(population)
-        for program, out, trace in zip(population, outputs, traces):
+        for program, out in zip(population, outputs):
             assert out == _reference_outputs(program, example_inputs)
             compiled_out = [
                 compile_program(program, input_signature(inputs)).output(inputs)
                 for inputs in example_inputs
             ]
             assert out == compiled_out
-            _assert_traces_equal(trace, _reference_traces(program, example_inputs))
+        reference = [_reference_traces(program, example_inputs) for program in population]
+        _assert_columns_match(evaluator.trace_columns(population), population, reference)
 
 
 class TestBatchExecutionEngine:
@@ -185,8 +195,8 @@ class TestBatchExecutionEngine:
         assert batch.outputs_batch(population, io_set) == expected_outputs
         expected_verdicts = [serial.satisfies(p, io_set) for p in population]
         assert batch.satisfies_batch(population, io_set) == expected_verdicts
-        for got, program in zip(batch.traces_batch(population, io_set), population):
-            _assert_traces_equal(got, serial.traces(program, io_set))
+        reference = [serial.traces(program, io_set) for program in population]
+        _assert_columns_match(batch.traces_batch(population, io_set), population, reference)
 
     def test_batch_fills_the_same_cache_namespaces(self):
         rng = np.random.default_rng(19)
