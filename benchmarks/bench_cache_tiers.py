@@ -25,7 +25,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core.artifacts import CACHE_SNAPSHOTS_FILE, ArtifactStore
+from repro.core.artifacts import ArtifactStore
 from repro.execution.shared_table import SharedScoreTable, io_token, structural_key64
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -52,7 +52,7 @@ def _legacy_rewrite(directory: Path, store: ArtifactStore, snapshots: dict) -> N
         "model_hash": store.model_hash(),
         "snapshots": snapshots,
     }
-    with (directory / CACHE_SNAPSHOTS_FILE).open("wb") as handle:
+    with (directory / "cache_snapshots.pkl").open("wb") as handle:
         pickle.dump(payload, handle)
 
 

@@ -6,8 +6,10 @@ on top of the plain pool fan-out it replaced.  This benchmark measures
 what that costs on the healthy path, and what recovery costs on the
 faulted one:
 
-* **overhead** — the same batch of jobs run with ``supervised=False``
-  (the bare ``Pool.map`` path) and ``supervised=True``; the supervised
+* **overhead** — the same batch of jobs run through a bench-local bare
+  ``multiprocessing.Pool.map`` reference (the supervisor's worker
+  initializer and job function, with the session's event pump, but no
+  supervision) and through ``SynthesisSession.run``; the supervised
   path must stay within a few percent of the pool (the acceptance gate
   is <5% on quiet machines; shared CI runners only record the number).
 * **recovery latency** — with a seeded :class:`FaultPlan` crashing one
@@ -26,12 +28,16 @@ Scale knobs: ``NETSYN_BENCH_FAULT_JOBS`` (jobs per run, default 6),
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import threading
 import time
 from pathlib import Path
 
 from repro.config import NetSynConfig, ServiceConfig
 from repro.core import ArtifactStore, JobState, SynthesisSession
+from repro.core.service import _run_service_job
+from repro.core.supervisor import _parallel_worker_init
 from repro.data import make_benchmark_suite
 from repro.execution.faults import FaultPlan
 
@@ -71,6 +77,40 @@ def _run_batch(config, tasks, **service_kwargs):
     return time.perf_counter() - start, jobs, stamped
 
 
+def _bare_pool_reference(config, tasks):
+    """The unsupervised reference: the same job specs over a bare pool.
+
+    Mirrors the session's fan-out step for step (cancel flags, the live
+    event pump, the settle wait, cache merge-back), except that the jobs
+    go through ``Pool.map`` instead of the supervisor — so the timing
+    difference is the supervision itself.  Returns (elapsed_seconds, jobs).
+    """
+    session = _session(config)
+    jobs = [session.submit(task, budget=BUDGET, seed=7) for task in tasks]
+    start = time.perf_counter()
+    context = multiprocessing.get_context()
+    queue = context.Queue()
+    flags, specs, received = session._prepare_fan_out(jobs, context)
+    pump = threading.Thread(
+        target=session._pump_events, args=(queue, jobs, received), daemon=True
+    )
+    pump.start()
+    with context.Pool(
+        processes=N_WORKERS,
+        initializer=_parallel_worker_init,
+        initargs=(config.seed, session._worker_payload(), queue, flags),
+    ) as pool:
+        outcomes = pool.map(_run_service_job, specs)
+    session._settle_event_stream(queue, pump, received, [outcome[3] for outcome in outcomes])
+    for job, (status, result, error, _n_events, delta) in zip(jobs, outcomes):
+        job._remote_cancel = None
+        if delta:
+            session.backend(job.method, job.program_length).load_cache_snapshot(delta)
+        assert status == "ok", error
+        session._finish(job, result)
+    return time.perf_counter() - start, jobs
+
+
 def _signature(jobs):
     return [
         (job.state.value, job.result.found if job.result else None,
@@ -102,10 +142,10 @@ def test_supervisor_overhead_and_recovery_latency():
     pool_times, supervised_times = [], []
     pool_sig = supervised_sig = None
     for _ in range(ROUNDS):
-        elapsed, jobs, _ = _run_batch(config, tasks, supervised=False)
+        elapsed, jobs = _bare_pool_reference(config, tasks)
         pool_times.append(elapsed)
         pool_sig = _signature(jobs)
-        elapsed, jobs, _ = _run_batch(config, tasks, supervised=True)
+        elapsed, jobs, _ = _run_batch(config, tasks)
         supervised_times.append(elapsed)
         supervised_sig = _signature(jobs)
     assert supervised_sig == pool_sig, "supervised results diverged from the pool's"
@@ -116,7 +156,7 @@ def test_supervisor_overhead_and_recovery_latency():
     # -- recovery latency: one worker crash mid-claim -------------------
     plan = FaultPlan.single("worker_start", action="crash", match="job-1:0", seed=11)
     elapsed, jobs, stamped = _run_batch(
-        config, tasks, supervised=True, fault_plan=plan, retry_backoff=0.05
+        config, tasks, fault_plan=plan, retry_backoff=0.05
     )
     assert all(job.state in (JobState.SOLVED, JobState.EXHAUSTED) for job in jobs)
     assert _signature(jobs) == pool_sig, "faulted run diverged from the clean one"

@@ -12,7 +12,8 @@ the service API at a laptop-friendly scale:
    candidates consumed, execution-cache hit rate) as it searches.
 
 Run with ``python examples/quickstart.py``; it takes well under a minute.
-The pre-service API is demonstrated in ``examples/quickstart_legacy.py``.
+Without a session, ``NetSynBackend(config).fit()`` followed by
+``backend.solve_io(io_set, seed=...)`` runs the same two phases in-process.
 """
 
 import os

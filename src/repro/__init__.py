@@ -10,8 +10,9 @@ Programming"* (MLSys 2021).  The public API is organised as:
   the neural-network fitness functions trained to predict them.
 * :mod:`repro.ga` — the genetic algorithm: selection, crossover, mutation,
   elitism, and restricted local neighborhood search.
-* :mod:`repro.core` — the NetSyn synthesizer facade (Phase 1 training +
-  Phase 2 search) and search-budget accounting.
+* :mod:`repro.core` — the NetSyn backend (Phase 1 training + Phase 2
+  search), search-budget accounting and the session/service layer that
+  serves both.
 * :mod:`repro.baselines` — DeepCoder-, PCCoder-, RobustFill-, PushGP-like
   baselines plus edit-distance and oracle GAs, under one interface.
 * :mod:`repro.data` — corpus and benchmark-suite generation.
@@ -29,10 +30,6 @@ Quickstart::
     result = session.solve(task)                            # Phase 2: GA search
     print(result.found, result.program)
 
-(The pre-service ``NetSyn(config).fit().synthesize(io_set)`` facade still
-works and produces bit-identical results; see ``docs/api.md`` for the
-migration path.)
-
 The top-level names below are resolved lazily so that ``import repro``
 stays cheap and subpackages can be imported independently.
 """
@@ -49,7 +46,6 @@ __all__ = [
     "NetSynConfig",
     "ExperimentConfig",
     "ServiceConfig",
-    "NetSyn",
     "NetSynBackend",
     "SynthesisBackend",
     "SynthesisResult",
@@ -75,7 +71,6 @@ _CONFIG_NAMES = {
     "ServiceConfig",
 }
 _CORE_NAMES = {
-    "NetSyn",
     "NetSynBackend",
     "SynthesisBackend",
     "SynthesisResult",

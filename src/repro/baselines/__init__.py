@@ -19,11 +19,11 @@ NetSyn, so the evaluation harness can compare them on the paper's
 * :class:`NetSynSynthesizer`, :class:`EditGASynthesizer`,
   :class:`OracleGASynthesizer` — adapters exposing NetSyn and its
   hand-crafted/oracle fitness variants through the same interface.
-* :func:`build_synthesizer` / :class:`SynthesizerContext` — the method
-  registry used by the evaluation harness.
+* :func:`build_backend` / :func:`ensure_artifacts` — the method registry
+  used by the service layer and the evaluation harness.
 """
 
-from repro.baselines.base import Synthesizer, SynthesizerContext
+from repro.baselines.base import Synthesizer
 from repro.baselines.deepcoder import DeepCoderSynthesizer
 from repro.baselines.pccoder import PCCoderSynthesizer, StepPredictorModel, train_step_model
 from repro.baselines.robustfill import RobustFillSynthesizer, ProgramDecoderModel, train_decoder_model
@@ -36,15 +36,12 @@ from repro.baselines.ga_adapters import (
 from repro.baselines.registry import (
     METHOD_NAMES,
     build_backend,
-    build_context,
-    build_synthesizer,
     ensure_artifacts,
     required_artifacts,
 )
 
 __all__ = [
     "Synthesizer",
-    "SynthesizerContext",
     "DeepCoderSynthesizer",
     "PCCoderSynthesizer",
     "StepPredictorModel",
@@ -58,8 +55,6 @@ __all__ = [
     "OracleGASynthesizer",
     "METHOD_NAMES",
     "build_backend",
-    "build_synthesizer",
-    "build_context",
     "ensure_artifacts",
     "required_artifacts",
 ]

@@ -1,4 +1,4 @@
-"""The common synthesizer interface and the shared training context.
+"""The common synthesizer interface.
 
 :class:`Synthesizer` is the pre-service ABC every baseline implements
 (``synthesize(task, budget, seed)``).  It now subclasses the unified
@@ -14,13 +14,9 @@ choke point all methods already charge through.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.config import NetSynConfig
-from repro.core.artifacts import ArtifactStore
 from repro.core.backend import SynthesisBackend
-from repro.core.phase1 import Phase1Artifacts
 from repro.core.result import SynthesisResult
 from repro.data.tasks import SynthesisTask
 from repro.dsl.interpreter import Interpreter
@@ -28,60 +24,6 @@ from repro.dsl.equivalence import satisfies_io_set
 from repro.events import ProgressListener
 from repro.ga.budget import SearchBudget
 from repro.utils.timing import Stopwatch
-
-
-class _ArtifactView(dict):
-    """The old ``context.artifacts`` dict shape, write-through to the store.
-
-    Reads see a snapshot taken at property access; writes and deletes are
-    forwarded to the typed store so the pre-store contract
-    (``context.artifacts["fp"] = trained``) keeps working.
-    """
-
-    def __init__(self, store: ArtifactStore) -> None:
-        self._store = store
-        super().__init__(store.as_dict())
-
-    def __setitem__(self, name: str, value: Phase1Artifacts) -> None:
-        self._store.set(name, value)
-        super().__setitem__(name, value)
-
-    def __delitem__(self, name: str) -> None:
-        self._store.delete(name)
-        super().__delitem__(name)
-
-
-@dataclass
-class SynthesizerContext:
-    """Deprecated shim over :class:`~repro.core.artifacts.ArtifactStore`.
-
-    The evaluation harness trains each model once and hands the same
-    context to every method so comparisons are not confounded by training
-    randomness.  New code should use the typed ``store`` directly; the
-    stringly-typed ``artifacts`` mapping is kept only for the old surface.
-    """
-
-    config: NetSynConfig = field(default_factory=NetSynConfig)
-    store: ArtifactStore = field(default_factory=ArtifactStore)
-
-    @property
-    def artifacts(self) -> Dict[str, Phase1Artifacts]:
-        """The store under the old name-keyed dict shape (writes go to
-        the store; each access reads the store's current contents)."""
-        return _ArtifactView(self.store)
-
-    def get(self, name: str) -> Phase1Artifacts:
-        """Fetch a trained artifact or raise a helpful error.
-
-        Routed through the typed store, so a missing artifact raises
-        :class:`~repro.core.artifacts.MissingArtifactError` (a
-        ``KeyError`` whose message renders cleanly) and an invalid name
-        raises ``ValueError`` listing the valid names.
-        """
-        return self.store.get(name)
-
-    def has(self, name: str) -> bool:
-        return self.store.has(name)
 
 
 class Synthesizer(SynthesisBackend):

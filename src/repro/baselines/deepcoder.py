@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.base import Synthesizer, SynthesizerContext
+from repro.baselines.base import Synthesizer
 from repro.core.phase1 import Phase1Artifacts
 from repro.core.result import SynthesisResult
 from repro.data.tasks import SynthesisTask

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 from repro.baselines.base import Synthesizer
 from repro.config import NetSynConfig
-from repro.core.netsyn import NetSyn, NetSynBackend
+from repro.core.netsyn import NetSynBackend
 from repro.core.phase1 import Phase1Artifacts
 from repro.core.result import SynthesisResult
 from repro.data.tasks import SynthesisTask
@@ -24,11 +24,10 @@ from repro.ga.budget import SearchBudget
 
 
 class NetSynSynthesizer(Synthesizer):
-    """Wraps a fitted :class:`NetSynBackend` (or legacy :class:`NetSyn`)."""
+    """Wraps a fitted :class:`NetSynBackend`."""
 
-    def __init__(self, netsyn, name: Optional[str] = None) -> None:
-        backend = netsyn.backend if isinstance(netsyn, NetSyn) else netsyn
-        self.backend: NetSynBackend = backend
+    def __init__(self, backend: NetSynBackend, name: Optional[str] = None) -> None:
+        self.backend = backend
         if name is not None:
             self.backend.name = name
         self.name = self.backend.name

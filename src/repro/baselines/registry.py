@@ -4,15 +4,13 @@
 exactly once, into a typed :class:`~repro.core.artifacts.ArtifactStore` —
 and ``build_backend`` instantiates a named method against that store, so
 all methods in one experiment see the same trained models and the same
-configuration.  ``build_context``/``build_synthesizer`` remain as shims
-over the old ``SynthesizerContext`` surface.
+configuration.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence
 
-from repro.baselines.base import Synthesizer, SynthesizerContext
 from repro.baselines.deepcoder import DeepCoderSynthesizer
 from repro.baselines.ga_adapters import (
     EditGASynthesizer,
@@ -103,22 +101,6 @@ def ensure_artifacts(
     return store
 
 
-def build_context(
-    config: Optional[NetSynConfig] = None,
-    methods: Iterable[str] = METHOD_NAMES,
-    verbose: bool = False,
-) -> SynthesizerContext:
-    """Train every artifact the given methods need and return the context.
-
-    Deprecated shim: the context now wraps a typed
-    :class:`~repro.core.artifacts.ArtifactStore` (``context.store``).
-    """
-    config = config or NetSynConfig()
-    context = SynthesizerContext(config=config)
-    ensure_artifacts(context.store, config, methods=methods, verbose=verbose)
-    return context
-
-
 def build_backend(
     name: str,
     store: ArtifactStore,
@@ -157,9 +139,3 @@ def build_backend(
         return RobustFillSynthesizer(store.get("decoder"), program_length=length)
     raise KeyError(name)  # pragma: no cover - guarded above
 
-
-def build_synthesizer(
-    name: str, context: SynthesizerContext, program_length: Optional[int] = None
-) -> Synthesizer:
-    """Instantiate the named method against a prepared context (old surface)."""
-    return build_backend(name, context.store, context.config, program_length=program_length)

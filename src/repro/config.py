@@ -365,12 +365,6 @@ class ServiceConfig:
     max_events_per_job: int = 10_000
 
     # -- fault tolerance (the supervised worker pool) --------------------
-    #: run parallel jobs under the WorkerSupervisor: heartbeats, dead/hung
-    #: worker detection, bounded retries with backoff, quarantine, per-job
-    #: deadlines and serial degradation.  False restores the bare
-    #: multiprocessing.Pool fan-out (no recovery; a killed worker hangs
-    #: the run — the historical behaviour)
-    supervised: bool = True
     #: how many times a job whose worker crashed is re-run before it is
     #: quarantined (ends ``failed`` with a FailureReport); a poison job
     #: therefore runs at most ``1 + max_job_retries`` times

@@ -11,7 +11,7 @@ from repro.core.phase1 import (
 )
 from repro.core.artifacts import ARTIFACT_NAMES, ArtifactStore, MissingArtifactError
 from repro.core.backend import SynthesisBackend
-from repro.core.netsyn import NetSyn, NetSynBackend
+from repro.core.netsyn import NetSynBackend
 from repro.core.service import (
     JobState,
     SynthesisJob,
@@ -32,7 +32,6 @@ __all__ = [
     "ArtifactStore",
     "MissingArtifactError",
     "SynthesisBackend",
-    "NetSyn",
     "NetSynBackend",
     "JobState",
     "SynthesisJob",

@@ -2,10 +2,8 @@
 
 Phase 1 of the paper trains up to five models (CF trace, LCS trace, FP,
 PCCoder step, RobustFill decoder).  :class:`ArtifactStore` holds them
-under their canonical names with typed accessors — replacing the
-stringly-typed ``SynthesizerContext.artifacts`` dict on the new API
-surface — and persists them as a directory of per-artifact
-``weights.npz`` + ``artifacts.json`` pairs via
+under their canonical names with typed accessors and persists them as
+a directory of per-artifact ``weights.npz`` + ``artifacts.json`` pairs via
 :meth:`~repro.core.phase1.Phase1Artifacts.save`, which is what makes
 :class:`~repro.core.service.SynthesisSession` warm-startable across
 processes (fit once, serve many).
@@ -43,11 +41,6 @@ _STORE_MANIFEST = "store.json"
 SHARED_WEIGHTS_BIN = "shared_weights.bin"
 SHARED_WEIGHTS_MANIFEST = "shared_weights.json"
 
-#: legacy persisted cache snapshots (whole-file pickle, rewritten per
-#: run) — still loaded for backward compatibility; new sessions write
-#: the append-only cache log below instead
-CACHE_SNAPSHOTS_FILE = "cache_snapshots.pkl"
-
 #: the L3 tier: an append-only segment log of cache snapshots.  Each
 #: run() appends one segment holding only the entries written since the
 #: last persist; the manifest keys the whole log by model hash
@@ -76,9 +69,9 @@ _SHARED_ALIGN = 64
 class MissingArtifactError(KeyError):
     """A required Phase-1 artifact has not been trained or loaded.
 
-    Subclasses :class:`KeyError` for backward compatibility with the old
-    ``SynthesizerContext.get`` contract, but renders its message verbatim
-    (``KeyError.__str__`` would wrap it in quotes).
+    Subclasses :class:`KeyError` (a missing name is a failed lookup), but
+    renders its message verbatim (``KeyError.__str__`` would wrap it in
+    quotes).
     """
 
     def __init__(self, name: str, available: Iterable[str]) -> None:
@@ -153,10 +146,6 @@ class ArtifactStore:
         self._validate_name(name)
         setattr(self, name, None)
         self._model_hash = None
-
-    def as_dict(self) -> Dict[str, Phase1Artifacts]:
-        """Plain-dict snapshot (the deprecated ``context.artifacts`` shape)."""
-        return {name: getattr(self, name) for name in self.names()}
 
     # ------------------------------------------------------------------
     def save(self, directory: PathLike) -> None:
@@ -345,24 +334,21 @@ class ArtifactStore:
         Returns ``(snapshots, status)`` with status ``"ok"``,
         ``"missing"`` (file gone — e.g. a concurrent compaction deleted
         it after the manifest was read) or ``"corrupt"`` (short file,
-        CRC mismatch, or unreadable pickle — e.g. a writer killed
-        mid-append).  Never raises: a bad segment costs its entries, not
-        the load.  Unframed files are read as legacy pre-CRC segments.
+        CRC mismatch, unframed file, or unreadable pickle — e.g. a writer
+        killed mid-append).  Never raises: a bad segment costs its
+        entries, not the load.
         """
         try:
             data = path.read_bytes()
         except OSError:
             return {}, "missing"
-        if data.startswith(_SEGMENT_MAGIC):
-            header_end = len(_SEGMENT_MAGIC) + _SEGMENT_HEADER.size
-            if len(data) < header_end:
-                return {}, "corrupt"
-            length, crc = _SEGMENT_HEADER.unpack(data[len(_SEGMENT_MAGIC):header_end])
-            payload = data[header_end : header_end + length]
-            if len(payload) != length or zlib.crc32(payload) != crc:
-                return {}, "corrupt"
-        else:
-            payload = data  # legacy unframed segment (pre-CRC format)
+        header_end = len(_SEGMENT_MAGIC) + _SEGMENT_HEADER.size
+        if not data.startswith(_SEGMENT_MAGIC) or len(data) < header_end:
+            return {}, "corrupt"
+        length, crc = _SEGMENT_HEADER.unpack(data[len(_SEGMENT_MAGIC):header_end])
+        payload = data[header_end : header_end + length]
+        if len(payload) != length or zlib.crc32(payload) != crc:
+            return {}, "corrupt"
         try:
             loaded = pickle.loads(payload)
         except Exception:  # noqa: BLE001 - corrupt pickles raise many types
@@ -376,21 +362,6 @@ class ArtifactStore:
             len(entries) for parts in snapshots.values() for entries in parts.values()
         )
 
-    def _load_legacy_caches(self, directory: PathLike) -> Dict[str, dict]:
-        """Snapshots from the pre-log whole-file pickle ({} when stale)."""
-        path = Path(directory) / CACHE_SNAPSHOTS_FILE
-        if not path.is_file():
-            return {}
-        try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
-            return {}
-        if payload.get("model_hash") != self.model_hash():
-            return {}
-        snapshots = payload.get("snapshots", {})
-        return snapshots if isinstance(snapshots, dict) else {}
-
     def save_caches(
         self,
         directory: PathLike,
@@ -401,13 +372,11 @@ class ArtifactStore:
 
         ``snapshots`` maps ``"<method>:<program_length>"`` to the output
         of ``NetSynBackend.cache_snapshot()`` — ideally the *dirty-only*
-        delta since the last persist: unlike the old whole-file
-        ``cache_snapshots.pkl`` rewrite, the write cost scales with the
+        delta since the last persist, so the write cost scales with the
         new entries, not with the accumulated cache size.  The log's
         manifest is keyed by :meth:`model_hash`; appending under changed
         weights resets the log (stale scores must never survive a
-        retrain), and a legacy whole-file pickle with a matching hash is
-        migrated into the log as its first segment.  When the log
+        retrain).  When the log
         exceeds ``compact_threshold`` segments it is folded into one
         deduplicated segment (newest entry per key wins).
 
@@ -426,9 +395,6 @@ class ArtifactStore:
                 "next_seq": 1,
                 "segments": [],
             }
-            legacy = self._load_legacy_caches(directory)
-            if legacy:
-                self._append_segment(log_dir, manifest, legacy)
         path = self._append_segment(log_dir, manifest, snapshots)
         if len(manifest["segments"]) > max(1, int(compact_threshold)):
             self._compact(log_dir, manifest)
@@ -624,11 +590,9 @@ class ArtifactStore:
     ) -> Dict[str, dict]:
         """Reload persisted snapshots (``{}`` when absent or stale).
 
-        Prefers the append-only cache log; directories written before
-        the log existed fall back to the legacy ``cache_snapshots.pkl``
-        whole-file pickle.  Either way a snapshot written under
-        different model weights (stale hash) or an unreadable file
-        yields ``{}`` — a cold start, never an error: the cache is an
+        Reads the append-only cache log.  A log written under different
+        model weights (stale hash) or an unreadable manifest yields
+        ``{}`` — a cold start, never an error: the cache is an
         optimization, not state the session depends on.
 
         Corrupt or missing segments are skipped (never raised); each skip
@@ -640,9 +604,7 @@ class ArtifactStore:
         """
         log_dir = self._log_dir(directory)
         manifest = self._read_manifest(log_dir)
-        if manifest is None:
-            return self._load_legacy_caches(directory)
-        if manifest.get("model_hash") != self.model_hash():
+        if manifest is None or manifest.get("model_hash") != self.model_hash():
             return {}
         for attempt in range(2):
             skipped: List[Tuple[str, str]] = []
@@ -662,8 +624,5 @@ class ArtifactStore:
 
     @staticmethod
     def caches_saved_at(directory: PathLike) -> bool:
-        """True when ``directory`` holds persisted caches (log or legacy)."""
-        directory = Path(directory)
-        return (directory / CACHE_LOG_DIR / CACHE_LOG_MANIFEST).is_file() or (
-            directory / CACHE_SNAPSHOTS_FILE
-        ).is_file()
+        """True when ``directory`` holds a persisted cache log."""
+        return (Path(directory) / CACHE_LOG_DIR / CACHE_LOG_MANIFEST).is_file()

@@ -1,4 +1,4 @@
-"""The NetSyn synthesis backend (and the deprecated ``NetSyn`` facade).
+"""The NetSyn synthesis backend.
 
 :class:`NetSynBackend` wires the two phases of Figure 1 together behind
 the unified :class:`~repro.core.backend.SynthesisBackend` protocol:
@@ -15,15 +15,13 @@ the unified :class:`~repro.core.backend.SynthesisBackend` protocol:
   exhausted — streaming per-generation
   :class:`~repro.events.ProgressEvent`\\ s to an optional listener.
 
-:class:`NetSyn` remains as a thin deprecated facade over the backend so
-pre-existing callers (``NetSyn(config).fit().synthesize(io_set)``) keep
-working bit-identically; new code should go through
-:class:`~repro.core.service.SynthesisService`.
+Applications normally reach the backend through
+:class:`~repro.core.service.SynthesisService`, which builds one per
+method and program length over a shared artifact store.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.config import NetSynConfig
@@ -363,7 +361,7 @@ class NetSynBackend(SynthesisBackend):
         kind = cfg.fitness_kind
         if kind in ("cf", "lcs"):
             if self._trace_artifacts is None:
-                raise RuntimeError("call fit() before synthesize(): the trace model is untrained")
+                raise RuntimeError("call fit() before solve(): the trace model is untrained")
             if cfg.memoize_scores and self._score_cache is None:
                 self._score_cache = TieredScoreCache(
                     capacity=cfg.score_cache_size,
@@ -382,7 +380,7 @@ class NetSynBackend(SynthesisBackend):
             )
         if kind == "fp":
             if self._fp_artifacts is None:
-                raise RuntimeError("call fit() before synthesize(): the FP model is untrained")
+                raise RuntimeError("call fit() before solve(): the FP model is untrained")
             return ProbabilityMapFitness(
                 self._fp_artifacts.model,
                 encoder=self._fp_artifacts.encoder,
@@ -447,7 +445,7 @@ class NetSynBackend(SynthesisBackend):
         """
         cfg = self.config
         if not self._fitted and (self.needs_trace_model or self.needs_fp_model):
-            raise RuntimeError("call fit() (or set_models()) before synthesize()")
+            raise RuntimeError("call fit() (or set_models()) before solve()")
         budget = budget or SearchBudget(limit=cfg.max_search_space)
         run_factory = self._factory if seed is None else RngFactory(seed)
 
@@ -544,70 +542,6 @@ class NetSynBackend(SynthesisBackend):
         )
         self._finish_events(task, result, listener)
         return result
-
-
-class NetSyn:
-    """Deprecated facade over :class:`NetSynBackend`.
-
-    Kept so ``NetSyn(config).fit().synthesize(io_set)`` works exactly as
-    before (bit-identical results); new code should use
-    :class:`~repro.core.service.SynthesisService` /
-    :class:`NetSynBackend` directly.
-    """
-
-    def __init__(self, config: Optional[NetSynConfig] = None) -> None:
-        warnings.warn(
-            "NetSyn is deprecated; use SynthesisService.open_session() or "
-            "NetSynBackend instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.backend = NetSynBackend(config)
-
-    # -- delegation ------------------------------------------------------
-    @property
-    def config(self) -> NetSynConfig:
-        return self.backend.config
-
-    @property
-    def needs_trace_model(self) -> bool:
-        return self.backend.needs_trace_model
-
-    @property
-    def needs_fp_model(self) -> bool:
-        return self.backend.needs_fp_model
-
-    @property
-    def trace_artifacts(self) -> Optional[Phase1Artifacts]:
-        return self.backend.trace_artifacts
-
-    @property
-    def fp_artifacts(self) -> Optional[Phase1Artifacts]:
-        return self.backend.fp_artifacts
-
-    def fit(self, *args, **kwargs) -> "NetSyn":
-        self.backend.fit(*args, **kwargs)
-        return self
-
-    def set_models(self, *args, **kwargs) -> "NetSyn":
-        self.backend.set_models(*args, **kwargs)
-        return self
-
-    def build_fitness(self, *args, **kwargs) -> FitnessFunction:
-        return self.backend.build_fitness(*args, **kwargs)
-
-    def synthesize(
-        self,
-        io_set: IOSet,
-        target: Optional[Program] = None,
-        budget: Optional[SearchBudget] = None,
-        seed: Optional[int] = None,
-        task_id: str = "",
-    ) -> SynthesisResult:
-        """Phase 2 search (old entry point; see :meth:`NetSynBackend.solve_io`)."""
-        return self.backend.solve_io(
-            io_set, target=target, budget=budget, seed=seed, task_id=task_id
-        )
 
 
 class _WithProbabilityMap(FitnessFunction):

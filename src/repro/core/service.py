@@ -15,8 +15,8 @@ them.  This module turns that shape into an explicit API:
     cache of :class:`~repro.core.backend.SynthesisBackend` instances (one
     per method × program length).  :meth:`SynthesisSession.submit`
     enqueues a job; :meth:`SynthesisSession.run` executes pending jobs
-    serially in submission order or fans them out over the existing
-    :class:`~repro.evaluation.runner.ParallelTaskRunner` workers
+    serially in submission order or fans them out over the supervised
+    worker pool of :class:`~repro.core.supervisor.WorkerSupervisor`
     (records identical to a serial run — every job is explicitly seeded).
     Parallel workers stream their per-generation events back through a
     multiprocessing queue drained live by a pump thread, merge the cache
@@ -37,8 +37,10 @@ them.  This module turns that shape into an explicit API:
     inside the backend, remotely through a shared cancellation flag the
     worker polls at every event it emits.
 
-Seeded runs through this layer are bit-identical to the deprecated
-``NetSyn.synthesize()`` path (tested in ``tests/test_service.py``).
+Seeded runs through this layer are bit-identical to calling
+:meth:`~repro.core.netsyn.NetSynBackend.solve_io` directly (tested in
+``tests/test_service.py`` and against the golden trajectories of
+``tests/golden``).
 """
 
 from __future__ import annotations
@@ -60,7 +62,13 @@ from repro.config import NetSynConfig, ServiceConfig
 from repro.core.artifacts import ArtifactStore
 from repro.core.backend import SynthesisBackend
 from repro.core.result import SynthesisResult
-from repro.core.supervisor import FailureReport, WorkerSupervisor
+from repro.core.supervisor import (
+    FailureReport,
+    WorkerSupervisor,
+    worker_cancel_flags,
+    worker_event_queue,
+    worker_payload,
+)
 from repro.data.tasks import SynthesisTask
 from repro.events import JobCancelled, ProgressEvent, ProgressListener
 from repro.execution import faults
@@ -248,7 +256,7 @@ class SharedWorkerPayload:
 
     Instead of pickling every trained model into every worker, the parent
     ships this tiny descriptor; :meth:`resolve_in_worker` (called once
-    per worker by the pool initializer) attaches the packed weight
+    per worker by its initializer) attaches the packed weight
     segment via ``np.memmap`` — so all workers alias one set of physical
     pages — and loads the optional warm-cache snapshot.
     """
@@ -451,15 +459,10 @@ def _run_service_job(spec: _ServiceJobSpec) -> _ServiceJobOutcome:
     job starts and at every emitted event, and cache entries added by
     the job (NN-score and evaluation memos) are returned as a snapshot
     delta for the parent to merge.  Failures are returned, not raised,
-    so one broken job cannot take down the whole pool map (matching the
-    serial path's per-job isolation).
+    so one broken job cannot take down its worker (matching the serial
+    path's per-job isolation).
     """
     from repro.baselines.registry import build_backend
-    from repro.evaluation.runner import (
-        worker_cancel_flags,
-        worker_event_queue,
-        worker_payload,
-    )
 
     (
         job_index, job_id, method, length, task, seed, budget_limit,
@@ -880,7 +883,7 @@ class SynthesisSession:
 
         Each item is ``(job_index, event)``; events are recorded on the
         job and fanned out to session listeners exactly like the serial
-        path, while the main thread blocks in the pool map.  A listener
+        path, while the main thread blocks in the supervisor.  A listener
         raising :class:`JobCancelled` requests cancellation of that job
         (serial semantics translated to the remote flag); any other
         listener exception is logged and swallowed — the pump must keep
@@ -889,7 +892,7 @@ class SynthesisSession:
         the pump.
 
         Items with a negative job index are **control events** (worker
-        heartbeats under supervised execution): they are routed to
+        heartbeats): they are routed to
         ``on_control`` and never recorded on a job or fanned to listeners
         — per-job streams stay identical to serial runs.  The blocking
         get runs under a short timeout so the pump stays responsive (and
@@ -951,7 +954,7 @@ class SynthesisSession:
     ) -> None:
         """Wait until every streamed event reached the pump, then stop it.
 
-        The pool map returning only proves the *results* arrived; events
+        The supervisor returning only proves the *results* arrived; events
         travel on a separate queue whose feeder threads may still be
         flushing.  Workers report how many events they emitted per job,
         so the parent waits for exactly that many before posting the
@@ -977,13 +980,14 @@ class SynthesisSession:
     ) -> List[SynthesisJob]:
         """Execute pending jobs, serially (in submission order) or in parallel.
 
-        With ``n_workers > 1`` the pending jobs fan out over
-        ``ParallelTaskRunner`` worker processes; results (and the order of
-        the returned list) are identical to a serial run.  Worker-side
-        progress events stream back live through a multiprocessing queue
-        drained by a pump thread (``ServiceConfig.stream_worker_events``),
-        so session listeners observe remote jobs per-generation exactly
-        like local ones; ``job.cancel()`` reaches running workers through
+        With ``n_workers > 1`` the pending jobs fan out over supervised
+        worker processes (retries, heartbeats, deadlines and serial
+        degradation — see :mod:`repro.core.supervisor`); results (and
+        the order of the returned list) are identical to a serial run.
+        Worker-side progress events stream back live through a
+        multiprocessing queue drained by a pump thread
+        (``ServiceConfig.stream_worker_events``), so session listeners
+        observe remote jobs per-generation exactly like local ones; ``job.cancel()`` reaches running workers through
         a shared cancellation flag, and cache entries computed by workers
         are merged back into this session's backends when each job
         completes (``ServiceConfig.merge_worker_caches``).  With a
@@ -998,7 +1002,7 @@ class SynthesisSession:
         pending = [j for j in (jobs if jobs is not None else self.jobs) if j.state is JobState.PENDING]
         n_workers = self.service_config.n_workers if n_workers is None else int(n_workers)
         if n_workers > 1 and len(pending) > 1:
-            self._run_parallel(pending, n_workers)
+            self._run_supervised(pending, n_workers)
         else:
             for job in pending:
                 self.run_job(job)
@@ -1017,23 +1021,10 @@ class SynthesisSession:
                 except Exception:  # noqa: BLE001 - startup flush must not fail the run
                     logger.exception("session listener failed on %s", event.kind)
 
-    def _run_parallel(self, pending: List[SynthesisJob], n_workers: int) -> None:
-        """Fan ``pending`` out over worker processes with live streaming.
-
-        ``ServiceConfig.supervised`` (the default) routes through the
-        fault-tolerant :class:`~repro.core.supervisor.WorkerSupervisor`;
-        disabling it keeps the original unsupervised pool map, where a
-        worker crash loses the job (and historically hung the run).
-        """
-        if self.service_config.supervised:
-            self._run_supervised(pending, n_workers)
-        else:
-            self._run_pool(pending, n_workers)
-
     def _prepare_fan_out(
         self, pending: List[SynthesisJob], context: Any
     ) -> Tuple[Any, List[_ServiceJobSpec], List[int]]:
-        """Shared fan-out setup: cancel flags, specs, state transitions."""
+        """Fan-out setup: cancel flags, specs, state transitions."""
         # one shared byte per job: the parent raises it, workers poll it
         # at every emitted event (no lock needed for a monotonic flag)
         flags = context.Array("b", len(pending), lock=False)
@@ -1185,75 +1176,6 @@ class SynthesisSession:
         for job in serial_rerun:
             self.run_job(job)
 
-    def _run_pool(self, pending: List[SynthesisJob], n_workers: int) -> None:
-        """Unsupervised fan-out over the plain multiprocessing pool."""
-        from repro.evaluation.runner import ParallelTaskRunner
-
-        context = multiprocessing.get_context()
-        queue = context.Queue() if self.service_config.stream_worker_events else None
-        flags, specs, received = self._prepare_fan_out(pending, context)
-        pump = None
-        if queue is not None:
-            pump = threading.Thread(
-                target=self._pump_events,
-                args=(queue, pending, received),
-                name="netsyn-event-pump",
-                daemon=True,
-            )
-            pump.start()
-        runner = ParallelTaskRunner(
-            n_workers=n_workers,
-            seed=self.config.seed,
-            payload=self._worker_payload(),
-            event_queue=queue,
-            cancel_flags=flags,
-        )
-        outcomes: Optional[List[_ServiceJobOutcome]] = None
-        try:
-            outcomes = runner.map(_run_service_job, specs)
-        finally:
-            for job in pending:
-                job._remote_cancel = None
-            if pump is not None:
-                # each worker reports how many events it emitted per job;
-                # wait for exactly those before stopping the pump (on the
-                # exception path nothing is expected — just stop)
-                expected = (
-                    [outcome[3] for outcome in outcomes]
-                    if outcomes is not None
-                    else [0] * len(pending)
-                )
-                self._settle_event_stream(queue, pump, received, expected)
-        for job, (status, result, error, _n_events, delta) in zip(pending, outcomes):
-            if delta and self.service_config.merge_worker_caches:
-                backend = self.backend(job.method, job.program_length)
-                if hasattr(backend, "load_cache_snapshot"):
-                    backend.load_cache_snapshot(delta)
-            if status == "cancelled":
-                job.state = JobState.CANCELLED
-                logger.info("job %s cancelled in worker", job.job_id)
-            elif status != "ok" or result is None:
-                job.state = JobState.FAILED
-                job.error = error
-                logger.warning("job %s failed: %s", job.job_id, job.error)
-            else:
-                self._finish(job, result)
-                if queue is None:
-                    # streaming disabled: synthesize the terminal event so
-                    # job.events still records the outcome
-                    listener = self._job_listener(job)
-                    listener(
-                        ProgressEvent(
-                            kind="finished",
-                            method=job.method,
-                            task_id=job.task.task_id,
-                            candidates_used=result.candidates_used,
-                            budget_limit=result.budget_limit,
-                            found=result.found,
-                            found_by=result.found_by,
-                        )
-                    )
-
     # ------------------------------------------------------------------
     def solve(
         self,
@@ -1296,9 +1218,8 @@ class SynthesisSession:
         Each call appends one segment under ``<directory>/cache_log/``
         (defaulting to the configured ``artifact_dir``) holding only the
         entries written since the previous persist — the dirty windows
-        of every built backend — instead of rewriting the whole
-        accumulated cache like the old ``cache_snapshots.pkl`` format
-        did.  The log is keyed by the store's model hash; entries loaded
+        of every built backend — never the whole accumulated cache.  The
+        log is keyed by the store's model hash; entries loaded
         from disk by earlier sessions stay in the log untouched, so
         sessions serving different (method, length) pairs against one
         artifact directory accumulate naturally.  Returns the appended

@@ -1,12 +1,12 @@
 """Supervised parallel execution: the fault-tolerant worker pool.
 
-``multiprocessing.Pool.map`` — the fan-out the session layer used before
-this module — has no failure story: a worker killed mid-job (OOM,
-segfault, SIGKILL) loses its task forever and the map blocks until the
-end of time, a job that reliably crashes its worker is retried nowhere,
-and a job that silently spins can only be stopped by killing the whole
-run.  :class:`WorkerSupervisor` replaces the pool with explicitly managed
-worker processes and adds the failure discipline a serving layer needs:
+A bare ``multiprocessing.Pool.map`` has no failure story: a worker
+killed mid-job (OOM, segfault, SIGKILL) loses its task forever and the
+map blocks until the end of time, a job that reliably crashes its worker
+is retried nowhere, and a job that silently spins can only be stopped by
+killing the whole run.  :class:`WorkerSupervisor` runs explicitly
+managed worker processes instead and adds the failure discipline a
+serving layer needs:
 
 * **Liveness.**  Every worker runs a daemon heartbeat thread that emits
   ``"heartbeat"`` events through the session's existing event queue; the
@@ -37,19 +37,22 @@ worker processes and adds the failure discipline a serving layer needs:
   slower, but immune to whatever was killing the workers.
 
 With no faults and default knobs the supervisor is pure bookkeeping on
-the parent side: jobs run in the same worker function
-(``_run_service_job``) with the same payload, emitter and cancellation
-flags as the pool path, so seeded parallel runs remain event-for-event
-identical to serial ones.
+the parent side: every job runs in the session's worker function
+(``_run_service_job``) with the per-process state installed by
+:func:`_parallel_worker_init`, so seeded parallel runs remain
+event-for-event identical to serial ones.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.config import ServiceConfig
 from repro.events import ProgressEvent
@@ -120,6 +123,82 @@ class SupervisedOutcome:
 # worker side
 # ---------------------------------------------------------------------------
 
+#: Per-process state installed by :func:`_parallel_worker_init` (under
+#: ``fork`` the context is inherited; under ``spawn`` it travels via
+#: pickling, which the DSL layer supports — see ``DSLFunction.__reduce__``).
+_WORKER_STATE: Dict[str, Any] = {}
+
+
+class PayloadResolutionError:
+    """Marker carrying a worker-side payload attachment failure.
+
+    Raising while a worker initializes would kill it before it claims a
+    job, so resolution failures are captured and re-raised lazily by
+    whichever job first consumes the payload — that job fails cleanly
+    instead of taking the worker down.
+    """
+
+    def __init__(self, error: BaseException) -> None:
+        self.message = f"worker payload resolution failed: {type(error).__name__}: {error}"
+
+    def raise_(self) -> None:
+        raise RuntimeError(self.message)
+
+
+def _resolve_payload(payload: Any) -> Any:
+    """Give payload descriptors a chance to attach per-process resources.
+
+    A payload exposing ``resolve_in_worker()`` (e.g. the service layer's
+    ``SharedWorkerPayload``) is resolved exactly once per process — this
+    is where shared-memory model serving mmaps the packed weight segment
+    instead of unpickling model objects into the worker.
+    """
+    resolve = getattr(payload, "resolve_in_worker", None)
+    if not callable(resolve):
+        return payload
+    try:
+        return resolve()
+    except Exception as error:  # noqa: BLE001 - must not kill the worker
+        return PayloadResolutionError(error)
+
+
+def _parallel_worker_init(
+    seed: int, payload: Any, event_queue: Any = None, cancel_flags: Any = None
+) -> None:
+    """Initialize one worker: seed its RNGs and stash the shared payload.
+
+    The global numpy RNG is seeded per worker (mixed with the PID) as a
+    safety net for any library code that touches it; all repo components
+    draw from explicitly seeded generators, which is what actually makes
+    parallel results byte-identical to serial ones.
+
+    ``event_queue`` (a ``multiprocessing`` queue) and ``cancel_flags`` (a
+    shared byte array, one slot per job) are the service layer's
+    cross-process progress channel: job functions read them back via
+    :func:`worker_event_queue` / :func:`worker_cancel_flags` to stream
+    ``ProgressEvent``\\ s to the parent and to observe cooperative
+    cancellation requests while running.
+    """
+    np.random.seed((int(seed) * 1_000_003 + os.getpid()) % (2**32))
+    _WORKER_STATE["payload"] = _resolve_payload(payload)
+    _WORKER_STATE["event_queue"] = event_queue
+    _WORKER_STATE["cancel_flags"] = cancel_flags
+
+
+def worker_payload() -> Any:
+    """The payload this worker process was initialized with."""
+    return _WORKER_STATE.get("payload")
+
+
+def worker_event_queue() -> Any:
+    """This worker's cross-process progress-event queue (or None)."""
+    return _WORKER_STATE.get("event_queue")
+
+
+def worker_cancel_flags() -> Any:
+    """This worker's shared per-job cancellation flags (or None)."""
+    return _WORKER_STATE.get("cancel_flags")
+
 
 def _heartbeat_loop(worker_id: int, event_queue: Any, interval: float,
                     stop: threading.Event) -> None:
@@ -144,15 +223,14 @@ def _supervised_worker_main(
 ) -> None:
     """One supervised worker: claim specs, run them, report outcomes.
 
-    Reuses the pool path's per-process initialization
-    (:func:`repro.evaluation.runner._parallel_worker_init`) and job
-    function (:func:`repro.core.service._run_service_job`) verbatim, so a
-    supervised job is bit-identical to a pool or serial job.  Lifecycle
+    Installs the per-process state (:func:`_parallel_worker_init`), then
+    runs each claimed spec through the session's job function
+    (:func:`repro.core.service._run_service_job`), so a supervised job is
+    bit-identical to a serial one.  Lifecycle
     messages (``started`` / ``outcome``) travel a dedicated result queue;
     progress events and heartbeats travel the session's event queue.
     """
     from repro.core.service import _run_service_job
-    from repro.evaluation.runner import _parallel_worker_init
     from repro.execution import faults
 
     faults.install(fault_plan, role="worker")
@@ -203,9 +281,9 @@ class WorkerSupervisor:
         Session seed; with the fault plan's seed it derives the
         deterministic retry jitter and the per-worker RNG init.
     payload / event_queue / cancel_flags:
-        Exactly what the pool path ships: the worker payload descriptor,
-        the streaming event queue (or None) and the shared per-job
-        cancellation-flag array.
+        Handed to every worker's :func:`_parallel_worker_init`: the
+        worker payload descriptor, the streaming event queue (or None)
+        and the shared per-job cancellation-flag array.
     emit:
         Callback receiving supervision :class:`ProgressEvent`\\ s
         (restarts, retries, quarantines, deadline and degradation

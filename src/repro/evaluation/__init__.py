@@ -28,7 +28,6 @@ from repro.evaluation.runner import (
     AblationRunner,
     EvaluationReport,
     EvaluationRunner,
-    ParallelTaskRunner,
 )
 from repro.evaluation.tables import format_percentile_table, format_ablation_table
 from repro.evaluation.figures import (
@@ -53,7 +52,6 @@ __all__ = [
     "confusion_from_model",
     "EvaluationRunner",
     "EvaluationReport",
-    "ParallelTaskRunner",
     "AblationRunner",
     "AblationRow",
     "format_percentile_table",

@@ -1,9 +1,9 @@
 """Experiment runners: the full method comparison and the Table-2 ablation.
 
 The method comparison drives its (method, length, task, run) grid through
-a :class:`~repro.core.service.SynthesisSession`, which trains the shared
-Phase-1 models once and executes the submitted jobs serially or fanned
-out over multiprocessing workers via :class:`ParallelTaskRunner`.  Every
+a :class:`~repro.core.service.SynthesisSession`, which serves the shared
+Phase-1 models (trained once) and executes the submitted jobs serially or
+fanned out over its supervised worker pool.  Every
 synthesis attempt is seeded explicitly — the seed is a deterministic
 function of the experiment seed and the run index, never of the worker —
 so the parallel report is byte-identical to the serial one regardless of
@@ -12,17 +12,15 @@ worker count or scheduling.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.base import SynthesizerContext
 from repro.baselines.ga_adapters import make_netsyn_synthesizer
-from repro.baselines.registry import build_context
+from repro.baselines.registry import ensure_artifacts
 from repro.config import ExperimentConfig, NetSynConfig, ServiceConfig
+from repro.core.artifacts import ArtifactStore
 from repro.core.phase1 import train_fp_model, train_trace_model
 from repro.core.service import SynthesisSession
 from repro.data.tasks import BenchmarkSuite, make_benchmark_suite
@@ -40,151 +38,6 @@ from repro.utils.logging import get_logger
 from repro.utils.serialization import save_json
 
 logger = get_logger("evaluation.runner")
-
-
-# ---------------------------------------------------------------------------
-# Parallel task execution
-# ---------------------------------------------------------------------------
-
-#: Per-process state installed by the pool initializer (under ``fork``
-#: the context is inherited; under ``spawn`` it travels via pickling,
-#: which the DSL layer supports — see ``DSLFunction.__reduce__``).
-_WORKER_STATE: Dict[str, Any] = {}
-
-
-class PayloadResolutionError:
-    """Marker carrying a worker-side payload attachment failure.
-
-    Raising inside a pool *initializer* kills the worker and makes the
-    pool respawn it forever (the map never completes), so resolution
-    failures are captured and re-raised lazily by whichever job first
-    consumes the payload — that job fails cleanly instead of hanging the
-    whole run.
-    """
-
-    def __init__(self, error: BaseException) -> None:
-        self.message = f"worker payload resolution failed: {type(error).__name__}: {error}"
-
-    def raise_(self) -> None:
-        raise RuntimeError(self.message)
-
-
-def _resolve_payload(payload: Any) -> Any:
-    """Give payload descriptors a chance to attach per-process resources.
-
-    A payload exposing ``resolve_in_worker()`` (e.g. the service layer's
-    ``SharedWorkerPayload``) is resolved exactly once per process — this
-    is where shared-memory model serving mmaps the packed weight segment
-    instead of unpickling model objects into the worker.
-    """
-    resolve = getattr(payload, "resolve_in_worker", None)
-    if not callable(resolve):
-        return payload
-    try:
-        return resolve()
-    except Exception as error:  # noqa: BLE001 - must not kill the initializer
-        return PayloadResolutionError(error)
-
-
-def _parallel_worker_init(
-    seed: int, payload: Any, event_queue: Any = None, cancel_flags: Any = None
-) -> None:
-    """Initialize one worker: seed its RNGs and stash the shared payload.
-
-    The global numpy RNG is seeded per worker (mixed with the PID) as a
-    safety net for any library code that touches it; all repo components
-    draw from explicitly seeded generators, which is what actually makes
-    parallel results byte-identical to serial ones.
-
-    ``event_queue`` (a ``multiprocessing`` queue) and ``cancel_flags`` (a
-    shared byte array, one slot per job) are the service layer's
-    cross-process progress channel: job functions read them back via
-    :func:`worker_event_queue` / :func:`worker_cancel_flags` to stream
-    ``ProgressEvent``\\ s to the parent and to observe cooperative
-    cancellation requests while running.
-    """
-    np.random.seed((int(seed) * 1_000_003 + os.getpid()) % (2**32))
-    _WORKER_STATE["payload"] = _resolve_payload(payload)
-    _WORKER_STATE["event_queue"] = event_queue
-    _WORKER_STATE["cancel_flags"] = cancel_flags
-
-
-class ParallelTaskRunner:
-    """Order-preserving map over a pool of multiprocessing workers.
-
-    Parameters
-    ----------
-    n_workers:
-        Number of worker processes; ``<= 1`` degrades to a serial map in
-        the calling process (no pool, no pickling).
-    seed:
-        Base seed for the per-worker RNG initialization.
-    payload:
-        Arbitrary object made available to jobs via
-        :func:`worker_payload` (e.g. the trained-model context), shipped
-        to each worker exactly once instead of once per job.
-    event_queue:
-        Optional ``multiprocessing`` queue workers stream progress events
-        into (see :func:`worker_event_queue`); queues and shared arrays
-        travel through the pool initializer because they cannot be
-        pickled per task.
-    cancel_flags:
-        Optional shared byte array (one slot per job) workers poll for
-        cooperative cancellation (see :func:`worker_cancel_flags`).
-    """
-
-    def __init__(
-        self,
-        n_workers: int = 1,
-        seed: int = 0,
-        payload: Any = None,
-        event_queue: Any = None,
-        cancel_flags: Any = None,
-    ) -> None:
-        self.n_workers = int(n_workers)
-        self.seed = int(seed)
-        self.payload = payload
-        self.event_queue = event_queue
-        self.cancel_flags = cancel_flags
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Apply ``fn`` to every item, preserving input order.
-
-        ``fn`` and the items must be picklable (module-level function,
-        structural arguments) when ``n_workers > 1``.
-        """
-        items = list(items)
-        if self.n_workers <= 1 or len(items) <= 1:
-            _WORKER_STATE["payload"] = _resolve_payload(self.payload)
-            _WORKER_STATE["event_queue"] = self.event_queue
-            _WORKER_STATE["cancel_flags"] = self.cancel_flags
-            try:
-                return [fn(item) for item in items]
-            finally:
-                for key in ("payload", "event_queue", "cancel_flags"):
-                    _WORKER_STATE.pop(key, None)
-        context = multiprocessing.get_context()
-        with context.Pool(
-            processes=min(self.n_workers, len(items)),
-            initializer=_parallel_worker_init,
-            initargs=(self.seed, self.payload, self.event_queue, self.cancel_flags),
-        ) as pool:
-            return pool.map(fn, items)
-
-
-def worker_payload() -> Any:
-    """The payload the current :class:`ParallelTaskRunner` distributed."""
-    return _WORKER_STATE.get("payload")
-
-
-def worker_event_queue() -> Any:
-    """The cross-process progress-event queue of the current runner (or None)."""
-    return _WORKER_STATE.get("event_queue")
-
-
-def worker_cancel_flags() -> Any:
-    """The shared per-job cancellation flags of the current runner (or None)."""
-    return _WORKER_STATE.get("cancel_flags")
 
 
 @dataclass
@@ -223,7 +76,6 @@ class EvaluationRunner:
         self,
         experiment: Optional[ExperimentConfig] = None,
         base_config: Optional[NetSynConfig] = None,
-        context: Optional[SynthesizerContext] = None,
         verbose: bool = False,
         n_workers: int = 1,
         service_config: Optional[ServiceConfig] = None,
@@ -245,26 +97,25 @@ class EvaluationRunner:
         #: (the client waits the server-suggested ``retry_after`` between
         #: tries); 1 = fail fast on the first rejection
         self.remote_submit_attempts = int(remote_submit_attempts)
-        self._context = context
+        self._store: Optional[ArtifactStore] = None
         self._session: Optional[Any] = None
 
     # ------------------------------------------------------------------
     @property
-    def context(self) -> SynthesizerContext:
-        """The shared trained-model context (built lazily, exactly once)."""
-        if self._context is None:
-            logger.info("building context for methods %s", self.experiment.methods)
-            self._context = build_context(
-                self.base_config, methods=self.experiment.methods, verbose=self.verbose
+    def store(self) -> ArtifactStore:
+        """The shared trained-model store (trained lazily, exactly once)."""
+        if self._store is None:
+            logger.info("training artifacts for methods %s", self.experiment.methods)
+            self._store = ensure_artifacts(
+                ArtifactStore(), self.base_config, methods=self.experiment.methods, verbose=self.verbose
             )
-        return self._context
+        return self._store
 
     @property
     def session(self) -> Any:
         """The synthesis session the evaluation grid runs through.
 
-        Built over the shared context's artifact store, so passing a
-        pre-trained ``context`` keeps working as before.  With a
+        Built over the shared artifact :attr:`store`.  With a
         configured ``remote_address`` this is a
         :class:`~repro.serving.client.RemoteSynthesisSession` instead —
         the grid runs in the server process (which owns the trained
@@ -280,8 +131,8 @@ class EvaluationRunner:
                 )
             else:
                 self._session = SynthesisSession(
-                    self.context.config,
-                    self.context.store,
+                    self.base_config,
+                    self.store,
                     methods=self.experiment.methods,
                     service_config=self.service_config,
                 )

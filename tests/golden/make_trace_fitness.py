@@ -1,13 +1,25 @@
-"""Record the golden trajectories of seeded tiny CF and LCS jobs.
+"""Record the golden trajectories of seeded tiny CF, LCS, FP and edit jobs.
 
 Every job is one seeded ``NetSynBackend.solve`` at the tiny configuration
-of ``tests/conftest.py`` (trained from scratch, seeded), run in two
-execution shapes: the columnar batch engine (``vectorized=True``, the
-default) and the per-candidate serial engine (``vectorized=False``).
-Per job the record keeps what a behaviour change would move: the result,
-``found_by``, candidates used, generations, the program's function names,
-both fitness histories as ``float.hex`` strings (exact), and the sequence
-of progress-event kinds.
+of ``tests/conftest.py`` (trained from scratch, seeded), run in three
+execution shapes:
+
+* ``serial-vectorized`` — the columnar batch engine (``vectorized=True``,
+  the default);
+* ``serial-scalar`` — the per-candidate serial engine
+  (``vectorized=False``);
+* ``parallel-2`` — the same jobs submitted to one
+  :class:`~repro.core.service.SynthesisSession` and fanned out over 2
+  supervised workers (shared weights, the L2 score table, streamed
+  events and cache merge-back all on, as by default).
+
+Each kind runs with the configuration ``build_backend`` gives its session
+method (``netsyn_cf``, ``netsyn_lcs``, ``netsyn_fp``, ``edit``), so the
+serial and parallel shapes run the same jobs.  Per job the record keeps
+what a behaviour change would move: the result, ``found_by``, candidates
+used, generations, the program's function names, both fitness histories
+as ``float.hex`` strings (exact), and the sequence of progress-event
+kinds.
 
 ``tests/test_golden_trajectories.py`` re-runs the same jobs and compares
 field by field.  Regenerate only for an intended behaviour change, and
@@ -20,19 +32,34 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
-from repro.config import DSLConfig, GAConfig, NeighborhoodConfig, NNConfig, NetSynConfig, TrainingConfig
+from repro.config import (
+    DSLConfig,
+    GAConfig,
+    NeighborhoodConfig,
+    NNConfig,
+    NetSynConfig,
+    ServiceConfig,
+    TrainingConfig,
+)
+from repro.core.artifacts import ArtifactStore
 from repro.core.netsyn import NetSynBackend
 from repro.core.phase1 import train_fp_model, train_trace_model
+from repro.core.result import SynthesisResult
+from repro.core.service import SynthesisSession
 from repro.data import make_benchmark_suite
 from repro.events import EventLog
 from repro.ga.budget import SearchBudget
 
 GOLDEN = Path(__file__).resolve().parent / "trace_fitness.json"
-KINDS = ("cf", "lcs")
-#: execution shape name -> ``NetSynConfig.vectorized``
+#: fitness kind -> the session method that runs it
+METHODS = {"cf": "netsyn_cf", "lcs": "netsyn_lcs", "fp": "netsyn_fp", "edit": "edit"}
+KINDS = tuple(METHODS)
+#: serial execution shape name -> ``NetSynConfig.vectorized``
 SHAPES = {"serial-vectorized": True, "serial-scalar": False}
+#: the fan-out shape: every job through one 2-worker session run
+PARALLEL = "parallel-2"
 #: ``(task index, seed)``: solved by the GA, two exhausted budgets (a
 #: singleton and a list target) and one run the neighborhood search cuts short
 JOBS = ((0, 2), (1, 0), (3, 1), (5, 1))
@@ -57,31 +84,58 @@ def tiny_config() -> NetSynConfig:
     )
 
 
+def kind_config(base: NetSynConfig, kind: str) -> NetSynConfig:
+    """The configuration ``build_backend`` gives ``METHODS[kind]``."""
+    if kind == "edit":
+        return base.replace(fitness_kind="edit", fp_guided_mutation=False)
+    return base.replace(fitness_kind=kind)
+
+
+def _fields(result: SynthesisResult, event_kinds: List[str]) -> dict:
+    return {
+        "found": result.found,
+        "found_by": result.found_by,
+        "candidates_used": result.candidates_used,
+        "generations": result.generations,
+        "program": [] if result.program is None else list(result.program.names),
+        "average_fitness_history": [float(x).hex() for x in result.average_fitness_history],
+        "best_fitness_history": [float(x).hex() for x in result.best_fitness_history],
+        "event_kinds": event_kinds,
+    }
+
+
 def record() -> Dict[str, dict]:
     """Run every golden job; ``"<kind>/<shape>/<task>/<seed>"`` -> fields."""
     base = tiny_config()
     tasks = list(make_benchmark_suite(length=3, n_programs=6, seed=5, dsl_config=base.dsl))
-    fp = train_fp_model(training=base.training, nn=base.nn, dsl=base.dsl)
+    store = ArtifactStore()
+    store.set("fp", train_fp_model(training=base.training, nn=base.nn, dsl=base.dsl))
+    for kind in ("cf", "lcs"):
+        store.set(kind, train_trace_model(kind=kind, training=base.training, nn=base.nn, dsl=base.dsl))
     jobs: Dict[str, dict] = {}
     for kind in KINDS:
-        trace = train_trace_model(kind=kind, training=base.training, nn=base.nn, dsl=base.dsl)
+        trace = store.get(kind) if kind in ("cf", "lcs") else None
         for shape, vectorized in SHAPES.items():
-            config = base.replace(fitness_kind=kind, vectorized=vectorized)
-            backend = NetSynBackend(config).set_models(trace_artifacts=trace, fp_artifacts=fp)
+            config = kind_config(base, kind).replace(vectorized=vectorized)
+            backend = NetSynBackend(config).set_models(trace_artifacts=trace, fp_artifacts=store.get("fp"))
             for index, seed in JOBS:
                 task = tasks[index]
                 log = EventLog()
                 result = backend.solve(task, budget=SearchBudget(limit=BUDGET), seed=seed, listener=log)
-                jobs[f"{kind}/{shape}/{task.task_id}/{seed}"] = {
-                    "found": result.found,
-                    "found_by": result.found_by,
-                    "candidates_used": result.candidates_used,
-                    "generations": result.generations,
-                    "program": [] if result.program is None else list(result.program.names),
-                    "average_fitness_history": [float(x).hex() for x in result.average_fitness_history],
-                    "best_fitness_history": [float(x).hex() for x in result.best_fitness_history],
-                    "event_kinds": log.kinds(),
-                }
+                jobs[f"{kind}/{shape}/{task.task_id}/{seed}"] = _fields(result, log.kinds())
+
+    session = SynthesisSession(base, store, methods=tuple(METHODS.values()), service_config=ServiceConfig())
+    submitted = [
+        (kind, session.submit(tasks[index], method=METHODS[kind], budget=BUDGET, seed=seed))
+        for kind in KINDS
+        for index, seed in JOBS
+    ]
+    session.run(n_workers=2)
+    for kind, job in submitted:
+        if job.result is None:
+            raise RuntimeError(f"{job.job_id} ended {job.state.value}: {job.error}")
+        key = f"{kind}/{PARALLEL}/{job.task.task_id}/{job.seed}"
+        jobs[key] = _fields(job.result, [event.kind for event in job.events])
     return jobs
 
 

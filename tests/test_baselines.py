@@ -11,13 +11,14 @@ from repro.baselines import (
     PCCoderSynthesizer,
     PushGPSynthesizer,
     RobustFillSynthesizer,
-    build_context,
-    build_synthesizer,
+    build_backend,
+    ensure_artifacts,
     train_decoder_model,
     train_step_model,
 )
 from repro.baselines.registry import required_artifacts
 from repro.config import NetSynConfig
+from repro.core.artifacts import ArtifactStore
 from repro.data import make_synthesis_task
 from repro.dsl import satisfies_io_set
 from repro.ga.budget import SearchBudget
@@ -147,24 +148,23 @@ class TestRegistry:
             required_artifacts(["bogus"])
 
     def test_build_context_trains_only_what_is_needed(self, tiny_netsyn_config):
-        context = build_context(tiny_netsyn_config, methods=["edit", "oracle", "pushgp"])
-        assert context.artifacts == {}
+        store = ensure_artifacts(ArtifactStore(), tiny_netsyn_config, methods=["edit", "oracle", "pushgp"])
+        assert store.names() == ()
         with pytest.raises(KeyError):
-            context.get("fp")
+            store.get("fp")
 
     def test_build_context_and_synthesizers_for_learned_methods(self, tiny_netsyn_config, tiny_task):
-        context = build_context(tiny_netsyn_config, methods=["netsyn_fp", "deepcoder"])
-        assert context.has("fp")
+        store = ensure_artifacts(ArtifactStore(), tiny_netsyn_config, methods=["netsyn_fp", "deepcoder"])
+        assert store.names() == ("fp",)
         for name in ("netsyn_fp", "deepcoder"):
-            synthesizer = build_synthesizer(name, context)
+            synthesizer = build_backend(name, store, tiny_netsyn_config)
             result = synthesizer.synthesize(tiny_task, budget=SearchBudget(limit=150), seed=0)
             assert result.method in (name, "netsyn_fp", "deepcoder")
             assert result.candidates_used <= 150
 
     def test_build_synthesizer_rejects_unknown_method(self, tiny_netsyn_config):
-        context = build_context(tiny_netsyn_config, methods=["edit"])
         with pytest.raises(KeyError):
-            build_synthesizer("bogus", context)
+            build_backend("bogus", ArtifactStore(), tiny_netsyn_config)
 
     def test_every_registered_method_has_requirements_entry(self):
         assert set(METHOD_NAMES) == set(required_artifacts.__globals__["_REQUIREMENTS"].keys())

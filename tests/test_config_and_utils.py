@@ -189,7 +189,8 @@ class TestPackageSurface:
         assert hasattr(repro, "__version__")
         with pytest.raises(AttributeError):
             repro.does_not_exist
-        assert "NetSyn" in dir(repro)
+        assert "NetSynBackend" in dir(repro)
+        assert "NetSyn" not in dir(repro)
 
     def test_model_state_dict_round_trip_via_npz(self, tmp_path, tiny_trace_artifacts):
         from repro.fitness.models import TraceFitnessModel

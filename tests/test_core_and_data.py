@@ -1,9 +1,9 @@
-"""NetSyn facade, Phase-1 training, corpus builder, tasks and suites."""
+"""NetSyn backend, Phase-1 training, corpus builder, tasks and suites."""
 
 import numpy as np
 import pytest
 
-from repro import NetSyn, NetSynConfig, SearchBudget
+from repro import NetSynBackend, NetSynConfig, SearchBudget
 from repro.config import DSLConfig, TrainingConfig
 from repro.core.phase1 import train_fp_model, train_trace_model
 from repro.core.result import SynthesisResult
@@ -109,15 +109,17 @@ class TestPhase1:
 
 
 class TestNetSynFacade:
+    """The single-search entry points of :class:`NetSynBackend`."""
+
     def test_requires_fit_before_synthesize(self, tiny_netsyn_config, tiny_task):
-        netsyn = NetSyn(tiny_netsyn_config)
+        netsyn = NetSynBackend(tiny_netsyn_config)
         with pytest.raises(RuntimeError):
-            netsyn.synthesize(tiny_task.io_set)
+            netsyn.solve_io(tiny_task.io_set)
 
     def test_fit_with_prebuilt_artifacts(self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_task):
-        netsyn = NetSyn(tiny_netsyn_config)
+        netsyn = NetSynBackend(tiny_netsyn_config)
         netsyn.set_models(trace_artifacts=tiny_trace_artifacts, fp_artifacts=tiny_fp_artifacts)
-        result = netsyn.synthesize(tiny_task.io_set, seed=0, task_id=tiny_task.task_id)
+        result = netsyn.solve_io(tiny_task.io_set, seed=0, task_id=tiny_task.task_id)
         assert isinstance(result, SynthesisResult)
         assert result.method == "netsyn_cf"
         assert result.task_id == tiny_task.task_id
@@ -130,44 +132,44 @@ class TestNetSynFacade:
         config = tiny_netsyn_config.replace(
             fitness_kind="oracle_lcs", fp_guided_mutation=False, max_search_space=4000
         )
-        netsyn = NetSyn(config)
+        netsyn = NetSynBackend(config)
         netsyn.set_models()
-        result = netsyn.synthesize(tiny_task.io_set, target=tiny_task.target, seed=0)
+        result = netsyn.solve_io(tiny_task.io_set, target=tiny_task.target, seed=0)
         assert result.found
         assert satisfies_io_set(result.program, tiny_task.io_set)
 
     def test_oracle_requires_target(self, tiny_netsyn_config, tiny_task):
         config = tiny_netsyn_config.replace(fitness_kind="oracle_cf", fp_guided_mutation=False)
-        netsyn = NetSyn(config)
+        netsyn = NetSynBackend(config)
         netsyn.set_models()
         with pytest.raises(ValueError):
-            netsyn.synthesize(tiny_task.io_set, seed=0)
+            netsyn.solve_io(tiny_task.io_set, seed=0)
 
     def test_edit_variant_needs_no_training(self, tiny_netsyn_config, tiny_task):
         config = tiny_netsyn_config.replace(fitness_kind="edit", fp_guided_mutation=False)
-        netsyn = NetSyn(config)
+        netsyn = NetSynBackend(config)
         assert not netsyn.needs_trace_model and not netsyn.needs_fp_model
-        result = netsyn.synthesize(tiny_task.io_set, seed=1)
+        result = netsyn.solve_io(tiny_task.io_set, seed=1)
         assert isinstance(result, SynthesisResult)
 
     def test_budget_is_respected(self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_task):
-        netsyn = NetSyn(tiny_netsyn_config)
+        netsyn = NetSynBackend(tiny_netsyn_config)
         netsyn.set_models(trace_artifacts=tiny_trace_artifacts, fp_artifacts=tiny_fp_artifacts)
         budget = SearchBudget(limit=200)
-        result = netsyn.synthesize(tiny_task.io_set, budget=budget, seed=0)
+        result = netsyn.solve_io(tiny_task.io_set, budget=budget, seed=0)
         assert result.candidates_used <= 200
         assert result.budget_limit == 200
 
     def test_result_serialization(self, tiny_netsyn_config, tiny_task):
         config = tiny_netsyn_config.replace(fitness_kind="edit", fp_guided_mutation=False)
-        netsyn = NetSyn(config)
-        result = netsyn.synthesize(tiny_task.io_set, seed=1, task_id="t")
+        netsyn = NetSynBackend(config)
+        result = netsyn.solve_io(tiny_task.io_set, seed=1, task_id="t")
         data = result.to_dict()
         assert data["task_id"] == "t"
         assert isinstance(data["candidates_used"], int)
 
     def test_fit_trains_required_models_only(self, tiny_netsyn_config):
-        fp_only = NetSyn(tiny_netsyn_config.replace(fitness_kind="fp", fp_guided_mutation=True))
+        fp_only = NetSynBackend(tiny_netsyn_config.replace(fitness_kind="fp", fp_guided_mutation=True))
         assert fp_only.needs_fp_model and not fp_only.needs_trace_model
-        edit_only = NetSyn(tiny_netsyn_config.replace(fitness_kind="edit", fp_guided_mutation=False))
+        edit_only = NetSynBackend(tiny_netsyn_config.replace(fitness_kind="edit", fp_guided_mutation=False))
         assert not edit_only.needs_fp_model and not edit_only.needs_trace_model

@@ -303,13 +303,13 @@ class TestCachedGABitIdentical:
         assert result_modern == result_legacy
 
     def test_seeded_netsyn_synthesize_is_reproducible(self, tiny_netsyn_config, tiny_task):
-        from repro.core.netsyn import NetSyn
+        from repro.core.netsyn import NetSynBackend
 
         config = tiny_netsyn_config.replace(
             fitness_kind="edit", fp_guided_mutation=False, max_search_space=800
         )
-        first = NetSyn(config).synthesize(tiny_task.io_set, seed=13, task_id="t")
-        second = NetSyn(config).synthesize(tiny_task.io_set, seed=13, task_id="t")
+        first = NetSynBackend(config).solve_io(tiny_task.io_set, seed=13, task_id="t")
+        second = NetSynBackend(config).solve_io(tiny_task.io_set, seed=13, task_id="t")
         assert first.found == second.found
         assert first.program == second.program
         assert first.candidates_used == second.candidates_used
@@ -380,17 +380,7 @@ class TestPicklability:
 
 
 class TestParallelTaskRunner:
-    def test_serial_fallback_preserves_order(self):
-        from repro.evaluation.runner import ParallelTaskRunner
-
-        runner = ParallelTaskRunner(n_workers=1)
-        assert runner.map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
-
-    def test_parallel_map_preserves_order(self):
-        from repro.evaluation.runner import ParallelTaskRunner
-
-        runner = ParallelTaskRunner(n_workers=2, seed=3)
-        assert runner.map(_square, list(range(10))) == [i * i for i in range(10)]
+    """The evaluation grid fanned out over the session's worker pool."""
 
     def test_parallel_evaluation_identical_to_serial(self):
         from repro.config import ExperimentConfig, NetSynConfig
@@ -420,7 +410,3 @@ class TestParallelTaskRunner:
             assert a.result.candidates_used == b.result.candidates_used
             assert a.result.generations == b.result.generations
             assert a.result.found_by == b.result.found_by
-
-
-def _square(x: int) -> int:
-    return x * x

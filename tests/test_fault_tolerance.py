@@ -476,17 +476,16 @@ class TestCrashSafeCacheLog:
         assert log.of_kind("cache_segment_skipped"), "startup event not flushed"
         assert not second.startup_events, "startup events must flush once"
 
-    def test_legacy_unframed_segment_still_loads(self, tmp_path):
+    def test_unframed_segment_is_skipped_as_corrupt(self, tmp_path):
         store = ArtifactStore()
-        store.save_caches(tmp_path, _tiny_snapshot(1))
-        log_dir = tmp_path / CACHE_LOG_DIR
-        manifest = json.loads((log_dir / CACHE_LOG_MANIFEST).read_text())
-        name = manifest["segments"][0]["file"]
-        # rewrite the segment in the pre-CRC format (bare pickle)
-        (log_dir / name).write_bytes(
-            pickle.dumps({"format_version": 2, "snapshots": _tiny_snapshot(1)})
-        )
-        assert store.load_caches(tmp_path)["edit:None"]["evaluation"] == [((1,), 1)]
+        path = store.save_caches(tmp_path, _tiny_snapshot(1))
+        store.save_caches(tmp_path, _tiny_snapshot(2))
+        # an unframed segment (a bare pickle, no magic/length/CRC header)
+        path.write_bytes(pickle.dumps({"format_version": 2, "snapshots": _tiny_snapshot(1)}))
+        skipped = []
+        loaded = store.load_caches(tmp_path, on_skip=lambda name, status: skipped.append((name, status)))
+        assert skipped == [(path.name, "corrupt")]
+        assert loaded["edit:None"]["evaluation"] == [((2,), 2)]
 
     def test_manifest_write_is_atomic_no_tmp_left(self, tmp_path):
         store = ArtifactStore()

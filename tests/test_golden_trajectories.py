@@ -1,10 +1,11 @@
-"""Golden trajectories: seeded tiny CF/LCS jobs against committed data.
+"""Golden trajectories: seeded tiny CF/LCS/FP/edit jobs against committed data.
 
 ``tests/golden/trace_fitness.json`` holds the recorded trajectory of every
-job ``tests/golden/make_trace_fitness.py`` runs (both fitness kinds, the
-columnar and the serial execution shape).  Any change to what a seeded
-job does — its result, its search path, a single bit of a fitness
-history, or the events it emits — fails here, field by field.
+job ``tests/golden/make_trace_fitness.py`` runs (four fitness kinds; the
+columnar, the per-candidate serial and the 2-worker session shape).  Any
+change to what a seeded job does — its result, its search path, a single
+bit of a fitness history, or the events it emits — fails here, field by
+field.
 """
 
 from __future__ import annotations
@@ -49,3 +50,14 @@ def test_trajectories_match_golden(recorded):
         assert sorted(got) == sorted(want), job
         for field in want:
             assert got[field] == want[field], f"{job}: {field}"
+
+
+def test_every_shape_records_the_same_trajectory(generator):
+    golden = json.loads((GOLDEN_DIR / "trace_fitness.json").read_text())
+    shapes = (*generator.SHAPES, generator.PARALLEL)
+    for kind in generator.KINDS:
+        jobs = {key.split("/", 2)[2] for key in golden if key.startswith(f"{kind}/")}
+        assert len(jobs) == len(generator.JOBS), kind
+        for job in jobs:
+            first, *rest = (golden[f"{kind}/{shape}/{job}"] for shape in shapes)
+            assert all(other == first for other in rest), f"{kind}/{job}"

@@ -538,10 +538,10 @@ class TestPersistentCacheSnapshots:
     def test_missing_or_corrupt_snapshot_is_a_cold_start(self, tmp_path, tiny_fp_artifacts):
         store = ArtifactStore(fp=tiny_fp_artifacts)
         assert store.load_caches(tmp_path) == {}
-        from repro.core.artifacts import CACHE_SNAPSHOTS_FILE
-
-        (tmp_path / CACHE_SNAPSHOTS_FILE).write_bytes(b"not a pickle")
+        # the retired whole-file pickle is not a cache log: still cold
+        (tmp_path / "cache_snapshots.pkl").write_bytes(b"not a pickle")
         assert store.load_caches(tmp_path) == {}
+        assert not ArtifactStore.caches_saved_at(tmp_path)
 
     def test_model_hash_tracks_weights(self, tiny_trace_artifacts, tiny_fp_artifacts):
         a = ArtifactStore(cf=tiny_trace_artifacts)
@@ -619,30 +619,6 @@ class TestCacheLog:
         # and every distinct fresh key survived
         assert all(scores[((100 + i,), ("io",))] == float(100 + i) for i in range(10))
 
-    def test_legacy_pickle_loads_and_migrates(self, tmp_path):
-        import pickle
-
-        from repro.core.artifacts import CACHE_LOG_DIR, CACHE_SNAPSHOTS_FILE
-
-        store = ArtifactStore()
-        legacy = {"m:None": {"scores": _score_entries(0, 3)}}
-        payload = {
-            "format_version": 1,
-            "model_hash": store.model_hash(),
-            "snapshots": legacy,
-        }
-        with (tmp_path / CACHE_SNAPSHOTS_FILE).open("wb") as handle:
-            pickle.dump(payload, handle)
-        # a log-aware reader still loads the pre-log format
-        assert store.load_caches(tmp_path) == legacy
-        assert ArtifactStore.caches_saved_at(tmp_path)
-        # the first append migrates the pickle into the log as segment 1
-        store.save_caches(tmp_path, {"m:None": {"scores": _score_entries(10, 1)}})
-        assert (tmp_path / CACHE_LOG_DIR).is_dir()
-        merged = store.load_caches(tmp_path)
-        assert len(merged["m:None"]["scores"]) == 4
-        assert merged["m:None"]["scores"][:3] == legacy["m:None"]["scores"]
-
     def test_corrupt_manifest_or_segment_is_a_cold_start(self, tmp_path):
         from repro.core.artifacts import CACHE_LOG_DIR, CACHE_LOG_MANIFEST
 
@@ -657,8 +633,6 @@ class TestCacheLog:
     def test_session_runs_append_segments_not_rewrites(
         self, tmp_path, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite
     ):
-        from repro.core.artifacts import CACHE_SNAPSHOTS_FILE
-
         service_config = ServiceConfig(artifact_dir=str(tmp_path))
         store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
         session = SynthesisSession(
@@ -668,7 +642,6 @@ class TestCacheLog:
         session.run()
         manifest = self._manifest(tmp_path)
         assert len(manifest["segments"]) == 1
-        assert not (tmp_path / CACHE_SNAPSHOTS_FILE).exists()
         # new work appends; the existing segment is never rewritten
         first_segment_bytes = (
             tmp_path / "cache_log" / manifest["segments"][0]["file"]

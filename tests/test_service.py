@@ -9,16 +9,13 @@ from repro.baselines import (
     PushGPSynthesizer,
     RobustFillSynthesizer,
     build_backend,
-    build_context,
     train_decoder_model,
     train_step_model,
 )
-from repro.baselines.base import SynthesizerContext
 from repro.config import NetSynConfig, ServiceConfig
 from repro.core import (
     ArtifactStore,
     MissingArtifactError,
-    NetSyn,
     NetSynBackend,
     Phase1Artifacts,
     SynthesisBackend,
@@ -150,26 +147,6 @@ class TestArtifactStore:
         with pytest.raises(ValueError):
             store.set("bogus", None)
 
-    def test_context_shim_routes_through_store(self, tiny_fp_artifacts):
-        context = SynthesizerContext()
-        assert context.artifacts == {}
-        context.store.set("fp", tiny_fp_artifacts)
-        assert context.has("fp")
-        assert context.get("fp") is tiny_fp_artifacts
-        assert context.artifacts == {"fp": tiny_fp_artifacts}
-        with pytest.raises(KeyError):
-            context.get("cf")
-
-    def test_context_artifacts_writes_reach_store(self, tiny_fp_artifacts):
-        """The old `context.artifacts[name] = ...` contract still works."""
-        context = SynthesizerContext()
-        context.artifacts["fp"] = tiny_fp_artifacts
-        assert context.store.get("fp") is tiny_fp_artifacts
-        assert context.get("fp") is tiny_fp_artifacts
-        view = context.artifacts
-        del view["fp"]
-        assert not context.store.has("fp")
-
     def test_save_merges_with_existing_manifest(
         self, tmp_path, tiny_trace_artifacts, tiny_fp_artifacts
     ):
@@ -251,7 +228,7 @@ class TestBackendProtocol:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: service path vs the deprecated NetSyn facade
+# Bit-identity: service path vs a bare NetSynBackend
 # ---------------------------------------------------------------------------
 
 
@@ -269,26 +246,26 @@ def _results_equal(a, b):
 
 class TestServiceBitIdentity:
     def test_edit_fitness_matches_legacy_path(self, edit_config, tiny_task):
-        legacy = NetSyn(edit_config).synthesize(
+        direct = NetSynBackend(edit_config).solve_io(
             tiny_task.io_set, budget=SearchBudget(limit=600), seed=11, task_id=tiny_task.task_id
         )
         session = SynthesisSession(edit_config, ArtifactStore(), methods=("edit",))
         service_result = session.solve(tiny_task, method="edit", budget=600, seed=11)
-        _results_equal(legacy, service_result)
+        _results_equal(direct, service_result)
 
     def test_nn_ff_fitness_matches_legacy_path(
         self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_task
     ):
-        legacy_netsyn = NetSyn(tiny_netsyn_config).set_models(
+        backend = NetSynBackend(tiny_netsyn_config).set_models(
             trace_artifacts=tiny_trace_artifacts, fp_artifacts=tiny_fp_artifacts
         )
-        legacy = legacy_netsyn.synthesize(
+        direct = backend.solve_io(
             tiny_task.io_set, budget=SearchBudget(limit=400), seed=11, task_id=tiny_task.task_id
         )
         store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
         session = SynthesisSession(tiny_netsyn_config, store, methods=("netsyn_cf",))
         service_result = session.solve(tiny_task, method="netsyn_cf", budget=400, seed=11)
-        _results_equal(legacy, service_result)
+        _results_equal(direct, service_result)
 
     def test_reloaded_artifacts_match_in_memory_run(
         self, tmp_path, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_task
@@ -671,15 +648,3 @@ class TestPersistedSessionCaches:
         assert "netsyn_cf:None" in merged
         assert "netsyn_fp:None" in merged
 
-
-class TestDeprecatedShims:
-    def test_netsyn_warns_but_works(self, edit_config, tiny_task):
-        with pytest.warns(DeprecationWarning):
-            netsyn = NetSyn(edit_config)
-        result = netsyn.synthesize(tiny_task.io_set, seed=1)
-        assert result.method == "netsyn_edit"
-
-    def test_build_context_populates_typed_store(self, tiny_netsyn_config):
-        context = build_context(tiny_netsyn_config, methods=["netsyn_fp"])
-        assert context.store.names() == ("fp",)
-        assert context.artifacts.keys() == {"fp"}
