@@ -14,8 +14,7 @@ serving-path guarantees of the session layer:
    from the parent while it runs inside a worker; the shared flag stops
    the worker within a generation and the job ends ``CANCELLED`` with no
    ``finished`` event.
-3. **The L2 shared score table** — with
-   ``ServiceConfig.shared_score_table`` the workers share one lock-free
+3. **The L2 shared score table** — the workers share one lock-free
    mmap table of predicted scores: re-running the same requests is
    served from entries *other worker processes* published, visible as
    nonzero ``shared_cross_hits`` on the streamed generation events.
@@ -88,8 +87,7 @@ def main() -> None:
         service_config=ServiceConfig(
             artifact_dir=artifact_dir,
             progress_every=500,
-            shared_score_table=True,  # the L2 tier
-            table_slots=1 << 14,
+            table_slots=1 << 14,  # the L2 tier
             fault_plan=fault_plan,
         ),
     )

@@ -197,26 +197,10 @@ class NetSynConfig:
     #: use the function-probability map to guide mutation (MutationFP)
     fp_guided_mutation: bool = True
     seed: int = 0
-    #: memoize predicted NN-FF scores per (program, io_set) and forward
-    #: only genuinely new genes each generation; False restores the
-    #: historical score-everything path (the bit-identity control)
-    memoize_scores: bool = True
     #: capacity of the predicted-score LRU (per fitness kind)
     score_cache_size: int = 100_000
     #: capacity of the FP probability-map LRU (one small vector per spec)
     map_cache_size: int = 512
-    #: reuse one ExecutionEngine (and its evaluation cache) across a
-    #: backend's runs instead of building a fresh one per synthesis;
-    #: cached values are deterministic per (program, io_set), so sharing
-    #: never changes results — it only turns repeat work into lookups
-    share_evaluation_cache: bool = True
-    #: execute candidate populations through the columnar batch engine
-    #: (:class:`repro.execution.BatchExecutionEngine`): one vectorized
-    #: dispatch per unique (step, batch) with prefix sharing, instead of
-    #: one compiled call per (candidate, example).  Results are value-
-    #: and trace-identical to the serial path; ``False`` restores the
-    #: historical per-candidate engine (the bit-identity control)
-    vectorized: bool = True
 
     dsl: DSLConfig = field(default_factory=DSLConfig)
     ga: GAConfig = field(default_factory=GAConfig)
@@ -306,10 +290,6 @@ class ServiceConfig:
 
     #: directory for persisted Phase-1 artifacts (None disables persistence)
     artifact_dir: Optional[str] = None
-    #: load artifacts from ``artifact_dir`` when present
-    warm_start: bool = True
-    #: persist newly trained artifacts to ``artifact_dir``
-    save_artifacts: bool = True
     #: default worker-process count for ``SynthesisSession.run``
     n_workers: int = 1
     #: serve Phase-1 weights to parallel workers from a shared mmap-backed
@@ -319,21 +299,13 @@ class ServiceConfig:
     #: directory for the shared segment; defaults to ``artifact_dir``,
     #: falling back to a per-session temporary directory
     shared_dir: Optional[str] = None
-    #: snapshot the session's evaluation/score caches into the shared
-    #: segment so workers start warm (keys are process-stable)
-    share_worker_caches: bool = True
-    #: L2 tier: share a lock-free mmap score table (shared_scores.bin,
-    #: next to the packed weights) across the parent and every worker of
-    #: a parallel run, so one worker's NN forward serves all others while
-    #: a job is still running.  On by default: values are deterministic
-    #: per structural key so results are bit-identical to serial runs;
-    #: the per-event cache *counters* are advisory under sharing (which
-    #: worker scores a pair first depends on scheduling, so hit/miss
-    #: trajectories can differ run to run — see docs/execution.md).
-    #: Requires ``shared_weights`` (the table lives in the shared
-    #: segment dir).
-    shared_score_table: bool = True
-    #: slot count of the shared score table (power of two; 64 B per slot)
+    #: slot count of the L2 shared score table (power of two; 64 B per
+    #: slot).  With ``shared_weights`` every parallel run shares one
+    #: lock-free mmap table (shared_scores.bin, next to the packed
+    #: weights) across the parent and its workers, so one worker's NN
+    #: forward serves all others mid-job.  Values are deterministic per
+    #: structural key, so results are bit-identical to serial runs; the
+    #: per-event cache *counters* are advisory (see docs/execution.md)
     table_slots: int = 1 << 16
     #: coalesce worker progress events into batches of this size before
     #: they cross the multiprocessing queue (flushed when full, when the
@@ -344,16 +316,6 @@ class ServiceConfig:
     #: fold the L3 cache log into one deduplicated segment whenever it
     #: exceeds this many segments
     cache_log_compact_threshold: int = 8
-    #: stream worker-side progress events back to the parent through a
-    #: multiprocessing queue (drained live by a pump thread), so session
-    #: listeners observe remote jobs exactly like local ones; False
-    #: restores the terminal-event-only parallel behaviour
-    stream_worker_events: bool = True
-    #: merge each worker's score/evaluation-cache entries back into the
-    #: parent session's backend when its job completes, so one worker's
-    #: NN forwards warm every later run (the merge is idempotent: cached
-    #: values are deterministic per key)
-    merge_worker_caches: bool = True
     #: persist the session's score/evaluation caches next to the Phase-1
     #: artifacts (``artifact_dir``) after each ``run()``, keyed by the
     #: model hash, so a re-opened session starts warm across processes
@@ -377,7 +339,7 @@ class ServiceConfig:
     #: fault plan / session seed, job index and attempt)
     retry_jitter: float = 0.25
     #: seconds between two heartbeat events from an idle-or-busy worker
-    #: (heartbeats travel the event queue; requires stream_worker_events)
+    #: (heartbeats travel the event queue)
     heartbeat_interval: float = 0.25
     #: a worker whose last heartbeat is older than this while it runs a
     #: job is considered hung and is hard-killed (its job is retried)

@@ -197,18 +197,34 @@ class NetSynBackend(SynthesisBackend):
 
     # ------------------------------------------------------------------
     def _make_executor(self) -> ExecutionEngine:
-        """The run-shared execution engine this backend is configured for.
+        """A new execution engine for this backend's runs.
 
-        With ``config.vectorized`` the engine is the columnar
-        :class:`~repro.execution.BatchExecutionEngine`: the GA engine,
-        the fitness functions and the neighborhood search then evaluate
-        whole candidate batches in one vectorized pass.  Both engines
-        feed the same :class:`~repro.execution.EvaluationCache`, so
+        The columnar :class:`~repro.execution.BatchExecutionEngine`: the
+        GA engine, the fitness functions and the neighborhood search
+        evaluate whole candidate batches in one vectorized pass.  It
+        feeds the same :class:`~repro.execution.EvaluationCache` as the
+        per-candidate :class:`~repro.execution.ExecutionEngine`, so
         snapshots, deltas and every cache tier behave identically.
         """
-        if self.config.vectorized:
-            return BatchExecutionEngine()
-        return ExecutionEngine()
+        return BatchExecutionEngine()
+
+    def _executor(self) -> ExecutionEngine:
+        """The engine (and evaluation cache) shared by all of this backend's runs."""
+        if self._shared_executor is None:
+            self._shared_executor = self._make_executor()
+        return self._shared_executor
+
+    def _tiered_score_cache(self) -> TieredScoreCache:
+        """The backend-lifetime predicted-score cache (built on first use)."""
+        if self._score_cache is None:
+            cfg = self.config
+            self._score_cache = TieredScoreCache(
+                capacity=cfg.score_cache_size,
+                namespace=f"score:nnff_{cfg.fitness_kind}",
+                table=self._score_table,
+                remote=self._remote_tier,
+            )
+        return self._score_cache
 
     # ------------------------------------------------------------------
     def _memo_sections(self) -> List[Tuple[str, Any, Callable[[bool], list]]]:
@@ -283,22 +299,12 @@ class NetSynBackend(SynthesisBackend):
         """Warm-start the memo caches from :meth:`cache_snapshot` output."""
         if not data:
             return
-        cfg = self.config
-        if "scores" in data and cfg.memoize_scores:
-            if self._score_cache is None:
-                self._score_cache = TieredScoreCache(
-                    capacity=cfg.score_cache_size,
-                    namespace=f"score:nnff_{cfg.fitness_kind}",
-                    table=self._score_table,
-                    remote=self._remote_tier,
-                )
-            self._score_cache.load_snapshot(data["scores"])
+        if "scores" in data:
+            self._tiered_score_cache().load_snapshot(data["scores"])
         if "maps" in data:
             self._fp_map_cache().load(data["maps"])
-        if "evaluation" in data and cfg.share_evaluation_cache:
-            if self._shared_executor is None:
-                self._shared_executor = self._make_executor()
-            self._shared_executor.cache.load_snapshot(data["evaluation"])
+        if "evaluation" in data:
+            self._executor().cache.load_snapshot(data["evaluation"])
 
     def cache_version(self) -> int:
         """Monotone count of memo-cache writes (cheap change detection).
@@ -362,20 +368,12 @@ class NetSynBackend(SynthesisBackend):
         if kind in ("cf", "lcs"):
             if self._trace_artifacts is None:
                 raise RuntimeError("call fit() before solve(): the trace model is untrained")
-            if cfg.memoize_scores and self._score_cache is None:
-                self._score_cache = TieredScoreCache(
-                    capacity=cfg.score_cache_size,
-                    namespace=f"score:nnff_{kind}",
-                    table=self._score_table,
-                    remote=self._remote_tier,
-                )
             return LearnedTraceFitness(
                 self._trace_artifacts.model,
                 kind=kind,
                 encoder=self._trace_artifacts.encoder,
                 executor=executor,
-                memoize=cfg.memoize_scores,
-                score_cache=self._score_cache,
+                score_cache=self._tiered_score_cache(),
                 program_length=cfg.program_length,
             )
         if kind == "fp":
@@ -451,17 +449,12 @@ class NetSynBackend(SynthesisBackend):
 
         # One execution engine shared by the GA solution check, every
         # fitness evaluation and the neighborhood search, so each candidate
-        # is interpreted at most once per specification.  With
-        # ``share_evaluation_cache`` the engine also persists across this
-        # backend's runs (fit-once-serve-many sessions re-solve the same
-        # specs with different seeds): every cached value is deterministic
-        # per (program, io_set), so reuse cannot change results.
-        if cfg.share_evaluation_cache:
-            if self._shared_executor is None:
-                self._shared_executor = self._make_executor()
-            executor = self._shared_executor
-        else:
-            executor = self._make_executor()
+        # is interpreted at most once per specification.  The engine also
+        # persists across this backend's runs (fit-once-serve-many sessions
+        # re-solve the same specs with different seeds): every cached value
+        # is deterministic per (program, io_set), so reuse cannot change
+        # results.
+        executor = self._executor()
         fitness = self.build_fitness(target=target, executor=executor)
         fp_fitness = self._fp_fitness_for_mutation(executor=executor)
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 import atexit
 import enum
 import multiprocessing
+import os
 import pickle
 import re
 import shutil
@@ -241,6 +242,23 @@ def _segment_token(directory: str) -> str:
 _CACHE_SNAPSHOT = "cache_snapshot.pkl"
 
 
+def _pickle_atomically(path: Path, snapshots: Dict[str, dict]) -> Path:
+    """Pickle ``snapshots`` to ``path`` via a unique temp file + ``os.replace``.
+
+    Sessions sharing a directory may overwrite each other's snapshot, but
+    a worker never observes a half-written one.
+    """
+    handle, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            pickle.dump(snapshots, stream)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return path
+
+
 def _snapshot_key(method: str, program_length: Optional[int]) -> str:
     """The key one backend's caches live under in snapshot dicts.
 
@@ -329,7 +347,13 @@ class SharedWorkerPayload:
             try:
                 with open(self.snapshot_file, "rb") as handle:
                     self._loaded_snapshots = pickle.load(handle)
-            except (OSError, pickle.PickleError):  # pragma: no cover - defensive
+            except Exception as error:  # noqa: BLE001 - torn/empty/foreign file
+                # the snapshot only warms caches: any unreadable file
+                # (missing, empty, truncated mid-write) is a cold start
+                logger.warning(
+                    "unreadable worker cache snapshot %s (%s: %s); starting cold",
+                    self.snapshot_file, type(error).__name__, error,
+                )
                 self._loaded_snapshots = {}
         return self._loaded_snapshots
 
@@ -510,15 +534,14 @@ def _run_service_job(spec: _ServiceJobSpec) -> _ServiceJobOutcome:
             task,
             budget=SearchBudget(limit=budget_limit),
             seed=seed,
-            listener=emitter if (queue is not None or flags is not None) else None,
+            listener=emitter,
         )
     except JobCancelled:
         return ("cancelled", None, None, emitter.emitted, _worker_cache_delta(backend, version_before))
     except Exception as error:  # noqa: BLE001 - job isolation boundary
         return ("failed", None, f"{type(error).__name__}: {error}", emitter.emitted, None)
     finally:
-        if queue is not None:
-            emitter.flush()
+        emitter.flush()
     return ("ok", result, None, emitter.emitted, _worker_cache_delta(backend, version_before))
 
 
@@ -568,8 +591,8 @@ class SynthesisSession:
         self._next_job_number = 0
         self._shared_dir: Optional[Path] = None
         self._shared_packed = False
-        #: the session's L2 shared mmap score table (created lazily for
-        #: parallel runs when ServiceConfig.shared_score_table is on);
+        #: the session's L2 shared mmap score table (created lazily by the
+        #: first parallel run over shared weights);
         #: the parent attaches it too, so score misses after a parallel
         #: run are read from the table instead of shipped in job deltas
         self._score_table: Any = None
@@ -737,17 +760,21 @@ class SynthesisSession:
         return job
 
     # ------------------------------------------------------------------
+    def _record_events(self, job: SynthesisJob, events: Sequence[ProgressEvent]) -> None:
+        """Append ``events`` to the job, keeping the most recent
+        ``max_events_per_job`` of them."""
+        job.events.extend(events)
+        excess = len(job.events) - self.service_config.max_events_per_job
+        if excess > 0:
+            del job.events[:excess]
+
     def _job_listener(self, job: SynthesisJob) -> ProgressListener:
         """Record events on the job, fan out to session listeners, and
         honor cooperative cancellation."""
 
-        max_events = self.service_config.max_events_per_job
-
         def listener(event: ProgressEvent) -> None:
             event.job_id = job.job_id
-            job.events.append(event)
-            if len(job.events) > max_events:  # keep the most recent events
-                del job.events[0]
+            self._record_events(job, (event,))
             for session_listener in self._listeners:
                 session_listener(event)
             # honor cancellation at every event except "finished": by then
@@ -809,10 +836,10 @@ class SynthesisSession:
         (``weights.npz``), packed into a flat mmap-able segment, and only
         a path descriptor crosses the process boundary — each worker
         attaches the segment read-only instead of unpickling its own
-        model copies.  ``share_worker_caches`` additionally snapshots the
-        session backends' score/evaluation caches (structural keys are
-        process-stable) so workers start warm.  Falls back to pickling
-        ``(store, config)`` when shared serving is disabled.
+        model copies.  The session backends' score/evaluation caches are
+        snapshotted next to it (structural keys are process-stable) so
+        workers start warm.  Falls back to pickling ``(store, config)``
+        when shared serving is disabled.
         """
         if not self.service_config.shared_weights or not self.store.names():
             # nothing trained to share (e.g. an artifact-free edit/oracle
@@ -824,18 +851,14 @@ class SynthesisSession:
             self.store.pack_shared(directory)
             self._shared_packed = True
         snapshot_file = None
-        if self.service_config.share_worker_caches:
-            snapshots = {
-                _snapshot_key(method, length): snapshot
-                for (method, length), backend in self._backends.items()
-                for snapshot in [getattr(backend, "cache_snapshot", lambda: None)()]
-                if snapshot
-            }
-            if snapshots:
-                path = directory / _CACHE_SNAPSHOT
-                with path.open("wb") as handle:
-                    pickle.dump(snapshots, handle)
-                snapshot_file = str(path)
+        snapshots = {
+            _snapshot_key(method, length): snapshot
+            for (method, length), backend in self._backends.items()
+            for snapshot in [getattr(backend, "cache_snapshot", lambda: None)()]
+            if snapshot
+        }
+        if snapshots:
+            snapshot_file = str(_pickle_atomically(directory / _CACHE_SNAPSHOT, snapshots))
         return SharedWorkerPayload(
             directory=str(directory),
             config=self.config,
@@ -845,8 +868,8 @@ class SynthesisSession:
             token=_segment_token(str(directory)),
         )
 
-    def _score_table_file(self, directory: Path) -> Optional[str]:
-        """Create/attach the session's L2 shared score table (or None).
+    def _score_table_file(self, directory: Path) -> str:
+        """Create/attach the session's L2 shared score table.
 
         The table lives next to the packed weight segment, keyed by the
         store's model hash: :meth:`SharedScoreTable.ensure` recreates a
@@ -856,8 +879,6 @@ class SynthesisSession:
         own L1 misses are answered from L2 instead of requiring workers
         to ship score deltas through the result pickle.
         """
-        if not self.service_config.shared_score_table:
-            return None
         if self._score_table is None:
             from repro.execution.shared_table import SHARED_SCORES_BIN, SharedScoreTable
 
@@ -901,7 +922,6 @@ class SynthesisSession:
         """
         from queue import Empty
 
-        max_events = self.service_config.max_events_per_job
         stop = False
         while not stop:
             try:
@@ -931,9 +951,7 @@ class SynthesisSession:
                 # a worker with event batching on puts a coalesced list
                 events = payload if isinstance(payload, list) else [payload]
                 job = pending[job_index]
-                job.events.extend(events)
-                if len(job.events) > max_events:  # keep the most recent events
-                    del job.events[: len(job.events) - max_events]
+                self._record_events(job, events)
                 received[job_index] += len(events)
                 for event in events:
                     for session_listener in self._listeners:
@@ -985,14 +1003,13 @@ class SynthesisSession:
         degradation — see :mod:`repro.core.supervisor`); results (and
         the order of the returned list) are identical to a serial run.
         Worker-side progress events stream back live through a
-        multiprocessing queue drained by a pump thread
-        (``ServiceConfig.stream_worker_events``), so session listeners
-        observe remote jobs per-generation exactly like local ones; ``job.cancel()`` reaches running workers through
-        a shared cancellation flag, and cache entries computed by workers
-        are merged back into this session's backends when each job
-        completes (``ServiceConfig.merge_worker_caches``).  With a
-        configured ``artifact_dir`` the merged caches are persisted for
-        later sessions (``ServiceConfig.persist_caches``).
+        multiprocessing queue drained by a pump thread, so session
+        listeners observe remote jobs per-generation exactly like local
+        ones; ``job.cancel()`` reaches running workers through a shared
+        cancellation flag, and cache entries computed by workers are
+        merged back into this session's backends when each job
+        completes.  With a configured ``artifact_dir`` the merged caches
+        are persisted for later sessions (``ServiceConfig.persist_caches``).
         """
         if self.service_config.fault_plan is not None:
             # the parent's own instrumented sites (l3_append, table_attach)
@@ -1063,7 +1080,7 @@ class SynthesisSession:
         def listener(event: ProgressEvent) -> None:
             job = by_id.get(event.job_id)
             if job is not None:
-                job.events.append(event)
+                self._record_events(job, (event,))
             for session_listener in self._listeners:
                 try:
                     session_listener(event)
@@ -1078,7 +1095,7 @@ class SynthesisSession:
     def _run_supervised(self, pending: List[SynthesisJob], n_workers: int) -> None:
         """Supervised fan-out: retries, heartbeats, deadlines, degradation."""
         context = multiprocessing.get_context()
-        queue = context.Queue() if self.service_config.stream_worker_events else None
+        queue = context.Queue()
         flags, specs, received = self._prepare_fan_out(pending, context)
         supervisor = WorkerSupervisor(
             n_workers=n_workers,
@@ -1090,41 +1107,38 @@ class SynthesisSession:
             emit=self._supervision_listener(pending),
             context=context,
         )
-        pump = None
-        if queue is not None:
-            pump = threading.Thread(
-                target=self._pump_events,
-                args=(queue, pending, received),
-                kwargs={"on_control": supervisor.observe_control},
-                name="netsyn-event-pump",
-                daemon=True,
-            )
-            pump.start()
+        pump = threading.Thread(
+            target=self._pump_events,
+            args=(queue, pending, received),
+            kwargs={"on_control": supervisor.observe_control},
+            name="netsyn-event-pump",
+            daemon=True,
+        )
+        pump.start()
         outcomes = None
         try:
             outcomes = supervisor.run(specs)
         finally:
             for job in pending:
                 job._remote_cancel = None
-            if pump is not None:
-                if outcomes is not None:
-                    # a job's final attempt flushed its events before its
-                    # outcome message, so n_events is a guaranteed floor;
-                    # earlier crashed attempts may have streamed more
-                    # (received can exceed it) and hard-killed workers may
-                    # have streamed fewer (their outcome reports 0)
-                    expected = [
-                        received[index]
-                        if outcome.status == "pending_serial"
-                        else max(outcome.n_events, received[index])
-                        for index, outcome in enumerate(outcomes)
-                    ]
-                else:
-                    expected = [0] * len(pending)
-                self._settle_event_stream(queue, pump, received, expected)
+            if outcomes is not None:
+                # a job's final attempt flushed its events before its
+                # outcome message, so n_events is a guaranteed floor;
+                # earlier crashed attempts may have streamed more
+                # (received can exceed it) and hard-killed workers may
+                # have streamed fewer (their outcome reports 0)
+                expected = [
+                    received[index]
+                    if outcome.status == "pending_serial"
+                    else max(outcome.n_events, received[index])
+                    for index, outcome in enumerate(outcomes)
+                ]
+            else:
+                expected = [0] * len(pending)
+            self._settle_event_stream(queue, pump, received, expected)
         serial_rerun: List[SynthesisJob] = []
         for job, outcome in zip(pending, outcomes):
-            if outcome.cache_delta and self.service_config.merge_worker_caches:
+            if outcome.cache_delta:
                 backend = self.backend(job.method, job.program_length)
                 if hasattr(backend, "load_cache_snapshot"):
                     backend.load_cache_snapshot(outcome.cache_delta)
@@ -1158,21 +1172,6 @@ class SynthesisSession:
                     )
             else:
                 self._finish(job, outcome.result)
-                if queue is None:
-                    # streaming disabled: synthesize the terminal event so
-                    # job.events still records the outcome
-                    listener = self._job_listener(job)
-                    listener(
-                        ProgressEvent(
-                            kind="finished",
-                            method=job.method,
-                            task_id=job.task.task_id,
-                            candidates_used=outcome.result.candidates_used,
-                            budget_limit=outcome.result.budget_limit,
-                            found=outcome.result.found,
-                            found_by=outcome.result.found_by,
-                        )
-                    )
         for job in serial_rerun:
             self.run_job(job)
 
@@ -1316,10 +1315,8 @@ class SynthesisService:
         needed = sorted(required_artifacts(methods))
         if store is None:
             store = ArtifactStore()
-            if (
+            if service_config.artifact_dir and ArtifactStore.saved_at(
                 service_config.artifact_dir
-                and service_config.warm_start
-                and ArtifactStore.saved_at(service_config.artifact_dir)
             ):
                 store = ArtifactStore.load(service_config.artifact_dir, names=needed)
                 logger.info(
@@ -1327,7 +1324,7 @@ class SynthesisService:
                 )
         missing = store.missing(needed)
         ensure_artifacts(store, self.config, methods=methods, verbose=self.verbose)
-        if service_config.artifact_dir and service_config.save_artifacts and missing:
+        if service_config.artifact_dir and missing:
             store.save(service_config.artifact_dir)
             logger.info("saved artifacts %s to %s", store.names(), service_config.artifact_dir)
         return SynthesisSession(

@@ -235,7 +235,7 @@ def _supervised_worker_main(
 
     faults.install(fault_plan, role="worker")
     stop = threading.Event()
-    if event_queue is not None and heartbeat_interval > 0:
+    if heartbeat_interval > 0:
         # beat from the first instant: payload resolution below can be
         # slow (model weights), and a worker must look alive throughout
         threading.Thread(
@@ -282,8 +282,9 @@ class WorkerSupervisor:
         deterministic retry jitter and the per-worker RNG init.
     payload / event_queue / cancel_flags:
         Handed to every worker's :func:`_parallel_worker_init`: the
-        worker payload descriptor, the streaming event queue (or None)
-        and the shared per-job cancellation-flag array.
+        worker payload descriptor, the streaming event queue (which
+        also carries the heartbeats) and the shared per-job
+        cancellation-flag array.
     emit:
         Callback receiving supervision :class:`ProgressEvent`\\ s
         (restarts, retries, quarantines, deadline and degradation
@@ -435,10 +436,7 @@ class WorkerSupervisor:
         # unaccounted jobs are declared orphaned.  A worker silent that
         # long is dead by the heartbeat policy anyway, so re-enqueuing
         # cannot double-run a job that is merely slow.
-        if self.event_queue is not None:
-            orphan_grace = max(2.0, self.config.heartbeat_timeout)
-        else:
-            orphan_grace = 5.0
+        orphan_grace = max(2.0, self.config.heartbeat_timeout)
         last_progress = time.monotonic()
         while self._pending() > 0:
             now = time.monotonic()
@@ -693,8 +691,6 @@ class WorkerSupervisor:
                 self._kill(state["process"])
 
     def _check_heartbeats(self) -> None:
-        if self.event_queue is None:
-            return  # heartbeats ride the event queue; without it rely on sentinels
         timeout = self.config.heartbeat_timeout
         now = time.monotonic()
         for worker_id, state in list(self._workers.items()):

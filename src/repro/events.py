@@ -96,9 +96,9 @@ class ProgressEvent:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_hit_rate: float = 0.0
-    #: L2 shared-score-table counters (zero unless a parallel session
-    #: enabled ``ServiceConfig.shared_score_table``); ``shared_cross_hits``
-    #: counts hits on entries another worker process computed
+    #: L2 shared-score-table counters (zero outside parallel sessions
+    #: over shared weights); ``shared_cross_hits`` counts hits on
+    #: entries another worker process computed
     shared_hits: int = 0
     shared_cross_hits: int = 0
     #: L4 remote-score-tier hits (zero unless a remote cache server is

@@ -4,10 +4,9 @@ Every job is one seeded ``NetSynBackend.solve`` at the tiny configuration
 of ``tests/conftest.py`` (trained from scratch, seeded), run in three
 execution shapes:
 
-* ``serial-vectorized`` — the columnar batch engine (``vectorized=True``,
-  the default);
+* ``serial-vectorized`` — the columnar batch engine (``NetSynBackend``);
 * ``serial-scalar`` — the per-candidate serial engine
-  (``vectorized=False``);
+  (``ScalarNetSynBackend``, the test-side control of ``tests/controls.py``);
 * ``parallel-2`` — the same jobs submitted to one
   :class:`~repro.core.service.SynthesisSession` and fanned out over 2
   supervised workers (shared weights, the L2 score table, streamed
@@ -31,6 +30,7 @@ review the diff of ``trace_fitness.json``::
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Dict, List
 
@@ -52,12 +52,15 @@ from repro.data import make_benchmark_suite
 from repro.events import EventLog
 from repro.ga.budget import SearchBudget
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from controls import ScalarNetSynBackend  # noqa: E402 - tests/ is not a package
+
 GOLDEN = Path(__file__).resolve().parent / "trace_fitness.json"
 #: fitness kind -> the session method that runs it
 METHODS = {"cf": "netsyn_cf", "lcs": "netsyn_lcs", "fp": "netsyn_fp", "edit": "edit"}
 KINDS = tuple(METHODS)
-#: serial execution shape name -> ``NetSynConfig.vectorized``
-SHAPES = {"serial-vectorized": True, "serial-scalar": False}
+#: serial execution shape name -> the backend class that runs it
+SHAPES = {"serial-vectorized": NetSynBackend, "serial-scalar": ScalarNetSynBackend}
 #: the fan-out shape: every job through one 2-worker session run
 PARALLEL = "parallel-2"
 #: ``(task index, seed)``: solved by the GA, two exhausted budgets (a
@@ -115,9 +118,8 @@ def record() -> Dict[str, dict]:
     jobs: Dict[str, dict] = {}
     for kind in KINDS:
         trace = store.get(kind) if kind in ("cf", "lcs") else None
-        for shape, vectorized in SHAPES.items():
-            config = kind_config(base, kind).replace(vectorized=vectorized)
-            backend = NetSynBackend(config).set_models(trace_artifacts=trace, fp_artifacts=store.get("fp"))
+        for shape, backend_class in SHAPES.items():
+            backend = backend_class(kind_config(base, kind)).set_models(trace_artifacts=trace, fp_artifacts=store.get("fp"))
             for index, seed in JOBS:
                 task = tasks[index]
                 log = EventLog()

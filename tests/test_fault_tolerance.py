@@ -24,7 +24,9 @@ The fault matrix exercised here (via the deterministic
   recreated by ``ensure``; attach failures downgrade a process to
   L1-only caching;
 * a missing shared-weights segment downgrades workers to private npz
-  copies instead of failing their jobs.
+  copies instead of failing their jobs;
+* an empty or truncated worker warm-cache snapshot is a cold start for
+  the workers, never a failed job.
 
 Every parallel run is wrapped in a wall-clock guard: the historical
 failure mode of ``Pool.map`` under a worker crash was an infinite hang,
@@ -37,6 +39,7 @@ import dataclasses
 import json
 import pickle
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -598,7 +601,6 @@ class TestSharedTableRecovery:
             store,
             methods=("netsyn_cf",),
             service_config=ServiceConfig(
-                shared_score_table=True,
                 table_slots=1 << 12,
                 shared_dir=str(tmp_path),
                 persist_caches=False,
@@ -638,6 +640,77 @@ class TestSharedWeightsFallback:
         (tmp_path / "broken" / SHARED_WEIGHTS_BIN).unlink()
         jobs = [session.submit(task, budget=300, seed=1) for task in list(tiny_suite)[:2]]
         run_guarded(lambda: session.run(n_workers=2))
+        assert [_result_signature(j) for j in jobs] == [
+            _result_signature(j) for j in baseline
+        ]
+
+
+def _tear(data: bytes, how: str) -> bytes:
+    return b"" if how == "empty" else data[: len(data) // 2]
+
+
+class TestTornWorkerSnapshot:
+    """An unreadable worker warm-cache snapshot is a cold start, never a
+    failed job."""
+
+    @pytest.mark.parametrize("how", ["empty", "truncated"])
+    def test_unreadable_snapshot_loads_empty(self, tiny_netsyn_config, tmp_path, how):
+        from repro.core.service import SharedWorkerPayload
+
+        path = tmp_path / "cache_snapshot.pkl"
+        path.write_bytes(_tear(pickle.dumps(_tiny_snapshot(1)), how))
+        payload = SharedWorkerPayload(
+            directory=str(tmp_path), config=tiny_netsyn_config, snapshot_file=str(path)
+        )
+        assert payload.cache_snapshots() == {}
+
+    def test_snapshot_write_is_atomic_no_tmp_left(self, tmp_path):
+        from repro.core.service import _pickle_atomically
+
+        path = tmp_path / "cache_snapshot.pkl"
+        _pickle_atomically(path, _tiny_snapshot(1))
+        _pickle_atomically(path, _tiny_snapshot(2))
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert pickle.loads(path.read_bytes()) == _tiny_snapshot(2)
+
+    @pytest.mark.parametrize("how", ["empty", "truncated"])
+    def test_parallel_run_over_torn_snapshot_matches_serial(
+        self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite,
+        tmp_path, monkeypatch, how,
+    ):
+        tasks = list(tiny_suite)[:3]
+
+        def build(shared_dir):
+            store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
+            return SynthesisSession(
+                tiny_netsyn_config,
+                store,
+                methods=("netsyn_cf",),
+                service_config=ServiceConfig(shared_dir=shared_dir, persist_caches=False),
+            )
+
+        baseline_session = build(str(tmp_path / "baseline"))
+        baseline = [baseline_session.submit(task, budget=300, seed=1) for task in tasks[1:]]
+        baseline_session.run()
+
+        session = build(str(tmp_path / "torn"))
+        session.submit(tasks[0], budget=300, seed=1)
+        session.run()  # warms the backend, so the parallel run ships a snapshot
+        torn = []
+        build_payload = SynthesisSession._worker_payload
+
+        def torn_payload(self):
+            payload = build_payload(self)
+            if payload.snapshot_file:
+                path = Path(payload.snapshot_file)
+                path.write_bytes(_tear(path.read_bytes(), how))
+                torn.append(path)
+            return payload
+
+        monkeypatch.setattr(SynthesisSession, "_worker_payload", torn_payload)
+        jobs = [session.submit(task, budget=300, seed=1) for task in tasks[1:]]
+        run_guarded(lambda: session.run(n_workers=2))
+        assert torn, "the parallel run shipped no snapshot to tear"
         assert [_result_signature(j) for j in jobs] == [
             _result_signature(j) for j in baseline
         ]

@@ -135,14 +135,6 @@ class TestParallelEventParity:
             if parallel.result.candidates_used >= 20:
                 assert len(candidates) >= parallel.result.candidates_used // 10 - 1
 
-    def test_streaming_disabled_restores_terminal_event_only(self, edit_config, tiny_suite):
-        session = _edit_session(edit_config, stream_worker_events=False)
-        jobs = [session.submit(task, budget=200, seed=0) for task in tiny_suite]
-        session.run(n_workers=2)
-        for job in jobs:
-            assert job.state in (JobState.SOLVED, JobState.EXHAUSTED)
-            assert [event.kind for event in job.events] == ["finished"]
-
 
 # ---------------------------------------------------------------------------
 # Event batching: coalesced queue puts, identical streams
@@ -208,30 +200,22 @@ class TestSharedScoreTableSession:
             config,
             store,
             methods=("netsyn_cf",),
-            service_config=ServiceConfig(
-                shared_score_table=True, table_slots=1 << 12, **service_kwargs
-            ),
+            service_config=ServiceConfig(table_slots=1 << 12, **service_kwargs),
         )
 
     def test_parallel_with_table_equals_serial(
         self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite
     ):
-        def run(n_workers, table):
+        def run(n_workers):
             store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
-            session = SynthesisSession(
-                tiny_netsyn_config,
-                store,
-                methods=("netsyn_cf",),
-                service_config=ServiceConfig(
-                    shared_score_table=table, table_slots=1 << 12
-                ),
-            )
+            session = self._session(tiny_netsyn_config, store)
             jobs = [session.submit(task, budget=300, seed=1) for task in list(tiny_suite)[:2]]
             session.run(n_workers=n_workers)
             return jobs
 
-        serial = run(1, False)
-        parallel = run(2, True)
+        # a serial run never creates the table; the parallel run shares it
+        serial = run(1)
+        parallel = run(2)
         for a, b in zip(serial, parallel):
             assert a.state == b.state
             assert a.result.found == b.result.found

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from controls import UnmemoizedNetSynBackend
 from repro.config import ServiceConfig
 from repro.core.artifacts import ArtifactStore
 from repro.core.netsyn import NetSynBackend
@@ -269,11 +270,12 @@ class TestRunBitIdentity:
             training=tiny_training_config, nn=tiny_nn_config, dsl=tiny_dsl_config
         )
         memo = NetSynBackend(config).set_models(trace_artifacts=trace, fp_artifacts=fp)
-        legacy = NetSynBackend(
-            config.replace(memoize_scores=False, share_evaluation_cache=False)
-        ).set_models(trace_artifacts=trace, fp_artifacts=fp)
         for task in list(tiny_suite)[:2]:
             for seed in (0, 3):
+                # a fresh control per job: no engine or cache outlives its run
+                legacy = UnmemoizedNetSynBackend(config).set_models(
+                    trace_artifacts=trace, fp_artifacts=fp
+                )
                 got = memo.solve_io(task.io_set, budget=SearchBudget(limit=600), seed=seed)
                 want = legacy.solve_io(task.io_set, budget=SearchBudget(limit=600), seed=seed)
                 assert got.found == want.found

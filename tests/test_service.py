@@ -23,7 +23,7 @@ from repro.core import (
     SynthesisSession,
     JobState,
 )
-from repro.events import EventLog, JobCancelled
+from repro.events import EventLog, JobCancelled, ProgressEvent
 from repro.fitness.functions import LearnedTraceFitness, ProbabilityMapFitness
 from repro.ga.budget import SearchBudget
 
@@ -413,6 +413,19 @@ class TestJobLifecycle:
         assert len(job.events) <= 25
         assert job.events[-1].kind == "finished"
 
+    def test_supervision_events_respect_the_retention_bound(self, edit_config, tiny_task):
+        session = SynthesisSession(
+            edit_config,
+            ArtifactStore(),
+            methods=("edit",),
+            service_config=ServiceConfig(max_events_per_job=2),
+        )
+        job = session.submit(tiny_task, budget=200, seed=0)
+        listener = session._supervision_listener([job])
+        for attempt in (1, 2, 3):
+            listener(ProgressEvent(kind="job_retry", job_id=job.job_id, attempt=attempt))
+        assert [event.attempt for event in job.events] == [2, 3]
+
     def test_parallel_worker_failure_marks_job_failed(self, edit_config, tiny_suite):
         session = SynthesisSession(edit_config, ArtifactStore(), methods=("edit",))
         jobs = [session.submit(task, budget=200, seed=0) for task in tiny_suite]
@@ -542,22 +555,6 @@ class TestWorkerCacheMergeBack:
         score_stats = backend._score_cache.stats
         assert score_stats.misses > 0
         assert score_stats.shared_hits == score_stats.misses
-
-    def test_merge_back_can_be_disabled(
-        self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite
-    ):
-        store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
-        session = SynthesisSession(
-            tiny_netsyn_config,
-            store,
-            methods=("netsyn_cf",),
-            service_config=ServiceConfig(merge_worker_caches=False),
-        )
-        jobs = [session.submit(task, budget=300, seed=1) for task in list(tiny_suite)[:2]]
-        session.run(n_workers=2)
-        assert all(job.done for job in jobs)
-        backend = session._backends.get(("netsyn_cf", None))
-        assert backend is None or backend.cache_version() == 0
 
 
 class TestPersistedSessionCaches:

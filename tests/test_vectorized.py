@@ -9,8 +9,9 @@ The load-bearing properties:
 * :class:`BatchExecutionEngine` feeds the same cache namespaces with the
   same values as the serial engine, so every tier and snapshot observes
   identical state;
-* seeded GA runs are bit-identical between ``vectorized=True`` and
-  ``vectorized=False``, serially and through the parallel runner;
+* seeded GA runs are bit-identical between the columnar engine and the
+  per-candidate control (``tests/controls.py``), serially and through
+  the parallel runner;
 * non-catalog registries (0-ary and 3-ary functions) execute correctly
   through both the compiled hot path and the columnar scalar fallback.
 """
@@ -300,14 +301,14 @@ class TestNonCatalogRegistries:
 
 class TestVectorizedBitIdentity:
     def _solve(self, vectorized: bool, seed: int):
+        from controls import ScalarNetSynBackend
         from repro.core.netsyn import NetSynBackend
         from repro.data import make_synthesis_task
 
         config = NetSynConfig.small(fitness_kind="edit", seed=seed)
-        config.vectorized = vectorized
         config.fp_guided_mutation = False
         config.max_search_space = 3_000
-        backend = NetSynBackend(config)
+        backend = (NetSynBackend if vectorized else ScalarNetSynBackend)(config)
         task = make_synthesis_task(length=4, seed=seed + 11)
         return backend.solve_io(task.io_set, target=task.target, seed=seed)
 
@@ -336,7 +337,6 @@ class TestVectorizedBitIdentity:
             seed=7,
         )
         config = NetSynConfig.small(fitness_kind="edit", seed=7)
-        assert config.vectorized
         serial = EvaluationRunner(experiment, config, n_workers=1).run()
         parallel = EvaluationRunner(experiment, config, n_workers=2).run()
         assert len(serial.records) == len(parallel.records)
