@@ -9,7 +9,7 @@ when the average fitness saturates.
 
 from repro.ga.budget import SearchBudget, BudgetExhausted
 from repro.ga.population import Population
-from repro.ga.selection import roulette_wheel_indices, roulette_wheel_probabilities
+from repro.ga.selection import RouletteWheel, roulette_wheel_indices, roulette_wheel_probabilities
 from repro.ga.operators import GeneOperators
 from repro.ga.neighborhood import NeighborhoodSearch
 from repro.ga.engine import EvolutionResult, GeneticAlgorithm
@@ -18,6 +18,7 @@ __all__ = [
     "SearchBudget",
     "BudgetExhausted",
     "Population",
+    "RouletteWheel",
     "roulette_wheel_indices",
     "roulette_wheel_probabilities",
     "GeneOperators",

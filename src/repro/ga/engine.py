@@ -30,7 +30,7 @@ from repro.ga.budget import SearchBudget
 from repro.ga.neighborhood import NeighborhoodSearch
 from repro.ga.operators import GeneOperators
 from repro.ga.population import Population
-from repro.ga.selection import roulette_wheel_indices
+from repro.ga.selection import RouletteWheel, roulette_wheel_indices
 from repro.utils.logging import get_logger
 
 logger = get_logger("ga.engine")
@@ -275,19 +275,22 @@ class GeneticAlgorithm:
 
             # -- build the next generation ------------------------------------
             next_members: List[Program] = population.top(cfg.elite_count)
-            scores = population.scores
+            # one wheel per generation; every draw still goes through the
+            # module-level roulette_wheel_indices, which perfbench/tracing.py
+            # wraps by name as ga.select
+            wheel = RouletteWheel(population.scores)
 
             def spawn_child() -> Tuple[Program, bool]:
                 """One selection draw: a (child, is_newly_created) pair."""
                 draw = self.rng.random()
                 if draw < cfg.crossover_rate:
-                    parents = roulette_wheel_indices(scores, 2, self.rng)
+                    parents = roulette_wheel_indices(wheel, 2, self.rng)
                     child = self.operators.crossover(
                         population[int(parents[0])], population[int(parents[1])]
                     )
                     return child, True
                 if draw < cfg.crossover_rate + cfg.mutation_rate:
-                    parent = int(roulette_wheel_indices(scores, 1, self.rng)[0])
+                    parent = int(roulette_wheel_indices(wheel, 1, self.rng)[0])
                     gene = population[parent]
                     position_scores = (
                         self.fitness.mutation_scores(gene, io_set) if use_mutation_scores else None
@@ -298,7 +301,7 @@ class GeneticAlgorithm:
                         position_scores=position_scores,
                     )
                     return child, True
-                parent = int(roulette_wheel_indices(scores, 1, self.rng)[0])
+                parent = int(roulette_wheel_indices(wheel, 1, self.rng)[0])
                 return population[parent], False
 
             # batch path: stage the whole brood (same draws, same order),

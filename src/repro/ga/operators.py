@@ -50,8 +50,13 @@ class GeneOperators:
     def __post_init__(self) -> None:
         if self.program_length <= 0:
             raise ValueError("program_length must be positive")
+        if len(self.registry) < 2:
+            raise ValueError("mutation needs a registry of at least 2 functions")
         self.rng = ensure_rng(self.rng)
         self._all_ids = np.array(self.registry.ids)
+        # the replacement table of the last probability map, keyed by its bytes
+        self._table_key: Optional[bytes] = None
+        self._table: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def _accept(self, program: Program) -> bool:
@@ -118,11 +123,12 @@ class GeneOperators:
         length = len(gene)
         if length == 0:
             raise ValueError("cannot mutate an empty gene")
+        table = None if probability_map is None else self._replacement_table(probability_map)
         mutated = gene
         for _ in range(self.max_attempts):
             position = self._choose_position(length, position_scores)
             current = gene.function_ids[position]
-            replacement = self._choose_replacement(current, probability_map)
+            replacement = self._choose_replacement(current, table)
             mutated = gene.with_replacement(position, replacement)
             if self._accept(mutated):
                 return mutated
@@ -139,21 +145,36 @@ class GeneOperators:
         weights = weights / weights.sum()
         return int(self.rng.choice(length, p=weights))
 
-    def _choose_replacement(self, current: int, probability_map: Optional[np.ndarray]) -> int:
+    def _replacement_table(self, probability_map: np.ndarray) -> np.ndarray:
+        """One replacement CDF per current function, for ``probability_map``.
+
+        Row ``registry.index_of(fid)`` is the CDF ``Generator.choice`` would
+        build from the map's weights with ``fid``'s own entry zeroed, so a
+        ``searchsorted`` into it draws exactly what ``choice`` drew.  The
+        table is rebuilt whenever the map's contents change, including an
+        in-place edit of the same array.
+        """
+        weights = np.asarray(probability_map, dtype=np.float64)
+        if weights.shape != self._all_ids.shape:
+            raise ValueError("probability_map must have one entry per DSL function")
+        key = weights.tobytes()
+        if key != self._table_key:
+            if not np.isfinite(weights).all():
+                raise ValueError("probability_map must be finite")
+            rows = np.tile(np.clip(weights, 0.0, None) + 1e-6, (weights.size, 1))
+            np.fill_diagonal(rows, 0.0)
+            rows /= rows.sum(axis=1, keepdims=True)
+            table = rows.cumsum(axis=1)
+            table /= table[:, -1:]
+            self._table_key, self._table = key, table
+        return self._table
+
+    def _choose_replacement(self, current: int, table: Optional[np.ndarray]) -> int:
         ids = self._all_ids
-        if probability_map is None:
+        if table is None:
             choice = current
             while choice == current:
                 choice = int(self.rng.choice(ids))
             return choice
-        weights = np.asarray(probability_map, dtype=np.float64).copy()
-        if weights.shape != (len(ids),):
-            raise ValueError("probability_map must have one entry per DSL function")
-        weights = np.clip(weights, 0.0, None) + 1e-6
-        weights[self.registry.index_of(current)] = 0.0
-        total = weights.sum()
-        if total <= 0:
-            return self._choose_replacement(current, None)
-        weights = weights / total
-        index = int(self.rng.choice(len(ids), p=weights))
-        return int(ids[index])
+        cdf = table[self.registry.index_of(current)]
+        return int(ids[cdf.searchsorted(self.rng.random(), side="right")])

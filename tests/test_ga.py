@@ -1,11 +1,13 @@
 """Genetic algorithm: budget, selection, population, operators, NS, engine."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import GAConfig, NeighborhoodConfig
-from repro.dsl import Interpreter, Program, REGISTRY, has_dead_code, make_io_set
+from repro.dsl import FunctionRegistry, Interpreter, Program, REGISTRY, has_dead_code, make_io_set
 from repro.fitness import EditDistanceFitness, OracleFitness
 from repro.ga import (
     BudgetExhausted,
@@ -13,6 +15,7 @@ from repro.ga import (
     GeneticAlgorithm,
     NeighborhoodSearch,
     Population,
+    RouletteWheel,
     SearchBudget,
     roulette_wheel_indices,
     roulette_wheel_probabilities,
@@ -93,6 +96,58 @@ class TestRouletteWheel:
         probabilities = roulette_wheel_probabilities(np.array(scores))
         assert np.isclose(probabilities.sum(), 1.0)
         assert np.all(probabilities > 0)
+
+    @staticmethod
+    def _score_vector(seed: int) -> np.ndarray:
+        """Seeded scores cycling through the shapes the wheel must handle."""
+        rng = np.random.default_rng(seed)
+        n = (1, 100)[seed % 2] if seed % 6 == 5 else int(rng.integers(1, 101))
+        shape = seed % 6
+        if shape == 0:
+            return rng.normal(size=n)
+        if shape == 1:
+            return rng.integers(0, 3, size=n).astype(np.float64)  # ties
+        if shape == 2:
+            return np.full(n, 0.25)  # all equal
+        if shape == 3:
+            return -rng.exponential(5.0, size=n)  # all negative
+        return rng.uniform(-10.0, 10.0, size=n)
+
+    def test_wheel_draws_what_rng_choice_draws(self):
+        seen_sizes = set()
+        for seed in range(300):
+            scores = self._score_vector(seed)
+            seen_sizes.add(scores.size)
+            probabilities = roulette_wheel_probabilities(scores)
+            wheel = RouletteWheel(scores)
+            for k in (1, 2):
+                for source in (wheel, scores):
+                    ours = np.random.default_rng(seed)
+                    reference = np.random.default_rng(seed)
+                    drawn = roulette_wheel_indices(source, k, ours)
+                    expected = reference.choice(scores.size, size=k, p=probabilities)
+                    assert np.array_equal(drawn, expected), (seed, k)
+                    # the generator is left in the same state
+                    assert ours.random() == reference.random(), (seed, k)
+        assert {1, 100} <= seen_sizes
+
+    def test_wheel_without_replacement_matches_rng_choice(self):
+        scores = np.array([0.5, 3.0, -1.0, 2.0, 2.0])
+        probabilities = roulette_wheel_probabilities(scores)
+        for source in (RouletteWheel(scores), scores):
+            drawn = roulette_wheel_indices(source, 3, np.random.default_rng(3), replace=False)
+            expected = np.random.default_rng(3).choice(5, size=3, replace=False, p=probabilities)
+            assert np.array_equal(drawn, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_raise_before_any_arithmetic(self, bad):
+        scores = np.array([1.0, bad, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                roulette_wheel_indices(scores, 2, np.random.default_rng(0))
+            with pytest.raises(ValueError):
+                RouletteWheel(scores)
 
 
 class TestPopulation:
@@ -193,6 +248,77 @@ class TestGeneOperators:
             GeneOperators(program_length=0, rng=rng)
         with pytest.raises(ValueError):
             GeneOperators(program_length=3, rng=rng).random_population(0)
+
+    def test_registry_needs_two_functions(self, rng):
+        single = FunctionRegistry([REGISTRY.by_name("SORT")])
+        with pytest.raises(ValueError):
+            GeneOperators(program_length=2, registry=single, rng=rng)
+
+    @staticmethod
+    def _reference_replacement(rng, current, probability_map):
+        """The per-call replacement draw the table must reproduce."""
+        ids = np.array(REGISTRY.ids)
+        weights = np.asarray(probability_map, dtype=np.float64).copy()
+        weights = np.clip(weights, 0.0, None) + 1e-6
+        weights[REGISTRY.index_of(current)] = 0.0
+        weights = weights / weights.sum()
+        return int(ids[int(rng.choice(len(ids), p=weights))])
+
+    def test_replacement_table_draws_what_per_call_weights_draw(self):
+        draws = 0
+        for seed in range(25):
+            maps = np.random.default_rng(seed)
+            probability_map = maps.normal(0.2, 0.5, size=41)  # negative entries
+            probability_map[maps.integers(0, 41, size=8)] = 0.0
+            ours = np.random.default_rng(1000 + seed)
+            reference = np.random.default_rng(1000 + seed)
+            operators = GeneOperators(program_length=3, rng=ours, forbid_dead_code=False)
+            for _ in range(100):
+                gene = Program([int(fid) for fid in maps.integers(1, 42, size=3)])
+                mutated = operators.mutate(gene, probability_map=probability_map)
+                position = int(reference.integers(0, 3))
+                expected = self._reference_replacement(
+                    reference, gene.function_ids[position], probability_map
+                )
+                assert mutated == gene.with_replacement(position, expected)
+                draws += 1
+            assert ours.random() == reference.random()
+        assert draws >= 2500
+
+    @staticmethod
+    def _replacements(operators, gene, probability_map):
+        found = set()
+        for _ in range(10):
+            mutated = operators.mutate(gene, probability_map=probability_map)
+            found |= set(mutated.function_ids) - set(gene.function_ids)
+        return found
+
+    def test_replacement_table_follows_a_new_map_and_in_place_edits(self, rng):
+        operators = GeneOperators(program_length=3, rng=rng, forbid_dead_code=False)
+        gene = Program.from_names(["SORT", "SORT", "SORT"])
+
+        def favouring(name):
+            probability_map = np.full(41, 1e-6)
+            probability_map[REGISTRY.by_name(name).fid - 1] = 1.0
+            return probability_map
+
+        reverse, total = favouring("REVERSE"), favouring("SUM")
+        assert self._replacements(operators, gene, reverse) == {REGISTRY.by_name("REVERSE").fid}
+        # a different map rebuilds the table
+        assert self._replacements(operators, gene, total) == {REGISTRY.by_name("SUM").fid}
+        # so does an in-place edit of the same array
+        total[:] = favouring("MAP(*2)")
+        assert self._replacements(operators, gene, total) == {REGISTRY.by_name("MAP(*2)").fid}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probability_map_raises(self, rng, bad):
+        operators = GeneOperators(program_length=3, rng=rng)
+        probability_map = np.ones(41)
+        probability_map[7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                operators.mutate(operators.random_gene(), probability_map=probability_map)
 
 
 class TestNeighborhoodSearch:
