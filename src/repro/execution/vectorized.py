@@ -20,13 +20,16 @@ by crossover, mutation and reproduction share long function-id prefixes
    per unique ``(step, binding shape)`` instead of one interpreter step
    per ``(function, candidate, example)``.
 
-The trie itself is built with numpy (one ``np.unique`` per level over
-``parent-prefix x fid`` codes), and argument bindings are derived from a
-per-prefix *type bitmask* instead of compiling each candidate: bit ``k``
-records whether history slot ``k`` holds a list, which is all the
-backwards type-scan of the compiler depends on.  Bindings are memoized
-per ``(registry, history length, mask, fid)`` in a module-level cache —
-the analog of the compiler's compile cache, warm across calls.
+A per-call trie is built with numpy (one ``np.unique`` per level over
+packed ``parent-prefix x fid`` codes); the persistent trie kept between
+calls finds a batch's novel nodes through a ``dict`` per level and
+appends them into capacity-buffered columns, so an insert pays only for
+its new nodes.  Argument bindings are derived from a per-prefix *type
+bitmask* instead of compiling each candidate: bit ``k`` records whether
+history slot ``k`` holds a list, which is all the backwards type-scan of
+the compiler depends on.  Bindings are memoized per ``(registry, history
+length, mask, fid)`` in a module-level cache — the analog of the
+compiler's compile cache, warm across calls.
 
 :class:`BatchExecutionEngine` wraps the evaluator behind the
 :class:`~repro.execution.engine.ExecutionEngine` contract: batch outputs
@@ -45,7 +48,7 @@ the whole signature block to the serial compiled path.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -111,6 +114,11 @@ class KernelStats:
     leaf_hits: int = 0
     nodes_inserted: int = 0
     trie_evictions: int = 0
+
+    def add(self, other: "KernelStats") -> None:
+        """Fold ``other``'s counters into this one."""
+        for field in fields(self):
+            setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
 
     @property
     def reuse_ratio(self) -> float:
@@ -587,7 +595,7 @@ class _TrieRun(object):
             seq = program.function_ids
             fid_matrix[i, : len(seq)] = seq
         max_fid = int(fid_matrix.max())
-        if max_fid >= _MAX_PACKED_FID or max_fid < 0:
+        if max_fid >= _MAX_PACKED_FID or int(fid_matrix.min()) < 0:
             raise _ColumnarUnsupported("function ids outside packed-code range")
         stride = max_fid + 1
 
@@ -840,93 +848,74 @@ class _LevelStore:
     """One persistent trie level: node metadata plus value columns.
 
     Nodes are identified by stable integer ids (append order); value rows
-    of node ``p`` live at ``[p * m, (p + 1) * m)``.  Lookups go through a
-    sorted view of the packed ``parent * stride + fid`` codes, rebuilt
-    once per appending round.
+    of node ``p`` live at ``[p * m, (p + 1) * m)``.  Every column is a
+    capacity buffer grown geometrically, so a round writes only its own
+    rows; rows past ``count`` and cells past a row's length stay zero.
+    ``index`` maps each node's packed ``parent * stride + fid`` code to
+    its id, and learns a round's codes only once the round is stored.
     """
 
     __slots__ = (
-        "count",
-        "codes",
-        "parent",
-        "fids",
-        "masks",
-        "is_list",
-        "int_vals",
-        "list_vals",
-        "lens",
-        "_sorted_codes",
-        "_sorted_ids",
+        "m", "count", "index", "parent", "masks", "is_list", "int_vals", "lens", "list_vals"
     )
 
-    def __init__(self) -> None:
+    def __init__(self, m: int) -> None:
+        self.m = m
         self.count = 0
-        self.codes = np.empty(0, dtype=np.int64)
-        self.parent = np.empty(0, dtype=np.int64)
-        self.fids = np.empty(0, dtype=np.int64)
-        self.masks = np.empty(0, dtype=np.int64)
-        self.is_list = np.empty(0, dtype=bool)
-        self.int_vals: Optional[np.ndarray] = None
-        self.list_vals: Optional[np.ndarray] = None
-        self.lens: Optional[np.ndarray] = None
-        self._sorted_codes = self.codes
-        self._sorted_ids = np.empty(0, dtype=np.int64)
+        self.index: Dict[int, int] = {}
+        self._resize(0, 0)
 
-    def lookup(self, codes: np.ndarray) -> np.ndarray:
-        """Node id per packed code, ``-1`` where the code is absent."""
-        if self.count == 0:
-            return np.full(len(codes), -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self._sorted_codes, codes), self.count - 1)
-        ids = self._sorted_ids[pos]
-        return np.where(self._sorted_codes[pos] == codes, ids, -1)
+    def _resize(self, capacity: int, width: int) -> None:
+        """Move every column into zeroed buffers of ``capacity`` nodes
+        whose list rows hold ``width`` cells."""
+        rows = capacity * self.m
+        for name, shape, dtype in (
+            ("parent", (capacity,), np.int64),
+            ("masks", (capacity,), np.int64),
+            ("is_list", (capacity,), bool),
+            ("int_vals", (rows,), np.int64),
+            ("lens", (rows,), np.int64),
+            ("list_vals", (rows, width), np.int64),
+        ):
+            column = np.zeros(shape, dtype=dtype)
+            old = getattr(self, name, None)
+            if old is not None:
+                column[tuple(slice(0, n) for n in old.shape)] = old
+            setattr(self, name, column)
 
     def append_round(
         self,
         codes: np.ndarray,
         parent: np.ndarray,
-        fids: np.ndarray,
         masks: np.ndarray,
-        is_list: np.ndarray,
-        round_int: Optional[np.ndarray],
-        round_list: Optional[np.ndarray],
-        round_lens: Optional[np.ndarray],
-        m: int,
+        payloads: List[Tuple[int, int, bool, object]],
+        list_width: int,
     ) -> None:
-        """Append one fully-computed insertion round (new node ids are
-        ``count .. count + len(codes)``, matching the round's row order)."""
+        """Store one fully-computed insertion round: new node ids are
+        ``count .. count + len(codes)`` in the round's row order, and each
+        payload covers round rows ``[start, end)`` of one dispatch."""
+        m = self.m
         base = self.count
-        add = len(codes)
-        self.codes = np.concatenate([self.codes, codes])
-        self.parent = np.concatenate([self.parent, parent])
-        self.fids = np.concatenate([self.fids, fids])
-        self.masks = np.concatenate([self.masks, masks])
-        self.is_list = np.concatenate([self.is_list, is_list])
-        if round_int is not None or self.int_vals is not None:
-            if self.int_vals is None:
-                self.int_vals = np.zeros(base * m, dtype=np.int64)
-            if round_int is None:
-                round_int = np.zeros(add * m, dtype=np.int64)
-            self.int_vals = np.concatenate([self.int_vals, round_int])
-        if round_list is not None or self.list_vals is not None:
-            old_w = self.list_vals.shape[1] if self.list_vals is not None else 0
-            new_w = round_list.shape[1] if round_list is not None else 0
-            width = max(old_w, new_w)
-            vals = np.zeros(((base + add) * m, width), dtype=np.int64)
-            if self.list_vals is not None:
-                vals[: base * m, :old_w] = self.list_vals
-            if round_list is not None:
-                vals[base * m :, :new_w] = round_list
-            self.list_vals = vals
-            lens = np.zeros((base + add) * m, dtype=np.int64)
-            if self.lens is not None:
-                lens[: base * m] = self.lens
-            if round_lens is not None:
-                lens[base * m :] = round_lens
-            self.lens = lens
-        self.count = base + add
-        order = np.argsort(self.codes)
-        self._sorted_codes = self.codes[order]
-        self._sorted_ids = order
+        end = base + len(codes)
+        capacity = len(self.parent)
+        if end > capacity:
+            capacity = max(end, 2 * capacity)
+        width = max(self.list_vals.shape[1], list_width)
+        if capacity > len(self.parent) or width > self.list_vals.shape[1]:
+            self._resize(capacity, width)
+        self.parent[base:end] = parent
+        self.masks[base:end] = masks
+        for s, e, returns_list, payload in payloads:
+            self.is_list[base + s : base + e] = returns_list
+            rows = slice((base + s) * m, (base + e) * m)
+            if returns_list:
+                values, lens = payload
+                self.list_vals[rows, : values.shape[1]] = values
+                self.lens[rows] = lens
+            else:
+                self.int_vals[rows] = payload
+        self.index.update(zip(codes.tolist(), range(base, end)))
+        self.count = end
 
 
 class _PersistentTrie(object):
@@ -935,11 +924,13 @@ class _PersistentTrie(object):
     Where :class:`_TrieRun` rebuilds its trie and re-packs every column
     per call, this structure persists per ``(signature block, registry)``:
     programs already evaluated are answered by a structural-key leaf
-    lookup, and only novel suffixes are inserted — one ``np.unique`` over
-    the appended rows per level — and executed.  Adjacent GA generations
-    overlap heavily (survivors plus a minority of fresh children), so the
-    steady state is a handful of small insertion rounds per generation
-    instead of a full rebuild.
+    lookup, and only novel suffixes are inserted and executed.  An insert
+    walks the batch level by level through each level's ``dict`` index,
+    hands the missing codes (sorted) to one execution round, and writes
+    that round's rows into the level's capacity buffers.  Adjacent GA
+    generations overlap heavily (survivors plus a minority of fresh
+    children), so the steady state is a handful of rounds of a few nodes
+    each per generation, and a round costs O(its new nodes).
 
     Differences from the transient run, both invisible to results: every
     inserted node is computed (a node dead for this batch may be an
@@ -959,8 +950,9 @@ class _PersistentTrie(object):
         bind_cache: Dict,
         stats: KernelStats,
     ) -> None:
-        max_fid = max((fn.fid for fn in registry.functions), default=0)
-        if max_fid >= _MAX_PACKED_FID or max_fid < 0:
+        fids = [fn.fid for fn in registry.functions]
+        max_fid = max(fids, default=0)
+        if max_fid >= _MAX_PACKED_FID or min(fids, default=0) < 0:
             raise _ColumnarUnsupported("function ids outside packed-code range")
         self.block = block
         self.registry = registry
@@ -1061,9 +1053,7 @@ class _PersistentTrie(object):
             for j in range(length - 1, -1, -1):
                 level = self.levels[j]
                 rows = (node[:, None] * m + self._erange).ravel()
-                step_sizes = np.repeat(~level.is_list[node], m).astype(np.int64)
-                if level.lens is not None:
-                    step_sizes += level.lens[rows]
+                step_sizes = np.repeat(~level.is_list[node], m) + level.lens[rows]
                 sizes[members, :, j] = step_sizes.reshape(-1, m)
                 steps.append((members, j, level, rows))
                 node = level.parent[node]
@@ -1071,48 +1061,47 @@ class _PersistentTrie(object):
         values = np.zeros((n, m, max_len, width), dtype=np.int64)
         if width:
             for members, j, level, rows in steps:
-                w = 0 if level.list_vals is None else min(width, level.list_vals.shape[1])
+                w = min(width, level.list_vals.shape[1])
                 if w:
                     values[members, :, j, :w] = level.list_vals[rows, :w].reshape(-1, m, w)
-                if level.int_vals is not None:
-                    values[members, :, j, 0] += level.int_vals[rows].reshape(-1, m)
+                values[members, :, j, 0] += level.int_vals[rows].reshape(-1, m)
         return values, sizes
 
     def _insert(self, programs: Sequence[Program]) -> None:
-        seq_lens = [len(p.function_ids) for p in programs]
-        k = len(programs)
-        max_len = max(seq_lens)
-        if min(seq_lens) == max_len:
-            # uniform-length batch (the GA's fixed-length populations):
-            # one C-level construction instead of k row assignments
-            fid_matrix = np.array([p.function_ids for p in programs], dtype=np.int64)
-        else:
-            fid_matrix = np.zeros((k, max_len), dtype=np.int64)
-            for i, program in enumerate(programs):
-                seq = program.function_ids
-                fid_matrix[i, : len(seq)] = seq
-        top = int(fid_matrix.max())
-        if top >= self.stride or top < 0:
+        """Insert every (non-empty) program's missing nodes, level by level.
+
+        The walk is plain Python over each level's ``index``; only the
+        round's missing codes reach numpy, sorted (the order ``np.unique``
+        gives), so a round costs O(its new nodes), not O(resident nodes).
+        """
+        seqs = [p.function_ids for p in programs]
+        stride = self.stride
+        if min(map(min, seqs)) < 0 or max(map(max, seqs)) >= stride:
             raise _ColumnarUnsupported("function id outside the registry stride")
-        lengths = np.array(seq_lens, dtype=np.int64)
-        paths = np.full((k, max_len), -1, dtype=np.int64)
-        prev = np.zeros(k, dtype=np.int64)
-        alive = np.arange(k)
-        for j in range(max_len):
-            alive = alive[lengths[alive] > j]
-            while len(self.levels) <= j:
-                self.levels.append(_LevelStore())
-            level = self.levels[j]
-            codes = prev[alive] * self.stride + fid_matrix[alive, j]
-            ids = level.lookup(codes)
-            if (ids < 0).any():
-                # bulk leaf extraction: one np.unique over the appended rows
-                self._insert_nodes(j, level, np.unique(codes[ids < 0]))
-                ids = level.lookup(codes)
-            paths[alive, j] = ids
-            prev[alive] = ids
-        for i, program in enumerate(programs):
-            self._leaves[program.function_ids] = int(paths[i, seq_lens[i] - 1])
+        levels = self.levels
+        leaves = self._leaves
+        prev = [0] * len(seqs)
+        alive = list(range(len(seqs)))
+        j = 0
+        while alive:
+            if len(levels) <= j:
+                levels.append(_LevelStore(self.m))
+            level = levels[j]
+            index = level.index
+            codes = [prev[i] * stride + seqs[i][j] for i in alive]
+            missing = {code for code in codes if code not in index}
+            if missing:
+                self._insert_nodes(j, level, np.array(sorted(missing), dtype=np.int64))
+            still = []
+            for i, code in zip(alive, codes):
+                node = index[code]
+                if len(seqs[i]) == j + 1:
+                    leaves[seqs[i]] = node
+                else:
+                    prev[i] = node
+                    still.append(i)
+            alive = still
+            j += 1
 
     def _insert_nodes(self, j: int, level: _LevelStore, new_codes: np.ndarray) -> None:
         stride = self.stride
@@ -1136,11 +1125,9 @@ class _PersistentTrie(object):
         order = np.argsort(gids, kind="stable")
         codes_s = new_codes[order]
         parent_s = parent_u[order]
-        fid_s = fid_u[order]
         masks_s = (parent_masks | (pair_ret[pair_inv] << history_len))[order]
-        bounds = np.bincount(gids, minlength=len(group_meta)).cumsum()
-        bounds_list = bounds.tolist()
         n_groups = len(group_meta)
+        bounds_list = np.bincount(gids, minlength=n_groups).cumsum().tolist()
 
         # execute every group of the round; all payloads are staged before
         # anything is appended, so a scalar-fallback overflow leaves the
@@ -1149,8 +1136,6 @@ class _PersistentTrie(object):
         anc_cache: Dict[int, np.ndarray] = {}
         src_cols: Dict[Tuple[int, bool], object] = {}
         payloads = []
-        any_list = False
-        any_int = False
         list_width = 0
         gid = 0
         start = 0
@@ -1183,31 +1168,13 @@ class _PersistentTrie(object):
                     kernel, [_concat_cols(cols) for cols in zip(*span_args)], stats
                 )
                 stats.fused_groups += stop - gid - 1
-            if returns_list:
-                any_list = True
-                if payload[0].shape[1] > list_width:
-                    list_width = payload[0].shape[1]
-            else:
-                any_int = True
+            if returns_list and payload[0].shape[1] > list_width:
+                list_width = payload[0].shape[1]
             payloads.append((start, end, returns_list, payload))
             start = end
             gid = stop
 
-        group_rets = np.fromiter((meta[2] for meta in group_meta), dtype=bool, count=n_groups)
-        is_list_s = np.repeat(group_rets, np.diff(bounds, prepend=0))
-        round_int = np.zeros(count * m, dtype=np.int64) if any_int else None
-        round_list = np.zeros((count * m, list_width), dtype=np.int64) if any_list else None
-        round_lens = np.zeros(count * m, dtype=np.int64) if any_list else None
-        for s, e, returns_list, payload in payloads:
-            if returns_list:
-                values, lens = payload
-                round_list[s * m : e * m, : values.shape[1]] = values
-                round_lens[s * m : e * m] = lens
-            else:
-                round_int[s * m : e * m] = payload
-        level.append_round(
-            codes_s, parent_s, fid_s, masks_s, is_list_s, round_int, round_list, round_lens, m
-        )
+        level.append_round(codes_s, parent_s, masks_s, payloads, list_width)
         stats.nodes_inserted += count
         self.node_count += count
 
@@ -1518,34 +1485,41 @@ class BatchExecutionEngine(ExecutionEngine):
     #: consumers test this instead of isinstance to keep layers decoupled
     is_batch = True
 
+    #: evaluators (one per IO set) kept alive, least recently used out
+    #: first.  A session runs its jobs one after another and a job
+    #: searches one IO set, so older tries are dead weight: a repeated
+    #: program is answered by the evaluation cache above them.
+    MAX_EVALUATORS = 4
+
     def __init__(self, cache: Optional[EvaluationCache] = None, compiled: bool = True) -> None:
         super().__init__(cache=cache, compiled=compiled)
         self._evaluators: "OrderedDict[Tuple, ColumnarEvaluator]" = OrderedDict()
+        #: the counters of evicted evaluators, so kernel_stats() only grows
+        self._evicted_stats = KernelStats()
         #: batches answered entirely from cache, short-circuited before
         #: any dedup bookkeeping or trie packing
         self.batch_full_hits = 0
 
     # ------------------------------------------------------------------
     def kernel_stats(self) -> dict:
-        """Aggregated :meth:`ColumnarEvaluator.stats` over every resident
-        evaluator, plus the engine-level ``batch_full_hits`` counter."""
-        totals: Dict[str, float] = {}
+        """:meth:`ColumnarEvaluator.stats` summed over every evaluator this
+        engine has built, evicted ones included, plus the engine-level
+        ``batch_full_hits`` counter."""
+        totals = KernelStats()
+        totals.add(self._evicted_stats)
         for evaluator in self._evaluators.values():
-            for field, value in evaluator.stats().items():
-                if field == "reuse_ratio":
-                    continue
-                totals[field] = totals.get(field, 0) + value
-        lookups = totals.get("trie_leaf_lookups", 0)
-        totals["reuse_ratio"] = totals.get("trie_leaf_hits", 0) / lookups if lookups else 0.0
-        totals["batch_full_hits"] = self.batch_full_hits
-        return totals
+            totals.add(evaluator._stats)
+        snapshot = totals.snapshot()
+        snapshot["batch_full_hits"] = self.batch_full_hits
+        return snapshot
 
     def _evaluator_for(self, io_set: IOSet, io_key: Tuple) -> ColumnarEvaluator:
         evaluator = self._evaluators.get(io_key)
         if evaluator is None:
             evaluator = ColumnarEvaluator([example.inputs for example in io_set])
-            if len(self._evaluators) >= 32:
-                self._evaluators.popitem(last=False)
+            if len(self._evaluators) >= self.MAX_EVALUATORS:
+                _key, evicted = self._evaluators.popitem(last=False)
+                self._evicted_stats.add(evicted._stats)
             self._evaluators[io_key] = evaluator
         else:
             self._evaluators.move_to_end(io_key)

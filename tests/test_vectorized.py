@@ -13,7 +13,10 @@ The load-bearing properties:
   per-candidate control (``tests/controls.py``), serially and through
   the parallel runner;
 * non-catalog registries (0-ary and 3-ary functions) execute correctly
-  through both the compiled hot path and the columnar scalar fallback.
+  through both the compiled hot path and the columnar scalar fallback;
+* persistent tries grown by many small GA-shaped rounds equal a cold
+  rebuild, and the engine's bounded evaluator set keeps verdicts and
+  cumulative kernel counters across evictions.
 """
 
 from __future__ import annotations
@@ -299,6 +302,30 @@ class TestNonCatalogRegistries:
             assert tuple(got) == expected
 
 
+    def test_negative_function_ids_take_the_compiled_path(self):
+        # packed (parent, fid) codes assume fids >= 0: a negative fid would
+        # alias another node's code, so such registries must not be packed
+        registry = FunctionRegistry([
+            DSLFunction(-1, "NEG", (LIST,), LIST, lambda xs: [-v for v in xs]),
+            DSLFunction(2, "DBL", (LIST,), LIST, lambda xs: [2 * v for v in xs]),
+            DSLFunction(3, "REV", (LIST,), LIST, lambda xs: list(reversed(xs))),
+        ])
+        example_inputs = [[[1, 2, 3]], [[4, -5]]]
+        population = [
+            Program(fids, registry=registry) for fids in ([2, -1, 3], [2, 3], [-1], [3, -1, -1])
+        ]
+        evaluator = ColumnarEvaluator(example_inputs)
+        assert evaluator.outputs([population[0]]) == [[[-6, -4, -2], [10, -8]]]
+        assert evaluator.outputs(population) == [
+            _reference_outputs(p, example_inputs) for p in population
+        ]
+        _assert_columns_match(
+            evaluator.trace_columns(population),
+            population,
+            [_reference_traces(p, example_inputs) for p in population],
+        )
+
+
 class TestVectorizedBitIdentity:
     def _solve(self, vectorized: bool, seed: int):
         from controls import ScalarNetSynBackend
@@ -459,3 +486,150 @@ class TestPersistentTrie:
             incremental = warm.outputs(generation)
             cold = ColumnarEvaluator(example_inputs).outputs(generation)
             assert incremental == cold
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_property_ga_shaped_growth_equals_a_cold_rebuild(self, data):
+        # GA traffic: dozens of batches of a few programs, each round adding
+        # a few nodes per level, so every level's buffers outgrow their
+        # capacity several times.  With one list input, ZIPWITH's second
+        # argument binds the empty default, so programs that start with it
+        # store zero-width lists; int-only rounds follow those list rounds,
+        # and a late round starting with a full-width list step is wider
+        # than anything stored before it.
+        value = st.integers(min_value=-20, max_value=20)
+        signature = data.draw(st.sampled_from([(LIST,), (LIST, INT), (INT, LIST)]), label="sig")
+        example = st.tuples(
+            *(st.lists(value, min_size=1, max_size=6) if t is LIST else value for t in signature)
+        ).map(list)
+        example_inputs = data.draw(st.lists(example, min_size=1, max_size=4), label="examples")
+
+        def fids(*names):
+            return [REGISTRY.by_name(name).fid for name in names]
+
+        starts = {
+            "narrow": fids("ZIPWITH(+)", "ZIPWITH(min)"),
+            "ints": fids("SUM", "MAXIMUM", "COUNT(even)", "LAST", "ACCESS"),
+            "wide": fids("SORT", "REVERSE", "MAP(*2)", "SCANL1(+)"),
+        }
+        tails = {
+            "narrow": fids("FILTER(>0)", "TAKE", "DROP", "HEAD", "COUNT(>0)", "SORT", "MAP(-1)"),
+            "ints": starts["ints"],
+            "wide": fids("FILTER(odd)", "TAKE", "SUM", "REVERSE", "ZIPWITH(+)", "MAP(*2)"),
+        }
+        phases = ["narrow"] * data.draw(st.integers(12, 20), label="narrow rounds")
+        phases += ["ints"] * data.draw(st.integers(4, 8), label="int rounds")
+        phases += ["wide"] + ["narrow", "ints", "wide"] * data.draw(st.integers(2, 4), label="tail")
+        warm = ColumnarEvaluator(example_inputs)
+        reference = Interpreter(trace=True, compiled=False)
+        seen = {phase: [] for phase in starts}
+        prefixes = set()
+        widths = []
+        for phase in phases:
+            batch = []
+            for _ in range(data.draw(st.integers(1, 8), label="batch size")):
+                # extend a program an earlier round of this phase built, or
+                # start a fresh one
+                if seen[phase] and data.draw(st.booleans(), label="extend"):
+                    head = list(data.draw(st.sampled_from(seen[phase])).function_ids)[:4]
+                else:
+                    head = [data.draw(st.sampled_from(starts[phase]), label="start")]
+                tail = data.draw(st.lists(st.sampled_from(tails[phase]), max_size=3), label="tail")
+                batch.append(Program((head + tail)[:5]))
+            seen[phase] += batch
+            traces = [[reference.run(p, inputs) for inputs in example_inputs] for p in batch]
+            assert warm.outputs(batch) == [[t.output for t in per] for per in traces]
+            assert warm.outputs(batch) == ColumnarEvaluator(example_inputs).outputs(batch)
+            columns = warm.trace_columns(batch)
+            _assert_columns_match(columns, batch, traces)
+            cold = ColumnarEvaluator(example_inputs).trace_columns(batch)
+            for name in ("fids", "lengths", "values", "sizes"):
+                assert np.array_equal(getattr(columns, name), getattr(cold, name))
+            for program in batch:
+                seq = program.function_ids
+                prefixes.update(seq[: k + 1] for k in range(len(seq)))
+            (trie,) = [trie for _registry, trie in warm._tries.values()]
+            widths.append(trie.levels[0].list_vals.shape[1])
+        # the scenario under test happened: level 0 stored only zero-width
+        # lists until the first wide round, which widened its buffer
+        first_wide = phases.index("wide")
+        assert widths[first_wide - 1] == 0 < widths[first_wide]
+        stats = warm.stats()
+        assert stats["trie_evictions"] == 0
+        # one trie per signature block, each holding every distinct prefix once
+        assert stats["trie_nodes_inserted"] == len(prefixes) * len(warm.blocks)
+
+
+class TestEvaluatorBound:
+    """The batch engine keeps a bounded set of evaluators (one per IO set)
+    and its kernel counters stay cumulative across evictions."""
+
+    COUNTERS = (
+        "dispatch_count",
+        "fused_group_count",
+        "bucketed_dispatch_count",
+        "trie_leaf_lookups",
+        "trie_leaf_hits",
+        "trie_nodes_inserted",
+        "trie_evictions",
+    )
+
+    def _io_set(self, seed: int):
+        rng = np.random.default_rng(seed)
+        return [
+            IOExample(inputs=([int(v) for v in rng.integers(-30, 31, size=5)],), output=0)
+            for _ in range(3)
+        ]
+
+    def test_kernel_stats_stay_cumulative_past_the_bound(self):
+        population = _population(np.random.default_rng(7), 30)
+        engine = BatchExecutionEngine(cache=EvaluationCache())
+        expected = dict.fromkeys(self.COUNTERS, 0)
+        previous = engine.kernel_stats()
+        for k in range(40):
+            io_set = self._io_set(100 + k)
+            engine.satisfies_batch(population, io_set)
+            # a distinct IO set gets a new evaluator: its counters are what
+            # the same batch costs a fresh engine
+            alone = BatchExecutionEngine(cache=EvaluationCache())
+            alone.satisfies_batch(population, io_set)
+            for field in self.COUNTERS:
+                expected[field] += alone.kernel_stats()[field]
+            now = engine.kernel_stats()
+            for field in self.COUNTERS:
+                assert now[field] >= previous.get(field, 0), (k, field)
+            previous = now
+        assert {field: previous[field] for field in self.COUNTERS} == expected
+
+    def test_evicted_io_sets_recheck_identically(self):
+        bound = BatchExecutionEngine.MAX_EVALUATORS
+        rng = np.random.default_rng(11)
+        population = _population(rng, 25)
+        io_sets = []
+        for k in range(bound + 3):
+            io_set = self._io_set(200 + k)
+            # a target some program meets, so verdicts are not all False
+            target = Interpreter(trace=False, compiled=False)
+            io_sets.append([
+                IOExample(inputs=ex.inputs, output=target.output_of(population[k], ex.inputs))
+                for ex in io_set
+            ])
+        serial = ExecutionEngine(cache=EvaluationCache(max_entries=0))
+        expected = [[serial.satisfies(p, io_set) for p in population] for io_set in io_sets]
+        # no cache: every check reaches the evaluators
+        engine = BatchExecutionEngine(cache=EvaluationCache(max_entries=0))
+        previous = engine.kernel_stats()
+        inserted = []
+        for _sweep in range(2):
+            for io_set, verdicts in zip(io_sets, expected):
+                assert engine.satisfies_batch(population, io_set) == verdicts
+                assert len(engine._evaluators) <= bound
+                now = engine.kernel_stats()
+                for field in self.COUNTERS:
+                    assert now[field] >= previous.get(field, 0)
+                previous = now
+            inserted.append(previous["trie_nodes_inserted"])
+        assert any(any(verdicts) for verdicts in expected)
+        # more IO sets than the bound, cycled in order: every set was evicted
+        # before its re-check, which rebuilt its trie from empty
+        assert inserted[1] == 2 * inserted[0] > 0
