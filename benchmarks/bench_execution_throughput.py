@@ -87,43 +87,32 @@ def _island_workload(seed: int = 17, n_parents: int = 8, n_generations: int = 8)
     thousands of generations, so generation ``n_generations`` is still an
     early, conservatively diverse population.
     """
-    fids = list(range(1, 42))
-    programs = []
-    for island in range(N_ISLANDS):
-        rng = random.Random(100 + seed + island)
-        pool = [[rng.choice(fids) for _ in range(PROGRAM_LENGTH)] for _ in range(n_parents)]
-        for _ in range(n_generations):
-            generation = []
-            for _ in range(ISLAND_SIZE):
-                a, b = rng.sample(pool, 2)
-                cut = rng.randint(1, PROGRAM_LENGTH - 1)
-                child = a[:cut] + b[cut:]
-                if rng.random() < 0.5:
-                    child[rng.randrange(PROGRAM_LENGTH)] = rng.choice(fids)
-                generation.append(child)
-            pool = generation[:n_parents]
-        programs.extend(Program(tuple(child)) for child in generation)
-    task = make_synthesis_task(length=PROGRAM_LENGTH, seed=seed)
-    return programs, task.io_set
+    generations, io_set = _generation_stream(seed, n_parents, n_generations)
+    return generations[-1], io_set
 
 
-def _generation_stream(seed: int = 17, n_parents: int = 8, n_generations: int = 8):
+def _generation_stream(
+    seed: int = 17,
+    n_parents: int = 8,
+    n_generations: int = 8,
+    n_islands: int = N_ISLANDS,
+    island_size: int = ISLAND_SIZE,
+):
     """The island workload's per-generation populations, in breeding order.
 
-    Same breeding loop (and RNG stream) as :func:`_island_workload`, but
-    every intermediate generation is kept: the warm-trie workload replays
-    them in order against one persistent engine, the shape a live GA run
-    presents — survivors recur verbatim and children extend prefixes the
-    trie already holds.
+    Every intermediate generation of :func:`_island_workload`'s breeding
+    loop is kept: the warm-trie workload replays them in order against
+    one persistent engine, the shape a live GA run presents — survivors
+    recur verbatim and children extend prefixes the trie already holds.
     """
     fids = list(range(1, 42))
     generations: list = [[] for _ in range(n_generations)]
-    for island in range(N_ISLANDS):
+    for island in range(n_islands):
         rng = random.Random(100 + seed + island)
         pool = [[rng.choice(fids) for _ in range(PROGRAM_LENGTH)] for _ in range(n_parents)]
         for step in range(n_generations):
             generation = []
-            for _ in range(ISLAND_SIZE):
+            for _ in range(island_size):
                 a, b = rng.sample(pool, 2)
                 cut = rng.randint(1, PROGRAM_LENGTH - 1)
                 child = a[:cut] + b[cut:]

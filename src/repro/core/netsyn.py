@@ -30,7 +30,6 @@ from repro.core.phase1 import Phase1Artifacts, train_fp_model, train_trace_model
 from repro.core.result import SynthesisResult
 from repro.data.tasks import SynthesisTask
 from repro.dsl.equivalence import IOSet
-from repro.dsl.interpreter import Interpreter
 from repro.dsl.program import Program
 from repro.events import ProgressListener
 from repro.execution import (
@@ -467,7 +466,6 @@ class NetSynBackend(SynthesisBackend):
             neighborhood = NeighborhoodSearch(
                 config=cfg.neighborhood,
                 fitness=fitness,
-                interpreter=Interpreter(trace=False),
                 executor=executor,
             )
 
@@ -484,7 +482,6 @@ class NetSynBackend(SynthesisBackend):
             neighborhood=neighborhood,
             fp_guided_mutation=cfg.fp_guided_mutation,
             rng=run_factory.get("engine"),
-            interpreter=Interpreter(trace=False),
             executor=executor,
         )
 

@@ -1,8 +1,12 @@
 """The execution engine: compiled, cached program evaluation.
 
-:class:`ExecutionEngine` is the single entry point the GA engine, the
-fitness functions and the neighborhood search use to execute candidate
-programs against an IO specification.  It combines
+:class:`ExecutionEngine` defines the interface the GA engine, the fitness
+functions and the neighborhood search use to execute candidate programs
+against an IO specification: the population methods ``outputs_batch``,
+``traces_batch`` and ``satisfies_batch``.  This engine answers them with
+a plain loop over its per-program methods, which makes it the oracle the
+columnar :class:`~repro.execution.BatchExecutionEngine` is checked
+against.  It combines
 
 * the compile-once execution path (:mod:`repro.dsl.compiler`), and
 * an :class:`~repro.execution.cache.EvaluationCache` memoizing outputs,
@@ -136,6 +140,33 @@ class ExecutionEngine:
         )
         self.cache.put(_NS_SOLUTIONS, key, verdict)
         return verdict
+
+    # ------------------------------------------------------------------
+    # the population interface every consumer calls: one program at a time
+    def outputs_batch(
+        self, programs: Sequence[Program], io_set: IOSet, io_key: Optional[Tuple] = None
+    ) -> List[Tuple[Value, ...]]:
+        """:meth:`outputs` for each of ``programs``."""
+        resolved = self.io_key(io_set) if io_key is None else io_key
+        return [self.outputs(program, io_set, io_key=resolved) for program in programs]
+
+    def traces_batch(
+        self, programs: Sequence[Program], io_set: IOSet, io_key: Optional[Tuple] = None
+    ) -> "TraceColumns":
+        """:meth:`traces` for each of ``programs``, packed as
+        :class:`~repro.execution.TraceColumns` (one row per program)."""
+        from repro.execution.vectorized import TraceColumns
+
+        resolved = self.io_key(io_set) if io_key is None else io_key
+        traces = [self.traces(program, io_set, io_key=resolved) for program in programs]
+        return TraceColumns.from_traces(programs, traces)
+
+    def satisfies_batch(
+        self, programs: Sequence[Program], io_set: IOSet, io_key: Optional[Tuple] = None
+    ) -> List[bool]:
+        """:meth:`satisfies` for each of ``programs``."""
+        resolved = self.io_key(io_set) if io_key is None else io_key
+        return [self.satisfies(program, io_set, io_key=resolved) for program in programs]
 
     # ------------------------------------------------------------------
     # generic per-(program, io_set) memo slots for the fitness layer

@@ -1463,7 +1463,7 @@ class ColumnarEvaluator:
 
 
 class BatchExecutionEngine(ExecutionEngine):
-    """An :class:`ExecutionEngine` with population-batch entry points.
+    """An :class:`ExecutionEngine` whose population methods run columnar.
 
     ``outputs_batch`` / ``satisfies_batch`` answer for a whole population
     in one call: cached programs are served from the usual namespaces
@@ -1474,16 +1474,11 @@ class BatchExecutionEngine(ExecutionEngine):
     produced.  ``traces_batch`` returns :class:`TraceColumns` read off the
     same persistent tries and caches nothing.
 
-    Single-program calls (``outputs``/``traces``/``satisfies``) inherit
-    the serial path unchanged: a columnar pass only pays off when a batch
-    shares work.  Batch results are value- and trace-identical to serial
-    ones; only cache *counter* trajectories may differ (a duplicate
-    inside one batch counts as one miss per occurrence, where serial
-    evaluation would turn the second occurrence into a hit).
+    Batch results are value- and trace-identical to the scalar engine's
+    plain loops; only cache *counter* trajectories may differ (a
+    duplicate inside one batch counts as one miss per occurrence, where
+    serial evaluation would turn the second occurrence into a hit).
     """
-
-    #: consumers test this instead of isinstance to keep layers decoupled
-    is_batch = True
 
     #: evaluators (one per IO set) kept alive, least recently used out
     #: first.  A session runs its jobs one after another and a job
@@ -1543,6 +1538,8 @@ class BatchExecutionEngine(ExecutionEngine):
         self, programs: Sequence[Program], io_set: IOSet, io_key: Optional[Tuple] = None
     ) -> List[Tuple[Value, ...]]:
         """:meth:`~ExecutionEngine.outputs` for a whole population."""
+        if not programs:
+            return []
         resolved = self.io_key(io_set) if io_key is None else io_key
         results: List[Optional[Tuple[Value, ...]]] = [None] * len(programs)
         pending: "OrderedDict[Tuple, List[int]]" = OrderedDict()
@@ -1601,18 +1598,19 @@ class BatchExecutionEngine(ExecutionEngine):
         evaluation cache: regathering is a few array reads, and the
         fitness layer memoizes its predicted scores above this call.
         """
-        resolved = self.io_key(io_set) if io_key is None else io_key
         if not self.compiled:
             # reference-interpreter engines are the cross-check control:
             # keep them on the exact (per-program cached) reference path
-            traces = [self.traces(program, io_set, io_key=resolved) for program in programs]
-            return TraceColumns.from_traces(programs, traces)
+            return super().traces_batch(programs, io_set, io_key=io_key)
+        resolved = self.io_key(io_set) if io_key is None else io_key
         return self._evaluator_for(io_set, resolved).trace_columns(programs)
 
     def satisfies_batch(
         self, programs: Sequence[Program], io_set: IOSet, io_key: Optional[Tuple] = None
     ) -> List[bool]:
         """:meth:`~ExecutionEngine.satisfies` for a whole population."""
+        if not programs:
+            return []
         resolved = self.io_key(io_set) if io_key is None else io_key
         results: List[Optional[bool]] = [None] * len(programs)
         pending: List[int] = []

@@ -18,9 +18,8 @@ import numpy as np
 
 from repro.dsl.equivalence import IOSet
 from repro.dsl.functions import FunctionRegistry, REGISTRY
-from repro.dsl.interpreter import Interpreter
 from repro.dsl.program import Program
-from repro.execution import ExecutionEngine, LRUCache, ScoreCache, TraceColumns, io_set_key
+from repro.execution import ExecutionEngine, LRUCache, ScoreCache, io_set_key
 from repro.execution.cache import CacheStats
 from repro.fitness.base import FitnessFunction
 # sample_from_execution stays importable here (perfbench/tracing.py times
@@ -54,10 +53,9 @@ class LearnedTraceFitness(FitnessFunction):
     smoother weights than the hard argmax.
 
     A scoring pass asks the executor for the candidates' traces as
-    :class:`~repro.execution.TraceColumns` — a batch engine gathers them
-    from the trie its solution check already filled, a serial engine's
-    per-program traces are packed into the same columns — and encodes
-    them together with the specification's IO rows, which are encoded
+    :class:`~repro.execution.TraceColumns` — the batch engine gathers them
+    from the trie its solution check already filled — and encodes them
+    together with the specification's IO rows, which are encoded
     once per ``io_set`` and broadcast to every candidate.
 
     Scoring is memoized per ``(program, io_set)`` by default: the encoder
@@ -79,7 +77,6 @@ class LearnedTraceFitness(FitnessFunction):
         model: TraceFitnessModel,
         kind: str = "cf",
         encoder: Optional[FeatureEncoder] = None,
-        interpreter: Optional[Interpreter] = None,
         batch_size: int = 128,
         executor: Optional[ExecutionEngine] = None,
         memoize: bool = True,
@@ -92,11 +89,9 @@ class LearnedTraceFitness(FitnessFunction):
         self.model = model
         self.kind = kind
         self.encoder = encoder or FeatureEncoder(registry=model.registry)
-        self.interpreter = interpreter or Interpreter()
         self.batch_size = int(batch_size)
         self.name = f"nnff_{kind}"
-        # a default engine honors the interpreter's execution mode
-        self.executor = executor or ExecutionEngine(compiled=self.interpreter.compiled)
+        self.executor = executor or ExecutionEngine()
         self.score_cache: Optional[ScoreCache] = None
         if memoize:
             # explicit None check: an empty cache is falsy (len() == 0)
@@ -116,13 +111,6 @@ class LearnedTraceFitness(FitnessFunction):
         self._io_rows: Dict[Tuple, Dict[str, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
-    def _columns(self, programs: Sequence[Program], io_set: IOSet, io_key: Tuple) -> TraceColumns:
-        """The candidates' traces on every example, as step columns."""
-        if getattr(self.executor, "is_batch", False):
-            return self.executor.traces_batch(programs, io_set, io_key=io_key)
-        traces = [self.executor.traces(program, io_set, io_key=io_key) for program in programs]
-        return TraceColumns.from_traces(programs, traces)
-
     def _io_for(self, io_set: IOSet, io_key: Tuple) -> Dict[str, np.ndarray]:
         """The specification's encoded IO rows (memoized per ``io_key``)."""
         rows = self._io_rows.get(io_key)
@@ -144,7 +132,7 @@ class LearnedTraceFitness(FitnessFunction):
         batch.  (``batch_size=1`` scoring never pads: there the historical
         contract is one single-row forward per gene.)
         """
-        columns = self._columns(programs, io_set, io_key)
+        columns = self.executor.traces_batch(programs, io_set, io_key=io_key)
         io = self._io_for(io_set, io_key)
         total = len(columns)
         scores = np.zeros(total)
@@ -258,15 +246,9 @@ class EditDistanceFitness(FitnessFunction):
     output mismatch — the standard fitness the paper argues is misleading.
     """
 
-    def __init__(
-        self,
-        interpreter: Optional[Interpreter] = None,
-        executor: Optional[ExecutionEngine] = None,
-    ) -> None:
-        self.interpreter = interpreter or Interpreter(trace=False)
+    def __init__(self, executor: Optional[ExecutionEngine] = None) -> None:
         self.name = "edit"
-        # a default engine honors the interpreter's execution mode
-        self.executor = executor or ExecutionEngine(compiled=self.interpreter.compiled)
+        self.executor = executor or ExecutionEngine()
 
     def score(self, programs: Sequence[Program], io_set: IOSet) -> np.ndarray:
         io_key = self.executor.io_key(io_set)
@@ -279,17 +261,11 @@ class EditDistanceFitness(FitnessFunction):
             else:
                 scores[index] = cached
         if pending:
-            # batch-capable executors evaluate every unscored candidate in
-            # one columnar pass; either way outputs come from (and land in)
-            # the same evaluation cache the GA's solution check uses
-            if getattr(self.executor, "is_batch", False):
-                outputs_list = self.executor.outputs_batch(
-                    [programs[i] for i in pending], io_set, io_key=io_key
-                )
-            else:
-                outputs_list = [
-                    self.executor.outputs(programs[i], io_set, io_key=io_key) for i in pending
-                ]
+            # every unscored candidate in one call; outputs come from (and
+            # land in) the same evaluation cache the GA's solution check uses
+            outputs_list = self.executor.outputs_batch(
+                [programs[i] for i in pending], io_set, io_key=io_key
+            )
             for index, outputs in zip(pending, outputs_list):
                 value = float(
                     sum(

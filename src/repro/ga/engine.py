@@ -7,9 +7,12 @@ candidate budget is exhausted, or the generation limit is reached.
 
 Candidate accounting: every *newly created* gene — the initial random
 population, crossover offspring and mutants — is charged against the
-shared :class:`~repro.ga.budget.SearchBudget` and immediately checked
-against the IO examples, so the reported "search space used" counts
-candidate programs exactly as the paper's metric does.
+shared :class:`~repro.ga.budget.SearchBudget` and checked against the IO
+examples, so the reported "search space used" counts candidate programs
+exactly as the paper's metric does.  The checks run population-at-a-time:
+a brood is created first, its chargeable newcomers are verified in one
+``satisfies_batch`` call, and the verdicts are consumed in creation order
+while the budget is charged.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 
 from repro.config import GAConfig
 from repro.dsl.equivalence import IOSet
-from repro.dsl.interpreter import Interpreter
 from repro.dsl.program import Program
 from repro.events import ProgressEvent, ProgressListener
 from repro.execution import ExecutionEngine
@@ -61,7 +63,6 @@ class GeneticAlgorithm:
         neighborhood: Optional[NeighborhoodSearch] = None,
         fp_guided_mutation: bool = False,
         rng: Optional[np.random.Generator] = None,
-        interpreter: Optional[Interpreter] = None,
         executor: Optional[ExecutionEngine] = None,
     ) -> None:
         self.fitness = fitness
@@ -71,12 +72,9 @@ class GeneticAlgorithm:
         self.neighborhood = neighborhood
         self.fp_guided_mutation = fp_guided_mutation
         self.rng = rng or np.random.default_rng(0)
-        self.interpreter = interpreter or Interpreter(trace=False)
         # Shared execution engine: the solution check below and the fitness
-        # scoring reuse one cached execution per (candidate, io_set).  A
-        # default engine honors the interpreter's execution mode, so passing
-        # a reference interpreter still yields reference semantics.
-        self.executor = executor or ExecutionEngine(compiled=self.interpreter.compiled)
+        # scoring reuse one cached execution per (candidate, io_set).
+        self.executor = executor or ExecutionEngine()
         self._stats_base = (0, 0, 0, 0, 0)
 
     # ------------------------------------------------------------------
@@ -99,18 +97,53 @@ class GeneticAlgorithm:
         return hits, misses, shared_hits, shared_cross, remote_hits
 
     # ------------------------------------------------------------------
-    def _is_solution(self, candidate: Program, io_set: IOSet) -> bool:
-        return self.executor.satisfies(candidate, io_set)
+    def _admit(
+        self, brood: Sequence[Tuple[Program, bool]], io_set: IOSet, budget: SearchBudget
+    ) -> Tuple[Optional[List[Program]], Optional[Program]]:
+        """Solution-check a staged brood of ``(child, is_new)`` pairs.
 
-    def _charge_and_check(
-        self, candidate: Program, io_set: IOSet, budget: SearchBudget
-    ) -> Optional[bool]:
-        """Charge one candidate; returns True if it solves the task, None if
-        the budget was already exhausted."""
-        if budget.exhausted:
-            return None
-        budget.charge(1)
-        return self._is_solution(candidate, io_set)
+        The newcomers the budget can still pay for are checked in one
+        ``satisfies_batch`` call; the brood is then taken in creation
+        order, each newcomer charged as it is taken.  Returns
+        ``(children, None)`` when the whole brood was taken, and
+        ``(None, solution)`` when a newcomer solves the task or
+        ``(None, None)`` when the budget runs out first.
+        """
+        fresh = [child for child, is_new in brood if is_new]
+        verdicts = iter(self.executor.satisfies_batch(fresh[: budget.remaining], io_set))
+        children: List[Program] = []
+        for child, is_new in brood:
+            if is_new:
+                if budget.exhausted:
+                    return None, None
+                budget.charge(1)
+                if next(verdicts):
+                    return None, child
+            children.append(child)
+        return children, None
+
+    def _result(
+        self,
+        generation: int,
+        budget: SearchBudget,
+        avg_history: List[float],
+        best_history: List[float],
+        program: Optional[Program] = None,
+        found_by: str = "none",
+    ) -> EvolutionResult:
+        """The run's outcome: ``program`` is the solution, if one was found."""
+        return EvolutionResult(
+            found=program is not None,
+            program=program,
+            generations=generation,
+            candidates_used=budget.used,
+            found_by=found_by if program is not None else "none",
+            neighborhood_invocations=(
+                self.neighborhood.stats.invocations if self.neighborhood else 0
+            ),
+            average_fitness_history=avg_history,
+            best_fitness_history=best_history,
+        )
 
     # ------------------------------------------------------------------
     def _emit_generation(
@@ -180,54 +213,11 @@ class GeneticAlgorithm:
         # baseline for per-run cache-counter deltas in progress events
         self._stats_base = self._cache_counters()
 
-        # Batch-capable executors check candidates population-at-a-time:
-        # candidates are created first (same rng draw order as the serial
-        # path), then verified in one columnar pass, and the verdicts are
-        # consumed in creation order with identical budget semantics —
-        # found/generations/candidates_used match the serial path exactly.
-        batch = getattr(self.executor, "is_batch", False)
-
         # -- initial population ------------------------------------------------
-        members: List[Program] = []
-        staged_genes: Optional[List[Program]] = None
-        staged_verdicts: List[bool] = []
-        if batch:
-            staged_genes = [self.operators.random_gene() for _ in range(cfg.population_size)]
-            chargeable = staged_genes[: budget.remaining]
-            if chargeable:
-                staged_verdicts = self.executor.satisfies_batch(chargeable, io_set)
-        for k in range(cfg.population_size):
-            if staged_genes is not None:
-                gene = staged_genes[k]
-                members.append(gene)
-                if budget.exhausted:
-                    verdict = None
-                else:
-                    budget.charge(1)
-                    verdict = staged_verdicts[k]
-            else:
-                gene = self.operators.random_gene()
-                members.append(gene)
-                verdict = self._charge_and_check(gene, io_set, budget)
-            if verdict:
-                return EvolutionResult(
-                    found=True,
-                    program=gene,
-                    generations=0,
-                    candidates_used=budget.used,
-                    found_by="init",
-                    average_fitness_history=avg_history,
-                    best_fitness_history=best_history,
-                )
-            if verdict is None:
-                return EvolutionResult(
-                    found=False,
-                    program=None,
-                    generations=0,
-                    candidates_used=budget.used,
-                    average_fitness_history=avg_history,
-                    best_fitness_history=best_history,
-                )
+        initial = [(self.operators.random_gene(), True) for _ in range(cfg.population_size)]
+        members, solution = self._admit(initial, io_set, budget)
+        if members is None:
+            return self._result(0, budget, avg_history, best_history, solution, "init")
         population = Population(members)
 
         probability_map = (
@@ -259,22 +249,15 @@ class GeneticAlgorithm:
                     listener, "neighborhood", generation, budget, avg_history, best_history
                 )
                 if found is not None:
-                    return EvolutionResult(
-                        found=True,
-                        program=found,
-                        generations=generation,
-                        candidates_used=budget.used,
-                        found_by="ns",
-                        neighborhood_invocations=self.neighborhood.stats.invocations,
-                        average_fitness_history=avg_history,
-                        best_fitness_history=best_history,
+                    return self._result(
+                        generation, budget, avg_history, best_history, found, "ns"
                     )
                 if budget.exhausted:
                     break
             ns_cooldown -= 1
 
             # -- build the next generation ------------------------------------
-            next_members: List[Program] = population.top(cfg.elite_count)
+            elites: List[Program] = population.top(cfg.elite_count)
             # one wheel per generation; every draw still goes through the
             # module-level roulette_wheel_indices, which perfbench/tracing.py
             # wraps by name as ga.select
@@ -304,69 +287,17 @@ class GeneticAlgorithm:
                 parent = int(roulette_wheel_indices(wheel, 1, self.rng)[0])
                 return population[parent], False
 
-            # batch path: stage the whole brood (same draws, same order),
-            # solution-check the chargeable newcomers in one columnar pass
-            staged = None
-            verdicts: List[bool] = []
-            consumed = 0
-            if batch:
-                brood = [spawn_child() for _ in range(cfg.population_size - len(next_members))]
-                fresh = [child for child, is_new in brood if is_new]
-                chargeable = fresh[: budget.remaining]
-                if chargeable:
-                    verdicts = self.executor.satisfies_batch(chargeable, io_set)
-                staged = iter(brood)
-            while len(next_members) < cfg.population_size:
-                child, is_new = next(staged) if staged is not None else spawn_child()
-                if is_new:
-                    if staged is not None:
-                        if budget.exhausted:
-                            verdict = None
-                        else:
-                            budget.charge(1)
-                            verdict = verdicts[consumed]
-                            consumed += 1
-                    else:
-                        verdict = self._charge_and_check(child, io_set, budget)
-                    if verdict:
-                        return EvolutionResult(
-                            found=True,
-                            program=child,
-                            generations=generation,
-                            candidates_used=budget.used,
-                            found_by="ga",
-                            neighborhood_invocations=(
-                                self.neighborhood.stats.invocations if self.neighborhood else 0
-                            ),
-                            average_fitness_history=avg_history,
-                            best_fitness_history=best_history,
-                        )
-                    if verdict is None:
-                        return EvolutionResult(
-                            found=False,
-                            program=None,
-                            generations=generation,
-                            candidates_used=budget.used,
-                            neighborhood_invocations=(
-                                self.neighborhood.stats.invocations if self.neighborhood else 0
-                            ),
-                            average_fitness_history=avg_history,
-                            best_fitness_history=best_history,
-                        )
-                next_members.append(child)
-
-            population = Population(next_members)
+            # stage the whole brood, then check its newcomers in one call
+            brood = [spawn_child() for _ in range(cfg.population_size - len(elites))]
+            children, solution = self._admit(brood, io_set, budget)
+            if children is None:
+                return self._result(
+                    generation, budget, avg_history, best_history, solution, "ga"
+                )
+            population = Population(elites + children)
             if budget.exhausted:
                 break
 
-        return EvolutionResult(
-            found=False,
-            program=None,
-            generations=generation if cfg.max_generations else 0,
-            candidates_used=budget.used,
-            neighborhood_invocations=(
-                self.neighborhood.stats.invocations if self.neighborhood else 0
-            ),
-            average_fitness_history=avg_history,
-            best_fitness_history=best_history,
+        return self._result(
+            generation if cfg.max_generations else 0, budget, avg_history, best_history
         )

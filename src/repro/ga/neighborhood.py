@@ -14,19 +14,19 @@ target under the IO examples.  Two constructions are provided:
 
 The complexity per gene is ``O(len(ζ) · |ΣDSL|)`` candidate programs,
 each charged against the shared :class:`~repro.ga.budget.SearchBudget`.
+Each 1-edit sweep is solution-checked in one ``satisfies_batch`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import NeighborhoodConfig
 from repro.dsl.equivalence import IOSet
 from repro.dsl.functions import FunctionRegistry, REGISTRY
-from repro.dsl.interpreter import Interpreter
 from repro.dsl.program import Program
 from repro.execution import ExecutionEngine
 from repro.fitness.base import FitnessFunction
@@ -50,18 +50,15 @@ class NeighborhoodSearch:
         config: Optional[NeighborhoodConfig] = None,
         fitness: Optional[FitnessFunction] = None,
         registry: FunctionRegistry = REGISTRY,
-        interpreter: Optional[Interpreter] = None,
         executor: Optional[ExecutionEngine] = None,
     ) -> None:
         self.config = config or NeighborhoodConfig()
         self.config.validate()
         self.fitness = fitness
         self.registry = registry
-        self.interpreter = interpreter or Interpreter(trace=False)
         # Shared with the GA engine: neighbors the GA already executed
-        # (or will execute) hit the same cache.  A default engine honors
-        # the interpreter's execution mode.
-        self.executor = executor or ExecutionEngine(compiled=self.interpreter.compiled)
+        # (or will execute) hit the same cache.
+        self.executor = executor or ExecutionEngine()
         self.stats = NeighborhoodStats()
         if self.config.strategy == "dfs" and fitness is None:
             raise ValueError("DFS neighborhood search requires a fitness function")
@@ -103,48 +100,25 @@ class NeighborhoodSearch:
             if fid != current
         ]
 
-    def _check(self, candidate: Program, io_set: IOSet, budget: SearchBudget) -> bool:
-        if budget.exhausted:
-            return False
-        budget.charge(1)
-        self.stats.candidates_examined += 1
-        return self.executor.satisfies(candidate, io_set)
-
-    def _prefetch_verdicts(
+    def _sweep(
         self, candidates: Sequence[Program], io_set: IOSet, budget: SearchBudget
-    ) -> Optional[List[bool]]:
-        """Batch-verify the chargeable prefix of ``candidates`` up front.
+    ) -> Tuple[Optional[Program], bool]:
+        """Charge ``candidates`` in order until one solves the task.
 
         A neighborhood is the ideal columnar batch — every candidate
-        shares its prefix with the gene it came from — so batch-capable
-        executors check the whole sweep in one vectorized pass.  Only as
-        many candidates as the budget still allows are verified: those
-        are exactly the ones the serial loop would have executed, so
-        cache contents and counters match the per-candidate path.
+        shares its prefix with the gene it came from — so the candidates
+        the budget can still pay for are checked in one call up front.
+        Returns the solution, if any, and whether the budget ran out
+        before the sweep was done.
         """
-        if not getattr(self.executor, "is_batch", False):
-            return None
         chargeable = list(candidates)[: budget.remaining]
-        if not chargeable:
-            return []
-        return self.executor.satisfies_batch(chargeable, io_set)
-
-    def _verdict_at(
-        self,
-        verdicts: Optional[List[bool]],
-        index: int,
-        candidate: Program,
-        io_set: IOSet,
-        budget: SearchBudget,
-    ) -> bool:
-        """Charge one candidate, answering from the prefetched verdicts."""
-        if budget.exhausted:
-            return False
-        budget.charge(1)
-        self.stats.candidates_examined += 1
-        if verdicts is not None and index < len(verdicts):
-            return verdicts[index]
-        return self.executor.satisfies(candidate, io_set)
+        verdicts = self.executor.satisfies_batch(chargeable, io_set)
+        for candidate, verdict in zip(chargeable, verdicts):
+            budget.charge(1)
+            self.stats.candidates_examined += 1
+            if verdict:
+                return candidate, False
+        return None, len(chargeable) < len(candidates)
 
     # ------------------------------------------------------------------
     def _search_bfs(
@@ -156,12 +130,9 @@ class NeighborhoodSearch:
                 for position in range(len(gene))
                 for candidate in self._neighbors_at(gene, position)
             ]
-            verdicts = self._prefetch_verdicts(candidates, io_set, budget)
-            for index, candidate in enumerate(candidates):
-                if budget.exhausted:
-                    return None
-                if self._verdict_at(verdicts, index, candidate, io_set, budget):
-                    return candidate
+            found, cut_short = self._sweep(candidates, io_set, budget)
+            if found is not None or cut_short:
+                return found
         return None
 
     def _search_dfs(
@@ -171,12 +142,9 @@ class NeighborhoodSearch:
             current = gene
             for position in range(len(current)):
                 neighborhood = self._neighbors_at(current, position)
-                verdicts = self._prefetch_verdicts(neighborhood, io_set, budget)
-                for index, candidate in enumerate(neighborhood):
-                    if budget.exhausted:
-                        return None
-                    if self._verdict_at(verdicts, index, candidate, io_set, budget):
-                        return candidate
+                found, cut_short = self._sweep(neighborhood, io_set, budget)
+                if found is not None or cut_short:
+                    return found
                 # descend: adopt the best-scoring neighbor at this depth
                 scores = self.fitness.score(neighborhood, io_set)
                 best = int(np.argmax(scores))

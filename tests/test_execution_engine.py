@@ -259,16 +259,15 @@ class TestExecutionEngine:
         assert len(engine.cache) == 0
 
 
-def _make_ga(executor: ExecutionEngine, interpreter: Interpreter, with_ns: bool = True):
+def _make_ga(executor: ExecutionEngine, with_ns: bool = True):
     """A small deterministic GA wired explicitly (mirrors the seed layout)."""
-    fitness = EditDistanceFitness(interpreter=interpreter, executor=executor)
+    fitness = EditDistanceFitness(executor=executor)
     operators = GeneOperators(program_length=3, rng=np.random.default_rng(99))
     neighborhood = None
     if with_ns:
         neighborhood = NeighborhoodSearch(
             config=NeighborhoodConfig(top_n=2, window=3, cooldown=2),
             fitness=fitness,
-            interpreter=interpreter,
             executor=executor,
         )
     return GeneticAlgorithm(
@@ -277,7 +276,6 @@ def _make_ga(executor: ExecutionEngine, interpreter: Interpreter, with_ns: bool 
         config=GAConfig(population_size=16, elite_count=2, max_generations=25),
         neighborhood=neighborhood,
         rng=np.random.default_rng(4321),
-        interpreter=interpreter,
         executor=executor,
     )
 
@@ -285,8 +283,8 @@ def _make_ga(executor: ExecutionEngine, interpreter: Interpreter, with_ns: bool 
 class TestCachedGABitIdentical:
     def test_cached_run_equals_uncached_run(self, tiny_task):
         """Caching must not change any field of the EvolutionResult."""
-        cached = _make_ga(ExecutionEngine(), Interpreter(trace=False))
-        uncached = _make_ga(uncached_engine(), Interpreter(trace=False))
+        cached = _make_ga(ExecutionEngine())
+        uncached = _make_ga(uncached_engine())
         result_cached = cached.run(tiny_task.io_set, SearchBudget(limit=1200))
         result_uncached = uncached.run(tiny_task.io_set, SearchBudget(limit=1200))
         assert result_cached == result_uncached
@@ -294,10 +292,8 @@ class TestCachedGABitIdentical:
 
     def test_compiled_cached_run_equals_reference_interpreter_run(self, tiny_task):
         """The full modern stack reproduces the seed-era reference stack."""
-        modern = _make_ga(ExecutionEngine(), Interpreter(trace=False))
-        legacy = _make_ga(
-            uncached_engine(compiled=False), Interpreter(trace=False, compiled=False)
-        )
+        modern = _make_ga(ExecutionEngine())
+        legacy = _make_ga(uncached_engine(compiled=False))
         result_modern = modern.run(tiny_task.io_set, SearchBudget(limit=1200))
         result_legacy = legacy.run(tiny_task.io_set, SearchBudget(limit=1200))
         assert result_modern == result_legacy

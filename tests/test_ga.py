@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import GAConfig, NeighborhoodConfig
 from repro.dsl import FunctionRegistry, Interpreter, Program, REGISTRY, has_dead_code, make_io_set
+from repro.execution import BatchExecutionEngine, ExecutionEngine
 from repro.fitness import EditDistanceFitness, OracleFitness
 from repro.ga import (
     BudgetExhausted,
@@ -436,3 +437,63 @@ class TestGeneticAlgorithmEngine:
         assert first.found == second.found
         assert first.candidates_used == second.candidates_used
         assert first.generations == second.generations
+
+
+def _counting(engine_class):
+    """An ``engine_class`` that counts the programs its solution check sees."""
+
+    class Counting(engine_class):
+        checked = 0
+
+        def satisfies_batch(self, programs, io_set, io_key=None):
+            self.checked += len(programs)
+            return super().satisfies_batch(programs, io_set, io_key=io_key)
+
+    return Counting()
+
+
+@pytest.mark.parametrize("engine_class", [ExecutionEngine, BatchExecutionEngine])
+class TestEverySolutionCheckIsCharged:
+    """On a run that finds nothing, every program handed to the solution
+    check (duplicates included) is charged against the budget."""
+
+    def _task(self):
+        target = Program.from_names(["FILTER(>0)", "MAP(*2)", "SORT"])
+        return make_io_set(target, [[[1, -2, 3]], [[4, -5, 6]], [[-7, 8, 9]]], Interpreter())
+
+    def _run(self, engine, limit, neighborhood=None, seed=1):
+        fitness = EditDistanceFitness(executor=engine)
+        ns = None
+        if neighborhood is not None:
+            ns = NeighborhoodSearch(config=neighborhood, fitness=fitness, executor=engine)
+        ga = GeneticAlgorithm(
+            fitness=fitness,
+            operators=GeneOperators(program_length=3, rng=np.random.default_rng(seed)),
+            config=GAConfig(population_size=20, elite_count=2, max_generations=100),
+            neighborhood=ns,
+            rng=np.random.default_rng(seed),
+            executor=engine,
+        )
+        return ga.run(self._task(), SearchBudget(limit=limit))
+
+    def test_budget_runs_out_in_the_initial_population(self, engine_class):
+        engine = _counting(engine_class)
+        result = self._run(engine, limit=13)
+        assert not result.found and result.generations == 0
+        assert engine.checked == result.candidates_used == 13
+
+    def test_budget_runs_out_mid_brood(self, engine_class):
+        engine = _counting(engine_class)
+        # 20 initial genes, then 7 of the first brood's newcomers
+        result = self._run(engine, limit=27)
+        assert not result.found and result.generations == 1
+        assert engine.checked == result.candidates_used == 27
+
+    def test_budget_runs_out_in_a_neighborhood_sweep(self, engine_class):
+        engine = _counting(engine_class)
+        config = NeighborhoodConfig(strategy="bfs", top_n=2, window=1, cooldown=100)
+        # the search starts at 271 candidates: one full 120-neighbor sweep,
+        # then the budget runs out 9 neighbors into the second gene's
+        result = self._run(engine, limit=400, neighborhood=config, seed=0)
+        assert not result.found and result.neighborhood_invocations == 1
+        assert engine.checked == result.candidates_used == 400

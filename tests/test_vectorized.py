@@ -16,10 +16,17 @@ The load-bearing properties:
   through both the compiled hot path and the columnar scalar fallback;
 * persistent tries grown by many small GA-shaped rounds equal a cold
   rebuild, and the engine's bounded evaluator set keeps verdicts and
-  cumulative kernel counters across evictions.
+  cumulative kernel counters across evictions;
+* on the throughput benchmark's reduced workload, the columnar engine
+  dispatches fewer kernels than the per-candidate path runs programs, and
+  a warm trie inserts fewer nodes than cold rebuilds (the benchmark's
+  timing gates, as counts).
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,17 +197,22 @@ class TestBatchExecutionEngine:
         return examples
 
     def test_batch_results_equal_serial(self):
+        """Both engines' batch methods equal the scalar engine's
+        per-program results, compiled and on the reference interpreter."""
         rng = np.random.default_rng(17)
         io_set = self._io_set()
         population = _population(rng, 30)
-        serial = ExecutionEngine(cache=EvaluationCache(max_entries=0))
-        batch = BatchExecutionEngine(cache=EvaluationCache(max_entries=0))
-        expected_outputs = [serial.outputs(p, io_set) for p in population]
-        assert batch.outputs_batch(population, io_set) == expected_outputs
-        expected_verdicts = [serial.satisfies(p, io_set) for p in population]
-        assert batch.satisfies_batch(population, io_set) == expected_verdicts
-        reference = [serial.traces(program, io_set) for program in population]
-        _assert_columns_match(batch.traces_batch(population, io_set), population, reference)
+        for compiled in (True, False):
+            serial = ExecutionEngine(cache=EvaluationCache(max_entries=0), compiled=compiled)
+            batch = BatchExecutionEngine(cache=EvaluationCache(max_entries=0), compiled=compiled)
+            expected_outputs = [serial.outputs(p, io_set) for p in population]
+            expected_verdicts = [serial.satisfies(p, io_set) for p in population]
+            reference = [serial.traces(program, io_set) for program in population]
+            for engine in (serial, batch):
+                assert engine.outputs_batch(population, io_set) == expected_outputs
+                assert engine.satisfies_batch(population, io_set) == expected_verdicts
+                columns = engine.traces_batch(population, io_set)
+                _assert_columns_match(columns, population, reference)
 
     def test_batch_fills_the_same_cache_namespaces(self):
         rng = np.random.default_rng(19)
@@ -233,6 +245,13 @@ class TestBatchExecutionEngine:
         engine = BatchExecutionEngine()
         outputs = engine.outputs_batch([program, twin, program], io_set)
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_empty_batch_is_not_a_cache_hit(self):
+        engine = BatchExecutionEngine()
+        io_set = self._io_set()
+        assert engine.satisfies_batch([], io_set) == []
+        assert engine.outputs_batch([], io_set) == []
+        assert engine.kernel_stats()["batch_full_hits"] == 0
 
     def test_single_program_batch_uses_serial_path(self):
         io_set = self._io_set()
@@ -633,3 +652,49 @@ class TestEvaluatorBound:
         # more IO sets than the bound, cycled in order: every set was evicted
         # before its re-check, which rebuilt its trie from empty
         assert inserted[1] == 2 * inserted[0] > 0
+
+
+class TestReducedWorkloadCounts:
+    """The count analogues of the throughput benchmark's wall-clock gates,
+    on its seeded reduced workload (4 islands x 75 genes, 3 rounds).
+
+    ``benchmarks/bench_execution_throughput.py`` times the cold columnar
+    engine against the per-candidate compiled path, and the warm trie
+    against a cold rebuild per generation.  Those ratios depend on
+    machine load; the work each strategy does does not.
+    """
+
+    ROUNDS = 3
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_execution_throughput.py"
+        spec = importlib.util.spec_from_file_location("bench_execution_throughput", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        return bench._generation_stream(n_islands=4, island_size=75)
+
+    @staticmethod
+    def _cold_engine():
+        return BatchExecutionEngine(cache=EvaluationCache(max_entries=0))
+
+    def test_columnar_dispatches_below_per_candidate_evaluations(self, workload):
+        generations, io_set = workload
+        programs = generations[-1]
+        engine = self._cold_engine()
+        serial = ExecutionEngine(cache=EvaluationCache(max_entries=0))
+        assert engine.outputs_batch(programs, io_set) == serial.outputs_batch(programs, io_set)
+        # the per-candidate path runs every (program, example) pair once
+        assert engine.kernel_stats()["dispatch_count"] < len(programs) * len(io_set)
+
+    def test_warm_trie_inserts_below_cold_rebuilds(self, workload):
+        generations, io_set = workload
+        warm = self._cold_engine()
+        cold_inserted = 0
+        for _round in range(self.ROUNDS):
+            for population in generations:
+                cold = self._cold_engine()
+                assert warm.outputs_batch(population, io_set) == cold.outputs_batch(population, io_set)
+                cold_inserted += cold.kernel_stats()["trie_nodes_inserted"]
+        warm_inserted = warm.kernel_stats()["trie_nodes_inserted"]
+        assert 0 < warm_inserted < cold_inserted
