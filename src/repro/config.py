@@ -313,8 +313,8 @@ class ServiceConfig:
     #: per-job stream order and completeness are unchanged).  1 = one
     #: queue put per event (the historical path)
     event_batch_size: int = 1
-    #: fold the L3 cache log into one deduplicated segment whenever it
-    #: exceeds this many segments
+    #: fold the L3 cache log into one segment (the segments' frames,
+    #: concatenated) whenever it exceeds this many segments
     cache_log_compact_threshold: int = 8
     #: persist the session's score/evaluation caches next to the Phase-1
     #: artifacts (``artifact_dir``) after each ``run()``, keyed by the

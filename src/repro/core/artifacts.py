@@ -48,18 +48,21 @@ CACHE_LOG_DIR = "cache_log"
 CACHE_LOG_MANIFEST = "manifest.json"
 _SEGMENT_FORMAT = "segment-{seq:06d}.pkl"
 
-#: framing of one segment file: magic + little-endian (payload length,
-#: CRC32 of payload) + pickled payload.  A writer killed mid-write leaves
-#: a short or checksum-failing file; the reader skips it instead of
+#: framing of one segment file: one or more frames, each magic +
+#: little-endian (payload length, CRC32 of payload) + pickled payload.
+#: An appended segment is one frame; a compacted one is the frames of the
+#: segments it folded, concatenated.  A writer killed mid-write leaves a
+#: short or checksum-failing frame; the reader skips the file instead of
 #: crashing on a truncated pickle
 _SEGMENT_MAGIC = b"NSL3SEG1"
 _SEGMENT_HEADER = struct.Struct("<QI")
+_FRAME_HEADER_SIZE = len(_SEGMENT_MAGIC) + _SEGMENT_HEADER.size
 
 #: distinguishes concurrent manifest temp files written by one process
 _MANIFEST_TMP_SEQ = itertools.count()
 
 #: default number of segments the log may grow to before it is folded
-#: into one deduplicated segment (see ``compact_cache_log``)
+#: into one segment (see ``compact_cache_log``)
 DEFAULT_COMPACT_THRESHOLD = 8
 
 #: alignment of each parameter inside the packed segment (cache lines)
@@ -328,33 +331,63 @@ class ArtifactStore:
         return manifest if isinstance(manifest, dict) else None
 
     @staticmethod
-    def _load_segment(path: Path) -> Tuple[Dict[str, dict], str]:
-        """One segment's snapshots plus a load status.
+    def _frame(payload: bytes) -> bytes:
+        """One CRC frame around a pickled segment payload."""
+        return _SEGMENT_MAGIC + _SEGMENT_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+    @staticmethod
+    def _frame_payloads(data: bytes) -> Optional[List[memoryview]]:
+        """The payload of every frame in a segment file's bytes.
+
+        ``None`` when the file holds no frame or any frame is bad: a
+        missing magic, a short header or payload (a truncated last
+        frame), or a CRC mismatch.  Checks bytes only — nothing is
+        unpickled.
+        """
+        view = memoryview(data)
+        payloads: List[memoryview] = []
+        offset = 0
+        while offset < len(data):
+            header_end = offset + _FRAME_HEADER_SIZE
+            if header_end > len(data) or not data.startswith(_SEGMENT_MAGIC, offset):
+                return None
+            length, crc = _SEGMENT_HEADER.unpack_from(data, offset + len(_SEGMENT_MAGIC))
+            end = header_end + length
+            payload = view[header_end:end]
+            if end > len(data) or zlib.crc32(payload) != crc:
+                return None
+            payloads.append(payload)
+            offset = end
+        return payloads or None
+
+    @classmethod
+    def _load_segment(cls, path: Path) -> Tuple[List[Dict[str, dict]], str]:
+        """One segment's snapshots, one per frame, plus a load status.
 
         Returns ``(snapshots, status)`` with status ``"ok"``,
         ``"missing"`` (file gone — e.g. a concurrent compaction deleted
         it after the manifest was read) or ``"corrupt"`` (short file,
-        CRC mismatch, unframed file, or unreadable pickle — e.g. a writer
-        killed mid-append).  Never raises: a bad segment costs its
-        entries, not the load.
+        a truncated or CRC-failing frame, unframed file, or unreadable
+        pickle — e.g. a writer killed mid-append).  Any bad frame skips
+        the whole file.  Never raises: a bad segment costs its entries,
+        not the load.
         """
         try:
             data = path.read_bytes()
         except OSError:
-            return {}, "missing"
-        header_end = len(_SEGMENT_MAGIC) + _SEGMENT_HEADER.size
-        if not data.startswith(_SEGMENT_MAGIC) or len(data) < header_end:
-            return {}, "corrupt"
-        length, crc = _SEGMENT_HEADER.unpack(data[len(_SEGMENT_MAGIC):header_end])
-        payload = data[header_end : header_end + length]
-        if len(payload) != length or zlib.crc32(payload) != crc:
-            return {}, "corrupt"
-        try:
-            loaded = pickle.loads(payload)
-        except Exception:  # noqa: BLE001 - corrupt pickles raise many types
-            return {}, "corrupt"
-        snapshots = loaded.get("snapshots", {}) if isinstance(loaded, dict) else {}
-        return (snapshots if isinstance(snapshots, dict) else {}), "ok"
+            return [], "missing"
+        payloads = cls._frame_payloads(data)
+        if payloads is None:
+            return [], "corrupt"
+        frames: List[Dict[str, dict]] = []
+        for payload in payloads:
+            try:
+                loaded = pickle.loads(payload)
+            except Exception:  # noqa: BLE001 - corrupt pickles raise many types
+                return [], "corrupt"
+            snapshots = loaded.get("snapshots", {}) if isinstance(loaded, dict) else {}
+            frames.append(snapshots if isinstance(snapshots, dict) else {})
+        return frames, "ok"
 
     @staticmethod
     def _count_entries(snapshots: Dict[str, dict]) -> int:
@@ -373,12 +406,14 @@ class ArtifactStore:
         ``snapshots`` maps ``"<method>:<program_length>"`` to the output
         of ``NetSynBackend.cache_snapshot()`` — ideally the *dirty-only*
         delta since the last persist, so the write cost scales with the
-        new entries, not with the accumulated cache size.  The log's
+        new entries, not with the accumulated cache size.  The segment
+        is one CRC frame around the pickled snapshots.  The log's
         manifest is keyed by :meth:`model_hash`; appending under changed
         weights resets the log (stale scores must never survive a
         retrain).  When the log
         exceeds ``compact_threshold`` segments it is folded into one
-        deduplicated segment (newest entry per key wins).
+        segment by concatenating the segments' frames (see
+        :meth:`_compact`); the load keeps the newest entry per key.
 
         Returns the path of the appended segment.
         """
@@ -395,7 +430,10 @@ class ArtifactStore:
                 "next_seq": 1,
                 "segments": [],
             }
-        path = self._append_segment(log_dir, manifest, snapshots)
+        payload = pickle.dumps({"format_version": 3, "snapshots": dict(snapshots)})
+        path = self._append_segment(
+            log_dir, manifest, self._frame(payload), self._count_entries(snapshots)
+        )
         if len(manifest["segments"]) > max(1, int(compact_threshold)):
             self._compact(log_dir, manifest)
         with self._manifest_lock(log_dir):
@@ -483,23 +521,15 @@ class ArtifactStore:
             int(manifest.get("next_seq", 1)), int(on_disk.get("next_seq", 1))
         )
 
-    @classmethod
-    def _append_segment(
-        cls, log_dir: Path, manifest: dict, snapshots: Dict[str, dict]
-    ) -> Path:
-        """Write one CRC-framed segment and record it in ``manifest``.
+    @staticmethod
+    def _append_segment(log_dir: Path, manifest: dict, framed: bytes, entries: int) -> Path:
+        """Write one segment of CRC frames and record it in ``manifest``.
 
         The file is created exclusively (``"xb"``): when a concurrent
         session already claimed this sequence number the append simply
         takes the next one, so two sessions sharing one ``cache_log/``
         never overwrite each other's segments.
         """
-        payload = pickle.dumps({"format_version": 3, "snapshots": dict(snapshots)})
-        framed = (
-            _SEGMENT_MAGIC
-            + _SEGMENT_HEADER.pack(len(payload), zlib.crc32(payload))
-            + payload
-        )
         while True:
             seq = int(manifest["next_seq"])
             manifest["next_seq"] = seq + 1
@@ -514,9 +544,7 @@ class ArtifactStore:
         from repro.execution import faults
 
         faults.fire("l3_append", target=name, path=path)
-        manifest["segments"].append(
-            {"file": name, "entries": cls._count_entries(snapshots)}
-        )
+        manifest["segments"].append({"file": name, "entries": entries})
         return path
 
     @classmethod
@@ -534,40 +562,58 @@ class ArtifactStore:
         overwrite earlier ones and end up most recent).  One segment is
         unpickled at a time.  Missing or corrupt segments are skipped
         (reported through ``on_skip(file_name, status)``): they cost
-        their entries, never the load.
+        their entries, never the load.  Entries are not deduplicated
+        here: the bounded load (``stage_newest``) keeps each key's last
+        occurrence.
         """
         merged: Dict[str, dict] = {}
         for record in manifest.get("segments", ()):
-            snapshots, status = cls._load_segment(log_dir / record["file"])
+            frames, status = cls._load_segment(log_dir / record["file"])
             if status != "ok":
-                logger.warning("cache log: skipping %s segment %s", status, record["file"])
-                if on_skip is not None:
-                    on_skip(record["file"], status)
+                cls._skip(record["file"], status, on_skip)
                 continue
-            for key, parts in snapshots.items():
-                target = merged.setdefault(key, {})
-                for section, entries in parts.items():
-                    target.setdefault(section, []).extend(entries)
+            for snapshots in frames:
+                for key, parts in snapshots.items():
+                    target = merged.setdefault(key, {})
+                    for section, entries in parts.items():
+                        target.setdefault(section, []).extend(entries)
         return merged
+
+    @staticmethod
+    def _skip(name: str, status: str, on_skip: Optional[Callable[[str, str], None]]) -> None:
+        logger.warning("cache log: skipping %s segment %s", status, name)
+        if on_skip is not None:
+            on_skip(name, status)
 
     @classmethod
     def _compact(cls, log_dir: Path, manifest: dict) -> None:
-        """Fold the whole log into one deduplicated segment (newest wins)."""
-        merged = cls._merge_segments(log_dir, manifest)
-        for parts in merged.values():
-            for section, entries in parts.items():
-                seen = set()
-                deduped = []
-                for key, value in reversed(entries):
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    deduped.append((key, value))
-                deduped.reverse()
-                parts[section] = deduped
+        """Fold the whole log into one segment, byte for byte.
+
+        The good segments' bytes are concatenated, oldest first, into one
+        new segment of many frames; nothing is unpickled.  Each file's
+        frames are CRC-checked first, and a file with a bad frame is
+        dropped whole as ``"corrupt"``, exactly as a load would skip it.
+        Loading the folded segment yields the same entries in the same
+        order as loading the segments it replaced, so newest-wins
+        deduplication is left to the load (``stage_newest``).
+        """
         old_files = [record["file"] for record in manifest.get("segments", ())]
+        chunks: List[bytes] = []
+        entries = 0
+        for record in manifest.get("segments", ()):
+            try:
+                data = (log_dir / record["file"]).read_bytes()
+            except OSError:
+                cls._skip(record["file"], "missing", None)
+                continue
+            if cls._frame_payloads(data) is None:
+                cls._skip(record["file"], "corrupt", None)
+                continue
+            chunks.append(data)
+            entries += int(record.get("entries", 0))
         manifest["segments"] = []
-        cls._append_segment(log_dir, manifest, merged)
+        if chunks:
+            cls._append_segment(log_dir, manifest, b"".join(chunks), entries)
         for name in old_files:
             (log_dir / name).unlink(missing_ok=True)
 

@@ -551,9 +551,12 @@ def _worker_cache_delta(backend: Any, version_before: int) -> Optional[dict]:
     The merge-back payload for the parent session.  Jobs that ran fully
     warm (every score and evaluation already cached) ship nothing; jobs
     that did work ship only the dirty entries written since the job's
-    ``begin_cache_delta()`` window opened — the payload scales with the
-    job's new work, not with the cache capacity.  Merging is idempotent:
-    every cached value is a deterministic function of its structural key.
+    ``begin_cache_delta()`` window opened.  Both the payload and the
+    cost of building it scale with the job's new work, not with the
+    cache size: the caches read their dirty windows without scanning
+    their stores (``EvaluationCache.dirty_snapshot``,
+    ``LRUCache.dirty_items``).  Merging is idempotent: every cached
+    value is a deterministic function of its structural key.
     """
     if backend is None or not hasattr(backend, "cache_snapshot"):
         return None
@@ -1217,7 +1220,9 @@ class SynthesisSession:
         Each call appends one segment under ``<directory>/cache_log/``
         (defaulting to the configured ``artifact_dir``) holding only the
         entries written since the previous persist — the dirty windows
-        of every built backend — never the whole accumulated cache.  The
+        of every built backend — never the whole accumulated cache.
+        Reading those windows costs O(new entries) too: no cache store is
+        scanned.  The
         log is keyed by the store's model hash; entries loaded
         from disk by earlier sessions stay in the log untouched, so
         sessions serving different (method, length) pairs against one

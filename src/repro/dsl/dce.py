@@ -29,6 +29,10 @@ def _binding_graph(
     History positions ``0 .. len(input_types)-1`` are the program inputs;
     position ``len(input_types) + k`` is the output of statement ``k``.
     ``None`` means the argument fell back to a default value.
+
+    The reference walk: :func:`_live_flags` runs it once per signature
+    sequence and answers every later program with that sequence from
+    its memo.
     """
     registry: FunctionRegistry = program.registry
     history_types: List[DSLType] = list(input_types)
@@ -53,19 +57,40 @@ def _binding_graph(
     return bindings
 
 
-def live_statements(
-    program: Program, input_types: Sequence[DSLType] = (DSLType.LIST,)
-) -> List[bool]:
-    """Liveness flag for every statement of ``program``.
+#: bound of a registry's liveness memo; GA traffic stays far below it
+#: (the DSL has five signatures, so length-5 programs have 3,125 sequences)
+_LIVENESS_MEMO_BOUND = 1 << 16
 
-    The last statement is always live (it produces the program output);
-    liveness propagates backwards through argument bindings.
+
+def _live_flags(program: Program, input_types: Sequence[DSLType]) -> Tuple[bool, ...]:
+    """Liveness of every statement, memoized per signature sequence.
+
+    Argument binding depends only on each function's ``(arg_types,
+    return_type)``, so every program with the same signature sequence
+    and input types shares one verdict.  The memo lives on the program's
+    registry (``FunctionRegistry.liveness_memo``); a miss computes the
+    verdict with the reference :func:`_binding_graph`.
     """
-    n = len(program)
-    if n == 0:
-        return []
-    bindings = _binding_graph(program, input_types)
-    n_inputs = len(input_types)
+    if not program.function_ids:
+        return ()
+    registry = program.registry
+    input_types = tuple(input_types)
+    key = (registry.signature_ids(program.function_ids), input_types)
+    memo = registry.liveness_memo
+    flags = memo.get(key)
+    if flags is None:
+        if len(memo) >= _LIVENESS_MEMO_BOUND:
+            memo.clear()
+        flags = _liveness(_binding_graph(program, input_types), len(input_types))
+        memo[key] = flags
+    return flags
+
+
+def _liveness(
+    bindings: Sequence[Tuple[Optional[int], ...]], n_inputs: int
+) -> Tuple[bool, ...]:
+    """Propagate liveness backwards from the last statement's output."""
+    n = len(bindings)
     live = [False] * n
     live[n - 1] = True
     # statements are in topological order, so one backwards sweep suffices
@@ -75,14 +100,25 @@ def live_statements(
         for position in bindings[index]:
             if position is not None and position >= n_inputs:
                 live[position - n_inputs] = True
-    return live
+    return tuple(live)
+
+
+def live_statements(
+    program: Program, input_types: Sequence[DSLType] = (DSLType.LIST,)
+) -> List[bool]:
+    """Liveness flag for every statement of ``program``.
+
+    The last statement is always live (it produces the program output);
+    liveness propagates backwards through argument bindings.
+    """
+    return list(_live_flags(program, input_types))
 
 
 def has_dead_code(
     program: Program, input_types: Sequence[DSLType] = (DSLType.LIST,)
 ) -> bool:
     """True when at least one statement's output is never used."""
-    return not all(live_statements(program, input_types))
+    return False in _live_flags(program, input_types)
 
 
 def effective_length(

@@ -313,6 +313,16 @@ class FunctionRegistry:
         self._functions: Tuple[DSLFunction, ...] = tuple(functions) if functions else _build_functions()
         self._by_fid: Dict[int, DSLFunction] = {f.fid: f for f in self._functions}
         self._by_name: Dict[str, DSLFunction] = {f.name: f for f in self._functions}
+        # dense per-registry signature ids: a tuple of ids is a
+        # cheap-to-hash stand-in for a sequence of signatures
+        signature_ids: Dict[Signature, int] = {}
+        self._signature_id_by_fid: Dict[int, int] = {
+            f.fid: signature_ids.setdefault(f.signature, len(signature_ids))
+            for f in self._functions
+        }
+        #: liveness verdicts of :mod:`repro.dsl.dce`, keyed by
+        #: ``(signature_ids(...), input_types)`` of this registry
+        self.liveness_memo: Dict[Tuple[Tuple[int, ...], tuple], Tuple[bool, ...]] = {}
         if len(self._by_fid) != len(self._functions):
             raise ValueError("duplicate function ids in registry")
 
@@ -360,6 +370,14 @@ class FunctionRegistry:
     def ids_with_return(self, dsl_type: DSLType) -> Tuple[int, ...]:
         """Ids of all functions returning ``dsl_type``."""
         return tuple(f.fid for f in self._functions if f.return_type is dsl_type)
+
+    def signature_ids(self, fids: Sequence[int]) -> Tuple[int, ...]:
+        """This registry's signature id of every function id in ``fids``.
+
+        Two sequences map to equal tuples exactly when their functions'
+        ``(arg_types, return_type)`` agree position by position.
+        """
+        return tuple(map(self._signature_id_by_fid.__getitem__, fids))
 
     def ids_with_signature(self, signature: Signature) -> Tuple[int, ...]:
         """Ids of all functions with the exact ``signature``."""

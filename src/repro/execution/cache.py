@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.dsl.equivalence import IOSet
@@ -156,8 +157,11 @@ class EvaluationCache:
             raise ValueError("max_entries must be non-negative")
         self.max_entries = int(max_entries)
         self._store: Dict[Tuple[str, Hashable], Any] = {}
-        #: keys written since the last :meth:`clear_dirty` (delta journal)
-        self._dirty: set = set()
+        #: how many keys were first inserted since the last
+        #: :meth:`clear_dirty`.  Eviction only removes a prefix of the
+        #: insertion-ordered store, so the survivors among them are always
+        #: its last ``min(_fresh, len(_store))`` entries
+        self._fresh = 0
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -184,19 +188,21 @@ class EvaluationCache:
         """Store ``value``; evicts oldest entries when the bound is hit."""
         if not self.enabled:
             return
-        if len(self._store) >= self.max_entries and (namespace, key) not in self._store:
-            evict = max(1, self.max_entries // 4)
-            for stale in list(self._store)[:evict]:
-                del self._store[stale]
-            self.stats.evictions += evict
-        self._store[(namespace, key)] = value
-        self._dirty.add((namespace, key))
+        full_key = (namespace, key)
+        if full_key not in self._store:
+            if len(self._store) >= self.max_entries:
+                evict = max(1, self.max_entries // 4)
+                for stale in list(islice(self._store, evict)):
+                    del self._store[stale]
+                self.stats.evictions += evict
+            self._fresh += 1
+        self._store[full_key] = value
         self.stats.stores += 1
 
     def clear(self) -> None:
         """Drop every entry (the stats object is preserved)."""
         self._store.clear()
-        self._dirty.clear()
+        self._fresh = 0
 
     # ------------------------------------------------------------------
     def snapshot(self, namespaces: Optional[Tuple[str, ...]] = None) -> list:
@@ -214,23 +220,28 @@ class EvaluationCache:
 
     def clear_dirty(self) -> None:
         """Start a fresh delta window (e.g. at the start of a worker job)."""
-        self._dirty.clear()
+        self._fresh = 0
 
     def dirty_snapshot(self, namespaces: Optional[Tuple[str, ...]] = None) -> list:
-        """Entries written since :meth:`clear_dirty`, store order.
+        """Entries first inserted since :meth:`clear_dirty`, store order.
 
-        The per-job merge-back payload: bounded by what the job actually
-        computed, not by the cache size.  Evicted-after-write keys are
-        absent; ``namespaces`` restricts the export like :meth:`snapshot`.
+        The per-job merge-back payload and the parent's L3 segment: it
+        reads only the store's newest entries, so it costs O(new entries),
+        not O(cache size).  Evicted-after-write keys are absent.  A
+        rewrite of a key already resident before the window is not
+        re-exported: values are deterministic per key, so the rewrite
+        stored the value the key already had.  ``namespaces`` restricts
+        the export like :meth:`snapshot`.
         """
-        if not self._dirty:
+        if not self._fresh:
             return []
         wanted = None if namespaces is None else set(namespaces)
-        return [
-            (key, value)
-            for key, value in self._store.items()
-            if key in self._dirty and (wanted is None or key[0] in wanted)
+        newest = islice(reversed(self._store.items()), self._fresh)
+        items = [
+            (key, value) for key, value in newest if wanted is None or key[0] in wanted
         ]
+        items.reverse()
+        return items
 
     def load_snapshot(self, items) -> int:
         """Bulk-insert snapshot pairs; returns how many were retained.

@@ -54,9 +54,12 @@ class LRUCache:
             raise ValueError("capacity must be non-negative")
         self.capacity = int(capacity)
         self._store: "OrderedDict[Hashable, Any]" = OrderedDict()
-        #: keys written since the last :meth:`clear_dirty` — the delta
-        #: journal parallel workers export instead of the whole cache
-        self._dirty: set = set()
+        #: keys written since the last :meth:`clear_dirty`, in the store's
+        #: recency order — the delta journal parallel workers export
+        #: instead of the whole cache.  It mirrors both of the store's
+        #: reorderings (a ``put``, and a ``get`` of a journaled key) and
+        #: its evictions, so reading it never scans the store
+        self._dirty: "OrderedDict[Hashable, None]" = OrderedDict()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -78,6 +81,8 @@ class LRUCache:
         if not hit:
             return default
         self._store.move_to_end(key)
+        if key in self._dirty:
+            self._dirty.move_to_end(key)
         return value
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
@@ -92,10 +97,12 @@ class LRUCache:
         if key in self._store:
             self._store.move_to_end(key)
         elif len(self._store) >= self.capacity:
-            self._store.popitem(last=False)
+            evicted, _ = self._store.popitem(last=False)
+            self._dirty.pop(evicted, None)
             self.stats.evictions += 1
         self._store[key] = value
-        self._dirty.add(key)
+        self._dirty[key] = None
+        self._dirty.move_to_end(key)
         self.stats.stores += 1
 
     def clear(self) -> None:
@@ -118,11 +125,11 @@ class LRUCache:
         Keys evicted after being written are silently absent — a delta
         only ships values that still exist.  This is what bounds the
         merge-back payload of a parallel job to the entries *that job*
-        computed rather than the whole cache.
+        computed rather than the whole cache.  It is read from the
+        journal, so it costs O(entries written), not O(cache size).
         """
-        if not self._dirty:
-            return []
-        return [(key, value) for key, value in self._store.items() if key in self._dirty]
+        store = self._store
+        return [(key, store[key]) for key in self._dirty]
 
     def load(self, items: Sequence[Tuple[Hashable, Any]]) -> int:
         """Bulk-insert snapshot entries (e.g. from another process).

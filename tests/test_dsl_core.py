@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dsl import (
+    FunctionRegistry,
     INT,
     LIST,
     INT_MAX,
@@ -196,6 +197,51 @@ class TestDeadCodeElimination:
     def test_zipwith_keeps_two_producers_live(self):
         program = Program.from_names(["MAP(*2)", "MAP(+1)", "ZIPWITH(+)"])
         assert not has_dead_code(program)
+
+    def test_memoized_liveness_matches_the_binding_graph(self):
+        """The per-signature memo agrees with the reference binding walk."""
+        from repro.dsl import dce
+
+        def reference(program, input_types):
+            bindings = dce._binding_graph(program, input_types)
+            live = [False] * len(program)
+            live[-1] = True
+            for index in range(len(program) - 1, -1, -1):
+                if live[index]:
+                    for position in bindings[index]:
+                        if position is not None and position >= len(input_types):
+                            live[position - len(input_types)] = True
+            return live
+
+        rng = np.random.default_rng(5)
+        ids = np.array(REGISTRY.ids)
+        input_tuples = [(LIST,), (INT, LIST), (LIST, LIST), (INT,)]
+        for _ in range(4000):
+            program = Program(rng.choice(ids, size=int(rng.integers(1, 8))).tolist())
+            input_types = input_tuples[int(rng.integers(len(input_tuples)))]
+            expected = reference(program, input_types)
+            assert live_statements(program, input_types) == expected
+            assert has_dead_code(program, input_types) == (not all(expected))
+
+    def test_liveness_memo_keys_on_signatures_not_function_ids(self):
+        import dataclasses
+
+        names = ("SUM", "MAXIMUM", "TAKE")
+        program = Program.from_names(list(names))
+        assert live_statements(program) == [False, True, True]  # memoized
+        # the same function ids in a registry where SUM's id returns a list
+        sort = REGISTRY.by_name("SORT")
+        fake = dataclasses.replace(sort, fid=REGISTRY.by_name("SUM").fid, name="FAKE")
+        other = FunctionRegistry([fake] + [REGISTRY.by_name(name) for name in names[1:]])
+        relabelled = Program(program.function_ids, other)
+        assert live_statements(relabelled) == [True, True, True]
+
+    def test_programs_with_equal_signatures_share_a_memo_entry(self):
+        registry = FunctionRegistry()
+        first = Program([registry.by_name(n).fid for n in ("SUM", "MAXIMUM", "TAKE")], registry)
+        second = Program([registry.by_name(n).fid for n in ("MINIMUM", "SUM", "DROP")], registry)
+        assert has_dead_code(first) and has_dead_code(second)
+        assert len(registry.liveness_memo) == 1
 
 
 class TestGenerators:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from controls import UnmemoizedNetSynBackend
 from repro.config import ServiceConfig
@@ -162,6 +164,205 @@ class TestDirtyDeltaJournals:
         # and the full snapshot still carries everything
         full_keys = {key for key, _ in backend.cache_snapshot()["scores"]}
         assert first_keys | second_keys <= full_keys
+
+
+class _ScanOracle:
+    """Oracle for ``dirty_snapshot`` / ``dirty_items``: a full store scan.
+
+    Records every key ``put`` since ``clear_dirty`` and answers the delta
+    by scanning the whole store in order, keeping the recorded keys.
+    """
+
+    def __init__(self, cache) -> None:
+        self.cache = cache
+        self.dirty = set()
+
+    def put(self, *args) -> None:
+        self.cache.put(*args)
+        if self.cache.enabled:
+            self.dirty.add(args[0] if len(args) == 2 else (args[0], args[1]))
+
+    def clear_dirty(self) -> None:
+        self.cache.clear_dirty()
+        self.dirty.clear()
+
+    def clear(self) -> None:
+        self.cache.clear()
+        self.dirty.clear()
+
+    def evaluation_delta(self, namespaces=None):
+        return [
+            (key, value)
+            for key, value in self.cache.snapshot()
+            if key in self.dirty and (namespaces is None or key[0] in namespaces)
+        ]
+
+    def lru_delta(self):
+        return [(key, value) for key, value in self.cache.items() if key in self.dirty]
+
+
+class TestEvaluationCacheDeltaExport:
+    def _cache(self, max_entries):
+        from repro.execution import EvaluationCache
+
+        return _ScanOracle(EvaluationCache(max_entries=max_entries))
+
+    def _assert_matches(self, oracle):
+        cache = oracle.cache
+        assert cache.dirty_snapshot() == oracle.evaluation_delta()
+        for namespaces in (("outputs",), ("solutions",), ("outputs", "solutions"), ()):
+            assert cache.dirty_snapshot(namespaces) == oracle.evaluation_delta(namespaces)
+
+    def test_inserts_and_in_window_rewrites(self):
+        oracle = self._cache(64)
+        for i in range(5):
+            oracle.put("outputs", i, [i])
+        oracle.clear_dirty()
+        self._assert_matches(oracle)
+        for i in range(5, 9):
+            oracle.put("outputs" if i % 2 else "solutions", i, i)
+        oracle.put("outputs", 5, 5)  # a rewrite of a key first written in the window
+        oracle.put("traces", 9, "heavy")
+        self._assert_matches(oracle)
+        assert [key for key, _ in oracle.cache.dirty_snapshot()] == [
+            ("outputs", 5), ("solutions", 6), ("outputs", 7), ("solutions", 8), ("traces", 9)
+        ]
+
+    def test_eviction_eating_into_the_window(self):
+        oracle = self._cache(8)
+        for i in range(6):
+            oracle.put("outputs", i, i)
+        oracle.clear_dirty()
+        # 12 new keys into a cache of 8: quarter sweeps evict every old
+        # key, then the window's own oldest entries
+        for i in range(100, 112):
+            oracle.put("solutions", i, True)
+            self._assert_matches(oracle)
+        delta = oracle.cache.dirty_snapshot()
+        assert len(delta) == len(oracle.cache) < 12
+        assert delta[-1] == (("solutions", 111), True)
+
+    def test_window_larger_than_capacity(self):
+        oracle = self._cache(4)
+        oracle.clear_dirty()
+        for i in range(25):
+            oracle.put("outputs", i % 9, i)
+            self._assert_matches(oracle)
+        assert len(oracle.cache.dirty_snapshot()) == len(oracle.cache)
+
+    def test_clear_empties_the_window(self):
+        oracle = self._cache(16)
+        for i in range(4):
+            oracle.put("outputs", i, i)
+        oracle.clear()
+        assert oracle.cache.dirty_snapshot() == [] == oracle.evaluation_delta()
+        oracle.put("solutions", 1, False)
+        self._assert_matches(oracle)
+
+    def test_disabled_cache_exports_nothing(self):
+        oracle = self._cache(0)
+        oracle.put("outputs", 1, 1)
+        assert oracle.cache.dirty_snapshot() == [] == oracle.evaluation_delta()
+
+    def test_rewrite_of_a_pre_window_key_is_not_re_exported(self):
+        """The one divergence from the scan: values are deterministic per
+        key, so a rewrite stores the value the key already held and the
+        receiving cache already has it from an earlier delta."""
+        from repro.execution import EvaluationCache
+
+        cache = EvaluationCache(max_entries=16)
+        cache.put("outputs", "old", [1, 2])
+        cache.clear_dirty()
+        cache.put("outputs", "old", [1, 2])
+        cache.put("outputs", "new", [3])
+        assert cache.dirty_snapshot() == [(("outputs", "new"), [3])]
+
+
+#: LRU operations, weighted towards puts and gets: a small key space
+#: forces rewrites, evictions and re-insertions of keys evicted inside
+#: the window
+_LRU_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "put", "get", "get", "peek", "clear_dirty", "clear"]),
+        st.integers(min_value=0, max_value=9),
+    ),
+    min_size=20,
+    max_size=120,
+)
+
+
+class TestLRUCacheDeltaExport:
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(min_value=0, max_value=6), ops=_LRU_OPS)
+    def test_dirty_items_equal_the_store_scan(self, capacity, ops):
+        oracle = _ScanOracle(LRUCache(capacity=capacity))
+        for op in ops:
+            if op[0] == "put":
+                oracle.put(op[1], op[1] * 10)
+            elif op[0] == "get":
+                oracle.cache.get(op[1])
+            elif op[0] == "peek":
+                oracle.cache.peek(op[1])
+            else:
+                getattr(oracle, op[0])()
+            assert oracle.cache.dirty_items() == oracle.lru_delta()
+
+    def test_reads_reorder_the_delta_like_the_store(self):
+        oracle = _ScanOracle(LRUCache(capacity=4))
+        oracle.put("a", 1)
+        oracle.clear_dirty()
+        for key in "bcd":
+            oracle.put(key, key)
+        oracle.cache.get("b")  # b becomes most recent in store and delta
+        oracle.cache.get("a")  # a is not in the window: the delta ignores it
+        assert oracle.cache.dirty_items() == oracle.lru_delta() == [
+            ("c", "c"), ("d", "d"), ("b", "b")
+        ]
+        oracle.put("e", "e")  # evicts c, the least recently used
+        assert oracle.cache.dirty_items() == oracle.lru_delta() == [
+            ("d", "d"), ("b", "b"), ("e", "e")
+        ]
+
+    @pytest.mark.parametrize("tier", ["table", "remote"])
+    def test_tier_promotion_marks_the_entry_dirty(self, tiny_task, tier):
+        from repro.execution.score_cache import TieredScoreCache
+
+        class _DictTier:
+            def __init__(self, cross):
+                self.cross = cross
+                self.values = {}
+
+            def put(self, key64, value):
+                self.values[key64] = value
+
+            def get(self, key64):
+                value = self.values.get(key64)
+                if value is None or self.cross is None:
+                    return value
+                return value, self.cross
+
+        shared = _DictTier(cross=True if tier == "table" else None)
+        io_key = io_set_key(tiny_task.io_set)
+        genes = _population(6)[:6]
+        writer = TieredScoreCache(capacity=8, **{tier: shared})
+        for i, gene in enumerate(genes[:3]):
+            writer.put(gene, io_key, float(i))
+
+        reader = TieredScoreCache(capacity=4, **{tier: shared})
+        reader.put(genes[3], io_key, 3.0)
+        reader.clear_dirty()
+        oracle = _ScanOracle(reader._lru)
+        # promotions are L1 puts: record them in the oracle's window too
+        oracle.dirty.update((gene.function_ids, io_key) for gene in genes[:3])
+        scores, pending = reader.partition(genes[:2] + genes[4:5], io_key)
+        assert list(scores[:2]) == [0.0, 1.0] and list(pending) == [genes[4].function_ids]
+        assert reader.get(genes[2], io_key) == 2.0
+        reader.put(genes[5], io_key, 5.0)  # evicts the pre-window genes[3]
+        oracle.dirty.add((genes[5].function_ids, io_key))
+        assert reader.dirty_snapshot() == oracle.lru_delta()
+        assert [key[0] for key, _ in reader.dirty_snapshot()] == [
+            gene.function_ids for gene in (genes[0], genes[1], genes[2], genes[5])
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +860,135 @@ class TestCacheLog:
         session.submit(tiny_suite[0], budget=300, seed=0)
         session.run()
         assert len(self._manifest(tmp_path)["segments"]) == 2
+
+
+class TestCacheLogFold:
+    """Compaction concatenates segment bytes; loads stay identical."""
+
+    def _log_dir(self, directory):
+        from repro.core.artifacts import CACHE_LOG_DIR
+
+        return directory / CACHE_LOG_DIR
+
+    def _segments(self, directory):
+        return ArtifactStore._read_manifest(self._log_dir(directory))["segments"]
+
+    def _segment_files(self, directory):
+        return [record["file"] for record in self._segments(directory)]
+
+    def _build_log(self, directory):
+        """Five segments: a re-written key, a corrupt file and a legacy
+        single-frame file written byte for byte in the original format."""
+        import pickle
+        import struct
+        import zlib
+
+        store = ArtifactStore()
+        hot = ((("hot",), ("io",)), 0.0)
+        rounds = [
+            {"m:None": {"scores": [hot] + _score_entries(0, 3),
+                        "evaluation": [(("outputs", (1, 2)), [4])]}},
+            {"m:None": {"scores": [((("hot",), ("io",)), 1.0)] + _score_entries(3, 2)},
+             "m:5": {"scores": _score_entries(50, 2)}},
+            {"m:None": {"scores": _score_entries(90, 2)}},
+            {"m:None": {"scores": _score_entries(5, 2),
+                        "evaluation": [(("solutions", (1, 2)), True)]}},
+            {"m:None": {"scores": [((("hot",), ("io",)), 2.0)] + _score_entries(7, 1)}},
+        ]
+        for snapshots in rounds:
+            store.save_caches(directory, snapshots, compact_threshold=100)
+        log_dir = self._log_dir(directory)
+        files = self._segment_files(directory)
+        # the third segment is torn mid-payload
+        torn = log_dir / files[2]
+        torn.write_bytes(torn.read_bytes()[:-7])
+        # the fourth is rewritten as a legacy segment: one frame of magic,
+        # little-endian (length, crc32) and the pickled payload
+        payload = pickle.dumps({"format_version": 3, "snapshots": rounds[3]})
+        (log_dir / files[3]).write_bytes(
+            b"NSL3SEG1" + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload
+        )
+        return store, files
+
+    @staticmethod
+    def _loaded(merged, capacity):
+        """The caches a session would hold after loading ``merged``."""
+        from repro.execution import EvaluationCache
+
+        loaded = {}
+        for key, parts in merged.items():
+            scores = LRUCache(capacity=capacity)
+            scores.load(parts.get("scores", []))
+            evaluation = EvaluationCache(max_entries=capacity)
+            evaluation.load_snapshot(parts.get("evaluation", []))
+            loaded[key] = (scores.items(), evaluation.snapshot())
+        return loaded
+
+    def test_fold_keeps_loads_identical_without_unpickling(self, tmp_path, monkeypatch):
+        import pickle
+
+        store, files = self._build_log(tmp_path)
+        skipped = []
+        before = store.load_caches(tmp_path, on_skip=lambda *skip: skipped.append(skip))
+        assert skipped == [(files[2], "corrupt")]
+
+        real_loads = pickle.loads
+        calls = []
+
+        def counting_loads(*args, **kwargs):
+            calls.append(1)
+            return real_loads(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "loads", counting_loads)
+        assert store.compact_cache_log(tmp_path)
+        monkeypatch.setattr(pickle, "loads", real_loads)
+        assert calls == []
+
+        folded = self._segment_files(tmp_path)
+        assert len(folded) == 1 and folded[0] not in files
+        assert sorted(p.name for p in self._log_dir(tmp_path).glob("segment-*.pkl")) == folded
+        skipped.clear()
+        after = store.load_caches(tmp_path, on_skip=lambda *skip: skipped.append(skip))
+        assert skipped == []
+        assert after == before
+        assert list(after) == list(before)
+        for capacity in (3, 100):
+            assert self._loaded(after, capacity) == self._loaded(before, capacity)
+        # newest wins at load: the hot key holds its last value
+        scores = dict(self._loaded(after, 100)["m:None"][0])
+        assert scores[(("hot",), ("io",))] == 2.0
+        # entry counts of the four good segments (the torn one is dropped)
+        assert self._segments(tmp_path)[0]["entries"] == 5 + 5 + 3 + 2
+
+    def test_folding_a_folded_log_appends_its_frames(self, tmp_path):
+        store, _ = self._build_log(tmp_path)
+        store.compact_cache_log(tmp_path)
+        before = store.load_caches(tmp_path)
+        store.save_caches(tmp_path, {"m:None": {"scores": _score_entries(200, 2)}})
+        store.compact_cache_log(tmp_path)
+        after = store.load_caches(tmp_path)
+        assert after["m:None"]["scores"] == before["m:None"]["scores"] + _score_entries(200, 2)
+        assert len(self._segment_files(tmp_path)) == 1
+
+    def test_a_truncated_last_frame_makes_the_file_corrupt(self, tmp_path):
+        store, _ = self._build_log(tmp_path)
+        store.compact_cache_log(tmp_path)
+        (name,) = self._segment_files(tmp_path)
+        path = self._log_dir(tmp_path) / name
+        path.write_bytes(path.read_bytes()[:-1])
+        skipped = []
+        assert store.load_caches(tmp_path, on_skip=lambda *skip: skipped.append(skip)) == {}
+        assert skipped == [(name, "corrupt")]
+        # a later fold drops the file whole, like the load did
+        store.save_caches(tmp_path, {"m:None": {"scores": _score_entries(300, 1)}})
+        store.compact_cache_log(tmp_path)
+        assert store.load_caches(tmp_path) == {"m:None": {"scores": _score_entries(300, 1)}}
+
+    def test_trailing_bytes_after_the_last_frame_are_corrupt(self, tmp_path):
+        store = ArtifactStore()
+        path = store.save_caches(tmp_path, {"m:None": {"scores": _score_entries(0, 2)}})
+        path.write_bytes(path.read_bytes() + b"NSL3")
+        assert store.load_caches(tmp_path) == {}
 
 
 class TestBoundedSnapshotLoad:
