@@ -1,18 +1,16 @@
-"""Cache-tier costs: L3 append vs whole-file rewrite, L2 table throughput.
+"""Cache-log costs: L3 append vs whole-file rewrite, and compaction.
 
 The L3 tier replaced the whole-file ``cache_snapshots.pkl`` rewrite with
 an append-only segment log: persisting after a run now costs O(new
 entries) instead of O(accumulated cache).  This benchmark measures both
-ways at a configurable cache size, plus the raw put/get throughput of
-the L2 shared mmap table (:class:`~repro.execution.SharedScoreTable`).
+ways at a configurable cache size, plus the cost of folding the log.
 
 Results are appended to ``BENCH_cache_tiers.json`` at the repository
 root so the trajectory across PRs is preserved.
 
 Scale knobs: ``NETSYN_BENCH_CACHE_ENTRIES`` (accumulated entries,
 default 50000), ``NETSYN_BENCH_DIRTY_FRACTION`` (per-run new-entry
-fraction, default 0.01), ``NETSYN_BENCH_TABLE_OPS`` (L2 ops, default
-20000).
+fraction, default 0.01).
 """
 
 from __future__ import annotations
@@ -26,14 +24,12 @@ import time
 from pathlib import Path
 
 from repro.core.artifacts import ArtifactStore
-from repro.execution.shared_table import SharedScoreTable, io_token, structural_key64
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY_PATH = REPO_ROOT / "BENCH_cache_tiers.json"
 
 N_ENTRIES = int(os.environ.get("NETSYN_BENCH_CACHE_ENTRIES", "50000"))
 DIRTY_FRACTION = float(os.environ.get("NETSYN_BENCH_DIRTY_FRACTION", "0.01"))
-TABLE_OPS = int(os.environ.get("NETSYN_BENCH_TABLE_OPS", "20000"))
 ROUNDS = 8
 
 
@@ -110,23 +106,6 @@ def test_l3_append_vs_whole_file_rewrite():
         # the log still reloads to the same contents the rewrite holds
         merged = store.load_caches(log_dir)
         assert len(merged["netsyn_cf:None"]["scores"]) == N_ENTRIES + ROUNDS * dirty
-
-        # -- L2: raw shared-table throughput ----------------------------
-        # size the table to a <50% load factor so probe chains stay short
-        table = SharedScoreTable.create(
-            workdir / "scores.bin", n_slots=1 << max(TABLE_OPS.bit_length() + 1, 10)
-        )
-        token = io_token(((1, 2, 3), (4, 5, 6)))
-        keys = [structural_key64((i,), token) for i in range(TABLE_OPS)]
-        start = time.perf_counter()
-        for index, key in enumerate(keys):
-            table.put(key, float(index))
-        put_elapsed = time.perf_counter() - start
-        start = time.perf_counter()
-        for key in keys:
-            table.get(key)
-        get_elapsed = time.perf_counter() - start
-        assert table.stats.hits == TABLE_OPS
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -139,9 +118,6 @@ def test_l3_append_vs_whole_file_rewrite():
         "l3_append_seconds_per_run": append_elapsed,
         "l3_compaction_seconds": compact_elapsed,
         "append_speedup_vs_rewrite": legacy_elapsed / append_elapsed,
-        "l2_table_ops": TABLE_OPS,
-        "l2_puts_per_second": TABLE_OPS / put_elapsed,
-        "l2_gets_per_second": TABLE_OPS / get_elapsed,
     }
     _append_trajectory(record)
     print(json.dumps(record, indent=2))

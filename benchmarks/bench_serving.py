@@ -1,29 +1,21 @@
 """Serving-layer throughput and latency.
 
-The network synthesis service (``repro/serving/``) moves three things
-over localhost sockets: job submissions, the per-job event streams, and
-L4 score-cache traffic.  This benchmark measures what each costs:
-
-* **jobs/s and event latency vs client count** — a server over a warm
-  ``edit`` session is driven by 1, 4 and 16 concurrent clients, each
-  submitting its own seeded task and streaming it to completion.  Event
-  latency is wall-clock from the server session emitting an event to the
-  client receiving its decoded frame (same process, same clock), folded
-  into p50/p95 across every event of the round.
-* **L4 warm-client speedup** — with a cf session, a first client fills
-  the server's score pool; a fresh *local* session then solves the same
-  task cold versus warm (``ServiceConfig.remote_score_cache`` pointed at
-  the server).  The warm run answers its score misses over the wire
-  instead of running the fitness model, and the ratio is the speedup a
-  second host joining a fleet sees.
+The network synthesis service (``repro/serving/``) moves two things over
+localhost sockets: job submissions and the per-job event streams.  This
+benchmark measures what they cost as **jobs/s and event latency vs
+client count**: a server over a warm ``edit`` session is driven by 1, 4
+and 16 concurrent clients, each submitting its own seeded task and
+streaming it to completion.  Event latency is wall-clock from the server
+session emitting an event to the client receiving its decoded frame
+(same process, same clock), folded into p50/p95 across every event of
+the round.
 
 Results are appended to ``BENCH_serving.json`` at the repository root so
 the trajectory across PRs is preserved.
 
 Scale knobs: ``NETSYN_BENCH_SERVING_BUDGET`` (candidate budget per job,
 default 2000), ``NETSYN_BENCH_SERVING_CLIENTS`` (comma-separated client
-counts, default ``1,4,16``), ``NETSYN_BENCH_SERVING_ROUNDS`` (L4 timing
-rounds, default 3).
+counts, default ``1,4,16``).
 """
 
 from __future__ import annotations
@@ -31,14 +23,12 @@ from __future__ import annotations
 import json
 import os
 import statistics
-import tempfile
 import threading
 import time
 from pathlib import Path
 
 from repro.config import NetSynConfig, ServiceConfig, ServingConfig
 from repro.core import ArtifactStore, JobState, SynthesisSession
-from repro.core.service import SynthesisService
 from repro.data import make_synthesis_task
 from repro.serving import RemoteSynthesisSession, SynthesisServer
 
@@ -49,7 +39,6 @@ BUDGET = int(os.environ.get("NETSYN_BENCH_SERVING_BUDGET", "2000"))
 CLIENT_COUNTS = tuple(
     int(n) for n in os.environ.get("NETSYN_BENCH_SERVING_CLIENTS", "1,4,16").split(",")
 )
-ROUNDS = int(os.environ.get("NETSYN_BENCH_SERVING_ROUNDS", "3"))
 
 
 def _edit_session() -> SynthesisSession:
@@ -123,55 +112,6 @@ def _drive_clients(server: SynthesisServer, n_clients: int) -> dict:
     }
 
 
-def _l4_speedup() -> dict:
-    """Cold local cf run vs the same run warm against a filled server pool."""
-    config = NetSynConfig.small(fitness_kind="cf", seed=3)
-    task = make_synthesis_task(length=4, seed=101, dsl_config=config.dsl)
-    with tempfile.TemporaryDirectory() as artifacts:
-
-        def open_session(**service_kwargs) -> SynthesisSession:
-            service = SynthesisService(
-                config,
-                service_config=ServiceConfig(
-                    artifact_dir=artifacts, persist_caches=False, **service_kwargs
-                ),
-            )
-            return service.open_session(methods=("netsyn_cf",))
-
-        with SynthesisServer(open_session(), ServingConfig(batch_window=0.01)) as server:
-            # fill the pool: the server session computes (and publishes)
-            # every score of the task once
-            with RemoteSynthesisSession(server.address) as client:
-                client.run([client.submit(task, budget=BUDGET, seed=3)])
-
-            cold_times, warm_times = [], []
-            reference = None
-            for _ in range(ROUNDS):
-                cold = open_session()
-                job = cold.submit(task, budget=BUDGET, seed=3)
-                start = time.perf_counter()
-                cold.run()
-                cold_times.append(time.perf_counter() - start)
-                reference = job.result.candidates_used
-
-                warm = open_session(remote_score_cache=server.address)
-                job = warm.submit(task, budget=BUDGET, seed=3)
-                start = time.perf_counter()
-                warm.run()
-                warm_times.append(time.perf_counter() - start)
-                tier = warm.remote_score_tier
-                assert tier.hits > 0, "warm run never hit the L4 tier"
-                assert job.result.candidates_used == reference, "L4 changed the search"
-                tier.close()
-    return {
-        "budget": BUDGET,
-        "rounds": ROUNDS,
-        "cold_seconds_best": min(cold_times),
-        "warm_seconds_best": min(warm_times),
-        "l4_warm_speedup": min(cold_times) / min(warm_times),
-    }
-
-
 def _append_trajectory(record: dict) -> None:
     history = []
     if TRAJECTORY_PATH.exists():
@@ -185,7 +125,7 @@ def _append_trajectory(record: dict) -> None:
     TRAJECTORY_PATH.write_text(json.dumps(history, indent=2) + "\n")
 
 
-def test_serving_throughput_and_l4_speedup():
+def test_serving_throughput():
     rounds = []
     with SynthesisServer(
         _edit_session(), ServingConfig(batch_window=0.05, max_pending_jobs=256)
@@ -197,15 +137,13 @@ def test_serving_throughput_and_l4_speedup():
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "budget": BUDGET,
         "client_rounds": rounds,
-        "l4": _l4_speedup(),
     }
     _append_trajectory(record)
     print(json.dumps(record, indent=2))
 
     # sanity, not speed, gates: shared runners are too noisy for ratios
     assert all(r["events"] > 0 for r in rounds)
-    assert record["l4"]["l4_warm_speedup"] > 0
 
 
 if __name__ == "__main__":
-    test_serving_throughput_and_l4_speedup()
+    test_serving_throughput()

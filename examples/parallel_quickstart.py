@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Parallel session quickstart: streaming, cancellation, cache tiers.
+"""Parallel session quickstart: streaming, cancellation, cache merge-back.
 
 This is the multi-worker counterpart of ``examples/quickstart.py`` (and
 the driver behind the CI parallel smoke job).  It demonstrates the
@@ -14,14 +14,15 @@ serving-path guarantees of the session layer:
    from the parent while it runs inside a worker; the shared flag stops
    the worker within a generation and the job ends ``CANCELLED`` with no
    ``finished`` event.
-3. **The L2 shared score table** — the workers share one lock-free
-   mmap table of predicted scores: re-running the same requests is
-   served from entries *other worker processes* published, visible as
-   nonzero ``shared_cross_hits`` on the streamed generation events.
+3. **A repeat served from merged worker deltas** — every job ships the
+   cache entries it computed (predicted scores included) back to the
+   parent, which hands them to the next run's workers: re-running the
+   same requests finishes with ``cache_misses == 0`` on each job's last
+   generation event.
 4. **The L3 cache log + warm restart** — each ``run()`` appends one
    segment to ``cache_log/`` (no whole-file rewrite); a re-opened
    session loads the log (keyed by model hash) and repeats a request
-   bit-identically from cache.
+   bit-identically from cache, again without a cache miss.
 
 Run with ``python examples/parallel_quickstart.py``; takes well under a
 minute.  ``NETSYN_ARTIFACT_DIR`` and ``NETSYN_EVENT_LOG`` override the
@@ -74,6 +75,11 @@ def impossible_task(template) -> SynthesisTask:
     )
 
 
+def last_generation(job):
+    """The job's final ``generation`` progress event."""
+    return [event for event in job.events if event.kind == "generation"][-1]
+
+
 def main() -> None:
     config = NetSynConfig.small(fitness_kind="cf", seed=3)
     artifact_dir = os.environ.get("NETSYN_ARTIFACT_DIR", ".netsyn-artifacts-parallel")
@@ -87,7 +93,6 @@ def main() -> None:
         service_config=ServiceConfig(
             artifact_dir=artifact_dir,
             progress_every=500,
-            table_slots=1 << 14,  # the L2 tier
             fault_plan=fault_plan,
         ),
     )
@@ -138,7 +143,7 @@ def main() -> None:
               f"({len(log.of_kind('worker_restarted'))} restart(s), "
               f"{len(log.of_kind('job_retry'))} retry(s))")
 
-    print("\nL2: re-running the same requests against the shared score table ...")
+    print("\nRepeat: re-running the same requests from the merged worker deltas ...")
     start = time.time()
     repeats = [session.submit(task, budget=3_000, seed=3) for task in tasks]
     session.run(n_workers=2)
@@ -146,16 +151,12 @@ def main() -> None:
     for first, again in zip(jobs, repeats):
         assert again.result.found == first.result.found
         assert again.result.candidates_used == first.result.candidates_used
-    cross_hits = sum(
-        event.shared_cross_hits
-        for job in repeats
-        for event in job.events
-        if event.kind in ("generation", "neighborhood")
-    )
-    # run 2's pool is a fresh set of pids, so every L2 score hit comes
-    # from an entry another worker process published — cross by definition
-    assert cross_hits > 0, "expected cross-worker L2 hits on the repeated run"
-    print(f"  repeated 3 jobs in {elapsed:.1f}s with {cross_hits} cross-worker L2 hits")
+    if fault_plan is None:
+        # run 1's workers shipped every entry they computed home, and run
+        # 2's workers start from the parent's snapshot of them
+        for job in repeats:
+            assert last_generation(job).cache_misses == 0, f"{job.job_id} missed the cache"
+    print(f"  repeated 3 jobs in {elapsed:.1f}s, served from merged worker deltas")
 
     # -- the L3 cache log: appended segments, no whole-file rewrite ------
     manifest_path = Path(artifact_dir) / CACHE_LOG_DIR / CACHE_LOG_MANIFEST
@@ -176,6 +177,8 @@ def main() -> None:
     assert repeat.result.candidates_used == reference.result.candidates_used
     backend = warm.backend("netsyn_cf")
     assert backend.cache_version() > 0, "persisted caches were not loaded"
+    if fault_plan is None:
+        assert last_generation(repeat).cache_misses == 0, "the warm restart missed the cache"
     print(f"  repeated {tasks[0].task_id} in {elapsed:.1f}s, bit-identical to the cold run, "
           "served from the persisted cache log")
 
@@ -191,7 +194,7 @@ def main() -> None:
     if fault_plan is not None:
         print("\nOK (chaos): every fault recovered; results unchanged.")
     else:
-        print("\nOK: streaming, cancellation, L2 sharing and the L3 log all verified.")
+        print("\nOK: streaming, cancellation, worker merge-back and the L3 log all verified.")
 
 
 if __name__ == "__main__":

@@ -69,20 +69,6 @@ class NetSynSynthesizer(Synthesizer):
     def begin_cache_delta(self) -> None:
         self.backend.begin_cache_delta()
 
-    @property
-    def score_table(self):
-        return self.backend.score_table
-
-    def attach_score_table(self, table) -> None:
-        self.backend.attach_score_table(table)
-
-    @property
-    def remote_tier(self):
-        return self.backend.remote_tier
-
-    def attach_remote_tier(self, remote) -> None:
-        self.backend.attach_remote_tier(remote)
-
     # ------------------------------------------------------------------
     def synthesize(
         self,

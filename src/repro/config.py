@@ -299,14 +299,6 @@ class ServiceConfig:
     #: directory for the shared segment; defaults to ``artifact_dir``,
     #: falling back to a per-session temporary directory
     shared_dir: Optional[str] = None
-    #: slot count of the L2 shared score table (power of two; 64 B per
-    #: slot).  With ``shared_weights`` every parallel run shares one
-    #: lock-free mmap table (shared_scores.bin, next to the packed
-    #: weights) across the parent and its workers, so one worker's NN
-    #: forward serves all others mid-job.  Values are deterministic per
-    #: structural key, so results are bit-identical to serial runs; the
-    #: per-event cache *counters* are advisory (see docs/execution.md)
-    table_slots: int = 1 << 16
     #: coalesce worker progress events into batches of this size before
     #: they cross the multiprocessing queue (flushed when full, when the
     #: next event arrives >50 ms after the last flush, and at job end, so
@@ -359,13 +351,6 @@ class ServiceConfig:
     #: exercised by tests and the CI chaos job
     fault_plan: Optional[Any] = None
 
-    # -- serving (the network layer, repro.serving) ----------------------
-    #: ``host:port`` of a synthesis server whose score pool this session
-    #: consults as its L4 cache tier (misses that fall through L1-L3 ask
-    #: the server; computed scores are pushed back asynchronously).
-    #: None — the default — keeps the session fully local.
-    remote_score_cache: Optional[str] = None
-
     def __post_init__(self) -> None:
         # validate at construction: a bad knob should fail here with a
         # clear ValueError, not surface later as an opaque mmap/queue
@@ -379,8 +364,6 @@ class ServiceConfig:
             raise ValueError("progress_every must be at least 1")
         if self.max_events_per_job < 1:
             raise ValueError("max_events_per_job must be at least 1")
-        if self.table_slots <= 0 or self.table_slots & (self.table_slots - 1):
-            raise ValueError("table_slots must be a positive power of two")
         if self.event_batch_size < 1:
             raise ValueError("event_batch_size must be at least 1")
         if self.cache_log_compact_threshold < 1:
@@ -405,15 +388,13 @@ class ServiceConfig:
             raise ValueError("max_pool_crashes must be at least 1")
         if self.fault_plan is not None and hasattr(self.fault_plan, "validate"):
             self.fault_plan.validate()
-        if self.remote_score_cache is not None:
-            parse_address(self.remote_score_cache)
 
 
 def parse_address(address: str) -> Tuple[str, int]:
     """Split a ``host:port`` string, validating the port.
 
     The one address syntax used across the serving layer (server bind
-    address, client connect address, ``remote_score_cache``).  IPv6
+    address, client connect address).  IPv6
     literals use the usual bracket form (``[::1]:7777``).
     """
     if not isinstance(address, str) or ":" not in address:
@@ -436,8 +417,8 @@ class ServingConfig:
 
     One server owns one warm :class:`~repro.core.service.SynthesisSession`
     and serves many concurrent client connections: job submission with
-    bounded admission, live wire-streamed progress events, cancellation,
-    and the shared L4 score pool.
+    bounded admission, live wire-streamed progress events and
+    cancellation.
     """
 
     #: bind host of the server
@@ -461,11 +442,6 @@ class ServingConfig:
     #: hard bound on a single wire frame (a frame larger than this is a
     #: protocol error and closes the connection)
     max_frame_bytes: int = 16 * 1024 * 1024
-    #: score-pool pushes are batched: a client tier flushes its queue as
-    #: one ``cache_put`` frame when it holds this many entries
-    push_batch_size: int = 128
-    #: ... or when the oldest queued entry is this old (seconds)
-    push_interval: float = 0.25
     #: honour ``shutdown`` frames from clients (tests and examples);
     #: production servers keep this off and stop from their own process
     allow_remote_shutdown: bool = False
@@ -500,10 +476,6 @@ class ServingConfig:
             raise ValueError("batch_window must be non-negative")
         if self.max_frame_bytes < 1024:
             raise ValueError("max_frame_bytes must be at least 1 KiB")
-        if self.push_batch_size < 1:
-            raise ValueError("push_batch_size must be at least 1")
-        if self.push_interval <= 0:
-            raise ValueError("push_interval must be positive")
         if self.journal_compact_bytes < 4096:
             raise ValueError("journal_compact_bytes must be at least 4 KiB")
         if self.drain_timeout < 0:

@@ -36,7 +36,7 @@ from repro.execution import (
     BatchExecutionEngine,
     ExecutionEngine,
     LRUCache,
-    TieredScoreCache,
+    ScoreCache,
 )
 from repro.fitness.base import FitnessFunction
 from repro.fitness.functions import (
@@ -76,14 +76,8 @@ class NetSynBackend(SynthesisBackend):
         # cached value is a deterministic function of (program, io_set),
         # so reuse across jobs cannot change results, only skip work.
         self._shared_executor: Optional[ExecutionEngine] = None
-        self._score_cache: Optional[TieredScoreCache] = None
+        self._score_cache: Optional[ScoreCache] = None
         self._map_cache: Optional[LRUCache] = None
-        #: the L2 shared mmap score table of a parallel session (None on
-        #: the default single-tier path); see execution/shared_table.py
-        self._score_table: Any = None
-        #: the L4 network score tier of a served session (None offline);
-        #: see serving/cache_tier.py
-        self._remote_tier: Any = None
 
     # ------------------------------------------------------------------
     @property
@@ -169,8 +163,6 @@ class NetSynBackend(SynthesisBackend):
         self._shared_executor = None
         self._score_cache = None
         self._map_cache = None
-        self._score_table = None
-        self._remote_tier = None
 
     def set_models(
         self,
@@ -203,7 +195,7 @@ class NetSynBackend(SynthesisBackend):
         evaluate whole candidate batches in one vectorized pass.  It
         feeds the same :class:`~repro.execution.EvaluationCache` as the
         per-candidate :class:`~repro.execution.ExecutionEngine`, so
-        snapshots, deltas and every cache tier behave identically.
+        snapshots and deltas behave identically.
         """
         return BatchExecutionEngine()
 
@@ -213,15 +205,13 @@ class NetSynBackend(SynthesisBackend):
             self._shared_executor = self._make_executor()
         return self._shared_executor
 
-    def _tiered_score_cache(self) -> TieredScoreCache:
+    def _nn_score_cache(self) -> ScoreCache:
         """The backend-lifetime predicted-score cache (built on first use)."""
         if self._score_cache is None:
             cfg = self.config
-            self._score_cache = TieredScoreCache(
+            self._score_cache = ScoreCache(
                 capacity=cfg.score_cache_size,
                 namespace=f"score:nnff_{cfg.fitness_kind}",
-                table=self._score_table,
-                remote=self._remote_tier,
             )
         return self._score_cache
 
@@ -299,7 +289,7 @@ class NetSynBackend(SynthesisBackend):
         if not data:
             return
         if "scores" in data:
-            self._tiered_score_cache().load_snapshot(data["scores"])
+            self._nn_score_cache().load_snapshot(data["scores"])
         if "maps" in data:
             self._fp_map_cache().load(data["maps"])
         if "evaluation" in data:
@@ -313,42 +303,6 @@ class NetSynBackend(SynthesisBackend):
         cache delta back to the parent.
         """
         return sum(cache.stats.stores for _s, cache, _e in self._memo_sections())
-
-    # ------------------------------------------------------------------
-    @property
-    def score_table(self) -> Any:
-        """The attached L2 shared score table (None on the single-tier path)."""
-        return self._score_table
-
-    def attach_score_table(self, table: Any) -> None:
-        """Attach the session's L2 shared mmap score table.
-
-        From then on score-cache misses fall through to the table and
-        every computed score is published to it, so concurrent workers
-        serve each other mid-job.  Values are deterministic per
-        structural key, so attaching a table never changes results.
-        """
-        self._score_table = table
-        if self._score_cache is not None:
-            self._score_cache.attach_table(table)
-
-    @property
-    def remote_tier(self) -> Any:
-        """The attached L4 network score tier (None when serving offline)."""
-        return self._remote_tier
-
-    def attach_remote_tier(self, remote: Any) -> None:
-        """Attach an L4 network score tier (``repro.serving.cache_tier``).
-
-        Misses that fall through every local tier then consult the remote
-        score pool, and computed scores are pushed back asynchronously.
-        Like the L2 table, values are deterministic per structural key, so
-        attaching (or losing) the tier never changes results — only how
-        much local work is skipped.
-        """
-        self._remote_tier = remote
-        if self._score_cache is not None:
-            self._score_cache.attach_remote(remote)
 
     # ------------------------------------------------------------------
     def build_fitness(
@@ -372,7 +326,7 @@ class NetSynBackend(SynthesisBackend):
                 kind=kind,
                 encoder=self._trace_artifacts.encoder,
                 executor=executor,
-                score_cache=self._tiered_score_cache(),
+                score_cache=self._nn_score_cache(),
                 program_length=cfg.program_length,
             )
         if kind == "fp":

@@ -198,36 +198,6 @@ _WORKER_BACKENDS: Dict[Any, Any] = {}
 #: instead of serving memmap views laid out for the old file
 _ATTACHED_STORES: Dict[Tuple[str, str], ArtifactStore] = {}
 
-#: per-process memo of attached L2 shared score tables, keyed by
-#: (path, file identity) — a table recreated for new weights (new inode)
-#: re-attaches instead of being served through a stale mapping
-_ATTACHED_TABLES: Dict[Tuple[str, str], Any] = {}
-
-
-def _attach_score_table(path: Optional[str]) -> Any:
-    """Attach (memoized per process) the shared score table at ``path``."""
-    if not path:
-        return None
-    try:
-        stat = Path(path).stat()
-        identity = f"{stat.st_ino}:{stat.st_size}"
-    except OSError:
-        identity = "missing"
-    key = (path, identity)
-    if key not in _ATTACHED_TABLES:
-        from repro.execution.shared_table import SharedScoreTable
-
-        try:
-            faults.fire("table_attach", target=path, path=path)
-            _ATTACHED_TABLES[key] = SharedScoreTable.attach(path)
-        except (OSError, ValueError) as error:
-            # missing/short/torn table file: degrade this process to
-            # L1-only caching instead of failing its jobs
-            logger.warning("could not attach shared score table %s: %s", path, error)
-            _ATTACHED_TABLES[key] = None
-    return _ATTACHED_TABLES[key]
-
-
 def _segment_token(directory: str) -> str:
     """Identity of the packed segment currently on disk (mtime + size)."""
     from repro.core.artifacts import SHARED_WEIGHTS_BIN
@@ -283,9 +253,6 @@ class SharedWorkerPayload:
     config: NetSynConfig
     names: Tuple[str, ...] = ()
     snapshot_file: Optional[str] = None
-    #: path of the L2 shared mmap score table (None = L2 disabled);
-    #: workers attach it once per process and hand it to their backends
-    score_table_file: Optional[str] = None
     #: identity of the packed segment (set by the parent at pack time);
     #: part of the attach-memo key so a re-packed segment re-attaches
     token: str = ""
@@ -319,13 +286,7 @@ class SharedWorkerPayload:
                 _ATTACHED_STORES[key] = ArtifactStore.load(
                     self.directory, names=self.names or None
                 )
-        _attach_score_table(self.score_table_file)
         return self
-
-    @property
-    def score_table(self) -> Any:
-        """This process's handle on the L2 table (None when disabled)."""
-        return _attach_score_table(self.score_table_file)
 
     @property
     def store(self) -> ArtifactStore:
@@ -517,12 +478,6 @@ def _run_service_job(spec: _ServiceJobSpec) -> _ServiceJobOutcome:
             if snapshot and hasattr(backend, "load_cache_snapshot"):
                 backend.load_cache_snapshot(snapshot)
             _WORKER_BACKENDS[key] = backend
-        # the session's L2 shared score table (when enabled): attach it
-        # before solving so mid-job forwards publish to — and read from —
-        # the table every sibling worker shares
-        table = getattr(payload, "score_table", None)
-        if table is not None and hasattr(backend, "attach_score_table"):
-            backend.attach_score_table(table)
         # mirror the session's own backend setup: the configured event
         # cadence (which is also the budget-hook cancellation cadence)
         # must reach worker backends, not just local ones
@@ -566,11 +521,6 @@ def _worker_cache_delta(backend: Any, version_before: int) -> Optional[dict]:
         delta = backend.cache_snapshot(dirty_only=True)
     else:
         delta = backend.cache_snapshot()
-    if delta and getattr(backend, "score_table", None) is not None:
-        # L2 is live: every score this job computed is already published
-        # in the shared table, and the parent reads its misses from there
-        # — don't also ship them through the result pickle
-        delta.pop("scores", None)
     return delta or None
 
 
@@ -594,17 +544,6 @@ class SynthesisSession:
         self._next_job_number = 0
         self._shared_dir: Optional[Path] = None
         self._shared_packed = False
-        #: the session's L2 shared mmap score table (created lazily by the
-        #: first parallel run over shared weights);
-        #: the parent attaches it too, so score misses after a parallel
-        #: run are read from the table instead of shipped in job deltas
-        self._score_table: Any = None
-        #: the L4 network score tier (created lazily from
-        #: ServiceConfig.remote_score_cache, or attached explicitly via
-        #: :meth:`attach_remote_score_tier`); None keeps the session
-        #: fully local.  Only the parent process consults it — workers
-        #: share through the L2 table and per-job deltas as before.
-        self._remote_tier: Any = None
         # Persisted warm caches: snapshots written by a previous process
         # next to the artifacts, keyed by model hash (stale snapshots are
         # discarded by ArtifactStore.load_caches).  Applied lazily as
@@ -643,39 +582,6 @@ class SynthesisSession:
         self._listeners.append(listener)
 
     # ------------------------------------------------------------------
-    @property
-    def remote_score_tier(self) -> Any:
-        """The attached L4 network score tier (None when fully local)."""
-        return self._remote_tier
-
-    def attach_remote_score_tier(self, remote: Any) -> None:
-        """Attach an L4 network score tier to this session.
-
-        Every already-built backend (and every backend built later)
-        falls through to ``remote`` on local score-cache misses and
-        pushes computed scores back.  Values are deterministic per
-        structural key, so attaching a tier never changes results.  The
-        server side of ``repro.serving`` uses this to publish its own
-        session's scores into the served score pool.
-        """
-        self._remote_tier = remote
-        for backend in self._backends.values():
-            if hasattr(backend, "attach_remote_tier"):
-                backend.attach_remote_tier(remote)
-
-    def _resolve_remote_tier(self) -> Any:
-        """The session's L4 tier, built on first use from the config.
-
-        The import is deferred so ``repro.core`` never depends on
-        ``repro.serving`` unless a remote cache is actually configured
-        (the serving package imports back into core).
-        """
-        if self._remote_tier is None and self.service_config.remote_score_cache:
-            from repro.serving.cache_tier import RemoteScoreTier
-
-            self._remote_tier = RemoteScoreTier(self.service_config.remote_score_cache)
-        return self._remote_tier
-
     def backend(self, method: str, program_length: Optional[int] = None) -> SynthesisBackend:
         """The cached backend for ``method`` (built and bound on first use)."""
         from repro.baselines.registry import build_backend
@@ -690,11 +596,6 @@ class SynthesisSession:
             snapshot = self._cache_snapshots.get(_snapshot_key(method, program_length))
             if snapshot and hasattr(backend, "load_cache_snapshot"):
                 backend.load_cache_snapshot(snapshot)
-            if self._score_table is not None and hasattr(backend, "attach_score_table"):
-                backend.attach_score_table(self._score_table)
-            remote = self._resolve_remote_tier()
-            if remote is not None and hasattr(backend, "attach_remote_tier"):
-                backend.attach_remote_tier(remote)
             if hasattr(backend, "begin_cache_delta"):
                 # persisted-snapshot loads count as writes; open a fresh
                 # dirty window so the next L3 segment holds only entries
@@ -867,33 +768,8 @@ class SynthesisSession:
             config=self.config,
             names=self.store.names(),
             snapshot_file=snapshot_file,
-            score_table_file=self._score_table_file(directory),
             token=_segment_token(str(directory)),
         )
-
-    def _score_table_file(self, directory: Path) -> str:
-        """Create/attach the session's L2 shared score table.
-
-        The table lives next to the packed weight segment, keyed by the
-        store's model hash: :meth:`SharedScoreTable.ensure` recreates a
-        table left behind by a session over different weights, because
-        cached scores are functions of the model.  The parent attaches
-        the same table it hands the workers — after a parallel run its
-        own L1 misses are answered from L2 instead of requiring workers
-        to ship score deltas through the result pickle.
-        """
-        if self._score_table is None:
-            from repro.execution.shared_table import SHARED_SCORES_BIN, SharedScoreTable
-
-            self._score_table = SharedScoreTable.ensure(
-                directory / SHARED_SCORES_BIN,
-                n_slots=self.service_config.table_slots,
-                model_hash=self.store.model_hash(),
-            )
-            for backend in self._backends.values():
-                if hasattr(backend, "attach_score_table"):
-                    backend.attach_score_table(self._score_table)
-        return str(self._score_table.path)
 
     # ------------------------------------------------------------------
     def _pump_events(
@@ -1015,7 +891,7 @@ class SynthesisSession:
         are persisted for later sessions (``ServiceConfig.persist_caches``).
         """
         if self.service_config.fault_plan is not None:
-            # the parent's own instrumented sites (l3_append, table_attach)
+            # the parent's own instrumented site (l3_append)
             # must observe the plan on serial runs too
             faults.install(self.service_config.fault_plan, role="parent")
         self._flush_startup_events()

@@ -96,15 +96,12 @@ class ProgressEvent:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_hit_rate: float = 0.0
-    #: L2 shared-score-table counters (zero outside parallel sessions
-    #: over shared weights); ``shared_cross_hits`` counts hits on
-    #: entries another worker process computed
+    #: retired shared-score-table counters, always 0: they stay in the
+    #: v1 schema because existing readers fetch them by name, and go
+    #: when the flat cache fields fold into one ``counters`` map (a
+    #: schema bump, see ROADMAP.md)
     shared_hits: int = 0
     shared_cross_hits: int = 0
-    #: L4 remote-score-tier hits (zero unless a remote cache server is
-    #: attached — see ``repro.serving``); every remote hit is also an
-    #: L1/L2 miss, mirroring how ``shared_hits`` relate to ``cache_hits``
-    remote_hits: int = 0
     #: outcome fields ("finished" events only)
     found: Optional[bool] = None
     found_by: str = ""
@@ -137,7 +134,6 @@ class ProgressEvent:
             "cache_hit_rate": self.cache_hit_rate,
             "shared_hits": self.shared_hits,
             "shared_cross_hits": self.shared_cross_hits,
-            "remote_hits": self.remote_hits,
             "found": self.found,
             "found_by": self.found_by,
             "worker_id": self.worker_id,

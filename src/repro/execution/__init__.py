@@ -17,8 +17,7 @@ from repro.execution.cache import (
 )
 from repro.execution.engine import ExecutionEngine, uncached_engine
 from repro.execution.faults import Fault, FaultInjected, FaultPlan
-from repro.execution.score_cache import LRUCache, ScoreCache, TieredScoreCache
-from repro.execution.shared_table import SharedScoreTable
+from repro.execution.score_cache import LRUCache, ScoreCache
 from repro.execution.vectorized import BatchExecutionEngine, ColumnarEvaluator, TraceColumns
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "FaultPlan",
     "LRUCache",
     "ScoreCache",
-    "SharedScoreTable",
-    "TieredScoreCache",
     "TraceColumns",
     "freeze_value",
     "io_set_key",

@@ -88,16 +88,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     stores: int = 0
-    #: L2 shared-table hits observed through a TieredScoreCache — split
-    #: out from ``hits`` because an L2 hit is *also* an L1 miss (the
-    #: local lookup ran and failed before the shared tier answered)
-    shared_hits: int = 0
-    #: the subset of ``shared_hits`` whose entry another process stored
-    shared_cross_hits: int = 0
-    #: L4 remote-tier hits observed through a TieredScoreCache with an
-    #: attached network score tier (``repro.serving``) — like
-    #: ``shared_hits``, every remote hit is also a local miss
-    remote_hits: int = 0
     by_namespace: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
     @property
@@ -132,9 +122,6 @@ class CacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "stores": self.stores,
-            "shared_hits": self.shared_hits,
-            "shared_cross_hits": self.shared_cross_hits,
-            "remote_hits": self.remote_hits,
             "hit_rate": self.hit_rate,
             "by_namespace": {k: {"hits": v[0], "misses": v[1]} for k, v in self.by_namespace.items()},
         }

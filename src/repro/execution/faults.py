@@ -1,7 +1,7 @@
 """Deterministic fault injection for the fault-tolerance harness.
 
 Every recovery path in the service layer — worker restarts, job retries,
-quarantine, truncated-segment skips, shared-table recreation — exists to
+quarantine, truncated-segment skips — exists to
 survive failures that are rare and non-deterministic in production.  To
 *test* those paths they must be neither: this module lets a seeded
 :class:`FaultPlan` fire precisely-targeted faults at named **sites** the
@@ -26,10 +26,6 @@ runtime code instruments with :func:`fire`:
     the segment file name).  A ``truncate`` here simulates the process
     being killed mid-write, leaving a torn segment for the CRC framing
     to reject on the next load.
-``table_attach``
-    When a process attaches the L2 shared score table (target is the
-    table path).  A ``raise`` here simulates a missing/short mmap file;
-    the attaching worker degrades to L1-only caching.
 
 Plans are plain picklable dataclasses so they travel to worker processes
 with the rest of the job payload, and firing is counted per site *per
@@ -51,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: the sites the runtime instruments; ``fire`` rejects unknown names so a
 #: typo in a plan fails the test that wrote it instead of silently never
 #: firing
-SITES = ("worker_start", "pre_merge", "event_put", "l3_append", "table_attach")
+SITES = ("worker_start", "pre_merge", "event_put", "l3_append")
 
 #: what a matched fault does when it fires
 ACTIONS = ("crash", "raise", "truncate", "hang", "freeze")

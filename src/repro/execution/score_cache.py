@@ -22,6 +22,12 @@ predicted fitness is one well-defined number, and this module caches it:
 Memoized values are deterministic functions of ``(program, io_set)``, so
 — exactly like the :class:`~repro.execution.cache.EvaluationCache` —
 the cache can never change the result of a run, only its cost.
+
+A process holds one :class:`ScoreCache` per scoring model (the L1 tier).
+Parallel workers ship the entries a job wrote (:meth:`ScoreCache.dirty_snapshot`)
+back to the parent session, which appends its own dirty window to the
+persistent cache log (the L3 tier, ``repro.core.artifacts``) and loads
+that log back at the next session open (see ``docs/execution.md``).
 """
 
 from __future__ import annotations
@@ -257,170 +263,3 @@ class ScoreCache:
             f"capacity={self.capacity}, hit_rate={self.stats.hit_rate:.3f})"
         )
 
-
-class TieredScoreCache(ScoreCache):
-    """The score-cache facade over the cache tiers (see ``docs/execution.md``).
-
-    * **L1** — the per-process :class:`ScoreCache` LRU this class *is*.
-    * **L2** — an optional
-      :class:`~repro.execution.shared_table.SharedScoreTable`: a
-      lock-free mmap hash shared by every process of a parallel session.
-      L1 misses fall through to L2, and L2 hits are promoted into L1
-      (which also marks them dirty, so the parent's next L3 segment
-      persists scores first computed by a worker).  Writes go through to
-      both tiers.
-    * **L3** — the append-only persistent cache log; it never appears
-      here directly: segments are loaded into L1 via
-      :meth:`load_snapshot` at session open and appended from L1's dirty
-      window at persist time (``ArtifactStore.save_caches``).
-    * **L4** — an optional *remote* score tier (see
-      ``repro.serving.cache_tier``): misses that fall through L1 and L2
-      consult a network score server shared by a whole fleet of hosts,
-      and locally computed scores are pushed back asynchronously.  Like
-      L2 it speaks 64-bit structural keys; remote hits are promoted into
-      L1 (and published to L2 when a table is attached) and counted on
-      ``stats.remote_hits``.
-
-    With no table and no remote tier attached (the default) this class
-    behaves exactly like :class:`ScoreCache`, which is what keeps the
-    defaults-off serial path bit-identical.  Because every value is a
-    deterministic function of its structural key, serving a value from
-    any tier yields the same number — tiering changes where work
-    happens, never what a run computes.
-    """
-
-    def __init__(
-        self, capacity: int = 100_000, namespace: str = "score", table=None, remote=None
-    ) -> None:
-        super().__init__(capacity=capacity, namespace=namespace)
-        self._table = table
-        self._remote = remote
-        #: io_key -> 32-byte digest memo (a run touches a handful of
-        #: specs; hashing the spec once amortizes the dominant key bytes)
-        self._io_tokens: "OrderedDict[Tuple, bytes]" = OrderedDict()
-
-    # ------------------------------------------------------------------
-    @property
-    def table(self):
-        """The attached L2 shared table (None when running single-tier)."""
-        return self._table
-
-    def attach_table(self, table) -> None:
-        """Attach (or replace) the L2 shared table."""
-        self._table = table
-
-    @property
-    def remote(self):
-        """The attached L4 remote score tier (None when offline)."""
-        return self._remote
-
-    def attach_remote(self, remote) -> None:
-        """Attach (or replace) the L4 remote score tier.
-
-        ``remote`` needs two methods: ``get(key64) -> Optional[float]``
-        (a synchronous lookup against the shared pool) and
-        ``put(key64, value)`` (an asynchronous push — the tier buffers
-        and batches; a slow or dead server must never block scoring).
-        """
-        self._remote = remote
-
-    def _key64(self, key: Tuple[int, ...], io_key: Tuple) -> int:
-        from repro.execution.shared_table import io_token, structural_key64
-
-        token = self._io_tokens.get(io_key)
-        if token is None:
-            token = io_token(io_key)
-            if len(self._io_tokens) >= 32:
-                self._io_tokens.popitem(last=False)
-            self._io_tokens[io_key] = token
-        return structural_key64(key, token)
-
-    def _shared_get(self, key: Tuple[int, ...], io_key: Tuple) -> Optional[float]:
-        """L2 lookup; hits are promoted into L1 and counted on its stats."""
-        if self._table is None:
-            return None
-        entry = self._table.get(self._key64(key, io_key))
-        if entry is None:
-            return None
-        value, cross = entry
-        self._lru.stats.shared_hits += 1
-        if cross:
-            self._lru.stats.shared_cross_hits += 1
-        self._lru.put((key, io_key), value)
-        return value
-
-    def _shared_put(self, key: Tuple[int, ...], io_key: Tuple, value: float) -> None:
-        if self._table is not None:
-            self._table.put(self._key64(key, io_key), value)
-
-    def _remote_get(self, key: Tuple[int, ...], io_key: Tuple) -> Optional[float]:
-        """L4 lookup; hits are promoted into L1 (and published to L2)."""
-        if self._remote is None:
-            return None
-        value = self._remote.get(self._key64(key, io_key))
-        if value is None:
-            return None
-        self._lru.stats.remote_hits += 1
-        self._lru.put((key, io_key), value)
-        if self._table is not None:
-            self._table.put(self._key64(key, io_key), value)
-        return value
-
-    def _remote_put(self, key: Tuple[int, ...], io_key: Tuple, value: float) -> None:
-        if self._remote is not None:
-            self._remote.put(self._key64(key, io_key), value)
-
-    def _fallthrough_get(self, key: Tuple[int, ...], io_key: Tuple) -> Optional[float]:
-        """L2 then L4, in tier order (used after every L1 miss)."""
-        value = self._shared_get(key, io_key)
-        if value is not None:
-            return value
-        return self._remote_get(key, io_key)
-
-    # ------------------------------------------------------------------
-    def get(self, program: Program, io_key: Tuple) -> Optional[float]:
-        key = program_key(program)
-        cached = self._lru.get((key, io_key), _MISSING, namespace=self.namespace)
-        if cached is not _MISSING:
-            return cached
-        return self._fallthrough_get(key, io_key)
-
-    def put(self, program: Program, io_key: Tuple, value: float) -> None:
-        super().put(program, io_key, value)
-        self._shared_put(program_key(program), io_key, float(value))
-        self._remote_put(program_key(program), io_key, float(value))
-
-    def put_key(self, key: Tuple[int, ...], io_key: Tuple, value: float) -> None:
-        super().put_key(key, io_key, value)
-        self._shared_put(key, io_key, float(value))
-        self._remote_put(key, io_key, float(value))
-
-    def partition(
-        self, programs: Sequence[Program], io_key: Tuple
-    ) -> Tuple[np.ndarray, "OrderedDict[Tuple[int, ...], Tuple[Program, List[int]]]"]:
-        if self._table is None and self._remote is None:
-            return super().partition(programs, io_key)
-        scores = np.zeros(len(programs))
-        pending: "OrderedDict[Tuple[int, ...], Tuple[Program, List[int]]]" = OrderedDict()
-        for index, program in enumerate(programs):
-            key = program_key(program)
-            cached = self._lru.get((key, io_key), _MISSING, namespace=self.namespace)
-            if cached is not _MISSING:
-                scores[index] = cached
-            elif key in pending:
-                pending[key][1].append(index)
-            else:
-                shared = self._fallthrough_get(key, io_key)
-                if shared is not None:
-                    scores[index] = shared
-                else:
-                    pending[key] = (program, [index])
-        return scores, pending
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        tiers = "L1" + ("+L2" if self._table is not None else "")
-        tiers += "+L4" if self._remote is not None else ""
-        return (
-            f"TieredScoreCache({tiers}, namespace={self.namespace!r}, "
-            f"entries={len(self)}, capacity={self.capacity})"
-        )

@@ -75,26 +75,17 @@ class GeneticAlgorithm:
         # Shared execution engine: the solution check below and the fitness
         # scoring reuse one cached execution per (candidate, io_set).
         self.executor = executor or ExecutionEngine()
-        self._stats_base = (0, 0, 0, 0, 0)
+        self._stats_base = (0, 0)
 
     # ------------------------------------------------------------------
-    def _cache_counters(self) -> tuple:
-        """Combined (hits, misses, shared_hits, shared_cross_hits,
-        remote_hits) of the executor and fitness caches — shared_* are
-        the L2 tier's counters (always zero when no shared score table is
-        attached) and remote_hits the L4 network tier's (zero offline)."""
+    def _cache_counters(self) -> Tuple[int, int]:
+        """Combined (hits, misses) of the executor and fitness caches."""
         hits = self.executor.stats.hits
         misses = self.executor.stats.misses
-        shared_hits = getattr(self.executor.stats, "shared_hits", 0)
-        shared_cross = getattr(self.executor.stats, "shared_cross_hits", 0)
-        remote_hits = getattr(self.executor.stats, "remote_hits", 0)
         for stats in self.fitness.cache_stats():
             hits += stats.hits
             misses += stats.misses
-            shared_hits += getattr(stats, "shared_hits", 0)
-            shared_cross += getattr(stats, "shared_cross_hits", 0)
-            remote_hits += getattr(stats, "remote_hits", 0)
-        return hits, misses, shared_hits, shared_cross, remote_hits
+        return hits, misses
 
     # ------------------------------------------------------------------
     def _admit(
@@ -174,13 +165,10 @@ class GeneticAlgorithm:
         # deltas since run() started: the engine/score caches persist
         # across a backend's runs, and cumulative totals would drown the
         # current run's behaviour in previous runs' traffic.
-        hits, misses, shared_hits, shared_cross, remote_hits = self._cache_counters()
-        base_hits, base_misses, base_shared, base_cross, base_remote = self._stats_base
+        hits, misses = self._cache_counters()
+        base_hits, base_misses = self._stats_base
         hits -= base_hits
         misses -= base_misses
-        shared_hits -= base_shared
-        shared_cross -= base_cross
-        remote_hits -= base_remote
         listener(
             ProgressEvent(
                 kind=kind,
@@ -192,9 +180,6 @@ class GeneticAlgorithm:
                 cache_hits=hits,
                 cache_misses=misses,
                 cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
-                shared_hits=shared_hits,
-                shared_cross_hits=shared_cross,
-                remote_hits=remote_hits,
             )
         )
 

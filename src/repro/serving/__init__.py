@@ -1,22 +1,15 @@
-"""The network synthesis service (server, client, wire protocol, L4 tier).
+"""The network synthesis service (server, client, wire protocol).
 
 One :class:`~repro.serving.server.SynthesisServer` owns a warm
 :class:`~repro.core.service.SynthesisSession` and serves many concurrent
 clients over a small length-prefixed JSON protocol: job submission with
-bounded admission, live wire-streamed progress events, cancellation, and
-a shared score pool other processes mount as their **L4 cache tier**.
-
-The cache hierarchy this completes::
-
-    L1  per-process LRU            (execution/score_cache.py)
-    L2  shared mmap table          (execution/shared_table.py)
-    L3  append-only cache log      (core/artifacts.py)
-    L4  network score pool         (serving/cache_tier.py)   <- this package
+bounded admission, live wire-streamed progress events and cancellation.
+Score caching stays inside the served session (its per-process L1 cache
+plus the persistent L3 cache log, see ``docs/execution.md``): jobs from
+every client share that one warm session, so they share its caches.
 
 Typical topology: one server process per trained model, N client
-processes (interactive sessions, evaluation runners) that submit jobs
-and/or mount the server's score pool so one client's NN forwards warm
-every other client.
+processes (interactive sessions, evaluation runners) that submit jobs.
 
 Durability (configure ``ServingConfig.journal_dir``): every admission
 and terminal outcome is appended to a crash-safe write-ahead
@@ -30,7 +23,6 @@ Everything here is standard-library only (asyncio + sockets + json);
 importing ``repro.serving`` never pulls optional dependencies.
 """
 
-from repro.serving.cache_tier import LocalPoolTier, RemoteScoreTier, ScorePool
 from repro.serving.client import (
     RemoteError,
     RemoteJob,
@@ -45,9 +37,6 @@ from repro.serving.server import SynthesisServer
 __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "ScorePool",
-    "LocalPoolTier",
-    "RemoteScoreTier",
     "RemoteError",
     "RemoteJob",
     "RemoteSynthesisSession",

@@ -305,7 +305,7 @@ class RemoteSynthesisSession:
         self._listeners.append(listener)
 
     def ping(self) -> dict:
-        """Server liveness + score-pool statistics."""
+        """Server liveness: protocol version and active job count."""
         return self._request({"type": "ping"})
 
     def health(self) -> dict:

@@ -12,8 +12,6 @@ Request frames (client -> server)
 ``status``     job_id -> ``job``
 ``cancel``     job_id -> ``job`` (the post-cancel state)
 ``events``     job_id [+ since] -> ``event``* then ``end`` (a stream)
-``cache_get``  key (int64) -> ``cache_value``
-``cache_put``  entries [[key, value], ...] -> ``cache_ok``
 ``ping``       -> ``pong``
 ``health``     -> ``health`` (lifecycle state, queue depth, journal stats)
 ``shutdown``   -> ``bye`` (honoured only with ``allow_remote_shutdown``)
@@ -30,8 +28,6 @@ Response frames (server -> client)
 ``job``          full job state (:func:`job_to_wire`)
 ``event``        one ProgressEvent + its per-job sequence number
 ``end``          terminal frame of an event stream (carries the job)
-``cache_value``  score pool answer (``value`` is null on a miss)
-``cache_ok``     count of accepted cache entries
 ``health``       lifecycle state (``serving``/``draining``/``stopping``),
                  uptime, queue depth, journaled-pending count, journal
                  append/compaction counters

@@ -10,7 +10,7 @@ Architecture (three kinds of thread, one asyncio loop)::
         ``batch_window`` so concurrent clients coalesce into one
         parallel ``session.run``, then settles each job's stream.
     the session's own machinery
-        the supervised worker pool, event pump and cache tiers of
+        the supervised worker pool, event pump and caches of
         :class:`~repro.core.service.SynthesisSession` — unchanged; the
         server is a network shell around it.
 
@@ -27,11 +27,6 @@ Backpressure is rejection, not stalling: a ``submit`` beyond
 ``max_pending_jobs`` unsettled jobs is answered with an
 ``over_capacity`` error carrying ``retry_after`` — the accept loop and
 running jobs are never blocked by an overeager client.
-
-The server's own session publishes every score it computes into the
-served :class:`~repro.serving.cache_tier.ScorePool` (attached as its
-remote tier), so clients mounting the pool as their L4 tier are warmed
-by the server's work — and by each other's pushed-back scores.
 
 Durability (``ServingConfig.journal_dir``): every admission is appended
 to a crash-safe :class:`~repro.serving.journal.JobJournal` *before* the
@@ -63,7 +58,6 @@ from repro.config import ServingConfig
 from repro.core.service import JobState, SynthesisJob, SynthesisSession
 from repro.events import ProgressEvent
 from repro.serving import protocol
-from repro.serving.cache_tier import LocalPoolTier, ScorePool
 from repro.serving.journal import JobJournal
 from repro.utils.logging import get_logger
 
@@ -95,11 +89,6 @@ class SynthesisServer:
     ) -> None:
         self.session = session
         self.config = config or ServingConfig()
-        self.pool = ScorePool(table=getattr(session, "_score_table", None))
-        # the server's own work becomes servable: scores the session
-        # computes solving jobs go straight into the pool, and its own
-        # misses are answered from what clients pushed back
-        session.attach_remote_score_tier(LocalPoolTier(self.pool))
         session.add_listener(self._on_event)
         self._jobs: Dict[str, SynthesisJob] = {}
         self._streams: Dict[str, _JobStream] = {}
@@ -556,32 +545,6 @@ class SynthesisServer:
             await protocol.write_frame(writer, self._job_frame(frame, cancel=False), max_bytes)
         elif kind == "cancel":
             await protocol.write_frame(writer, self._job_frame(frame, cancel=True), max_bytes)
-        elif kind == "cache_get":
-            key = frame.get("key")
-            if not isinstance(key, int):
-                await protocol.write_frame(
-                    writer, protocol.error_frame("bad_frame", "cache_get needs an int key"), max_bytes
-                )
-                return True
-            self._refresh_pool_table()
-            await protocol.write_frame(
-                writer, {"type": "cache_value", "value": self.pool.get(key)}, max_bytes
-            )
-        elif kind == "cache_put":
-            entries = frame.get("entries")
-            if not isinstance(entries, list):
-                await protocol.write_frame(
-                    writer, protocol.error_frame("bad_frame", "cache_put needs an entries list"), max_bytes
-                )
-                return True
-            try:
-                count = self.pool.put_many((int(k), float(v)) for k, v in entries)
-            except (TypeError, ValueError):
-                await protocol.write_frame(
-                    writer, protocol.error_frame("bad_frame", "entries must be [key, value] pairs"), max_bytes
-                )
-                return True
-            await protocol.write_frame(writer, {"type": "cache_ok", "count": count}, max_bytes)
         elif kind == "ping":
             with self._admission_lock:
                 active = self._active
@@ -591,7 +554,6 @@ class SynthesisServer:
                     "type": "pong",
                     "protocol": protocol.PROTOCOL_VERSION,
                     "active_jobs": active,
-                    "pool": self.pool.stats(),
                 },
                 max_bytes,
             )
@@ -640,13 +602,6 @@ class SynthesisServer:
             "methods": list(self.session.methods),
             "journal": journal,
         }
-
-    def _refresh_pool_table(self) -> None:
-        """Back the pool by the session's L2 table once one exists (the
-        table is created lazily at the session's first parallel run)."""
-        table = getattr(self.session, "_score_table", None)
-        if table is not None:
-            self.pool.attach_table(table)
 
     # -- submit ---------------------------------------------------------
 

@@ -20,9 +20,6 @@ The fault matrix exercised here (via the deterministic
   ends ``failed`` with a ``deadline`` report while its siblings finish;
 * a truncated L3 cache-log segment is skipped (with a
   ``cache_segment_skipped`` event), never crashing a load;
-* a torn/truncated L2 shared score table is rejected by ``attach`` and
-  recreated by ``ensure``; attach failures downgrade a process to
-  L1-only caching;
 * a missing shared-weights segment downgrades workers to private npz
   copies instead of failing their jobs;
 * an empty or truncated worker warm-cache snapshot is a cold start for
@@ -51,7 +48,6 @@ from repro.dsl.equivalence import IOExample
 from repro.events import EventLog, ProgressEvent
 from repro.execution import faults
 from repro.execution.faults import Fault, FaultInjected, FaultPlan
-from repro.execution.shared_table import SharedScoreTable
 
 
 @pytest.fixture(autouse=True)
@@ -193,9 +189,6 @@ class TestServiceConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"table_slots": 0},
-            {"table_slots": -8},
-            {"table_slots": 1000},  # not a power of two
             {"event_batch_size": 0},
             {"cache_log_compact_threshold": 0},
             {"n_workers": 0},
@@ -428,7 +421,7 @@ class TestDeadlines:
 
 
 # ---------------------------------------------------------------------------
-# Crash-safe cache tiers (L3 segment log, L2 shared table, shared weights)
+# Crash-safe persisted state (L3 segment log, shared weights)
 # ---------------------------------------------------------------------------
 
 
@@ -541,74 +534,6 @@ class TestCrashSafeCacheLog:
         manifest = json.loads((tmp_path / CACHE_LOG_DIR / CACHE_LOG_MANIFEST).read_text())
         for record in manifest["segments"]:
             assert (tmp_path / CACHE_LOG_DIR / record["file"]).stat().st_size > 0
-
-
-class TestSharedTableRecovery:
-    def test_attach_rejects_truncated_file(self, tmp_path):
-        path = tmp_path / "scores.bin"
-        SharedScoreTable.create(path, n_slots=1 << 8)
-        size = path.stat().st_size
-        with path.open("r+b") as handle:
-            handle.truncate(size // 2)
-        with pytest.raises(ValueError, match="truncated"):
-            SharedScoreTable.attach(path)
-
-    def test_ensure_recreates_torn_header(self, tmp_path):
-        path = tmp_path / "scores.bin"
-        SharedScoreTable.create(path, n_slots=1 << 8)
-        with path.open("r+b") as handle:
-            handle.write(b"\xff" * 16)  # tear the header in place
-        table = SharedScoreTable.ensure(path, n_slots=1 << 8)
-        assert table.n_slots == 1 << 8
-        assert table.occupancy() == 0
-        table.put(1234, 0.5)
-        assert table.get(1234)[0] == 0.5
-
-    def test_ensure_recreates_truncated_file(self, tmp_path):
-        path = tmp_path / "scores.bin"
-        SharedScoreTable.create(path, n_slots=1 << 8)
-        size = path.stat().st_size
-        with path.open("r+b") as handle:
-            handle.truncate(size // 2)
-        table = SharedScoreTable.ensure(path, n_slots=1 << 8)
-        assert table.occupancy() == 0
-
-    def test_table_attach_fault_downgrades_to_l1(self, tmp_path):
-        """A worker-side attach failure (injected) must yield None — the
-        L1-only downgrade — not an exception."""
-        from repro.core import service as service_module
-
-        path = tmp_path / "scores.bin"
-        SharedScoreTable.create(path, n_slots=1 << 8)
-        plan = FaultPlan.single("table_attach", action="raise")
-        faults.install(plan, role="parent")
-        try:
-            assert service_module._attach_score_table(str(path)) is None
-        finally:
-            service_module._ATTACHED_TABLES.clear()
-
-    def test_session_survives_garbage_table_file(
-        self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite, tmp_path
-    ):
-        """A leftover garbage shared_scores.bin is recreated by ensure()
-        and the parallel session completes normally."""
-        from repro.execution.shared_table import SHARED_SCORES_BIN
-
-        (tmp_path / SHARED_SCORES_BIN).write_bytes(b"\xde\xad\xbe\xef" * 8)
-        store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
-        session = SynthesisSession(
-            tiny_netsyn_config,
-            store,
-            methods=("netsyn_cf",),
-            service_config=ServiceConfig(
-                table_slots=1 << 12,
-                shared_dir=str(tmp_path),
-                persist_caches=False,
-            ),
-        )
-        jobs = [session.submit(task, budget=300, seed=1) for task in list(tiny_suite)[:2]]
-        run_guarded(lambda: session.run(n_workers=2))
-        assert all(job.state in (JobState.SOLVED, JobState.EXHAUSTED) for job in jobs)
 
 
 class TestSharedWeightsFallback:

@@ -190,93 +190,6 @@ class TestEventBatching:
 
 
 # ---------------------------------------------------------------------------
-# The L2 shared score table across a parallel session
-# ---------------------------------------------------------------------------
-
-
-class TestSharedScoreTableSession:
-    def _session(self, config, store, **service_kwargs):
-        return SynthesisSession(
-            config,
-            store,
-            methods=("netsyn_cf",),
-            service_config=ServiceConfig(table_slots=1 << 12, **service_kwargs),
-        )
-
-    def test_parallel_with_table_equals_serial(
-        self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite
-    ):
-        def run(n_workers):
-            store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
-            session = self._session(tiny_netsyn_config, store)
-            jobs = [session.submit(task, budget=300, seed=1) for task in list(tiny_suite)[:2]]
-            session.run(n_workers=n_workers)
-            return jobs
-
-        # a serial run never creates the table; the parallel run shares it
-        serial = run(1)
-        parallel = run(2)
-        for a, b in zip(serial, parallel):
-            assert a.state == b.state
-            assert a.result.found == b.result.found
-            assert a.result.candidates_used == b.result.candidates_used
-            assert a.result.found_by == b.result.found_by
-
-    def test_second_run_hits_cross_worker_entries(
-        self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite
-    ):
-        """Entries published by run 1's workers serve run 2's fresh pool
-        (different pids), so every L2 score hit is a cross-worker hit —
-        and the parent, whose L1 never saw the scores (workers omit them
-        from the merge delta when the table is live), reads its misses
-        from L2 on a serial re-run."""
-        store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
-        session = self._session(tiny_netsyn_config, store)
-        tasks = list(tiny_suite)[:2]
-        first = [session.submit(task, budget=300, seed=1) for task in tasks]
-        session.run(n_workers=2)
-        assert session._score_table is not None
-        assert session._score_table.occupancy() > 0
-
-        second = [session.submit(task, budget=300, seed=1) for task in tasks]
-        session.run(n_workers=2)
-        for a, b in zip(first, second):
-            assert a.result.candidates_used == b.result.candidates_used
-        cross = sum(
-            event.shared_cross_hits
-            for job in second
-            for event in job.events
-            if event.kind in ("generation", "neighborhood")
-        )
-        assert cross > 0, "run 2's workers should hit run 1's published scores"
-
-        # the parent reads its L1 score misses from L2 instead of paying
-        # NN forwards (the merge path shipped maps/evaluation only)
-        third = [session.submit(task, budget=300, seed=1) for task in tasks]
-        session.run(n_workers=1)
-        for a, b in zip(first, third):
-            assert a.result.candidates_used == b.result.candidates_used
-        backend = session.backend("netsyn_cf")
-        stats = backend.backend._score_cache.stats
-        assert stats.shared_cross_hits > 0
-
-    def test_worker_delta_omits_scores_when_table_live(
-        self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite
-    ):
-        store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
-        session = self._session(tiny_netsyn_config, store)
-        jobs = [session.submit(task, budget=300, seed=1) for task in list(tiny_suite)[:2]]
-        session.run(n_workers=2)
-        assert all(job.done for job in jobs)
-        backend = session.backend("netsyn_cf")
-        # maps/evaluation merged back; scores live in L2 only
-        assert backend.cache_version() > 0
-        inner = backend.backend
-        assert inner._map_cache is not None and len(inner._map_cache) > 0
-        assert inner._score_cache is None or len(inner._score_cache) == 0
-
-
-# ---------------------------------------------------------------------------
 # Ordering: per-job event sub-sequences are well-formed
 # ---------------------------------------------------------------------------
 

@@ -323,46 +323,6 @@ class TestLRUCacheDeltaExport:
             ("d", "d"), ("b", "b"), ("e", "e")
         ]
 
-    @pytest.mark.parametrize("tier", ["table", "remote"])
-    def test_tier_promotion_marks_the_entry_dirty(self, tiny_task, tier):
-        from repro.execution.score_cache import TieredScoreCache
-
-        class _DictTier:
-            def __init__(self, cross):
-                self.cross = cross
-                self.values = {}
-
-            def put(self, key64, value):
-                self.values[key64] = value
-
-            def get(self, key64):
-                value = self.values.get(key64)
-                if value is None or self.cross is None:
-                    return value
-                return value, self.cross
-
-        shared = _DictTier(cross=True if tier == "table" else None)
-        io_key = io_set_key(tiny_task.io_set)
-        genes = _population(6)[:6]
-        writer = TieredScoreCache(capacity=8, **{tier: shared})
-        for i, gene in enumerate(genes[:3]):
-            writer.put(gene, io_key, float(i))
-
-        reader = TieredScoreCache(capacity=4, **{tier: shared})
-        reader.put(genes[3], io_key, 3.0)
-        reader.clear_dirty()
-        oracle = _ScanOracle(reader._lru)
-        # promotions are L1 puts: record them in the oracle's window too
-        oracle.dirty.update((gene.function_ids, io_key) for gene in genes[:3])
-        scores, pending = reader.partition(genes[:2] + genes[4:5], io_key)
-        assert list(scores[:2]) == [0.0, 1.0] and list(pending) == [genes[4].function_ids]
-        assert reader.get(genes[2], io_key) == 2.0
-        reader.put(genes[5], io_key, 5.0)  # evicts the pre-window genes[3]
-        oracle.dirty.add((genes[5].function_ids, io_key))
-        assert reader.dirty_snapshot() == oracle.lru_delta()
-        assert [key[0] for key, _ in reader.dirty_snapshot()] == [
-            gene.function_ids for gene in (genes[0], genes[1], genes[2], genes[5])
-        ]
 
 
 # ---------------------------------------------------------------------------

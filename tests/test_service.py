@@ -537,24 +537,19 @@ class TestWorkerCacheMergeBack:
         assert all(job.state in (JobState.SOLVED, JobState.EXHAUSTED) for job in first)
 
         # the parent session never ran these jobs locally, yet its backend
-        # now holds the workers' cache entries (evaluation/map deltas are
-        # merged through the result pickle; scores travel through the L2
-        # shared table, the parallel default)
+        # now holds the workers' cache entries: score, map and evaluation
+        # deltas are all merged back through the result pickle
         backend = session.backend("netsyn_cf").backend
         assert backend.cache_version() > 0
 
         # a repeated serial run of the same jobs is answered from the
-        # warm tiers: results identical, and every L1 score miss of the
-        # re-run is a shared-table read, never a fresh NN forward (the
-        # counters are advisory under sharing — see docs/execution.md —
-        # but a fully warm re-run still pins miss == shared hit)
+        # merged entries: results identical, and not one score lookup of
+        # the re-run misses (no NN forward is paid again)
         second = [session.submit(task, budget=300, seed=1) for task in tasks]
         session.run(n_workers=1)
         for a, b in zip(first, second):
             _results_equal(a.result, b.result)
-        score_stats = backend._score_cache.stats
-        assert score_stats.misses > 0
-        assert score_stats.shared_hits == score_stats.misses
+        assert backend._score_cache.stats.misses == 0
 
 
 class TestPersistedSessionCaches:
@@ -601,6 +596,38 @@ class TestPersistedSessionCaches:
         # every (program, io_set) score and the spec's probability map
         # were persisted — the re-opened session never touches the NN
         assert forwards == []
+
+    def test_reopen_after_parallel_run_is_fully_warm(
+        self, tmp_path, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite
+    ):
+        """Scores computed in workers reach the cache log: a session
+        reopened after a 2-worker run repeats the same seeded jobs
+        serially without a single cache miss."""
+        service_config = self._service_config(tmp_path)
+        store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
+        store.save(service_config.artifact_dir)
+        tasks = list(tiny_suite)[:3]
+
+        parallel_session = SynthesisSession(
+            tiny_netsyn_config, store, methods=("netsyn_cf",), service_config=service_config
+        )
+        first = [parallel_session.submit(task, budget=300, seed=1) for task in tasks]
+        parallel_session.run(n_workers=2)
+        assert all(job.state in (JobState.SOLVED, JobState.EXHAUSTED) for job in first)
+
+        reopened = SynthesisSession(
+            tiny_netsyn_config,
+            ArtifactStore.load(service_config.artifact_dir),
+            methods=("netsyn_cf",),
+            service_config=service_config,
+        )
+        second = [reopened.submit(task, budget=300, seed=1) for task in tasks]
+        reopened.run(n_workers=1)
+        for a, b in zip(first, second):
+            _results_equal(a.result, b.result)
+            generations = [e for e in b.events if e.kind == "generation"]
+            assert generations and generations[-1].cache_misses == 0
+        assert reopened.backend("netsyn_cf").backend._score_cache.stats.misses == 0
 
     def test_stale_weights_fall_back_to_cold_start(
         self, tmp_path, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_task

@@ -4,12 +4,10 @@ Covers the wire protocol (framing + domain serialization round trips),
 the server/client end-to-end path against localhost — stream parity with
 a local session, concurrent clients, mid-stream disconnects, admission
 rejection, cancellation, server-side worker crashes surfacing as
-structured FailureReports — and the L4 network score tier (hit/miss
-accounting through ``CacheStats.remote_hits``, dead-server degradation).
+structured FailureReports.
 
 Everything network-bound runs against an ephemeral-port server on
-127.0.0.1; the fast tests use the artifact-free ``edit`` fitness, the L4
-tests a trained tiny cf model (scores are what the tier caches).
+127.0.0.1 with the artifact-free ``edit`` fitness.
 """
 
 from __future__ import annotations
@@ -32,13 +30,9 @@ from repro.dsl.equivalence import IOExample
 from repro.dsl.program import Program
 from repro.events import EVENT_SCHEMA_VERSION, EventLog, ProgressEvent
 from repro.execution.faults import FaultPlan
-from repro.execution.score_cache import TieredScoreCache
 from repro.serving import (
-    LocalPoolTier,
     ProtocolError,
     RemoteSynthesisSession,
-    RemoteScoreTier,
-    ScorePool,
     ServerOverloaded,
     SynthesisServer,
 )
@@ -184,10 +178,17 @@ class TestWireForms:
             kind="generation", method="edit", task_id="t", job_id="job-1",
             generation=3, mean_fitness=0.123456789012345, best_fitness=None,
             candidates_used=42, budget_limit=100, cache_hits=5, cache_misses=7,
-            cache_hit_rate=5 / 12, shared_hits=1, shared_cross_hits=1, remote_hits=2,
+            cache_hit_rate=5 / 12, shared_hits=1, shared_cross_hits=1,
         )
         back = protocol.event_from_wire(self._json_roundtrip(protocol.event_to_wire(event)))
         assert back == event  # floats survive JSON bit-exactly (repr round trip)
+
+    def test_parse_address_forms(self):
+        assert parse_address("127.0.0.1:7777") == ("127.0.0.1", 7777)
+        assert parse_address("[::1]:80") == ("::1", 80)
+        for bad in ("nohost", "host:", "host:notaport", ":1", "host:70000"):
+            with pytest.raises(ValueError):
+                parse_address(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +203,16 @@ class TestEventSchema:
     def test_from_dict_drops_unknown_fields(self):
         data = ProgressEvent(kind="generation", generation=2).to_dict()
         data["from_the_future"] = {"nested": True}
-        # a retired field, as carried by logs and journals written before
-        # it was dropped
+        # retired fields, as carried by logs and journals written before
+        # they were dropped
         data["fused_dispatches"] = 3
+        data["remote_hits"] = 2
         event = ProgressEvent.from_dict(data)
         assert event.kind == "generation"
         assert event.generation == 2
         assert not hasattr(event, "from_the_future")
         assert not hasattr(event, "fused_dispatches")
+        assert not hasattr(event, "remote_hits")
 
     def test_from_dict_without_kind_is_unknown(self):
         assert ProgressEvent.from_dict({"generation": 1}).kind == "unknown"
@@ -359,9 +362,11 @@ class TestServerRoundTrip:
     def test_unknown_frame_type_is_an_error(self):
         with SynthesisServer(edit_session(), SERVING_FAST) as server:
             with RemoteSynthesisSession(server.address) as client:
-                with pytest.raises(RemoteError) as excinfo:
-                    client._side_request({"type": "frobnicate"})
-                assert excinfo.value.code == "unknown_type"
+                # cache_get / cache_put are not part of the protocol
+                for kind in ("frobnicate", "cache_get", "cache_put"):
+                    with pytest.raises(RemoteError) as excinfo:
+                        client._side_request({"type": kind, "key": 1, "entries": [[1, 0.5]]})
+                    assert excinfo.value.code == "unknown_type", kind
 
     def test_disconnect_mid_stream_leaves_server_healthy(self):
         task = make_synthesis_task(length=3, seed=5)
@@ -500,214 +505,3 @@ class TestServerFailurePaths:
         # only the valid job was ever admitted
         assert not state.pending
         assert list(state.settled) == [good.job_id]
-
-
-# ---------------------------------------------------------------------------
-# the L4 score tier
-# ---------------------------------------------------------------------------
-
-
-class _FakeTable:
-    """A stand-in L2 table: .get returning (value, cross) like the real one."""
-
-    def __init__(self, entries=None):
-        self.entries = dict(entries or {})
-
-    def get(self, key64):
-        value = self.entries.get(key64)
-        return None if value is None else (value, True)
-
-    def put(self, key64, value):
-        self.entries[key64] = value
-        return True
-
-
-class TestScorePool:
-    def test_put_get_and_stats(self):
-        pool = ScorePool()
-        assert pool.get(1) is None
-        pool.put(1, 0.5)
-        assert pool.get(1) == 0.5
-        assert pool.put_many([(2, 0.25), (3, 0.75)]) == 2
-        stats = pool.stats()
-        assert stats["entries"] == 3
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["puts"] == 3
-
-    def test_pool_falls_back_to_l2_table(self):
-        pool = ScorePool(table=_FakeTable({7: 0.125}))
-        assert pool.get(7) == 0.125  # answered from the table, cached in the pool
-        pool.attach_table(None)
-        assert pool.get(7) == 0.125  # now resident
-
-    def test_local_pool_tier_adapts(self):
-        pool = ScorePool()
-        tier = LocalPoolTier(pool)
-        tier.put(9, 1.5)
-        assert tier.get(9) == 1.5
-        assert pool.get(9) == 1.5
-
-
-class TestTieredRemote:
-    class _FakeRemote:
-        def __init__(self, entries=None):
-            self.entries = dict(entries or {})
-            self.puts = []
-
-        def get(self, key64):
-            return self.entries.get(key64)
-
-        def put(self, key64, value):
-            self.puts.append((key64, value))
-
-    def test_remote_hit_promotes_and_counts(self):
-        remote = self._FakeRemote()
-        cache = TieredScoreCache(capacity=16, namespace="score", remote=remote)
-        program = make_synthesis_task(length=3, seed=1).target
-        key, io_key = program.function_ids, ("io", 1)
-        remote.entries[cache._key64(key, io_key)] = 0.625
-        assert cache.get(program, io_key) == 0.625
-        assert cache.stats.remote_hits == 1
-        assert cache.stats.misses == 1  # the local miss that preceded it
-        # promoted to L1: the next lookup never asks the network again
-        remote.entries.clear()
-        assert cache.get(program, io_key) == 0.625
-        assert cache.stats.remote_hits == 1
-
-    def test_put_pushes_to_remote(self):
-        remote = self._FakeRemote()
-        cache = TieredScoreCache(capacity=16, namespace="score", remote=remote)
-        program = make_synthesis_task(length=3, seed=2).target
-        cache.put(program, ("io",), 0.5)
-        key64 = cache._key64(program.function_ids, ("io",))
-        assert remote.puts == [(key64, 0.5)]
-
-    def test_attach_remote_later(self):
-        cache = TieredScoreCache(capacity=16, namespace="score")
-        assert cache.remote is None
-        remote = self._FakeRemote()
-        cache.attach_remote(remote)
-        assert cache.remote is remote
-
-    def test_remote_hits_in_cache_stats_dict(self):
-        cache = TieredScoreCache(capacity=16, namespace="score")
-        assert cache.stats.to_dict()["remote_hits"] == 0
-
-
-class TestRemoteScoreTier:
-    def test_get_and_batched_put_against_live_server(self):
-        with SynthesisServer(edit_session(), SERVING_FAST) as server:
-            tier = RemoteScoreTier(server.address, push_batch_size=2, push_interval=0.05)
-            assert tier.get(42) is None  # cold pool
-            server.pool.put(42, 0.5)
-            assert tier.get(42) == 0.5
-            assert tier.hits == 1
-            tier.put(100, 1.0)
-            tier.put(101, 2.0)  # reaches push_batch_size -> flush
-            deadline = time.monotonic() + 10
-            while server.pool.get(101) is None and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert server.pool.get(100) == 1.0
-            assert server.pool.get(101) == 2.0
-            tier.close()
-            assert tier.puts_sent == 2
-
-    def test_close_flushes_pending_entries(self):
-        with SynthesisServer(edit_session(), SERVING_FAST) as server:
-            tier = RemoteScoreTier(server.address, push_batch_size=1000, push_interval=30.0)
-            tier.put(7, 0.25)
-            tier.close()  # far below the batch size: only close flushes it
-            assert server.pool.get(7) == 0.25
-
-    def test_dead_server_degrades_to_noop(self):
-        # bind-then-close to get a port with nothing listening
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        tier = RemoteScoreTier(f"127.0.0.1:{port}", timeout=0.5)
-        assert tier.get(1) is None  # never raises
-        assert tier.dead
-        tier.put(1, 0.5)  # no-op, no thread churn
-        tier.flush()
-        tier.close()
-
-    def test_parse_address_forms(self):
-        assert parse_address("127.0.0.1:7777") == ("127.0.0.1", 7777)
-        assert parse_address("[::1]:80") == ("::1", 80)
-        for bad in ("nohost", "host:", "host:notaport", ":1", "host:70000"):
-            with pytest.raises(ValueError):
-                parse_address(bad)
-
-
-class TestL4EndToEnd:
-    @pytest.fixture()
-    def trained_store(self, tiny_trace_artifacts, tiny_fp_artifacts):
-        return ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
-
-    def _session(self, config, store, **service_kwargs) -> SynthesisSession:
-        service_kwargs.setdefault("persist_caches", False)
-        return SynthesisSession(
-            config,
-            store,
-            methods=("netsyn_cf",),
-            service_config=ServiceConfig(**service_kwargs),
-        )
-
-    def test_second_session_records_remote_hits(
-        self, tiny_netsyn_config, trained_store, tiny_task
-    ):
-        with SynthesisServer(
-            self._session(tiny_netsyn_config, trained_store), SERVING_FAST
-        ) as server:
-            # client A drives the server, which publishes every score it
-            # computes into the served pool
-            with RemoteSynthesisSession(server.address) as client:
-                job = client.submit(tiny_task, budget=300, seed=3)
-                client.run([job])
-            assert server.pool.stats()["entries"] > 0
-
-            # client B: a *local* session over the same model, mounting
-            # the pool as its L4 tier
-            warm = self._session(
-                tiny_netsyn_config, trained_store, remote_score_cache=server.address
-            )
-            local_job = warm.submit(tiny_task, budget=300, seed=3)
-            warm.run([local_job])
-            tier = warm.remote_score_tier
-            assert tier is not None and not tier.dead
-            assert tier.hits > 0
-            # ... and the hits are folded into the job's event stream
-            assert sum(e.remote_hits for e in local_job.events) > 0
-            backend = warm.backend("netsyn_cf")
-            assert backend.backend._score_cache.stats.remote_hits == tier.hits
-            tier.close()
-
-    def test_remote_tier_attach_is_result_neutral(
-        self, tiny_netsyn_config, trained_store, tiny_task
-    ):
-        baseline = self._session(tiny_netsyn_config, trained_store)
-        cold = baseline.submit(tiny_task, budget=300, seed=3)
-        baseline.run([cold])
-
-        with SynthesisServer(
-            self._session(tiny_netsyn_config, trained_store), SERVING_FAST
-        ) as server:
-            with RemoteSynthesisSession(server.address) as client:
-                job = client.submit(tiny_task, budget=300, seed=3)
-                client.run([job])
-            warm = self._session(
-                tiny_netsyn_config, trained_store, remote_score_cache=server.address
-            )
-            warmed = warm.submit(tiny_task, budget=300, seed=3)
-            warm.run([warmed])
-            warm.remote_score_tier.close()
-
-        # identical outcome with and without the network tier: cached
-        # scores are deterministic per structural key
-        assert warmed.state is cold.state
-        assert (warmed.result.program is None) == (cold.result.program is None)
-        if cold.result.program is not None:
-            assert warmed.result.program == cold.result.program
-        assert warmed.result.candidates_used == cold.result.candidates_used

@@ -14,9 +14,6 @@ Covers, bottom-up:
   errors while running jobs finish and their event streams keep flowing;
 * the self-healing client — idempotent duplicate submits, reconnect
   exhaustion surfacing as ``ConnectionError``;
-* the L4 tier's half-open circuit breaker — opens on failure, stays a
-  cheap no-op through the cooldown, and closes again when the cache
-  server comes back;
 * the acceptance end-to-end: a real server *process* SIGKILLed mid-job,
   restarted on the same journal directory and port, with every job
   reaching its terminal state through a client event stream identical
@@ -49,7 +46,6 @@ from repro.serving import (
     JobJournal,
     RemoteError,
     RemoteSynthesisSession,
-    RemoteScoreTier,
     SynthesisServer,
 )
 from repro.serving import protocol
@@ -415,68 +411,6 @@ class TestClientResilience:
                                        budget=2000, seed=1)
                 client.run([first, second])
                 assert first.done and second.done
-
-
-# ---------------------------------------------------------------------------
-# the L4 circuit breaker
-# ---------------------------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def test_breaker_opens_then_recovers_when_server_returns(self):
-        server = SynthesisServer(edit_session(), ServingConfig(batch_window=0.01))
-        server.start_background()
-        port = server.port
-        server.pool.put(7, 1.5)
-        tier = RemoteScoreTier(
-            f"127.0.0.1:{port}", timeout=2.0,
-            breaker_cooldown=0.1, breaker_cooldown_cap=0.5,
-        )
-        try:
-            assert tier.get(7) == 1.5
-            assert tier.breaker_state == "closed" and not tier.dead
-            server.stop()
-            # first failure opens the breaker; calls become cheap no-ops
-            assert tier.get(7) is None
-            assert tier.dead and tier.breaker_opens == 1
-            assert tier.get(7) is None  # held or probing, never raising
-            # bring a server back on the same port
-            server2 = SynthesisServer(
-                edit_session(), ServingConfig(port=port, batch_window=0.01)
-            ).start_background()
-            try:
-                server2.pool.put(7, 2.5)
-                deadline = time.monotonic() + 20
-                value = None
-                while value is None and time.monotonic() < deadline:
-                    value = tier.get(7)
-                    if value is None:
-                        time.sleep(0.05)
-                assert value == 2.5
-                assert not tier.dead and tier.breaker_state == "closed"
-                assert tier.breaker_closes >= 1
-            finally:
-                server2.stop()
-        finally:
-            tier.close()
-
-    def test_cooldown_doubles_while_down(self):
-        # nothing listens on this port: every probe fails
-        tier = RemoteScoreTier(
-            "127.0.0.1:1", timeout=0.2, breaker_cooldown=0.05, breaker_cooldown_cap=10.0
-        )
-        try:
-            assert tier.get(1) is None
-            first_cooldown = tier._cooldown
-            deadline = time.monotonic() + 10
-            while tier.breaker_opens == 1 and tier._cooldown == first_cooldown \
-                    and time.monotonic() < deadline:
-                tier.get(1)
-                time.sleep(0.02)
-            assert tier._cooldown > tier.breaker_cooldown
-            assert tier.breaker_opens == 1  # re-trips don't recount opens
-        finally:
-            tier.close()
 
 
 # ---------------------------------------------------------------------------
