@@ -465,8 +465,7 @@ def _run_service_job(spec: _ServiceJobSpec) -> _ServiceJobOutcome:
             # cancelled before the worker even started the job: don't pay
             # for a single generation (the flag was raised parent-side)
             return ("cancelled", None, None, 0, None)
-        payload = worker_payload()
-        store, config, snapshots = _unpack_payload(payload)
+        store, config, snapshots = _unpack_payload(worker_payload())
         if _WORKER_BACKENDS.get("__store__") is not store:
             _WORKER_BACKENDS.clear()
             _WORKER_BACKENDS["__store__"] = store
