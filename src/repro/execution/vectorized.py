@@ -20,29 +20,32 @@ by crossover, mutation and reproduction share long function-id prefixes
    per unique ``(step, binding shape)`` instead of one interpreter step
    per ``(function, candidate, example)``.
 
-A per-call trie is built with numpy (one ``np.unique`` per level over
-packed ``parent-prefix x fid`` codes); the persistent trie kept between
-calls finds a batch's novel nodes through a ``dict`` per level and
-appends them into capacity-buffered columns, so an insert pays only for
-its new nodes.  Argument bindings are derived from a per-prefix *type
-bitmask* instead of compiling each candidate: bit ``k`` records whether
-history slot ``k`` holds a list, which is all the backwards type-scan of
-the compiler depends on.  Bindings are memoized per ``(registry, history
-length, mask, fid)`` in a module-level cache — the analog of the
-compiler's compile cache, warm across calls.
+The trie persists between calls, one per signature block and registry:
+it finds a batch's novel nodes through a ``dict`` per level over packed
+``parent-prefix x fid`` codes and appends them into capacity-buffered
+columns, so an insert pays only for its new nodes.  Argument bindings
+are derived from a per-prefix *type bitmask* instead of compiling each
+candidate: bit ``k`` records whether history slot ``k`` holds a list,
+which is all the backwards type-scan of the compiler depends on.
+Bindings are memoized per ``(registry, history length, mask, fid)`` in a
+module-level cache — the analog of the compiler's compile cache, warm
+across calls.
 
 :class:`BatchExecutionEngine` wraps the evaluator behind the
 :class:`~repro.execution.engine.ExecutionEngine` contract: batch outputs
 and verdicts land in the same ``outputs``/``solutions`` cache namespaces
-with the same per-program hit/miss accounting, so the L1-L3 cache tiers,
-snapshots and the fitness layer see vectorized traffic exactly like
-serial traffic.  Traces come back as :class:`TraceColumns`, gathered from
-the trie levels the solution check already filled, never decoded into
-``StepRecord`` objects.  Values and traces are bit-identical to the
-compiled and reference paths (``tests/test_vectorized.py``); functions
-without a vectorized kernel (extended registries) fall back to their
-scalar ``impl`` row by row, and inputs outside the int64-safe range route
-the whole signature block to the serial compiled path.
+with the same per-program hit/miss accounting, so the per-process cache,
+the L3 cache log, snapshots and the fitness layer see vectorized traffic
+exactly like serial traffic.  Traces come back as :class:`TraceColumns`,
+gathered from the trie levels the solution check already filled, never
+decoded into ``StepRecord`` objects.  Values and traces are
+bit-identical to the compiled and reference paths
+(``tests/test_vectorized.py``).  Functions without a vectorized kernel
+(extended registries) fall back to their scalar ``impl`` row by row
+inside the trie.  Whatever the trie cannot serve runs on the per-program
+compiled path instead: a registry with a function id outside
+``[0, 2**20)``, inputs outside the int64-safe range, or a scalar
+fallback leaving that range mid-insert.
 """
 
 from __future__ import annotations
@@ -73,8 +76,9 @@ _DEFAULT_INT = default_for(_INT)
 #: ``fid -> (function, kernel, arg_types, returns_list)``, memoized per registry
 _FnInfo = Tuple[DSLFunction, object, Tuple[DSLType, ...], bool]
 
-#: function ids above this bound take the (exact but slower) dict-based
-#: trie build; below it, (parent, fid) pairs pack into int64 codes
+#: a registry with a function id outside ``[0, _MAX_PACKED_FID)`` gets no
+#: trie and takes the per-program compiled path; inside it, (parent, fid)
+#: pairs pack into int64 codes
 _MAX_PACKED_FID = 1 << 20
 
 # ---------------------------------------------------------------------------
@@ -101,15 +105,13 @@ class KernelStats:
 
     ``dispatches`` counts actual numpy-kernel (and scalar-fallback)
     invocations, ``fused_groups`` the extra ``(function, binding)`` groups
-    that rode an already-counted dispatch, ``bucketed_dispatches`` the
-    dispatches issued by the width-bucketing split.  The ``leaf_*`` /
+    that rode an already-counted dispatch.  The ``leaf_*`` /
     ``nodes_inserted`` counters describe the persistent tries: a leaf hit
     is a program answered entirely from trie-resident state.
     """
 
     dispatches: int = 0
     fused_groups: int = 0
-    bucketed_dispatches: int = 0
     leaf_lookups: int = 0
     leaf_hits: int = 0
     nodes_inserted: int = 0
@@ -129,96 +131,12 @@ class KernelStats:
         return {
             "dispatch_count": self.dispatches,
             "fused_group_count": self.fused_groups,
-            "bucketed_dispatch_count": self.bucketed_dispatches,
             "trie_leaf_lookups": self.leaf_lookups,
             "trie_leaf_hits": self.leaf_hits,
             "trie_nodes_inserted": self.nodes_inserted,
             "trie_evictions": self.trie_evictions,
             "reuse_ratio": self.reuse_ratio,
         }
-
-
-#: Width-bucketing crossover, measured on the dev container (reduced-scale
-#: sweep in ``benchmarks/bench_execution_throughput.py``): a bucketed
-#: dispatch pays one gather + scatter per bucket, so it only wins once the
-#: row block is large, the dense width is non-trivial and the power-of-2
-#: buckets drop at least half of the padded cells.  The per-bucket
-#: overhead is fixed (~100us of fancy indexing) while the savings scale
-#: with the cells dropped, so groups below an absolute dense-cell floor
-#: always dispatch dense regardless of their padding ratio.  Below the
-#: crossover the group stays on the single dense dispatch.
-WIDTH_BUCKET_MIN_ROWS = 64
-WIDTH_BUCKET_MIN_WIDTH = 8
-WIDTH_BUCKET_MIN_CELLS = 65536
-WIDTH_BUCKET_CELL_RATIO = 2.0
-
-
-def _dispatch_group(kernel, args, stats: KernelStats):
-    """One group dispatch: dense, or split into power-of-2 width buckets.
-
-    List columns are padded to the widest row of their group; when a group
-    mixes short and long rows the padding cells dominate the kernel's
-    work.  Rows are bucketed by the power-of-2 ceiling of their effective
-    width (the max length across the group's list arguments) and each
-    bucket dispatches densely at its own width.  Every kernel is
-    value-exact under trailing zero padding (the column invariant), so
-    bucketed and dense dispatches are bit-identical.
-    """
-    list_args = [arg for arg in args if isinstance(arg, tuple)]
-    if not list_args:
-        stats.dispatches += 1
-        return kernel(*args)
-    rows = list_args[0][1].shape[0]
-    full_width = max(arg[0].shape[1] for arg in list_args)
-    if (
-        rows < WIDTH_BUCKET_MIN_ROWS
-        or full_width < WIDTH_BUCKET_MIN_WIDTH
-        or rows * full_width < WIDTH_BUCKET_MIN_CELLS
-    ):
-        stats.dispatches += 1
-        return kernel(*args)
-    need = list_args[0][1]
-    for arg in list_args[1:]:
-        need = np.maximum(need, arg[1])
-    exp = np.ceil(np.log2(np.maximum(need, 1))).astype(np.int64)
-    bucket_cells = int(np.left_shift(1, exp).sum())
-    if bucket_cells * WIDTH_BUCKET_CELL_RATIO >= rows * full_width:
-        stats.dispatches += 1
-        return kernel(*args)
-    out_int: Optional[np.ndarray] = None
-    out_lens: Optional[np.ndarray] = None
-    list_parts: List[Tuple[np.ndarray, tuple]] = []
-    out_width = 0
-    for e in np.unique(exp).tolist():
-        rows_idx = np.nonzero(exp == e)[0]
-        w = min(1 << e, full_width)
-        sub = []
-        for arg in args:
-            if isinstance(arg, tuple):
-                values, lengths = arg
-                sub.append((values[rows_idx, : min(w, values.shape[1])], lengths[rows_idx]))
-            else:
-                sub.append(arg[rows_idx])
-        stats.dispatches += 1
-        stats.bucketed_dispatches += 1
-        payload = kernel(*sub)
-        if isinstance(payload, tuple):
-            if out_lens is None:
-                out_lens = np.zeros(rows, dtype=np.int64)
-            list_parts.append((rows_idx, payload))
-            if payload[0].shape[1] > out_width:
-                out_width = payload[0].shape[1]
-        else:
-            if out_int is None:
-                out_int = np.zeros(rows, dtype=np.int64)
-            out_int[rows_idx] = payload
-    if out_int is not None:
-        return out_int
-    out_vals = np.zeros((rows, out_width), dtype=np.int64)
-    for rows_idx, (values, lens) in list_parts:
-        out_vals[rows_idx, : values.shape[1]] = values
-        out_lens[rows_idx] = lens
-    return out_vals, out_lens
 
 
 def _fn_info_of(fid: int, registry: FunctionRegistry, fn_table: Dict[int, _FnInfo]) -> _FnInfo:
@@ -509,341 +427,6 @@ class _SignatureBlock:
                 self.columns.append((values, lengths))
 
 
-class _Level:
-    """One trie level: columns over ``[unique prefixes x examples]`` rows."""
-
-    __slots__ = (
-        "fid_arr",
-        "pair_idx",
-        "pair_binds",
-        "group_meta",
-        "bounds",
-        "glive",
-        "anc",
-        "int_vals",
-        "list_vals",
-        "lens",
-        "is_list",
-    )
-
-    def __init__(self) -> None:
-        self.fid_arr: Optional[np.ndarray] = None  # fid per prefix
-        #: prefix -> index into ``pair_binds`` (bindings per (mask, fid) pair)
-        self.pair_idx: Optional[np.ndarray] = None
-        self.pair_binds: List[Tuple[int, ...]] = []
-        #: per group: (fid, bindings, returns_list)
-        self.group_meta: List[Tuple[int, Tuple[int, ...], bool]] = []
-        #: cumulative group sizes; group ``g`` spans ``[bounds[g-1], bounds[g])``
-        self.bounds: Optional[np.ndarray] = None
-        #: per group: does any live prefix need this group's values?
-        self.glive: List[bool] = []
-        #: earlier-level index -> ancestor prefix id per prefix of this level
-        self.anc: Dict[int, np.ndarray] = {}
-        self.int_vals: Optional[np.ndarray] = None
-        self.list_vals: Optional[np.ndarray] = None
-        self.lens: Optional[np.ndarray] = None
-        self.is_list: Optional[np.ndarray] = None
-
-
-class _TrieRun(object):
-    """One columnar evaluation: a batch of programs over one signature block.
-
-    Builds the prefix trie level by level; at each level prefixes are
-    ordered so that groups sharing ``(fid, bindings)`` occupy contiguous
-    rows, each group executing as a single kernel dispatch.
-    """
-
-    def __init__(
-        self,
-        block: _SignatureBlock,
-        programs: Sequence[Program],
-        registry: FunctionRegistry,
-        fn_table: Dict[int, _FnInfo],
-        bind_cache: Dict,
-        stats: Optional[KernelStats] = None,
-    ) -> None:
-        self.block = block
-        self.programs = programs
-        self.registry = registry
-        self.fn_table = fn_table
-        self.bind_cache = bind_cache
-        self.stats = stats if stats is not None else KernelStats()
-        self.m = block.m
-        self.levels: List[_Level] = []
-        self.paths: Optional[np.ndarray] = None  # [program, level] prefix ids
-        self.paths_list: List[List[int]] = []
-        self.seq_lens: List[int] = [len(p.function_ids) for p in programs]
-        self._erange = np.arange(self.m, dtype=np.int64)
-        self._tiles: Dict[int, tuple] = {}
-        self._level_raw: Dict[int, tuple] = {}
-        self._run()
-
-    # -- trie construction + execution ---------------------------------
-    def _fn_info(self, fid: int) -> _FnInfo:
-        return _fn_info_of(fid, self.registry, self.fn_table)
-
-    def _run(self) -> None:
-        n = len(self.programs)
-        seq_lens = self.seq_lens
-        max_len = max(seq_lens, default=0)
-        if n == 0 or max_len == 0:
-            self.paths = np.full((n, max(max_len, 1)), -1, dtype=np.int64)
-            self.paths_list = self.paths.tolist()
-            return
-        fid_matrix = np.zeros((n, max_len), dtype=np.int64)
-        for i, program in enumerate(self.programs):
-            seq = program.function_ids
-            fid_matrix[i, : len(seq)] = seq
-        max_fid = int(fid_matrix.max())
-        if max_fid >= _MAX_PACKED_FID or int(fid_matrix.min()) < 0:
-            raise _ColumnarUnsupported("function ids outside packed-code range")
-        stride = max_fid + 1
-
-        lengths = np.array(seq_lens, dtype=np.int64)
-        paths = np.full((n, max_len), -1, dtype=np.int64)
-        prev = np.zeros(n, dtype=np.int64)
-        masks_prev = np.array([self.block.root_mask], dtype=np.int64)
-        alive = np.arange(n)
-        n_inputs = self.block.n_inputs
-        bind_cache = self.bind_cache
-        levels = self.levels
-
-        # -- phase 1: build the trie level by level (no execution yet) --
-        for j in range(max_len):
-            history_len = n_inputs + j
-            alive = alive[lengths[alive] > j]
-            codes = prev[alive] * stride + fid_matrix[alive, j]
-            uniq, inverse = np.unique(codes, return_inverse=True)
-            parent_u = uniq // stride
-            fid_u = uniq % stride
-            parent_masks = masks_prev[parent_u]
-
-            # bindings depend only on the (type mask, fid) pair; resolve
-            # each distinct pair once (memoized across runs in bind_cache),
-            # with groups renumbered fid-major so same-function groups sit
-            # on adjacent row ranges phase 3 fuses into one dispatch
-            pair_codes = parent_masks * stride + fid_u
-            pairs, pair_inv = np.unique(pair_codes, return_inverse=True)
-            pair_gid, pair_ret, pair_binds, group_meta = _resolve_pairs(
-                pairs, stride, history_len, self._fn_info, bind_cache
-            )
-
-            # order prefixes so each group's rows are contiguous
-            gids = pair_gid[pair_inv]
-            count = len(uniq)
-            order = np.argsort(gids, kind="stable")
-            rank = np.empty(count, dtype=np.int64)
-            rank[order] = np.arange(count, dtype=np.int64)
-            final = rank[inverse]
-            paths[alive, j] = final
-            prev[alive] = final
-
-            level = _Level()
-            level.fid_arr = fid_u[order]
-            level.pair_idx = pair_inv[order]
-            level.pair_binds = pair_binds
-            level.group_meta = group_meta
-            level.bounds = np.bincount(gids, minlength=len(group_meta)).cumsum()
-            parent_final = parent_u[order]
-            if j > 0:
-                level.anc[j - 1] = parent_final
-                for d, arr in levels[j - 1].anc.items():
-                    level.anc[d] = arr[parent_final]
-            levels.append(level)
-            masks_prev = (parent_masks | (pair_ret[pair_inv] << history_len))[order]
-
-        self.paths = paths
-        self.paths_list = paths.tolist()
-
-        # -- phase 2: liveness — skip any group whose value no live prefix
-        # (a leaf, or an argument of a live group) ever reads
-        live = [np.zeros(len(level.fid_arr), dtype=bool) for level in levels]
-        for length in np.unique(lengths):
-            if length == 0:
-                continue
-            rows = np.nonzero(lengths == length)[0]
-            live[length - 1][paths[rows, length - 1]] = True
-        for j in range(max_len - 1, -1, -1):
-            level = levels[j]
-            bounds = level.bounds
-            starts = np.concatenate(([0], bounds[:-1]))
-            group_live = np.logical_or.reduceat(live[j], starts).tolist()
-            level.glive = group_live
-            bounds_list = bounds.tolist()
-            s = 0
-            for gid, (fid, bind, _ret) in enumerate(level.group_meta):
-                e = bounds_list[gid]
-                if group_live[gid]:
-                    for binding in bind:
-                        if binding >= n_inputs:
-                            src_j = binding - n_inputs
-                            live[src_j][level.anc[src_j][s:e]] = True
-                s = e
-
-        # -- phase 3: execute live groups, one kernel dispatch each -----
-        m = self.m
-        fn_table = self.fn_table
-        for j, level in enumerate(levels):
-            count = len(level.fid_arr)
-            bounds_list = level.bounds.tolist()
-            glive = level.glive
-            src_cols: Dict[Tuple[int, bool], object] = {}
-            payloads = []
-            any_list = False
-            any_int = False
-            list_width = 0
-            groups = level.group_meta
-            n_groups = len(groups)
-            _arg = self._arg
-            gid = 0
-            start = 0
-            while gid < n_groups:
-                if not glive[gid]:
-                    start = bounds_list[gid]
-                    gid += 1
-                    continue
-                fid = groups[gid][0]
-                info = fn_table.get(fid)
-                if info is None:
-                    info = self._fn_info(fid)
-                fn, kernel, arg_types, returns_list = info
-                # fuse the run of consecutive live groups sharing this
-                # function (adjacent by the fid-major renumbering above)
-                # into one kernel dispatch over their concatenated rows
-                stop = gid + 1
-                if kernel is not None:
-                    while stop < n_groups and glive[stop] and groups[stop][0] == fid:
-                        stop += 1
-                span_args: List[list] = []
-                s = start
-                for g in range(gid, stop):
-                    e = bounds_list[g]
-                    span_args.append(
-                        [
-                            _arg(level, src_cols, arg_type, binding, s, e)
-                            for arg_type, binding in zip(arg_types, groups[g][1])
-                        ]
-                    )
-                    s = e
-                end = bounds_list[stop - 1]
-                stats = self.stats
-                if kernel is None:
-                    payload = _scalar_group(fn, arg_types, returns_list, span_args[0], (end - start) * m)
-                    stats.dispatches += 1
-                elif stop - gid == 1:
-                    payload = _dispatch_group(kernel, span_args[0], stats)
-                else:
-                    payload = _dispatch_group(
-                        kernel, [_concat_cols(cols) for cols in zip(*span_args)], stats
-                    )
-                    stats.fused_groups += stop - gid - 1
-                if returns_list:
-                    any_list = True
-                    if payload[0].shape[1] > list_width:
-                        list_width = payload[0].shape[1]
-                else:
-                    any_int = True
-                payloads.append((start, end, returns_list, payload))
-                start = end
-                gid = stop
-
-            # assemble the level's columns
-            group_rets = np.fromiter(
-                (meta[2] for meta in level.group_meta), dtype=bool, count=len(level.group_meta)
-            )
-            level.is_list = np.repeat(group_rets, np.diff(level.bounds, prepend=0))
-            if any_list:
-                level.list_vals = np.zeros((count * m, list_width), dtype=np.int64)
-                level.lens = np.zeros(count * m, dtype=np.int64)
-            if any_int:
-                level.int_vals = np.zeros(count * m, dtype=np.int64)
-            for s, e, returns_list, payload in payloads:
-                if returns_list:
-                    values, lens = payload
-                    level.list_vals[s * m : e * m, : values.shape[1]] = values
-                    level.lens[s * m : e * m] = lens
-                else:
-                    level.int_vals[s * m : e * m] = payload
-
-    def _arg(self, level: _Level, src_cols: Dict, arg_type: DSLType, binding: int, start: int, end: int):
-        """The argument column for rows ``start*m .. end*m`` of a group."""
-        m = self.m
-        if binding < 0:  # no slot of the required type: the default value
-            g = end - start
-            if arg_type is _INT:
-                return np.zeros(g * m, dtype=np.int64)
-            return (np.zeros((g * m, 0), dtype=np.int64), np.zeros(g * m, dtype=np.int64))
-        n_inputs = self.block.n_inputs
-        if binding < n_inputs:  # a program input: a slice of one cached tile
-            tile = self._tile(binding, end)
-            if len(tile) == 3:
-                return tile[1][start * m : end * m], tile[2][start * m : end * m]
-            return tile[1][start * m : end * m]
-        # an earlier step's output: the whole level's rows are gathered
-        # once per source level, each group slicing its contiguous range
-        src_j = binding - n_inputs
-        # keyed by (level, type): one level holds int values for some
-        # prefixes and lists for others, and groups may read either
-        cache_key = (src_j, arg_type is _INT)
-        col = src_cols.get(cache_key)
-        if col is None:
-            src = self.levels[src_j]
-            anc = level.anc[src_j]
-            rows = (anc[:, None] * m + self._erange).ravel()
-            if arg_type is _INT:
-                col = src.int_vals[rows]
-            else:
-                col = (src.list_vals[rows], src.lens[rows])
-            src_cols[cache_key] = col
-        if isinstance(col, tuple):
-            return col[0][start * m : end * m], col[1][start * m : end * m]
-        return col[start * m : end * m]
-
-    def _tile(self, slot: int, min_prefixes: int) -> tuple:
-        """Input column ``slot`` repeated per prefix (row ``r`` holds the
-        value of example ``r % m``), grown by doubling as batches widen."""
-        entry = self._tiles.get(slot)
-        if entry is None or entry[0] < min_prefixes:
-            capacity = min_prefixes if entry is None else max(min_prefixes, entry[0] * 2)
-            column = self.block.columns[slot]
-            if isinstance(column, tuple):
-                values, lengths = column
-                entry = (capacity, np.tile(values, (capacity, 1)), np.tile(lengths, capacity))
-            else:
-                entry = (capacity, np.tile(column, capacity))
-            self._tiles[slot] = entry
-        return entry
-
-    # -- decoding ------------------------------------------------------
-    def _raw_level(self, j: int) -> tuple:
-        """Whole-level bulk decode to Python lists (one ``tolist`` per array)."""
-        raw = self._level_raw.get(j)
-        if raw is None:
-            level = self.levels[j]
-            ints = level.int_vals.tolist() if level.int_vals is not None else None
-            if level.list_vals is not None:
-                lists = level.list_vals.tolist()
-                lens = level.lens.tolist()
-            else:
-                lists = lens = None
-            raw = (ints, lists, lens, level.is_list.tolist())
-            self._level_raw[j] = raw
-        return raw
-
-    def outputs_of(self, i: int) -> List[Value]:
-        """Program ``i``'s final output per example (block-local order)."""
-        length = self.seq_lens[i]
-        if length == 0:
-            return [_DEFAULT_INT] * self.m
-        pid = self.paths_list[i][length - 1]
-        ints, lists, lens, is_list = self._raw_level(length - 1)
-        base = pid * self.m
-        top = base + self.m
-        if is_list[pid]:
-            return [row[:k] for row, k in zip(lists[base:top], lens[base:top])]
-        return ints[base:top]
-
-
 class _LevelStore:
     """One persistent trie level: node metadata plus value columns.
 
@@ -921,19 +504,17 @@ class _LevelStore:
 class _PersistentTrie(object):
     """An incremental prefix trie kept alive between ``*_batch`` calls.
 
-    Where :class:`_TrieRun` rebuilds its trie and re-packs every column
-    per call, this structure persists per ``(signature block, registry)``:
-    programs already evaluated are answered by a structural-key leaf
-    lookup, and only novel suffixes are inserted and executed.  An insert
-    walks the batch level by level through each level's ``dict`` index,
-    hands the missing codes (sorted) to one execution round, and writes
-    that round's rows into the level's capacity buffers.  Adjacent GA
+    The trie persists per ``(signature block, registry)``: programs
+    already evaluated are answered by a structural-key leaf lookup, and
+    only novel suffixes are inserted and executed.  An insert walks the
+    batch level by level through each level's ``dict`` index, hands the
+    missing codes (sorted) to one execution round, and writes that
+    round's rows into the level's capacity buffers.  Adjacent GA
     generations overlap heavily (survivors plus a minority of fresh
     children), so the steady state is a handful of rounds of a few nodes
     each per generation, and a round costs O(its new nodes).
 
-    Differences from the transient run, both invisible to results: every
-    inserted node is computed (a node dead for this batch may be an
+    Every inserted node is computed (a node dead for this batch may be an
     ancestor of the next batch's leaves, so there is no dead-code
     elimination), and decoded leaf outputs are memoized per node.  Since
     every node's values stay resident, traces are read off the levels
@@ -1132,7 +713,7 @@ class _PersistentTrie(object):
         # execute every group of the round; all payloads are staged before
         # anything is appended, so a scalar-fallback overflow leaves the
         # persistent levels exactly as they were (the caller then retires
-        # this trie and reverts the block to the per-call paths)
+        # this trie and reverts the block to the compiled path)
         anc_cache: Dict[int, np.ndarray] = {}
         src_cols: Dict[Tuple[int, bool], object] = {}
         payloads = []
@@ -1160,14 +741,12 @@ class _PersistentTrie(object):
             end = bounds_list[stop - 1]
             if kernel is None:
                 payload = _scalar_group(fn, arg_types, returns_list, span_args[0], (end - start) * m)
-                stats.dispatches += 1
             elif stop - gid == 1:
-                payload = _dispatch_group(kernel, span_args[0], stats)
+                payload = kernel(*span_args[0])
             else:
-                payload = _dispatch_group(
-                    kernel, [_concat_cols(cols) for cols in zip(*span_args)], stats
-                )
+                payload = kernel(*[_concat_cols(cols) for cols in zip(*span_args)])
                 stats.fused_groups += stop - gid - 1
+            stats.dispatches += 1
             if returns_list and payload[0].shape[1] > list_width:
                 list_width = payload[0].shape[1]
             payloads.append((start, end, returns_list, payload))
@@ -1225,7 +804,7 @@ class _PersistentTrie(object):
 
     def _tile(self, slot: int, min_prefixes: int) -> tuple:
         """Input column ``slot`` repeated per round row, grown by doubling
-        (persistent across insertion rounds, unlike the transient run's)."""
+        and kept across insertion rounds."""
         entry = self._tiles.get(slot)
         if entry is None or entry[0] < min_prefixes:
             capacity = min_prefixes if entry is None else max(min_prefixes, entry[0] * 2)
@@ -1283,9 +862,8 @@ class ColumnarEvaluator:
     by :meth:`invalidate` (the inputs changed — in practice a new
     evaluator is built instead), retired when a registry object is
     swapped for the same key, and swept once ``trie_node_budget``
-    resident nodes are exceeded.  Where no trie can serve, outputs fall
-    back to a per-call :class:`_TrieRun` and traces to per-program
-    compiled runs.
+    resident nodes are exceeded.  Where no trie can serve, outputs and
+    traces both fall back to per-program compiled runs.
     """
 
     def __init__(
@@ -1299,7 +877,7 @@ class ColumnarEvaluator:
         #: ``(block index, id(registry))`` -> (pinned registry, trie).  The
         #: pinned reference keeps the id stable while the entry lives; a
         #: ``None`` trie marks a combination that proved unsupported
-        #: mid-insert and stays on the per-call paths.
+        #: mid-insert and stays on the compiled path.
         self._tries: Dict[Tuple[int, int], Tuple[FunctionRegistry, Optional["_PersistentTrie"]]] = {}
         blocks: "OrderedDict[Tuple[DSLType, ...], _SignatureBlock]" = OrderedDict()
         for e, inputs in enumerate(example_inputs):
@@ -1444,18 +1022,10 @@ class ColumnarEvaluator:
 
     def _block_outputs(self, block_idx, block, part, registry) -> List[list]:
         """Final outputs of ``part`` per block-local example: from the
-        persistent trie, else a per-call run, else compiled one by one."""
+        persistent trie, else compiled one by one."""
         got = self._trie_call(block_idx, block, registry, lambda trie: trie.outputs(part))
         if got is not None:
             return got
-        if block.vector_ok:
-            _registry, fn_table, bind_cache = _tables_for(registry)
-            try:
-                run = _TrieRun(block, part, registry, fn_table, bind_cache, stats=self._stats)
-            except _ColumnarUnsupported:
-                pass
-            else:
-                return [run.outputs_of(i) for i in range(len(part))]
         return [
             [compiled.output(inputs) for inputs in block.norm_inputs]
             for compiled in (compile_program(p, block.signature) for p in part)

@@ -9,8 +9,8 @@ execution shapes:
   (``ScalarNetSynBackend``, the test-side control of ``tests/controls.py``);
 * ``parallel-2`` — the same jobs submitted to one
   :class:`~repro.core.service.SynthesisSession` and fanned out over 2
-  supervised workers (shared weights, the L2 score table, streamed
-  events and cache merge-back all on, as by default).
+  supervised workers (shared weights, streamed events and cache
+  merge-back all on, as by default).
 
 Each kind runs with the configuration ``build_backend`` gives its session
 method (``netsyn_cf``, ``netsyn_lcs``, ``netsyn_fp``, ``edit``), so the

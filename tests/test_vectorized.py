@@ -13,7 +13,10 @@ The load-bearing properties:
   per-candidate control (``tests/controls.py``), serially and through
   the parallel runner;
 * non-catalog registries (0-ary and 3-ary functions) execute correctly
-  through both the compiled hot path and the columnar scalar fallback;
+  through both the compiled hot path and the columnar scalar fallback,
+  and whatever the trie cannot serve (fids outside the packed range,
+  inputs past the int64-safe bound, a scalar fallback overflowing it)
+  runs compiled with reference-equal outputs and traces;
 * persistent tries grown by many small GA-shaped rounds equal a cold
   rebuild, and the engine's bounded evaluator set keeps verdicts and
   cumulative kernel counters across evictions;
@@ -37,11 +40,13 @@ from repro.dsl import Interpreter, Program, REGISTRY, compile_program, input_sig
 from repro.dsl.equivalence import IOExample
 from repro.dsl.functions import DSLFunction, FunctionRegistry
 from repro.dsl.types import DSLType
+from repro.dsl.vector_ops import SAFE_INT_BOUND
 from repro.execution import (
     BatchExecutionEngine,
     ColumnarEvaluator,
     EvaluationCache,
     ExecutionEngine,
+    TraceColumns,
 )
 
 INT, LIST = DSLType.INT, DSLType.LIST
@@ -77,6 +82,16 @@ def _assert_columns_match(columns, population, traces):
                 else:
                     assert size == 0
                 assert not row[size:].any()
+
+
+def _assert_same_columns(columns, population, example_inputs):
+    """``columns`` equal the reference traces packed as columns, which
+    saturate ints beyond ``SAFE_INT_BOUND``."""
+    want = TraceColumns.from_traces(
+        population, [_reference_traces(p, example_inputs) for p in population]
+    )
+    for name in ("fids", "lengths", "values", "sizes"):
+        np.testing.assert_array_equal(getattr(columns, name), getattr(want, name), err_msg=name)
 
 
 def _population(rng: np.random.Generator, size: int, alphabet=None) -> list:
@@ -320,29 +335,68 @@ class TestNonCatalogRegistries:
             )
             assert tuple(got) == expected
 
-
-    def test_negative_function_ids_take_the_compiled_path(self):
-        # packed (parent, fid) codes assume fids >= 0: a negative fid would
-        # alias another node's code, so such registries must not be packed
+    @pytest.mark.parametrize("odd_fid", [-1, 2 ** 20])
+    def test_negative_function_ids_take_the_compiled_path(self, odd_fid):
+        # packed (parent, fid) codes need fids in [0, 2**20): a negative fid
+        # would alias another node's code and a larger one overflows the
+        # packing, so such a registry gets no trie and every batch over it,
+        # even one using only in-range fids, runs on the compiled path
         registry = FunctionRegistry([
-            DSLFunction(-1, "NEG", (LIST,), LIST, lambda xs: [-v for v in xs]),
+            DSLFunction(odd_fid, "NEG", (LIST,), LIST, lambda xs: [-v for v in xs]),
             DSLFunction(2, "DBL", (LIST,), LIST, lambda xs: [2 * v for v in xs]),
             DSLFunction(3, "REV", (LIST,), LIST, lambda xs: list(reversed(xs))),
         ])
         example_inputs = [[[1, 2, 3]], [[4, -5]]]
         population = [
-            Program(fids, registry=registry) for fids in ([2, -1, 3], [2, 3], [-1], [3, -1, -1])
+            Program(fids, registry=registry)
+            for fids in ([2, odd_fid, 3], [2, 3], [odd_fid], [3, odd_fid, odd_fid])
         ]
+        in_range = [Program(fids, registry=registry) for fids in ([2, 3], [3, 2, 2], [3])]
         evaluator = ColumnarEvaluator(example_inputs)
         assert evaluator.outputs([population[0]]) == [[[-6, -4, -2], [10, -8]]]
+        for batch in (population, in_range):
+            assert evaluator.outputs(batch) == [
+                _reference_outputs(p, example_inputs) for p in batch
+            ]
+            _assert_columns_match(
+                evaluator.trace_columns(batch),
+                batch,
+                [_reference_traces(p, example_inputs) for p in batch],
+            )
+        assert evaluator.stats()["dispatch_count"] == 0
+
+    def test_scalar_fallback_overflow_retires_the_trie(self):
+        # a non-catalog function whose scalar fallback leaves the int64-safe
+        # range: the insert raises mid-round, the (block, registry) trie is
+        # retired for good, and every later batch runs compiled
+        registry = FunctionRegistry([
+            DSLFunction(1, "BIG", (), INT, lambda: 2 ** 40),
+            DSLFunction(2, "DBL", (LIST,), LIST, lambda xs: [2 * v for v in xs]),
+            DSLFunction(3, "LEN", (LIST,), INT, lambda xs: len(xs)),
+        ])
+        example_inputs = [[[1, 2, 3]], [[4, -5]]]
+        with_big = [Program(fids, registry=registry) for fids in ([1], [2, 1], [2, 3])]
+        without_big = [Program(fids, registry=registry) for fids in ([2], [2, 2, 3], [3])]
+        evaluator = ColumnarEvaluator(example_inputs)
+        for batch in (with_big, with_big + without_big, without_big):
+            assert evaluator.outputs(batch) == [
+                _reference_outputs(p, example_inputs) for p in batch
+            ]
+            _assert_same_columns(evaluator.trace_columns(batch), batch, example_inputs)
+        assert evaluator._tries[(0, id(registry))][1] is None
+
+    def test_inputs_past_the_safe_bound_take_the_compiled_path(self):
+        # an input the int64 columns cannot hold exactly marks the whole
+        # signature block unvectorizable: no trie, no dispatch
+        example_inputs = [[[SAFE_INT_BOUND + 1, 2, -3]], [[4, -(2 ** 40)]]]
+        rng = np.random.default_rng(37)
+        population = _population(rng, 20)
+        evaluator = ColumnarEvaluator(example_inputs)
         assert evaluator.outputs(population) == [
             _reference_outputs(p, example_inputs) for p in population
         ]
-        _assert_columns_match(
-            evaluator.trace_columns(population),
-            population,
-            [_reference_traces(p, example_inputs) for p in population],
-        )
+        _assert_same_columns(evaluator.trace_columns(population), population, example_inputs)
+        assert evaluator.stats()["dispatch_count"] == 0
 
 
 class TestVectorizedBitIdentity:
@@ -586,7 +640,6 @@ class TestEvaluatorBound:
     COUNTERS = (
         "dispatch_count",
         "fused_group_count",
-        "bucketed_dispatch_count",
         "trie_leaf_lookups",
         "trie_leaf_hits",
         "trie_nodes_inserted",
