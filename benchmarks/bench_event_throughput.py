@@ -7,7 +7,7 @@ wakeup; the ``ServiceConfig.event_batch_size`` fallback coalesces a
 worker's events into one put per batch, and the parent's pump drains
 whatever has accumulated per wakeup.  This benchmark measures the queue
 ceiling both ways with the *actual* worker-side emitter
-(:class:`repro.core.service._EventEmitter`) and the pump's drain pattern.
+(:class:`repro.core.supervisor._EventEmitter`) and the pump's drain pattern.
 
 Results are appended to ``BENCH_event_throughput.json`` at the
 repository root so the trajectory across PRs is preserved.
@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 from queue import Empty
 
-from repro.core.service import _EventEmitter
+from repro.core.supervisor import _EventEmitter
 from repro.events import EventLog, ProgressEvent
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -8,10 +8,12 @@ faulted one:
 
 * **overhead** — the same batch of jobs run through a bench-local bare
   ``multiprocessing.Pool.map`` reference (the supervisor's worker
-  initializer and job function, with the session's event pump, but no
-  supervision) and through ``SynthesisSession.run``; the supervised
-  path must stay within a few percent of the pool (the acceptance gate
-  is <5% on quiet machines; shared CI runners only record the number).
+  initializer, job function and event routing, but no supervision) and
+  through ``SynthesisSession.run`` on a new session
+  (both timed regions fork their workers and shut them down); the
+  supervised path must stay within a few percent of the pool (the
+  acceptance gate is <5% on quiet machines; shared CI runners only
+  record the number).
 * **recovery latency** — with a seeded :class:`FaultPlan` crashing one
   worker mid-job, the wall-clock from the crash-revealing event to (a)
   the replacement worker spawning (``worker_restarted``) and (b) the
@@ -36,8 +38,12 @@ from pathlib import Path
 
 from repro.config import NetSynConfig, ServiceConfig
 from repro.core import ArtifactStore, JobState, SynthesisSession
-from repro.core.service import _run_service_job
-from repro.core.supervisor import _parallel_worker_init
+from repro.core.supervisor import (
+    WorkerSupervisor,
+    _parallel_worker_init,
+    _run_service_job,
+    _worker_payload,
+)
 from repro.data import make_benchmark_suite
 from repro.execution.faults import FaultPlan
 
@@ -67,42 +73,59 @@ def _session(config, **service_kwargs) -> SynthesisSession:
 
 
 def _run_batch(config, tasks, **service_kwargs):
-    """One parallel run; returns (elapsed_seconds, jobs, stamped_events)."""
+    """One parallel run; returns (elapsed_seconds, jobs, stamped_events).
+
+    The timed region forks the session's pool and closes it again, as
+    the bare reference's region starts and tears down its pool.
+    """
     session = _session(config, **service_kwargs)
     stamped = []
     session.add_listener(lambda event: stamped.append((time.perf_counter(), event)))
     jobs = [session.submit(task, budget=BUDGET, seed=7) for task in tasks]
     start = time.perf_counter()
     session.run(n_workers=N_WORKERS)
+    session.close()
     return time.perf_counter() - start, jobs, stamped
 
 
 def _bare_pool_reference(config, tasks):
     """The unsupervised reference: the same job specs over a bare pool.
 
-    Mirrors the session's fan-out step for step (cancel flags, the live
-    event pump, the settle wait, cache merge-back), except that the jobs
-    go through ``Pool.map`` instead of the supervisor — so the timing
-    difference is the supervision itself.  Returns (elapsed_seconds, jobs).
+    Mirrors the session's fan-out step for step (cleared cancel flags,
+    live event delivery, cache merge-back), except that the jobs go
+    through ``Pool.map`` instead of the supervisor — so the timing
+    difference is the supervision itself.  The ``WorkerSupervisor`` here
+    only lends its specs, flag array and event routing; it forks no
+    worker.  ``Pool`` gives every worker the same initializer arguments,
+    so events cross one shared queue, drained by a bench-local thread
+    until each job's ``finished`` event arrived.  Returns
+    (elapsed_seconds, jobs).
     """
     session = _session(config)
     jobs = [session.submit(task, budget=BUDGET, seed=7) for task in tasks]
     start = time.perf_counter()
     context = multiprocessing.get_context()
-    queue = context.Queue()
-    flags, specs, received = session._prepare_fan_out(jobs, context)
-    pump = threading.Thread(
-        target=session._pump_events, args=(queue, jobs, received), daemon=True
+    channel = WorkerSupervisor(
+        N_WORKERS, session.service_config, config.seed, _worker_payload(session), context=context
     )
-    pump.start()
+    specs, _routes = channel._prepare_fan_out(session, jobs)
+    events = context.Queue()
+
+    def drain():
+        while not all(job.events and job.events[-1].kind == "finished" for job in jobs):
+            channel._deliver(*events.get())
+
+    drainer = threading.Thread(target=drain, daemon=True)
+    drainer.start()
     with context.Pool(
         processes=N_WORKERS,
         initializer=_parallel_worker_init,
-        initargs=(config.seed, session._worker_payload(), queue, flags),
+        initargs=(config.seed, channel.payload, events, channel.cancel_flags),
     ) as pool:
         outcomes = pool.map(_run_service_job, specs)
-    session._settle_event_stream(queue, pump, received, [outcome[3] for outcome in outcomes])
-    for job, (status, result, error, _n_events, delta) in zip(jobs, outcomes):
+    drainer.join()
+    channel.close()
+    for job, (status, result, error, delta) in zip(jobs, outcomes):
         job._remote_cancel = None
         if delta:
             session.backend(job.method, job.program_length).load_cache_snapshot(delta)

@@ -14,11 +14,13 @@ serving-path guarantees of the session layer:
    from the parent while it runs inside a worker; the shared flag stops
    the worker within a generation and the job ends ``CANCELLED`` with no
    ``finished`` event.
-3. **A repeat served from merged worker deltas** — every job ships the
-   cache entries it computed (predicted scores included) back to the
-   parent, which hands them to the next run's workers: re-running the
-   same requests finishes with ``cache_misses == 0`` on each job's last
-   generation event.
+3. **A repeat served by the same pool, from merged worker deltas** — the
+   session's workers outlive ``run()``, so the repeat runs on the very
+   processes of the first run; every job ships the cache entries it
+   computed (predicted scores included) back to the parent, which hands
+   a repeated task's entries to whichever worker runs it next:
+   re-running the same requests finishes with ``cache_misses == 0`` on
+   each job's last generation event.
 4. **The L3 cache log + warm restart** — each ``run()`` appends one
    segment to ``cache_log/`` (no whole-file rewrite); a re-opened
    session loads the log (keyed by model hash) and repeats a request
@@ -39,6 +41,7 @@ skips the torn segment, and the saved event log records the recovery
 """
 
 import json
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -123,6 +126,7 @@ def main() -> None:
     start = time.time()
     session.run(n_workers=2)
     print(f"  run finished in {time.time() - start:.1f}s")
+    first_pids = {process.pid for process in multiprocessing.active_children()}
     for job in jobs + [doomed]:
         print(f"  {job.job_id}: {job.state.value} ({len(job.events)} events streamed)")
 
@@ -152,11 +156,17 @@ def main() -> None:
         assert again.result.found == first.result.found
         assert again.result.candidates_used == first.result.candidates_used
     if fault_plan is None:
-        # run 1's workers shipped every entry they computed home, and run
-        # 2's workers start from the parent's snapshot of them
+        # the pool outlived run 1: the repeat ran on the same workers
+        repeat_pids = {process.pid for process in multiprocessing.active_children()}
+        assert first_pids and repeat_pids == first_pids, (
+            f"the repeat ran on workers {sorted(repeat_pids)}, not {sorted(first_pids)}"
+        )
+        # run 1's workers shipped every entry they computed home, and each
+        # repeated job carries its own task's entries to whichever worker
+        # runs it
         for job in repeats:
             assert last_generation(job).cache_misses == 0, f"{job.job_id} missed the cache"
-    print(f"  repeated 3 jobs in {elapsed:.1f}s, served from merged worker deltas")
+    print(f"  repeated 3 jobs in {elapsed:.1f}s on the same pool, served from merged worker deltas")
 
     # -- the L3 cache log: appended segments, no whole-file rewrite ------
     manifest_path = Path(artifact_dir) / CACHE_LOG_DIR / CACHE_LOG_MANIFEST
@@ -189,6 +199,9 @@ def main() -> None:
         assert skipped, "chaos: the torn L3 segment was not reported"
         print(f"  chaos: torn cache segment skipped ({skipped[0].reason})")
 
+    session.close()
+    warm.close()
+    assert not multiprocessing.active_children(), "close() left worker processes alive"
     log.save(event_log_path)
     print(f"  event log ({len(log)} events) written to {event_log_path}")
     if fault_plan is not None:

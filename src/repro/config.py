@@ -342,8 +342,9 @@ class ServiceConfig:
     job_deadline: Optional[float] = None
     #: seconds between the cooperative deadline cancel and the hard kill
     deadline_grace: float = 2.0
-    #: total worker crashes after which the pool is abandoned and the
-    #: remaining jobs run serially in the parent (``degraded_serial``)
+    #: worker crashes within one ``run()`` after which the pool is
+    #: abandoned and that run's remaining jobs run serially in the
+    #: parent (``degraded_serial``); the next parallel run forks a new pool
     max_pool_crashes: int = 8
     #: deterministic fault-injection plan (repro.execution.faults.FaultPlan)
     #: installed in the parent and shipped to every worker; None in

@@ -15,15 +15,18 @@ them.  This module turns that shape into an explicit API:
     cache of :class:`~repro.core.backend.SynthesisBackend` instances (one
     per method × program length).  :meth:`SynthesisSession.submit`
     enqueues a job; :meth:`SynthesisSession.run` executes pending jobs
-    serially in submission order or fans them out over the supervised
-    worker pool of :class:`~repro.core.supervisor.WorkerSupervisor`
-    (records identical to a serial run — every job is explicitly seeded).
-    Parallel workers stream their per-generation events back through a
-    multiprocessing queue drained live by a pump thread, merge the cache
-    entries they computed back into the session when each job completes,
-    and — with a configured ``artifact_dir`` — the session persists those
-    caches next to the artifacts (keyed by model hash) so a re-opened
-    session starts warm in a later process.
+    serially in submission order or dispatches them to the session's
+    supervised worker pool (:class:`~repro.core.supervisor.WorkerSupervisor`;
+    records identical to a serial run — every job is explicitly seeded).
+    The pool is forked at the first parallel run and lives until
+    :meth:`SynthesisSession.close` (or the session's garbage
+    collection): its workers keep their warm backends between runs,
+    stream per-generation events back live, and ship the cache entries
+    they computed back into the session, which hands a repeated task's
+    entries to whichever worker runs it next.  With a configured
+    ``artifact_dir`` the session persists those caches next to the
+    artifacts (keyed by model hash) so a re-opened session starts warm
+    in a later process.
 
 ``SynthesisJob``
     One synthesis request with an observable lifecycle::
@@ -47,14 +50,10 @@ from __future__ import annotations
 
 import atexit
 import enum
-import multiprocessing
-import os
-import pickle
 import re
 import shutil
 import tempfile
-import threading
-import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -63,13 +62,7 @@ from repro.config import NetSynConfig, ServiceConfig
 from repro.core.artifacts import ArtifactStore
 from repro.core.backend import SynthesisBackend
 from repro.core.result import SynthesisResult
-from repro.core.supervisor import (
-    FailureReport,
-    WorkerSupervisor,
-    worker_cancel_flags,
-    worker_event_queue,
-    worker_payload,
-)
+from repro.core.supervisor import FailureReport, WorkerSupervisor, _snapshot_key
 from repro.data.tasks import SynthesisTask
 from repro.events import JobCancelled, ProgressEvent, ProgressListener
 from repro.execution import faults
@@ -181,348 +174,6 @@ class SynthesisJob:
         }
 
 
-#: picklable description of one job for the parallel workers:
-#: (job_index, job_id, method, program_length, task, seed, budget_limit,
-#:  progress_every, event_batch_size)
-_ServiceJobSpec = Tuple[int, str, str, Optional[int], SynthesisTask, int, int, int, int]
-
-#: what a worker returns per job:
-#: (status, result, error, n_events_emitted, cache_delta)
-_ServiceJobOutcome = Tuple[str, Optional[SynthesisResult], Optional[str], int, Optional[dict]]
-
-_WORKER_BACKENDS: Dict[Any, Any] = {}
-
-#: per-process memo of attached shared stores, keyed by (directory, token)
-#: — the token changes whenever the segment is re-packed, so a process
-#: that re-resolves the same directory after a retrain re-attaches
-#: instead of serving memmap views laid out for the old file
-_ATTACHED_STORES: Dict[Tuple[str, str], ArtifactStore] = {}
-
-def _segment_token(directory: str) -> str:
-    """Identity of the packed segment currently on disk (mtime + size)."""
-    from repro.core.artifacts import SHARED_WEIGHTS_BIN
-
-    try:
-        stat = (Path(directory) / SHARED_WEIGHTS_BIN).stat()
-        return f"{stat.st_mtime_ns}:{stat.st_size}"
-    except OSError:
-        return "missing"
-
-#: name of the pickled cache snapshot inside a shared segment directory
-_CACHE_SNAPSHOT = "cache_snapshot.pkl"
-
-
-def _pickle_atomically(path: Path, snapshots: Dict[str, dict]) -> Path:
-    """Pickle ``snapshots`` to ``path`` via a unique temp file + ``os.replace``.
-
-    Sessions sharing a directory may overwrite each other's snapshot, but
-    a worker never observes a half-written one.
-    """
-    handle, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(handle, "wb") as stream:
-            pickle.dump(snapshots, stream)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return path
-
-
-def _snapshot_key(method: str, program_length: Optional[int]) -> str:
-    """The key one backend's caches live under in snapshot dicts.
-
-    Shared by the worker warm-start payload, the merge-back path and the
-    persisted cross-session snapshots, so all three speak one format.
-    """
-    return f"{method}:{program_length}"
-
-
-@dataclass
-class SharedWorkerPayload:
-    """What crosses the process boundary under shared-memory serving.
-
-    Instead of pickling every trained model into every worker, the parent
-    ships this tiny descriptor; :meth:`resolve_in_worker` (called once
-    per worker by its initializer) attaches the packed weight
-    segment via ``np.memmap`` — so all workers alias one set of physical
-    pages — and loads the optional warm-cache snapshot.
-    """
-
-    directory: str
-    config: NetSynConfig
-    names: Tuple[str, ...] = ()
-    snapshot_file: Optional[str] = None
-    #: identity of the packed segment (set by the parent at pack time);
-    #: part of the attach-memo key so a re-packed segment re-attaches
-    token: str = ""
-    #: per-process memo of the loaded snapshot file (not part of the
-    #: pickled payload; populated lazily by :meth:`cache_snapshots`)
-    _loaded_snapshots: Optional[Dict[str, dict]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def resolve_in_worker(self) -> "SharedWorkerPayload":
-        """Attach the shared store (memoized per process) and return self.
-
-        A missing or torn shared-weight segment (e.g. deleted between
-        pack and worker start, or truncated by a crashed packer) does not
-        fail the worker: it falls back to loading the per-artifact
-        ``.npz`` copies the parent saved next to the segment — slower,
-        private pages, same numbers.
-        """
-        key = (self.directory, self.token)
-        if key not in _ATTACHED_STORES:
-            try:
-                _ATTACHED_STORES[key] = ArtifactStore.attach_shared(
-                    self.directory, names=self.names or None
-                )
-            except (OSError, ValueError, KeyError) as error:
-                logger.warning(
-                    "shared-weight attach failed in worker (%s); "
-                    "falling back to private npz copies from %s",
-                    error, self.directory,
-                )
-                _ATTACHED_STORES[key] = ArtifactStore.load(
-                    self.directory, names=self.names or None
-                )
-        return self
-
-    @property
-    def store(self) -> ArtifactStore:
-        key = (self.directory, self.token)
-        if key not in _ATTACHED_STORES:
-            self.resolve_in_worker()
-        return _ATTACHED_STORES[key]
-
-    def cache_snapshots(self) -> Dict[str, dict]:
-        """The warm-cache snapshot shipped with the segment (may be empty).
-
-        Loaded lazily and memoized on the payload instance — the instance
-        lives for the whole worker process, so the pickle is read once
-        per worker, not once per job.
-        """
-        if not self.snapshot_file:
-            return {}
-        if self._loaded_snapshots is None:
-            try:
-                with open(self.snapshot_file, "rb") as handle:
-                    self._loaded_snapshots = pickle.load(handle)
-            except Exception as error:  # noqa: BLE001 - torn/empty/foreign file
-                # the snapshot only warms caches: any unreadable file
-                # (missing, empty, truncated mid-write) is a cold start
-                logger.warning(
-                    "unreadable worker cache snapshot %s (%s: %s); starting cold",
-                    self.snapshot_file, type(error).__name__, error,
-                )
-                self._loaded_snapshots = {}
-        return self._loaded_snapshots
-
-
-class _FlagRaiser:
-    """Raises one slot of a shared cancellation-flag array (parent side)."""
-
-    def __init__(self, flags: Any, index: int) -> None:
-        self._flags = flags
-        self._index = index
-
-    def __call__(self) -> None:
-        self._flags[self._index] = 1
-
-
-def _unpack_payload(payload: Any) -> Tuple[ArtifactStore, NetSynConfig, Dict[str, dict]]:
-    """Store/config/snapshots from either payload shape (tuple or shared)."""
-    if hasattr(payload, "raise_"):  # PayloadResolutionError from the initializer
-        payload.raise_()
-    if isinstance(payload, SharedWorkerPayload):
-        return payload.store, payload.config, payload.cache_snapshots()
-    store, config = payload
-    return store, config, {}
-
-
-class _EventEmitter:
-    """Streams one job's events to the parent's pump (the worker side).
-
-    Every event is enriched with the job id and streamed to the parent's
-    pump thread through ``queue`` *before* the cancellation flag is
-    polled, so the event that triggered a cancellation is observed by the
-    parent exactly as it is on the serial path.  ``"finished"`` events
-    never cancel (mirroring the serial listener: by then the result
-    exists and discarding it would waste the run).
-
-    With ``batch_size > 1`` events are coalesced into one
-    ``queue.put_many``-style put of a list (the queue-backpressure
-    fallback: one pickle + one lock round-trip per batch instead of per
-    event).  The buffer is flushed when full, when an event arrives more
-    than ``flush_interval`` after the previous flush (the check runs at
-    emission time — there is no timer thread, so a buffered event can
-    wait out at most one silent generation), before a cancellation is
-    raised, and at job end (:meth:`flush` in the worker's ``finally``) —
-    per-job stream order and completeness are identical to the unbatched
-    path.
-    """
-
-    def __init__(
-        self,
-        job_index: int,
-        job_id: str,
-        queue: Any,
-        flags: Any,
-        batch_size: int = 1,
-        flush_interval: float = 0.05,
-    ) -> None:
-        self.job_index = job_index
-        self.job_id = job_id
-        self.queue = queue
-        self.flags = flags
-        self.batch_size = max(1, int(batch_size))
-        self.flush_interval = flush_interval
-        self.emitted = 0
-        self._buffer: List[ProgressEvent] = []
-        self._last_flush = time.monotonic()
-
-    def _put(self, item: Any, count: int) -> None:
-        """One guarded queue put; a broken event pipe disables streaming.
-
-        ``emitted`` counts only events that actually reached the queue —
-        it is the exact number the parent's settle phase waits for, so a
-        mid-job streaming failure must not inflate it.  The job itself
-        keeps running: losing observability is strictly better than
-        losing the result.
-        """
-        if self.queue is None:
-            return
-        try:
-            faults.fire("event_put", target=self.job_id)
-            self.queue.put(item)
-            self.emitted += count
-        except OSError as error:
-            logger.warning(
-                "event stream broken for %s (%s); job continues unstreamed",
-                self.job_id, error,
-            )
-            self.queue = None
-            self._buffer = []
-
-    def flush(self) -> None:
-        """Put the coalesced buffer on the queue (no-op when empty)."""
-        if self._buffer:
-            buffer, self._buffer = self._buffer, []
-            self._put((self.job_index, buffer), len(buffer))
-        self._last_flush = time.monotonic()
-
-    def __call__(self, event: ProgressEvent) -> None:
-        event.job_id = self.job_id
-        if self.queue is not None:
-            if self.batch_size <= 1:
-                self._put((self.job_index, event), 1)
-            else:
-                self._buffer.append(event)
-                if (
-                    len(self._buffer) >= self.batch_size
-                    or time.monotonic() - self._last_flush >= self.flush_interval
-                ):
-                    self.flush()
-        if (
-            self.flags is not None
-            and self.flags[self.job_index]
-            and event.kind != "finished"
-        ):
-            if self.queue is not None:
-                self.flush()
-            raise JobCancelled(self.job_id)
-
-
-def _run_service_job(spec: _ServiceJobSpec) -> _ServiceJobOutcome:
-    """Execute one job in a worker process (or serially as a fallback).
-
-    Backends are built lazily per worker and cached per (method, length),
-    mirroring the session's own backend cache, so parallel results are
-    byte-identical to serial ones — seeds travel with the spec, never
-    with the worker.  Progress events stream back through the runner's
-    event queue, the shared cancellation flag is honored both before the
-    job starts and at every emitted event, and cache entries added by
-    the job (NN-score and evaluation memos) are returned as a snapshot
-    delta for the parent to merge.  Failures are returned, not raised,
-    so one broken job cannot take down its worker (matching the serial
-    path's per-job isolation).
-    """
-    from repro.baselines.registry import build_backend
-
-    (
-        job_index, job_id, method, length, task, seed, budget_limit,
-        progress_every, event_batch_size,
-    ) = spec
-    queue = worker_event_queue()
-    flags = worker_cancel_flags()
-    emitter = _EventEmitter(
-        job_index, job_id, queue, flags, batch_size=event_batch_size
-    )
-    backend = None
-    version_before = 0
-    try:
-        if flags is not None and flags[job_index]:
-            # cancelled before the worker even started the job: don't pay
-            # for a single generation (the flag was raised parent-side)
-            return ("cancelled", None, None, 0, None)
-        store, config, snapshots = _unpack_payload(worker_payload())
-        if _WORKER_BACKENDS.get("__store__") is not store:
-            _WORKER_BACKENDS.clear()
-            _WORKER_BACKENDS["__store__"] = store
-        key = (method, length)
-        backend = _WORKER_BACKENDS.get(key)
-        if backend is None:
-            backend = build_backend(method, store, config, program_length=length)
-            snapshot = snapshots.get(_snapshot_key(method, length))
-            if snapshot and hasattr(backend, "load_cache_snapshot"):
-                backend.load_cache_snapshot(snapshot)
-            _WORKER_BACKENDS[key] = backend
-        # mirror the session's own backend setup: the configured event
-        # cadence (which is also the budget-hook cancellation cadence)
-        # must reach worker backends, not just local ones
-        backend.progress_every = progress_every
-        if hasattr(backend, "begin_cache_delta"):
-            backend.begin_cache_delta()
-        version_before = getattr(backend, "cache_version", lambda: 0)()
-        result = backend.solve(
-            task,
-            budget=SearchBudget(limit=budget_limit),
-            seed=seed,
-            listener=emitter,
-        )
-    except JobCancelled:
-        return ("cancelled", None, None, emitter.emitted, _worker_cache_delta(backend, version_before))
-    except Exception as error:  # noqa: BLE001 - job isolation boundary
-        return ("failed", None, f"{type(error).__name__}: {error}", emitter.emitted, None)
-    finally:
-        emitter.flush()
-    return ("ok", result, None, emitter.emitted, _worker_cache_delta(backend, version_before))
-
-
-def _worker_cache_delta(backend: Any, version_before: int) -> Optional[dict]:
-    """The entries this job added to the worker backend's caches.
-
-    The merge-back payload for the parent session.  Jobs that ran fully
-    warm (every score and evaluation already cached) ship nothing; jobs
-    that did work ship only the dirty entries written since the job's
-    ``begin_cache_delta()`` window opened.  Both the payload and the
-    cost of building it scale with the job's new work, not with the
-    cache size: the caches read their dirty windows without scanning
-    their stores (``EvaluationCache.dirty_snapshot``,
-    ``LRUCache.dirty_items``).  Merging is idempotent: every cached
-    value is a deterministic function of its structural key.
-    """
-    if backend is None or not hasattr(backend, "cache_snapshot"):
-        return None
-    if getattr(backend, "cache_version", lambda: 0)() == version_before:
-        return None
-    if hasattr(backend, "begin_cache_delta"):
-        delta = backend.cache_snapshot(dirty_only=True)
-    else:
-        delta = backend.cache_snapshot()
-    return delta or None
-
-
 class SynthesisSession:
     """A warm set of Phase-1 artifacts serving many synthesis jobs."""
 
@@ -543,6 +194,10 @@ class SynthesisSession:
         self._next_job_number = 0
         self._shared_dir: Optional[Path] = None
         self._shared_packed = False
+        #: the supervised worker pool (built at the first parallel run)
+        #: and the finalizer that closes it with this session
+        self._pool: Optional[WorkerSupervisor] = None
+        self._pool_finalizer: Optional[weakref.finalize] = None
         # Persisted warm caches: snapshots written by a previous process
         # next to the artifacts, keyed by model hash (stale snapshots are
         # discarded by ArtifactStore.load_caches).  Applied lazily as
@@ -579,6 +234,25 @@ class SynthesisSession:
     def add_listener(self, listener: ProgressListener) -> None:
         """Attach a session-wide progress-event consumer."""
         self._listeners.append(listener)
+
+    def close(self) -> None:
+        """Shut down this session's worker pool (idempotent).
+
+        The pool's workers are stopped and reaped before this returns.
+        The session stays usable: a later parallel :meth:`run` forks a
+        new pool.  A session that is garbage-collected (or whose
+        interpreter exits) closes its pool the same way.
+        """
+        if self._pool_finalizer is not None:
+            self._pool_finalizer()
+        self._pool = None
+        self._pool_finalizer = None
+
+    def __enter__(self) -> "SynthesisSession":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     def backend(self, method: str, program_length: Optional[int] = None) -> SynthesisBackend:
@@ -732,143 +406,6 @@ class SynthesisSession:
                 atexit.register(shutil.rmtree, str(self._shared_dir), ignore_errors=True)
         return self._shared_dir
 
-    def _worker_payload(self) -> Any:
-        """Build the cross-process payload for a parallel run.
-
-        With ``shared_weights`` the trained models are persisted once
-        (``weights.npz``), packed into a flat mmap-able segment, and only
-        a path descriptor crosses the process boundary — each worker
-        attaches the segment read-only instead of unpickling its own
-        model copies.  The session backends' score/evaluation caches are
-        snapshotted next to it (structural keys are process-stable) so
-        workers start warm.  Falls back to pickling ``(store, config)``
-        when shared serving is disabled.
-        """
-        if not self.service_config.shared_weights or not self.store.names():
-            # nothing trained to share (e.g. an artifact-free edit/oracle
-            # session): ship the store directly, it is empty or tiny
-            return (self.store, self.config)
-        directory = self._shared_directory()
-        if not self._shared_packed:
-            self.store.save(directory)
-            self.store.pack_shared(directory)
-            self._shared_packed = True
-        snapshot_file = None
-        snapshots = {
-            _snapshot_key(method, length): snapshot
-            for (method, length), backend in self._backends.items()
-            for snapshot in [getattr(backend, "cache_snapshot", lambda: None)()]
-            if snapshot
-        }
-        if snapshots:
-            snapshot_file = str(_pickle_atomically(directory / _CACHE_SNAPSHOT, snapshots))
-        return SharedWorkerPayload(
-            directory=str(directory),
-            config=self.config,
-            names=self.store.names(),
-            snapshot_file=snapshot_file,
-            token=_segment_token(str(directory)),
-        )
-
-    # ------------------------------------------------------------------
-    def _pump_events(
-        self,
-        queue: Any,
-        pending: Sequence[SynthesisJob],
-        received: List[int],
-        on_control: Optional[Callable[[ProgressEvent], None]] = None,
-    ) -> None:
-        """Drain the workers' event queue live (runs on a daemon thread).
-
-        Each item is ``(job_index, event)``; events are recorded on the
-        job and fanned out to session listeners exactly like the serial
-        path, while the main thread blocks in the supervisor.  A listener
-        raising :class:`JobCancelled` requests cancellation of that job
-        (serial semantics translated to the remote flag); any other
-        listener exception is logged and swallowed — the pump must keep
-        draining or the run would lose events.  A ``None`` sentinel
-        (posted by :meth:`run` after all expected events arrived) stops
-        the pump.
-
-        Items with a negative job index are **control events** (worker
-        heartbeats): they are routed to
-        ``on_control`` and never recorded on a job or fanned to listeners
-        — per-job streams stay identical to serial runs.  The blocking
-        get runs under a short timeout so the pump stays responsive (and
-        can never be parked forever on a queue whose writers all died);
-        termination is still sentinel-driven.
-        """
-        from queue import Empty
-
-        stop = False
-        while not stop:
-            try:
-                items = [queue.get(timeout=0.25)]
-            except Empty:
-                continue
-            # batched drain: grab whatever else already crossed the queue
-            # before fanning out, so a bursty producer costs one wakeup
-            # per burst instead of one per event
-            for _ in range(256):
-                try:
-                    items.append(queue.get_nowait())
-                except Empty:
-                    break
-            for item in items:
-                if item is None:
-                    stop = True
-                    continue
-                job_index, payload = item
-                if job_index < 0:
-                    if on_control is not None and isinstance(payload, ProgressEvent):
-                        try:
-                            on_control(payload)
-                        except Exception:  # noqa: BLE001 - pump must survive
-                            logger.exception("control-event handler failed")
-                    continue
-                # a worker with event batching on puts a coalesced list
-                events = payload if isinstance(payload, list) else [payload]
-                job = pending[job_index]
-                self._record_events(job, events)
-                received[job_index] += len(events)
-                for event in events:
-                    for session_listener in self._listeners:
-                        try:
-                            session_listener(event)
-                        except JobCancelled:
-                            job.cancel()
-                        except Exception:  # noqa: BLE001 - pump must survive listeners
-                            logger.exception("session listener failed on %s", event.kind)
-
-    def _settle_event_stream(
-        self,
-        queue: Any,
-        pump: threading.Thread,
-        received: List[int],
-        expected: List[int],
-        timeout: float = 30.0,
-    ) -> None:
-        """Wait until every streamed event reached the pump, then stop it.
-
-        The supervisor returning only proves the *results* arrived; events
-        travel on a separate queue whose feeder threads may still be
-        flushing.  Workers report how many events they emitted per job,
-        so the parent waits for exactly that many before posting the
-        pump's stop sentinel — making ``run()``'s post-condition "every
-        event observable" deterministic rather than racy.
-        """
-        deadline = time.monotonic() + timeout
-        while any(got < want for got, want in zip(received, expected)):
-            if time.monotonic() > deadline:  # pragma: no cover - defensive
-                logger.warning(
-                    "event stream incomplete after %.0fs: received %s of %s",
-                    timeout, received, expected,
-                )
-                break
-            time.sleep(0.001)
-        queue.put(None)
-        pump.join(timeout=5.0)
-
     def run(
         self,
         jobs: Optional[Sequence[SynthesisJob]] = None,
@@ -876,18 +413,22 @@ class SynthesisSession:
     ) -> List[SynthesisJob]:
         """Execute pending jobs, serially (in submission order) or in parallel.
 
-        With ``n_workers > 1`` the pending jobs fan out over supervised
-        worker processes (retries, heartbeats, deadlines and serial
-        degradation — see :mod:`repro.core.supervisor`); results (and
-        the order of the returned list) are identical to a serial run.
-        Worker-side progress events stream back live through a
-        multiprocessing queue drained by a pump thread, so session
-        listeners observe remote jobs per-generation exactly like local
-        ones; ``job.cancel()`` reaches running workers through a shared
-        cancellation flag, and cache entries computed by workers are
-        merged back into this session's backends when each job
-        completes.  With a configured ``artifact_dir`` the merged caches
-        are persisted for later sessions (``ServiceConfig.persist_caches``).
+        With ``n_workers > 1`` the pending jobs are dispatched to the
+        session's supervised worker pool (retries, heartbeats, deadlines
+        and serial degradation — see :mod:`repro.core.supervisor`);
+        results (and the order of the returned list) are identical to a
+        serial run.  The pool is forked at the first parallel run and
+        serves every later one until :meth:`close`; it is rebuilt when
+        ``n_workers`` changes and after a run that degraded to serial.
+        Worker-side progress events stream back live through the pool's
+        event queue, so session listeners observe remote jobs
+        per-generation exactly like local ones; ``job.cancel()`` reaches
+        running workers through a shared cancellation flag, and cache
+        entries computed by workers are merged back into this session's
+        backends when each job completes.  Each dispatched job carries
+        only the merged entries of its own task.  With a configured
+        ``artifact_dir`` the merged caches are persisted for later
+        sessions (``ServiceConfig.persist_caches``).
         """
         if self.service_config.fault_plan is not None:
             # the parent's own instrumented site (l3_append)
@@ -897,12 +438,47 @@ class SynthesisSession:
         pending = [j for j in (jobs if jobs is not None else self.jobs) if j.state is JobState.PENDING]
         n_workers = self.service_config.n_workers if n_workers is None else int(n_workers)
         if n_workers > 1 and len(pending) > 1:
-            self._run_supervised(pending, n_workers)
+            pool = self._pool_for(n_workers, len(pending))
+            pool._run_supervised(self, pending)
+            if pool.degraded:
+                self.close()  # the next parallel run gets a fresh pool
         else:
             for job in pending:
                 self.run_job(job)
         self._persist_caches()
         return pending
+
+    def _pool_for(self, n_workers: int, n_jobs: int) -> WorkerSupervisor:
+        """The session's pool, (re)built when it cannot serve this run."""
+        if self._pool is not None and not self._pool.serves(
+            n_workers, n_jobs, self.service_config
+        ):
+            self.close()
+        if self._pool is None:
+            pool = WorkerSupervisor.for_session(self, n_workers, n_jobs)
+            self._pool = pool
+            self._pool_finalizer = weakref.finalize(self, pool.close)
+        return self._pool
+
+    def _deliver_events(self, job: SynthesisJob, events: Sequence[ProgressEvent]) -> None:
+        """Record worker-streamed events on ``job`` and fan them out.
+
+        Called on the pool's pump thread, exactly like the serial
+        listener: a session listener raising :class:`JobCancelled`
+        requests cancellation of that job (serial semantics translated
+        to the remote flag); any other listener exception is logged and
+        swallowed — the pump must keep draining or the run would lose
+        events.
+        """
+        self._record_events(job, events)
+        for event in events:
+            for session_listener in self._listeners:
+                try:
+                    session_listener(event)
+                except JobCancelled:
+                    job.cancel()
+                except Exception:  # noqa: BLE001 - the pump must survive listeners
+                    logger.exception("session listener failed on %s", event.kind)
 
     def _flush_startup_events(self) -> None:
         """Deliver pre-listener recovery events (once) to session listeners."""
@@ -915,33 +491,6 @@ class SynthesisSession:
                     session_listener(event)
                 except Exception:  # noqa: BLE001 - startup flush must not fail the run
                     logger.exception("session listener failed on %s", event.kind)
-
-    def _prepare_fan_out(
-        self, pending: List[SynthesisJob], context: Any
-    ) -> Tuple[Any, List[_ServiceJobSpec], List[int]]:
-        """Fan-out setup: cancel flags, specs, state transitions."""
-        # one shared byte per job: the parent raises it, workers poll it
-        # at every emitted event (no lock needed for a monotonic flag)
-        flags = context.Array("b", len(pending), lock=False)
-        specs: List[_ServiceJobSpec] = [
-            (index, job.job_id, job.method, job.program_length, job.task, job.seed,
-             job.budget_limit, self.service_config.progress_every,
-             self.service_config.event_batch_size)
-            for index, job in enumerate(pending)
-        ]
-        received = [0] * len(pending)
-        for index, job in enumerate(pending):
-            if job.state is not JobState.PENDING:
-                # cancelled between collecting the pending list and this
-                # fan-out: keep the terminal state and make sure the
-                # worker never runs the job
-                flags[index] = 1
-                continue
-            job.state = JobState.RUNNING
-            job._remote_cancel = _FlagRaiser(flags, index)
-            if job._cancel_requested:  # cancelled between submit and fan-out
-                flags[index] = 1
-        return flags, specs, received
 
     def _supervision_listener(
         self, pending: List[SynthesisJob]
@@ -969,89 +518,6 @@ class SynthesisSession:
                     logger.exception("session listener failed on %s", event.kind)
 
         return listener
-
-    def _run_supervised(self, pending: List[SynthesisJob], n_workers: int) -> None:
-        """Supervised fan-out: retries, heartbeats, deadlines, degradation."""
-        context = multiprocessing.get_context()
-        queue = context.Queue()
-        flags, specs, received = self._prepare_fan_out(pending, context)
-        supervisor = WorkerSupervisor(
-            n_workers=n_workers,
-            config=self.service_config,
-            seed=self.config.seed,
-            payload=self._worker_payload(),
-            event_queue=queue,
-            cancel_flags=flags,
-            emit=self._supervision_listener(pending),
-            context=context,
-        )
-        pump = threading.Thread(
-            target=self._pump_events,
-            args=(queue, pending, received),
-            kwargs={"on_control": supervisor.observe_control},
-            name="netsyn-event-pump",
-            daemon=True,
-        )
-        pump.start()
-        outcomes = None
-        try:
-            outcomes = supervisor.run(specs)
-        finally:
-            for job in pending:
-                job._remote_cancel = None
-            if outcomes is not None:
-                # a job's final attempt flushed its events before its
-                # outcome message, so n_events is a guaranteed floor;
-                # earlier crashed attempts may have streamed more
-                # (received can exceed it) and hard-killed workers may
-                # have streamed fewer (their outcome reports 0)
-                expected = [
-                    received[index]
-                    if outcome.status == "pending_serial"
-                    else max(outcome.n_events, received[index])
-                    for index, outcome in enumerate(outcomes)
-                ]
-            else:
-                expected = [0] * len(pending)
-            self._settle_event_stream(queue, pump, received, expected)
-        serial_rerun: List[SynthesisJob] = []
-        for job, outcome in zip(pending, outcomes):
-            if outcome.cache_delta:
-                backend = self.backend(job.method, job.program_length)
-                if hasattr(backend, "load_cache_snapshot"):
-                    backend.load_cache_snapshot(outcome.cache_delta)
-            if outcome.status == "pending_serial":
-                # the pool degraded before this job finished: hand it to
-                # the serial path below (same backend, same seed — the
-                # result is what the worker would have produced)
-                job.state = JobState.PENDING
-                serial_rerun.append(job)
-            elif outcome.status == "cancelled":
-                job.state = JobState.CANCELLED
-                logger.info("job %s cancelled in worker", job.job_id)
-            elif outcome.status != "ok" or outcome.result is None:
-                job.state = JobState.FAILED
-                job.error = outcome.error
-                job.failure = outcome.failure
-                logger.warning("job %s failed: %s", job.job_id, job.error)
-                if outcome.failure is not None:
-                    # the worker died (or was killed) before it could
-                    # flush a terminal event: synthesize one so the job's
-                    # stream still settles with an observable ending
-                    self._supervision_listener([job])(
-                        ProgressEvent(
-                            kind="failed",
-                            method=job.method,
-                            task_id=job.task.task_id,
-                            job_id=job.job_id,
-                            attempt=outcome.attempts,
-                            reason=outcome.failure.kind,
-                        )
-                    )
-            else:
-                self._finish(job, outcome.result)
-        for job in serial_rerun:
-            self.run_job(job)
 
     # ------------------------------------------------------------------
     def solve(

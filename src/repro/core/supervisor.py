@@ -1,20 +1,44 @@
-"""Supervised parallel execution: the fault-tolerant worker pool.
+"""The session-lifetime supervised worker pool.
 
 A bare ``multiprocessing.Pool.map`` has no failure story: a worker
 killed mid-job (OOM, segfault, SIGKILL) loses its task forever and the
 map blocks until the end of time, a job that reliably crashes its worker
 is retried nowhere, and a job that silently spins can only be stopped by
 killing the whole run.  :class:`WorkerSupervisor` runs explicitly
-managed worker processes instead and adds the failure discipline a
-serving layer needs:
+managed worker processes instead, keeps them for the lifetime of the
+:class:`~repro.core.service.SynthesisSession` that owns it, and adds the
+failure discipline a serving layer needs:
 
+* **Lifetime.**  The pool is built at a session's first parallel
+  ``run()`` (never at session or server start).  Its workers keep their
+  backends, L1 caches and persistent tries between runs; every later
+  run hands its specs to the same workers.  The pump thread and the
+  cancel-flag array live as long as the pool; a flag slot is cleared
+  before a new job reuses it.  The session closes
+  the pool (``SynthesisSession.close()``, its context manager, or a
+  finalizer when it is garbage-collected) and rebuilds it when
+  ``n_workers`` changes or after a run that degraded to serial.
+* **Shipping.**  The trained weights and the session's warm-cache
+  snapshot cross to each worker once, at worker start
+  (:class:`SharedWorkerPayload`).  Each job spec then carries only the
+  cache entries merged back from earlier jobs on the *same task* — the
+  keys of every memo cache embed the task's structural io key, so
+  entries of other tasks could never hit (:class:`_TaskCacheRouter`).
+* **Channels.**  The parent hands each spec to one idle worker through
+  that worker's own task queue, so it always knows which worker holds
+  which job: a job is never lost between a claim and its report.  Each
+  worker sends its progress events, heartbeats and lifecycle messages
+  over its own ordered channel (:class:`_Channel`), which the pump
+  thread reads: a job's events are all delivered before its outcome,
+  and a worker that dies — even mid-send — leaves no lock or half
+  message that another worker's stream depends on.
 * **Liveness.**  Every worker runs a daemon heartbeat thread that emits
-  ``"heartbeat"`` events through the session's existing event queue; the
-  supervisor watches process sentinels (a dead worker is detected within
-  one tick) *and* heartbeat recency (a live-but-frozen worker is detected
-  within ``heartbeat_timeout`` and hard-killed).  Jobs whose claim died
-  with a worker that never reported starting — the claim/report window —
-  are recovered once the pool has been quiet for an orphan grace period.
+  ``"heartbeat"`` events through its channel; the supervisor
+  watches process sentinels (a dead worker is detected within one tick)
+  *and* heartbeat recency (a live-but-frozen worker is detected within
+  ``heartbeat_timeout`` and hard-killed).  Heartbeat ages restart at
+  every dispatch, so an idle gap between runs is never a hang, and a
+  worker that died while idle is replaced at the next dispatch.
 * **Retry with backoff.**  A job whose worker died is requeued with
   seeded exponential backoff and jitter, up to
   ``ServiceConfig.max_job_retries`` times.  Job results are deterministic
@@ -30,32 +54,43 @@ serving layer needs:
   the flag past ``deadline_grace`` is hard-killed.  Either way the job
   ends ``failed`` with a ``deadline`` report — deadline overruns are not
   retried.
-* **Degradation.**  When the pool accumulates more than
-  ``ServiceConfig.max_pool_crashes`` worker crashes, the supervisor stops
-  feeding it, kills the survivors, and hands the remaining jobs back to
-  the session to run serially in the parent (``"degraded_serial"``) —
-  slower, but immune to whatever was killing the workers.
+* **Degradation.**  When one run accumulates more than
+  ``ServiceConfig.max_pool_crashes`` worker crashes, the supervisor
+  stops feeding the pool, kills the survivors, and hands the remaining
+  jobs back to the session to run serially in the parent
+  (``"degraded_serial"``) — slower, but immune to whatever was killing
+  the workers.  The next parallel run gets a fresh pool.
 
 With no faults and default knobs the supervisor is pure bookkeeping on
-the parent side: every job runs in the session's worker function
-(``_run_service_job``) with the per-process state installed by
-:func:`_parallel_worker_init`, so seeded parallel runs remain
-event-for-event identical to serial ones.
+the parent side: every job runs in :func:`_run_service_job` with the
+per-process state installed by :func:`_parallel_worker_init`, so seeded
+parallel runs remain event-for-event identical to serial ones.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import queue
 import random
+import tempfile
 import threading
 import time
+from collections import OrderedDict, deque
+from multiprocessing.connection import wait
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import ServiceConfig
-from repro.events import ProgressEvent
+from repro.config import NetSynConfig, ServiceConfig
+from repro.core.artifacts import ArtifactStore
+from repro.data.tasks import SynthesisTask
+from repro.events import JobCancelled, ProgressEvent
+from repro.execution import faults
+from repro.execution.cache import DEFAULT_MAX_ENTRIES, io_set_key
+from repro.ga.budget import SearchBudget
 from repro.utils.logging import get_logger
 
 logger = get_logger("core.supervisor")
@@ -63,6 +98,10 @@ logger = get_logger("core.supervisor")
 #: supervisor poll tick: how often worker death / deadlines / heartbeats
 #: are re-checked while waiting for results
 _TICK = 0.02
+
+#: cancel-flag slots of a new pool; a run with more jobs rebuilds the
+#: pool with the next power of two
+_FLAG_SLOTS = 256
 
 
 @dataclass
@@ -109,14 +148,25 @@ class SupervisedOutcome:
     status: str
     result: Any = None
     error: Optional[str] = None
-    #: events the final attempt emitted (what the settle phase waits for)
-    n_events: int = 0
     cache_delta: Optional[dict] = None
     failure: Optional[FailureReport] = None
-    #: worker crashes this job survived (its stream may hold partial
-    #: attempts, so the settle phase must not wait for exact counts)
+    #: worker crashes this job survived (its stream may hold events of
+    #: the attempts they cut short)
     crashes: int = 0
     attempts: int = 1
+
+
+#: picklable description of one job for the workers:
+#: (dispatch_index, job_id, method, program_length, task, seed,
+#:  budget_limit, progress_every, event_batch_size, cache_entries).
+#: ``dispatch_index`` is unique over the pool's lifetime; the job's
+#: cancel flag is slot ``dispatch_index % len(cancel_flags)``
+_ServiceJobSpec = Tuple[
+    int, str, str, Optional[int], SynthesisTask, int, int, int, int, Optional[dict]
+]
+
+#: what a worker returns per job: (status, result, error, cache_delta)
+_ServiceJobOutcome = Tuple[str, Any, Optional[str], Optional[dict]]
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +177,137 @@ class SupervisedOutcome:
 #: ``fork`` the context is inherited; under ``spawn`` it travels via
 #: pickling, which the DSL layer supports — see ``DSLFunction.__reduce__``).
 _WORKER_STATE: Dict[str, Any] = {}
+
+#: a worker's backends, built lazily per (method, length) and kept for
+#: the worker's whole life (its L1 caches and tries with them)
+_WORKER_BACKENDS: Dict[Any, Any] = {}
+
+#: per-process memo of attached shared stores, keyed by (directory, token)
+#: — the token changes whenever the segment is re-packed, so a process
+#: that re-resolves the same directory after a retrain re-attaches
+#: instead of serving memmap views laid out for the old file
+_ATTACHED_STORES: Dict[Tuple[str, str], ArtifactStore] = {}
+
+#: name of the pickled cache snapshot inside a shared segment directory
+_CACHE_SNAPSHOT = "cache_snapshot.pkl"
+
+
+def _segment_token(directory: str) -> str:
+    """Identity of the packed segment currently on disk (mtime + size)."""
+    from repro.core.artifacts import SHARED_WEIGHTS_BIN
+
+    try:
+        stat = (Path(directory) / SHARED_WEIGHTS_BIN).stat()
+        return f"{stat.st_mtime_ns}:{stat.st_size}"
+    except OSError:
+        return "missing"
+
+
+def _pickle_atomically(path: Path, snapshots: Dict[str, dict]) -> Path:
+    """Pickle ``snapshots`` to ``path`` via a unique temp file + ``os.replace``.
+
+    Sessions sharing a directory may overwrite each other's snapshot, but
+    a worker never observes a half-written one.
+    """
+    handle, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            pickle.dump(snapshots, stream)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return path
+
+
+def _snapshot_key(method: str, program_length: Optional[int]) -> str:
+    """The key one backend's caches live under in snapshot dicts.
+
+    Shared by the worker warm-start payload, the merge-back path and the
+    persisted cross-session snapshots, so all three speak one format.
+    """
+    return f"{method}:{program_length}"
+
+
+@dataclass
+class SharedWorkerPayload:
+    """What crosses the process boundary once per worker under shared-memory serving.
+
+    Instead of pickling every trained model into every worker, the parent
+    ships this tiny descriptor; :meth:`resolve_in_worker` (called once
+    per worker by its initializer) attaches the packed weight
+    segment via ``np.memmap`` — so all workers alias one set of physical
+    pages — and loads the optional warm-cache snapshot.
+    """
+
+    directory: str
+    config: NetSynConfig
+    names: Tuple[str, ...] = ()
+    snapshot_file: Optional[str] = None
+    #: identity of the packed segment (set by the parent at pack time);
+    #: part of the attach-memo key so a re-packed segment re-attaches
+    token: str = ""
+    #: per-process memo of the loaded snapshot file (not part of the
+    #: pickled payload; populated lazily by :meth:`cache_snapshots`)
+    _loaded_snapshots: Optional[Dict[str, dict]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def resolve_in_worker(self) -> "SharedWorkerPayload":
+        """Attach the shared store (memoized per process) and return self.
+
+        A missing or torn shared-weight segment (e.g. deleted between
+        pack and worker start, or truncated by a crashed packer) does not
+        fail the worker: it falls back to loading the per-artifact
+        ``.npz`` copies the parent saved next to the segment — slower,
+        private pages, same numbers.
+        """
+        key = (self.directory, self.token)
+        if key not in _ATTACHED_STORES:
+            try:
+                _ATTACHED_STORES[key] = ArtifactStore.attach_shared(
+                    self.directory, names=self.names or None
+                )
+            except (OSError, ValueError, KeyError) as error:
+                logger.warning(
+                    "shared-weight attach failed in worker (%s); "
+                    "falling back to private npz copies from %s",
+                    error, self.directory,
+                )
+                _ATTACHED_STORES[key] = ArtifactStore.load(
+                    self.directory, names=self.names or None
+                )
+        return self
+
+    @property
+    def store(self) -> ArtifactStore:
+        key = (self.directory, self.token)
+        if key not in _ATTACHED_STORES:
+            self.resolve_in_worker()
+        return _ATTACHED_STORES[key]
+
+    def cache_snapshots(self) -> Dict[str, dict]:
+        """The warm-cache snapshot shipped with the segment (may be empty).
+
+        Loaded lazily and memoized on the payload instance — the instance
+        lives for the whole worker process, so the pickle is read once
+        per worker, not once per job.
+        """
+        if not self.snapshot_file:
+            return {}
+        if self._loaded_snapshots is None:
+            try:
+                with open(self.snapshot_file, "rb") as handle:
+                    self._loaded_snapshots = pickle.load(handle)
+            except Exception as error:  # noqa: BLE001 - torn/empty/foreign file
+                # the snapshot only warms caches: any unreadable file
+                # (missing, empty, truncated mid-write) is a cold start
+                logger.warning(
+                    "unreadable worker cache snapshot %s (%s: %s); starting cold",
+                    self.snapshot_file, type(error).__name__, error,
+                )
+                self._loaded_snapshots = {}
+        return self._loaded_snapshots
 
 
 class PayloadResolutionError:
@@ -148,10 +329,10 @@ class PayloadResolutionError:
 def _resolve_payload(payload: Any) -> Any:
     """Give payload descriptors a chance to attach per-process resources.
 
-    A payload exposing ``resolve_in_worker()`` (e.g. the service layer's
-    ``SharedWorkerPayload``) is resolved exactly once per process — this
-    is where shared-memory model serving mmaps the packed weight segment
-    instead of unpickling model objects into the worker.
+    A payload exposing ``resolve_in_worker()`` (e.g.
+    :class:`SharedWorkerPayload`) is resolved exactly once per process —
+    this is where shared-memory model serving mmaps the packed weight
+    segment instead of unpickling model objects into the worker.
     """
     resolve = getattr(payload, "resolve_in_worker", None)
     if not callable(resolve):
@@ -160,6 +341,16 @@ def _resolve_payload(payload: Any) -> Any:
         return resolve()
     except Exception as error:  # noqa: BLE001 - must not kill the worker
         return PayloadResolutionError(error)
+
+
+def _unpack_payload(payload: Any) -> Tuple[ArtifactStore, NetSynConfig, Dict[str, dict]]:
+    """Store/config/snapshots from either payload shape (tuple or shared)."""
+    if isinstance(payload, PayloadResolutionError):
+        payload.raise_()
+    if isinstance(payload, SharedWorkerPayload):
+        return payload.store, payload.config, payload.cache_snapshots()
+    store, config = payload
+    return store, config, {}
 
 
 def _parallel_worker_init(
@@ -172,12 +363,13 @@ def _parallel_worker_init(
     draw from explicitly seeded generators, which is what actually makes
     parallel results byte-identical to serial ones.
 
-    ``event_queue`` (a ``multiprocessing`` queue) and ``cancel_flags`` (a
-    shared byte array, one slot per job) are the service layer's
-    cross-process progress channel: job functions read them back via
-    :func:`worker_event_queue` / :func:`worker_cancel_flags` to stream
-    ``ProgressEvent``\\ s to the parent and to observe cooperative
-    cancellation requests while running.
+    ``event_queue`` (anything with ``put``: the worker's
+    :class:`_Channel`, or a ``multiprocessing`` queue) and
+    ``cancel_flags`` (a shared byte array of job slots) are the
+    cross-process progress channel: :func:`_run_service_job` reads them
+    back from ``_WORKER_STATE`` to stream ``ProgressEvent``\\ s to the
+    parent and to observe cooperative cancellation requests while
+    running.
     """
     np.random.seed((int(seed) * 1_000_003 + os.getpid()) % (2**32))
     _WORKER_STATE["payload"] = _resolve_payload(payload)
@@ -185,28 +377,222 @@ def _parallel_worker_init(
     _WORKER_STATE["cancel_flags"] = cancel_flags
 
 
-def worker_payload() -> Any:
-    """The payload this worker process was initialized with."""
-    return _WORKER_STATE.get("payload")
+class _EventEmitter:
+    """Streams one job's events to the parent's pump (the worker side).
+
+    Every event is enriched with the job id and streamed to the parent's
+    pump thread through ``queue`` *before* the cancellation flag is
+    polled, so the event that triggered a cancellation is observed by the
+    parent exactly as it is on the serial path.  ``"finished"`` events
+    never cancel (mirroring the serial listener: by then the result
+    exists and discarding it would waste the run).  The job's flag is
+    slot ``job_index % len(flags)`` of the pool's flag array.
+
+    With ``batch_size > 1`` events are coalesced into one
+    ``queue.put_many``-style put of a list (the queue-backpressure
+    fallback: one pickle + one lock round-trip per batch instead of per
+    event).  The buffer is flushed when full, when an event arrives more
+    than ``flush_interval`` after the previous flush (the check runs at
+    emission time — there is no timer thread, so a buffered event can
+    wait out at most one silent generation), before a cancellation is
+    raised, and at job end (:meth:`flush` in the worker's ``finally``) —
+    per-job stream order and completeness are identical to the unbatched
+    path.
+    """
+
+    def __init__(
+        self,
+        job_index: int,
+        job_id: str,
+        queue: Any,
+        flags: Any,
+        batch_size: int = 1,
+        flush_interval: float = 0.05,
+    ) -> None:
+        self.job_index = job_index
+        self.job_id = job_id
+        self.queue = queue
+        self.flags = flags
+        self.slot = job_index % len(flags) if flags is not None else 0
+        self.batch_size = max(1, int(batch_size))
+        self.flush_interval = flush_interval
+        self._buffer: List[ProgressEvent] = []
+        self._last_flush = time.monotonic()
+
+    def _put(self, item: Any) -> None:
+        """One guarded put; a broken event channel disables streaming.
+
+        The job itself keeps running: losing observability is strictly
+        better than losing the result.
+        """
+        if self.queue is None:
+            return
+        try:
+            faults.fire("event_put", target=self.job_id)
+            self.queue.put(item)
+        except OSError as error:
+            logger.warning(
+                "event stream broken for %s (%s); job continues unstreamed",
+                self.job_id, error,
+            )
+            self.queue = None
+            self._buffer = []
+
+    def flush(self) -> None:
+        """Put the coalesced buffer on the queue (no-op when empty)."""
+        if self._buffer:
+            buffer, self._buffer = self._buffer, []
+            self._put((self.job_index, buffer))
+        self._last_flush = time.monotonic()
+
+    def cancelled(self) -> bool:
+        """Whether the parent raised this job's cancellation flag."""
+        return self.flags is not None and bool(self.flags[self.slot])
+
+    def __call__(self, event: ProgressEvent) -> None:
+        event.job_id = self.job_id
+        if self.queue is not None:
+            if self.batch_size <= 1:
+                self._put((self.job_index, event))
+            else:
+                self._buffer.append(event)
+                if (
+                    len(self._buffer) >= self.batch_size
+                    or time.monotonic() - self._last_flush >= self.flush_interval
+                ):
+                    self.flush()
+        if event.kind != "finished" and self.cancelled():
+            if self.queue is not None:
+                self.flush()
+            raise JobCancelled(self.job_id)
 
 
-def worker_event_queue() -> Any:
-    """This worker's cross-process progress-event queue (or None)."""
-    return _WORKER_STATE.get("event_queue")
+def _run_service_job(spec: _ServiceJobSpec) -> _ServiceJobOutcome:
+    """Execute one job in a worker process (or serially as a fallback).
+
+    Backends are built lazily per worker and cached per (method, length)
+    for the worker's whole life, mirroring the session's own backend
+    cache, so parallel results are byte-identical to serial ones — seeds
+    travel with the spec, never with the worker.  The spec's cache
+    entries (the merged entries of earlier jobs on the same task) are
+    loaded before the job's delta window opens, so they are never
+    shipped back.  Progress events stream back through the worker's
+    channel (``_WORKER_STATE["event_queue"]``), the shared cancellation flag is honored both before the job
+    starts and at every emitted event, and cache entries added by the
+    job (NN-score and evaluation memos) are returned as a snapshot delta
+    for the parent to merge.  Failures are returned, not raised, so one
+    broken job cannot take down its worker (matching the serial path's
+    per-job isolation).
+    """
+    from repro.baselines.registry import build_backend
+
+    (
+        job_index, job_id, method, length, task, seed, budget_limit,
+        progress_every, event_batch_size, entries,
+    ) = spec
+    emitter = _EventEmitter(
+        job_index, job_id, _WORKER_STATE.get("event_queue"),
+        _WORKER_STATE.get("cancel_flags"), batch_size=event_batch_size,
+    )
+    backend = None
+    version_before = 0
+    try:
+        if emitter.cancelled():
+            # cancelled before the worker even started the job: don't pay
+            # for a single generation (the flag was raised parent-side)
+            return ("cancelled", None, None, None)
+        store, config, snapshots = _unpack_payload(_WORKER_STATE.get("payload"))
+        if _WORKER_BACKENDS.get("__store__") is not store:
+            _WORKER_BACKENDS.clear()
+            _WORKER_BACKENDS["__store__"] = store
+        key = (method, length)
+        backend = _WORKER_BACKENDS.get(key)
+        if backend is None:
+            backend = build_backend(method, store, config, program_length=length)
+            snapshot = snapshots.get(_snapshot_key(method, length))
+            if snapshot and hasattr(backend, "load_cache_snapshot"):
+                backend.load_cache_snapshot(snapshot)
+            _WORKER_BACKENDS[key] = backend
+        if entries and hasattr(backend, "load_cache_snapshot"):
+            backend.load_cache_snapshot(entries)
+        # mirror the session's own backend setup: the configured event
+        # cadence (which is also the budget-hook cancellation cadence)
+        # must reach worker backends, not just local ones
+        backend.progress_every = progress_every
+        if hasattr(backend, "begin_cache_delta"):
+            backend.begin_cache_delta()
+        version_before = getattr(backend, "cache_version", lambda: 0)()
+        result = backend.solve(
+            task,
+            budget=SearchBudget(limit=budget_limit),
+            seed=seed,
+            listener=emitter,
+        )
+    except JobCancelled:
+        return ("cancelled", None, None, _worker_cache_delta(backend, version_before))
+    except Exception as error:  # noqa: BLE001 - job isolation boundary
+        return ("failed", None, f"{type(error).__name__}: {error}", None)
+    finally:
+        emitter.flush()
+    return ("ok", result, None, _worker_cache_delta(backend, version_before))
 
 
-def worker_cancel_flags() -> Any:
-    """This worker's shared per-job cancellation flags (or None)."""
-    return _WORKER_STATE.get("cancel_flags")
+def _worker_cache_delta(backend: Any, version_before: int) -> Optional[dict]:
+    """The entries this job added to the worker backend's caches.
+
+    The merge-back payload for the parent session.  Jobs that ran fully
+    warm (every score and evaluation already cached) ship nothing; jobs
+    that did work ship only the dirty entries written since the job's
+    ``begin_cache_delta()`` window opened.  Both the payload and the
+    cost of building it scale with the job's new work, not with the
+    cache size: the caches read their dirty windows without scanning
+    their stores (``EvaluationCache.dirty_snapshot``,
+    ``LRUCache.dirty_items``).  Merging is idempotent: every cached
+    value is a deterministic function of its structural key.
+    """
+    if backend is None or not hasattr(backend, "cache_snapshot"):
+        return None
+    if getattr(backend, "cache_version", lambda: 0)() == version_before:
+        return None
+    if hasattr(backend, "begin_cache_delta"):
+        delta = backend.cache_snapshot(dirty_only=True)
+    else:
+        delta = backend.cache_snapshot()
+    return delta or None
 
 
-def _heartbeat_loop(worker_id: int, event_queue: Any, interval: float,
+class _Channel:
+    """The write end of one worker's ordered channel to its pool.
+
+    Progress events, heartbeats and lifecycle messages share it, so the
+    parent reads a job's events before the outcome that follows them.
+    Items are ``(index, payload)``: a dispatch index for the events of a
+    job, :data:`_HEARTBEAT` or :data:`_LIFECYCLE` for control items.  Only
+    this worker writes to the pipe; the lock serializes its own threads,
+    so a worker that dies mid-send leaves no lock another process needs.
+    """
+
+    def __init__(self, conn: Any) -> None:
+        self._conn = conn
+        self._lock = threading.Lock()
+
+    def put(self, item: Any) -> None:
+        with self._lock:
+            self._conn.send(item)
+
+
+#: channel indices of the control items (job events use dispatch indices)
+_HEARTBEAT = -1
+_LIFECYCLE = -2
+
+
+def _heartbeat_loop(worker_id: int, channel: Any, interval: float,
                     stop: threading.Event) -> None:
     """Emit one ``"heartbeat"`` event per interval until told to stop."""
     while not stop.wait(interval):
         try:
-            event_queue.put((-1, ProgressEvent(kind="heartbeat", worker_id=worker_id)))
-        except Exception:  # noqa: BLE001 - queue torn down: stop beating
+            channel.put((_HEARTBEAT, ProgressEvent(kind="heartbeat", worker_id=worker_id)))
+        except Exception:  # noqa: BLE001 - channel torn down: stop beating
             return
 
 
@@ -214,50 +600,48 @@ def _supervised_worker_main(
     worker_id: int,
     seed: int,
     payload: Any,
-    task_queue: Any,
-    result_queue: Any,
-    event_queue: Any,
+    tasks: Any,
+    conn: Any,
     cancel_flags: Any,
     heartbeat_interval: float,
     fault_plan: Any,
 ) -> None:
-    """One supervised worker: claim specs, run them, report outcomes.
+    """One supervised worker: receive specs, run them, report outcomes.
 
     Installs the per-process state (:func:`_parallel_worker_init`), then
-    runs each claimed spec through the session's job function
-    (:func:`repro.core.service._run_service_job`), so a supervised job is
-    bit-identical to a serial one.  Lifecycle
-    messages (``started`` / ``outcome``) travel a dedicated result queue;
-    progress events and heartbeats travel the session's event queue.
+    runs each spec the parent puts on its own ``tasks`` queue through
+    :func:`_run_service_job`, so a supervised job is bit-identical to a
+    serial one.  The worker serves every run of its pool until it reads
+    the ``None`` sentinel.  Lifecycle messages (``started`` /
+    ``outcome``), progress events and heartbeats all travel the worker's
+    own :class:`_Channel` over ``conn``, in the order they were sent.
     """
-    from repro.core.service import _run_service_job
-    from repro.execution import faults
-
     faults.install(fault_plan, role="worker")
+    channel = _Channel(conn)
     stop = threading.Event()
     if heartbeat_interval > 0:
         # beat from the first instant: payload resolution below can be
         # slow (model weights), and a worker must look alive throughout
         threading.Thread(
             target=_heartbeat_loop,
-            args=(worker_id, event_queue, heartbeat_interval, stop),
+            args=(worker_id, channel, heartbeat_interval, stop),
             name=f"netsyn-heartbeat-{worker_id}",
             daemon=True,
         ).start()
-    _parallel_worker_init(seed, payload, event_queue, cancel_flags)
+    _parallel_worker_init(seed, payload, channel, cancel_flags)
     try:
         while True:
-            item = task_queue.get()
+            item = tasks.get()
             if item is None:
                 return
             spec, attempt = item
             job_index, job_id = spec[0], spec[1]
-            result_queue.put(("started", worker_id, job_index, attempt))
+            channel.put((_LIFECYCLE, ("started", worker_id, job_index, attempt)))
             target = f"{job_id}:{attempt}"
             faults.fire("worker_start", target=target)
             outcome = _run_service_job(spec)
             faults.fire("pre_merge", target=target)
-            result_queue.put(("outcome", worker_id, job_index, attempt, outcome))
+            channel.put((_LIFECYCLE, ("outcome", worker_id, job_index, attempt, outcome)))
     finally:
         stop.set()
 
@@ -267,28 +651,153 @@ def _supervised_worker_main(
 # ---------------------------------------------------------------------------
 
 
+def _worker_payload(session: Any) -> Any:
+    """Build the cross-process payload of a new pool for ``session``.
+
+    With ``shared_weights`` the trained models are persisted once
+    (``weights.npz``), packed into a flat mmap-able segment, and only
+    a path descriptor crosses the process boundary — each worker
+    attaches the segment read-only instead of unpickling its own
+    model copies.  The session backends' score/evaluation caches are
+    snapshotted next to it (structural keys are process-stable) so
+    workers start warm.  Falls back to pickling ``(store, config)``
+    when shared serving is disabled.
+    """
+    if not session.service_config.shared_weights or not session.store.names():
+        # nothing trained to share (e.g. an artifact-free edit/oracle
+        # session): ship the store directly, it is empty or tiny
+        return (session.store, session.config)
+    directory = session._shared_directory()
+    if not session._shared_packed:
+        session.store.save(directory)
+        session.store.pack_shared(directory)
+        session._shared_packed = True
+    snapshot_file = None
+    snapshots = {
+        _snapshot_key(method, length): snapshot
+        for (method, length), backend in session._backends.items()
+        for snapshot in [getattr(backend, "cache_snapshot", lambda: None)()]
+        if snapshot
+    }
+    if snapshots:
+        snapshot_file = str(_pickle_atomically(directory / _CACHE_SNAPSHOT, snapshots))
+    return SharedWorkerPayload(
+        directory=str(directory),
+        config=session.config,
+        names=session.store.names(),
+        snapshot_file=snapshot_file,
+        token=_segment_token(str(directory)),
+    )
+
+
+def _task_key(method: str, program_length: Optional[int], task: SynthesisTask) -> Tuple:
+    """The routing key of a job: every cache entry it writes carries it."""
+    return (method, program_length, io_set_key(task.io_set))
+
+
+class _TaskCacheRouter:
+    """Merged worker deltas, grouped by the task whose entries they hold.
+
+    Every entry a job writes is keyed by its task's structural io key —
+    scores by ``(program, io)``, probability maps by ``io``, evaluation
+    entries by ``(namespace, (program, io))`` — so the whole delta of a
+    job belongs to ``(method, program_length, io)`` and can never hit for
+    another task.  A new task is routed nothing; a repeated one gets
+    every entry merged for it since the pool started (older entries
+    travelled in the pool's warm snapshot).  At most ``bound`` entries
+    are held — the combined capacity of the caches that receive them —
+    dropping the least recently used task's oldest delta first.
+    """
+
+    def __init__(self, bound: int) -> None:
+        self.bound = int(bound)
+        self.size = 0
+        self._tasks: "OrderedDict[Tuple, List[dict]]" = OrderedDict()
+
+    @staticmethod
+    def _count(delta: dict) -> int:
+        return sum(len(entries) for entries in delta.values())
+
+    def merge(self, key: Tuple, delta: dict) -> None:
+        self._tasks.setdefault(key, []).append(delta)
+        self._tasks.move_to_end(key)
+        self.size += self._count(delta)
+        while self.size > self.bound:
+            oldest, deltas = next(iter(self._tasks.items()))
+            self.size -= self._count(deltas.pop(0))
+            if not deltas:
+                del self._tasks[oldest]
+
+    def entries(self, key: Tuple) -> Optional[dict]:
+        """The merged entries for one task's spec (None for a new task)."""
+        deltas = self._tasks.get(key)
+        if not deltas:
+            return None
+        self._tasks.move_to_end(key)
+        if len(deltas) == 1:
+            return deltas[0]
+        merged: Dict[str, list] = {}
+        for delta in deltas:
+            for section, items in delta.items():
+                merged.setdefault(section, []).extend(items)
+        return merged
+
+
+class _FlagRaiser:
+    """Raises one slot of a shared cancellation-flag array (parent side)."""
+
+    def __init__(self, flags: Any, index: int) -> None:
+        self._flags = flags
+        self._index = index
+
+    def __call__(self) -> None:
+        self._flags[self._index] = 1
+
+
+class _Route:
+    """Where the pump delivers one dispatched job's streamed events."""
+
+    __slots__ = ("dispatch", "job", "key", "sink")
+
+    def __init__(self, dispatch: int, job: Any, key: Tuple,
+                 sink: Callable[[Any, List[ProgressEvent]], None]) -> None:
+        self.dispatch = dispatch
+        self.job = job
+        #: the job's task key (see :class:`_TaskCacheRouter`)
+        self.key = key
+        #: the session's event sink: records and fans out (pump thread)
+        self.sink = sink
+
+
 class WorkerSupervisor:
-    """Runs one batch of job specs over supervised worker processes.
+    """The supervised worker pool of one session, serving all its runs.
 
     Parameters
     ----------
     n_workers:
-        Target pool size (capped at the number of specs).
+        Target pool size.  Workers are forked by :meth:`run`, as many as
+        the run has specs (up to ``n_workers``), and then kept.
     config:
         The session's :class:`~repro.config.ServiceConfig` (retry,
         heartbeat, deadline and degradation knobs).
     seed:
         Session seed; with the fault plan's seed it derives the
         deterministic retry jitter and the per-worker RNG init.
-    payload / event_queue / cancel_flags:
-        Handed to every worker's :func:`_parallel_worker_init`: the
-        worker payload descriptor, the streaming event queue (which
-        also carries the heartbeats) and the shared per-job
-        cancellation-flag array.
-    emit:
-        Callback receiving supervision :class:`ProgressEvent`\\ s
-        (restarts, retries, quarantines, deadline and degradation
-        events) for session-listener fan-out.
+    payload:
+        Handed once to every worker's :func:`_parallel_worker_init`:
+        the weights and warm-cache snapshot descriptor.
+    slots:
+        Size of the shared cancellation-flag array: the most jobs one
+        run may dispatch.
+    route_bound:
+        Most merged cache entries held for per-task shipping (see
+        :class:`_TaskCacheRouter`).
+
+    The pool owns, for its whole life, its workers — each with its own
+    task queue (parent to worker) and :class:`_Channel` (worker to
+    parent) — the pump thread that reads every channel, and the flag
+    array.  It holds no reference to its session outside
+    :meth:`_run_supervised`, so the session's finalizer can close it.
     """
 
     def __init__(
@@ -297,38 +806,265 @@ class WorkerSupervisor:
         config: ServiceConfig,
         seed: int,
         payload: Any,
-        event_queue: Any,
-        cancel_flags: Any,
-        emit: Optional[Callable[[ProgressEvent], None]] = None,
         context: Any = None,
+        slots: int = _FLAG_SLOTS,
+        route_bound: int = 0,
     ) -> None:
         import multiprocessing
 
         self.config = config
         self.seed = int(seed)
         self.payload = payload
-        self.event_queue = event_queue
-        self.cancel_flags = cancel_flags
-        self._emit_cb = emit
         self._context = context or multiprocessing.get_context()
         self.n_workers = int(n_workers)
         self.degraded = False
+        self.closed = False
         self.total_crashes = 0
-        #: worker_id -> {"process", "job": None | (job_index, attempt, t0),
-        #:               "kill_reason": str}
+        # one shared byte per job slot: the parent raises it, workers
+        # poll it at every emitted event (no lock needed for a flag)
+        self.cancel_flags = self._context.Array("b", int(slots), lock=False)
+        #: worker_id -> {"process", "tasks": its own task queue,
+        #:               "job": None | (index, attempt, t0),
+        #:               "kill_reason": str}; index -1 marks a spec of an
+        #:               earlier run still finishing (a raced duplicate)
         self._workers: Dict[int, dict] = {}
+        #: read end of each live worker's channel; the pump reads them
+        #: and alone closes them, once it has read a worker's last item
+        self._channels: Dict[Any, int] = {}
+        #: lifecycle messages, forwarded by the pump in channel order
+        self._lifecycle: "queue.Queue[Tuple]" = queue.Queue()
         #: worker_id -> last heartbeat (monotonic); fed by the event pump
         self._heartbeats: Dict[int, float] = {}
         self._next_worker_id = 0
-        self._task_queue: Any = None
-        self._result_queue: Any = None
+        self._next_dispatch = 0
+        self._router = _TaskCacheRouter(route_bound)
+        #: dispatch_index -> route of the jobs whose events are awaited
+        self._routes: Dict[int, _Route] = {}
+        self._emit_cb: Optional[Callable[[ProgressEvent], None]] = None
+        self._specs: List[Tuple] = []
+        self._run_lock = threading.Lock()
+        self._owner_pid = os.getpid()
+        self._stopping = threading.Event()
+        #: wakes the pump when a channel is added or the pool closes
+        self._wake, self._waker = self._context.Pipe(duplex=False)
+        self._pump = threading.Thread(
+            target=self._pump_events, name="netsyn-event-pump", daemon=True
+        )
+        self._pump.start()
+
+    @classmethod
+    def for_session(cls, session: Any, n_workers: int, n_jobs: int) -> "WorkerSupervisor":
+        """A new pool for ``session``: its payload, flag slots and route bound."""
+        slots = _FLAG_SLOTS
+        while slots < n_jobs:
+            slots *= 2
+        config = session.config
+        return cls(
+            n_workers,
+            session.service_config,
+            config.seed,
+            _worker_payload(session),
+            slots=slots,
+            route_bound=config.score_cache_size + config.map_cache_size + DEFAULT_MAX_ENTRIES,
+        )
+
+    def serves(self, n_workers: int, n_jobs: int, config: ServiceConfig) -> bool:
+        """Whether this pool can take a run of ``n_jobs`` as configured."""
+        return (
+            not self.closed
+            and not self.degraded
+            and self.n_workers == n_workers
+            and self.config is config
+            and n_jobs <= len(self.cancel_flags)
+        )
+
+    def close(self) -> None:
+        """Stop and reap the workers, then the pump (idempotent; owner process only).
+
+        Forked workers inherit copies of the parent's objects, so a
+        finalizer may fire in one of them: only the process that built
+        the pool tears it down.
+        """
+        if self.closed or os.getpid() != self._owner_pid:
+            return
+        self.closed = True
+        self._shutdown()
+        # stop the pump only after the workers are gone: their last
+        # heartbeats must drain, or their exit could block on a full pipe
+        self._stopping.set()
+        self._wake_pump()
+
+    def _wake_pump(self) -> None:
+        try:
+            self._waker.send_bytes(b"")
+        except OSError:  # the pump has already left and closed the pipe
+            pass
 
     # ------------------------------------------------------------------
-    def observe_control(self, event: ProgressEvent) -> None:
-        """Hook the event pump calls with control-channel events."""
-        if event.kind == "heartbeat" and event.worker_id >= 0:
-            self._heartbeats[event.worker_id] = time.monotonic()
+    # fan-out (the session's side of one run)
+    def _prepare_fan_out(self, session: Any, pending: Sequence[Any]) -> Tuple[List[_ServiceJobSpec], List[_Route]]:
+        """Specs, event routes, cleared flag slots and state transitions.
 
+        Each spec carries the cache entries merged for its own task; a
+        job cancelled before this point gets its flag raised so the
+        worker never runs it.  Opens the fan-out: the pump delivers the
+        jobs' events to ``session._deliver_events`` until
+        :meth:`_run_supervised` removes their routes.
+        """
+        from repro.core.service import JobState
+
+        config = session.service_config
+        flags = self.cancel_flags
+        specs: List[_ServiceJobSpec] = []
+        routes: List[_Route] = []
+        for job in pending:
+            dispatch = self._next_dispatch
+            self._next_dispatch += 1
+            slot = dispatch % len(flags)
+            flags[slot] = 0
+            key = _task_key(job.method, job.program_length, job.task)
+            specs.append((
+                dispatch, job.job_id, job.method, job.program_length, job.task, job.seed,
+                job.budget_limit, config.progress_every, config.event_batch_size,
+                self._router.entries(key),
+            ))
+            route = _Route(dispatch, job, key, session._deliver_events)
+            routes.append(route)
+            self._routes[dispatch] = route
+            if job.state is not JobState.PENDING:
+                # cancelled between collecting the pending list and this
+                # fan-out: keep the terminal state and make sure the
+                # worker never runs the job
+                flags[slot] = 1
+                continue
+            job.state = JobState.RUNNING
+            job._remote_cancel = _FlagRaiser(flags, slot)
+            if job._cancel_requested:  # cancelled between submit and fan-out
+                flags[slot] = 1
+        return specs, routes
+
+    def _pump_events(self) -> None:
+        """Read every worker's channel live (the pool's daemon thread).
+
+        Each item is ``(index, payload)``.  Events of a job routed by the
+        open fan-out go to the session's sink, which records them on the
+        job and fans them out to session listeners exactly like the
+        serial path, while the main thread blocks in :meth:`run`; events
+        of dispatches no longer routed (a stale duplicate of an earlier
+        run) are dropped.  Heartbeats refresh their worker's age and are
+        never recorded on a job — per-job streams stay identical to
+        serial runs.  Lifecycle messages go on to :meth:`run`.  A
+        worker's items are handled in the order it sent them, so a job's
+        events are all delivered before its outcome is handed on: when
+        :meth:`run` returns, every event of every final attempt has been
+        observed.  A new worker's channel and :meth:`close` wake the
+        pump through a pipe of its own.
+        """
+        while not self._stopping.is_set():
+            for conn in wait([self._wake, *self._channels]):
+                if conn is self._wake:
+                    while conn.poll():
+                        conn.recv_bytes()
+                    continue
+                try:
+                    # a bounded batch per worker, so a chatty one cannot
+                    # starve the others' heartbeats and outcomes
+                    for _ in range(256):
+                        if not conn.poll():
+                            break
+                        self._deliver(*conn.recv())
+                except (EOFError, OSError):
+                    # the worker is gone and everything it sent was read;
+                    # a message it died writing is dropped with it
+                    del self._channels[conn]
+                    conn.close()
+        for conn in [self._wake, self._waker, *self._channels]:
+            conn.close()
+
+    def _deliver(self, job_index: int, payload: Any) -> None:
+        """Route one channel item (a method, so no route outlives its
+        call: a route references the session, which must stay collectable)."""
+        if job_index == _LIFECYCLE:
+            self._lifecycle.put(payload)
+            return
+        if job_index == _HEARTBEAT:
+            self._heartbeats[payload.worker_id] = time.monotonic()
+            return
+        route = self._routes.get(job_index)
+        if route is None:
+            return
+        # a worker with event batching on puts a coalesced list
+        events = payload if isinstance(payload, list) else [payload]
+        try:
+            route.sink(route.job, events)
+        except Exception:  # noqa: BLE001 - the pump must keep draining
+            logger.exception("event sink failed for %s", route.job.job_id)
+
+    def _run_supervised(self, session: Any, pending: List[Any]) -> None:
+        """Fan ``pending`` out over the pool and apply the outcomes to ``session``.
+
+        Cache deltas merge into the session's backends (and into the
+        per-task routes of later specs); jobs a degraded run handed back
+        run serially in the parent with the same backend and seed.  One
+        run at a time: a concurrent caller waits for the pool.
+        """
+        from repro.core.service import JobState
+
+        with self._run_lock:
+            specs, routes = self._prepare_fan_out(session, pending)
+            self._emit_cb = session._supervision_listener(pending)
+            try:
+                outcomes = self.run(specs)
+            finally:
+                self._emit_cb = None
+                for route in routes:
+                    route.job._remote_cancel = None
+                    # every final attempt's events were delivered before
+                    # its outcome; whatever still arrives is a cut-short
+                    # attempt's and is dropped
+                    self._routes.pop(route.dispatch, None)
+            serial_rerun = []
+            for route, outcome in zip(routes, outcomes):
+                job = route.job
+                if outcome.cache_delta:
+                    backend = session.backend(job.method, job.program_length)
+                    if hasattr(backend, "load_cache_snapshot"):
+                        backend.load_cache_snapshot(outcome.cache_delta)
+                    self._router.merge(route.key, outcome.cache_delta)
+                if outcome.status == "pending_serial":
+                    # the pool degraded before this job finished: hand it to
+                    # the serial path below (same backend, same seed — the
+                    # result is what the worker would have produced)
+                    job.state = JobState.PENDING
+                    serial_rerun.append(job)
+                elif outcome.status == "cancelled":
+                    job.state = JobState.CANCELLED
+                    logger.info("job %s cancelled in worker", job.job_id)
+                elif outcome.status != "ok" or outcome.result is None:
+                    job.state = JobState.FAILED
+                    job.error = outcome.error
+                    job.failure = outcome.failure
+                    logger.warning("job %s failed: %s", job.job_id, job.error)
+                    if outcome.failure is not None:
+                        # the worker died (or was killed) before it could
+                        # flush a terminal event: synthesize one so the job's
+                        # stream still settles with an observable ending
+                        session._supervision_listener([job])(
+                            ProgressEvent(
+                                kind="failed",
+                                method=job.method,
+                                task_id=job.task.task_id,
+                                job_id=job.job_id,
+                                attempt=outcome.attempts,
+                                reason=outcome.failure.kind,
+                            )
+                        )
+                else:
+                    session._finish(job, outcome.result)
+            for job in serial_rerun:
+                session.run_job(job)
+
+    # ------------------------------------------------------------------
     def _emit(self, kind: str, *, job_index: Optional[int] = None,
               worker_id: int = -1, attempt: int = 0, reason: str = "") -> None:
         if self._emit_cb is None:
@@ -351,11 +1087,17 @@ class WorkerSupervisor:
         """Execute every spec to a terminal outcome (never hangs).
 
         Returns one :class:`SupervisedOutcome` per spec, in spec order.
-        On degradation, unfinished jobs come back ``pending_serial`` for
-        the caller to run in-process.
+        Workers that died while the pool was idle are replaced first
+        (``worker_restarted``), and the pool is topped up to
+        ``min(n_workers, len(specs))`` workers; the workers stay alive
+        afterwards.  On degradation the workers are shut down and
+        unfinished jobs come back ``pending_serial`` for the caller to
+        run in-process.
         """
         self._specs = list(specs)
         n = len(self._specs)
+        #: dispatch_index -> position in this run
+        self._index = {spec[0]: index for index, spec in enumerate(self._specs)}
         self._outcomes: List[Optional[SupervisedOutcome]] = [None] * n
         self._attempts = [0] * n
         self._crashes = [0] * n
@@ -365,19 +1107,29 @@ class WorkerSupervisor:
         self._deadline_kill_at = [0.0] * n
         #: retries waiting out their backoff: (due_time, job_index)
         self._delayed: List[Tuple[float, int]] = []
-        self._queued = 0  # specs handed to the task queue, not yet started
+        #: specs waiting for an idle worker: (job_index, attempt)
+        self._ready: "deque[Tuple[int, int]]" = deque()
+        self.total_crashes = 0
 
-        self._task_queue = self._context.Queue()
-        self._result_queue = self._context.Queue()
+        now = time.monotonic()
+        for worker_id, state in self._workers.items():
+            # an idle gap is not a hang: heartbeat ages restart now
+            self._heartbeats[worker_id] = now
+            if state["job"] is not None:
+                # still finishing a raced duplicate of the previous run
+                state["job"] = (-1, state["job"][1], state["job"][2])
         for index in range(n):
             self._enqueue(index)
-        for _ in range(min(self.n_workers, max(1, n))):
+        self._reap_dead_workers()
+        while len(self._workers) < min(self.n_workers, max(1, n)):
             self._spawn_worker()
         try:
             self._supervise()
-        finally:
-            self._shutdown()
+        except BaseException:
+            self.close()  # an unfinished run leaves no workers behind
+            raise
         if self.degraded:
+            self._shutdown()
             for index in range(n):
                 if self._outcomes[index] is None:
                     self._outcomes[index] = SupervisedOutcome(
@@ -389,22 +1141,36 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------------
     def _enqueue(self, job_index: int) -> None:
-        self._task_queue.put((self._specs[job_index], self._attempts[job_index]))
+        self._ready.append((job_index, self._attempts[job_index]))
         self._attempts[job_index] += 1
-        self._queued += 1
+
+    def _assign(self) -> None:
+        """Hand ready specs to idle workers, one each."""
+        idle = [
+            state for state in self._workers.values()
+            if state["job"] is None and not state["kill_reason"]
+        ]
+        while idle and self._ready:
+            job_index, attempt = self._ready.popleft()
+            if self._outcomes[job_index] is not None:
+                continue  # decided while it waited (a raced retry)
+            state = idle.pop()
+            state["tasks"].put((self._specs[job_index], attempt))
+            state["job"] = (job_index, attempt, time.monotonic())
 
     def _spawn_worker(self) -> int:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
+        tasks = self._context.Queue()
+        reader, writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_supervised_worker_main,
             args=(
                 worker_id,
                 self.seed,
                 self.payload,
-                self._task_queue,
-                self._result_queue,
-                self.event_queue,
+                tasks,
+                writer,
                 self.cancel_flags,
                 self.config.heartbeat_interval,
                 self.config.fault_plan,
@@ -413,7 +1179,13 @@ class WorkerSupervisor:
             daemon=True,
         )
         process.start()
-        self._workers[worker_id] = {"process": process, "job": None, "kill_reason": ""}
+        # only the worker may hold the write end: its death is then EOF
+        writer.close()
+        self._channels[reader] = worker_id
+        self._wake_pump()
+        self._workers[worker_id] = {
+            "process": process, "tasks": tasks, "job": None, "kill_reason": "",
+        }
         self._heartbeats[worker_id] = time.monotonic()
         return worker_id
 
@@ -428,16 +1200,17 @@ class WorkerSupervisor:
         return delay * (1.0 + self.config.retry_jitter * rng.random())
 
     # ------------------------------------------------------------------
-    def _supervise(self) -> None:
-        from queue import Empty
+    def _drain_results(self) -> None:
+        """Handle every lifecycle message that arrives within one tick."""
+        try:
+            self._handle(self._lifecycle.get(timeout=_TICK))
+            while True:
+                self._handle(self._lifecycle.get_nowait())
+        except queue.Empty:
+            pass
 
-        # how long a fully quiet pool (idle workers, nothing draining, no
-        # scheduled retries, jobs still unaccounted) is trusted before the
-        # unaccounted jobs are declared orphaned.  A worker silent that
-        # long is dead by the heartbeat policy anyway, so re-enqueuing
-        # cannot double-run a job that is merely slow.
-        orphan_grace = max(2.0, self.config.heartbeat_timeout)
-        last_progress = time.monotonic()
+    def _supervise(self) -> None:
+        self._assign()
         while self._pending() > 0:
             now = time.monotonic()
             # release retries whose backoff expired
@@ -452,109 +1225,60 @@ class WorkerSupervisor:
                         reason="backoff_elapsed",
                     )
                     self._enqueue(job_index)
-                if due:
-                    last_progress = now
-            # drain every queued lifecycle message
-            drained = False
-            try:
-                self._handle(self._result_queue.get(timeout=_TICK))
-                drained = True
-                while True:
-                    self._handle(self._result_queue.get_nowait())
-            except Empty:
-                pass
-            if drained:
-                last_progress = time.monotonic()
-            crashes_before = self.total_crashes
+            self._drain_results()
             self._reap_dead_workers()
             self._check_deadlines()
             self._check_heartbeats()
-            if self.total_crashes != crashes_before:
-                last_progress = time.monotonic()
             if self.total_crashes > self.config.max_pool_crashes:
                 self._degrade()
                 return
-            if not drained and not self._workers and self._pending() > 0 and not self._delayed:
-                # every worker is gone and nothing is scheduled: degrade
+            if not self._workers and self._pending() > 0:
+                # every worker is gone and none may be replaced: degrade
                 # rather than spin forever (can only happen when spawns
                 # fail or the crash budget exactly drained the pool)
                 self._degrade()  # pragma: no cover - defensive
                 return
-            if (
-                not drained
-                and not self._delayed
-                and self._pending() > 0
-                and all(
-                    state["job"] is None and not state["kill_reason"]
-                    for state in self._workers.values()
-                )
-                and time.monotonic() - last_progress > orphan_grace
-            ):
-                self._recover_orphans()
-                last_progress = time.monotonic()
-
-    def _recover_orphans(self) -> None:
-        """Requeue jobs whose task-queue claim died with an unreported worker.
-
-        A worker can die (or freeze) in the window between claiming a
-        task and its ``started`` message reaching the parent; from here
-        that worker looked idle, so its death attributed no job loss and
-        the job would otherwise wait forever.  When the pool has been
-        fully quiet for the orphan grace period — every live worker idle,
-        no retries scheduled, nothing draining — any job still without an
-        outcome can only be such an orphan (an idle worker claims a
-        genuinely queued task within milliseconds), so each one re-enters
-        the normal lost-job path: backoff retry, or quarantine once its
-        retries are spent.
-        """
-        for job_index in range(len(self._specs)):
-            if self._outcomes[job_index] is None and not self._deadline_fired[job_index]:
-                logger.warning(
-                    "job %s orphaned (claimed by a worker that died unreported); recovering",
-                    self._specs[job_index][1],
-                )
-                self._job_lost(job_index, worker_id=-1, reason="orphaned")
-            elif self._outcomes[job_index] is None:
-                self._outcomes[job_index] = self._deadline_outcome(job_index)
+            self._assign()
 
     def _handle(self, message: Tuple) -> None:
         kind = message[0]
+        # messages name a dispatch index; one this run did not dispatch
+        # is a raced duplicate of an earlier run's job finishing late
         if kind == "started":
-            _, worker_id, job_index, attempt = message
+            _, worker_id, dispatch, attempt = message
+            job_index = self._index.get(dispatch, -1)
             state = self._workers.get(worker_id)
             if state is not None:
+                # the deadline clock starts when the job does
                 state["job"] = (job_index, attempt, time.monotonic())
-            self._queued -= 1
             self._heartbeats[worker_id] = time.monotonic()
-            if self._first_start[job_index] == 0.0:
+            if job_index >= 0 and self._first_start[job_index] == 0.0:
                 self._first_start[job_index] = time.monotonic()
         elif kind == "outcome":
-            _, worker_id, job_index, attempt, outcome = message
+            _, worker_id, dispatch, attempt, outcome = message
             state = self._workers.get(worker_id)
             if state is not None:
                 state["job"] = None
             self._heartbeats[worker_id] = time.monotonic()
-            if self._outcomes[job_index] is not None:
+            job_index = self._index.get(dispatch)
+            if job_index is None or self._outcomes[job_index] is not None:
                 return  # stale duplicate from a raced retry
-            status, result, error, n_events, delta = outcome
+            status, result, error, delta = outcome
             if status == "cancelled" and self._deadline_fired[job_index]:
                 # the cancellation the worker observed was the deadline
                 # enforcement, not a user request
-                self._outcomes[job_index] = self._deadline_outcome(
-                    job_index, n_events=n_events, delta=delta
-                )
+                self._outcomes[job_index] = self._deadline_outcome(job_index, delta=delta)
                 return
             self._outcomes[job_index] = SupervisedOutcome(
                 status=status,
                 result=result,
                 error=error,
-                n_events=n_events,
                 cache_delta=delta,
                 crashes=self._crashes[job_index],
                 attempts=self._attempts[job_index],
             )
 
-    def _deadline_outcome(self, job_index: int, n_events: int = 0,
+    def _deadline_outcome(self, job_index: int,
                           delta: Optional[dict] = None) -> SupervisedOutcome:
         spec = self._specs[job_index]
         report = FailureReport(
@@ -570,7 +1294,6 @@ class WorkerSupervisor:
         return SupervisedOutcome(
             status="failed",
             error=str(report),
-            n_events=n_events,
             cache_delta=delta,
             failure=report,
             crashes=self._crashes[job_index],
@@ -587,8 +1310,11 @@ class WorkerSupervisor:
         for worker_id, state in dead:
             del self._workers[worker_id]
             self._heartbeats.pop(worker_id, None)
+            self._release(state)
             reason = state["kill_reason"] or "worker_crash"
             job = state["job"]
+            if job is not None and job[0] < 0:
+                job = None  # it was finishing an earlier run's duplicate
             self.total_crashes += 1
             if job is not None:
                 job_index, attempt, _t0 = job
@@ -664,7 +1390,7 @@ class WorkerSupervisor:
         now = time.monotonic()
         for worker_id, state in list(self._workers.items()):
             job = state["job"]
-            if job is None:
+            if job is None or job[0] < 0:
                 continue
             job_index, _attempt, started = job
             if self._outcomes[job_index] is not None:
@@ -675,8 +1401,7 @@ class WorkerSupervisor:
             if not self._deadline_fired[job_index]:
                 self._deadline_fired[job_index] = True
                 self._deadline_kill_at[job_index] = now + self.config.deadline_grace
-                if self.cancel_flags is not None:
-                    self.cancel_flags[job_index] = 1
+                self.cancel_flags[self._specs[job_index][0] % len(self.cancel_flags)] = 1
                 self._emit(
                     "deadline_exceeded",
                     job_index=job_index,
@@ -725,12 +1450,27 @@ class WorkerSupervisor:
             "degrading to serial execution after %d worker crashes", self.total_crashes
         )
 
+    @staticmethod
+    def _release(state: dict) -> None:
+        """Close the task queue of a worker that is gone.
+
+        It is closed without joining the feeder thread: with no reader
+        left, a pending put could block it (and exit) forever.  (Its
+        channel is the pump's to close.)
+        """
+        try:
+            state["tasks"].cancel_join_thread()
+            state["tasks"].close()
+        except Exception:  # noqa: BLE001 - best-effort cleanup
+            pass
+
     def _shutdown(self) -> None:
-        for _ in self._workers:
+        """Stop every worker: sentinels first, SIGKILL for stragglers."""
+        for state in self._workers.values():
             try:
-                self._task_queue.put(None)
+                state["tasks"].put(None)
             except Exception:  # noqa: BLE001 - queue already broken
-                break
+                pass
         deadline = time.monotonic() + 2.0
         for state in self._workers.values():
             state["process"].join(timeout=max(0.0, deadline - time.monotonic()))
@@ -738,9 +1478,5 @@ class WorkerSupervisor:
             if state["process"].is_alive():
                 self._kill(state["process"])
                 state["process"].join(timeout=1.0)
+            self._release(state)
         self._workers.clear()
-        try:
-            self._result_queue.close()
-            self._task_queue.close()
-        except Exception:  # noqa: BLE001 - best-effort cleanup
-            pass

@@ -32,6 +32,9 @@ from repro.dsl.types import Value
 
 _MISSING = object()
 
+#: default bound of an :class:`EvaluationCache` (entries across namespaces)
+DEFAULT_MAX_ENTRIES = 200_000
+
 
 def freeze_value(value: Value) -> Hashable:
     """Hashable, structural form of a DSL value (lists become tuples)."""
@@ -139,7 +142,7 @@ class EvaluationCache:
         ``put`` is a no-op) — useful as an uncached control.
     """
 
-    def __init__(self, max_entries: int = 200_000) -> None:
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries < 0:
             raise ValueError("max_entries must be non-negative")
         self.max_entries = int(max_entries)

@@ -8,7 +8,7 @@ survive failures that are rare and non-deterministic in production.  To
 runtime code instruments with :func:`fire`:
 
 ``worker_start``
-    In a supervised worker, after a job is claimed but before it runs
+    In a supervised worker, after a job is received but before it runs
     (target ``"<job_id>:<attempt>"``).  A ``crash`` here simulates a
     worker dying mid-job with no work done.
 ``pre_merge``

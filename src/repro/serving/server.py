@@ -105,6 +105,7 @@ class SynthesisServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._main_task: Optional["asyncio.Task[None]"] = None
+        self._shutdown_task: Optional["asyncio.Task[None]"] = None
         self._scheduler: Optional[threading.Thread] = None
         self._thread: Optional[threading.Thread] = None
         self.port: Optional[int] = None
@@ -262,7 +263,10 @@ class SynthesisServer:
                 pass
 
     def _schedule_graceful_shutdown(self) -> None:
-        asyncio.ensure_future(self._graceful_shutdown())
+        # once: a stop() after a remote shutdown schedules this again, and
+        # a second task created while asyncio.run() finalizes never runs
+        if self._shutdown_task is None:
+            self._shutdown_task = asyncio.ensure_future(self._graceful_shutdown())
 
     async def _graceful_shutdown(self) -> None:
         """Stop accepting, let in-flight quick dispatches answer, then die.

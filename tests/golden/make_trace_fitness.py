@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.config import (
     DSLConfig,
@@ -107,14 +107,32 @@ def _fields(result: SynthesisResult, event_kinds: List[str]) -> dict:
     }
 
 
-def record() -> Dict[str, dict]:
-    """Run every golden job; ``"<kind>/<shape>/<task>/<seed>"`` -> fields."""
-    base = tiny_config()
-    tasks = list(make_benchmark_suite(length=3, n_programs=6, seed=5, dsl_config=base.dsl))
+def golden_tasks(base: NetSynConfig) -> list:
+    """The benchmark tasks ``JOBS`` index into."""
+    return list(make_benchmark_suite(length=3, n_programs=6, seed=5, dsl_config=base.dsl))
+
+
+def train_store(base: NetSynConfig) -> ArtifactStore:
+    """The seeded FP, CF and LCS models every shape runs with."""
     store = ArtifactStore()
     store.set("fp", train_fp_model(training=base.training, nn=base.nn, dsl=base.dsl))
     for kind in ("cf", "lcs"):
         store.set(kind, train_trace_model(kind=kind, training=base.training, nn=base.nn, dsl=base.dsl))
+    return store
+
+
+def job_fields(job) -> dict:
+    """The record of a finished session job (local or remote)."""
+    if job.result is None:
+        raise RuntimeError(f"{job.job_id} ended {job.state.value}: {job.error}")
+    return _fields(job.result, [event.kind for event in job.events])
+
+
+def record(store: Optional[ArtifactStore] = None) -> Dict[str, dict]:
+    """Run every golden job; ``"<kind>/<shape>/<task>/<seed>"`` -> fields."""
+    base = tiny_config()
+    tasks = golden_tasks(base)
+    store = store or train_store(base)
     jobs: Dict[str, dict] = {}
     for kind in KINDS:
         trace = store.get(kind) if kind in ("cf", "lcs") else None
@@ -132,12 +150,10 @@ def record() -> Dict[str, dict]:
         for kind in KINDS
         for index, seed in JOBS
     ]
-    session.run(n_workers=2)
+    with session:
+        session.run(n_workers=2)
     for kind, job in submitted:
-        if job.result is None:
-            raise RuntimeError(f"{job.job_id} ended {job.state.value}: {job.error}")
-        key = f"{kind}/{PARALLEL}/{job.task.task_id}/{job.seed}"
-        jobs[key] = _fields(job.result, [event.kind for event in job.events])
+        jobs[f"{kind}/{PARALLEL}/{job.task.task_id}/{job.seed}"] = job_fields(job)
     return jobs
 
 

@@ -23,7 +23,11 @@ The fault matrix exercised here (via the deterministic
 * a missing shared-weights segment downgrades workers to private npz
   copies instead of failing their jobs;
 * an empty or truncated worker warm-cache snapshot is a cold start for
-  the workers, never a failed job.
+  the workers, never a failed job;
+* between runs the pool is idle, not hung: an idle gap longer than
+  ``heartbeat_timeout`` kills no worker, a worker killed while idle is
+  replaced at the next run (``worker_restarted``), and a run that
+  degraded to serial leaves the next run a fresh pool.
 
 Every parallel run is wrapped in a wall-clock guard: the historical
 failure mode of ``Pool.map`` under a worker crash was an infinite hang,
@@ -34,14 +38,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pickle
+import signal
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.config import ServiceConfig
-from repro.core import ArtifactStore, JobState, SynthesisSession
+from repro.core import ArtifactStore, JobState, SynthesisSession, supervisor
 from repro.core.artifacts import CACHE_LOG_DIR, CACHE_LOG_MANIFEST
 from repro.data.tasks import SynthesisTask
 from repro.dsl.equivalence import IOExample
@@ -421,6 +428,92 @@ class TestDeadlines:
 
 
 # ---------------------------------------------------------------------------
+# The idle pool between runs: gaps, deaths, degradation scope
+# ---------------------------------------------------------------------------
+
+
+def _pool_pids(session):
+    return {state["process"].pid for state in session._pool._workers.values()}
+
+
+class TestIdlePool:
+    def _baseline(self, config, batches):
+        session = _edit_session(config)
+        jobs = [session.submit(task, budget=250, seed=3) for batch in batches for task in batch]
+        session.run(n_workers=1)
+        return [_result_signature(job) for job in jobs]
+
+    def test_idle_gap_longer_than_heartbeat_timeout_kills_no_worker(
+        self, edit_config, tiny_suite
+    ):
+        batches = [tiny_suite[0:2], tiny_suite[2:4]]
+        with _edit_session(
+            edit_config, heartbeat_interval=0.1, heartbeat_timeout=0.5
+        ) as session:
+            log = EventLog()
+            session.add_listener(log)
+            first = [session.submit(task, budget=250, seed=3) for task in batches[0]]
+            run_guarded(lambda: session.run(first, n_workers=2))
+            pids = _pool_pids(session)
+            time.sleep(1.0)
+            second = [session.submit(task, budget=250, seed=3) for task in batches[1]]
+            run_guarded(lambda: session.run(second, n_workers=2))
+            assert _pool_pids(session) == pids
+        assert not log.of_kind("worker_restarted")
+        assert [_result_signature(j) for j in first + second] == self._baseline(
+            edit_config, batches
+        )
+
+    def test_worker_killed_while_idle_is_replaced_at_next_run(
+        self, edit_config, tiny_suite
+    ):
+        batches = [tiny_suite[0:2], tiny_suite[2:4]]
+        with _edit_session(edit_config) as session:
+            log = EventLog()
+            session.add_listener(log)
+            first = [session.submit(task, budget=250, seed=3) for task in batches[0]]
+            run_guarded(lambda: session.run(first, n_workers=2))
+            victim, survivor = sorted(_pool_pids(session))
+            os.kill(victim, signal.SIGKILL)
+            time.sleep(0.2)
+            assert not log.of_kind("worker_restarted")  # nobody watches an idle pool
+            second = [session.submit(task, budget=250, seed=3) for task in batches[1]]
+            run_guarded(lambda: session.run(second, n_workers=2))
+            pids = _pool_pids(session)
+            assert survivor in pids and victim not in pids and len(pids) == 2
+        restarted = log.of_kind("worker_restarted")
+        assert len(restarted) == 1 and restarted[0].reason == "worker_crash"
+        assert not log.of_kind("job_retry")
+        assert [_result_signature(j) for j in first + second] == self._baseline(
+            edit_config, batches
+        )
+
+    def test_degradation_scopes_to_its_run(self, edit_config, tiny_suite):
+        """A crash storm degrades run k only: run k+1 gets a fresh pool."""
+        plan = FaultPlan(
+            faults=[
+                Fault("worker_start", action="crash", match="job-1:", count=100),
+                Fault("worker_start", action="crash", match="job-2:", count=100),
+            ]
+        )
+        batches = [tiny_suite[0:2], tiny_suite[2:4]]
+        with _edit_session(edit_config, fault_plan=plan, max_pool_crashes=1) as session:
+            log = EventLog()
+            session.add_listener(log)
+            first = [session.submit(task, budget=250, seed=3) for task in batches[0]]
+            run_guarded(lambda: session.run(first, n_workers=2))
+            assert log.of_kind("degraded_serial")
+            assert session._pool is None  # the degraded pool is gone
+            second = [session.submit(task, budget=250, seed=3) for task in batches[1]]
+            run_guarded(lambda: session.run(second, n_workers=2))
+            assert len(_pool_pids(session)) == 2
+        assert len(log.of_kind("degraded_serial")) == 1
+        assert [_result_signature(j) for j in first + second] == self._baseline(
+            edit_config, batches
+        )
+
+
+# ---------------------------------------------------------------------------
 # Crash-safe persisted state (L3 segment log, shared weights)
 # ---------------------------------------------------------------------------
 
@@ -541,6 +634,7 @@ class TestSharedWeightsFallback:
         self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite, tmp_path
     ):
         from repro.core.artifacts import SHARED_WEIGHTS_BIN
+        from repro.core.supervisor import _worker_payload
 
         def build(shared_dir):
             store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
@@ -561,7 +655,7 @@ class TestSharedWeightsFallback:
         run_guarded(lambda: baseline_session.run(n_workers=2))
 
         session = build(str(tmp_path / "broken"))
-        session._worker_payload()  # packs the segment
+        _worker_payload(session)  # packs the segment
         (tmp_path / "broken" / SHARED_WEIGHTS_BIN).unlink()
         jobs = [session.submit(task, budget=300, seed=1) for task in list(tiny_suite)[:2]]
         run_guarded(lambda: session.run(n_workers=2))
@@ -580,7 +674,7 @@ class TestTornWorkerSnapshot:
 
     @pytest.mark.parametrize("how", ["empty", "truncated"])
     def test_unreadable_snapshot_loads_empty(self, tiny_netsyn_config, tmp_path, how):
-        from repro.core.service import SharedWorkerPayload
+        from repro.core.supervisor import SharedWorkerPayload
 
         path = tmp_path / "cache_snapshot.pkl"
         path.write_bytes(_tear(pickle.dumps(_tiny_snapshot(1)), how))
@@ -590,7 +684,7 @@ class TestTornWorkerSnapshot:
         assert payload.cache_snapshots() == {}
 
     def test_snapshot_write_is_atomic_no_tmp_left(self, tmp_path):
-        from repro.core.service import _pickle_atomically
+        from repro.core.supervisor import _pickle_atomically
 
         path = tmp_path / "cache_snapshot.pkl"
         _pickle_atomically(path, _tiny_snapshot(1))
@@ -622,17 +716,17 @@ class TestTornWorkerSnapshot:
         session.submit(tasks[0], budget=300, seed=1)
         session.run()  # warms the backend, so the parallel run ships a snapshot
         torn = []
-        build_payload = SynthesisSession._worker_payload
+        build_payload = supervisor._worker_payload
 
-        def torn_payload(self):
-            payload = build_payload(self)
+        def torn_payload(session):
+            payload = build_payload(session)
             if payload.snapshot_file:
                 path = Path(payload.snapshot_file)
                 path.write_bytes(_tear(path.read_bytes(), how))
                 torn.append(path)
             return payload
 
-        monkeypatch.setattr(SynthesisSession, "_worker_payload", torn_payload)
+        monkeypatch.setattr(supervisor, "_worker_payload", torn_payload)
         jobs = [session.submit(task, budget=300, seed=1) for task in tasks[1:]]
         run_guarded(lambda: session.run(n_workers=2))
         assert torn, "the parallel run shipped no snapshot to tear"

@@ -6,6 +6,13 @@ columnar, the per-candidate serial and the 2-worker session shape).  Any
 change to what a seeded job does — its result, its search path, a single
 bit of a fitness history, or the events it emits — fails here, field by
 field.
+
+Two more shapes run the same 16 jobs against the committed ``parallel-2``
+records without being recorded themselves: ``pool-reused`` (eight
+successive 2-job runs of one session, so every run after the first is
+served by the same worker pool and its warm workers) and ``served`` (an
+in-process 2-worker ``SynthesisServer`` driven by one
+``RemoteSynthesisSession``).
 """
 
 from __future__ import annotations
@@ -34,16 +41,42 @@ def generator():
 
 
 @pytest.fixture(scope="module")
-def recorded(generator):
-    return generator.record()
+def store(generator):
+    return generator.train_store(generator.tiny_config())
+
+
+@pytest.fixture(scope="module")
+def recorded(generator, store):
+    return generator.record(store)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads((GOLDEN_DIR / "trace_fitness.json").read_text())
+
+
+def _golden_session(generator, store):
+    from repro.config import ServiceConfig
+    from repro.core.service import SynthesisSession
+
+    return SynthesisSession(
+        generator.tiny_config(), store, methods=tuple(generator.METHODS.values()),
+        service_config=ServiceConfig(),
+    )
+
+
+def _assert_matches_parallel(generator, golden, kind, job, fields):
+    want = golden[f"{kind}/{generator.PARALLEL}/{job.task.task_id}/{job.seed}"]
+    assert sorted(fields) == sorted(want), job.job_id
+    for field in want:
+        assert fields[field] == want[field], f"{kind}/{job.task.task_id}/{job.seed}: {field}"
 
 
 def test_generator_uses_the_conftest_tiny_config(generator, tiny_netsyn_config):
     assert generator.tiny_config() == tiny_netsyn_config
 
 
-def test_trajectories_match_golden(recorded):
-    golden = json.loads((GOLDEN_DIR / "trace_fitness.json").read_text())
+def test_trajectories_match_golden(recorded, golden):
     assert sorted(recorded) == sorted(golden)
     for job, want in golden.items():
         got = recorded[job]
@@ -61,3 +94,52 @@ def test_every_shape_records_the_same_trajectory(generator):
         for job in jobs:
             first, *rest = (golden[f"{kind}/{shape}/{job}"] for shape in shapes)
             assert all(other == first for other in rest), f"{kind}/{job}"
+
+
+def test_pool_reused_shape_matches_parallel_records(generator, store, golden):
+    """Eight successive 2-job runs of one session share one pool."""
+    import gc
+    import multiprocessing
+
+    def pids():
+        return frozenset(process.pid for process in multiprocessing.active_children())
+
+    tasks = generator.golden_tasks(generator.tiny_config())
+    pairs = [(kind, index, seed) for kind in generator.KINDS for index, seed in generator.JOBS]
+    gc.collect()
+    strays = pids()
+    with _golden_session(generator, store) as session:
+        pools, workers = set(), set()
+        for first in range(0, len(pairs), 2):
+            batch = [
+                (kind, session.submit(tasks[index], method=generator.METHODS[kind],
+                                      budget=generator.BUDGET, seed=seed))
+                for kind, index, seed in pairs[first:first + 2]
+            ]
+            session.run([job for _kind, job in batch], n_workers=2)
+            pools.add(id(session._pool))
+            workers.add(pids() - strays)
+            for kind, job in batch:
+                _assert_matches_parallel(generator, golden, kind, job, generator.job_fields(job))
+        assert len(pools) == 1 and len(workers) == 1, "the runs did not share one pool"
+
+
+def test_served_shape_matches_parallel_records(generator, store, golden):
+    """One client of an in-process 2-worker server runs the 16 jobs."""
+    from repro.config import ServingConfig
+    from repro.serving import RemoteSynthesisSession, SynthesisServer
+
+    tasks = generator.golden_tasks(generator.tiny_config())
+    with _golden_session(generator, store) as session:
+        with SynthesisServer(session, ServingConfig(n_workers=2)) as server:
+            with RemoteSynthesisSession(server.address) as client:
+                submitted = [
+                    (kind, client.submit(tasks[index], method=generator.METHODS[kind],
+                                         budget=generator.BUDGET, seed=seed))
+                    for kind in generator.KINDS
+                    for index, seed in generator.JOBS
+                ]
+                client.run()
+            assert session._pool is not None, "no batch reached the worker pool"
+    for kind, job in submitted:
+        _assert_matches_parallel(generator, golden, kind, job, generator.job_fields(job))

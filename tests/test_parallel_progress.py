@@ -16,15 +16,28 @@ The contract under test:
   subsequent parallel runs;
 * a cancel requested before a job starts never pays for a generation —
   neither on the serial path (``run_job`` checks the flag at job start)
-  nor in a worker (the flag is polled before the backend is invoked).
+  nor in a worker (the flag is polled before the backend is invoked);
+* the worker pool lives as long as its session: the same worker
+  processes serve successive runs, ``close()`` reaps them, a new
+  ``n_workers`` resizes the pool, a cancel flag raised in one run never
+  cancels the job that reuses its slot in the next, and each job spec
+  ships only the cache entries merged for its own task.
 """
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 
 from repro.config import ServiceConfig
-from repro.core import ArtifactStore, JobState, SynthesisSession
+from repro.core import ArtifactStore, JobState, SynthesisSession, supervisor
+from repro.core.supervisor import WorkerSupervisor
+from repro.execution import io_set_key
 from repro.data.tasks import SynthesisTask
 from repro.dsl.equivalence import IOExample
 from repro.events import EventLog
@@ -309,3 +322,209 @@ class TestStreamingFailureIsolation:
         for job in jobs[:1] + jobs[2:]:
             assert job.state in (JobState.SOLVED, JobState.EXHAUSTED)
             assert job.events[-1].kind == "finished"
+
+
+# ---------------------------------------------------------------------------
+# The session-lifetime pool
+# ---------------------------------------------------------------------------
+
+
+def _child_pids():
+    return {process.pid for process in multiprocessing.active_children()}
+
+
+@pytest.fixture
+def stray_pids():
+    """Worker pids alive before the test (other sessions' pools)."""
+    gc.collect()
+    return _child_pids()
+
+
+def _signature(job):
+    """What must not depend on the execution shape."""
+    result = job.result
+    return (
+        job.state,
+        None if result is None else (result.found, result.found_by,
+                                     result.candidates_used, result.generations),
+        [event.kind for event in job.events],
+    )
+
+
+def _serial_signatures(config, batches, budget=200, seed=1):
+    session = _edit_session(config)
+    jobs = [session.submit(task, budget=budget, seed=seed) for batch in batches for task in batch]
+    session.run(n_workers=1)
+    return [_signature(job) for job in jobs]
+
+
+def _run_batches(session, batches, budget=200, seed=1, n_workers=2):
+    """Run each batch as its own ``run()``; the pool's worker pids after each."""
+    jobs, pids = [], []
+    for batch in batches:
+        submitted = [session.submit(task, budget=budget, seed=seed) for task in batch]
+        session.run(submitted, n_workers=n_workers)
+        jobs += submitted
+        pids.append(_child_pids())
+    return jobs, pids
+
+
+def _kill_and_reap(pids):
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 10
+    while _child_pids() & set(pids) and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+class TestPoolLifetime:
+    def test_workers_survive_between_runs(self, edit_config, tiny_suite, stray_pids):
+        batches = [tiny_suite[0:2], tiny_suite[2:4], tiny_suite[0:2]]
+        with _edit_session(edit_config) as session:
+            jobs, pids = _run_batches(session, batches)
+            workers = [run_pids - stray_pids for run_pids in pids]
+            assert len(workers[0]) == 2
+            assert workers[1] == workers[0] and workers[2] == workers[0]
+        assert [_signature(job) for job in jobs] == _serial_signatures(edit_config, batches)
+
+    def test_close_leaves_no_worker_alive(self, edit_config, tiny_suite, stray_pids):
+        session = _edit_session(edit_config)
+        jobs, pids = _run_batches(session, [tiny_suite[0:2]])
+        assert pids[0] - stray_pids
+        session.close()
+        assert not (_child_pids() - stray_pids)
+        session.close()  # idempotent
+        # the session stays usable: the next parallel run forks a new pool
+        more, again = _run_batches(session, [tiny_suite[2:4]])
+        assert again[0] - stray_pids and not (again[0] & pids[0])
+        session.close()
+        assert not (_child_pids() - stray_pids)
+        assert [_signature(job) for job in jobs + more] == _serial_signatures(
+            edit_config, [tiny_suite[0:2], tiny_suite[2:4]]
+        )
+
+    def test_garbage_collected_session_closes_its_pool(self, edit_config, tiny_suite, stray_pids):
+        session = _edit_session(edit_config)
+        _run_batches(session, [tiny_suite[0:2]])
+        assert _child_pids() - stray_pids
+        del session
+        gc.collect()
+        assert not (_child_pids() - stray_pids)
+
+    def test_changing_n_workers_resizes_the_pool(self, edit_config, tiny_suite, stray_pids):
+        with _edit_session(edit_config) as session:
+            two, pids_two = _run_batches(session, [tiny_suite[0:2]], n_workers=2)
+            three, pids_three = _run_batches(session, [tiny_suite[1:4]], n_workers=3)
+            assert len(pids_two[0] - stray_pids) == 2
+            assert len(pids_three[0] - stray_pids) == 3
+            assert not (pids_two[0] - stray_pids) & pids_three[0]
+        assert [_signature(job) for job in two + three] == _serial_signatures(
+            edit_config, [tiny_suite[0:2], tiny_suite[1:4]]
+        )
+
+    def test_cancel_flag_never_leaks_into_the_slot_reuser(
+        self, edit_config, tiny_task, tiny_suite, monkeypatch
+    ):
+        # two flag slots: the second run's jobs reuse the first run's slots
+        monkeypatch.setattr(supervisor, "_FLAG_SLOTS", 2)
+        with _edit_session(edit_config) as session:
+            normal = session.submit(tiny_suite[0], budget=200, seed=1)
+            doomed = session.submit(_impossible_task(tiny_task), budget=100_000, seed=2)
+
+            def cancel_doomed(event):
+                if event.job_id == doomed.job_id and event.kind == "generation":
+                    doomed.cancel()
+
+            session.add_listener(cancel_doomed)
+            session.run(n_workers=2)
+            assert doomed.state is JobState.CANCELLED
+            assert len(session._pool.cancel_flags) == 2
+            assert session._pool.cancel_flags[1] == 1  # still raised after run k
+            reusers = [session.submit(task, budget=200, seed=1) for task in tiny_suite[1:3]]
+            session.run(reusers, n_workers=2)
+        assert [_signature(job) for job in [normal] + reusers] == _serial_signatures(
+            edit_config, [tiny_suite[0:3]]
+        )
+
+    def test_a_run_larger_than_the_flag_array_rebuilds_the_pool(
+        self, edit_config, tiny_suite, monkeypatch
+    ):
+        monkeypatch.setattr(supervisor, "_FLAG_SLOTS", 2)
+        with _edit_session(edit_config) as session:
+            small, _ = _run_batches(session, [tiny_suite[0:2]])
+            first = session._pool
+            large, _ = _run_batches(session, [tiny_suite[1:4]])
+            assert session._pool is not first and first.closed
+            assert len(session._pool.cancel_flags) == 4
+        assert [_signature(job) for job in small + large] == _serial_signatures(
+            edit_config, [tiny_suite[0:2], tiny_suite[1:4]]
+        )
+
+
+class TestPerTaskShipping:
+    """Each spec carries only the merged cache entries of its own task."""
+
+    def test_routed_entries_stay_within_the_bound(self):
+        router = supervisor._TaskCacheRouter(bound=5)
+        router.merge("a", {"scores": [(1, 1.0), (2, 2.0)]})
+        router.merge("b", {"scores": [(3, 3.0)], "evaluation": [(4, True)]})
+        router.merge("a", {"scores": [(5, 5.0)]})
+        assert router.size == 5 and router.entries("new") is None
+        # over the bound: the least recently used task's oldest delta goes
+        router.merge("c", {"maps": [(6, 0.5)]})
+        assert router.size == 4 and router.entries("b") is None
+        assert router.entries("a") == {"scores": [(1, 1.0), (2, 2.0), (5, 5.0)]}
+        # a delta larger than the whole bound is not kept at all
+        router.merge("d", {"scores": [(7, 7.0)] * 6})
+        assert router.size <= 5 and router.entries("d") is None
+
+    def test_specs_ship_exactly_the_entries_of_their_task(
+        self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite,
+        stray_pids, monkeypatch,
+    ):
+        runs = []
+        original = WorkerSupervisor.run
+
+        def recording_run(self, specs):
+            outcomes = original(self, specs)
+            runs.append(list(zip(specs, outcomes)))
+            return outcomes
+
+        monkeypatch.setattr(WorkerSupervisor, "run", recording_run)
+        store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
+        log = EventLog()
+        with SynthesisSession(
+            tiny_netsyn_config, store, methods=("netsyn_cf",),
+            service_config=ServiceConfig(persist_caches=False),
+        ) as session:
+            session.add_listener(log)
+            tasks = list(tiny_suite)
+            first = [session.submit(task, budget=300, seed=1) for task in tasks[:3]]
+            session.run(n_workers=2)
+            # the workers that computed task 0 die while idle: whoever runs
+            # its repeat starts from the pool's (empty) warm snapshot
+            _kill_and_reap(_child_pids() - stray_pids)
+            repeat = session.submit(tasks[0], budget=300, seed=1)
+            fresh = session.submit(tasks[3], budget=300, seed=1)
+            session.run([repeat, fresh], n_workers=2)
+
+        def shipped(spec):
+            return sum(len(entries) for entries in (spec[-1] or {}).values())
+
+        # N distinct tasks: nothing to ship to any of them
+        assert [shipped(spec) for spec, _outcome in runs[0]] == [0, 0, 0]
+        (repeat_spec, _), (fresh_spec, _) = runs[1]
+        assert shipped(fresh_spec) == 0
+        # the repeat carries exactly its task's merged delta, all of it
+        # keyed by the task's io key
+        delta = runs[0][0][1].cache_delta
+        assert shipped(repeat_spec) == sum(len(entries) for entries in delta.values()) > 0
+        io_key = io_set_key(tasks[0].io_set)
+        for key, _value in repeat_spec[-1]["scores"]:
+            assert key[1] == io_key
+        for (_namespace, (_program, key)), _value in repeat_spec[-1]["evaluation"]:
+            assert key == io_key
+        assert log.of_kind("worker_restarted")
+        last = [event for event in repeat.events if event.kind == "generation"][-1]
+        assert last.cache_misses == 0
+        assert _signature(repeat) == _signature(first[0])

@@ -603,7 +603,7 @@ class TestSharedMemoryServing:
         assert backend._shared_executor is None and backend._map_cache is None
 
     def test_repacked_segment_reattaches(self, tmp_path, tiny_fp_artifacts):
-        from repro.core.service import SharedWorkerPayload, _segment_token
+        from repro.core.supervisor import SharedWorkerPayload, _segment_token
 
         store = ArtifactStore(fp=tiny_fp_artifacts)
         store.save(tmp_path)
