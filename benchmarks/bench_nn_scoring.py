@@ -1,4 +1,4 @@
-"""NN-FF scoring throughput: cold vs warm, and shared-memory worker RSS.
+"""NN-FF scoring throughput: cold vs warm, and per-worker serving RSS.
 
 The GA re-scores its whole population every generation, but with
 batch-shape-invariant scoring (fixed padding widths, never-singleton GEMM
@@ -10,9 +10,9 @@ that buys:
   traced, encoded and forwarded;
 * **warm** — a GA-shaped re-scoring of the same population (elites and
   survivors dominate): mostly cache lookups;
-* **serving** — per-worker memory for parallel sessions, pickled model
-  copies vs the mmap-packed shared segment
-  (:meth:`~repro.core.artifacts.ArtifactStore.pack_shared`).
+* **serving** — one 2-worker session run, whose job states must equal a
+  serial run's, and the peak resident memory of each pool worker (each
+  holds the trained store it was handed when the pool forked it).
 
 Results are appended to ``BENCH_nn_scoring.json`` at the repository root
 so the trajectory across PRs is preserved.
@@ -27,6 +27,7 @@ default 0.7), ``NETSYN_BENCH_WORKERS`` (serving comparison, default 2;
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -100,47 +101,54 @@ def _append_trajectory(record: dict) -> None:
     TRAJECTORY_PATH.write_text(json.dumps(history, indent=2) + "\n")
 
 
+def _peak_rss_kib(pid: int) -> int:
+    """Peak resident set size of a live process (KiB; 0 when unreadable)."""
+    try:
+        with open(f"/proc/{pid}/status", "r", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return 0
+
+
 def _serving_memory(config, store, record: dict) -> None:
-    """Per-worker RSS: pickled model copies vs the shared mmap segment."""
+    """Per-worker peak RSS of a parallel run that must equal a serial one."""
     if WORKERS <= 0:
         return
     suite = make_benchmark_suite(
         length=config.program_length, n_programs=JOBS, seed=9, dsl_config=config.dsl
     )
 
-    def run(shared: bool):
-        session = SynthesisSession(
-            config,
-            store,
-            methods=("netsyn_cf",),
-            service_config=ServiceConfig(shared_weights=shared),
-        )
-        jobs = [session.submit(task, budget=300, seed=1) for task in suite]
-        start = time.perf_counter()
-        session.run(jobs, n_workers=WORKERS)
-        elapsed = time.perf_counter() - start
-        states = [job.state.value for job in jobs]
-        return elapsed, states
+    def run(n_workers: int):
+        with SynthesisSession(
+            config, store, methods=("netsyn_cf",),
+            service_config=ServiceConfig(persist_caches=False),
+        ) as session:
+            jobs = [session.submit(task, budget=300, seed=1) for task in suite]
+            start = time.perf_counter()
+            session.run(jobs, n_workers=n_workers)
+            elapsed = time.perf_counter() - start
+            # the pool's workers are alive until the session closes
+            workers = [
+                child.pid for child in multiprocessing.active_children()
+                if child.name.startswith("netsyn-worker-")
+            ]
+            peaks = sorted(_peak_rss_kib(pid) for pid in workers)
+        return elapsed, [job.state.value for job in jobs], peaks
 
-    import resource
-
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    pickled_time, pickled_states = run(shared=False)
-    pickled_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    shared_time, shared_states = run(shared=True)
-    shared_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    assert pickled_states == shared_states, "shared-memory serving changed results"
+    serial_time, serial_states, _ = run(1)
+    parallel_time, parallel_states, worker_peaks = run(WORKERS)
+    assert parallel_states == serial_states, "parallel serving changed results"
     record["serving"] = {
         "n_workers": WORKERS,
         "n_jobs": len(suite),
-        "pickled_seconds": pickled_time,
-        "shared_seconds": shared_time,
-        # ru_maxrss is cumulative-max over children (KiB on Linux): the
-        # first delta includes the private model copies, the second only
-        # whatever the shared-segment run added on top of that high-water
-        # mark (0 when sharing fits under the pickled footprint).
-        "pickled_worker_peak_kib": pickled_rss - before,
-        "shared_worker_extra_kib": max(0, shared_rss - pickled_rss),
+        "serial_seconds": serial_time,
+        "parallel_seconds": parallel_time,
+        # VmHWM of each live pool worker: everything it touched, forked
+        # pages shared with the parent included
+        "worker_peak_kib": worker_peaks,
     }
 
 

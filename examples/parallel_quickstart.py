@@ -7,7 +7,7 @@ serving-path guarantees of the session layer:
 
 1. **Live cross-process streaming** — jobs fanned out over 2 worker
    processes stream their per-generation events back to the parent
-   through a multiprocessing queue; the session listener prints them as
+   over each worker's own channel; the session listener prints them as
    they happen and the full log is saved as JSON (uploaded as a CI
    artifact).
 2. **Worker cancellation** — a deliberately unsolvable job is cancelled

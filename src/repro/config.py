@@ -292,19 +292,6 @@ class ServiceConfig:
     artifact_dir: Optional[str] = None
     #: default worker-process count for ``SynthesisSession.run``
     n_workers: int = 1
-    #: serve Phase-1 weights to parallel workers from a shared mmap-backed
-    #: segment (packed next to the persisted weights.npz) instead of
-    #: pickling a full model copy into every worker process
-    shared_weights: bool = True
-    #: directory for the shared segment; defaults to ``artifact_dir``,
-    #: falling back to a per-session temporary directory
-    shared_dir: Optional[str] = None
-    #: coalesce worker progress events into batches of this size before
-    #: they cross the multiprocessing queue (flushed when full, when the
-    #: next event arrives >50 ms after the last flush, and at job end, so
-    #: per-job stream order and completeness are unchanged).  1 = one
-    #: queue put per event (the historical path)
-    event_batch_size: int = 1
     #: fold the L3 cache log into one segment (the segments' frames,
     #: concatenated) whenever it exceeds this many segments
     cache_log_compact_threshold: int = 8
@@ -331,10 +318,12 @@ class ServiceConfig:
     #: fault plan / session seed, job index and attempt)
     retry_jitter: float = 0.25
     #: seconds between two heartbeat events from an idle-or-busy worker
-    #: (heartbeats travel the event queue)
+    #: (heartbeats travel the worker's own channel to its pool)
     heartbeat_interval: float = 0.25
-    #: a worker whose last heartbeat is older than this while it runs a
-    #: job is considered hung and is hard-killed (its job is retried)
+    #: a worker whose last heartbeat is older than this during a run,
+    #: busy or idle, is considered hung and is hard-killed (a job it was
+    #: running is retried); heartbeat ages restart at every dispatch, so
+    #: the gap between two runs never counts
     heartbeat_timeout: float = 15.0
     #: per-job wall-clock deadline in seconds (None = no deadline): an
     #: overdue job is first cancelled cooperatively via its shared flag,
@@ -365,8 +354,6 @@ class ServiceConfig:
             raise ValueError("progress_every must be at least 1")
         if self.max_events_per_job < 1:
             raise ValueError("max_events_per_job must be at least 1")
-        if self.event_batch_size < 1:
-            raise ValueError("event_batch_size must be at least 1")
         if self.cache_log_compact_threshold < 1:
             raise ValueError("cache_log_compact_threshold must be at least 1")
         if self.max_job_retries < 0:

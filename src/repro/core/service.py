@@ -48,11 +48,8 @@ Seeded runs through this layer are bit-identical to calling
 
 from __future__ import annotations
 
-import atexit
 import enum
 import re
-import shutil
-import tempfile
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -192,8 +189,6 @@ class SynthesisSession:
         self._backends: Dict[Tuple[str, Optional[int]], SynthesisBackend] = {}
         self._listeners: List[ProgressListener] = []
         self._next_job_number = 0
-        self._shared_dir: Optional[Path] = None
-        self._shared_packed = False
         #: the supervised worker pool (built at the first parallel run)
         #: and the finalizer that closes it with this session
         self._pool: Optional[WorkerSupervisor] = None
@@ -395,17 +390,6 @@ class SynthesisSession:
         job.state = JobState.SOLVED if result.found else JobState.EXHAUSTED
 
     # ------------------------------------------------------------------
-    def _shared_directory(self) -> Path:
-        """The directory holding the shared weight segment for workers."""
-        if self._shared_dir is None:
-            configured = self.service_config.shared_dir or self.service_config.artifact_dir
-            if configured:
-                self._shared_dir = Path(configured)
-            else:
-                self._shared_dir = Path(tempfile.mkdtemp(prefix="netsyn-shared-"))
-                atexit.register(shutil.rmtree, str(self._shared_dir), ignore_errors=True)
-        return self._shared_dir
-
     def run(
         self,
         jobs: Optional[Sequence[SynthesisJob]] = None,
@@ -420,8 +404,8 @@ class SynthesisSession:
         serial run.  The pool is forked at the first parallel run and
         serves every later one until :meth:`close`; it is rebuilt when
         ``n_workers`` changes and after a run that degraded to serial.
-        Worker-side progress events stream back live through the pool's
-        event queue, so session listeners observe remote jobs
+        Worker-side progress events stream back live over each worker's
+        channel, so session listeners observe remote jobs
         per-generation exactly like local ones; ``job.cancel()`` reaches
         running workers through a shared cancellation flag, and cache
         entries computed by workers are merged back into this session's

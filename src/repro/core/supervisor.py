@@ -18,12 +18,14 @@ failure discipline a serving layer needs:
   the pool (``SynthesisSession.close()``, its context manager, or a
   finalizer when it is garbage-collected) and rebuilds it when
   ``n_workers`` changes or after a run that degraded to serial.
-* **Shipping.**  The trained weights and the session's warm-cache
-  snapshot cross to each worker once, at worker start
-  (:class:`SharedWorkerPayload`).  Each job spec then carries only the
-  cache entries merged back from earlier jobs on the *same task* — the
-  keys of every memo cache embed the task's structural io key, so
-  entries of other tasks could never hit (:class:`_TaskCacheRouter`).
+* **Shipping.**  Every worker gets one payload, ``(store, config,
+  snapshots)`` from :func:`_worker_payload`: the trained weights and the
+  session's warm-cache snapshots, in memory.  A forked worker inherits
+  it; under ``spawn`` it is pickled once per worker.  Each job spec then
+  carries only the cache entries merged back from earlier jobs on the
+  *same task* — the keys of every memo cache embed the task's
+  structural io key, so entries of other tasks could never hit
+  (:class:`_TaskCacheRouter`).
 * **Channels.**  The parent hands each spec to one idle worker through
   that worker's own task queue, so it always knows which worker holds
   which job: a job is never lost between a claim and its report.  Each
@@ -70,16 +72,13 @@ parallel runs remain event-for-event identical to serial ones.
 from __future__ import annotations
 
 import os
-import pickle
 import queue
 import random
-import tempfile
 import threading
 import time
 from collections import OrderedDict, deque
 from multiprocessing.connection import wait
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -158,12 +157,16 @@ class SupervisedOutcome:
 
 #: picklable description of one job for the workers:
 #: (dispatch_index, job_id, method, program_length, task, seed,
-#:  budget_limit, progress_every, event_batch_size, cache_entries).
+#:  budget_limit, progress_every, cache_entries).
 #: ``dispatch_index`` is unique over the pool's lifetime; the job's
 #: cancel flag is slot ``dispatch_index % len(cancel_flags)``
 _ServiceJobSpec = Tuple[
-    int, str, str, Optional[int], SynthesisTask, int, int, int, int, Optional[dict]
+    int, str, str, Optional[int], SynthesisTask, int, int, int, Optional[dict]
 ]
+
+#: what every worker is handed once: (store, config, warm-cache
+#: snapshots keyed by :func:`_snapshot_key`)
+_WorkerPayload = Tuple[ArtifactStore, NetSynConfig, Dict[str, dict]]
 
 #: what a worker returns per job: (status, result, error, cache_delta)
 _ServiceJobOutcome = Tuple[str, Any, Optional[str], Optional[dict]]
@@ -182,42 +185,12 @@ _WORKER_STATE: Dict[str, Any] = {}
 #: the worker's whole life (its L1 caches and tries with them)
 _WORKER_BACKENDS: Dict[Any, Any] = {}
 
-#: per-process memo of attached shared stores, keyed by (directory, token)
-#: — the token changes whenever the segment is re-packed, so a process
-#: that re-resolves the same directory after a retrain re-attaches
-#: instead of serving memmap views laid out for the old file
-_ATTACHED_STORES: Dict[Tuple[str, str], ArtifactStore] = {}
+#: most events one coalesced put carries over a worker's channel
+_EVENT_BATCH = 64
 
-#: name of the pickled cache snapshot inside a shared segment directory
-_CACHE_SNAPSHOT = "cache_snapshot.pkl"
-
-
-def _segment_token(directory: str) -> str:
-    """Identity of the packed segment currently on disk (mtime + size)."""
-    from repro.core.artifacts import SHARED_WEIGHTS_BIN
-
-    try:
-        stat = (Path(directory) / SHARED_WEIGHTS_BIN).stat()
-        return f"{stat.st_mtime_ns}:{stat.st_size}"
-    except OSError:
-        return "missing"
-
-
-def _pickle_atomically(path: Path, snapshots: Dict[str, dict]) -> Path:
-    """Pickle ``snapshots`` to ``path`` via a unique temp file + ``os.replace``.
-
-    Sessions sharing a directory may overwrite each other's snapshot, but
-    a worker never observes a half-written one.
-    """
-    handle, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(handle, "wb") as stream:
-            pickle.dump(snapshots, stream)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return path
+#: an event arriving this many seconds after the previous flush flushes
+#: the buffer (checked at emission time; there is no timer thread)
+_EVENT_FLUSH_S = 0.05
 
 
 def _snapshot_key(method: str, program_length: Optional[int]) -> str:
@@ -229,141 +202,19 @@ def _snapshot_key(method: str, program_length: Optional[int]) -> str:
     return f"{method}:{program_length}"
 
 
-@dataclass
-class SharedWorkerPayload:
-    """What crosses the process boundary once per worker under shared-memory serving.
-
-    Instead of pickling every trained model into every worker, the parent
-    ships this tiny descriptor; :meth:`resolve_in_worker` (called once
-    per worker by its initializer) attaches the packed weight
-    segment via ``np.memmap`` — so all workers alias one set of physical
-    pages — and loads the optional warm-cache snapshot.
-    """
-
-    directory: str
-    config: NetSynConfig
-    names: Tuple[str, ...] = ()
-    snapshot_file: Optional[str] = None
-    #: identity of the packed segment (set by the parent at pack time);
-    #: part of the attach-memo key so a re-packed segment re-attaches
-    token: str = ""
-    #: per-process memo of the loaded snapshot file (not part of the
-    #: pickled payload; populated lazily by :meth:`cache_snapshots`)
-    _loaded_snapshots: Optional[Dict[str, dict]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def resolve_in_worker(self) -> "SharedWorkerPayload":
-        """Attach the shared store (memoized per process) and return self.
-
-        A missing or torn shared-weight segment (e.g. deleted between
-        pack and worker start, or truncated by a crashed packer) does not
-        fail the worker: it falls back to loading the per-artifact
-        ``.npz`` copies the parent saved next to the segment — slower,
-        private pages, same numbers.
-        """
-        key = (self.directory, self.token)
-        if key not in _ATTACHED_STORES:
-            try:
-                _ATTACHED_STORES[key] = ArtifactStore.attach_shared(
-                    self.directory, names=self.names or None
-                )
-            except (OSError, ValueError, KeyError) as error:
-                logger.warning(
-                    "shared-weight attach failed in worker (%s); "
-                    "falling back to private npz copies from %s",
-                    error, self.directory,
-                )
-                _ATTACHED_STORES[key] = ArtifactStore.load(
-                    self.directory, names=self.names or None
-                )
-        return self
-
-    @property
-    def store(self) -> ArtifactStore:
-        key = (self.directory, self.token)
-        if key not in _ATTACHED_STORES:
-            self.resolve_in_worker()
-        return _ATTACHED_STORES[key]
-
-    def cache_snapshots(self) -> Dict[str, dict]:
-        """The warm-cache snapshot shipped with the segment (may be empty).
-
-        Loaded lazily and memoized on the payload instance — the instance
-        lives for the whole worker process, so the pickle is read once
-        per worker, not once per job.
-        """
-        if not self.snapshot_file:
-            return {}
-        if self._loaded_snapshots is None:
-            try:
-                with open(self.snapshot_file, "rb") as handle:
-                    self._loaded_snapshots = pickle.load(handle)
-            except Exception as error:  # noqa: BLE001 - torn/empty/foreign file
-                # the snapshot only warms caches: any unreadable file
-                # (missing, empty, truncated mid-write) is a cold start
-                logger.warning(
-                    "unreadable worker cache snapshot %s (%s: %s); starting cold",
-                    self.snapshot_file, type(error).__name__, error,
-                )
-                self._loaded_snapshots = {}
-        return self._loaded_snapshots
-
-
-class PayloadResolutionError:
-    """Marker carrying a worker-side payload attachment failure.
-
-    Raising while a worker initializes would kill it before it claims a
-    job, so resolution failures are captured and re-raised lazily by
-    whichever job first consumes the payload — that job fails cleanly
-    instead of taking the worker down.
-    """
-
-    def __init__(self, error: BaseException) -> None:
-        self.message = f"worker payload resolution failed: {type(error).__name__}: {error}"
-
-    def raise_(self) -> None:
-        raise RuntimeError(self.message)
-
-
-def _resolve_payload(payload: Any) -> Any:
-    """Give payload descriptors a chance to attach per-process resources.
-
-    A payload exposing ``resolve_in_worker()`` (e.g.
-    :class:`SharedWorkerPayload`) is resolved exactly once per process —
-    this is where shared-memory model serving mmaps the packed weight
-    segment instead of unpickling model objects into the worker.
-    """
-    resolve = getattr(payload, "resolve_in_worker", None)
-    if not callable(resolve):
-        return payload
-    try:
-        return resolve()
-    except Exception as error:  # noqa: BLE001 - must not kill the worker
-        return PayloadResolutionError(error)
-
-
-def _unpack_payload(payload: Any) -> Tuple[ArtifactStore, NetSynConfig, Dict[str, dict]]:
-    """Store/config/snapshots from either payload shape (tuple or shared)."""
-    if isinstance(payload, PayloadResolutionError):
-        payload.raise_()
-    if isinstance(payload, SharedWorkerPayload):
-        return payload.store, payload.config, payload.cache_snapshots()
-    store, config = payload
-    return store, config, {}
-
-
 def _parallel_worker_init(
-    seed: int, payload: Any, event_queue: Any = None, cancel_flags: Any = None
+    seed: int, payload: _WorkerPayload, channel: Any = None, cancel_flags: Any = None
 ) -> None:
-    """Initialize one worker: seed its RNGs and stash the shared payload.
+    """Initialize one worker: seed its RNGs and stash the pool's payload.
 
     The global numpy RNG is seeded per worker (mixed with the PID) as a
     safety net for any library code that touches it; all repo components
     draw from explicitly seeded generators, which is what actually makes
     parallel results byte-identical to serial ones.
 
-    ``event_queue`` (anything with ``put``: the worker's
+    ``payload`` is :func:`_worker_payload`'s ``(store, config,
+    snapshots)``, inherited by a forked worker and pickled once for a
+    spawned one.  ``channel`` (anything with ``put``: the worker's
     :class:`_Channel`, or a ``multiprocessing`` queue) and
     ``cancel_flags`` (a shared byte array of job slots) are the
     cross-process progress channel: :func:`_run_service_job` reads them
@@ -372,77 +223,59 @@ def _parallel_worker_init(
     running.
     """
     np.random.seed((int(seed) * 1_000_003 + os.getpid()) % (2**32))
-    _WORKER_STATE["payload"] = _resolve_payload(payload)
-    _WORKER_STATE["event_queue"] = event_queue
+    _WORKER_STATE["payload"] = payload
+    _WORKER_STATE["channel"] = channel
     _WORKER_STATE["cancel_flags"] = cancel_flags
 
 
 class _EventEmitter:
     """Streams one job's events to the parent's pump (the worker side).
 
-    Every event is enriched with the job id and streamed to the parent's
-    pump thread through ``queue`` *before* the cancellation flag is
-    polled, so the event that triggered a cancellation is observed by the
-    parent exactly as it is on the serial path.  ``"finished"`` events
+    Every event is enriched with the job id and buffered; the buffer
+    crosses the worker's ``channel`` as one ``(job_index, [events])``
+    put, so a batch pays one pickle and one pipe write instead of one per
+    event.  The buffer is flushed when it holds :data:`_EVENT_BATCH`
+    events, when an event arrives :data:`_EVENT_FLUSH_S` or more after
+    the previous flush (so a buffered event waits out at most one silent
+    generation), before a cancellation is raised, and at job end
+    (:meth:`flush` in the worker's ``finally``).  Per-job stream order
+    and completeness are the serial listener's.
+
+    The cancellation flag is polled after the event is buffered, and a
+    cancellation flushes first, so the event that triggered it reaches
+    the parent exactly as on the serial path.  ``"finished"`` events
     never cancel (mirroring the serial listener: by then the result
     exists and discarding it would waste the run).  The job's flag is
     slot ``job_index % len(flags)`` of the pool's flag array.
-
-    With ``batch_size > 1`` events are coalesced into one
-    ``queue.put_many``-style put of a list (the queue-backpressure
-    fallback: one pickle + one lock round-trip per batch instead of per
-    event).  The buffer is flushed when full, when an event arrives more
-    than ``flush_interval`` after the previous flush (the check runs at
-    emission time — there is no timer thread, so a buffered event can
-    wait out at most one silent generation), before a cancellation is
-    raised, and at job end (:meth:`flush` in the worker's ``finally``) —
-    per-job stream order and completeness are identical to the unbatched
-    path.
     """
 
-    def __init__(
-        self,
-        job_index: int,
-        job_id: str,
-        queue: Any,
-        flags: Any,
-        batch_size: int = 1,
-        flush_interval: float = 0.05,
-    ) -> None:
+    def __init__(self, job_index: int, job_id: str, channel: Any, flags: Any) -> None:
         self.job_index = job_index
         self.job_id = job_id
-        self.queue = queue
+        self.channel = channel
         self.flags = flags
         self.slot = job_index % len(flags) if flags is not None else 0
-        self.batch_size = max(1, int(batch_size))
-        self.flush_interval = flush_interval
         self._buffer: List[ProgressEvent] = []
         self._last_flush = time.monotonic()
 
-    def _put(self, item: Any) -> None:
-        """One guarded put; a broken event channel disables streaming.
-
-        The job itself keeps running: losing observability is strictly
-        better than losing the result.
-        """
-        if self.queue is None:
-            return
-        try:
-            faults.fire("event_put", target=self.job_id)
-            self.queue.put(item)
-        except OSError as error:
-            logger.warning(
-                "event stream broken for %s (%s); job continues unstreamed",
-                self.job_id, error,
-            )
-            self.queue = None
-            self._buffer = []
-
     def flush(self) -> None:
-        """Put the coalesced buffer on the queue (no-op when empty)."""
+        """Put the buffered events on the channel (no put when empty).
+
+        A broken channel disables streaming for the rest of the job; the
+        job itself keeps running: losing observability is strictly better
+        than losing the result.
+        """
         if self._buffer:
-            buffer, self._buffer = self._buffer, []
-            self._put((self.job_index, buffer))
+            batch, self._buffer = self._buffer, []
+            try:
+                faults.fire("event_put", target=self.job_id)
+                self.channel.put((self.job_index, batch))
+            except OSError as error:
+                logger.warning(
+                    "event stream broken for %s (%s); job continues unstreamed",
+                    self.job_id, error,
+                )
+                self.channel = None
         self._last_flush = time.monotonic()
 
     def cancelled(self) -> bool:
@@ -451,19 +284,15 @@ class _EventEmitter:
 
     def __call__(self, event: ProgressEvent) -> None:
         event.job_id = self.job_id
-        if self.queue is not None:
-            if self.batch_size <= 1:
-                self._put((self.job_index, event))
-            else:
-                self._buffer.append(event)
-                if (
-                    len(self._buffer) >= self.batch_size
-                    or time.monotonic() - self._last_flush >= self.flush_interval
-                ):
-                    self.flush()
-        if event.kind != "finished" and self.cancelled():
-            if self.queue is not None:
+        if self.channel is not None:
+            self._buffer.append(event)
+            if (
+                len(self._buffer) >= _EVENT_BATCH
+                or time.monotonic() - self._last_flush >= _EVENT_FLUSH_S
+            ):
                 self.flush()
+        if event.kind != "finished" and self.cancelled():
+            self.flush()
             raise JobCancelled(self.job_id)
 
 
@@ -477,8 +306,9 @@ def _run_service_job(spec: _ServiceJobSpec) -> _ServiceJobOutcome:
     entries (the merged entries of earlier jobs on the same task) are
     loaded before the job's delta window opens, so they are never
     shipped back.  Progress events stream back through the worker's
-    channel (``_WORKER_STATE["event_queue"]``), the shared cancellation flag is honored both before the job
-    starts and at every emitted event, and cache entries added by the
+    channel (``_WORKER_STATE["channel"]``, coalesced by
+    :class:`_EventEmitter`), the shared cancellation flag is honored
+    both before the job starts and at every emitted event, and cache entries added by the
     job (NN-score and evaluation memos) are returned as a snapshot delta
     for the parent to merge.  Failures are returned, not raised, so one
     broken job cannot take down its worker (matching the serial path's
@@ -488,11 +318,10 @@ def _run_service_job(spec: _ServiceJobSpec) -> _ServiceJobOutcome:
 
     (
         job_index, job_id, method, length, task, seed, budget_limit,
-        progress_every, event_batch_size, entries,
+        progress_every, entries,
     ) = spec
     emitter = _EventEmitter(
-        job_index, job_id, _WORKER_STATE.get("event_queue"),
-        _WORKER_STATE.get("cancel_flags"), batch_size=event_batch_size,
+        job_index, job_id, _WORKER_STATE.get("channel"), _WORKER_STATE.get("cancel_flags")
     )
     backend = None
     version_before = 0
@@ -501,7 +330,7 @@ def _run_service_job(spec: _ServiceJobSpec) -> _ServiceJobOutcome:
             # cancelled before the worker even started the job: don't pay
             # for a single generation (the flag was raised parent-side)
             return ("cancelled", None, None, None)
-        store, config, snapshots = _unpack_payload(_WORKER_STATE.get("payload"))
+        store, config, snapshots = _WORKER_STATE["payload"]
         if _WORKER_BACKENDS.get("__store__") is not store:
             _WORKER_BACKENDS.clear()
             _WORKER_BACKENDS["__store__"] = store
@@ -599,7 +428,7 @@ def _heartbeat_loop(worker_id: int, channel: Any, interval: float,
 def _supervised_worker_main(
     worker_id: int,
     seed: int,
-    payload: Any,
+    payload: _WorkerPayload,
     tasks: Any,
     conn: Any,
     cancel_flags: Any,
@@ -620,8 +449,8 @@ def _supervised_worker_main(
     channel = _Channel(conn)
     stop = threading.Event()
     if heartbeat_interval > 0:
-        # beat from the first instant: payload resolution below can be
-        # slow (model weights), and a worker must look alive throughout
+        # beat from the first instant: a worker must look alive
+        # throughout, its first backend build included
         threading.Thread(
             target=_heartbeat_loop,
             args=(worker_id, channel, heartbeat_interval, stop),
@@ -651,43 +480,22 @@ def _supervised_worker_main(
 # ---------------------------------------------------------------------------
 
 
-def _worker_payload(session: Any) -> Any:
-    """Build the cross-process payload of a new pool for ``session``.
+def _worker_payload(session: Any) -> _WorkerPayload:
+    """The payload every worker of a new pool for ``session`` is handed.
 
-    With ``shared_weights`` the trained models are persisted once
-    (``weights.npz``), packed into a flat mmap-able segment, and only
-    a path descriptor crosses the process boundary — each worker
-    attaches the segment read-only instead of unpickling its own
-    model copies.  The session backends' score/evaluation caches are
-    snapshotted next to it (structural keys are process-stable) so
-    workers start warm.  Falls back to pickling ``(store, config)``
-    when shared serving is disabled.
+    ``(store, config, snapshots)``: the session's trained store and
+    config, and a snapshot of its backends' score/evaluation caches
+    (structural keys are process-stable), so workers start warm.  The
+    pool keeps it for its whole life, so a replacement worker starts from
+    the same state as the one it replaces.
     """
-    if not session.service_config.shared_weights or not session.store.names():
-        # nothing trained to share (e.g. an artifact-free edit/oracle
-        # session): ship the store directly, it is empty or tiny
-        return (session.store, session.config)
-    directory = session._shared_directory()
-    if not session._shared_packed:
-        session.store.save(directory)
-        session.store.pack_shared(directory)
-        session._shared_packed = True
-    snapshot_file = None
     snapshots = {
         _snapshot_key(method, length): snapshot
         for (method, length), backend in session._backends.items()
         for snapshot in [getattr(backend, "cache_snapshot", lambda: None)()]
         if snapshot
     }
-    if snapshots:
-        snapshot_file = str(_pickle_atomically(directory / _CACHE_SNAPSHOT, snapshots))
-    return SharedWorkerPayload(
-        directory=str(directory),
-        config=session.config,
-        names=session.store.names(),
-        snapshot_file=snapshot_file,
-        token=_segment_token(str(directory)),
-    )
+    return (session.store, session.config, snapshots)
 
 
 def _task_key(method: str, program_length: Optional[int], task: SynthesisTask) -> Tuple:
@@ -785,7 +593,7 @@ class WorkerSupervisor:
         deterministic retry jitter and the per-worker RNG init.
     payload:
         Handed once to every worker's :func:`_parallel_worker_init`:
-        the weights and warm-cache snapshot descriptor.
+        :func:`_worker_payload`'s ``(store, config, snapshots)``.
     slots:
         Size of the shared cancellation-flag array: the most jobs one
         run may dispatch.
@@ -805,7 +613,7 @@ class WorkerSupervisor:
         n_workers: int,
         config: ServiceConfig,
         seed: int,
-        payload: Any,
+        payload: _WorkerPayload,
         context: Any = None,
         slots: int = _FLAG_SLOTS,
         route_bound: int = 0,
@@ -925,8 +733,7 @@ class WorkerSupervisor:
             key = _task_key(job.method, job.program_length, job.task)
             specs.append((
                 dispatch, job.job_id, job.method, job.program_length, job.task, job.seed,
-                job.budget_limit, config.progress_every, config.event_batch_size,
-                self._router.entries(key),
+                job.budget_limit, config.progress_every, self._router.entries(key),
             ))
             route = _Route(dispatch, job, key, session._deliver_events)
             routes.append(route)
@@ -946,8 +753,9 @@ class WorkerSupervisor:
     def _pump_events(self) -> None:
         """Read every worker's channel live (the pool's daemon thread).
 
-        Each item is ``(index, payload)``.  Events of a job routed by the
-        open fan-out go to the session's sink, which records them on the
+        Each item is ``(index, payload)``; a job's events arrive as
+        :class:`_EventEmitter`'s coalesced lists.  Events of a job routed
+        by the open fan-out go to the session's sink, which records them on the
         job and fans them out to session listeners exactly like the
         serial path, while the main thread blocks in :meth:`run`; events
         of dispatches no longer routed (a stale duplicate of an earlier
@@ -993,10 +801,8 @@ class WorkerSupervisor:
         route = self._routes.get(job_index)
         if route is None:
             return
-        # a worker with event batching on puts a coalesced list
-        events = payload if isinstance(payload, list) else [payload]
         try:
-            route.sink(route.job, events)
+            route.sink(route.job, payload)
         except Exception:  # noqa: BLE001 - the pump must keep draining
             logger.exception("event sink failed for %s", route.job.job_id)
 

@@ -18,7 +18,8 @@ runtime code instruments with :func:`fire`:
     point, because the parent must both detect the death and re-run work
     that actually completed.
 ``event_put``
-    In the worker-side event emitter, before a queue put (target
+    In the worker-side event emitter, before each coalesced put on the
+    worker's channel — once per flush, not per event (target
     ``"<job_id>"``).  A ``raise`` here simulates a broken event pipe;
     the emitter degrades to not streaming instead of failing the job.
 ``l3_append``

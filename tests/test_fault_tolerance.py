@@ -18,12 +18,10 @@ The fault matrix exercised here (via the deterministic
   retried;
 * a job exceeding its wall-clock deadline is cancelled cooperatively and
   ends ``failed`` with a ``deadline`` report while its siblings finish;
+* a broken worker event pipe stops that job's stream where it broke,
+  while the job itself and every other job's stream complete;
 * a truncated L3 cache-log segment is skipped (with a
   ``cache_segment_skipped`` event), never crashing a load;
-* a missing shared-weights segment downgrades workers to private npz
-  copies instead of failing their jobs;
-* an empty or truncated worker warm-cache snapshot is a cold start for
-  the workers, never a failed job;
 * between runs the pool is idle, not hung: an idle gap longer than
   ``heartbeat_timeout`` kills no worker, a worker killed while idle is
   replaced at the next run (``worker_restarted``), and a run that
@@ -43,7 +41,6 @@ import pickle
 import signal
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -81,13 +78,13 @@ def _edit_session(config, **service_kwargs):
     )
 
 
-def _impossible_task(template, task_id="impossible"):
+def _impossible_task(template, task_id="impossible", inputs=(1, 2, 3)):
     """Contradictory examples: the search can never terminate early."""
     return SynthesisTask(
         target=template.target,
         io_set=[
-            IOExample(inputs=([1, 2, 3],), output=[1]),
-            IOExample(inputs=([1, 2, 3],), output=[2]),
+            IOExample(inputs=(list(inputs),), output=[1]),
+            IOExample(inputs=(list(inputs),), output=[2]),
         ],
         length=template.length,
         is_singleton=False,
@@ -196,7 +193,6 @@ class TestServiceConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"event_batch_size": 0},
             {"cache_log_compact_threshold": 0},
             {"n_workers": 0},
             {"max_job_retries": -1},
@@ -428,6 +424,48 @@ class TestDeadlines:
 
 
 # ---------------------------------------------------------------------------
+# A broken worker event pipe
+# ---------------------------------------------------------------------------
+
+
+class TestBrokenEventPipe:
+    def test_broken_pipe_cuts_only_its_own_stream(self, edit_config, tiny_task):
+        """``event_put`` fires once per coalesced put.  Breaking the faulted
+        job's second put loses the rest of its stream, not its result, and
+        leaves the other job's stream whole."""
+        # distinct io sets: neither job can hit the other's cache entries
+        tasks = [
+            _impossible_task(tiny_task, "doomed-a"),
+            _impossible_task(tiny_task, "doomed-b", inputs=(4, 5, 6)),
+        ]
+
+        def run(n_workers, fault_plan=None):
+            session = _edit_session(edit_config, progress_every=10, fault_plan=fault_plan)
+            jobs = [session.submit(task, budget=2_000, seed=4) for task in tasks]
+            run_guarded(lambda: session.run(n_workers=n_workers))
+            session.close()
+            return jobs
+
+        serial = run(1)
+        # more than one batch per job, so the second put happens mid-stream
+        assert all(len(job.events) > supervisor._EVENT_BATCH for job in serial)
+        faulted_job, healthy_job = run(
+            2, FaultPlan.single("event_put", "raise", match="job-1", nth=2)
+        )
+        assert [_result_signature(j) for j in (faulted_job, healthy_job)] == [
+            _result_signature(j) for j in serial
+        ]
+        streamed = [event.to_dict() for event in faulted_job.events]
+        expected = [event.to_dict() for event in serial[0].events]
+        assert 0 < len(streamed) < len(expected)
+        assert streamed == expected[: len(streamed)]
+        assert "finished" not in [event.kind for event in faulted_job.events]
+        assert [event.to_dict() for event in healthy_job.events] == [
+            event.to_dict() for event in serial[1].events
+        ]
+
+
+# ---------------------------------------------------------------------------
 # The idle pool between runs: gaps, deaths, degradation scope
 # ---------------------------------------------------------------------------
 
@@ -514,7 +552,7 @@ class TestIdlePool:
 
 
 # ---------------------------------------------------------------------------
-# Crash-safe persisted state (L3 segment log, shared weights)
+# Crash-safe persisted state (the L3 segment log)
 # ---------------------------------------------------------------------------
 
 
@@ -627,109 +665,3 @@ class TestCrashSafeCacheLog:
         manifest = json.loads((tmp_path / CACHE_LOG_DIR / CACHE_LOG_MANIFEST).read_text())
         for record in manifest["segments"]:
             assert (tmp_path / CACHE_LOG_DIR / record["file"]).stat().st_size > 0
-
-
-class TestSharedWeightsFallback:
-    def test_missing_segment_falls_back_to_npz(
-        self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite, tmp_path
-    ):
-        from repro.core.artifacts import SHARED_WEIGHTS_BIN
-        from repro.core.supervisor import _worker_payload
-
-        def build(shared_dir):
-            store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
-            return SynthesisSession(
-                tiny_netsyn_config,
-                store,
-                methods=("netsyn_cf",),
-                service_config=ServiceConfig(
-                    shared_dir=shared_dir, persist_caches=False
-                ),
-            )
-
-        baseline_session = build(str(tmp_path / "baseline"))
-        baseline = [
-            baseline_session.submit(task, budget=300, seed=1)
-            for task in list(tiny_suite)[:2]
-        ]
-        run_guarded(lambda: baseline_session.run(n_workers=2))
-
-        session = build(str(tmp_path / "broken"))
-        _worker_payload(session)  # packs the segment
-        (tmp_path / "broken" / SHARED_WEIGHTS_BIN).unlink()
-        jobs = [session.submit(task, budget=300, seed=1) for task in list(tiny_suite)[:2]]
-        run_guarded(lambda: session.run(n_workers=2))
-        assert [_result_signature(j) for j in jobs] == [
-            _result_signature(j) for j in baseline
-        ]
-
-
-def _tear(data: bytes, how: str) -> bytes:
-    return b"" if how == "empty" else data[: len(data) // 2]
-
-
-class TestTornWorkerSnapshot:
-    """An unreadable worker warm-cache snapshot is a cold start, never a
-    failed job."""
-
-    @pytest.mark.parametrize("how", ["empty", "truncated"])
-    def test_unreadable_snapshot_loads_empty(self, tiny_netsyn_config, tmp_path, how):
-        from repro.core.supervisor import SharedWorkerPayload
-
-        path = tmp_path / "cache_snapshot.pkl"
-        path.write_bytes(_tear(pickle.dumps(_tiny_snapshot(1)), how))
-        payload = SharedWorkerPayload(
-            directory=str(tmp_path), config=tiny_netsyn_config, snapshot_file=str(path)
-        )
-        assert payload.cache_snapshots() == {}
-
-    def test_snapshot_write_is_atomic_no_tmp_left(self, tmp_path):
-        from repro.core.supervisor import _pickle_atomically
-
-        path = tmp_path / "cache_snapshot.pkl"
-        _pickle_atomically(path, _tiny_snapshot(1))
-        _pickle_atomically(path, _tiny_snapshot(2))
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
-        assert pickle.loads(path.read_bytes()) == _tiny_snapshot(2)
-
-    @pytest.mark.parametrize("how", ["empty", "truncated"])
-    def test_parallel_run_over_torn_snapshot_matches_serial(
-        self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite,
-        tmp_path, monkeypatch, how,
-    ):
-        tasks = list(tiny_suite)[:3]
-
-        def build(shared_dir):
-            store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
-            return SynthesisSession(
-                tiny_netsyn_config,
-                store,
-                methods=("netsyn_cf",),
-                service_config=ServiceConfig(shared_dir=shared_dir, persist_caches=False),
-            )
-
-        baseline_session = build(str(tmp_path / "baseline"))
-        baseline = [baseline_session.submit(task, budget=300, seed=1) for task in tasks[1:]]
-        baseline_session.run()
-
-        session = build(str(tmp_path / "torn"))
-        session.submit(tasks[0], budget=300, seed=1)
-        session.run()  # warms the backend, so the parallel run ships a snapshot
-        torn = []
-        build_payload = supervisor._worker_payload
-
-        def torn_payload(session):
-            payload = build_payload(session)
-            if payload.snapshot_file:
-                path = Path(payload.snapshot_file)
-                path.write_bytes(_tear(path.read_bytes(), how))
-                torn.append(path)
-            return payload
-
-        monkeypatch.setattr(supervisor, "_worker_payload", torn_payload)
-        jobs = [session.submit(task, budget=300, seed=1) for task in tasks[1:]]
-        run_guarded(lambda: session.run(n_workers=2))
-        assert torn, "the parallel run shipped no snapshot to tear"
-        assert [_result_signature(j) for j in jobs] == [
-            _result_signature(j) for j in baseline
-        ]

@@ -21,7 +21,9 @@ The contract under test:
   processes serve successive runs, ``close()`` reaps them, a new
   ``n_workers`` resizes the pool, a cancel flag raised in one run never
   cancels the job that reuses its slot in the next, and each job spec
-  ships only the cache entries merged for its own task.
+  ships only the cache entries merged for its own task;
+* every worker is handed the session's store, config and warm-cache
+  snapshots in memory: starting a pool writes no file.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import gc
 import multiprocessing
 import os
 import signal
+import tempfile
 import time
 
 import pytest
@@ -40,7 +43,7 @@ from repro.core.supervisor import WorkerSupervisor
 from repro.execution import io_set_key
 from repro.data.tasks import SynthesisTask
 from repro.dsl.equivalence import IOExample
-from repro.events import EventLog
+from repro.events import EventLog, JobCancelled, ProgressEvent
 
 
 @pytest.fixture
@@ -150,25 +153,30 @@ class TestParallelEventParity:
 
 
 # ---------------------------------------------------------------------------
-# Event batching: coalesced queue puts, identical streams
+# Event batching: coalesced channel puts, identical streams
 # ---------------------------------------------------------------------------
 
 
 class TestEventBatching:
-    def test_batched_stream_equals_serial_event_for_event(self, edit_config, tiny_suite):
-        """event_batch_size > 1 coalesces queue puts without changing
-        stream content, order or completeness."""
+    def test_batched_stream_equals_serial_event_for_event(
+        self, edit_config, tiny_task, tiny_suite
+    ):
+        """Workers coalesce their events into batched channel puts without
+        changing stream content, order or completeness."""
 
-        def run(n_workers, batch):
-            session = _edit_session(edit_config, event_batch_size=batch)
+        def run(n_workers):
+            session = _edit_session(edit_config)
             log = EventLog()
             session.add_listener(log)
             jobs = [session.submit(task, budget=250, seed=3) for task in tiny_suite]
+            # a long job streams more than one full batch
+            jobs.append(session.submit(_impossible_task(tiny_task), budget=4_000, seed=3))
             session.run(n_workers=n_workers)
             return jobs, log
 
-        serial_jobs, _ = run(1, 1)
-        batched_jobs, batched_log = run(2, 32)
+        serial_jobs, _ = run(1)
+        batched_jobs, batched_log = run(2)
+        assert len(batched_jobs[-1].events) > supervisor._EVENT_BATCH
         for serial, batched in zip(serial_jobs, batched_jobs):
             assert serial.state == batched.state
             assert _event_fingerprints(batched) == _event_fingerprints(serial)
@@ -177,7 +185,7 @@ class TestEventBatching:
             )
 
     def test_cancellation_still_reaches_batched_workers(self, edit_config, tiny_task, tiny_suite):
-        session = _edit_session(edit_config, event_batch_size=64)
+        session = _edit_session(edit_config)
         doomed = session.submit(_impossible_task(tiny_task), budget=100_000, seed=2)
 
         def cancel_after_two_generations(event):
@@ -200,6 +208,105 @@ class TestEventBatching:
         # nowhere near the submitted budget
         assert generations and generations[-1] < 2_000
         assert normal.state in (JobState.SOLVED, JobState.EXHAUSTED)
+
+
+class _ListChannel:
+    """A worker channel that records its puts."""
+
+    def __init__(self):
+        self.puts = []
+
+    def put(self, item):
+        self.puts.append(item)
+
+
+class _Clock:
+    """Stands in for the ``time`` module of the supervisor."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def monotonic(self):
+        return self.now
+
+
+class TestEventEmitter:
+    """The worker-side emitter, over a list-backed channel and a fake clock."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = _Clock()
+        monkeypatch.setattr(supervisor, "time", clock)
+        return clock
+
+    @staticmethod
+    def _emitter(flags=None):
+        channel = _ListChannel()
+        return supervisor._EventEmitter(5, "job-7", channel, flags), channel
+
+    @staticmethod
+    def _event(generation, kind="generation"):
+        return ProgressEvent(kind=kind, generation=generation)
+
+    def test_flushes_at_the_batch_size(self, clock):
+        emitter, channel = self._emitter()
+        for generation in range(supervisor._EVENT_BATCH - 1):
+            emitter(self._event(generation))
+        assert channel.puts == []
+        emitter(self._event(supervisor._EVENT_BATCH - 1))
+        [(index, batch)] = channel.puts
+        assert index == 5 and len(batch) == supervisor._EVENT_BATCH == 64
+
+    def test_flushes_when_an_event_arrives_after_the_interval(self, clock):
+        emitter, channel = self._emitter()
+        emitter(self._event(0))
+        clock.now += 0.049
+        emitter(self._event(1))
+        assert channel.puts == []
+        clock.now += 0.001  # 50 ms since the emitter's last flush
+        emitter(self._event(2))
+        assert [len(batch) for _index, batch in channel.puts] == [3]
+        clock.now += 0.049  # the interval restarts at every flush
+        emitter(self._event(3))
+        assert len(channel.puts) == 1
+
+    def test_flushes_before_raising_a_cancellation(self, clock):
+        flags = [0, 0, 0, 0]
+        emitter, channel = self._emitter(flags)
+        emitter(self._event(0))
+        flags[5 % len(flags)] = 1
+        with pytest.raises(JobCancelled):
+            emitter(self._event(1))
+        # the event that met the raised flag crossed before the raise
+        assert [[e.generation for e in batch] for _index, batch in channel.puts] == [[0, 1]]
+
+    def test_flush_puts_the_buffer_once(self, clock):
+        emitter, channel = self._emitter()
+        emitter(self._event(0))
+        emitter(self._event(1))
+        emitter.flush()
+        emitter.flush()  # nothing buffered: no put
+        assert [[e.generation for e in batch] for _index, batch in channel.puts] == [[0, 1]]
+
+    def test_finished_never_cancels(self, clock):
+        flags = [1]
+        emitter, channel = self._emitter(flags)
+        emitter(self._event(0, kind="finished"))
+        emitter.flush()
+        assert [[e.kind for e in batch] for _index, batch in channel.puts] == [["finished"]]
+
+    def test_order_is_preserved_across_flushes(self, clock):
+        emitter, channel = self._emitter()
+        n = 3 * supervisor._EVENT_BATCH + 7
+        for generation in range(n):
+            if generation % 50 == 0:
+                clock.now += 0.05
+            emitter(self._event(generation))
+        emitter.flush()
+        streamed = [event for _index, batch in channel.puts for event in batch]
+        assert [event.generation for event in streamed] == list(range(n))
+        assert {event.job_id for event in streamed} == {"job-7"}
+        assert len(channel.puts) > 3
 
 
 # ---------------------------------------------------------------------------
@@ -528,3 +635,57 @@ class TestPerTaskShipping:
         last = [event for event in repeat.events if event.kind == "generation"][-1]
         assert last.cache_misses == 0
         assert _signature(repeat) == _signature(first[0])
+
+
+class TestWorkerPayload:
+    """Every worker is handed ``(store, config, snapshots)`` in memory."""
+
+    @staticmethod
+    def _cf_session(artifacts, **service_kwargs):
+        config, trace, fp = artifacts
+        return SynthesisSession(
+            config, ArtifactStore(cf=trace, fp=fp), methods=("netsyn_cf",),
+            service_config=ServiceConfig(**service_kwargs),
+        )
+
+    @pytest.fixture
+    def artifacts(self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts):
+        return tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts
+
+    def test_warm_snapshot_ships_in_memory(self, artifacts, tiny_suite):
+        tasks = list(tiny_suite)[:2]
+        with self._cf_session(artifacts, persist_caches=False) as reference:
+            serial = [reference.submit(task, budget=300, seed=1) for task in tasks]
+            reference.run()
+        with self._cf_session(artifacts, persist_caches=False) as session:
+            # a serial run warms the parent, so the pool's payload carries
+            # the parent's caches; no spec ships them (a new pool routes nothing)
+            for task in tasks:
+                session.submit(task, budget=300, seed=1)
+            session.run()
+            jobs = [session.submit(task, budget=300, seed=1) for task in tasks]
+            session.run(n_workers=2)
+            _store, _config, snapshots = session._pool.payload
+        assert set(snapshots) == {"netsyn_cf:None"}
+        assert [_signature(job) for job in jobs] == [_signature(job) for job in serial]
+        generations = [e for job in jobs for e in job.events if e.kind == "generation"]
+        assert generations and all(e.cache_hits > 0 for e in generations)
+
+    def test_pool_start_writes_no_files(self, artifacts, tiny_suite, tmp_path, monkeypatch):
+        from repro.core.artifacts import SHARED_WEIGHTS_BIN, SHARED_WEIGHTS_MANIFEST
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        artifact_dir = tmp_path / "artifacts"
+        artifact_dir.mkdir()
+        for directory in (str(artifact_dir), None):
+            with self._cf_session(artifacts, artifact_dir=directory) as session:
+                session.submit(tiny_suite[0], budget=300, seed=1)
+                session.run()  # warm: the pool has a snapshot to ship
+                for task in list(tiny_suite)[:2]:
+                    session.submit(task, budget=300, seed=1)
+                session.run(n_workers=2)
+        written = {path.name for path in artifact_dir.rglob("*")}
+        assert not written & {SHARED_WEIGHTS_BIN, SHARED_WEIGHTS_MANIFEST, "cache_snapshot.pkl"}
+        assert not list(scratch.glob("netsyn-shared-*"))

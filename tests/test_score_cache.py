@@ -12,8 +12,8 @@ The contract under test, layer by layer:
 * elites and survivors hit the score cache in later generations, and the
   hit/miss counters surface through ``generation`` progress events;
 * Phase-1 weights attach read-only from a packed mmap segment with
-  bit-identical values, and parallel session runs over shared weights
-  equal serial runs record for record.
+  bit-identical values, and parallel session runs (whose workers get the
+  trained store in memory) equal serial runs record for record.
 """
 
 from __future__ import annotations
@@ -542,14 +542,9 @@ class TestSharedMemoryServing:
     def test_parallel_equals_serial_with_shared_weights(
         self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite
     ):
-        def run(n_workers, shared):
+        def run(n_workers):
             store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
-            session = SynthesisSession(
-                tiny_netsyn_config,
-                store,
-                methods=("netsyn_cf",),
-                service_config=ServiceConfig(shared_weights=shared),
-            )
+            session = SynthesisSession(tiny_netsyn_config, store, methods=("netsyn_cf",))
             jobs = [session.submit(task, budget=400, seed=1) for task in tiny_suite]
             session.run(n_workers=n_workers)
             return [
@@ -563,8 +558,7 @@ class TestSharedMemoryServing:
                 for job in jobs
             ]
 
-        serial = run(1, shared=False)
-        assert run(2, shared=True) == serial
+        assert run(2) == run(1)
 
     def test_worker_cache_snapshot_round_trip(
         self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_task
@@ -602,35 +596,12 @@ class TestSharedMemoryServing:
         assert backend._score_cache is None
         assert backend._shared_executor is None and backend._map_cache is None
 
-    def test_repacked_segment_reattaches(self, tmp_path, tiny_fp_artifacts):
-        from repro.core.supervisor import SharedWorkerPayload, _segment_token
-
-        store = ArtifactStore(fp=tiny_fp_artifacts)
-        store.save(tmp_path)
-        store.pack_shared(tmp_path)
-        first = SharedWorkerPayload(
-            directory=str(tmp_path), config=None, token=_segment_token(str(tmp_path))
-        ).store
-        # re-pack (e.g. after a retrain in the same process): the token
-        # changes, so the memo must attach fresh views, not serve stale ones
-        import os, time
-
-        time.sleep(0.01)
-        store.pack_shared(tmp_path)
-        os.utime(tmp_path / "shared_weights.bin")
-        second_token = _segment_token(str(tmp_path))
-        second = SharedWorkerPayload(
-            directory=str(tmp_path), config=None, token=second_token
-        ).store
-        assert second is not first
-
     def test_shared_weights_skipped_for_empty_store(self, tiny_netsyn_config, tiny_suite):
-        # artifact-free methods (edit) must not try to pack/attach a segment
+        # artifact-free methods (edit) serve from an empty store
         session = SynthesisSession(
             tiny_netsyn_config.replace(fitness_kind="edit"),
             ArtifactStore(),
             methods=("edit",),
-            service_config=ServiceConfig(shared_weights=True),
         )
         jobs = [session.submit(task, budget=200, seed=0) for task in tiny_suite]
         session.run(n_workers=2)
