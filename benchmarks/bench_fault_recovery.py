@@ -98,8 +98,10 @@ def _bare_pool_reference(config, tasks):
     only lends its specs, flag array and event routing; it forks no
     worker.  ``Pool`` gives every worker the same initializer arguments,
     so events cross one shared queue, drained by a bench-local thread
-    until each job's ``finished`` event arrived.  Returns
-    (elapsed_seconds, jobs).
+    until each job's ``finished`` event arrived.  Each worker builds its
+    session from the pool's payload and runs every spec through it, as
+    a supervised worker does; the outcomes carry each job's terminal
+    state and result.  Returns (elapsed_seconds, jobs).
     """
     session = _session(config)
     jobs = [session.submit(task, budget=BUDGET, seed=7) for task in tasks]
@@ -125,12 +127,12 @@ def _bare_pool_reference(config, tasks):
         outcomes = pool.map(_run_service_job, specs)
     drainer.join()
     channel.close()
-    for job, (status, result, error, delta) in zip(jobs, outcomes):
+    for job, (state, result, error, delta) in zip(jobs, outcomes):
         job._remote_cancel = None
         if delta:
             session.backend(job.method, job.program_length).load_cache_snapshot(delta)
-        assert status == "ok", error
-        session._finish(job, result)
+        assert state in (JobState.SOLVED, JobState.EXHAUSTED), error
+        job.state, job.result = state, result
     return time.perf_counter() - start, jobs
 
 

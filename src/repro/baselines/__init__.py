@@ -16,11 +16,12 @@ NetSyn, so the evaluation harness can compare them on the paper's
   conditioned on the IO examples.
 * :class:`PushGPSynthesizer` — stack-style genetic programming with
   variable-length genes and output edit-distance fitness.
-* :class:`NetSynSynthesizer`, :class:`EditGASynthesizer`,
-  :class:`OracleGASynthesizer` — adapters exposing NetSyn and its
-  hand-crafted/oracle fitness variants through the same interface.
 * :func:`build_backend` / :func:`ensure_artifacts` — the method registry
-  used by the service layer and the evaluation harness.
+  used by the service layer and the evaluation harness.  NetSyn's GA
+  variants (``netsyn_cf``/``netsyn_lcs``/``netsyn_fp``, and the
+  hand-crafted ``edit`` and ``oracle`` fitness GAs) are served directly
+  as :class:`~repro.core.netsyn.NetSynBackend`\\ s: it implements the
+  same :class:`~repro.core.backend.SynthesisBackend` protocol.
 """
 
 from repro.baselines.base import Synthesizer
@@ -28,11 +29,6 @@ from repro.baselines.deepcoder import DeepCoderSynthesizer
 from repro.baselines.pccoder import PCCoderSynthesizer, StepPredictorModel, train_step_model
 from repro.baselines.robustfill import RobustFillSynthesizer, ProgramDecoderModel, train_decoder_model
 from repro.baselines.pushgp import PushGPSynthesizer
-from repro.baselines.ga_adapters import (
-    EditGASynthesizer,
-    NetSynSynthesizer,
-    OracleGASynthesizer,
-)
 from repro.baselines.registry import (
     METHOD_NAMES,
     build_backend,
@@ -50,9 +46,6 @@ __all__ = [
     "ProgramDecoderModel",
     "train_decoder_model",
     "PushGPSynthesizer",
-    "EditGASynthesizer",
-    "NetSynSynthesizer",
-    "OracleGASynthesizer",
     "METHOD_NAMES",
     "build_backend",
     "ensure_artifacts",

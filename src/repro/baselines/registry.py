@@ -12,17 +12,13 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence
 
 from repro.baselines.deepcoder import DeepCoderSynthesizer
-from repro.baselines.ga_adapters import (
-    EditGASynthesizer,
-    OracleGASynthesizer,
-    make_netsyn_synthesizer,
-)
 from repro.baselines.pccoder import PCCoderSynthesizer, train_step_model
 from repro.baselines.pushgp import PushGPSynthesizer
 from repro.baselines.robustfill import RobustFillSynthesizer, train_decoder_model
 from repro.config import NetSynConfig
 from repro.core.artifacts import ArtifactStore
 from repro.core.backend import SynthesisBackend
+from repro.core.netsyn import NetSynBackend
 from repro.core.phase1 import train_fp_model, train_trace_model
 from repro.utils.logging import get_logger
 
@@ -111,8 +107,9 @@ def build_backend(
 
     Every returned object implements the unified
     :class:`~repro.core.backend.SynthesisBackend` protocol (``solve`` with
-    progress events); artifact lookups go through the typed store, so a
-    missing model fails with a precise
+    progress events); the GA methods (``netsyn_*``, ``edit``, ``oracle``)
+    are :class:`~repro.core.netsyn.NetSynBackend`\\ s.  Artifact lookups
+    go through the typed store, so a missing model fails with a precise
     :class:`~repro.core.artifacts.MissingArtifactError`.
     """
     if name not in _REQUIREMENTS:
@@ -124,11 +121,16 @@ def build_backend(
         kind = name.split("_", 1)[1]
         trace = store.get_optional(kind) if kind in ("cf", "lcs") else None
         fp = store.get_optional("fp")
-        return make_netsyn_synthesizer(kind, config, trace_artifacts=trace, fp_artifacts=fp)
-    if name == "edit":
-        return EditGASynthesizer(config)
-    if name == "oracle":
-        return OracleGASynthesizer(config, kind="lcs")
+        return NetSynBackend(config.replace(fitness_kind=kind)).set_models(
+            trace_artifacts=trace, fp_artifacts=fp
+        )
+    if name in ("edit", "oracle"):
+        # NetSyn's GA with the hand-crafted edit-distance fitness, or with
+        # the ideal (oracle) LCS fitness -- the paper's upper bound; neither
+        # needs a learned model
+        kind = "edit" if name == "edit" else "oracle_lcs"
+        variant = config.replace(fitness_kind=kind, fp_guided_mutation=False)
+        return NetSynBackend(variant, name=name).set_models()
     if name == "pushgp":
         return PushGPSynthesizer(program_length=length)
     if name == "deepcoder":

@@ -6,10 +6,13 @@ interface: :class:`SynthesisBackend`.  A backend
 
 * declares which Phase-1 artifacts it ``requires`` (by canonical name),
 * can be ``bind()``-ed to an :class:`~repro.core.artifacts.ArtifactStore`
-  holding those artifacts, and
+  holding those artifacts,
 * ``solve()``-s one :class:`~repro.data.tasks.SynthesisTask` under a
   :class:`~repro.ga.budget.SearchBudget`, optionally streaming
-  :class:`~repro.events.ProgressEvent`\\ s to a listener.
+  :class:`~repro.events.ProgressEvent`\\ s to a listener, and
+* exposes its warm memo caches through ``cache_snapshot`` /
+  ``load_cache_snapshot`` / ``cache_version`` / ``begin_cache_delta``
+  (no-ops for a backend without caches).
 
 The service layer (:mod:`repro.core.service`) schedules jobs over
 backends; the old ``Synthesizer`` ABC in :mod:`repro.baselines.base` is a
@@ -81,6 +84,30 @@ class SynthesisBackend(abc.ABC):
         """Attach Phase-1 artifacts from ``store``; no-op for model-free
         backends.  Returns ``self`` for chaining."""
         return self
+
+    # -- the warm-cache contract -----------------------------------------
+    # The service layer ships warm caches between processes and sessions
+    # through these four methods: snapshots to start pool workers warm,
+    # per-job deltas merged back from workers, and L3 log segments.  A
+    # backend without memo caches keeps these no-op defaults, so it has
+    # nothing to ship and every cache path skips it.
+    def cache_snapshot(self, dirty_only: bool = False) -> Optional[dict]:
+        """Picklable snapshot of the warm caches (None when there is none).
+
+        With ``dirty_only`` only entries written since the last
+        :meth:`begin_cache_delta` are exported.
+        """
+        return None
+
+    def load_cache_snapshot(self, data: Optional[dict]) -> None:
+        """Warm-start the caches from :meth:`cache_snapshot` output."""
+
+    def cache_version(self) -> int:
+        """Monotone count of cache writes (0 for a backend without caches)."""
+        return 0
+
+    def begin_cache_delta(self) -> None:
+        """Open a fresh delta window for ``cache_snapshot(dirty_only=True)``."""
 
     @abc.abstractmethod
     def solve(

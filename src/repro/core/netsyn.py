@@ -38,6 +38,7 @@ from repro.execution import (
     LRUCache,
     ScoreCache,
 )
+from repro.execution.engine import _NS_OUTPUTS, _NS_SOLUTIONS
 from repro.fitness.base import FitnessFunction
 from repro.fitness.functions import (
     EditDistanceFitness,
@@ -58,7 +59,7 @@ logger = get_logger("core.netsyn")
 #: evaluation-cache namespaces exported in snapshots: outputs and solution
 #: verdicts are compact; execution traces dominate the bytes and re-derive
 #: in one execution, so they stay behind
-_EXPORT_NAMESPACES = ("outputs", "solutions")
+_EXPORT_NAMESPACES = (_NS_OUTPUTS, _NS_SOLUTIONS)
 
 
 class NetSynBackend(SynthesisBackend):

@@ -53,20 +53,31 @@ import re
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import NetSynConfig, ServiceConfig
 from repro.core.artifacts import ArtifactStore
 from repro.core.backend import SynthesisBackend
 from repro.core.result import SynthesisResult
-from repro.core.supervisor import FailureReport, WorkerSupervisor, _snapshot_key
 from repro.data.tasks import SynthesisTask
 from repro.events import JobCancelled, ProgressEvent, ProgressListener
 from repro.execution import faults
 from repro.ga.budget import SearchBudget
 from repro.utils.logging import get_logger
 
+if TYPE_CHECKING:  # the pool module imports this one
+    from repro.core.supervisor import FailureReport, WorkerSupervisor
+
 logger = get_logger("core.service")
+
+
+def _snapshot_key(method: str, program_length: Optional[int]) -> str:
+    """The key one backend's caches live under in snapshot dicts.
+
+    Shared by the worker warm-start payload, the merge-back path and the
+    persisted cross-session snapshots, so all three speak one format.
+    """
+    return f"{method}:{program_length}"
 
 
 class JobState(str, enum.Enum):
@@ -262,13 +273,12 @@ class SynthesisSession:
             )
             backend.progress_every = self.service_config.progress_every
             snapshot = self._cache_snapshots.get(_snapshot_key(method, program_length))
-            if snapshot and hasattr(backend, "load_cache_snapshot"):
+            if snapshot:
                 backend.load_cache_snapshot(snapshot)
-            if hasattr(backend, "begin_cache_delta"):
-                # persisted-snapshot loads count as writes; open a fresh
-                # dirty window so the next L3 segment holds only entries
-                # this session actually computes (or merges from workers)
-                backend.begin_cache_delta()
+            # persisted-snapshot loads count as writes; open a fresh dirty
+            # window so the next L3 segment holds only entries this
+            # session actually computes (or merges from workers)
+            backend.begin_cache_delta()
             self._backends[key] = backend
         return backend
 
@@ -368,8 +378,8 @@ class SynthesisSession:
             job.state = JobState.CANCELLED
             return job
         job.state = JobState.RUNNING
-        budget = SearchBudget(limit=job.budget_limit)
         try:
+            budget = SearchBudget(limit=job.budget_limit)
             result = self.backend(job.method, job.program_length).solve(
                 job.task, budget=budget, seed=job.seed, listener=self._job_listener(job)
             )
@@ -434,6 +444,8 @@ class SynthesisSession:
 
     def _pool_for(self, n_workers: int, n_jobs: int) -> WorkerSupervisor:
         """The session's pool, (re)built when it cannot serve this run."""
+        from repro.core.supervisor import WorkerSupervisor
+
         if self._pool is not None and not self._pool.serves(
             n_workers, n_jobs, self.service_config
         ):
@@ -560,12 +572,7 @@ class SynthesisSession:
             return None
         deltas: Dict[str, dict] = {}
         for (method, length), backend in self._backends.items():
-            if not hasattr(backend, "cache_snapshot"):
-                continue
-            if hasattr(backend, "begin_cache_delta"):
-                delta = backend.cache_snapshot(dirty_only=True)
-            else:
-                delta = backend.cache_snapshot()
+            delta = backend.cache_snapshot(dirty_only=True)
             if delta:
                 deltas[_snapshot_key(method, length)] = delta
         if not deltas:
@@ -578,16 +585,12 @@ class SynthesisSession:
         # the appended entries are durable now: open fresh dirty windows
         # so the next segment only carries work done after this point
         for backend in self._backends.values():
-            if hasattr(backend, "begin_cache_delta"):
-                backend.begin_cache_delta()
+            backend.begin_cache_delta()
         return path
 
     def _caches_version(self) -> int:
         """Combined cache-write version of every built backend."""
-        return sum(
-            getattr(backend, "cache_version", lambda: 0)()
-            for backend in self._backends.values()
-        )
+        return sum(backend.cache_version() for backend in self._backends.values())
 
     def _persist_caches(self) -> None:
         """Append an L3 segment after a run when the configuration asks.

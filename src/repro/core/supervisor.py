@@ -64,13 +64,18 @@ failure discipline a serving layer needs:
   the workers.  The next parallel run gets a fresh pool.
 
 With no faults and default knobs the supervisor is pure bookkeeping on
-the parent side: every job runs in :func:`_run_service_job` with the
-per-process state installed by :func:`_parallel_worker_init`, so seeded
-parallel runs remain event-for-event identical to serial ones.
+the parent side.  Each worker builds one private
+:class:`~repro.core.service.SynthesisSession` from the pool's payload
+(:func:`_parallel_worker_init`), and :func:`_run_service_job` runs every
+job through that session's :meth:`~repro.core.service.SynthesisSession.run_job`
+— the serial path's own job runner, with the worker's event emitter as
+the session's listener — so seeded parallel runs remain event-for-event
+identical to serial ones.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import queue
 import random
@@ -85,11 +90,12 @@ import numpy as np
 
 from repro.config import NetSynConfig, ServiceConfig
 from repro.core.artifacts import ArtifactStore
+from repro.core.result import SynthesisResult
+from repro.core.service import JobState, SynthesisJob, SynthesisSession, _snapshot_key
 from repro.data.tasks import SynthesisTask
 from repro.events import JobCancelled, ProgressEvent
 from repro.execution import faults
 from repro.execution.cache import DEFAULT_MAX_ENTRIES, io_set_key
-from repro.ga.budget import SearchBudget
 from repro.utils.logging import get_logger
 
 logger = get_logger("core.supervisor")
@@ -142,10 +148,10 @@ class FailureReport:
 class SupervisedOutcome:
     """Terminal per-job record the session applies after a supervised run."""
 
-    #: "ok" | "cancelled" | "failed" | "pending_serial" (degraded runs
-    #: hand unfinished jobs back to the session's serial path)
-    status: str
-    result: Any = None
+    #: the job's terminal state; ``PENDING`` when a degraded run hands
+    #: the unfinished job back to the session's serial path
+    state: JobState
+    result: Optional[SynthesisResult] = None
     error: Optional[str] = None
     cache_delta: Optional[dict] = None
     failure: Optional[FailureReport] = None
@@ -157,19 +163,20 @@ class SupervisedOutcome:
 
 #: picklable description of one job for the workers:
 #: (dispatch_index, job_id, method, program_length, task, seed,
-#:  budget_limit, progress_every, cache_entries).
+#:  budget_limit, cache_entries).
 #: ``dispatch_index`` is unique over the pool's lifetime; the job's
 #: cancel flag is slot ``dispatch_index % len(cancel_flags)``
 _ServiceJobSpec = Tuple[
-    int, str, str, Optional[int], SynthesisTask, int, int, int, Optional[dict]
+    int, str, str, Optional[int], SynthesisTask, int, int, Optional[dict]
 ]
 
 #: what every worker is handed once: (store, config, warm-cache
-#: snapshots keyed by :func:`_snapshot_key`)
-_WorkerPayload = Tuple[ArtifactStore, NetSynConfig, Dict[str, dict]]
+#: snapshots keyed by ``_snapshot_key``, the pool's service config with
+#: no ``artifact_dir``)
+_WorkerPayload = Tuple[ArtifactStore, NetSynConfig, Dict[str, dict], ServiceConfig]
 
-#: what a worker returns per job: (status, result, error, cache_delta)
-_ServiceJobOutcome = Tuple[str, Any, Optional[str], Optional[dict]]
+#: what a worker returns per job: (state, result, error, cache_delta)
+_ServiceJobOutcome = Tuple[JobState, Optional[SynthesisResult], Optional[str], Optional[dict]]
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +188,6 @@ _ServiceJobOutcome = Tuple[str, Any, Optional[str], Optional[dict]]
 #: pickling, which the DSL layer supports — see ``DSLFunction.__reduce__``).
 _WORKER_STATE: Dict[str, Any] = {}
 
-#: a worker's backends, built lazily per (method, length) and kept for
-#: the worker's whole life (its L1 caches and tries with them)
-_WORKER_BACKENDS: Dict[Any, Any] = {}
-
 #: most events one coalesced put carries over a worker's channel
 _EVENT_BATCH = 64
 
@@ -193,19 +196,10 @@ _EVENT_BATCH = 64
 _EVENT_FLUSH_S = 0.05
 
 
-def _snapshot_key(method: str, program_length: Optional[int]) -> str:
-    """The key one backend's caches live under in snapshot dicts.
-
-    Shared by the worker warm-start payload, the merge-back path and the
-    persisted cross-session snapshots, so all three speak one format.
-    """
-    return f"{method}:{program_length}"
-
-
 def _parallel_worker_init(
     seed: int, payload: _WorkerPayload, channel: Any = None, cancel_flags: Any = None
 ) -> None:
-    """Initialize one worker: seed its RNGs and stash the pool's payload.
+    """Initialize one worker: seed its RNGs and build its session.
 
     The global numpy RNG is seeded per worker (mixed with the PID) as a
     safety net for any library code that touches it; all repo components
@@ -213,8 +207,13 @@ def _parallel_worker_init(
     parallel results byte-identical to serial ones.
 
     ``payload`` is :func:`_worker_payload`'s ``(store, config,
-    snapshots)``, inherited by a forked worker and pickled once for a
-    spawned one.  ``channel`` (anything with ``put``: the worker's
+    snapshots, service_config)``, inherited by a forked worker and
+    pickled once for a spawned one.  It becomes the worker's private
+    :class:`~repro.core.service.SynthesisSession`, which builds each
+    backend on first use from the warm snapshots and keeps it — with its
+    L1 caches and tries — for the worker's whole life.  Its service
+    config has no ``artifact_dir``, so the worker never touches the
+    parent's files.  ``channel`` (anything with ``put``: the worker's
     :class:`_Channel`, or a ``multiprocessing`` queue) and
     ``cancel_flags`` (a shared byte array of job slots) are the
     cross-process progress channel: :func:`_run_service_job` reads them
@@ -223,7 +222,10 @@ def _parallel_worker_init(
     running.
     """
     np.random.seed((int(seed) * 1_000_003 + os.getpid()) % (2**32))
-    _WORKER_STATE["payload"] = payload
+    store, config, snapshots, service_config = payload
+    session = SynthesisSession(config, store, methods=(), service_config=service_config)
+    session._cache_snapshots = snapshots
+    _WORKER_STATE["session"] = session
     _WORKER_STATE["channel"] = channel
     _WORKER_STATE["cancel_flags"] = cancel_flags
 
@@ -297,73 +299,47 @@ class _EventEmitter:
 
 
 def _run_service_job(spec: _ServiceJobSpec) -> _ServiceJobOutcome:
-    """Execute one job in a worker process (or serially as a fallback).
+    """Execute one job in a worker process through its session's ``run_job``.
 
-    Backends are built lazily per worker and cached per (method, length)
-    for the worker's whole life, mirroring the session's own backend
-    cache, so parallel results are byte-identical to serial ones — seeds
-    travel with the spec, never with the worker.  The spec's cache
-    entries (the merged entries of earlier jobs on the same task) are
-    loaded before the job's delta window opens, so they are never
-    shipped back.  Progress events stream back through the worker's
-    channel (``_WORKER_STATE["channel"]``, coalesced by
-    :class:`_EventEmitter`), the shared cancellation flag is honored
-    both before the job starts and at every emitted event, and cache entries added by the
-    job (NN-score and evaluation memos) are returned as a snapshot delta
-    for the parent to merge.  Failures are returned, not raised, so one
-    broken job cannot take down its worker (matching the serial path's
-    per-job isolation).
+    The spec becomes a :class:`~repro.core.service.SynthesisJob` of the
+    worker's session (:func:`_parallel_worker_init`) and runs through
+    :meth:`~repro.core.service.SynthesisSession.run_job`, the serial
+    path's job runner: the same backend build, event stream,
+    cancellation and per-job failure isolation, so parallel results are
+    byte-identical to serial ones — seeds travel with the spec, never
+    with the worker.  Its listener is the job's :class:`_EventEmitter`,
+    which streams the events back over the worker's channel and turns a
+    raised cancellation flag into :class:`~repro.events.JobCancelled`; a
+    flag raised before the job started cancels it unrun.
+
+    The spec's cache entries (the merged entries of earlier jobs on the
+    same task) are loaded before the job's delta window opens, so they
+    are never shipped back.  Returns the job's terminal state, result and
+    error, plus the entries the job added to its backend's caches
+    (:func:`_worker_cache_delta`) for the parent to merge.
     """
-    from repro.baselines.registry import build_backend
-
-    (
-        job_index, job_id, method, length, task, seed, budget_limit,
-        progress_every, entries,
-    ) = spec
+    job_index, job_id, method, length, task, seed, budget_limit, entries = spec
+    session: SynthesisSession = _WORKER_STATE["session"]
     emitter = _EventEmitter(
         job_index, job_id, _WORKER_STATE.get("channel"), _WORKER_STATE.get("cancel_flags")
     )
-    backend = None
-    version_before = 0
+    session._listeners[:] = [emitter]  # the worker's session runs one job at a time
+    job = SynthesisJob(job_id, method, task, seed, budget_limit, program_length=length)
+    if emitter.cancelled():
+        job.cancel()  # the flag was raised parent-side before the job started
     try:
-        if emitter.cancelled():
-            # cancelled before the worker even started the job: don't pay
-            # for a single generation (the flag was raised parent-side)
-            return ("cancelled", None, None, None)
-        store, config, snapshots = _WORKER_STATE["payload"]
-        if _WORKER_BACKENDS.get("__store__") is not store:
-            _WORKER_BACKENDS.clear()
-            _WORKER_BACKENDS["__store__"] = store
-        key = (method, length)
-        backend = _WORKER_BACKENDS.get(key)
-        if backend is None:
-            backend = build_backend(method, store, config, program_length=length)
-            snapshot = snapshots.get(_snapshot_key(method, length))
-            if snapshot and hasattr(backend, "load_cache_snapshot"):
-                backend.load_cache_snapshot(snapshot)
-            _WORKER_BACKENDS[key] = backend
-        if entries and hasattr(backend, "load_cache_snapshot"):
+        backend = session.backend(method, length)
+    except Exception:  # noqa: BLE001 - run_job rebuilds it and fails the job with the error
+        backend = None
+    version_before = 0
+    if backend is not None:
+        if entries:
             backend.load_cache_snapshot(entries)
-        # mirror the session's own backend setup: the configured event
-        # cadence (which is also the budget-hook cancellation cadence)
-        # must reach worker backends, not just local ones
-        backend.progress_every = progress_every
-        if hasattr(backend, "begin_cache_delta"):
-            backend.begin_cache_delta()
-        version_before = getattr(backend, "cache_version", lambda: 0)()
-        result = backend.solve(
-            task,
-            budget=SearchBudget(limit=budget_limit),
-            seed=seed,
-            listener=emitter,
-        )
-    except JobCancelled:
-        return ("cancelled", None, None, _worker_cache_delta(backend, version_before))
-    except Exception as error:  # noqa: BLE001 - job isolation boundary
-        return ("failed", None, f"{type(error).__name__}: {error}", None)
-    finally:
-        emitter.flush()
-    return ("ok", result, None, _worker_cache_delta(backend, version_before))
+        backend.begin_cache_delta()
+        version_before = backend.cache_version()
+    session.run_job(job)
+    emitter.flush()
+    return (job.state, job.result, job.error, _worker_cache_delta(backend, version_before))
 
 
 def _worker_cache_delta(backend: Any, version_before: int) -> Optional[dict]:
@@ -379,15 +355,9 @@ def _worker_cache_delta(backend: Any, version_before: int) -> Optional[dict]:
     ``LRUCache.dirty_items``).  Merging is idempotent: every cached
     value is a deterministic function of its structural key.
     """
-    if backend is None or not hasattr(backend, "cache_snapshot"):
+    if backend is None or backend.cache_version() == version_before:
         return None
-    if getattr(backend, "cache_version", lambda: 0)() == version_before:
-        return None
-    if hasattr(backend, "begin_cache_delta"):
-        delta = backend.cache_snapshot(dirty_only=True)
-    else:
-        delta = backend.cache_snapshot()
-    return delta or None
+    return backend.cache_snapshot(dirty_only=True) or None
 
 
 class _Channel:
@@ -483,19 +453,22 @@ def _supervised_worker_main(
 def _worker_payload(session: Any) -> _WorkerPayload:
     """The payload every worker of a new pool for ``session`` is handed.
 
-    ``(store, config, snapshots)``: the session's trained store and
-    config, and a snapshot of its backends' score/evaluation caches
-    (structural keys are process-stable), so workers start warm.  The
-    pool keeps it for its whole life, so a replacement worker starts from
-    the same state as the one it replaces.
+    ``(store, config, snapshots, service_config)``: the session's trained
+    store and config, a snapshot of its backends' score/evaluation caches
+    (structural keys are process-stable), so workers start warm, and its
+    service config without ``artifact_dir`` (a worker's session persists
+    nothing and loads nothing from disk).  The pool keeps it for its
+    whole life, so a replacement worker starts from the same state as
+    the one it replaces.
     """
     snapshots = {
         _snapshot_key(method, length): snapshot
         for (method, length), backend in session._backends.items()
-        for snapshot in [getattr(backend, "cache_snapshot", lambda: None)()]
+        for snapshot in [backend.cache_snapshot()]
         if snapshot
     }
-    return (session.store, session.config, snapshots)
+    service_config = dataclasses.replace(session.service_config, artifact_dir=None)
+    return (session.store, session.config, snapshots, service_config)
 
 
 def _task_key(method: str, program_length: Optional[int], task: SynthesisTask) -> Tuple:
@@ -719,9 +692,6 @@ class WorkerSupervisor:
         jobs' events to ``session._deliver_events`` until
         :meth:`_run_supervised` removes their routes.
         """
-        from repro.core.service import JobState
-
-        config = session.service_config
         flags = self.cancel_flags
         specs: List[_ServiceJobSpec] = []
         routes: List[_Route] = []
@@ -733,7 +703,7 @@ class WorkerSupervisor:
             key = _task_key(job.method, job.program_length, job.task)
             specs.append((
                 dispatch, job.job_id, job.method, job.program_length, job.task, job.seed,
-                job.budget_limit, config.progress_every, self._router.entries(key),
+                job.budget_limit, self._router.entries(key),
             ))
             route = _Route(dispatch, job, key, session._deliver_events)
             routes.append(route)
@@ -814,8 +784,6 @@ class WorkerSupervisor:
         run serially in the parent with the same backend and seed.  One
         run at a time: a concurrent caller waits for the pool.
         """
-        from repro.core.service import JobState
-
         with self._run_lock:
             specs, routes = self._prepare_fan_out(session, pending)
             self._emit_cb = session._supervision_listener(pending)
@@ -829,27 +797,18 @@ class WorkerSupervisor:
                     # its outcome; whatever still arrives is a cut-short
                     # attempt's and is dropped
                     self._routes.pop(route.dispatch, None)
-            serial_rerun = []
             for route, outcome in zip(routes, outcomes):
                 job = route.job
                 if outcome.cache_delta:
-                    backend = session.backend(job.method, job.program_length)
-                    if hasattr(backend, "load_cache_snapshot"):
-                        backend.load_cache_snapshot(outcome.cache_delta)
+                    session.backend(job.method, job.program_length).load_cache_snapshot(
+                        outcome.cache_delta
+                    )
                     self._router.merge(route.key, outcome.cache_delta)
-                if outcome.status == "pending_serial":
-                    # the pool degraded before this job finished: hand it to
-                    # the serial path below (same backend, same seed — the
-                    # result is what the worker would have produced)
-                    job.state = JobState.PENDING
-                    serial_rerun.append(job)
-                elif outcome.status == "cancelled":
-                    job.state = JobState.CANCELLED
+                job.state, job.result, job.error = outcome.state, outcome.result, outcome.error
+                job.failure = outcome.failure
+                if job.state is JobState.CANCELLED:
                     logger.info("job %s cancelled in worker", job.job_id)
-                elif outcome.status != "ok" or outcome.result is None:
-                    job.state = JobState.FAILED
-                    job.error = outcome.error
-                    job.failure = outcome.failure
+                elif job.state is JobState.FAILED:
                     logger.warning("job %s failed: %s", job.job_id, job.error)
                     if outcome.failure is not None:
                         # the worker died (or was killed) before it could
@@ -865,10 +824,12 @@ class WorkerSupervisor:
                                 reason=outcome.failure.kind,
                             )
                         )
-                else:
-                    session._finish(job, outcome.result)
-            for job in serial_rerun:
-                session.run_job(job)
+            for job in pending:
+                if job.state is JobState.PENDING:
+                    # the pool degraded before this job finished: run it on
+                    # the serial path (same backend, same seed — the result
+                    # is what the worker would have produced)
+                    session.run_job(job)
 
     # ------------------------------------------------------------------
     def _emit(self, kind: str, *, job_index: Optional[int] = None,
@@ -897,8 +858,8 @@ class WorkerSupervisor:
         (``worker_restarted``), and the pool is topped up to
         ``min(n_workers, len(specs))`` workers; the workers stay alive
         afterwards.  On degradation the workers are shut down and
-        unfinished jobs come back ``pending_serial`` for the caller to
-        run in-process.
+        unfinished jobs come back ``PENDING`` for the caller to run
+        in-process.
         """
         self._specs = list(specs)
         n = len(self._specs)
@@ -939,7 +900,7 @@ class WorkerSupervisor:
             for index in range(n):
                 if self._outcomes[index] is None:
                     self._outcomes[index] = SupervisedOutcome(
-                        status="pending_serial",
+                        state=JobState.PENDING,
                         crashes=self._crashes[index],
                         attempts=self._attempts[index],
                     )
@@ -1069,14 +1030,14 @@ class WorkerSupervisor:
             job_index = self._index.get(dispatch)
             if job_index is None or self._outcomes[job_index] is not None:
                 return  # stale duplicate from a raced retry
-            status, result, error, delta = outcome
-            if status == "cancelled" and self._deadline_fired[job_index]:
+            state, result, error, delta = outcome
+            if state is JobState.CANCELLED and self._deadline_fired[job_index]:
                 # the cancellation the worker observed was the deadline
                 # enforcement, not a user request
                 self._outcomes[job_index] = self._deadline_outcome(job_index, delta=delta)
                 return
             self._outcomes[job_index] = SupervisedOutcome(
-                status=status,
+                state=state,
                 result=result,
                 error=error,
                 cache_delta=delta,
@@ -1098,7 +1059,7 @@ class WorkerSupervisor:
             else 0.0,
         )
         return SupervisedOutcome(
-            status="failed",
+            state=JobState.FAILED,
             error=str(report),
             cache_delta=delta,
             failure=report,
@@ -1168,7 +1129,7 @@ class WorkerSupervisor:
                 else 0.0,
             )
             self._outcomes[job_index] = SupervisedOutcome(
-                status="failed",
+                state=JobState.FAILED,
                 error=str(report),
                 failure=report,
                 crashes=self._crashes[job_index],

@@ -17,10 +17,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.ga_adapters import make_netsyn_synthesizer
 from repro.baselines.registry import ensure_artifacts
 from repro.config import ExperimentConfig, NetSynConfig, ServiceConfig
 from repro.core.artifacts import ArtifactStore
+from repro.core.netsyn import NetSynBackend
 from repro.core.phase1 import train_fp_model, train_trace_model
 from repro.core.service import SynthesisSession
 from repro.data.tasks import BenchmarkSuite, make_benchmark_suite
@@ -292,10 +292,8 @@ class AblationRunner:
 
         rows: List[AblationRow] = []
         for name, options in variants:
-            config = self._variant_config(options)
-            synthesizer = make_netsyn_synthesizer(
-                "cf", config, trace_artifacts=trace, fp_artifacts=fp
-            )
+            config = self._variant_config(options).replace(fitness_kind="cf")
+            backend = NetSynBackend(config).set_models(trace_artifacts=trace, fp_artifacts=fp)
             found_per_task: List[float] = []
             generations: List[float] = []
             synthesized = 0
@@ -303,7 +301,7 @@ class AblationRunner:
                 successes = 0
                 for run_index in range(self.n_runs):
                     budget = SearchBudget(limit=self.max_search_space)
-                    result = synthesizer.synthesize(task, budget=budget, seed=self.seed + run_index)
+                    result = backend.solve(task, budget=budget, seed=self.seed + run_index)
                     successes += int(result.found)
                     generations.append(result.generations)
                 rate = successes / self.n_runs

@@ -33,7 +33,8 @@ from repro.dsl.program import Program
 from repro.dsl.types import Value, values_equal
 from repro.execution.cache import EvaluationCache, io_set_key, program_key
 
-#: cache namespaces
+#: cache namespaces (defined here only; the columnar engine and the
+#: backend's snapshot export import them)
 _NS_OUTPUTS = "outputs"
 _NS_TRACES = "traces"
 _NS_SOLUTIONS = "solutions"

@@ -64,11 +64,7 @@ from repro.dsl.program import Program
 from repro.dsl.types import DSLType, Value, default_for, values_equal
 from repro.dsl.vector_ops import SAFE_INT_BOUND, batch_impl_for
 from repro.execution.cache import EvaluationCache, program_key
-from repro.execution.engine import ExecutionEngine
-
-_NS_OUTPUTS = "outputs"
-_NS_TRACES = "traces"
-_NS_SOLUTIONS = "solutions"
+from repro.execution.engine import _NS_OUTPUTS, _NS_SOLUTIONS, _NS_TRACES, ExecutionEngine
 
 _INT = DSLType.INT
 _DEFAULT_INT = default_for(_INT)

@@ -5,9 +5,7 @@ import pytest
 
 from repro.baselines import (
     DeepCoderSynthesizer,
-    EditGASynthesizer,
     METHOD_NAMES,
-    OracleGASynthesizer,
     PCCoderSynthesizer,
     PushGPSynthesizer,
     RobustFillSynthesizer,
@@ -122,21 +120,21 @@ class TestPushGP:
 
 
 class TestGAAdapters:
+    """``edit`` and ``oracle`` are NetSyn's GA served directly."""
+
     def test_edit_adapter(self, tiny_netsyn_config, tiny_task):
-        synthesizer = EditGASynthesizer(tiny_netsyn_config)
-        result = synthesizer.synthesize(tiny_task, budget=SearchBudget(limit=500), seed=0)
+        backend = build_backend("edit", ArtifactStore(), tiny_netsyn_config)
+        assert backend.config.fitness_kind == "edit" and not backend.config.fp_guided_mutation
+        result = backend.solve(tiny_task, budget=SearchBudget(limit=500), seed=0)
         assert result.method == "edit"
         _check_result(result, tiny_task, 500)
 
     def test_oracle_adapter_finds_program(self, tiny_netsyn_config, tiny_task):
-        synthesizer = OracleGASynthesizer(tiny_netsyn_config)
-        result = synthesizer.synthesize(tiny_task, budget=SearchBudget(limit=4000), seed=0)
+        backend = build_backend("oracle", ArtifactStore(), tiny_netsyn_config)
+        assert backend.config.fitness_kind == "oracle_lcs" and not backend.config.fp_guided_mutation
+        result = backend.solve(tiny_task, budget=SearchBudget(limit=4000), seed=0)
         assert result.method == "oracle"
         assert result.found
-
-    def test_oracle_adapter_validates_kind(self, tiny_netsyn_config):
-        with pytest.raises(ValueError):
-            OracleGASynthesizer(tiny_netsyn_config, kind="bogus")
 
 
 class TestRegistry:
@@ -157,8 +155,8 @@ class TestRegistry:
         store = ensure_artifacts(ArtifactStore(), tiny_netsyn_config, methods=["netsyn_fp", "deepcoder"])
         assert store.names() == ("fp",)
         for name in ("netsyn_fp", "deepcoder"):
-            synthesizer = build_backend(name, store, tiny_netsyn_config)
-            result = synthesizer.synthesize(tiny_task, budget=SearchBudget(limit=150), seed=0)
+            backend = build_backend(name, store, tiny_netsyn_config)
+            result = backend.solve(tiny_task, budget=SearchBudget(limit=150), seed=0)
             assert result.method in (name, "netsyn_fp", "deepcoder")
             assert result.candidates_used <= 150
 

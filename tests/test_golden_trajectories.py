@@ -7,12 +7,14 @@ change to what a seeded job does — its result, its search path, a single
 bit of a fitness history, or the events it emits — fails here, field by
 field.
 
-Two more shapes run the same 16 jobs against the committed ``parallel-2``
-records without being recorded themselves: ``pool-reused`` (eight
-successive 2-job runs of one session, so every run after the first is
-served by the same worker pool and its warm workers) and ``served`` (an
+Three more shapes run the same 16 jobs against the committed
+``parallel-2`` records without being recorded themselves: ``pool-reused``
+(eight successive 2-job runs of one session, so every run after the first
+is served by the same worker pool and its warm workers), ``served`` (an
 in-process 2-worker ``SynthesisServer`` driven by one
-``RemoteSynthesisSession``).
+``RemoteSynthesisSession``) and ``journal-recovered`` (the jobs admitted
+to a server's job journal, as by a server killed right after admitting
+them, then re-admitted and run by a 2-worker server restarted on it).
 """
 
 from __future__ import annotations
@@ -142,4 +144,36 @@ def test_served_shape_matches_parallel_records(generator, store, golden):
                 client.run()
             assert session._pool is not None, "no batch reached the worker pool"
     for kind, job in submitted:
+        _assert_matches_parallel(generator, golden, kind, job, generator.job_fields(job))
+
+
+def test_journal_recovered_shape_matches_parallel_records(generator, store, golden, tmp_path):
+    """A 2-worker server restarted on a journal of 16 admitted jobs."""
+    from repro.config import ServingConfig
+    from repro.serving import JobJournal, RemoteSynthesisSession, SynthesisServer
+    from repro.serving.protocol import task_to_wire
+
+    tasks = generator.golden_tasks(generator.tiny_config())
+    jobs = [(kind, index, seed) for kind in generator.KINDS for index, seed in generator.JOBS]
+    admitted = [(f"job-{number}", *job) for number, job in enumerate(jobs, start=1)]
+    with JobJournal(tmp_path) as journal:
+        for job_id, kind, index, seed in admitted:
+            journal.admit(job_id, task_to_wire(tasks[index]), method=generator.METHODS[kind],
+                          budget=generator.BUDGET, seed=seed, idempotency_key=job_id)
+    with _golden_session(generator, store) as session:
+        config = ServingConfig(n_workers=2, journal_dir=str(tmp_path))
+        with SynthesisServer(session, config) as server:
+            assert server.recovered_jobs == [job_id for job_id, *_ in admitted]
+            with RemoteSynthesisSession(server.address) as client:
+                # resubmitting an admitted key attaches to the recovered job
+                recovered = [
+                    (kind, client.submit(tasks[index], method=generator.METHODS[kind],
+                                         budget=generator.BUDGET, seed=seed,
+                                         idempotency_key=job_id))
+                    for job_id, kind, index, seed in admitted
+                ]
+                assert all(job.duplicate for _kind, job in recovered)
+                client.run()
+            assert session._pool is not None, "no recovered batch reached the worker pool"
+    for kind, job in recovered:
         _assert_matches_parallel(generator, golden, kind, job, generator.job_fields(job))

@@ -638,7 +638,8 @@ class TestPerTaskShipping:
 
 
 class TestWorkerPayload:
-    """Every worker is handed ``(store, config, snapshots)`` in memory."""
+    """Every worker is handed ``(store, config, snapshots, service_config)``
+    in memory."""
 
     @staticmethod
     def _cf_session(artifacts, **service_kwargs):
@@ -665,7 +666,7 @@ class TestWorkerPayload:
             session.run()
             jobs = [session.submit(task, budget=300, seed=1) for task in tasks]
             session.run(n_workers=2)
-            _store, _config, snapshots = session._pool.payload
+            _store, _config, snapshots, _service_config = session._pool.payload
         assert set(snapshots) == {"netsyn_cf:None"}
         assert [_signature(job) for job in jobs] == [_signature(job) for job in serial]
         generations = [e for job in jobs for e in job.events if e.kind == "generation"]
@@ -686,6 +687,62 @@ class TestWorkerPayload:
                 for task in list(tiny_suite)[:2]:
                     session.submit(task, budget=300, seed=1)
                 session.run(n_workers=2)
+                # a worker's session never reads or writes the parent's files
+                assert session._pool.payload[3].artifact_dir is None
         written = {path.name for path in artifact_dir.rglob("*")}
         assert not written & {SHARED_WEIGHTS_BIN, SHARED_WEIGHTS_MANIFEST, "cache_snapshot.pkl"}
         assert not list(scratch.glob("netsyn-shared-*"))
+
+
+# ---------------------------------------------------------------------------
+# One job runner for every backend
+# ---------------------------------------------------------------------------
+
+
+class TestPoolRunsAnyBackend:
+    """Pool workers run every job through their session's ``run_job``."""
+
+    def test_pushgp_pool_matches_serial_and_writes_no_cache_log(
+        self, tiny_netsyn_config, tiny_suite, tmp_path
+    ):
+        """A backend without memo caches (the base class's no-op
+        warm-cache methods) through the pool: the parent snapshots it for
+        the payload, the workers open delta windows and ship nothing, and
+        nothing reaches the L3 cache log."""
+        tasks = list(tiny_suite)
+        service_config = ServiceConfig(artifact_dir=str(tmp_path))
+        with SynthesisSession(
+            tiny_netsyn_config, ArtifactStore(), methods=("pushgp",),
+            service_config=service_config,
+        ) as session:
+            serial = [session.submit(task, budget=300, seed=2) for task in tasks]
+            session.run()  # builds the parent's backend, so the payload snapshots it
+            pooled = [session.submit(task, budget=300, seed=2) for task in tasks]
+            session.run(n_workers=2)
+            assert session._pool is not None
+        assert [_signature(job) for job in pooled] == [_signature(job) for job in serial]
+        assert all(job.events[-1].kind == "finished" for job in pooled)
+        assert not (tmp_path / "cache_log").exists()
+
+    def test_backend_build_failure_fails_only_its_job(self, tiny_netsyn_config, tiny_suite):
+        """A worker whose backend cannot be built ends the job ``FAILED``
+        with the serial path's error; the worker serves the next job."""
+        def run(n_workers):
+            with SynthesisSession(
+                tiny_netsyn_config, ArtifactStore(), methods=("deepcoder", "pushgp"),
+            ) as session:
+                jobs = [
+                    session.submit(task, method=method, budget=200, seed=0)
+                    for task in list(tiny_suite)[:2]
+                    for method in ("deepcoder", "pushgp")
+                ]
+                session.run(n_workers=n_workers)
+            return jobs
+
+        serial, pooled = run(1), run(2)
+        for jobs in (serial, pooled):
+            assert [job.state is JobState.FAILED for job in jobs] == [True, False] * 2
+            assert jobs[0].error.startswith("MissingArtifactError: ")
+        assert [(job.state, job.error) for job in pooled] == [
+            (job.state, job.error) for job in serial
+        ]

@@ -393,8 +393,8 @@ class TestJobLifecycle:
             service_config=ServiceConfig(progress_every=10),
         )
         backend = session.backend("edit")
+        assert isinstance(backend, NetSynBackend)
         assert backend.progress_every == 10
-        assert backend.backend.progress_every == 10  # the inner NetSynBackend
         job = session.submit(tiny_task, budget=500, seed=4)
         session.run()
         candidates = [e for e in job.events if e.kind == "candidates"]
@@ -539,7 +539,7 @@ class TestWorkerCacheMergeBack:
         # the parent session never ran these jobs locally, yet its backend
         # now holds the workers' cache entries: score, map and evaluation
         # deltas are all merged back through the result pickle
-        backend = session.backend("netsyn_cf").backend
+        backend = session.backend("netsyn_cf")
         assert backend.cache_version() > 0
 
         # a repeated serial run of the same jobs is answered from the
@@ -627,7 +627,7 @@ class TestPersistedSessionCaches:
             _results_equal(a.result, b.result)
             generations = [e for e in b.events if e.kind == "generation"]
             assert generations and generations[-1].cache_misses == 0
-        assert reopened.backend("netsyn_cf").backend._score_cache.stats.misses == 0
+        assert reopened.backend("netsyn_cf")._score_cache.stats.misses == 0
 
     def test_stale_weights_fall_back_to_cold_start(
         self, tmp_path, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_task

@@ -98,6 +98,12 @@ def wire_task(seed: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def replayed(directory, on_skip=None):
+    """The state a fresh journal on ``directory`` replays (then closed)."""
+    with JobJournal(directory) as journal:
+        return journal.replay(on_skip=on_skip)
+
+
 class TestJobJournal:
     def test_empty_or_absent_journal_replays_empty(self, tmp_path):
         journal = JobJournal(tmp_path)
@@ -120,7 +126,7 @@ class TestJobJournal:
             journal.settle("job-1", {"state": "solved", "job_id": "job-1"},
                            idempotency_key="k1")
             journal.cancel("job-2")
-        state = JobJournal(tmp_path).replay()
+        state = replayed(tmp_path)
         assert sorted(state.pending) == ["job-2", "job-3"]
         assert state.pending["job-2"]["budget"] == 200
         assert state.cancelled == ["job-2"]
@@ -137,7 +143,7 @@ class TestJobJournal:
         # tear the last record mid-payload (a crash mid-append)
         path.write_bytes(data[:-7])
         skips = []
-        state = JobJournal(tmp_path).replay(on_skip=skips.append)
+        state = replayed(tmp_path, on_skip=skips.append)
         assert list(state.pending) == ["job-1"]
         assert state.skipped == 1 and len(skips) == 1
         assert "torn" in skips[0]
@@ -147,7 +153,7 @@ class TestJobJournal:
             journal.admit("job-1", wire_task(1), method="edit", budget=100, seed=0)
         path = tmp_path / JOURNAL_FILE
         path.write_bytes(path.read_bytes() + _MAGIC + b"\x05")  # header cut short
-        state = JobJournal(tmp_path).replay()
+        state = replayed(tmp_path)
         assert list(state.pending) == ["job-1"]
         assert state.skipped == 1
 
@@ -164,7 +170,7 @@ class TestJobJournal:
         data[payload_at] ^= 0xFF
         path.write_bytes(bytes(data))
         skips = []
-        state = JobJournal(tmp_path).replay(on_skip=skips.append)
+        state = replayed(tmp_path, on_skip=skips.append)
         # the bad record costs itself; the scan resynchronizes on job-3
         assert sorted(state.pending) == ["job-1", "job-3"]
         assert state.skipped == 1
@@ -175,7 +181,7 @@ class TestJobJournal:
             journal.admit("job-1", wire_task(1), method="edit", budget=100, seed=0)
         path = tmp_path / JOURNAL_FILE
         path.write_bytes(b"\x00garbage\x01" + path.read_bytes())
-        state = JobJournal(tmp_path).replay()
+        state = replayed(tmp_path)
         assert list(state.pending) == ["job-1"]
         assert state.skipped == 1
 
@@ -192,7 +198,7 @@ class TestJobJournal:
         journal.compact()
         assert journal.size() < before
         assert journal.compactions == 1
-        state = JobJournal(tmp_path).replay()
+        state = replayed(tmp_path)
         assert sorted(state.pending) == ["job-28", "job-29"]
         assert state.cancelled == ["job-29"]
         assert len(state.settled) == 28
@@ -207,7 +213,7 @@ class TestJobJournal:
         assert journal.maybe_compact() is False
         journal.compact_bytes = 10
         assert journal.maybe_compact() is True
-        assert JobJournal(tmp_path).replay().pending.keys() == {"job-1"}
+        assert replayed(tmp_path).pending.keys() == {"job-1"}
         journal.close()
 
 
@@ -434,9 +440,17 @@ def _spawn_server(port: int, journal_dir: Path) -> subprocess.Popen:
     )
     line = proc.stdout.readline()
     if not line.startswith("SERVING"):
-        proc.kill()
+        _stop_server(proc)
         raise RuntimeError(f"server failed to start: {line!r}")
     return proc
+
+
+def _stop_server(proc: subprocess.Popen) -> None:
+    """Kill a spawned server if it still runs, reap it, close its pipe."""
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait(timeout=30)
+    proc.stdout.close()
 
 
 def _free_port() -> int:
@@ -512,9 +526,7 @@ class TestKillRestartEndToEnd:
         finally:
             client.close()
             for p in [proc] + restarted:
-                if p.poll() is None:
-                    p.kill()
-                    p.wait(timeout=30)
+                _stop_server(p)
 
     def test_sigterm_drains_gracefully(self, tmp_path):
         """SIGTERM: the running job finishes, its stream ends cleanly,
@@ -541,6 +553,4 @@ class TestKillRestartEndToEnd:
             assert proc.wait(timeout=60) == 0
         finally:
             client.close()
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
+            _stop_server(proc)
