@@ -279,6 +279,16 @@ class NetSynConfig:
         return dataclasses.replace(self, **changes)
 
 
+#: seconds between two heartbeat events from an idle-or-busy pool worker
+#: (they travel the worker's own channel to its pool); read by the pool
+#: when it starts a worker and by ``ServiceConfig.validate``
+HEARTBEAT_INTERVAL = 0.25
+
+#: upper bound on a crashed job's exponential retry backoff; read by the
+#: pool at every retry and by ``ServiceConfig.validate``
+RETRY_BACKOFF_MAX = 2.0
+
+
 @dataclass
 class ServiceConfig:
     """Configuration of the synthesis service layer (sessions and jobs).
@@ -292,18 +302,12 @@ class ServiceConfig:
     artifact_dir: Optional[str] = None
     #: default worker-process count for ``SynthesisSession.run``
     n_workers: int = 1
-    #: fold the L3 cache log into one segment (the segments' frames,
-    #: concatenated) whenever it exceeds this many segments
-    cache_log_compact_threshold: int = 8
     #: persist the session's score/evaluation caches next to the Phase-1
     #: artifacts (``artifact_dir``) after each ``run()``, keyed by the
     #: model hash, so a re-opened session starts warm across processes
     persist_caches: bool = True
     #: budget charges between two "candidates" progress events
     progress_every: int = 50
-    #: most recent events retained on each job (older ones are dropped so
-    #: paper-scale budgets cannot grow job.events without bound)
-    max_events_per_job: int = 10_000
 
     # -- fault tolerance (the supervised worker pool) --------------------
     #: how many times a job whose worker crashed is re-run before it is
@@ -311,15 +315,8 @@ class ServiceConfig:
     #: therefore runs at most ``1 + max_job_retries`` times
     max_job_retries: int = 2
     #: base delay before a crashed job's first retry; doubles per attempt
+    #: up to :data:`RETRY_BACKOFF_MAX`
     retry_backoff: float = 0.05
-    #: upper bound on the exponential retry backoff
-    retry_backoff_max: float = 2.0
-    #: deterministic jitter fraction added to each backoff (seeded by the
-    #: fault plan / session seed, job index and attempt)
-    retry_jitter: float = 0.25
-    #: seconds between two heartbeat events from an idle-or-busy worker
-    #: (heartbeats travel the worker's own channel to its pool)
-    heartbeat_interval: float = 0.25
     #: a worker whose last heartbeat is older than this during a run,
     #: busy or idle, is considered hung and is hard-killed (a job it was
     #: running is retried); heartbeat ages restart at every dispatch, so
@@ -327,10 +324,9 @@ class ServiceConfig:
     heartbeat_timeout: float = 15.0
     #: per-job wall-clock deadline in seconds (None = no deadline): an
     #: overdue job is first cancelled cooperatively via its shared flag,
-    #: then its worker is hard-killed after ``deadline_grace``
+    #: then its worker is hard-killed after
+    #: :data:`repro.core.supervisor.DEADLINE_GRACE`
     job_deadline: Optional[float] = None
-    #: seconds between the cooperative deadline cancel and the hard kill
-    deadline_grace: float = 2.0
     #: worker crashes within one ``run()`` after which the pool is
     #: abandoned and that run's remaining jobs run serially in the
     #: parent (``degraded_serial``); the next parallel run forks a new pool
@@ -352,26 +348,18 @@ class ServiceConfig:
             raise ValueError("n_workers must be at least 1")
         if self.progress_every < 1:
             raise ValueError("progress_every must be at least 1")
-        if self.max_events_per_job < 1:
-            raise ValueError("max_events_per_job must be at least 1")
-        if self.cache_log_compact_threshold < 1:
-            raise ValueError("cache_log_compact_threshold must be at least 1")
         if self.max_job_retries < 0:
             raise ValueError("max_job_retries must be non-negative")
-        if self.retry_backoff < 0 or self.retry_backoff_max < self.retry_backoff:
+        if not 0 <= self.retry_backoff <= RETRY_BACKOFF_MAX:
             raise ValueError(
-                "retry_backoff must be non-negative and <= retry_backoff_max"
+                f"retry_backoff must be in [0, RETRY_BACKOFF_MAX={RETRY_BACKOFF_MAX}]"
             )
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ValueError("retry_jitter must be in [0, 1]")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if self.heartbeat_timeout <= self.heartbeat_interval:
-            raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
+        if self.heartbeat_timeout <= HEARTBEAT_INTERVAL:
+            raise ValueError(
+                f"heartbeat_timeout must exceed HEARTBEAT_INTERVAL={HEARTBEAT_INTERVAL}"
+            )
         if self.job_deadline is not None and self.job_deadline <= 0:
             raise ValueError("job_deadline must be positive (or None)")
-        if self.deadline_grace < 0:
-            raise ValueError("deadline_grace must be non-negative")
         if self.max_pool_crashes < 1:
             raise ValueError("max_pool_crashes must be at least 1")
         if self.fault_plan is not None and hasattr(self.fault_plan, "validate"):
@@ -427,9 +415,6 @@ class ServingConfig:
     #: submissions before starting the batch — the micro-batching window
     #: that lets concurrent clients coalesce into one parallel run
     batch_window: float = 0.05
-    #: hard bound on a single wire frame (a frame larger than this is a
-    #: protocol error and closes the connection)
-    max_frame_bytes: int = 16 * 1024 * 1024
     #: honour ``shutdown`` frames from clients (tests and examples);
     #: production servers keep this off and stop from their own process
     allow_remote_shutdown: bool = False
@@ -437,8 +422,6 @@ class ServingConfig:
     #: (:mod:`repro.serving.journal`); ``None`` disables durability — a
     #: crashed server then loses its in-flight and queued jobs
     journal_dir: Optional[str] = None
-    #: journal size (bytes) past which a settle triggers compaction
-    journal_compact_bytes: int = 4 * 1024 * 1024
     #: fsync every journal record (survives machine crash, not just
     #: process death) at a per-record fsync cost
     journal_fsync: bool = False
@@ -462,10 +445,6 @@ class ServingConfig:
             raise ValueError("n_workers must be at least 1")
         if self.batch_window < 0:
             raise ValueError("batch_window must be non-negative")
-        if self.max_frame_bytes < 1024:
-            raise ValueError("max_frame_bytes must be at least 1 KiB")
-        if self.journal_compact_bytes < 4096:
-            raise ValueError("journal_compact_bytes must be at least 4 KiB")
         if self.drain_timeout < 0:
             raise ValueError("drain_timeout must be non-negative")
 

@@ -70,6 +70,10 @@ if TYPE_CHECKING:  # the pool module imports this one
 
 logger = get_logger("core.service")
 
+#: most recent events retained on each job (older ones are dropped so
+#: paper-scale budgets cannot grow ``job.events`` without bound)
+MAX_EVENTS_PER_JOB = 10_000
+
 
 def _snapshot_key(method: str, program_length: Optional[int]) -> str:
     """The key one backend's caches live under in snapshot dicts.
@@ -344,9 +348,9 @@ class SynthesisSession:
     # ------------------------------------------------------------------
     def _record_events(self, job: SynthesisJob, events: Sequence[ProgressEvent]) -> None:
         """Append ``events`` to the job, keeping the most recent
-        ``max_events_per_job`` of them."""
+        :data:`MAX_EVENTS_PER_JOB` of them."""
         job.events.extend(events)
-        excess = len(job.events) - self.service_config.max_events_per_job
+        excess = len(job.events) - MAX_EVENTS_PER_JOB
         if excess > 0:
             del job.events[:excess]
 
@@ -577,11 +581,7 @@ class SynthesisSession:
                 deltas[_snapshot_key(method, length)] = delta
         if not deltas:
             return None
-        path = self.store.save_caches(
-            directory,
-            deltas,
-            compact_threshold=self.service_config.cache_log_compact_threshold,
-        )
+        path = self.store.save_caches(directory, deltas)
         # the appended entries are durable now: open fresh dirty windows
         # so the next segment only carries work done after this point
         for backend in self._backends.values():

@@ -19,8 +19,9 @@ failure discipline a serving layer needs:
   finalizer when it is garbage-collected) and rebuilds it when
   ``n_workers`` changes or after a run that degraded to serial.
 * **Shipping.**  Every worker gets one payload, ``(store, config,
-  snapshots)`` from :func:`_worker_payload`: the trained weights and the
-  session's warm-cache snapshots, in memory.  A forked worker inherits
+  snapshots, service_config)`` from :func:`_worker_payload`: the trained
+  weights, the session's warm-cache snapshots and its service config
+  without ``artifact_dir``, in memory.  A forked worker inherits
   it; under ``spawn`` it is pickled once per worker.  Each job spec then
   carries only the cache entries merged back from earlier jobs on the
   *same task* — the keys of every memo cache embed the task's
@@ -35,15 +36,19 @@ failure discipline a serving layer needs:
   and a worker that dies — even mid-send — leaves no lock or half
   message that another worker's stream depends on.
 * **Liveness.**  Every worker runs a daemon heartbeat thread that emits
-  ``"heartbeat"`` events through its channel; the supervisor
+  a ``"heartbeat"`` event through its channel every
+  :data:`~repro.config.HEARTBEAT_INTERVAL` seconds; the supervisor
   watches process sentinels (a dead worker is detected within one tick)
   *and* heartbeat recency (a live-but-frozen worker is detected within
   ``heartbeat_timeout`` and hard-killed).  Heartbeat ages restart at
   every dispatch, so an idle gap between runs is never a hang, and a
   worker that died while idle is replaced at the next dispatch.
-* **Retry with backoff.**  A job whose worker died is requeued with
-  seeded exponential backoff and jitter, up to
-  ``ServiceConfig.max_job_retries`` times.  Job results are deterministic
+* **Retry with backoff.**  A job whose worker died is requeued after
+  ``min(retry_backoff · 2^(attempt−1), RETRY_BACKOFF_MAX)`` seconds
+  (:data:`~repro.config.RETRY_BACKOFF_MAX`), up to
+  ``ServiceConfig.max_job_retries`` times.  The delay needs no
+  jitter: a retry only waits for an idle worker of this pool, and its
+  result depends only on its seed.  Job results are deterministic
   functions of their spec (seed travels with the job, never the worker),
   so a retried job that completes produces exactly the result the first
   attempt would have.
@@ -53,9 +58,9 @@ failure discipline a serving layer needs:
 * **Deadlines.**  With ``ServiceConfig.job_deadline`` set, an overdue job
   is first cancelled cooperatively through the shared cancellation-flag
   array (the same flag ``job.cancel()`` raises); a worker that ignores
-  the flag past ``deadline_grace`` is hard-killed.  Either way the job
-  ends ``failed`` with a ``deadline`` report — deadline overruns are not
-  retried.
+  the flag for :data:`DEADLINE_GRACE` seconds is hard-killed.  Either
+  way the job ends ``failed`` with a ``deadline`` report — deadline
+  overruns are not retried.
 * **Degradation.**  When one run accumulates more than
   ``ServiceConfig.max_pool_crashes`` worker crashes, the supervisor
   stops feeding the pool, kills the survivors, and hands the remaining
@@ -78,7 +83,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import queue
-import random
 import threading
 import time
 from collections import OrderedDict, deque
@@ -88,6 +92,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+import repro.config
 from repro.config import NetSynConfig, ServiceConfig
 from repro.core.artifacts import ArtifactStore
 from repro.core.result import SynthesisResult
@@ -107,6 +112,10 @@ _TICK = 0.02
 #: cancel-flag slots of a new pool; a run with more jobs rebuilds the
 #: pool with the next power of two
 _FLAG_SLOTS = 256
+
+#: seconds between a job's cooperative deadline cancel and the hard kill
+#: of a worker that ignores it
+DEADLINE_GRACE = 2.0
 
 
 @dataclass
@@ -155,9 +164,6 @@ class SupervisedOutcome:
     error: Optional[str] = None
     cache_delta: Optional[dict] = None
     failure: Optional[FailureReport] = None
-    #: worker crashes this job survived (its stream may hold events of
-    #: the attempts they cut short)
-    crashes: int = 0
     attempts: int = 1
 
 
@@ -418,15 +424,14 @@ def _supervised_worker_main(
     faults.install(fault_plan, role="worker")
     channel = _Channel(conn)
     stop = threading.Event()
-    if heartbeat_interval > 0:
-        # beat from the first instant: a worker must look alive
-        # throughout, its first backend build included
-        threading.Thread(
-            target=_heartbeat_loop,
-            args=(worker_id, channel, heartbeat_interval, stop),
-            name=f"netsyn-heartbeat-{worker_id}",
-            daemon=True,
-        ).start()
+    # beat from the first instant: a worker must look alive throughout,
+    # its first backend build included
+    threading.Thread(
+        target=_heartbeat_loop,
+        args=(worker_id, channel, heartbeat_interval, stop),
+        name=f"netsyn-heartbeat-{worker_id}",
+        daemon=True,
+    ).start()
     _parallel_worker_init(seed, payload, channel, cancel_flags)
     try:
         while True:
@@ -559,14 +564,17 @@ class WorkerSupervisor:
         Target pool size.  Workers are forked by :meth:`run`, as many as
         the run has specs (up to ``n_workers``), and then kept.
     config:
-        The session's :class:`~repro.config.ServiceConfig` (retry,
-        heartbeat, deadline and degradation knobs).
+        The session's :class:`~repro.config.ServiceConfig`: the pool
+        reads ``max_job_retries``, ``retry_backoff``,
+        ``heartbeat_timeout``, ``job_deadline``, ``max_pool_crashes``
+        and ``fault_plan``.
     seed:
-        Session seed; with the fault plan's seed it derives the
-        deterministic retry jitter and the per-worker RNG init.
+        Session seed; mixed with each worker's pid to seed its global
+        numpy RNG.
     payload:
         Handed once to every worker's :func:`_parallel_worker_init`:
-        :func:`_worker_payload`'s ``(store, config, snapshots)``.
+        :func:`_worker_payload`'s ``(store, config, snapshots,
+        service_config)``.
     slots:
         Size of the shared cancellation-flag array: the most jobs one
         run may dispatch.
@@ -867,7 +875,6 @@ class WorkerSupervisor:
         self._index = {spec[0]: index for index, spec in enumerate(self._specs)}
         self._outcomes: List[Optional[SupervisedOutcome]] = [None] * n
         self._attempts = [0] * n
-        self._crashes = [0] * n
         self._crash_workers: List[List[int]] = [[] for _ in range(n)]
         self._first_start = [0.0] * n
         self._deadline_fired = [False] * n
@@ -900,9 +907,7 @@ class WorkerSupervisor:
             for index in range(n):
                 if self._outcomes[index] is None:
                     self._outcomes[index] = SupervisedOutcome(
-                        state=JobState.PENDING,
-                        crashes=self._crashes[index],
-                        attempts=self._attempts[index],
+                        state=JobState.PENDING, attempts=self._attempts[index]
                     )
         return [outcome for outcome in self._outcomes]  # all set by now
 
@@ -939,7 +944,7 @@ class WorkerSupervisor:
                 tasks,
                 writer,
                 self.cancel_flags,
-                self.config.heartbeat_interval,
+                repro.config.HEARTBEAT_INTERVAL,
                 self.config.fault_plan,
             ),
             name=f"netsyn-worker-{worker_id}",
@@ -959,12 +964,11 @@ class WorkerSupervisor:
     def _pending(self) -> int:
         return sum(1 for outcome in self._outcomes if outcome is None)
 
-    def _backoff(self, job_index: int, attempt: int) -> float:
-        base = self.config.retry_backoff * (2 ** max(0, attempt - 1))
-        delay = min(base, self.config.retry_backoff_max)
-        plan_seed = getattr(self.config.fault_plan, "seed", 0) or 0
-        rng = random.Random((self.seed * 1_000_003 + plan_seed) ^ (job_index << 17) ^ attempt)
-        return delay * (1.0 + self.config.retry_jitter * rng.random())
+    def _backoff(self, attempt: int) -> float:
+        """Seconds a job waits before retry ``attempt`` (1-based)."""
+        return min(
+            self.config.retry_backoff * 2 ** (attempt - 1), repro.config.RETRY_BACKOFF_MAX
+        )
 
     # ------------------------------------------------------------------
     def _drain_results(self) -> None:
@@ -1034,37 +1038,40 @@ class WorkerSupervisor:
             if state is JobState.CANCELLED and self._deadline_fired[job_index]:
                 # the cancellation the worker observed was the deadline
                 # enforcement, not a user request
-                self._outcomes[job_index] = self._deadline_outcome(job_index, delta=delta)
+                self._fail(job_index, "deadline", delta=delta)
                 return
             self._outcomes[job_index] = SupervisedOutcome(
                 state=state,
                 result=result,
                 error=error,
                 cache_delta=delta,
-                crashes=self._crashes[job_index],
                 attempts=self._attempts[job_index],
             )
 
-    def _deadline_outcome(self, job_index: int,
-                          delta: Optional[dict] = None) -> SupervisedOutcome:
-        spec = self._specs[job_index]
+    def _fail(self, job_index: int, kind: str, message: str = "",
+              delta: Optional[dict] = None) -> None:
+        """End ``job_index`` ``FAILED`` with a :class:`FailureReport`.
+
+        ``kind`` is ``"crash"``, ``"hung"`` or ``"deadline"``; a deadline
+        report states the deadline, the others carry ``message``.
+        """
+        if kind == "deadline":
+            message = f"exceeded the {self.config.job_deadline:.1f}s wall-clock deadline"
+        first_start = self._first_start[job_index]
         report = FailureReport(
-            job_id=spec[1],
-            kind="deadline",
+            job_id=self._specs[job_index][1],
+            kind=kind,
             attempts=self._attempts[job_index],
-            message=f"exceeded the {self.config.job_deadline:.1f}s wall-clock deadline",
+            message=message,
             worker_ids=tuple(self._crash_workers[job_index]),
-            elapsed=time.monotonic() - self._first_start[job_index]
-            if self._first_start[job_index]
-            else 0.0,
+            elapsed=time.monotonic() - first_start if first_start else 0.0,
         )
-        return SupervisedOutcome(
+        self._outcomes[job_index] = SupervisedOutcome(
             state=JobState.FAILED,
             error=str(report),
             cache_delta=delta,
             failure=report,
-            crashes=self._crashes[job_index],
-            attempts=self._attempts[job_index],
+            attempts=report.attempts,
         )
 
     # ------------------------------------------------------------------
@@ -1107,33 +1114,17 @@ class WorkerSupervisor:
 
     def _job_lost(self, job_index: int, worker_id: int, reason: str) -> None:
         """A worker died while running ``job_index``: retry or give up."""
-        self._crashes[job_index] += 1
         self._crash_workers[job_index].append(worker_id)
-        spec = self._specs[job_index]
         if self._deadline_fired[job_index]:
-            self._outcomes[job_index] = self._deadline_outcome(job_index)
+            self._fail(job_index, "deadline")
             return
         attempt = self._attempts[job_index]  # attempts already started
         if attempt > self.config.max_job_retries:
-            report = FailureReport(
-                job_id=spec[1],
-                kind="hung" if reason == "heartbeat_timeout" else "crash",
-                attempts=attempt,
-                message=(
-                    f"worker died ({reason}) on every attempt; "
-                    f"quarantined after {attempt} attempt(s)"
-                ),
-                worker_ids=tuple(self._crash_workers[job_index]),
-                elapsed=time.monotonic() - self._first_start[job_index]
-                if self._first_start[job_index]
-                else 0.0,
-            )
-            self._outcomes[job_index] = SupervisedOutcome(
-                state=JobState.FAILED,
-                error=str(report),
-                failure=report,
-                crashes=self._crashes[job_index],
-                attempts=attempt,
+            self._fail(
+                job_index,
+                "hung" if reason == "heartbeat_timeout" else "crash",
+                f"worker died ({reason}) on every attempt; "
+                f"quarantined after {attempt} attempt(s)",
             )
             self._emit(
                 "job_quarantined",
@@ -1143,11 +1134,11 @@ class WorkerSupervisor:
                 reason=reason,
             )
             return
-        delay = self._backoff(job_index, attempt)
+        delay = self._backoff(attempt)
         self._delayed.append((time.monotonic() + delay, job_index))
         logger.info(
             "job %s lost to %s (attempt %d); retrying in %.3fs",
-            spec[1], reason, attempt, delay,
+            self._specs[job_index][1], reason, attempt, delay,
         )
 
     def _check_deadlines(self) -> None:
@@ -1167,7 +1158,7 @@ class WorkerSupervisor:
                 continue
             if not self._deadline_fired[job_index]:
                 self._deadline_fired[job_index] = True
-                self._deadline_kill_at[job_index] = now + self.config.deadline_grace
+                self._deadline_kill_at[job_index] = now + DEADLINE_GRACE
                 self.cancel_flags[self._specs[job_index][0] % len(self.cancel_flags)] = 1
                 self._emit(
                     "deadline_exceeded",

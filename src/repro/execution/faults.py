@@ -91,9 +91,8 @@ class FaultPlan:
 
     Install via ``ServiceConfig.fault_plan``: the session installs the
     plan in the parent (role ``"parent"``) and ships it to every
-    supervised worker (role ``"worker"``).  ``seed`` participates in the
-    supervisor's retry-jitter derivation so a faulted run's timing is
-    reproducible.
+    supervised worker (role ``"worker"``).  ``seed`` only labels the
+    plan: no fault decision or retry delay depends on it.
     """
 
     faults: List[Fault] = field(default_factory=list)

@@ -189,7 +189,6 @@ class RemoteSynthesisSession:
         address: str,
         timeout: float = 30.0,
         stream_timeout: Optional[float] = None,
-        max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         submit_attempts: int = 6,
         reconnect_attempts: int = 8,
         backoff_base: float = 0.2,
@@ -200,7 +199,6 @@ class RemoteSynthesisSession:
         self.host, self.port = parse_address(address)
         self.timeout = float(timeout)
         self.stream_timeout = stream_timeout
-        self.max_frame_bytes = int(max_frame_bytes)
         self.submit_attempts = max(1, int(submit_attempts))
         self.reconnect_attempts = max(0, int(reconnect_attempts))
         self.backoff_base = float(backoff_base)
@@ -239,8 +237,8 @@ class RemoteSynthesisSession:
             try:
                 sock = self._connection()
                 sock.settimeout(self.timeout)
-                protocol.send_frame(sock, dict(frame), self.max_frame_bytes)
-                return _raise_on_error(protocol.recv_frame(sock, self.max_frame_bytes))
+                protocol.send_frame(sock, dict(frame))
+                return _raise_on_error(protocol.recv_frame(sock))
             except (ConnectionError, OSError) as error:
                 self.close()
                 if attempt >= self.reconnect_attempts:
@@ -260,8 +258,8 @@ class RemoteSynthesisSession:
                 with socket.create_connection(
                     (self.host, self.port), timeout=self.timeout
                 ) as sock:
-                    protocol.send_frame(sock, dict(frame), self.max_frame_bytes)
-                    return _raise_on_error(protocol.recv_frame(sock, self.max_frame_bytes))
+                    protocol.send_frame(sock, dict(frame))
+                    return _raise_on_error(protocol.recv_frame(sock))
             except (ConnectionError, OSError) as error:
                 if attempt >= self.reconnect_attempts:
                     raise ConnectionError(
@@ -277,8 +275,8 @@ class RemoteSynthesisSession:
             with socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
             ) as sock:
-                protocol.send_frame(sock, {"type": "ping"}, self.max_frame_bytes)
-                protocol.recv_frame(sock, self.max_frame_bytes)
+                protocol.send_frame(sock, {"type": "ping"})
+                protocol.recv_frame(sock)
             return True
         except (ConnectionError, OSError, protocol.ProtocolError):
             return False
@@ -465,7 +463,7 @@ class RemoteSynthesisSession:
             # timeout (a server stalling *mid-frame* counts as dead)
             sock.settimeout(self.timeout)
             try:
-                return protocol.recv_frame(sock, self.max_frame_bytes, prefix=first)
+                return protocol.recv_frame(sock, prefix=first)
             except socket.timeout as error:
                 raise ConnectionError(f"server stalled mid-frame: {error}") from error
 
@@ -483,7 +481,6 @@ class RemoteSynthesisSession:
                 protocol.send_frame(
                     sock,
                     {"type": "events", "job_id": job.job_id, "since": len(job.events)},
-                    self.max_frame_bytes,
                 )
                 while True:
                     frame = _raise_on_error(self._recv_stream_frame(sock))

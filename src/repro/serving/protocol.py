@@ -64,8 +64,9 @@ from repro.events import ProgressEvent
 #: frame types or optional keys does not need a bump.
 PROTOCOL_VERSION = 1
 
-#: default hard bound on one frame; servers and clients may configure
-#: their own (ServingConfig.max_frame_bytes)
+#: hard bound on one frame, in both directions: a larger frame is a
+#: protocol error, and the server answers it ``bad_frame`` and closes
+#: the connection
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LENGTH = struct.Struct("!I")

@@ -133,7 +133,6 @@ class SynthesisServer:
         if self.config.journal_dir:
             self._journal = JobJournal(
                 self.config.journal_dir,
-                compact_bytes=self.config.journal_compact_bytes,
                 fsync=self.config.journal_fsync,
             )
             self._recover()
@@ -479,18 +478,17 @@ class SynthesisServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        max_bytes = self.config.max_frame_bytes
         try:
             while True:
                 try:
-                    frame = await protocol.read_frame(reader, max_bytes)
+                    frame = await protocol.read_frame(reader)
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break  # client went away between frames: normal
                 except protocol.ProtocolError as error:
                     # answer loudly, then drop the connection: after a
                     # malformed frame the byte stream cannot be trusted
                     await protocol.write_frame(
-                        writer, protocol.error_frame("bad_frame", str(error)), max_bytes
+                        writer, protocol.error_frame("bad_frame", str(error)),
                     )
                     break
                 if await self._dispatch(frame, writer):
@@ -524,7 +522,6 @@ class SynthesisServer:
     async def _dispatch_quick(
         self, kind: Any, frame: dict, writer: asyncio.StreamWriter
     ) -> bool:
-        max_bytes = self.config.max_frame_bytes
         if kind in ("submit", "status", "cancel") and (
             self._draining.is_set() or self._stopping.is_set()
         ):
@@ -538,17 +535,16 @@ class SynthesisServer:
                     "server is draining; running jobs finish, queued jobs stay journaled",
                     retry_after=self.config.retry_after,
                 ),
-                max_bytes,
             )
             return False
         if kind == "submit":
-            await protocol.write_frame(writer, self._handle_submit(frame), max_bytes)
+            await protocol.write_frame(writer, self._handle_submit(frame))
         elif kind == "health":
-            await protocol.write_frame(writer, self._health_frame(), max_bytes)
+            await protocol.write_frame(writer, self._health_frame())
         elif kind == "status":
-            await protocol.write_frame(writer, self._job_frame(frame, cancel=False), max_bytes)
+            await protocol.write_frame(writer, self._job_frame(frame, cancel=False))
         elif kind == "cancel":
-            await protocol.write_frame(writer, self._job_frame(frame, cancel=True), max_bytes)
+            await protocol.write_frame(writer, self._job_frame(frame, cancel=True))
         elif kind == "ping":
             with self._admission_lock:
                 active = self._active
@@ -559,20 +555,19 @@ class SynthesisServer:
                     "protocol": protocol.PROTOCOL_VERSION,
                     "active_jobs": active,
                 },
-                max_bytes,
             )
         elif kind == "shutdown":
             if not self.config.allow_remote_shutdown:
                 await protocol.write_frame(
-                    writer, protocol.error_frame("forbidden", "remote shutdown is disabled"), max_bytes
+                    writer, protocol.error_frame("forbidden", "remote shutdown is disabled"),
                 )
                 return True
-            await protocol.write_frame(writer, {"type": "bye"}, max_bytes)
+            await protocol.write_frame(writer, {"type": "bye"})
             self._request_stop()
             return True
         else:
             await protocol.write_frame(
-                writer, protocol.error_frame("unknown_type", f"unknown frame type {kind!r}"), max_bytes
+                writer, protocol.error_frame("unknown_type", f"unknown frame type {kind!r}"),
             )
         return False
 
@@ -709,7 +704,6 @@ class SynthesisServer:
     # -- event streaming ------------------------------------------------
 
     async def _handle_events(self, frame: dict, writer: asyncio.StreamWriter) -> None:
-        max_bytes = self.config.max_frame_bytes
         job_id = str(frame.get("job_id"))
         stream = self._streams.get(job_id)
         if stream is None:
@@ -719,10 +713,10 @@ class SynthesisServer:
             # the settle yields the outcome, not a replay)
             settled = self._settled_wire.get(job_id)
             if settled is not None:
-                await protocol.write_frame(writer, {"type": "end", "job": settled}, max_bytes)
+                await protocol.write_frame(writer, {"type": "end", "job": settled})
                 return
             await protocol.write_frame(
-                writer, protocol.error_frame("unknown_job", f"no job {job_id!r}"), max_bytes
+                writer, protocol.error_frame("unknown_job", f"no job {job_id!r}"),
             )
             return
         since = frame.get("since", 0)
@@ -740,9 +734,9 @@ class SynthesisServer:
                 stream.subscribers.append(subscription)
         try:
             for event_frame in backlog:
-                await protocol.write_frame(writer, event_frame, max_bytes)
+                await protocol.write_frame(writer, event_frame)
             if terminal is not None:
-                await protocol.write_frame(writer, terminal, max_bytes)
+                await protocol.write_frame(writer, terminal)
                 return
             while True:
                 event_frame = await live.get()
@@ -753,7 +747,7 @@ class SynthesisServer:
                 # events are identical: seeded synthesis is deterministic)
                 if event_frame.get("type") == "event" and event_frame.get("seq", 0) < since:
                     continue
-                await protocol.write_frame(writer, event_frame, max_bytes)
+                await protocol.write_frame(writer, event_frame)
                 if event_frame.get("type") == "end":
                     return
         finally:

@@ -5,7 +5,8 @@ Every ``| knob | default | meaning |`` table in ``docs/api.md`` and
 Each backticked knob in its first column must be a field of that class,
 and each default written as ``True``/``False``/``None`` must equal the
 field's default — so a removed field or a flipped default cannot leave
-the docs behind.
+the docs behind.  The ``ServiceConfig`` and ``ServingConfig`` tables
+must also list every field, so a new knob cannot arrive without a row.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ DOCS = Path(__file__).resolve().parents[1] / "docs"
 CLASSES = {cls.__name__: cls for cls in (NetSynConfig, ServiceConfig, ServingConfig)}
 CLASS_NAME = re.compile(r"\b(" + "|".join(CLASSES) + r")\b")
 LITERALS = {"True": True, "False": False, "None": None}
+#: classes whose table documents every field
+COMPLETE = ("ServiceConfig", "ServingConfig")
 
 
 def _config_tables(text: str):
@@ -58,9 +61,11 @@ def test_config_tables_match_dataclass_fields(doc, owners):
     assert [owner for owner, _rows in tables] == owners
     for owner, rows in tables:
         defaults = {f.name: f.default for f in dataclasses.fields(CLASSES[owner])}
+        documented = set()
         for knob_cell, default_cell in rows:
             knobs = re.findall(r"`([^`]+)`", knob_cell)
             assert knobs, f"{doc}: row {knob_cell!r} names no knob"
+            documented.update(knobs)
             for knob in knobs:
                 assert knob in defaults, f"{doc}: {owner} has no field {knob!r}"
                 written = default_cell.strip("`")
@@ -69,3 +74,6 @@ def test_config_tables_match_dataclass_fields(doc, owners):
                         f"{doc}: {owner}.{knob} defaults to {defaults[knob]!r}, "
                         f"documented as {written}"
                     )
+        if owner in COMPLETE:
+            missing = sorted(set(defaults) - documented)
+            assert not missing, f"{doc}: {owner} fields without a row: {missing}"

@@ -44,6 +44,7 @@ import time
 
 import pytest
 
+import repro.config
 from repro.config import ServiceConfig
 from repro.core import ArtifactStore, JobState, SynthesisSession, supervisor
 from repro.core.artifacts import CACHE_LOG_DIR, CACHE_LOG_MANIFEST
@@ -69,7 +70,6 @@ def edit_config(tiny_netsyn_config):
 
 def _edit_session(config, **service_kwargs):
     service_kwargs.setdefault("retry_backoff", 0.01)
-    service_kwargs.setdefault("retry_backoff_max", 0.05)
     return SynthesisSession(
         config,
         ArtifactStore(),
@@ -193,16 +193,16 @@ class TestServiceConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"cache_log_compact_threshold": 0},
+            {"progress_every": 0},
             {"n_workers": 0},
             {"max_job_retries": -1},
             {"retry_backoff": -0.1},
-            {"retry_backoff": 1.0, "retry_backoff_max": 0.5},
-            {"retry_jitter": 1.5},
-            {"heartbeat_interval": 0.0},
-            {"heartbeat_interval": 1.0, "heartbeat_timeout": 0.5},
+            {"retry_backoff": repro.config.RETRY_BACKOFF_MAX + 0.5},
+            {"retry_backoff": float("inf")},
+            {"heartbeat_timeout": 0.0},
+            {"heartbeat_timeout": repro.config.HEARTBEAT_INTERVAL},
             {"job_deadline": 0.0},
-            {"deadline_grace": -1.0},
+            {"job_deadline": -1.0},
             {"max_pool_crashes": 0},
         ],
     )
@@ -216,6 +216,29 @@ class TestServiceConfigValidation:
 
     def test_defaults_are_valid(self):
         ServiceConfig().validate()
+
+
+class TestRetrySchedule:
+    def test_backoff_doubles_up_to_the_cap_whatever_the_seeds(self):
+        """Retry ``a`` waits ``min(retry_backoff * 2**(a-1), RETRY_BACKOFF_MAX)``:
+        no jitter, so neither the session seed nor the fault-plan seed
+        moves it."""
+        expected = [
+            min(0.05 * 2 ** (attempt - 1), repro.config.RETRY_BACKOFF_MAX)
+            for attempt in range(1, 9)
+        ]
+        assert expected[-1] == repro.config.RETRY_BACKOFF_MAX  # the cap binds
+        for seed, plan_seed in [(0, 0), (7, 0), (0, 11), (123, 45)]:
+            pool = supervisor.WorkerSupervisor(
+                1,
+                ServiceConfig(retry_backoff=0.05, fault_plan=FaultPlan(seed=plan_seed)),
+                seed=seed,
+                payload=None,
+            )
+            try:
+                assert [pool._backoff(attempt) for attempt in range(1, 9)] == expected
+            finally:
+                pool.close()
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +372,18 @@ class TestWorkerCrashRecovery:
             _result_signature(j) for j in baseline
         ]
 
-    def test_frozen_worker_is_killed_and_job_retried(self, edit_config, tiny_suite):
+    def test_frozen_worker_is_killed_and_job_retried(
+        self, edit_config, tiny_suite, monkeypatch
+    ):
         """SIGSTOP leaves the process alive for the sentinel check but
         silent for heartbeats: only the heartbeat deadline catches it."""
+        monkeypatch.setattr(repro.config, "HEARTBEAT_INTERVAL", 0.05)
         tasks = list(tiny_suite)
         plan = FaultPlan.single("worker_start", action="freeze", match="job-1:0")
         faulted, log = self._run(
             edit_config,
             fault_plan=plan,
             tasks=tasks,
-            heartbeat_interval=0.05,
             heartbeat_timeout=0.5,
         )
         assert faulted[0].state in (JobState.SOLVED, JobState.EXHAUSTED)
@@ -370,14 +395,15 @@ class TestWorkerCrashRecovery:
 
 class TestDeadlines:
     def test_overdue_job_fails_with_deadline_report(
-        self, edit_config, tiny_task, tiny_suite
+        self, edit_config, tiny_task, tiny_suite, monkeypatch
     ):
         # the doomed job must still be searching when the deadline hits:
         # lift the generation cap so only the budget/deadline can stop it
         config = edit_config.replace(
             ga=dataclasses.replace(edit_config.ga, max_generations=1_000_000)
         )
-        session = _edit_session(config, job_deadline=0.4, deadline_grace=5.0)
+        monkeypatch.setattr(supervisor, "DEADLINE_GRACE", 5.0)
+        session = _edit_session(config, job_deadline=0.4)
         log = EventLog()
         session.add_listener(log)
         doomed = session.submit(
@@ -398,19 +424,19 @@ class TestDeadlines:
             assert job.state in (JobState.SOLVED, JobState.EXHAUSTED)
 
     def test_unheeded_deadline_is_enforced_by_hard_kill(
-        self, edit_config, tiny_task, tiny_suite
+        self, edit_config, tiny_task, tiny_suite, monkeypatch
     ):
         """A worker that ignores the cooperative cancel (here: hung in a
         sleep, so it never polls the flag) is hard-killed after
-        deadline_grace and the job still ends with a deadline failure,
+        DEADLINE_GRACE and the job still ends with a deadline failure,
         not a hang."""
+        monkeypatch.setattr(supervisor, "DEADLINE_GRACE", 0.3)
+        monkeypatch.setattr(repro.config, "HEARTBEAT_INTERVAL", 0.05)
         plan = FaultPlan.single("worker_start", action="hang", match="job-1:0")
         session = _edit_session(
             edit_config,
             fault_plan=plan,
             job_deadline=0.3,
-            deadline_grace=0.3,
-            heartbeat_interval=0.05,
             heartbeat_timeout=60.0,  # heartbeats must not beat the deadline here
         )
         doomed = session.submit(
@@ -482,12 +508,11 @@ class TestIdlePool:
         return [_result_signature(job) for job in jobs]
 
     def test_idle_gap_longer_than_heartbeat_timeout_kills_no_worker(
-        self, edit_config, tiny_suite
+        self, edit_config, tiny_suite, monkeypatch
     ):
+        monkeypatch.setattr(repro.config, "HEARTBEAT_INTERVAL", 0.1)
         batches = [tiny_suite[0:2], tiny_suite[2:4]]
-        with _edit_session(
-            edit_config, heartbeat_interval=0.1, heartbeat_timeout=0.5
-        ) as session:
+        with _edit_session(edit_config, heartbeat_timeout=0.5) as session:
             log = EventLog()
             session.add_listener(log)
             first = [session.submit(task, budget=250, seed=3) for task in batches[0]]

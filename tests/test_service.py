@@ -22,6 +22,7 @@ from repro.core import (
     SynthesisService,
     SynthesisSession,
     JobState,
+    service,
 )
 from repro.events import EventLog, JobCancelled, ProgressEvent
 from repro.fitness.functions import LearnedTraceFitness, ProbabilityMapFitness
@@ -401,25 +402,24 @@ class TestJobLifecycle:
         if job.result.candidates_used >= 20:
             assert len(candidates) >= job.result.candidates_used // 10 - 1
 
-    def test_event_retention_is_bounded(self, edit_config, tiny_task):
+    def test_event_retention_is_bounded(self, edit_config, tiny_task, monkeypatch):
+        monkeypatch.setattr(service, "MAX_EVENTS_PER_JOB", 25)
         session = SynthesisSession(
             edit_config,
             ArtifactStore(),
             methods=("edit",),
-            service_config=ServiceConfig(progress_every=1, max_events_per_job=25),
+            service_config=ServiceConfig(progress_every=1),
         )
         job = session.submit(tiny_task, budget=1000, seed=6)
         session.run()
         assert len(job.events) <= 25
         assert job.events[-1].kind == "finished"
 
-    def test_supervision_events_respect_the_retention_bound(self, edit_config, tiny_task):
-        session = SynthesisSession(
-            edit_config,
-            ArtifactStore(),
-            methods=("edit",),
-            service_config=ServiceConfig(max_events_per_job=2),
-        )
+    def test_supervision_events_respect_the_retention_bound(
+        self, edit_config, tiny_task, monkeypatch
+    ):
+        monkeypatch.setattr(service, "MAX_EVENTS_PER_JOB", 2)
+        session = SynthesisSession(edit_config, ArtifactStore(), methods=("edit",))
         job = session.submit(tiny_task, budget=200, seed=0)
         listener = session._supervision_listener([job])
         for attempt in (1, 2, 3):

@@ -345,11 +345,20 @@ class TestServerRoundTrip:
                     client._side_request({"type": "status", "job_id": "job-999"})
                 assert excinfo.value.code == "unknown_job"
 
-    def test_malformed_frame_answered_then_closed(self):
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            struct.pack("!I", 16) + b"this is not json",
+            # an oversized header alone: the server must refuse it
+            # without waiting for (or reading) a body
+            struct.pack("!I", protocol.MAX_FRAME_BYTES + 1),
+        ],
+        ids=["garbage", "oversized"],
+    )
+    def test_malformed_frame_answered_then_closed(self, frame):
         with SynthesisServer(edit_session(), SERVING_FAST) as server:
             with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
-                payload = b"this is not json"
-                sock.sendall(struct.pack("!I", len(payload)) + payload)
+                sock.sendall(frame)
                 response = protocol.recv_frame(sock)
                 assert response["type"] == "error"
                 assert response["code"] == "bad_frame"
@@ -457,7 +466,6 @@ class TestServerFailurePaths:
         session = edit_session(
             fault_plan=FaultPlan.parse("worker_start:crash:job-1#0"),
             max_job_retries=0,
-            heartbeat_interval=0.05,
             heartbeat_timeout=5.0,
         )
         serving = ServingConfig(n_workers=2, batch_window=0.5)
