@@ -48,12 +48,7 @@ import numpy as np
 
 from repro.dsl import Interpreter, Program, clear_compile_cache
 from repro.data import make_synthesis_task
-from repro.execution import (
-    BatchExecutionEngine,
-    ColumnarEvaluator,
-    EvaluationCache,
-    ExecutionEngine,
-)
+from repro.execution import BatchExecutionEngine, EvaluationCache, ExecutionEngine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY_PATH = REPO_ROOT / "BENCH_execution_throughput.json"

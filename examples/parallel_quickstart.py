@@ -88,7 +88,7 @@ def main() -> None:
     artifact_dir = os.environ.get("NETSYN_ARTIFACT_DIR", ".netsyn-artifacts-parallel")
     event_log_path = os.environ.get("NETSYN_EVENT_LOG", "parallel_event_log.json")
     fault_spec = os.environ.get("NETSYN_FAULTS", "")
-    fault_plan = FaultPlan.parse(fault_spec, seed=3) if fault_spec else None
+    fault_plan = FaultPlan.parse(fault_spec) if fault_spec else None
     if fault_plan is not None:
         print(f"CHAOS MODE: injecting {fault_spec!r}")
     service = SynthesisService(

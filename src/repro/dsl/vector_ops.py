@@ -30,9 +30,9 @@ happens in place only on arrays a kernel freshly allocated.
 Kernels are looked up per :class:`~repro.dsl.functions.DSLFunction` via
 :func:`batch_impl_for`, which matches by function id *and* implementation
 identity against the default registry: a custom registry reusing the
-catalog's functions vectorizes, while a synthetic function (a second DSL
-domain, a test double) safely falls back to its scalar ``impl`` row by
-row inside the evaluator.
+catalog's functions vectorizes, while a registry holding a synthetic
+function (a second DSL domain, a test double) gets no columnar evaluator:
+the batch engine runs its programs one by one on the compiled path.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ IntColumn = np.ndarray
 ListColumn = Tuple[np.ndarray, np.ndarray]
 
 #: Input values whose magnitude exceeds this bound are routed to the
-#: scalar path: beyond it, int64 intermediates (sums over a row, pairwise
-#: products) could overflow before the saturating clamp is applied.
+#: per-program path: beyond it, int64 intermediates (sums over a row,
+#: pairwise products) could overflow before the saturating clamp is applied.
 SAFE_INT_BOUND = 2 ** 31
 
 _I64_MAX = np.iinfo(np.int64).max
@@ -434,12 +434,11 @@ def _default_impls() -> Dict[int, Callable]:
 
 
 def batch_impl_for(fn: DSLFunction) -> Optional[Callable]:
-    """The vectorized kernel for ``fn``, or ``None`` for the scalar fallback.
+    """The vectorized kernel for ``fn``, or ``None`` when it has none.
 
     A kernel is returned only when ``fn`` is (or shares its implementation
-    with) the default catalog's function of the same id — synthetic
-    functions from extended registries evaluate row-by-row through their
-    own scalar ``impl`` instead.
+    with) the default catalog's function of the same id — a registry with
+    a synthetic function runs on the per-program compiled path instead.
     """
     if _default_impls().get(fn.fid) is not fn.impl:
         return None

@@ -6,7 +6,8 @@ against an IO specification: the population methods ``outputs_batch``,
 ``traces_batch`` and ``satisfies_batch``.  This engine answers them with
 a plain loop over its per-program methods, which makes it the oracle the
 columnar :class:`~repro.execution.BatchExecutionEngine` is checked
-against.  It combines
+against, and the per-program path that engine inherits for whatever its
+trie cannot serve.  It combines
 
 * the compile-once execution path (:mod:`repro.dsl.compiler`), and
 * an :class:`~repro.execution.cache.EvaluationCache` memoizing outputs,
@@ -50,8 +51,8 @@ class ExecutionEngine:
         created when omitted.  Pass ``EvaluationCache(max_entries=0)``
         for an uncached engine (results are still compiled).
     compiled:
-        When False, fall back to the reference interpreter for execution
-        (used to cross-check the compiled path).
+        When False, execute on the reference interpreter instead (the
+        control the compiled and columnar paths are checked against).
     """
 
     def __init__(self, cache: Optional[EvaluationCache] = None, compiled: bool = True) -> None:

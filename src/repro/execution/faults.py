@@ -3,7 +3,7 @@
 Every recovery path in the service layer — worker restarts, job retries,
 quarantine, truncated-segment skips — exists to
 survive failures that are rare and non-deterministic in production.  To
-*test* those paths they must be neither: this module lets a seeded
+*test* those paths they must be neither: this module lets a
 :class:`FaultPlan` fire precisely-targeted faults at named **sites** the
 runtime code instruments with :func:`fire`:
 
@@ -87,16 +87,14 @@ class Fault:
 
 @dataclass
 class FaultPlan:
-    """A seeded, deterministic set of faults to inject into one run.
+    """A deterministic set of faults to inject into one run.
 
     Install via ``ServiceConfig.fault_plan``: the session installs the
     plan in the parent (role ``"parent"``) and ships it to every
-    supervised worker (role ``"worker"``).  ``seed`` only labels the
-    plan: no fault decision or retry delay depends on it.
+    supervised worker (role ``"worker"``).
     """
 
     faults: List[Fault] = field(default_factory=list)
-    seed: int = 0
 
     def validate(self) -> None:
         for fault in self.faults:
@@ -105,14 +103,14 @@ class FaultPlan:
     # ------------------------------------------------------------------
     @classmethod
     def single(cls, site: str, action: str = "crash", match: str = "",
-               nth: int = 1, count: int = 1, seed: int = 0) -> "FaultPlan":
+               nth: int = 1, count: int = 1) -> "FaultPlan":
         """Convenience constructor for one-fault plans."""
-        plan = cls(faults=[Fault(site, action, match, nth, count)], seed=seed)
+        plan = cls(faults=[Fault(site, action, match, nth, count)])
         plan.validate()
         return plan
 
     @classmethod
-    def parse(cls, spec: str, seed: int = 0) -> "FaultPlan":
+    def parse(cls, spec: str) -> "FaultPlan":
         """Build a plan from a compact string (the CI chaos-job surface).
 
         ``spec`` is ``;``-separated fault clauses, each
@@ -134,7 +132,7 @@ class FaultPlan:
             nth = int(parts[3]) if len(parts) > 3 and parts[3] else 1
             count = int(parts[4]) if len(parts) > 4 and parts[4] else 1
             faults.append(Fault(site, action, match, nth, count))
-        plan = cls(faults=faults, seed=seed)
+        plan = cls(faults=faults)
         plan.validate()
         return plan
 

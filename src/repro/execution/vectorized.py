@@ -7,11 +7,11 @@ by crossover, mutation and reproduction share long function-id prefixes
 (and outright duplicates).  This module exploits both redundancies:
 
 1. **Prefix sharing.**  Candidates are deduplicated into a trie over
-   ``program.function_ids``, per input type signature.  Argument bindings
-   depend only on the signature and the fid prefix
-   (:mod:`repro.dsl.compiler`), so every candidate sharing a prefix
-   shares the prefix's intermediate values exactly.  Each unique prefix
-   is computed once, no matter how many candidates extend it.
+   ``program.function_ids``.  Argument bindings depend only on the input
+   type signature and the fid prefix (:mod:`repro.dsl.compiler`), so
+   every candidate sharing a prefix shares the prefix's intermediate
+   values exactly.  Each unique prefix is computed once, no matter how
+   many candidates extend it.
 2. **Example batching.**  A trie level stores its values as numpy
    columns of shape ``[unique prefixes x examples]`` (lists as padded
    2-D blocks with per-row lengths).  Prefixes applying the same DSL
@@ -20,8 +20,9 @@ by crossover, mutation and reproduction share long function-id prefixes
    per unique ``(step, binding shape)`` instead of one interpreter step
    per ``(function, candidate, example)``.
 
-The trie persists between calls, one per signature block and registry:
-it finds a batch's novel nodes through a ``dict`` per level over packed
+A :class:`ColumnarEvaluator` is one such trie over one example set (of
+one input signature) and one registry, kept alive between calls: it
+finds a batch's novel nodes through a ``dict`` per level over packed
 ``parent-prefix x fid`` codes and appends them into capacity-buffered
 columns, so an insert pays only for its new nodes.  Argument bindings
 are derived from a per-prefix *type bitmask* instead of compiling each
@@ -40,12 +41,12 @@ exactly like serial traffic.  Traces come back as :class:`TraceColumns`,
 gathered from the trie levels the solution check already filled, never
 decoded into ``StepRecord`` objects.  Values and traces are
 bit-identical to the compiled and reference paths
-(``tests/test_vectorized.py``).  Functions without a vectorized kernel
-(extended registries) fall back to their scalar ``impl`` row by row
-inside the trie.  Whatever the trie cannot serve runs on the per-program
-compiled path instead: a registry with a function id outside
-``[0, 2**20)``, inputs outside the int64-safe range, or a scalar
-fallback leaving that range mid-insert.
+(``tests/test_vectorized.py``).  The engine decides once per IO set and
+registry whether the trie can serve: every example has the same input
+signature, every input lies within ``SAFE_INT_BOUND``, every registry
+function has a kernel and an id in ``[0, 2**20)``, and the batch has a
+single registry.  Anything else (served tasks arrive with arbitrary
+ints and signatures) runs on the engine's inherited per-program path.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dsl.compiler import compile_program, input_signature, normalize_inputs
+from repro.dsl.compiler import input_signature, normalize_inputs
 from repro.dsl.equivalence import IOSet
-from repro.dsl.functions import DSLFunction, FunctionRegistry
+from repro.dsl.functions import REGISTRY, FunctionRegistry
 from repro.dsl.interpreter import ExecutionTrace
 from repro.dsl.program import Program
 from repro.dsl.types import DSLType, Value, default_for, values_equal
@@ -69,41 +70,55 @@ from repro.execution.engine import _NS_OUTPUTS, _NS_SOLUTIONS, _NS_TRACES, Execu
 _INT = DSLType.INT
 _DEFAULT_INT = default_for(_INT)
 
-#: ``fid -> (function, kernel, arg_types, returns_list)``, memoized per registry
-_FnInfo = Tuple[DSLFunction, object, Tuple[DSLType, ...], bool]
+#: ``fid -> (kernel, arg_types, returns_list)`` of one registry
+_FnInfo = Tuple[Callable, Tuple[DSLType, ...], bool]
 
 #: a registry with a function id outside ``[0, _MAX_PACKED_FID)`` gets no
-#: trie and takes the per-program compiled path; inside it, (parent, fid)
-#: pairs pack into int64 codes
+#: trie; inside it, (parent, fid) pairs pack into int64 codes
 _MAX_PACKED_FID = 1 << 20
 
+#: resident trie nodes past which an evaluator drops its trie after a
+#: call; the next batch rebuilds it incrementally from empty
+TRIE_NODE_BUDGET = 200_000
+
 # ---------------------------------------------------------------------------
-# Per-registry memo tables (bindings and kernels), module-level like the
+# Per-registry memo tables (kernels and bindings), module-level like the
 # compile cache: warm across evaluators, pinned by holding the registry.
 # ---------------------------------------------------------------------------
 
-_REGISTRY_TABLES: Dict[int, Tuple[FunctionRegistry, Dict[int, _FnInfo], Dict]] = {}
+_REGISTRY_TABLES: Dict[int, Tuple[FunctionRegistry, Optional[Dict[int, _FnInfo]], Dict]] = {}
 
 
-def _tables_for(registry: FunctionRegistry):
+def _tables_for(registry: FunctionRegistry) -> Tuple[Optional[Dict[int, _FnInfo]], Dict]:
+    """``(fn_table, bind_cache)`` of ``registry``.  ``fn_table`` is None
+    when no trie can serve the registry: a function without a kernel, or
+    with an id outside ``[0, _MAX_PACKED_FID)``."""
     entry = _REGISTRY_TABLES.get(id(registry))
     if entry is None or entry[0] is not registry:
         if len(_REGISTRY_TABLES) >= 64:
             _REGISTRY_TABLES.clear()
-        entry = (registry, {}, {})
+        fn_table: Optional[Dict[int, _FnInfo]] = {}
+        for fn in registry.functions:
+            kernel = batch_impl_for(fn)
+            if kernel is None or not 0 <= fn.fid < _MAX_PACKED_FID:
+                fn_table = None
+                break
+            fn_table[fn.fid] = (kernel, fn.arg_types, fn.return_type is not _INT)
+        entry = (registry, fn_table, {})
         _REGISTRY_TABLES[id(registry)] = entry
-    return entry
+    return entry[1], entry[2]
 
 
 @dataclass
 class KernelStats:
     """Kernel-level telemetry for one :class:`ColumnarEvaluator`.
 
-    ``dispatches`` counts actual numpy-kernel (and scalar-fallback)
-    invocations, ``fused_groups`` the extra ``(function, binding)`` groups
-    that rode an already-counted dispatch.  The ``leaf_*`` /
-    ``nodes_inserted`` counters describe the persistent tries: a leaf hit
-    is a program answered entirely from trie-resident state.
+    ``dispatches`` counts actual numpy-kernel invocations,
+    ``fused_groups`` the extra ``(function, binding)`` groups that rode an
+    already-counted dispatch.  The ``leaf_*`` / ``nodes_inserted``
+    counters describe the persistent trie: a leaf hit is a program
+    answered entirely from trie-resident state.  ``trie_evictions``
+    counts tries dropped past ``TRIE_NODE_BUDGET``.
     """
 
     dispatches: int = 0
@@ -135,33 +150,23 @@ class KernelStats:
         }
 
 
-def _fn_info_of(fid: int, registry: FunctionRegistry, fn_table: Dict[int, _FnInfo]) -> _FnInfo:
-    info = fn_table.get(fid)
-    if info is None:
-        fn = registry.by_id(fid)
-        info = (fn, batch_impl_for(fn), fn.arg_types, fn.return_type is not _INT)
-        fn_table[fid] = info
-    return info
-
-
 def _resolve_pairs(
     pairs: np.ndarray,
     stride: int,
     history_len: int,
-    fn_info: Callable[[int], _FnInfo],
+    fn_table: Dict[int, _FnInfo],
     bind_cache: Dict,
 ):
     """Bindings and fid-major dispatch groups for unique ``(mask, fid)`` pairs.
 
-    Returns ``(pair_gid, pair_ret, pair_binds, group_meta)``: the dispatch
-    group of each pair (renumbered fid-major so same-function groups sit
-    on adjacent ranges and fuse), whether it returns a list, its binding
-    tuple, and the per-group ``(fid, bindings, returns_list)`` metadata.
+    Returns ``(pair_gid, pair_ret, group_meta)``: the dispatch group of
+    each pair (renumbered fid-major so same-function groups sit on
+    adjacent ranges and fuse), whether it returns a list, and the
+    per-group ``(fid, bindings, returns_list)`` metadata.
     """
     n_pairs = len(pairs)
     pair_gid = np.empty(n_pairs, dtype=np.int64)
     pair_ret = np.empty(n_pairs, dtype=np.int64)
-    pair_binds: List[Tuple[int, ...]] = []
     group_meta: List[Tuple[int, Tuple[int, ...], bool]] = []
     group_of: Dict[Tuple, int] = {}
     pair_mask_list = (pairs // stride).tolist()
@@ -173,9 +178,9 @@ def _resolve_pairs(
         if entry is None:
             if len(bind_cache) >= 65536:
                 bind_cache.clear()
-            info = fn_info(fid)
-            bind = _compute_bindings(pair_mask_list[u], history_len, info[2])
-            entry = (bind, (fid,) + bind, info[3])
+            _kernel, arg_types, returns_list = fn_table[fid]
+            bind = _compute_bindings(pair_mask_list[u], history_len, arg_types)
+            entry = (bind, (fid,) + bind, returns_list)
             bind_cache[bind_key] = entry
         bind, group_key, ret_is_list = entry
         gid = group_of.get(group_key)
@@ -185,7 +190,6 @@ def _resolve_pairs(
             group_meta.append((fid, bind, bool(ret_is_list)))
         pair_gid[u] = gid
         pair_ret[u] = 1 if ret_is_list else 0
-        pair_binds.append(bind)
     n_groups = len(group_meta)
     if n_groups > 1:
         order_g = sorted(range(n_groups), key=lambda g: (group_meta[g][0], group_meta[g][1]))
@@ -194,33 +198,7 @@ def _resolve_pairs(
             remap[g] = new_gid
         pair_gid = remap[pair_gid]
         group_meta = [group_meta[g] for g in order_g]
-    return pair_gid, pair_ret, pair_binds, group_meta
-
-
-def _scalar_group(fn, arg_types, returns_list, args, rows: int):
-    """Row-by-row fallback through ``fn.impl`` for non-catalog functions."""
-    decoded = []
-    for arg_type, column in zip(arg_types, args):
-        if arg_type is _INT:
-            decoded.append(column.tolist())
-        else:
-            values, lengths = column
-            block = values.tolist()
-            decoded.append([row[:n] for row, n in zip(block, lengths.tolist())])
-    outputs = [fn.impl(*(column[r] for column in decoded)) for r in range(rows)]
-    if not returns_list:
-        if any(abs(v) > SAFE_INT_BOUND for v in outputs):
-            raise _ColumnarUnsupported(fn.name)
-        return np.array(outputs, dtype=np.int64)
-    if any(abs(v) > SAFE_INT_BOUND for row in outputs for v in row):
-        raise _ColumnarUnsupported(fn.name)
-    width = max((len(row) for row in outputs), default=0)
-    values = np.zeros((rows, width), dtype=np.int64)
-    lengths = np.zeros(rows, dtype=np.int64)
-    for r, row in enumerate(outputs):
-        values[r, : len(row)] = row
-        lengths[r] = len(row)
-    return values, lengths
+    return pair_gid, pair_ret, group_meta
 
 
 def _concat_cols(parts):
@@ -267,12 +245,6 @@ def _compute_bindings(mask: int, history_len: int, arg_types: Tuple[DSLType, ...
             pools[wants_list] = pool & ~(1 << slot)
         bindings.append(slot)
     return tuple(bindings)
-
-
-class _ColumnarUnsupported(Exception):
-    """Raised when a batch cannot be evaluated columnar-exactly (e.g. a
-    scalar-fallback function produced values outside the int64-safe range);
-    the caller reverts to the serial compiled path."""
 
 
 @dataclass
@@ -366,61 +338,30 @@ class TraceColumns:
         cls, programs: Sequence[Program], traces: Sequence[Sequence[ExecutionTrace]]
     ) -> "TraceColumns":
         """Columns of per-program traces (``traces[b][e]``: program ``b``
-        on example ``e``) — the path for whatever the trie cannot serve."""
+        on example ``e``) — the per-program path's packing."""
         return cls.from_steps(
             [program.function_ids for program in programs],
             [[trace.intermediate_outputs for trace in per_example] for per_example in traces],
         )
 
 
-class _SignatureBlock:
-    """The examples of one input type signature, encoded as columns."""
-
-    __slots__ = (
-        "signature",
-        "example_indices",
-        "norm_inputs",
-        "n_inputs",
-        "m",
-        "vector_ok",
-        "columns",
-        "root_mask",
-    )
-
-    def __init__(self, signature: Tuple[DSLType, ...]) -> None:
-        self.signature = signature
-        self.example_indices: List[int] = []
-        self.norm_inputs: List[List[Value]] = []
-        self.n_inputs = len(signature)
-        self.m = 0
-        self.vector_ok = True
-        self.columns: List = []
-        self.root_mask = 0
-        for k, slot_type in enumerate(signature):
-            if slot_type is not _INT:
-                self.root_mask |= 1 << k
-
-    def encode(self) -> None:
-        self.m = len(self.example_indices)
-        for slot, slot_type in enumerate(self.signature):
-            if slot_type is _INT:
-                values = [inputs[slot] for inputs in self.norm_inputs]
-                if any(abs(v) > SAFE_INT_BOUND for v in values):
-                    self.vector_ok = False
-                    return
-                self.columns.append(np.array(values, dtype=np.int64))
-            else:
-                rows = [inputs[slot] for inputs in self.norm_inputs]
-                if any(abs(v) > SAFE_INT_BOUND for row in rows for v in row):
-                    self.vector_ok = False
-                    return
-                width = max((len(row) for row in rows), default=0)
-                values = np.zeros((self.m, width), dtype=np.int64)
-                lengths = np.zeros(self.m, dtype=np.int64)
-                for r, row in enumerate(rows):
-                    values[r, : len(row)] = row
-                    lengths[r] = len(row)
-                self.columns.append((values, lengths))
+def _input_column(values: List[Value]):
+    """One input slot over every example: an ``int64`` vector for ints, a
+    zero-padded ``[examples, width]`` block plus lengths for lists.
+    Raises ``ValueError`` for a value past ``SAFE_INT_BOUND``."""
+    if not isinstance(values[0], list):
+        if any(abs(v) > SAFE_INT_BOUND for v in values):
+            raise ValueError("an input lies past SAFE_INT_BOUND")
+        return np.array(values, dtype=np.int64)
+    if any(abs(v) > SAFE_INT_BOUND for row in values for v in row):
+        raise ValueError("an input lies past SAFE_INT_BOUND")
+    width = max(len(row) for row in values)
+    block = np.zeros((len(values), width), dtype=np.int64)
+    lengths = np.zeros(len(values), dtype=np.int64)
+    for r, row in enumerate(values):
+        block[r, : len(row)] = row
+        lengths[r] = len(row)
+    return block, lengths
 
 
 class _LevelStore:
@@ -431,7 +372,7 @@ class _LevelStore:
     capacity buffer grown geometrically, so a round writes only its own
     rows; rows past ``count`` and cells past a row's length stay zero.
     ``index`` maps each node's packed ``parent * stride + fid`` code to
-    its id, and learns a round's codes only once the round is stored.
+    its id.
     """
 
     __slots__ = (
@@ -497,100 +438,92 @@ class _LevelStore:
         self.count = end
 
 
-class _PersistentTrie(object):
-    """An incremental prefix trie kept alive between ``*_batch`` calls.
+class ColumnarEvaluator:
+    """One persistent prefix trie over one example set and one registry.
 
-    The trie persists per ``(signature block, registry)``: programs
-    already evaluated are answered by a structural-key leaf lookup, and
-    only novel suffixes are inserted and executed.  An insert walks the
-    batch level by level through each level's ``dict`` index, hands the
-    missing codes (sorted) to one execution round, and writes that
-    round's rows into the level's capacity buffers.  Adjacent GA
-    generations overlap heavily (survivors plus a minority of fresh
-    children), so the steady state is a handful of rounds of a few nodes
-    each per generation, and a round costs O(its new nodes).
+    Bound to the *inputs* of an IO specification (outputs play no role in
+    execution) and to ``registry``; :meth:`outputs` and
+    :meth:`trace_columns` accept any batch of that registry's programs.
+    The constructor raises ``ValueError`` when one trie cannot serve: the
+    examples do not share exactly one input type signature, an input lies
+    past ``SAFE_INT_BOUND``, or a registry function has no kernel or an id
+    outside ``[0, 2**20)``.
+
+    The trie stays alive between calls: programs already evaluated are
+    answered by a structural-key leaf lookup, and only novel suffixes are
+    inserted and executed.  An insert walks the batch level by level
+    through each level's ``dict`` index, hands the missing codes (sorted)
+    to one execution round, and writes that round's rows into the level's
+    capacity buffers.  Adjacent GA generations overlap heavily (survivors
+    plus a minority of fresh children), so the steady state is a handful
+    of rounds of a few nodes each per generation, and a round costs O(its
+    new nodes).
 
     Every inserted node is computed (a node dead for this batch may be an
     ancestor of the next batch's leaves, so there is no dead-code
     elimination), and decoded leaf outputs are memoized per node.  Since
     every node's values stay resident, traces are read off the levels
-    too (:meth:`gather`): a program's steps are its leaf and the leaf's
-    ancestors, so a population the solution check already inserted
-    yields its trace columns without executing anything.
+    too: a program's steps are its leaf and the leaf's ancestors, so a
+    population the solution check already inserted yields its trace
+    columns without executing anything.  Past ``TRIE_NODE_BUDGET``
+    resident nodes the trie is dropped after the call; the next batch
+    rebuilds it incrementally from empty.
     """
 
     def __init__(
-        self,
-        block: _SignatureBlock,
-        registry: FunctionRegistry,
-        fn_table: Dict[int, _FnInfo],
-        bind_cache: Dict,
-        stats: KernelStats,
+        self, example_inputs: Sequence[Sequence[Value]], registry: FunctionRegistry = REGISTRY
     ) -> None:
-        fids = [fn.fid for fn in registry.functions]
-        max_fid = max(fids, default=0)
-        if max_fid >= _MAX_PACKED_FID or min(fids, default=0) < 0:
-            raise _ColumnarUnsupported("function ids outside packed-code range")
-        self.block = block
-        self.registry = registry
-        self.fn_table = fn_table
-        self.bind_cache = bind_cache
-        self.stats = stats
-        self.stride = max_fid + 1
-        self.m = block.m
-        self.levels: List[_LevelStore] = []
-        self.node_count = 0
+        fn_table, bind_cache = _tables_for(registry)
+        if fn_table is None:
+            raise ValueError("a registry function has no kernel or an id outside [0, 2**20)")
+        norm_inputs = [normalize_inputs(inputs) for inputs in example_inputs]
+        signatures = {input_signature(inputs) for inputs in norm_inputs}
+        if len(signatures) != 1:
+            raise ValueError("the examples need exactly one input signature")
+        (signature,) = signatures
+        self.m = len(norm_inputs)
+        self.n_inputs = len(signature)
+        self.root_mask = sum(1 << k for k, slot_type in enumerate(signature) if slot_type is not _INT)
+        self.columns = [
+            _input_column([inputs[slot] for inputs in norm_inputs]) for slot in range(self.n_inputs)
+        ]
+        self.stride = max(fn_table) + 1
+        self._fn_table = fn_table
+        self._bind_cache = bind_cache
+        self._stats = KernelStats()
         self._erange = np.arange(self.m, dtype=np.int64)
         self._tiles: Dict[int, tuple] = {}
+        self._empty_trie()
+
+    def _empty_trie(self) -> None:
+        self.levels: List[_LevelStore] = []
+        self.node_count = 0
         #: ``program.function_ids`` -> leaf node id (the structural key)
         self._leaves: Dict[Tuple[int, ...], int] = {}
         #: ``(level, node)`` -> decoded per-example outputs
         self._leaf_memo: Dict[Tuple[int, int], list] = {}
 
-    def _fn_info(self, fid: int) -> _FnInfo:
-        return _fn_info_of(fid, self.registry, self.fn_table)
-
-    # -- evaluation ----------------------------------------------------
-    def outputs(self, programs: Sequence[Program]) -> List[list]:
-        """Final outputs ``[program][block-local example]``; inserts any
-        program not yet resident before decoding all of them in bulk."""
-        m = self.m
-        n = len(programs)
-        results: List[Optional[list]] = [None] * n
+    # ------------------------------------------------------------------
+    def outputs(self, programs: Sequence[Program]) -> List[List[Value]]:
+        """Final outputs, ``[program][example]``; inserts any program not
+        yet resident before decoding all of them in bulk."""
+        self._admit(programs)
         leaves = self._leaves
-        stats = self.stats
-        stats.leaf_lookups += n
-        novel: List[int] = []
-        for i, program in enumerate(programs):
-            fids = program.function_ids
-            if not fids:
-                stats.leaf_hits += 1
-                results[i] = [_DEFAULT_INT] * m
-            elif fids in leaves:
-                stats.leaf_hits += 1
-            else:
-                novel.append(i)
-        if novel:
-            self._insert([programs[i] for i in novel])
-        pending = [
-            (i, programs[i].function_ids) for i in range(n) if results[i] is None
-        ]
         memo = self._leaf_memo
-        need: Dict[Tuple[int, int], None] = {}
-        for _i, fids in pending:
-            key = (len(fids) - 1, leaves[fids])
-            if key not in memo:
-                need[key] = None
+        keys = [
+            (len(p.function_ids) - 1, leaves[p.function_ids]) if p.function_ids else None
+            for p in programs
+        ]
+        need = {key: None for key in keys if key is not None and key not in memo}
         if need:
             self._bulk_decode(list(need))
-        for i, fids in pending:
-            results[i] = list(memo[(len(fids) - 1, leaves[fids])])
+        results = [list(memo[key]) if key is not None else [_DEFAULT_INT] * self.m for key in keys]
+        self._enforce_budget()
         return results
 
-    def gather(self, programs: Sequence[Program]) -> Tuple[np.ndarray, np.ndarray]:
-        """The :class:`TraceColumns` ``(values, sizes)`` of every program
-        over the block-local examples; inserts any program not yet
-        resident first.
+    def trace_columns(self, programs: Sequence[Program]) -> TraceColumns:
+        """Every program's trace on every example, as :class:`TraceColumns`;
+        inserts any program not yet resident first.
 
         Each length group walks ``parent`` up from its leaves, reading one
         level per step.  A node's cells in the other kind's columns are
@@ -598,22 +531,15 @@ class _PersistentTrie(object):
         a step's first cell is ``list_vals + int_vals`` and its size
         ``lens + (not is_list)`` without masking.
         """
+        self._admit(programs)
         m = self.m
         n = len(programs)
         leaves = self._leaves
-        stats = self.stats
-        stats.leaf_lookups += n
-        novel: List[Program] = []
-        for program in programs:
-            fids = program.function_ids
-            if fids and fids not in leaves:
-                novel.append(program)
-            else:
-                stats.leaf_hits += 1
-        if novel:
-            self._insert(novel)
         lengths = np.fromiter((len(p.function_ids) for p in programs), dtype=np.int64, count=n)
         max_len = int(lengths.max(initial=0))
+        fids = np.zeros((n, max_len), dtype=np.int64)
+        for i, program in enumerate(programs):
+            fids[i, : len(program.function_ids)] = program.function_ids
         leaf_ids = np.fromiter(
             (leaves[p.function_ids] if p.function_ids else -1 for p in programs),
             dtype=np.int64,
@@ -642,7 +568,28 @@ class _PersistentTrie(object):
                 if w:
                     values[members, :, j, :w] = level.list_vals[rows, :w].reshape(-1, m, w)
                 values[members, :, j, 0] += level.int_vals[rows].reshape(-1, m)
-        return values, sizes
+        self._enforce_budget()
+        return TraceColumns(fids, lengths, values, sizes)
+
+    def stats(self) -> dict:
+        """Kernel + trie telemetry accumulated over this evaluator's life."""
+        return self._stats.snapshot()
+
+    # ------------------------------------------------------------------
+    def _admit(self, programs: Sequence[Program]) -> None:
+        """Count the batch's leaf lookups and insert every non-empty
+        program not yet resident."""
+        leaves = self._leaves
+        novel = [p for p in programs if p.function_ids and p.function_ids not in leaves]
+        self._stats.leaf_lookups += len(programs)
+        self._stats.leaf_hits += len(programs) - len(novel)
+        if novel:
+            self._insert(novel)
+
+    def _enforce_budget(self) -> None:
+        if self.node_count > TRIE_NODE_BUDGET:
+            self._stats.trie_evictions += 1
+            self._empty_trie()
 
     def _insert(self, programs: Sequence[Program]) -> None:
         """Insert every (non-empty) program's missing nodes, level by level.
@@ -653,8 +600,6 @@ class _PersistentTrie(object):
         """
         seqs = [p.function_ids for p in programs]
         stride = self.stride
-        if min(map(min, seqs)) < 0 or max(map(max, seqs)) >= stride:
-            raise _ColumnarUnsupported("function id outside the registry stride")
         levels = self.levels
         leaves = self._leaves
         prev = [0] * len(seqs)
@@ -682,20 +627,20 @@ class _PersistentTrie(object):
 
     def _insert_nodes(self, j: int, level: _LevelStore, new_codes: np.ndarray) -> None:
         stride = self.stride
-        block = self.block
         m = self.m
-        stats = self.stats
+        stats = self._stats
+        fn_table = self._fn_table
         parent_u = new_codes // stride
         fid_u = new_codes % stride
         if j == 0:
-            parent_masks = np.full(len(new_codes), block.root_mask, dtype=np.int64)
+            parent_masks = np.full(len(new_codes), self.root_mask, dtype=np.int64)
         else:
             parent_masks = self.levels[j - 1].masks[parent_u]
-        history_len = block.n_inputs + j
+        history_len = self.n_inputs + j
         pair_codes = parent_masks * stride + fid_u
         pairs, pair_inv = np.unique(pair_codes, return_inverse=True)
-        pair_gid, pair_ret, _pair_binds, group_meta = _resolve_pairs(
-            pairs, stride, history_len, self._fn_info, self.bind_cache
+        pair_gid, pair_ret, group_meta = _resolve_pairs(
+            pairs, stride, history_len, fn_table, self._bind_cache
         )
         gids = pair_gid[pair_inv]
         count = len(new_codes)
@@ -706,10 +651,9 @@ class _PersistentTrie(object):
         n_groups = len(group_meta)
         bounds_list = np.bincount(gids, minlength=n_groups).cumsum().tolist()
 
-        # execute every group of the round; all payloads are staged before
-        # anything is appended, so a scalar-fallback overflow leaves the
-        # persistent levels exactly as they were (the caller then retires
-        # this trie and reverts the block to the compiled path)
+        # execute every group of the round (consecutive groups of one
+        # function fused into one dispatch), then store the round's rows
+        # with one capacity check
         anc_cache: Dict[int, np.ndarray] = {}
         src_cols: Dict[Tuple[int, bool], object] = {}
         payloads = []
@@ -718,11 +662,10 @@ class _PersistentTrie(object):
         start = 0
         while gid < n_groups:
             fid = group_meta[gid][0]
-            fn, kernel, arg_types, returns_list = self._fn_info(fid)
+            kernel, arg_types, returns_list = fn_table[fid]
             stop = gid + 1
-            if kernel is not None:
-                while stop < n_groups and group_meta[stop][0] == fid:
-                    stop += 1
+            while stop < n_groups and group_meta[stop][0] == fid:
+                stop += 1
             span_args: List[list] = []
             s = start
             for g in range(gid, stop):
@@ -735,9 +678,7 @@ class _PersistentTrie(object):
                 )
                 s = e
             end = bounds_list[stop - 1]
-            if kernel is None:
-                payload = _scalar_group(fn, arg_types, returns_list, span_args[0], (end - start) * m)
-            elif stop - gid == 1:
+            if stop - gid == 1:
                 payload = kernel(*span_args[0])
             else:
                 payload = kernel(*[_concat_cols(cols) for cols in zip(*span_args)])
@@ -771,7 +712,7 @@ class _PersistentTrie(object):
             if arg_type is _INT:
                 return np.zeros(g * m, dtype=np.int64)
             return (np.zeros((g * m, 0), dtype=np.int64), np.zeros(g * m, dtype=np.int64))
-        n_inputs = self.block.n_inputs
+        n_inputs = self.n_inputs
         if binding < n_inputs:
             tile = self._tile(binding, end)
             if len(tile) == 3:
@@ -804,7 +745,7 @@ class _PersistentTrie(object):
         entry = self._tiles.get(slot)
         if entry is None or entry[0] < min_prefixes:
             capacity = min_prefixes if entry is None else max(min_prefixes, entry[0] * 2)
-            column = self.block.columns[slot]
+            column = self.columns[slot]
             if isinstance(column, tuple):
                 values, lengths = column
                 entry = (capacity, np.tile(values, (capacity, 1)), np.tile(lengths, capacity))
@@ -843,191 +784,6 @@ class _PersistentTrie(object):
                     ]
 
 
-class ColumnarEvaluator:
-    """Evaluates batches of programs against one example set, columnar.
-
-    One instance is bound to the *inputs* of an IO specification (outputs
-    play no role in execution); :meth:`outputs` and :meth:`trace_columns`
-    accept any batch of programs.  Examples are grouped by input type
-    signature and each group is evaluated as its own prefix trie.
-
-    Both keep a :class:`_PersistentTrie` alive per ``(signature block,
-    registry)`` between calls, so repeated batches pay only for their
-    novel program suffixes, and a trace request for programs the solution
-    check already evaluated executes nothing.  The tries are invalidated
-    by :meth:`invalidate` (the inputs changed — in practice a new
-    evaluator is built instead), retired when a registry object is
-    swapped for the same key, and swept once ``trie_node_budget``
-    resident nodes are exceeded.  Where no trie can serve, outputs and
-    traces both fall back to per-program compiled runs.
-    """
-
-    def __init__(
-        self,
-        example_inputs: Sequence[Sequence[Value]],
-        trie_node_budget: int = 200_000,
-    ) -> None:
-        self.n_examples = len(example_inputs)
-        self.trie_node_budget = trie_node_budget
-        self._stats = KernelStats()
-        #: ``(block index, id(registry))`` -> (pinned registry, trie).  The
-        #: pinned reference keeps the id stable while the entry lives; a
-        #: ``None`` trie marks a combination that proved unsupported
-        #: mid-insert and stays on the compiled path.
-        self._tries: Dict[Tuple[int, int], Tuple[FunctionRegistry, Optional["_PersistentTrie"]]] = {}
-        blocks: "OrderedDict[Tuple[DSLType, ...], _SignatureBlock]" = OrderedDict()
-        for e, inputs in enumerate(example_inputs):
-            norm = normalize_inputs(inputs)
-            signature = input_signature(norm)
-            block = blocks.get(signature)
-            if block is None:
-                block = _SignatureBlock(signature)
-                blocks[signature] = block
-            block.example_indices.append(e)
-            block.norm_inputs.append(norm)
-        self.blocks = list(blocks.values())
-        for block in self.blocks:
-            block.encode()
-
-    # ------------------------------------------------------------------
-    def outputs(self, programs: Sequence[Program]) -> List[List[Value]]:
-        """Final outputs, ``[program][example]`` in original example order."""
-        results: List[List] = [[None] * self.n_examples for _ in programs]
-        for registry, indices, part in self._partitions(programs):
-            for block_idx, block in enumerate(self.blocks):
-                per_program = self._block_outputs(block_idx, block, part, registry)
-                # single-block fast path: block-local example order IS the
-                # global order, so results rows can be assigned wholesale
-                direct = block.m == self.n_examples
-                for i, per_example in zip(indices, per_program):
-                    if direct:
-                        results[i] = per_example  # freshly allocated per program
-                    else:
-                        for local_e, e in enumerate(block.example_indices):
-                            results[i][e] = per_example[local_e]
-        return results
-
-    def trace_columns(self, programs: Sequence[Program]) -> TraceColumns:
-        """Every program's trace on every example, as :class:`TraceColumns`
-        (examples in original order)."""
-        n = len(programs)
-        max_len = max((len(p.function_ids) for p in programs), default=0)
-        fids = np.zeros((n, max_len), dtype=np.int64)
-        lengths = np.zeros(n, dtype=np.int64)
-        for i, program in enumerate(programs):
-            seq = program.function_ids
-            fids[i, : len(seq)] = seq
-            lengths[i] = len(seq)
-        pieces = []
-        for registry, indices, part in self._partitions(programs):
-            for block_idx, block in enumerate(self.blocks):
-                got = self._trie_call(block_idx, block, registry, lambda trie: trie.gather(part))
-                if got is None:
-                    traces = [
-                        [compiled.run(inputs, trace=True) for inputs in block.norm_inputs]
-                        for compiled in (compile_program(p, block.signature) for p in part)
-                    ]
-                    cols = TraceColumns.from_traces(part, traces)
-                    got = (cols.values, cols.sizes)
-                pieces.append((indices, block.example_indices, got))
-        if len(pieces) == 1:
-            # one registry and one signature block: already in program and
-            # example order
-            values, sizes = pieces[0][2]
-            return TraceColumns(fids, lengths, values, sizes)
-        # scatter every (registry, block) piece back into program and
-        # example order
-        width = max((got[0].shape[3] for _, _, got in pieces), default=0)
-        values = np.zeros((n, self.n_examples, max_len, width), dtype=np.int64)
-        sizes = np.zeros((n, self.n_examples, max_len), dtype=np.int64)
-        for indices, examples, (part_values, part_sizes) in pieces:
-            rows = np.asarray(indices, dtype=np.int64)[:, None]
-            cols = np.asarray(examples, dtype=np.int64)[None, :]
-            steps, cells = part_values.shape[2], part_values.shape[3]
-            values[rows, cols, :steps, :cells] = part_values
-            sizes[rows, cols, :steps] = part_sizes
-        return TraceColumns(fids, lengths, values, sizes)
-
-    def stats(self) -> dict:
-        """Kernel + trie telemetry accumulated over this evaluator's life."""
-        return self._stats.snapshot()
-
-    def invalidate(self) -> None:
-        """Drop every persistent trie (e.g. the registry contents changed
-        in place); the next batch rebuilds incrementally from empty."""
-        if self._tries:
-            self._stats.trie_evictions += len(self._tries)
-            self._tries.clear()
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _partitions(programs: Sequence[Program]):
-        """``(registry, indices, programs)`` per registry: programs from
-        different registries never share a trie (equal fids would alias
-        different functions)."""
-        partitions: "OrderedDict[int, List[int]]" = OrderedDict()
-        for i, program in enumerate(programs):
-            partitions.setdefault(id(program.registry), []).append(i)
-        for indices in partitions.values():
-            yield programs[indices[0]].registry, indices, [programs[i] for i in indices]
-
-    def _trie_for(
-        self, block_idx: int, block, registry, fn_table, bind_cache
-    ) -> Optional["_PersistentTrie"]:
-        key = (block_idx, id(registry))
-        entry = self._tries.get(key)
-        if entry is not None and entry[0] is registry:
-            return entry[1]
-        # entry[0] is not registry: the id was reused after the pinned
-        # registry was dropped by a sweep — treat as a registry swap
-        try:
-            trie = _PersistentTrie(block, registry, fn_table, bind_cache, self._stats)
-        except _ColumnarUnsupported:
-            trie = None
-        if key not in self._tries and len(self._tries) >= 8:
-            # bounded sweep: distinct registries churning through one
-            # evaluator (cross-registry batches are rare; keep it simple)
-            self._stats.trie_evictions += len(self._tries)
-            self._tries.clear()
-        self._tries[key] = (registry, trie)
-        return trie
-
-    def _trie_call(self, block_idx: int, block: _SignatureBlock, registry, call):
-        """``call(trie)`` on the block's persistent trie, or None when no
-        trie can serve: the block's inputs leave the int64-safe range,
-        the registry is unsupported, or an insert overflowed the safe
-        range mid-round (which disables the combination for good)."""
-        if not block.vector_ok:
-            return None
-        _registry, fn_table, bind_cache = _tables_for(registry)
-        trie = self._trie_for(block_idx, block, registry, fn_table, bind_cache)
-        if trie is None:
-            return None
-        key = (block_idx, id(registry))
-        try:
-            result = call(trie)
-        except _ColumnarUnsupported:
-            self._tries[key] = (registry, None)
-            return None
-        if trie.node_count > self.trie_node_budget:
-            # size-bounded eviction: drop the trie; the next batch
-            # rebuilds incrementally from empty
-            self._stats.trie_evictions += 1
-            del self._tries[key]
-        return result
-
-    def _block_outputs(self, block_idx, block, part, registry) -> List[list]:
-        """Final outputs of ``part`` per block-local example: from the
-        persistent trie, else compiled one by one."""
-        got = self._trie_call(block_idx, block, registry, lambda trie: trie.outputs(part))
-        if got is not None:
-            return got
-        return [
-            [compiled.output(inputs) for inputs in block.norm_inputs]
-            for compiled in (compile_program(p, block.signature) for p in part)
-        ]
-
-
 class BatchExecutionEngine(ExecutionEngine):
     """An :class:`ExecutionEngine` whose population methods run columnar.
 
@@ -1038,7 +794,17 @@ class BatchExecutionEngine(ExecutionEngine):
     and the results are stored back so every cache tier, snapshot and
     sibling consumer observes exactly what a serial run would have
     produced.  ``traces_batch`` returns :class:`TraceColumns` read off the
-    same persistent tries and caches nothing.
+    same persistent trie and caches nothing.
+
+    One :class:`ColumnarEvaluator` per IO set serves a batch when every
+    example has the same input signature, every input lies within
+    ``SAFE_INT_BOUND``, every registry function has a kernel and an id in
+    ``[0, 2**20)``, and the batch has a single registry.  The engine
+    decides once per IO set and registry.  Everything else runs on the
+    inherited per-program path: outputs through ``_execute_output`` (the
+    path single-program batches always take), traces through
+    :meth:`ExecutionEngine.traces_batch`, which caches them like the
+    scalar engine does.
 
     Batch results are value- and trace-identical to the scalar engine's
     plain loops; only cache *counter* trajectories may differ (a
@@ -1052,9 +818,13 @@ class BatchExecutionEngine(ExecutionEngine):
     #: program is answered by the evaluation cache above them.
     MAX_EVALUATORS = 4
 
-    def __init__(self, cache: Optional[EvaluationCache] = None, compiled: bool = True) -> None:
-        super().__init__(cache=cache, compiled=compiled)
-        self._evaluators: "OrderedDict[Tuple, ColumnarEvaluator]" = OrderedDict()
+    def __init__(self, cache: Optional[EvaluationCache] = None) -> None:
+        super().__init__(cache=cache)
+        #: ``io_key -> (registry, evaluator)``; a None evaluator marks an
+        #: IO set and registry no trie can serve
+        self._evaluators: "OrderedDict[Tuple, Tuple[FunctionRegistry, Optional[ColumnarEvaluator]]]" = (
+            OrderedDict()
+        )
         #: the counters of evicted evaluators, so kernel_stats() only grows
         self._evicted_stats = KernelStats()
         #: batches answered entirely from cache, short-circuited before
@@ -1068,36 +838,52 @@ class BatchExecutionEngine(ExecutionEngine):
         ``batch_full_hits`` counter."""
         totals = KernelStats()
         totals.add(self._evicted_stats)
-        for evaluator in self._evaluators.values():
-            totals.add(evaluator._stats)
+        for _registry, evaluator in self._evaluators.values():
+            if evaluator is not None:
+                totals.add(evaluator._stats)
         snapshot = totals.snapshot()
         snapshot["batch_full_hits"] = self.batch_full_hits
         return snapshot
 
-    def _evaluator_for(self, io_set: IOSet, io_key: Tuple) -> ColumnarEvaluator:
-        evaluator = self._evaluators.get(io_key)
-        if evaluator is None:
-            evaluator = ColumnarEvaluator([example.inputs for example in io_set])
-            if len(self._evaluators) >= self.MAX_EVALUATORS:
-                _key, evicted = self._evaluators.popitem(last=False)
-                self._evicted_stats.add(evicted._stats)
-            self._evaluators[io_key] = evaluator
-        else:
-            self._evaluators.move_to_end(io_key)
+    def _evaluator_for(
+        self, programs: Sequence[Program], io_set: IOSet, io_key: Tuple
+    ) -> Optional[ColumnarEvaluator]:
+        """The evaluator serving ``programs`` on ``io_set``, or None when no
+        trie can (see the class docstring)."""
+        registry = programs[0].registry
+        if any(program.registry is not registry for program in programs):
+            return None
+        evaluators = self._evaluators
+        entry = evaluators.get(io_key)
+        if entry is not None and entry[0] is registry:
+            evaluators.move_to_end(io_key)
+            return entry[1]
+        if entry is not None:
+            # a registry swap: the IO set's evaluator follows the new registry
+            self._retire(evaluators.pop(io_key))
+        elif len(evaluators) >= self.MAX_EVALUATORS:
+            self._retire(evaluators.popitem(last=False)[1])
+        try:
+            evaluator: Optional[ColumnarEvaluator] = ColumnarEvaluator(
+                [example.inputs for example in io_set], registry
+            )
+        except ValueError:
+            evaluator = None
+        evaluators[io_key] = (registry, evaluator)
         return evaluator
 
+    def _retire(self, entry: Tuple[FunctionRegistry, Optional[ColumnarEvaluator]]) -> None:
+        if entry[1] is not None:
+            self._evicted_stats.add(entry[1]._stats)
+
     def _batch_outputs(self, programs: List[Program], io_set: IOSet, io_key: Tuple) -> List[List[Value]]:
-        if not self.compiled:
-            # reference-interpreter engines are the cross-check control:
-            # keep them on the exact reference path, example by example
+        evaluator = self._evaluator_for(programs, io_set, io_key) if len(programs) > 1 else None
+        if evaluator is None:
             return [
                 [self._execute_output(program, example.inputs) for example in io_set]
                 for program in programs
             ]
-        if len(programs) == 1:
-            program = programs[0]
-            return [[self._execute_output(program, example.inputs) for example in io_set]]
-        return self._evaluator_for(io_set, io_key).outputs(programs)
+        return evaluator.outputs(programs)
 
     # ------------------------------------------------------------------
     def outputs_batch(
@@ -1163,13 +949,14 @@ class BatchExecutionEngine(ExecutionEngine):
         checked population executes nothing.  Nothing is stored in the
         evaluation cache: regathering is a few array reads, and the
         fitness layer memoizes its predicted scores above this call.
+        Where no trie can serve, the inherited per-program method answers
+        (and caches its traces, as the scalar engine does).
         """
-        if not self.compiled:
-            # reference-interpreter engines are the cross-check control:
-            # keep them on the exact (per-program cached) reference path
-            return super().traces_batch(programs, io_set, io_key=io_key)
         resolved = self.io_key(io_set) if io_key is None else io_key
-        return self._evaluator_for(io_set, resolved).trace_columns(programs)
+        evaluator = self._evaluator_for(programs, io_set, resolved) if programs else None
+        if evaluator is None:
+            return super().traces_batch(programs, io_set, io_key=resolved)
+        return evaluator.trace_columns(programs)
 
     def satisfies_batch(
         self, programs: Sequence[Program], io_set: IOSet, io_key: Optional[Tuple] = None

@@ -128,10 +128,7 @@ def _result_signature(job):
 
 class TestFaultPlan:
     def test_parse_round_trip(self):
-        plan = FaultPlan.parse(
-            "worker_start:crash:job-1#0;l3_append:truncate::2:3", seed=7
-        )
-        assert plan.seed == 7
+        plan = FaultPlan.parse("worker_start:crash:job-1#0;l3_append:truncate::2:3")
         assert plan.faults[0] == Fault("worker_start", "crash", "job-1:0", 1, 1)
         assert plan.faults[1] == Fault("l3_append", "truncate", "", 2, 3)
 
@@ -221,17 +218,16 @@ class TestServiceConfigValidation:
 class TestRetrySchedule:
     def test_backoff_doubles_up_to_the_cap_whatever_the_seeds(self):
         """Retry ``a`` waits ``min(retry_backoff * 2**(a-1), RETRY_BACKOFF_MAX)``:
-        no jitter, so neither the session seed nor the fault-plan seed
-        moves it."""
+        no jitter, so the session seed does not move it."""
         expected = [
             min(0.05 * 2 ** (attempt - 1), repro.config.RETRY_BACKOFF_MAX)
             for attempt in range(1, 9)
         ]
         assert expected[-1] == repro.config.RETRY_BACKOFF_MAX  # the cap binds
-        for seed, plan_seed in [(0, 0), (7, 0), (0, 11), (123, 45)]:
+        for seed in (0, 7, 123):
             pool = supervisor.WorkerSupervisor(
                 1,
-                ServiceConfig(retry_backoff=0.05, fault_plan=FaultPlan(seed=plan_seed)),
+                ServiceConfig(retry_backoff=0.05, fault_plan=FaultPlan()),
                 seed=seed,
                 payload=None,
             )

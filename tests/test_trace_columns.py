@@ -26,8 +26,10 @@ from repro.fitness import FeatureEncoder, LearnedTraceFitness
 from repro.fitness import functions as fitness_functions
 from repro.fitness.features import sample_from_execution
 
-#: engine shapes ``traces_batch`` must serve identically
-ENGINES = ("columnar", "columnar-no-trie", "reference")
+#: engine shapes ``traces_batch`` must serve identically; the batch engine
+#: serves an IO set of one input signature from its trie and one of two
+#: signatures on its per-program path
+ENGINES = ("columnar", "reference")
 
 
 def _reference_samples(programs, io_set):
@@ -39,20 +41,11 @@ def _reference_samples(programs, io_set):
 
 
 def _columns(engine_kind, programs, io_set, check_first):
-    engine = BatchExecutionEngine(compiled=engine_kind != "reference")
+    engine = BatchExecutionEngine() if engine_kind == "columnar" else ExecutionEngine(compiled=False)
     if check_first:
         # the scoring order of a GA generation: solution check, then traces
         engine.satisfies_batch(programs, io_set)
-    if engine_kind != "columnar-no-trie":
-        return engine.traces_batch(programs, io_set)
-
-    def unsupported(self, programs):
-        raise vectorized._ColumnarUnsupported("disabled for the test")
-
-    # the trie gives up mid-call: the evaluator retires it and builds the
-    # columns from per-program compiled traces instead
-    with mock.patch.object(vectorized._PersistentTrie, "gather", unsupported):
-        return engine.traces_batch(programs, io_set)
+    return engine.traces_batch(programs, io_set)
 
 
 def _assert_same_arrays(got, want):
@@ -131,6 +124,8 @@ _WIDE_INPUTS = [
     IOExample(inputs=([],), output=0),
     IOExample(inputs=(-900, [5, -5, 255, 256]), output=[]),
 ]
+#: the first two examples share one input signature, so a trie serves them
+_ONE_SIGNATURE = _WIDE_INPUTS[:2]
 #: lengths 1-5, int steps (COUNT, SUM) mixed with list steps, values
 #: past +-255 (raw inputs, SCANL1(*) products), empty lists on example 1
 _PROGRAMS = [
@@ -153,13 +148,14 @@ def test_fixed_cases_match_the_oracle(engine_kind, fixed):
         pad_value_width=5 if fixed else None,
         pad_program_length=7 if fixed else None,
     )
-    columns = _columns(engine_kind, _PROGRAMS, _WIDE_INPUTS, check_first=True)
-    samples = _reference_samples(_PROGRAMS, _WIDE_INPUTS)
-    io = encoder.encode_io_batch([_WIDE_INPUTS])
-    for rows in (list(range(len(_PROGRAMS))), [2], [4, 4], [0, 3]):
-        got = encoder.encode_trace_batch(columns.take(rows), io)
-        want = encoder_oracle.encode_trace_batch(encoder, [samples[i] for i in rows])
-        _assert_same_arrays(got, want)
+    for io_set in (_WIDE_INPUTS, _ONE_SIGNATURE):
+        columns = _columns(engine_kind, _PROGRAMS, io_set, check_first=True)
+        samples = _reference_samples(_PROGRAMS, io_set)
+        io = encoder.encode_io_batch([io_set])
+        for rows in (list(range(len(_PROGRAMS))), [2], [4, 4], [0, 3]):
+            got = encoder.encode_trace_batch(columns.take(rows), io)
+            want = encoder_oracle.encode_trace_batch(encoder, [samples[i] for i in rows])
+            _assert_same_arrays(got, want)
 
 
 def test_sample_batches_match_the_oracle(tiny_trace_samples):

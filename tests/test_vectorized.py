@@ -2,10 +2,11 @@
 
 The load-bearing properties:
 
-* the vectorized evaluator is value- and trace-identical to the compiled
-  and reference-interpreter paths on random populations (shared
-  prefixes, mixed signatures, empty programs, default-argument steps) —
-  checked by hand-rolled sweeps and a hypothesis property test;
+* the vectorized evaluator, and the batch engine around it, are value-
+  and trace-identical to the compiled and reference-interpreter paths on
+  random populations (shared prefixes, mixed signatures, empty programs,
+  default-argument steps) — checked by hand-rolled sweeps and a
+  hypothesis property test;
 * :class:`BatchExecutionEngine` feeds the same cache namespaces with the
   same values as the serial engine, so every tier and snapshot observes
   identical state;
@@ -13,13 +14,15 @@ The load-bearing properties:
   per-candidate control (``tests/controls.py``), serially and through
   the parallel runner;
 * non-catalog registries (0-ary and 3-ary functions) execute correctly
-  through both the compiled hot path and the columnar scalar fallback,
-  and whatever the trie cannot serve (fids outside the packed range,
-  inputs past the int64-safe bound, a scalar fallback overflowing it)
-  runs compiled with reference-equal outputs and traces;
+  through the compiled hot path, and whatever the trie cannot serve
+  (examples of two signatures, inputs past the int64-safe bound,
+  registries without kernels or with fids outside the packed range)
+  takes the batch engine's per-program path with the reference engine's
+  outputs, traces and verdicts and no kernel dispatch;
 * persistent tries grown by many small GA-shaped rounds equal a cold
-  rebuild, and the engine's bounded evaluator set keeps verdicts and
-  cumulative kernel counters across evictions;
+  rebuild, a registry swap rebuilds the IO set's trie, and the engine's
+  bounded evaluator set keeps verdicts and cumulative kernel counters
+  across evictions;
 * on the throughput benchmark's reduced workload, the columnar engine
   dispatches fewer kernels than the per-candidate path runs programs, and
   a warm trie inserts fewer nodes than cold rebuilds (the benchmark's
@@ -46,7 +49,7 @@ from repro.execution import (
     ColumnarEvaluator,
     EvaluationCache,
     ExecutionEngine,
-    TraceColumns,
+    vectorized,
 )
 
 INT, LIST = DSLType.INT, DSLType.LIST
@@ -84,14 +87,29 @@ def _assert_columns_match(columns, population, traces):
                 assert not row[size:].any()
 
 
-def _assert_same_columns(columns, population, example_inputs):
-    """``columns`` equal the reference traces packed as columns, which
-    saturate ints beyond ``SAFE_INT_BOUND``."""
-    want = TraceColumns.from_traces(
-        population, [_reference_traces(p, example_inputs) for p in population]
-    )
+def _io_set(example_inputs, target):
+    """Examples whose outputs are ``target``'s, so some verdicts are True."""
+    reference = Interpreter(trace=False, compiled=False)
+    return [
+        IOExample(inputs=tuple(inputs), output=reference.output_of(target, inputs))
+        for inputs in example_inputs
+    ]
+
+
+def _assert_engine_matches_reference(population, io_set):
+    """A cache-less :class:`BatchExecutionEngine` gives ``population`` the
+    outputs, verdicts and trace columns (which saturate ints beyond
+    ``SAFE_INT_BOUND``) of ``ExecutionEngine(compiled=False)``; returns
+    the batch engine."""
+    reference = ExecutionEngine(cache=EvaluationCache(max_entries=0), compiled=False)
+    engine = BatchExecutionEngine(cache=EvaluationCache(max_entries=0))
+    assert engine.outputs_batch(population, io_set) == reference.outputs_batch(population, io_set)
+    assert engine.satisfies_batch(population, io_set) == reference.satisfies_batch(population, io_set)
+    got = engine.traces_batch(population, io_set)
+    want = reference.traces_batch(population, io_set)
     for name in ("fids", "lengths", "values", "sizes"):
-        np.testing.assert_array_equal(getattr(columns, name), getattr(want, name), err_msg=name)
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    return engine
 
 
 def _population(rng: np.random.Generator, size: int, alphabet=None) -> list:
@@ -131,8 +149,8 @@ class TestColumnarEvaluator:
         _assert_columns_match(columns, population, reference)
 
     def test_mixed_signatures_split_into_blocks(self):
-        # one evaluator, examples of different input signatures: each
-        # signature group becomes its own trie and results interleave back
+        # examples of two input signatures: no single trie serves them, so
+        # the engine answers every batch on its per-program path
         example_inputs = [
             [[3, 1, 2]],
             [5, [4, 4]],
@@ -141,10 +159,10 @@ class TestColumnarEvaluator:
         ]
         rng = np.random.default_rng(13)
         population = _population(rng, 20)
-        evaluator = ColumnarEvaluator(example_inputs)
-        batch = evaluator.outputs(population)
-        for program, got in zip(population, batch):
-            assert got == _reference_outputs(program, example_inputs)
+        with pytest.raises(ValueError):
+            ColumnarEvaluator(example_inputs)
+        engine = _assert_engine_matches_reference(population, _io_set(example_inputs, population[0]))
+        assert engine.kernel_stats()["dispatch_count"] == 0
 
     def test_empty_programs_and_empty_lists(self):
         example_inputs = [[[1, 2, 3]], [[]]]
@@ -189,17 +207,20 @@ class TestColumnarEvaluator:
                 label="population",
             )
         ]
-        evaluator = ColumnarEvaluator(example_inputs)
-        outputs = evaluator.outputs(population)
+        # through the engine: one trie when the examples share a signature,
+        # the per-program path when they do not
+        engine = BatchExecutionEngine(cache=EvaluationCache(max_entries=0))
+        io_set = _io_set(example_inputs, population[0])
+        outputs = engine.outputs_batch(population, io_set)
         for program, out in zip(population, outputs):
-            assert out == _reference_outputs(program, example_inputs)
+            assert list(out) == _reference_outputs(program, example_inputs)
             compiled_out = [
                 compile_program(program, input_signature(inputs)).output(inputs)
                 for inputs in example_inputs
             ]
-            assert out == compiled_out
+            assert list(out) == compiled_out
         reference = [_reference_traces(program, example_inputs) for program in population]
-        _assert_columns_match(evaluator.trace_columns(population), population, reference)
+        _assert_columns_match(engine.traces_batch(population, io_set), population, reference)
 
 
 class TestBatchExecutionEngine:
@@ -212,22 +233,26 @@ class TestBatchExecutionEngine:
         return examples
 
     def test_batch_results_equal_serial(self):
-        """Both engines' batch methods equal the scalar engine's
-        per-program results, compiled and on the reference interpreter."""
+        """The batch engine's and the scalar engines' batch methods equal
+        the per-program results of the reference interpreter."""
         rng = np.random.default_rng(17)
         io_set = self._io_set()
         population = _population(rng, 30)
-        for compiled in (True, False):
-            serial = ExecutionEngine(cache=EvaluationCache(max_entries=0), compiled=compiled)
-            batch = BatchExecutionEngine(cache=EvaluationCache(max_entries=0), compiled=compiled)
-            expected_outputs = [serial.outputs(p, io_set) for p in population]
-            expected_verdicts = [serial.satisfies(p, io_set) for p in population]
-            reference = [serial.traces(program, io_set) for program in population]
-            for engine in (serial, batch):
-                assert engine.outputs_batch(population, io_set) == expected_outputs
-                assert engine.satisfies_batch(population, io_set) == expected_verdicts
-                columns = engine.traces_batch(population, io_set)
-                _assert_columns_match(columns, population, reference)
+        serial = ExecutionEngine(cache=EvaluationCache(max_entries=0), compiled=False)
+        expected_outputs = [serial.outputs(p, io_set) for p in population]
+        expected_verdicts = [serial.satisfies(p, io_set) for p in population]
+        reference = [serial.traces(program, io_set) for program in population]
+        engines = (
+            serial,
+            ExecutionEngine(cache=EvaluationCache(max_entries=0)),
+            BatchExecutionEngine(cache=EvaluationCache(max_entries=0)),
+        )
+        for engine in engines:
+            assert engine.outputs_batch(population, io_set) == expected_outputs
+            assert engine.satisfies_batch(population, io_set) == expected_verdicts
+            columns = engine.traces_batch(population, io_set)
+            _assert_columns_match(columns, population, reference)
+        assert engines[-1].kernel_stats()["dispatch_count"] > 0
 
     def test_batch_fills_the_same_cache_namespaces(self):
         rng = np.random.default_rng(19)
@@ -317,23 +342,23 @@ class TestNonCatalogRegistries:
             assert compiled.output(inputs) == reference.output_of(program, inputs)
 
     def test_vectorized_scalar_fallback_matches_reference(self):
-        registry = self._registry()
-        io_examples = [
-            IOExample(inputs=([2, 5, -3, 8],), output=0),
-            IOExample(inputs=([1],), output=0),
+        # registries whose functions have no kernel get no trie; the engine
+        # runs them per program, including a constant past the int64-safe
+        # range
+        big = FunctionRegistry([
+            DSLFunction(1, "BIG", (), INT, lambda: 2 ** 40),
+            DSLFunction(2, "DBL", (LIST,), LIST, lambda xs: [2 * v for v in xs]),
+            DSLFunction(3, "LEN", (LIST,), INT, lambda xs: len(xs)),
+        ])
+        cases = [
+            (self._registry(), [[2, 5, -3, 8]], [[1]], ([1], [2], [1, 2], [3, 2, 1], [1, 1, 2, 3], [])),
+            (big, [[1, 2, 3]], [[4, -5]], ([1], [2, 1], [2, 3], [2], [2, 2, 3], [3])),
         ]
-        population = [
-            Program(fids, registry=registry)
-            for fids in ([1], [2], [1, 2], [3, 2, 1], [1, 1, 2, 3], [])
-        ]
-        engine = BatchExecutionEngine(cache=EvaluationCache(max_entries=0))
-        outputs = engine.outputs_batch(population, io_examples)
-        reference = Interpreter(trace=False, compiled=False)
-        for program, got in zip(population, outputs):
-            expected = tuple(
-                reference.output_of(program, example.inputs) for example in io_examples
-            )
-            assert tuple(got) == expected
+        for registry, *example_inputs, fid_lists in cases:
+            population = [Program(fids, registry=registry) for fids in fid_lists]
+            io_set = _io_set(example_inputs, population[1])
+            engine = _assert_engine_matches_reference(population, io_set)
+            assert engine.kernel_stats()["dispatch_count"] == 0
 
     @pytest.mark.parametrize("odd_fid", [-1, 2 ** 20])
     def test_negative_function_ids_take_the_compiled_path(self, odd_fid):
@@ -352,51 +377,40 @@ class TestNonCatalogRegistries:
             for fids in ([2, odd_fid, 3], [2, 3], [odd_fid], [3, odd_fid, odd_fid])
         ]
         in_range = [Program(fids, registry=registry) for fids in ([2, 3], [3, 2, 2], [3])]
-        evaluator = ColumnarEvaluator(example_inputs)
-        assert evaluator.outputs([population[0]]) == [[[-6, -4, -2], [10, -8]]]
+        io_set = _io_set(example_inputs, population[1])
+        engine = BatchExecutionEngine(cache=EvaluationCache(max_entries=0))
+        assert engine.outputs_batch([population[0]], io_set) == [([-6, -4, -2], [10, -8])]
         for batch in (population, in_range):
-            assert evaluator.outputs(batch) == [
-                _reference_outputs(p, example_inputs) for p in batch
-            ]
+            checked = _assert_engine_matches_reference(batch, io_set)
             _assert_columns_match(
-                evaluator.trace_columns(batch),
+                checked.traces_batch(batch, io_set),
                 batch,
                 [_reference_traces(p, example_inputs) for p in batch],
             )
-        assert evaluator.stats()["dispatch_count"] == 0
+            assert checked.kernel_stats()["dispatch_count"] == 0
 
-    def test_scalar_fallback_overflow_retires_the_trie(self):
-        # a non-catalog function whose scalar fallback leaves the int64-safe
-        # range: the insert raises mid-round, the (block, registry) trie is
-        # retired for good, and every later batch runs compiled
-        registry = FunctionRegistry([
-            DSLFunction(1, "BIG", (), INT, lambda: 2 ** 40),
-            DSLFunction(2, "DBL", (LIST,), LIST, lambda xs: [2 * v for v in xs]),
-            DSLFunction(3, "LEN", (LIST,), INT, lambda xs: len(xs)),
-        ])
-        example_inputs = [[[1, 2, 3]], [[4, -5]]]
-        with_big = [Program(fids, registry=registry) for fids in ([1], [2, 1], [2, 3])]
-        without_big = [Program(fids, registry=registry) for fids in ([2], [2, 2, 3], [3])]
-        evaluator = ColumnarEvaluator(example_inputs)
-        for batch in (with_big, with_big + without_big, without_big):
-            assert evaluator.outputs(batch) == [
-                _reference_outputs(p, example_inputs) for p in batch
-            ]
-            _assert_same_columns(evaluator.trace_columns(batch), batch, example_inputs)
-        assert evaluator._tries[(0, id(registry))][1] is None
+    def test_mixed_registries_take_the_per_program_path(self):
+        # equal fids name different functions in the two registries, so a
+        # batch mixing them cannot share one trie (the fid sequences differ:
+        # the engine dedups a batch by fid sequence)
+        custom = self._registry()
+        example_inputs = [[[4, -9, 12, 3]], [[7]]]
+        population = [Program(fids) for fids in ([1], [2, 3], [3, 3])] + [
+            Program(fids, registry=custom) for fids in ([3, 1, 2], [2, 2], [1, 3], [2])
+        ]
+        engine = _assert_engine_matches_reference(population, _io_set(example_inputs, population[2]))
+        assert engine.kernel_stats()["dispatch_count"] == 0
 
     def test_inputs_past_the_safe_bound_take_the_compiled_path(self):
-        # an input the int64 columns cannot hold exactly marks the whole
-        # signature block unvectorizable: no trie, no dispatch
+        # an input the int64 columns cannot hold exactly: no trie serves
+        # the IO set, so no kernel is dispatched
         example_inputs = [[[SAFE_INT_BOUND + 1, 2, -3]], [[4, -(2 ** 40)]]]
         rng = np.random.default_rng(37)
         population = _population(rng, 20)
-        evaluator = ColumnarEvaluator(example_inputs)
-        assert evaluator.outputs(population) == [
-            _reference_outputs(p, example_inputs) for p in population
-        ]
-        _assert_same_columns(evaluator.trace_columns(population), population, example_inputs)
-        assert evaluator.stats()["dispatch_count"] == 0
+        with pytest.raises(ValueError):
+            ColumnarEvaluator(example_inputs)
+        engine = _assert_engine_matches_reference(population, _io_set(example_inputs, population[0]))
+        assert engine.kernel_stats()["dispatch_count"] == 0
 
 
 class TestVectorizedBitIdentity:
@@ -424,6 +438,45 @@ class TestVectorizedBitIdentity:
         assert fast.average_fitness_history == control.average_fitness_history
         assert fast.best_fitness_history == control.best_fitness_history
 
+    @pytest.mark.parametrize("method", ["edit", "netsyn_cf"])
+    def test_input_past_the_safe_bound_solves_like_the_scalar_engine(
+        self, method, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_task
+    ):
+        # a served task may carry any int (protocol.task_from_wire): an
+        # input no int64 column can hold sends the IO set to the batch
+        # engine's per-program path, which must run the scalar engine's job
+        from controls import ScalarNetSynBackend
+        from repro.core.netsyn import NetSynBackend
+        from repro.ga.budget import SearchBudget
+
+        first, *rest = tiny_task.io_set
+        inputs = list(first.inputs)
+        inputs[0] = [2 ** 64] + inputs[0][1:] if isinstance(inputs[0], list) else 2 ** 64
+        output = Interpreter(trace=False, compiled=False).output_of(tiny_task.target, inputs)
+        io_set = [IOExample(inputs=tuple(inputs), output=output)] + rest
+        if method == "edit":
+            config = tiny_netsyn_config.replace(fitness_kind="edit", fp_guided_mutation=False)
+            trace = None
+        else:
+            config, trace = tiny_netsyn_config, tiny_trace_artifacts
+        runs = []
+        for backend_class in (NetSynBackend, ScalarNetSynBackend):
+            backend = backend_class(config).set_models(trace_artifacts=trace, fp_artifacts=tiny_fp_artifacts)
+            result = backend.solve_io(
+                io_set, target=tiny_task.target, budget=SearchBudget(limit=600), seed=1
+            )
+            runs.append((backend, result))
+        (batch_backend, fast), (_scalar_backend, control) = runs
+        assert fast.generations > 0
+        assert fast.found == control.found
+        assert fast.program == control.program
+        assert fast.found_by == control.found_by
+        assert fast.generations == control.generations
+        assert fast.candidates_used == control.candidates_used
+        assert fast.average_fitness_history == control.average_fitness_history
+        assert fast.best_fitness_history == control.best_fitness_history
+        assert batch_backend._executor().kernel_stats()["dispatch_count"] == 0
+
     def test_parallel_equals_serial_with_vectorization(self):
         from repro.config import ExperimentConfig
         from repro.evaluation.runner import EvaluationRunner
@@ -447,8 +500,8 @@ class TestVectorizedBitIdentity:
 
 
 class TestPersistentTrie:
-    """Incremental tries: warm results identical to cold, explicit
-    invalidation, registry swaps, and budget-bounded eviction."""
+    """Incremental tries: warm results identical to cold, registry swaps,
+    and budget-bounded eviction."""
 
     def _inputs(self, seed=3, m=4):
         rng = np.random.default_rng(seed)
@@ -485,42 +538,42 @@ class TestPersistentTrie:
         assert stats["trie_leaf_hits"] >= len(population)
         assert stats["reuse_ratio"] > 0
 
-    def test_invalidate_drops_tries_and_stays_correct(self):
-        example_inputs = self._inputs(seed=17)
-        evaluator = ColumnarEvaluator(example_inputs)
-        population = _population(np.random.default_rng(5), 25)
-        first = evaluator.outputs(population)
-        evaluator.invalidate()
-        stats = evaluator.stats()
-        assert stats["trie_evictions"] > 0
-        assert evaluator.outputs(population) == first
-
     def test_registry_swap_rebuilds_the_trie(self):
         example_inputs = [[[4, 5, 6]], [[1]]]
-        evaluator = ColumnarEvaluator(example_inputs)
+        io_set = [IOExample(inputs=tuple(inputs), output=0) for inputs in example_inputs]
+        # no cache: program keys are fid sequences, so every batch must
+        # reach the engine's evaluator
+        engine = BatchExecutionEngine(cache=EvaluationCache(max_entries=0))
         reverse = REGISTRY.by_name("REVERSE").fid
         sort = REGISTRY.by_name("SORT").fid
         population = [Program([reverse]), Program([reverse, sort]), Program([sort])]
-        assert evaluator.outputs(population) == [
-            _reference_outputs(p, example_inputs) for p in population
-        ]
-        # same fids resolved against a different registry object: the
-        # (block, registry) key changes, so results follow the new registry
+
+        def check(batch):
+            assert engine.outputs_batch(batch, io_set) == [
+                tuple(_reference_outputs(p, example_inputs)) for p in batch
+            ]
+            return engine.kernel_stats()["trie_nodes_inserted"]
+
+        assert check(population) == 3
+        # same fids resolved against a different registry object without
+        # kernels: results follow the new registry, on the per-program path
         doubled = FunctionRegistry([
             DSLFunction(reverse, "R2", (LIST,), LIST, lambda xs: list(xs) + list(xs)),
             DSLFunction(sort, "S2", (LIST,), LIST, lambda xs: sorted(xs, reverse=True)),
         ])
         swapped = [Program(p.function_ids, registry=doubled) for p in population]
-        expected = [_reference_outputs(p, example_inputs) for p in swapped]
-        assert evaluator.outputs(swapped) == expected
-        # and the original registry's trie still answers correctly
-        assert evaluator.outputs(population) == [
-            _reference_outputs(p, example_inputs) for p in population
-        ]
+        assert check(swapped) == 3
+        # a servable registry object (a catalog subset) gets a trie of its
+        # own, and swapping back rebuilds the original registry's trie
+        subset = FunctionRegistry([REGISTRY.by_id(reverse), REGISTRY.by_id(sort)])
+        assert check([Program(p.function_ids, registry=subset) for p in population]) == 6
+        assert check(population) == 9
+        assert len(engine._evaluators) == 1
 
-    def test_small_node_budget_evicts_and_rebuilds(self):
+    def test_small_node_budget_evicts_and_rebuilds(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "TRIE_NODE_BUDGET", 40)
         example_inputs = self._inputs(seed=29)
-        evaluator = ColumnarEvaluator(example_inputs, trie_node_budget=40)
+        evaluator = ColumnarEvaluator(example_inputs)
         rng = np.random.default_rng(41)
         for _round in range(5):
             population = _population(rng, 25)
@@ -553,12 +606,16 @@ class TestPersistentTrie:
             ),
             label="generations",
         )
-        warm = ColumnarEvaluator(example_inputs)
+        # through cache-less engines: one trie when the examples share a
+        # signature, the per-program path when they do not
+        io_set = [IOExample(inputs=tuple(inputs), output=0) for inputs in example_inputs]
+        warm = BatchExecutionEngine(cache=EvaluationCache(max_entries=0))
         for fids_list in program_lists:
             generation = [Program(fids) for fids in fids_list]
-            incremental = warm.outputs(generation)
-            cold = ColumnarEvaluator(example_inputs).outputs(generation)
+            incremental = warm.outputs_batch(generation, io_set)
+            cold = BatchExecutionEngine(cache=EvaluationCache(max_entries=0)).outputs_batch(generation, io_set)
             assert incremental == cold
+            assert incremental == [tuple(_reference_outputs(p, example_inputs)) for p in generation]
 
     @settings(max_examples=15, deadline=None)
     @given(st.data())
@@ -621,16 +678,15 @@ class TestPersistentTrie:
             for program in batch:
                 seq = program.function_ids
                 prefixes.update(seq[: k + 1] for k in range(len(seq)))
-            (trie,) = [trie for _registry, trie in warm._tries.values()]
-            widths.append(trie.levels[0].list_vals.shape[1])
+            widths.append(warm.levels[0].list_vals.shape[1])
         # the scenario under test happened: level 0 stored only zero-width
         # lists until the first wide round, which widened its buffer
         first_wide = phases.index("wide")
         assert widths[first_wide - 1] == 0 < widths[first_wide]
         stats = warm.stats()
         assert stats["trie_evictions"] == 0
-        # one trie per signature block, each holding every distinct prefix once
-        assert stats["trie_nodes_inserted"] == len(prefixes) * len(warm.blocks)
+        # one trie, holding every distinct prefix once
+        assert stats["trie_nodes_inserted"] == len(prefixes)
 
 
 class TestEvaluatorBound:
