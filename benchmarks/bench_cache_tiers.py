@@ -34,9 +34,10 @@ ROUNDS = 8
 
 
 def _entries(start: int, count: int) -> list:
-    """Synthetic structural score entries shaped like the real ones."""
+    """Synthetic predicted-score entries shaped like the real ones."""
     return [
-        (((start + i, 7, 3, 1), ((1, 2, 3), (4, 5, 6))), float(start + i) / 7.0)
+        (("score:nnff_cf:netsyn", ((start + i, 7, 3, 1), ((1, 2, 3), (4, 5, 6)))),
+         float(start + i) / 7.0)
         for i in range(count)
     ]
 
@@ -79,7 +80,7 @@ def test_l3_append_vs_whole_file_rewrite():
         for round_index in range(ROUNDS):
             accumulated += _entries(N_ENTRIES + round_index * dirty, dirty)
             _legacy_rewrite(
-                legacy_dir, store, {"netsyn_cf:None": {"scores": accumulated}}
+                legacy_dir, store, {"netsyn_cf:None": {"evaluation": accumulated}}
             )
         legacy_elapsed = (time.perf_counter() - start) / ROUNDS
 
@@ -87,13 +88,13 @@ def test_l3_append_vs_whole_file_rewrite():
         # (threshold kept above ROUNDS so compaction is timed separately)
         log_dir = workdir / "log"
         log_dir.mkdir()
-        store.save_caches(log_dir, {"netsyn_cf:None": {"scores": base}})
+        store.save_caches(log_dir, {"netsyn_cf:None": {"evaluation": base}})
         start = time.perf_counter()
         for round_index in range(ROUNDS):
             delta = _entries(N_ENTRIES + round_index * dirty, dirty)
             store.save_caches(
                 log_dir,
-                {"netsyn_cf:None": {"scores": delta}},
+                {"netsyn_cf:None": {"evaluation": delta}},
                 compact_threshold=ROUNDS + 2,
             )
         append_elapsed = (time.perf_counter() - start) / ROUNDS
@@ -105,7 +106,7 @@ def test_l3_append_vs_whole_file_rewrite():
 
         # the log still reloads to the same contents the rewrite holds
         merged = store.load_caches(log_dir)
-        assert len(merged["netsyn_cf:None"]["scores"]) == N_ENTRIES + ROUNDS * dirty
+        assert len(merged["netsyn_cf:None"]["evaluation"]) == N_ENTRIES + ROUNDS * dirty
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -347,9 +347,9 @@ def test_warm_trie_throughput_vs_cold_columnar():
     """Generation-persistent trie vs a cold columnar rebuild per generation.
 
     The warm strategy keeps ONE engine (evaluation cache disabled, so
-    every hit is the trie/leaf-memo's, never the value cache's) alive
+    every hit is the trie's, never the value cache's) alive
     across an island run's successive generations: recurring survivors
-    resolve through the leaf memo and children only insert their novel
+    resolve through the resident trie and children only insert their novel
     suffixes.  The cold strategy rebuilds a fresh columnar engine per
     generation — the pre-incremental behaviour.  Interleaved rounds,
     gated on the best per-round ratio (:func:`_round_ratio`), as in the

@@ -179,13 +179,7 @@ FITNESS_KINDS = ("cf", "lcs", "fp", "edit", "oracle_cf", "oracle_lcs")
 
 @dataclass
 class NetSynConfig:
-    """Complete configuration of a NetSyn synthesizer.
-
-    Two bounded memos sit above execution: predicted NN-FF scores
-    (``score_cache_size``) and FP probability maps (``map_cache_size``).
-    Traces need none: NN-FF scoring encodes them straight from the
-    execution engine's step columns.
-    """
+    """Complete configuration of a NetSyn synthesizer."""
 
     #: which fitness function drives the GA: "cf", "lcs", "fp" (learned),
     #: "edit" (output edit distance) or "oracle_cf"/"oracle_lcs" (upper bound)
@@ -197,10 +191,6 @@ class NetSynConfig:
     #: use the function-probability map to guide mutation (MutationFP)
     fp_guided_mutation: bool = True
     seed: int = 0
-    #: capacity of the predicted-score LRU (per fitness kind)
-    score_cache_size: int = 100_000
-    #: capacity of the FP probability-map LRU (one small vector per spec)
-    map_cache_size: int = 512
 
     dsl: DSLConfig = field(default_factory=DSLConfig)
     ga: GAConfig = field(default_factory=GAConfig)
@@ -215,8 +205,6 @@ class NetSynConfig:
             raise ValueError("program_length must be positive")
         if self.max_search_space <= 0:
             raise ValueError("max_search_space must be positive")
-        if min(self.score_cache_size, self.map_cache_size) < 0:
-            raise ValueError("cache sizes must be non-negative")
         self.dsl.validate()
         self.ga.validate()
         self.neighborhood.validate()

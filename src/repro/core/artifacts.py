@@ -558,8 +558,8 @@ class ArtifactStore:
 
         Per snapshot key and section the entry lists are concatenated in
         append order, so when a later segment re-writes a key its entry
-        comes last — exactly what the LRU load path wants (later entries
-        overwrite earlier ones and end up most recent).  One segment is
+        comes last — exactly what the bounded load wants (it keeps each
+        key's last occurrence, so later entries overwrite earlier ones).  One segment is
         unpickled at a time.  Missing or corrupt segments are skipped
         (reported through ``on_skip(file_name, status)``): they cost
         their entries, never the load.  Entries are not deduplicated

@@ -22,7 +22,7 @@ method and program length over a shared artifact store.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.config import NetSynConfig
 from repro.core.backend import SynthesisBackend
@@ -32,12 +32,7 @@ from repro.data.tasks import SynthesisTask
 from repro.dsl.equivalence import IOSet
 from repro.dsl.program import Program
 from repro.events import ProgressListener
-from repro.execution import (
-    BatchExecutionEngine,
-    ExecutionEngine,
-    LRUCache,
-    ScoreCache,
-)
+from repro.execution import BatchExecutionEngine, ExecutionEngine
 from repro.execution.engine import _NS_OUTPUTS, _NS_SOLUTIONS
 from repro.fitness.base import FitnessFunction
 from repro.fitness.functions import (
@@ -45,6 +40,8 @@ from repro.fitness.functions import (
     LearnedTraceFitness,
     OracleFitness,
     ProbabilityMapFitness,
+    probability_map_namespace,
+    trace_score_namespace,
 )
 from repro.ga.budget import SearchBudget
 from repro.ga.engine import GeneticAlgorithm
@@ -56,10 +53,10 @@ from repro.utils.timing import Stopwatch
 
 logger = get_logger("core.netsyn")
 
-#: evaluation-cache namespaces exported in snapshots: outputs and solution
-#: verdicts are compact; execution traces dominate the bytes and re-derive
-#: in one execution, so they stay behind
-_EXPORT_NAMESPACES = (_NS_OUTPUTS, _NS_SOLUTIONS)
+#: the model tag of the fitness memos' namespaces: a backend drops its
+#: cache whenever its models change, so a constant (process-stable) tag
+#: lets snapshots cross worker boundaries
+_CACHE_TAG = "netsyn"
 
 
 class NetSynBackend(SynthesisBackend):
@@ -73,12 +70,12 @@ class NetSynBackend(SynthesisBackend):
         self._trace_artifacts: Optional[Phase1Artifacts] = None
         self._fp_artifacts: Optional[Phase1Artifacts] = None
         self._fitted = False
-        # Long-lived memo state shared across this backend's runs: every
-        # cached value is a deterministic function of (program, io_set),
-        # so reuse across jobs cannot change results, only skip work.
+        # Long-lived memo state shared across this backend's runs: one
+        # execution engine whose cache also holds the fitness memos.  Every
+        # cached value is a deterministic function of (program, io_set)
+        # under the bound models, so reuse across jobs cannot change
+        # results, only skip work.
         self._shared_executor: Optional[ExecutionEngine] = None
-        self._score_cache: Optional[ScoreCache] = None
-        self._map_cache: Optional[LRUCache] = None
 
     # ------------------------------------------------------------------
     @property
@@ -154,16 +151,14 @@ class NetSynBackend(SynthesisBackend):
 
     # ------------------------------------------------------------------
     def _reset_memo_caches(self) -> None:
-        """Drop every backend-lifetime memo when the models change.
+        """Drop the backend-lifetime cache when the models change.
 
-        Cached predicted scores, probability maps and the fp score entries
-        living in the shared executor are functions of the *model*, not
-        just of ``(program, io_set)`` — serving them across a refit or
-        rebind would steer the GA with the old model's numbers.
+        Cached predicted scores, probability maps and FP scores are
+        functions of the *model*, not just of ``(program, io_set)`` —
+        serving them across a refit or rebind would steer the GA with the
+        old model's numbers.
         """
         self._shared_executor = None
-        self._score_cache = None
-        self._map_cache = None
 
     def set_models(
         self,
@@ -206,104 +201,64 @@ class NetSynBackend(SynthesisBackend):
             self._shared_executor = self._make_executor()
         return self._shared_executor
 
-    def _nn_score_cache(self) -> ScoreCache:
-        """The backend-lifetime predicted-score cache (built on first use)."""
-        if self._score_cache is None:
-            cfg = self.config
-            self._score_cache = ScoreCache(
-                capacity=cfg.score_cache_size,
-                namespace=f"score:nnff_{cfg.fitness_kind}",
-            )
-        return self._score_cache
-
     # ------------------------------------------------------------------
-    def _memo_sections(self) -> List[Tuple[str, Any, Callable[[bool], list]]]:
-        """The live memo caches as uniform ``(section, cache, export)`` rows.
+    def _export_namespaces(self) -> Tuple[str, ...]:
+        """Cache namespaces a snapshot carries.
 
-        One description drives every snapshot/delta/version operation —
-        the three caches (predicted scores, FP probability maps, compact
-        evaluation entries) used to be handled by three near-identical
-        loops each.  ``export(dirty_only)`` returns the section's
-        picklable entries; every cache also supports ``clear_dirty()``
-        and ``stats.stores``.
+        Outputs and solution verdicts are compact; the predicted scores
+        and probability maps are what make a warm run NN-free.  Execution
+        traces dominate the bytes and re-derive in one execution, and FP
+        and edit scores re-derive from a cached map or outputs, so they
+        stay behind.
         """
-        sections: List[Tuple[str, Any, Callable[[bool], list]]] = []
-        if self._score_cache is not None:
-            score_cache = self._score_cache
-            sections.append((
-                "scores",
-                score_cache,
-                lambda dirty: score_cache.dirty_snapshot() if dirty else score_cache.snapshot(),
-            ))
-        if self._map_cache is not None:
-            map_cache = self._map_cache
-            sections.append((
-                "maps",
-                map_cache,
-                lambda dirty: map_cache.dirty_items() if dirty else map_cache.items(),
-            ))
-        if self._shared_executor is not None:
-            eval_cache = self._shared_executor.cache
-            sections.append((
-                "evaluation",
-                eval_cache,
-                lambda dirty: (
-                    eval_cache.dirty_snapshot(_EXPORT_NAMESPACES) if dirty
-                    else eval_cache.snapshot(_EXPORT_NAMESPACES)
-                ),
-            ))
-        return sections
+        namespaces = (_NS_OUTPUTS, _NS_SOLUTIONS, probability_map_namespace(_CACHE_TAG))
+        if self.needs_trace_model:
+            namespaces += (trace_score_namespace(self.config.fitness_kind, _CACHE_TAG),)
+        return namespaces
 
     def cache_snapshot(self, dirty_only: bool = False) -> Optional[dict]:
-        """Picklable snapshot of this backend's warm memo caches.
+        """Picklable snapshot of this backend's warm cache.
 
-        Exports the predicted-score cache, the FP probability maps (one
-        small vector per specification, keyed by the structural io key —
-        skipping their forward is what makes a warm restart NN-free for
-        known specs) and the compact evaluation entries (outputs and
-        solution verdicts; execution traces stay behind — they dominate
-        the bytes and re-derive in one execution).  All keys are
-        structural, so the snapshot can warm-start the same backend in
-        another process (see ``SynthesisSession.run``).
+        One ``evaluation`` section of ``((namespace, key), value)`` pairs
+        from the exported namespaces (:meth:`_export_namespaces`).  All
+        keys are structural, so the snapshot can warm-start the same
+        backend in another process (see ``SynthesisSession.run``).
 
-        With ``dirty_only`` only entries written since the last
+        With ``dirty_only`` only entries first written since the last
         :meth:`begin_cache_delta` are exported — the per-job merge-back
         payload of a parallel worker (and the parent's per-run L3 log
         segment), bounded by the work actually done rather than by the
         cache capacity.
         """
-        data: dict = {}
-        for section, cache, export in self._memo_sections():
-            if len(cache):
-                entries = export(dirty_only)
-                if entries:
-                    data[section] = entries
-        return data or None
+        if self._shared_executor is None:
+            return None
+        cache = self._shared_executor.cache
+        namespaces = self._export_namespaces()
+        entries = cache.dirty_snapshot(namespaces) if dirty_only else cache.snapshot(namespaces)
+        return {"evaluation": entries} if entries else None
 
     def begin_cache_delta(self) -> None:
         """Open a fresh delta window for :meth:`cache_snapshot(dirty_only=True)`."""
-        for _section, cache, _export in self._memo_sections():
-            cache.clear_dirty()
+        if self._shared_executor is not None:
+            self._shared_executor.cache.clear_dirty()
 
     def load_cache_snapshot(self, data: Optional[dict]) -> None:
-        """Warm-start the memo caches from :meth:`cache_snapshot` output."""
-        if not data:
-            return
-        if "scores" in data:
-            self._nn_score_cache().load_snapshot(data["scores"])
-        if "maps" in data:
-            self._fp_map_cache().load(data["maps"])
-        if "evaluation" in data:
+        """Warm-start the cache from :meth:`cache_snapshot` output.
+
+        Only the ``evaluation`` section is read: the ``scores``/``maps``
+        sections of older cache logs are ignored (a cold start for them).
+        """
+        if data and "evaluation" in data:
             self._executor().cache.load_snapshot(data["evaluation"])
 
     def cache_version(self) -> int:
-        """Monotone count of memo-cache writes (cheap change detection).
+        """Monotone count of cache writes (cheap change detection).
 
         Parallel workers record this before a job and snapshot only when
         it moved, so jobs that added nothing (fully warm runs) ship no
         cache delta back to the parent.
         """
-        return sum(cache.stats.stores for _s, cache, _e in self._memo_sections())
+        return 0 if self._shared_executor is None else self._shared_executor.cache.stats.stores
 
     # ------------------------------------------------------------------
     def build_fitness(
@@ -327,7 +282,7 @@ class NetSynBackend(SynthesisBackend):
                 kind=kind,
                 encoder=self._trace_artifacts.encoder,
                 executor=executor,
-                score_cache=self._nn_score_cache(),
+                cache_tag=_CACHE_TAG,
                 program_length=cfg.program_length,
             )
         if kind == "fp":
@@ -337,8 +292,7 @@ class NetSynBackend(SynthesisBackend):
                 self._fp_artifacts.model,
                 encoder=self._fp_artifacts.encoder,
                 executor=executor,
-                cache_tag="fp",
-                map_cache=self._fp_map_cache(),
+                cache_tag=_CACHE_TAG,
             )
         if kind == "edit":
             return EditDistanceFitness(executor=executor)
@@ -347,12 +301,6 @@ class NetSynBackend(SynthesisBackend):
                 raise ValueError("oracle fitness requires the target program")
             return OracleFitness(target, kind=kind.split("_", 1)[1], executor=executor)
         raise ValueError(f"unknown fitness kind {kind!r}")
-
-    def _fp_map_cache(self) -> LRUCache:
-        """The backend-lifetime probability-map LRU (built on first use)."""
-        if self._map_cache is None:
-            self._map_cache = LRUCache(self.config.map_cache_size)
-        return self._map_cache
 
     def _fp_fitness_for_mutation(
         self, executor: Optional[ExecutionEngine] = None
@@ -363,8 +311,7 @@ class NetSynBackend(SynthesisBackend):
             self._fp_artifacts.model,
             encoder=self._fp_artifacts.encoder,
             executor=executor,
-            cache_tag="fp",
-            map_cache=self._fp_map_cache(),
+            cache_tag=_CACHE_TAG,
         )
 
     # ------------------------------------------------------------------
@@ -506,6 +453,3 @@ class _WithProbabilityMap(FitnessFunction):
 
     def probability_map(self, io_set):
         return self.fp_fitness.probability_map(io_set)
-
-    def cache_stats(self):
-        return self.primary.cache_stats() + self.fp_fitness.cache_stats()

@@ -356,10 +356,10 @@ def _worker_cache_delta(backend: Any, version_before: int) -> Optional[dict]:
     that did work ship only the dirty entries written since the job's
     ``begin_cache_delta()`` window opened.  Both the payload and the
     cost of building it scale with the job's new work, not with the
-    cache size: the caches read their dirty windows without scanning
-    their stores (``EvaluationCache.dirty_snapshot``,
-    ``LRUCache.dirty_items``).  Merging is idempotent: every cached
-    value is a deterministic function of its structural key.
+    cache size: the cache reads its dirty window without scanning its
+    store (``EvaluationCache.dirty_snapshot``).  Merging is idempotent:
+    every cached value is a deterministic function of its structural
+    key.
     """
     if backend is None or backend.cache_version() == version_before:
         return None
@@ -459,19 +459,22 @@ def _worker_payload(session: Any) -> _WorkerPayload:
     """The payload every worker of a new pool for ``session`` is handed.
 
     ``(store, config, snapshots, service_config)``: the session's trained
-    store and config, a snapshot of its backends' score/evaluation caches
-    (structural keys are process-stable), so workers start warm, and its
-    service config without ``artifact_dir`` (a worker's session persists
-    nothing and loads nothing from disk).  The pool keeps it for its
-    whole life, so a replacement worker starts from the same state as
-    the one it replaces.
+    store and config, warm-cache snapshots (structural keys are
+    process-stable), so workers start warm, and its service config
+    without ``artifact_dir`` (a worker's session persists nothing and
+    loads nothing from disk).  The snapshots are the persisted ones the
+    session loaded at open — a reopened session may not have built the
+    backends they belong to yet — each overridden by its built backend's
+    current cache, which holds the persisted entries plus everything
+    computed or merged since.  The pool keeps the payload for its whole
+    life, so a replacement worker starts from the same state as the one
+    it replaces.
     """
-    snapshots = {
-        _snapshot_key(method, length): snapshot
-        for (method, length), backend in session._backends.items()
-        for snapshot in [backend.cache_snapshot()]
-        if snapshot
-    }
+    snapshots = dict(session._cache_snapshots)
+    for (method, length), backend in session._backends.items():
+        snapshot = backend.cache_snapshot()
+        if snapshot:
+            snapshots[_snapshot_key(method, length)] = snapshot
     service_config = dataclasses.replace(session.service_config, artifact_dir=None)
     return (session.store, session.config, snapshots, service_config)
 
@@ -485,13 +488,13 @@ class _TaskCacheRouter:
     """Merged worker deltas, grouped by the task whose entries they hold.
 
     Every entry a job writes is keyed by its task's structural io key —
-    scores by ``(program, io)``, probability maps by ``io``, evaluation
-    entries by ``(namespace, (program, io))`` — so the whole delta of a
-    job belongs to ``(method, program_length, io)`` and can never hit for
-    another task.  A new task is routed nothing; a repeated one gets
+    ``(namespace, (program, io))``, or ``(namespace, io)`` for a
+    probability map — so the whole delta of a job belongs to
+    ``(method, program_length, io)`` and can never hit for another
+    task.  A new task is routed nothing; a repeated one gets
     every entry merged for it since the pool started (older entries
     travelled in the pool's warm snapshot).  At most ``bound`` entries
-    are held — the combined capacity of the caches that receive them —
+    are held — the capacity of the cache that receives them —
     dropping the least recently used task's oldest delta first.
     """
 
@@ -647,14 +650,13 @@ class WorkerSupervisor:
         slots = _FLAG_SLOTS
         while slots < n_jobs:
             slots *= 2
-        config = session.config
         return cls(
             n_workers,
             session.service_config,
-            config.seed,
+            session.config.seed,
             _worker_payload(session),
             slots=slots,
-            route_bound=config.score_cache_size + config.map_cache_size + DEFAULT_MAX_ENTRIES,
+            route_bound=DEFAULT_MAX_ENTRIES,
         )
 
     def serves(self, n_workers: int, n_jobs: int, config: ServiceConfig) -> bool:

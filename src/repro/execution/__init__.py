@@ -17,7 +17,6 @@ from repro.execution.cache import (
 )
 from repro.execution.engine import ExecutionEngine, uncached_engine
 from repro.execution.faults import Fault, FaultInjected, FaultPlan
-from repro.execution.score_cache import LRUCache, ScoreCache
 from repro.execution.vectorized import BatchExecutionEngine, ColumnarEvaluator, TraceColumns
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "Fault",
     "FaultInjected",
     "FaultPlan",
-    "LRUCache",
-    "ScoreCache",
     "TraceColumns",
     "freeze_value",
     "io_set_key",

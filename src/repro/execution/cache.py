@@ -13,8 +13,10 @@ memoizes those executions under **structural** keys so that
   keeps parallel runs reproducible.
 
 The cache is namespaced (``"outputs"``, ``"traces"``, ``"solutions"``,
-``"score:<fitness>"`` …) so independent layers never collide, and bounded:
-when full, the oldest entries are evicted first (insertion order).  A
+and the fitness layer's ``"score:<fitness>…"`` and
+``"probability_map:<tag>"`` memos) so independent layers never collide,
+and bounded: when full, the oldest entries are evicted first (insertion
+order).  A
 ``max_entries`` of 0 disables storage entirely, which is how the
 bit-identical cached-vs-uncached tests construct their baseline.
 """
@@ -66,12 +68,12 @@ def program_key(program: Program) -> Tuple[int, ...]:
 def stage_newest(items, bound: int) -> "OrderedDict[Hashable, Any]":
     """Stream ``(key, value)`` pairs through a ``bound``-sized staging dict.
 
-    The shared engine behind the bounded snapshot-load paths
-    (:meth:`LRUCache.load`, :meth:`EvaluationCache.load_snapshot`):
-    iterating any oldest-first iterable, it keeps only the newest
-    ``bound`` distinct keys — each holding its last value — without ever
-    materializing more than ``bound`` entries, no matter how large the
-    source (e.g. a whole L3 cache log) is.
+    The engine behind the bounded snapshot load
+    (:meth:`EvaluationCache.load_snapshot`): iterating any oldest-first
+    iterable, it keeps only the newest ``bound`` distinct keys — each
+    holding its last value — without ever materializing more than
+    ``bound`` entries, no matter how large the source (e.g. a whole L3
+    cache log) is.
     """
     staged: "OrderedDict[Hashable, Any]" = OrderedDict()
     for key, value in items:

@@ -461,11 +461,10 @@ class ColumnarEvaluator:
 
     Every inserted node is computed (a node dead for this batch may be an
     ancestor of the next batch's leaves, so there is no dead-code
-    elimination), and decoded leaf outputs are memoized per node.  Since
-    every node's values stay resident, traces are read off the levels
-    too: a program's steps are its leaf and the leaf's ancestors, so a
-    population the solution check already inserted yields its trace
-    columns without executing anything.  Past ``TRIE_NODE_BUDGET``
+    elimination).  Since every node's values stay resident, traces are
+    read off the levels too: a program's steps are its leaf and the
+    leaf's ancestors, so a population the solution check already
+    inserted yields its trace columns without executing anything.  Past ``TRIE_NODE_BUDGET``
     resident nodes the trie is dropped after the call; the next batch
     rebuilds it incrementally from empty.
     """
@@ -500,8 +499,6 @@ class ColumnarEvaluator:
         self.node_count = 0
         #: ``program.function_ids`` -> leaf node id (the structural key)
         self._leaves: Dict[Tuple[int, ...], int] = {}
-        #: ``(level, node)`` -> decoded per-example outputs
-        self._leaf_memo: Dict[Tuple[int, int], list] = {}
 
     # ------------------------------------------------------------------
     def outputs(self, programs: Sequence[Program]) -> List[List[Value]]:
@@ -509,15 +506,18 @@ class ColumnarEvaluator:
         yet resident before decoding all of them in bulk."""
         self._admit(programs)
         leaves = self._leaves
-        memo = self._leaf_memo
-        keys = [
-            (len(p.function_ids) - 1, leaves[p.function_ids]) if p.function_ids else None
-            for p in programs
-        ]
-        need = {key: None for key in keys if key is not None and key not in memo}
-        if need:
-            self._bulk_decode(list(need))
-        results = [list(memo[key]) if key is not None else [_DEFAULT_INT] * self.m for key in keys]
+        results: List[List[Value]] = [[] for _ in programs]
+        # level -> (leaf nodes, their positions in ``results``)
+        by_level: Dict[int, Tuple[List[int], List[int]]] = {}
+        for index, program in enumerate(programs):
+            fids = program.function_ids
+            if fids:
+                nodes, positions = by_level.setdefault(len(fids) - 1, ([], []))
+                nodes.append(leaves[fids])
+                positions.append(index)
+            else:
+                results[index] = [_DEFAULT_INT] * self.m
+        self._bulk_decode(by_level, results)
         self._enforce_budget()
         return results
 
@@ -754,32 +754,31 @@ class ColumnarEvaluator:
             self._tiles[slot] = entry
         return entry
 
-    def _bulk_decode(self, keys: List[Tuple[int, int]]) -> None:
+    def _bulk_decode(
+        self, by_level: Dict[int, Tuple[List[int], List[int]]], results: List[List[Value]]
+    ) -> None:
         """Decode the requested leaves to Python lists, one gather and one
-        ``tolist`` per (level, kind), memoized per node."""
+        ``tolist`` per (level, kind), straight into their ``results`` slots."""
         m = self.m
-        memo = self._leaf_memo
-        by_level: Dict[int, List[int]] = {}
-        for j, node in keys:
-            by_level.setdefault(j, []).append(node)
-        for j, nodes in by_level.items():
+        for j, (nodes, positions) in by_level.items():
             level = self.levels[j]
             nodes_arr = np.array(nodes, dtype=np.int64)
+            positions_arr = np.array(positions, dtype=np.int64)
             node_is_list = level.is_list[nodes_arr]
             int_nodes = nodes_arr[~node_is_list]
             list_nodes = nodes_arr[node_is_list]
             if int_nodes.size:
                 rows = (int_nodes[:, None] * m + self._erange).ravel()
                 flat = level.int_vals[rows].tolist()
-                for k, node in enumerate(int_nodes.tolist()):
-                    memo[(j, node)] = flat[k * m : (k + 1) * m]
+                for k, index in enumerate(positions_arr[~node_is_list].tolist()):
+                    results[index] = flat[k * m : (k + 1) * m]
             if list_nodes.size:
                 rows = (list_nodes[:, None] * m + self._erange).ravel()
                 vals = level.list_vals[rows].tolist()
                 lens = level.lens[rows].tolist()
-                for k, node in enumerate(list_nodes.tolist()):
+                for k, index in enumerate(positions_arr[node_is_list].tolist()):
                     base = k * m
-                    memo[(j, node)] = [
+                    results[index] = [
                         row[:ln] for row, ln in zip(vals[base : base + m], lens[base : base + m])
                     ]
 

@@ -56,16 +56,6 @@ class FitnessFunction(abc.ABC):
         scored = [ScoredProgram(p, float(s)) for p, s in zip(programs, scores)]
         return sorted(scored, key=lambda sp: sp.score, reverse=True)
 
-    def cache_stats(self) -> List:
-        """Hit/miss counters of any fitness-layer caches this instance owns.
-
-        Returns a list of :class:`~repro.execution.CacheStats`; the GA
-        engine folds these into the cache counters of every
-        ``generation`` progress event so score/sample memoization is
-        observable alongside the execution cache.
-        """
-        return []
-
     def probability_map(self, io_set: IOSet) -> Optional[np.ndarray]:
         """Function-probability map for this specification, if the fitness
         function can provide one (used by FP-guided mutation); else None."""

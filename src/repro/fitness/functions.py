@@ -19,8 +19,7 @@ import numpy as np
 from repro.dsl.equivalence import IOSet
 from repro.dsl.functions import FunctionRegistry, REGISTRY
 from repro.dsl.program import Program
-from repro.execution import ExecutionEngine, LRUCache, ScoreCache, io_set_key
-from repro.execution.cache import CacheStats
+from repro.execution import ExecutionEngine, program_key
 from repro.fitness.base import FitnessFunction
 # sample_from_execution stays importable here (perfbench/tracing.py times
 # sample assembly under this name); scoring itself encodes trace columns
@@ -34,15 +33,17 @@ from repro.fitness.ideal import (
 )
 from repro.fitness.models import FunctionProbabilityModel, TraceFitnessModel
 
+_MISSING = object()
 
-def _io_set_key(io_set: IOSet) -> Tuple:
-    """Hashable key for an IO specification (used for caching).
 
-    Delegates to the structural :func:`repro.execution.io_set_key`: the
-    key is the frozen content of the examples, not Python's process-salted
-    ``hash()``, so it is stable (and shareable) across worker processes.
-    """
-    return io_set_key(io_set)
+def trace_score_namespace(kind: str, tag) -> str:
+    """Evaluation-cache namespace of one trace model's predicted scores."""
+    return f"score:nnff_{kind}:{tag}"
+
+
+def probability_map_namespace(tag) -> str:
+    """Evaluation-cache namespace of one FP model's probability maps."""
+    return f"probability_map:{tag}"
 
 
 class LearnedTraceFitness(FitnessFunction):
@@ -64,9 +65,12 @@ class LearnedTraceFitness(FitnessFunction):
     so a program's predicted score does not depend on which other genes
     share its batch — which is what makes skipping already-scored genes
     safe.  Elites, reproduced survivors and re-visited neighbors then cost
-    one :class:`~repro.execution.ScoreCache` lookup instead of a forward
-    pass.  ``memoize=False`` restores the historical
-    score-everything-every-generation path (the bit-identity control).
+    one lookup in the executor's
+    :class:`~repro.execution.EvaluationCache` instead of a forward pass.
+    The score namespace is model-specific (``cache_tag`` or the model's
+    ``id``), like :class:`ProbabilityMapFitness`'s.  ``memoize=False``
+    restores the historical score-everything-every-generation path (the
+    bit-identity control).
     """
 
     #: specifications whose encoded IO rows are kept (a run scores one)
@@ -80,8 +84,7 @@ class LearnedTraceFitness(FitnessFunction):
         batch_size: int = 128,
         executor: Optional[ExecutionEngine] = None,
         memoize: bool = True,
-        score_cache: Optional[ScoreCache] = None,
-        score_cache_size: int = 100_000,
+        cache_tag: Optional[str] = None,
         program_length: Optional[int] = None,
     ) -> None:
         if kind not in ("cf", "lcs"):
@@ -92,12 +95,9 @@ class LearnedTraceFitness(FitnessFunction):
         self.batch_size = int(batch_size)
         self.name = f"nnff_{kind}"
         self.executor = executor or ExecutionEngine()
-        self.score_cache: Optional[ScoreCache] = None
+        self.memoize = bool(memoize)
+        self._score_ns = trace_score_namespace(kind, cache_tag or id(self.model))
         if memoize:
-            # explicit None check: an empty cache is falsy (len() == 0)
-            if score_cache is None:
-                score_cache = ScoreCache(capacity=score_cache_size, namespace=f"score:{self.name}")
-            self.score_cache = score_cache
             # Batch-shape invariance: pad value sequences and the step
             # dimension to fixed widths derived from configuration (the
             # encoder's own truncation bound and the run's program
@@ -151,20 +151,32 @@ class LearnedTraceFitness(FitnessFunction):
         if not programs:
             return np.zeros(0)
         io_key = self.executor.io_key(io_set)
-        if self.score_cache is None:
+        if not self.memoize:
             # historical path: forward the entire population every call
             return self._forward(programs, io_set, io_key, False)
-        scores, pending = self.score_cache.partition(programs, io_key)
+        # one lookup per gene; each distinct uncached gene is forwarded
+        # once (in first-occurrence order, so forward batches are
+        # deterministic) and fanned out to every position it holds
+        cache = self.executor.cache
+        namespace = self._score_ns
+        scores = np.zeros(len(programs))
+        pending: Dict[Tuple[int, ...], Tuple[Program, List[int]]] = {}
+        for index, program in enumerate(programs):
+            key = program_key(program)
+            cached = cache.get(namespace, (key, io_key), _MISSING)
+            if cached is not _MISSING:
+                scores[index] = cached
+            elif key in pending:
+                pending[key][1].append(index)
+            else:
+                pending[key] = (program, [index])
         if pending:
             fresh = [program for program, _ in pending.values()]
             values = self._forward(fresh, io_set, io_key, self.batch_size > 1)
             for (key, (_, positions)), value in zip(pending.items(), values):
-                self.score_cache.put_key(key, io_key, value)
+                cache.put(namespace, (key, io_key), float(value))
                 scores[positions] = value
         return scores
-
-    def cache_stats(self) -> List[CacheStats]:
-        return [] if self.score_cache is None else [self.score_cache.stats]
 
     def mutation_scores(self, program: Program, io_set: IOSet) -> Optional[np.ndarray]:
         """Score each position by how much removing confidence it carries.
@@ -191,33 +203,31 @@ class ProbabilityMapFitness(FitnessFunction):
         registry: FunctionRegistry = REGISTRY,
         executor: Optional[ExecutionEngine] = None,
         cache_tag: Optional[str] = None,
-        map_cache: Optional[LRUCache] = None,
-        map_cache_size: int = 512,
     ) -> None:
         self.model = model
         self.encoder = encoder or FeatureEncoder(registry=registry)
         self.registry = registry
         self.name = "nnff_fp"
         self.executor = executor or ExecutionEngine()
-        # score cache namespace is model-specific: executors are shared
-        # across fitness instances, and two FP models must never read
-        # each other's cached scores.  A caller-supplied tag makes the
-        # namespace process-stable, which is what lets cache snapshots
+        # both namespaces are model-specific: executors are shared across
+        # fitness instances, and two FP models must never read each
+        # other's cached scores or maps.  A caller-supplied tag makes the
+        # namespaces process-stable, which is what lets cache snapshots
         # cross worker boundaries (id() is process-local).
-        self._score_ns = f"score:nnff_fp:{cache_tag or id(self.model)}"
-        # probability maps are one small vector per specification, but a
-        # long-lived serving session sees unboundedly many specs — LRU
-        self._cache = map_cache if map_cache is not None else LRUCache(map_cache_size)
+        tag = cache_tag or id(self.model)
+        self._score_ns = f"score:nnff_fp:{tag}"
+        self._map_ns = probability_map_namespace(tag)
 
     # ------------------------------------------------------------------
     def probability_map(self, io_set: IOSet) -> np.ndarray:
-        """The predicted probability map for a specification (LRU-cached)."""
+        """The predicted probability map for a specification (memoized per
+        specification in the executor's cache)."""
         key = self.executor.io_key(io_set)
-        cached = self._cache.get(key, namespace="probability_map")
+        cached = self.executor.cache.get(self._map_ns, key)
         if cached is None:
             batch = self.encoder.encode_io_batch([io_set])
             cached = self.model.predict_probability_map(batch)[0]
-            self._cache.put(key, cached)
+            self.executor.cache.put(self._map_ns, key, cached)
         return cached
 
     def score(self, programs: Sequence[Program], io_set: IOSet) -> np.ndarray:
@@ -233,9 +243,6 @@ class ProbabilityMapFitness(FitnessFunction):
                 self.executor.put_cached(self._score_ns, program, io_key, cached)
             scores[index] = cached
         return scores
-
-    def cache_stats(self) -> List[CacheStats]:
-        return [self._cache.stats]
 
 
 class EditDistanceFitness(FitnessFunction):

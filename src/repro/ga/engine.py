@@ -79,13 +79,9 @@ class GeneticAlgorithm:
 
     # ------------------------------------------------------------------
     def _cache_counters(self) -> Tuple[int, int]:
-        """Combined (hits, misses) of the executor and fitness caches."""
-        hits = self.executor.stats.hits
-        misses = self.executor.stats.misses
-        for stats in self.fitness.cache_stats():
-            hits += stats.hits
-            misses += stats.misses
-        return hits, misses
+        """(hits, misses) of the executor's cache, which also holds the
+        fitness layer's memos (predicted scores, probability maps)."""
+        return self.executor.stats.hits, self.executor.stats.misses
 
     # ------------------------------------------------------------------
     def _admit(
@@ -159,12 +155,11 @@ class GeneticAlgorithm:
         """
         if listener is None:
             return
-        # Fold the fitness layer's own memo counters (score cache, sample
-        # cache, probability maps) into the executor's, so the event's
-        # cache_hit_rate reflects every memoization layer — reported as
-        # deltas since run() started: the engine/score caches persist
-        # across a backend's runs, and cumulative totals would drown the
-        # current run's behaviour in previous runs' traffic.
+        # The executor's cache holds every memoization layer (executions,
+        # predicted scores, probability maps); its counters are reported
+        # as deltas since run() started: the cache persists across a
+        # backend's runs, and cumulative totals would drown the current
+        # run's behaviour in previous runs' traffic.
         hits, misses = self._cache_counters()
         base_hits, base_misses = self._stats_base
         hits -= base_hits

@@ -5,8 +5,9 @@ Every ``| knob | default | meaning |`` table in ``docs/api.md`` and
 Each backticked knob in its first column must be a field of that class,
 and each default written as ``True``/``False``/``None`` must equal the
 field's default — so a removed field or a flipped default cannot leave
-the docs behind.  The ``ServiceConfig`` and ``ServingConfig`` tables
-must also list every field, so a new knob cannot arrive without a row.
+the docs behind.  The ``NetSynConfig``, ``ServiceConfig`` and
+``ServingConfig`` tables must also list every field, so a new knob
+cannot arrive without a row.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ CLASSES = {cls.__name__: cls for cls in (NetSynConfig, ServiceConfig, ServingCon
 CLASS_NAME = re.compile(r"\b(" + "|".join(CLASSES) + r")\b")
 LITERALS = {"True": True, "False": False, "None": None}
 #: classes whose table documents every field
-COMPLETE = ("ServiceConfig", "ServingConfig")
+COMPLETE = ("NetSynConfig", "ServiceConfig", "ServingConfig")
 
 
 def _config_tables(text: str):

@@ -36,7 +36,7 @@ from repro.execution import (
     program_key,
     uncached_engine,
 )
-from repro.fitness.functions import EditDistanceFitness, _io_set_key
+from repro.fitness.functions import EditDistanceFitness
 from repro.ga.engine import GeneticAlgorithm
 from repro.ga.budget import SearchBudget
 from repro.ga.neighborhood import NeighborhoodSearch
@@ -162,10 +162,6 @@ class TestStructuralKeys:
         a = [IOExample(inputs=([1, 2],), output=3)]
         b = [IOExample(inputs=([1, 2],), output=4)]
         assert io_set_key(a) != io_set_key(b)
-
-    def test_fitness_module_key_delegates_to_structural_key(self):
-        spec = [IOExample(inputs=([5, 1],), output=[1, 5])]
-        assert _io_set_key(spec) == io_set_key(spec)
 
     def test_freeze_value(self):
         assert freeze_value([1, 2]) == (1, 2)

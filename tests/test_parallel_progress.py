@@ -627,10 +627,9 @@ class TestPerTaskShipping:
         delta = runs[0][0][1].cache_delta
         assert shipped(repeat_spec) == sum(len(entries) for entries in delta.values()) > 0
         io_key = io_set_key(tasks[0].io_set)
-        for key, _value in repeat_spec[-1]["scores"]:
-            assert key[1] == io_key
-        for (_namespace, (_program, key)), _value in repeat_spec[-1]["evaluation"]:
-            assert key == io_key
+        for (namespace, key), _value in repeat_spec[-1]["evaluation"]:
+            # a probability map is keyed by the spec alone
+            assert (key if namespace.startswith("probability_map:") else key[1]) == io_key
         assert log.of_kind("worker_restarted")
         last = [event for event in repeat.events if event.kind == "generation"][-1]
         assert last.cache_misses == 0

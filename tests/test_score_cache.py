@@ -2,15 +2,16 @@
 
 The contract under test, layer by layer:
 
-* the LRU primitives bound the fitness-layer caches and count traffic;
+* the evaluation cache's bounded loads and delta windows, which carry
+  every memo of a backend (predicted scores and probability maps too);
 * the encoder/model path is batch-shape-invariant — fixed padding widths
   and never-singleton GEMM batches make a program's predicted score
   independent of batch composition, bit for bit;
 * therefore score memoization (forwarding only genuinely new genes) is
   bit-identical to the historical score-everything path, across batch
   sizes, for CF and LCS, cold and warm;
-* elites and survivors hit the score cache in later generations, and the
-  hit/miss counters surface through ``generation`` progress events;
+* elites and survivors hit the score namespace in later generations, and
+  the hit/miss counters surface through ``generation`` progress events;
 * Phase-1 weights attach read-only from a packed mmap segment with
   bit-identical values, and parallel session runs (whose workers get the
   trained store in memory) equal serial runs record for record.
@@ -29,91 +30,35 @@ from repro.core.artifacts import ArtifactStore
 from repro.core.netsyn import NetSynBackend
 from repro.core.service import SynthesisSession
 from repro.events import EventLog
-from repro.execution import LRUCache, ScoreCache, io_set_key
+from repro.execution import EvaluationCache
 from repro.fitness.features import sample_from_execution
-from repro.fitness.functions import LearnedTraceFitness, ProbabilityMapFitness
+from repro.fitness.functions import LearnedTraceFitness, trace_score_namespace
 from repro.ga.budget import SearchBudget
 from repro.ga.operators import GeneOperators
 
 
 # ---------------------------------------------------------------------------
-# LRU primitives
+# the evaluation cache: bounded loads and delta windows
 # ---------------------------------------------------------------------------
 
 
-class TestLRUCache:
-    def test_put_get_and_counters(self):
-        cache = LRUCache(capacity=4)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert cache.get("b") is None
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-
-    def test_capacity_bound_evicts_least_recently_used(self):
-        cache = LRUCache(capacity=3)
-        for key in "abc":
-            cache.put(key, key)
-        cache.get("a")  # refresh "a"; "b" is now least recently used
-        cache.put("d", "d")
-        assert len(cache) == 3
-        assert "b" not in cache
-        assert "a" in cache and "d" in cache
-        assert cache.stats.evictions == 1
-
-    def test_zero_capacity_disables_storage(self):
-        cache = LRUCache(capacity=0)
-        cache.put("a", 1)
-        assert len(cache) == 0 and cache.get("a") is None
-        assert not cache.enabled
-
-    def test_peek_does_not_touch_counters_or_recency(self):
-        cache = LRUCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.peek("a") == 1
-        assert cache.stats.lookups == 0
-        cache.put("c", 3)  # "a" was not refreshed by peek -> evicted first
-        assert "a" not in cache
-
-    def test_snapshot_round_trip(self):
-        cache = LRUCache(capacity=8)
-        for i in range(5):
-            cache.put(("k", i), float(i))
-        other = LRUCache(capacity=8)
-        assert other.load(cache.items()) == 5
-        assert other.peek(("k", 3)) == 3.0
+def _score_counters(backend):
+    """(hits, misses) of a backend's predicted-score namespace so far."""
+    namespace = trace_score_namespace(backend.config.fitness_kind, "netsyn")
+    return backend._executor().cache.stats.by_namespace.get(namespace, (0, 0))
 
 
-class TestScoreCache:
-    def test_partition_separates_hits_and_first_occurrence_pending(self, tiny_task):
-        ops = GeneOperators(program_length=3, rng=np.random.default_rng(0))
-        a, b, c = (ops.random_gene() for _ in range(3))
-        io_key = io_set_key(tiny_task.io_set)
-        cache = ScoreCache(capacity=16)
-        cache.put(a, io_key, 1.5)
-        scores, pending = cache.partition([a, b, c, b, a], io_key)
-        assert scores[0] == 1.5 and scores[4] == 1.5
-        # b and c pending once each, in first-occurrence order, with both
-        # positions of the duplicated b recorded
-        keys = list(pending)
-        assert keys == [b.function_ids, c.function_ids]
-        assert pending[b.function_ids][1] == [1, 3]
-
-    def test_snapshot_round_trip(self, tiny_task):
-        ops = GeneOperators(program_length=3, rng=np.random.default_rng(1))
-        gene = ops.random_gene()
-        io_key = io_set_key(tiny_task.io_set)
-        cache = ScoreCache(capacity=4)
-        cache.put(gene, io_key, 2.25)
-        other = ScoreCache(capacity=4)
-        other.load_snapshot(cache.snapshot())
-        assert other.get(gene, io_key) == 2.25
+def _trace_score_entries(snapshot):
+    """The predicted-score entries of a backend cache snapshot."""
+    return [
+        (full_key, value)
+        for full_key, value in snapshot["evaluation"]
+        if full_key[0].startswith("score:nnff_")
+    ]
 
 
 class TestEvaluationCacheLoadSnapshot:
     def test_retained_count_respects_the_bound(self):
-        from repro.execution import EvaluationCache
-
         small = EvaluationCache(max_entries=4)
         items = [(("ns", i), i) for i in range(10)]
         retained = small.load_snapshot(items)
@@ -123,24 +68,13 @@ class TestEvaluationCacheLoadSnapshot:
 
 
 class TestDirtyDeltaJournals:
-    def test_lru_dirty_window_tracks_only_new_writes(self):
-        cache = LRUCache(capacity=8)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.clear_dirty()
-        assert cache.dirty_items() == []
-        cache.put("c", 3)
-        cache.get("a")  # reads never dirty an entry
-        assert cache.dirty_items() == [("c", 3)]
-
     def test_evaluation_cache_dirty_window_and_namespaces(self):
-        from repro.execution import EvaluationCache
-
         cache = EvaluationCache(max_entries=16)
         cache.put("outputs", "k1", [1])
         cache.clear_dirty()
         cache.put("solutions", "k2", True)
         cache.put("traces", "k3", "heavy")
+        cache.get("outputs", "k1")  # reads never dirty an entry
         assert cache.dirty_snapshot(("outputs", "solutions")) == [(("solutions", "k2"), True)]
         assert len(cache.dirty_snapshot()) == 2
 
@@ -153,21 +87,21 @@ class TestDirtyDeltaJournals:
         backend.begin_cache_delta()
         backend.solve_io(tiny_task.io_set, budget=SearchBudget(limit=600), seed=0)
         first_delta = backend.cache_snapshot(dirty_only=True)
-        assert first_delta and first_delta["scores"]
+        assert first_delta and _trace_score_entries(first_delta)
         # the next job's delta window contains none of the first job's work
         backend.begin_cache_delta()
         backend.solve_io(tiny_suite[0].io_set, budget=SearchBudget(limit=600), seed=0)
-        second_delta = backend.cache_snapshot(dirty_only=True) or {}
-        first_keys = {key for key, _ in first_delta["scores"]}
-        second_keys = {key for key, _ in second_delta.get("scores", [])}
+        second_delta = backend.cache_snapshot(dirty_only=True) or {"evaluation": []}
+        first_keys = {key for key, _ in first_delta["evaluation"]}
+        second_keys = {key for key, _ in second_delta["evaluation"]}
         assert not (first_keys & second_keys)
         # and the full snapshot still carries everything
-        full_keys = {key for key, _ in backend.cache_snapshot()["scores"]}
+        full_keys = {key for key, _ in backend.cache_snapshot()["evaluation"]}
         assert first_keys | second_keys <= full_keys
 
 
 class _ScanOracle:
-    """Oracle for ``dirty_snapshot`` / ``dirty_items``: a full store scan.
+    """Oracle for ``dirty_snapshot``: a full store scan.
 
     Records every key ``put`` since ``clear_dirty`` and answers the delta
     by scanning the whole store in order, keeping the recorded keys.
@@ -177,10 +111,10 @@ class _ScanOracle:
         self.cache = cache
         self.dirty = set()
 
-    def put(self, *args) -> None:
-        self.cache.put(*args)
+    def put(self, namespace, key, value) -> None:
+        self.cache.put(namespace, key, value)
         if self.cache.enabled:
-            self.dirty.add(args[0] if len(args) == 2 else (args[0], args[1]))
+            self.dirty.add((namespace, key))
 
     def clear_dirty(self) -> None:
         self.cache.clear_dirty()
@@ -197,14 +131,9 @@ class _ScanOracle:
             if key in self.dirty and (namespaces is None or key[0] in namespaces)
         ]
 
-    def lru_delta(self):
-        return [(key, value) for key, value in self.cache.items() if key in self.dirty]
-
 
 class TestEvaluationCacheDeltaExport:
     def _cache(self, max_entries):
-        from repro.execution import EvaluationCache
-
         return _ScanOracle(EvaluationCache(max_entries=max_entries))
 
     def _assert_matches(self, oracle):
@@ -268,61 +197,12 @@ class TestEvaluationCacheDeltaExport:
         """The one divergence from the scan: values are deterministic per
         key, so a rewrite stores the value the key already held and the
         receiving cache already has it from an earlier delta."""
-        from repro.execution import EvaluationCache
-
         cache = EvaluationCache(max_entries=16)
         cache.put("outputs", "old", [1, 2])
         cache.clear_dirty()
         cache.put("outputs", "old", [1, 2])
         cache.put("outputs", "new", [3])
         assert cache.dirty_snapshot() == [(("outputs", "new"), [3])]
-
-
-#: LRU operations, weighted towards puts and gets: a small key space
-#: forces rewrites, evictions and re-insertions of keys evicted inside
-#: the window
-_LRU_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["put", "put", "get", "get", "peek", "clear_dirty", "clear"]),
-        st.integers(min_value=0, max_value=9),
-    ),
-    min_size=20,
-    max_size=120,
-)
-
-
-class TestLRUCacheDeltaExport:
-    @settings(max_examples=300, deadline=None)
-    @given(capacity=st.integers(min_value=0, max_value=6), ops=_LRU_OPS)
-    def test_dirty_items_equal_the_store_scan(self, capacity, ops):
-        oracle = _ScanOracle(LRUCache(capacity=capacity))
-        for op in ops:
-            if op[0] == "put":
-                oracle.put(op[1], op[1] * 10)
-            elif op[0] == "get":
-                oracle.cache.get(op[1])
-            elif op[0] == "peek":
-                oracle.cache.peek(op[1])
-            else:
-                getattr(oracle, op[0])()
-            assert oracle.cache.dirty_items() == oracle.lru_delta()
-
-    def test_reads_reorder_the_delta_like_the_store(self):
-        oracle = _ScanOracle(LRUCache(capacity=4))
-        oracle.put("a", 1)
-        oracle.clear_dirty()
-        for key in "bcd":
-            oracle.put(key, key)
-        oracle.cache.get("b")  # b becomes most recent in store and delta
-        oracle.cache.get("a")  # a is not in the window: the delta ignores it
-        assert oracle.cache.dirty_items() == oracle.lru_delta() == [
-            ("c", "c"), ("d", "d"), ("b", "b")
-        ]
-        oracle.put("e", "e")  # evicts c, the least recently used
-        assert oracle.cache.dirty_items() == oracle.lru_delta() == [
-            ("d", "d"), ("b", "b"), ("e", "e")
-        ]
-
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +244,7 @@ class TestScoreMemoizationBitIdentity:
         np.testing.assert_array_equal(cold, expected)
         np.testing.assert_array_equal(warm, expected)
         # the warm pass is answered entirely from the cache
-        assert memoized.score_cache.stats.hits >= len(programs)
+        assert memoized.executor.cache.stats.hits >= len(programs)
 
     def test_scores_do_not_depend_on_batch_composition(self, tiny_trace_artifacts, tiny_task):
         programs = _population(40)
@@ -452,11 +332,11 @@ class TestRunBitIdentity:
             trace_artifacts=tiny_trace_artifacts, fp_artifacts=tiny_fp_artifacts
         )
         result = backend.solve_io(tiny_task.io_set, budget=SearchBudget(limit=800), seed=0)
-        stats = backend._score_cache.stats
+        hits, misses = _score_counters(backend)
         if result.generations >= 2:
             # every elite survives into generation 2's scoring pass as a hit
-            assert stats.hits >= tiny_netsyn_config.ga.elite_count
-        assert stats.hit_rate > 0.0
+            assert hits >= tiny_netsyn_config.ga.elite_count
+        assert hits > 0 and misses > 0
 
     def test_generation_events_surface_fitness_cache_counters(
         self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_task
@@ -472,26 +352,9 @@ class TestRunBitIdentity:
         assert last.cache_hits + last.cache_misses > 0
         assert 0.0 <= last.cache_hit_rate <= 1.0
         if len(generations) >= 2:
-            # the fold includes score-cache traffic, so hits must exceed
-            # what the execution cache alone would report at generation 1
+            # the counters include score-namespace traffic, so hits must
+            # exceed what generation 1 reported
             assert last.cache_hits > generations[0].cache_hits
-
-
-class TestBoundedFitnessCaches:
-    def test_probability_map_cache_is_bounded(self, tiny_fp_artifacts, tiny_dsl_config):
-        from repro.data import make_synthesis_task
-
-        fitness = ProbabilityMapFitness(
-            tiny_fp_artifacts.model, encoder=tiny_fp_artifacts.encoder, map_cache_size=2
-        )
-        tasks = [make_synthesis_task(length=3, seed=s, dsl_config=tiny_dsl_config) for s in range(4)]
-        for task in tasks:
-            fitness.probability_map(task.io_set)
-        assert len(fitness._cache) == 2
-        assert fitness._cache.stats.misses == 4
-        # repeat lookups on a cached spec are hits and surface in cache_stats
-        fitness.probability_map(tasks[-1].io_set)
-        assert fitness.cache_stats()[0].hits == 1
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +431,7 @@ class TestSharedMemoryServing:
         )
         warm.solve_io(tiny_task.io_set, budget=SearchBudget(limit=600), seed=0)
         snapshot = warm.cache_snapshot()
-        assert snapshot and "scores" in snapshot
+        assert snapshot and _trace_score_entries(snapshot)
 
         cold = NetSynBackend(tiny_netsyn_config).set_models(
             trace_artifacts=tiny_trace_artifacts, fp_artifacts=tiny_fp_artifacts
@@ -580,7 +443,7 @@ class TestSharedMemoryServing:
         reference = warm.solve_io(tiny_task.io_set, budget=SearchBudget(limit=600), seed=0)
         assert preloaded.candidates_used == reference.candidates_used
         assert preloaded.average_fitness_history == reference.average_fitness_history
-        assert cold._score_cache.stats.hits > 0
+        assert _score_counters(cold)[0] > 0
 
     def test_refit_resets_model_dependent_caches(
         self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_task
@@ -589,12 +452,11 @@ class TestSharedMemoryServing:
             trace_artifacts=tiny_trace_artifacts, fp_artifacts=tiny_fp_artifacts
         )
         backend.solve_io(tiny_task.io_set, budget=SearchBudget(limit=600), seed=0)
-        assert backend._score_cache is not None and len(backend._score_cache)
+        assert _trace_score_entries(backend.cache_snapshot())
         # rebinding (possibly different weights) must drop every memoized
-        # prediction — cached scores are functions of the model
+        # prediction — cached scores and maps are functions of the model
         backend.set_models(trace_artifacts=tiny_trace_artifacts)
-        assert backend._score_cache is None
-        assert backend._shared_executor is None and backend._map_cache is None
+        assert backend._shared_executor is None and backend.cache_snapshot() is None
 
     def test_shared_weights_skipped_for_empty_store(self, tiny_netsyn_config, tiny_suite):
         # artifact-free methods (edit) serve from an empty store
@@ -617,13 +479,13 @@ def _snapshots_equal(a, b):
     """Deep equality of cache_snapshot dicts (maps hold numpy arrays)."""
     assert set(a) == set(b)
     for section in a:
-        if section == "maps":
-            assert len(a[section]) == len(b[section])
-            for (key_a, value_a), (key_b, value_b) in zip(a[section], b[section]):
-                assert key_a == key_b
+        assert len(a[section]) == len(b[section])
+        for (key_a, value_a), (key_b, value_b) in zip(a[section], b[section]):
+            assert key_a == key_b
+            if key_a[0].startswith("probability_map:"):
                 np.testing.assert_array_equal(value_a, value_b)
-        else:
-            assert a[section] == b[section]
+            else:
+                assert value_a == value_b
 
 
 class TestPersistentCacheSnapshots:
@@ -661,7 +523,7 @@ class TestPersistentCacheSnapshots:
         self, tmp_path, tiny_trace_artifacts, tiny_fp_artifacts
     ):
         full = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
-        full.save_caches(tmp_path, {"netsyn_cf:None": {"scores": [(("k",), 1.0)]}})
+        full.save_caches(tmp_path, {"netsyn_cf:None": {"evaluation": _score_entries(0, 1)}})
         # a store holding different weights must not serve the snapshot
         partial = ArtifactStore(cf=tiny_trace_artifacts)
         assert partial.model_hash() != full.model_hash()
@@ -691,8 +553,12 @@ class TestPersistentCacheSnapshots:
 
 
 def _score_entries(start, count):
-    """Synthetic structural score entries (key, value)."""
-    return [(((start + i,), ("io",)), float(start + i)) for i in range(count)]
+    """Synthetic predicted-score entries ``((namespace, key), value)``."""
+    return [(("score:m", ((start + i,), ("io",))), float(start + i)) for i in range(count)]
+
+
+#: the full key of a score entry the tests re-write
+_HOT = ("score:m", (("hot",), ("io",)))
 
 
 class TestCacheLog:
@@ -709,28 +575,28 @@ class TestCacheLog:
         for round_index in range(3):
             path = store.save_caches(
                 tmp_path,
-                {"m:None": {"scores": _score_entries(round_index * 10, 4)}},
+                {"m:None": {"evaluation": _score_entries(round_index * 10, 4)}},
             )
             assert path.is_file()
         manifest = self._manifest(tmp_path)
         assert len(manifest["segments"]) == 3
         assert [record["entries"] for record in manifest["segments"]] == [4, 4, 4]
         merged = store.load_caches(tmp_path)
-        assert len(merged["m:None"]["scores"]) == 12
-        # appended segments concatenate oldest first: a reload's LRU ends
-        # with the newest entries most recent
-        assert merged["m:None"]["scores"][-1] == _score_entries(20, 4)[-1]
+        assert len(merged["m:None"]["evaluation"]) == 12
+        # appended segments concatenate oldest first: a reload ends with
+        # the newest entries
+        assert merged["m:None"]["evaluation"][-1] == _score_entries(20, 4)[-1]
 
     def test_log_is_keyed_by_model_hash(self, tmp_path, tiny_fp_artifacts):
         empty = ArtifactStore()
-        empty.save_caches(tmp_path, {"m:None": {"scores": _score_entries(0, 2)}})
+        empty.save_caches(tmp_path, {"m:None": {"evaluation": _score_entries(0, 2)}})
         other = ArtifactStore(fp=tiny_fp_artifacts)
         assert other.load_caches(tmp_path) == {}
         # appending under the new weights resets the log instead of
         # serving the stale entries
-        other.save_caches(tmp_path, {"m:None": {"scores": _score_entries(50, 1)}})
+        other.save_caches(tmp_path, {"m:None": {"evaluation": _score_entries(50, 1)}})
         merged = other.load_caches(tmp_path)
-        assert merged["m:None"]["scores"] == _score_entries(50, 1)
+        assert merged["m:None"]["evaluation"] == _score_entries(50, 1)
         assert empty.load_caches(tmp_path) == {}
 
     def test_compaction_folds_and_dedupes_newest_wins(self, tmp_path):
@@ -739,7 +605,7 @@ class TestCacheLog:
         for round_index in range(10):
             snapshots = {
                 "m:None": {
-                    "scores": [((("hot",), ("io",)), float(round_index))]
+                    "evaluation": [(_HOT, float(round_index))]
                     + _score_entries(100 + round_index, 1)
                 }
             }
@@ -747,17 +613,19 @@ class TestCacheLog:
         manifest = self._manifest(tmp_path)
         assert len(manifest["segments"]) <= 5
         merged = store.load_caches(tmp_path)
-        scores = dict(merged["m:None"]["scores"])
+        scores = dict(merged["m:None"]["evaluation"])
         # newest value of the re-written key survived compaction
-        assert scores[(("hot",), ("io",))] == 9.0
+        assert scores[_HOT] == 9.0
         # and every distinct fresh key survived
-        assert all(scores[((100 + i,), ("io",))] == float(100 + i) for i in range(10))
+        assert all(
+            scores[("score:m", ((100 + i,), ("io",)))] == float(100 + i) for i in range(10)
+        )
 
     def test_corrupt_manifest_or_segment_is_a_cold_start(self, tmp_path):
         from repro.core.artifacts import CACHE_LOG_DIR, CACHE_LOG_MANIFEST
 
         store = ArtifactStore()
-        store.save_caches(tmp_path, {"m:None": {"scores": _score_entries(0, 2)}})
+        store.save_caches(tmp_path, {"m:None": {"evaluation": _score_entries(0, 2)}})
         segment = next((tmp_path / CACHE_LOG_DIR).glob("segment-*.pkl"))
         segment.write_bytes(b"not a pickle")
         assert store.load_caches(tmp_path) == {}
@@ -815,16 +683,15 @@ class TestCacheLogFold:
         import zlib
 
         store = ArtifactStore()
-        hot = ((("hot",), ("io",)), 0.0)
         rounds = [
-            {"m:None": {"scores": [hot] + _score_entries(0, 3),
-                        "evaluation": [(("outputs", (1, 2)), [4])]}},
-            {"m:None": {"scores": [((("hot",), ("io",)), 1.0)] + _score_entries(3, 2)},
-             "m:5": {"scores": _score_entries(50, 2)}},
-            {"m:None": {"scores": _score_entries(90, 2)}},
-            {"m:None": {"scores": _score_entries(5, 2),
-                        "evaluation": [(("solutions", (1, 2)), True)]}},
-            {"m:None": {"scores": [((("hot",), ("io",)), 2.0)] + _score_entries(7, 1)}},
+            {"m:None": {"evaluation": [(_HOT, 0.0)] + _score_entries(0, 3)
+                        + [(("outputs", (1, 2)), [4])]}},
+            {"m:None": {"evaluation": [(_HOT, 1.0)] + _score_entries(3, 2)},
+             "m:5": {"evaluation": _score_entries(50, 2)}},
+            {"m:None": {"evaluation": _score_entries(90, 2)}},
+            {"m:None": {"evaluation": _score_entries(5, 2)
+                        + [(("solutions", (1, 2)), True)]}},
+            {"m:None": {"evaluation": [(_HOT, 2.0)] + _score_entries(7, 1)}},
         ]
         for snapshots in rounds:
             store.save_caches(directory, snapshots, compact_threshold=100)
@@ -843,16 +710,12 @@ class TestCacheLogFold:
 
     @staticmethod
     def _loaded(merged, capacity):
-        """The caches a session would hold after loading ``merged``."""
-        from repro.execution import EvaluationCache
-
+        """The cache contents a session would hold after loading ``merged``."""
         loaded = {}
         for key, parts in merged.items():
-            scores = LRUCache(capacity=capacity)
-            scores.load(parts.get("scores", []))
-            evaluation = EvaluationCache(max_entries=capacity)
-            evaluation.load_snapshot(parts.get("evaluation", []))
-            loaded[key] = (scores.items(), evaluation.snapshot())
+            cache = EvaluationCache(max_entries=capacity)
+            cache.load_snapshot(parts.get("evaluation", []))
+            loaded[key] = cache.snapshot()
         return loaded
 
     def test_fold_keeps_loads_identical_without_unpickling(self, tmp_path, monkeypatch):
@@ -886,8 +749,7 @@ class TestCacheLogFold:
         for capacity in (3, 100):
             assert self._loaded(after, capacity) == self._loaded(before, capacity)
         # newest wins at load: the hot key holds its last value
-        scores = dict(self._loaded(after, 100)["m:None"][0])
-        assert scores[(("hot",), ("io",))] == 2.0
+        assert dict(self._loaded(after, 100)["m:None"])[_HOT] == 2.0
         # entry counts of the four good segments (the torn one is dropped)
         assert self._segments(tmp_path)[0]["entries"] == 5 + 5 + 3 + 2
 
@@ -895,10 +757,12 @@ class TestCacheLogFold:
         store, _ = self._build_log(tmp_path)
         store.compact_cache_log(tmp_path)
         before = store.load_caches(tmp_path)
-        store.save_caches(tmp_path, {"m:None": {"scores": _score_entries(200, 2)}})
+        store.save_caches(tmp_path, {"m:None": {"evaluation": _score_entries(200, 2)}})
         store.compact_cache_log(tmp_path)
         after = store.load_caches(tmp_path)
-        assert after["m:None"]["scores"] == before["m:None"]["scores"] + _score_entries(200, 2)
+        assert after["m:None"]["evaluation"] == (
+            before["m:None"]["evaluation"] + _score_entries(200, 2)
+        )
         assert len(self._segment_files(tmp_path)) == 1
 
     def test_a_truncated_last_frame_makes_the_file_corrupt(self, tmp_path):
@@ -911,47 +775,48 @@ class TestCacheLogFold:
         assert store.load_caches(tmp_path, on_skip=lambda *skip: skipped.append(skip)) == {}
         assert skipped == [(name, "corrupt")]
         # a later fold drops the file whole, like the load did
-        store.save_caches(tmp_path, {"m:None": {"scores": _score_entries(300, 1)}})
+        store.save_caches(tmp_path, {"m:None": {"evaluation": _score_entries(300, 1)}})
         store.compact_cache_log(tmp_path)
-        assert store.load_caches(tmp_path) == {"m:None": {"scores": _score_entries(300, 1)}}
+        assert store.load_caches(tmp_path) == {"m:None": {"evaluation": _score_entries(300, 1)}}
 
     def test_trailing_bytes_after_the_last_frame_are_corrupt(self, tmp_path):
         store = ArtifactStore()
-        path = store.save_caches(tmp_path, {"m:None": {"scores": _score_entries(0, 2)}})
+        path = store.save_caches(tmp_path, {"m:None": {"evaluation": _score_entries(0, 2)}})
         path.write_bytes(path.read_bytes() + b"NSL3")
         assert store.load_caches(tmp_path) == {}
 
 
 class TestBoundedSnapshotLoad:
-    def test_lru_load_keeps_newest_without_materializing(self):
-        """An oversized snapshot streams through a capacity-bounded stage."""
-        capacity = 8
+    def test_load_keeps_newest_without_materializing(self):
+        """An oversized snapshot streams through a bound-sized stage."""
+        bound = 8
 
         def entries():
             for i in range(10_000):
-                yield (("k", i), i)
+                yield (("outputs", i), i)
 
-        cache = LRUCache(capacity=capacity)
-        retained = cache.load(entries())  # a generator: nothing pre-listed
-        assert retained == len(cache) == capacity
-        # the newest entries survived, oldest-first recency inside
-        assert cache.items() == [(("k", i), i) for i in range(9992, 10_000)]
+        cache = EvaluationCache(max_entries=bound)
+        retained = cache.load_snapshot(entries())  # a generator: nothing pre-listed
+        assert retained == len(cache) == bound
+        # the newest entries survived, oldest first
+        assert cache.snapshot() == [(("outputs", i), i) for i in range(9992, 10_000)]
 
     def test_score_cache_load_snapshot_is_bounded(self):
-        cache = ScoreCache(capacity=4)
-        items = [(((i,), ("io",)), float(i)) for i in range(100)]
+        """Predicted scores load under the same bound as every other entry."""
+        cache = EvaluationCache(max_entries=4)
+        items = [(("score:m", ((i,), ("io",))), float(i)) for i in range(100)]
         retained = cache.load_snapshot(iter(items))
         assert retained == len(cache) == 4
-        assert cache._lru.peek(((99,), ("io",))) == 99.0
+        assert cache.peek("score:m", ((99,), ("io",))) == 99.0
 
     def test_disabled_cache_drains_the_iterable(self):
-        cache = LRUCache(capacity=0)
+        cache = EvaluationCache(max_entries=0)
         consumed = []
 
         def entries():
             for i in range(5):
                 consumed.append(i)
-                yield (i, i)
+                yield (("outputs", i), i)
 
-        assert cache.load(entries()) == 0
+        assert cache.load_snapshot(entries()) == 0
         assert len(cache) == 0 and consumed == list(range(5))

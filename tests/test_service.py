@@ -25,7 +25,11 @@ from repro.core import (
     service,
 )
 from repro.events import EventLog, JobCancelled, ProgressEvent
-from repro.fitness.functions import LearnedTraceFitness, ProbabilityMapFitness
+from repro.fitness.functions import (
+    LearnedTraceFitness,
+    ProbabilityMapFitness,
+    trace_score_namespace,
+)
 from repro.ga.budget import SearchBudget
 
 
@@ -231,6 +235,12 @@ class TestBackendProtocol:
 # ---------------------------------------------------------------------------
 # Bit-identity: service path vs a bare NetSynBackend
 # ---------------------------------------------------------------------------
+
+
+def _score_misses(backend):
+    """Misses of a backend's predicted-score namespace so far."""
+    namespace = trace_score_namespace(backend.config.fitness_kind, "netsyn")
+    return backend._executor().cache.stats.by_namespace.get(namespace, (0, 0))[1]
 
 
 def _results_equal(a, b):
@@ -537,8 +547,8 @@ class TestWorkerCacheMergeBack:
         assert all(job.state in (JobState.SOLVED, JobState.EXHAUSTED) for job in first)
 
         # the parent session never ran these jobs locally, yet its backend
-        # now holds the workers' cache entries: score, map and evaluation
-        # deltas are all merged back through the result pickle
+        # now holds the workers' cache entries: predicted scores, maps and
+        # evaluation entries all merge back through the result pickle
         backend = session.backend("netsyn_cf")
         assert backend.cache_version() > 0
 
@@ -549,7 +559,7 @@ class TestWorkerCacheMergeBack:
         session.run(n_workers=1)
         for a, b in zip(first, second):
             _results_equal(a.result, b.result)
-        assert backend._score_cache.stats.misses == 0
+        assert _score_misses(backend) == 0
 
 
 class TestPersistedSessionCaches:
@@ -627,7 +637,38 @@ class TestPersistedSessionCaches:
             _results_equal(a.result, b.result)
             generations = [e for e in b.events if e.kind == "generation"]
             assert generations and generations[-1].cache_misses == 0
-        assert reopened.backend("netsyn_cf")._score_cache.stats.misses == 0
+        assert _score_misses(reopened.backend("netsyn_cf")) == 0
+
+    def test_reopened_session_ships_persisted_entries_to_its_first_pool(
+        self, tmp_path, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite
+    ):
+        """A reopened session has built no backend when its first parallel
+        run starts its pool: the persisted entries must still reach the
+        workers, so the repeat runs without a cache miss."""
+        service_config = self._service_config(tmp_path)
+        store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
+        store.save(service_config.artifact_dir)
+        tasks = list(tiny_suite)[:3]
+
+        first_session = SynthesisSession(
+            tiny_netsyn_config, store, methods=("netsyn_cf",), service_config=service_config
+        )
+        first = [first_session.submit(task, budget=300, seed=1) for task in tasks]
+        first_session.run()
+
+        with SynthesisSession(
+            tiny_netsyn_config,
+            ArtifactStore.load(service_config.artifact_dir),
+            methods=("netsyn_cf",),
+            service_config=service_config,
+        ) as reopened:
+            assert not reopened._backends
+            second = [reopened.submit(task, budget=300, seed=1) for task in tasks]
+            reopened.run(n_workers=2)
+        for a, b in zip(first, second):
+            _results_equal(a.result, b.result)
+            generations = [e for e in b.events if e.kind == "generation"]
+            assert generations and generations[-1].cache_misses == 0
 
     def test_stale_weights_fall_back_to_cold_start(
         self, tmp_path, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_task
