@@ -35,8 +35,9 @@ from repro.dsl.functions import FunctionRegistry, REGISTRY
 from repro.dsl.interpreter import Interpreter
 from repro.dsl.program import Program
 from repro.fitness.features import FeatureEncoder
+from repro.fitness.models import encode_examples
 from repro.ga.budget import SearchBudget
-from repro.nn.autograd import concat, no_grad
+from repro.nn.autograd import no_grad
 from repro.nn.layers import Dense
 from repro.nn.losses import softmax_cross_entropy, softmax_probabilities
 from repro.nn.module import Module
@@ -70,12 +71,8 @@ class StepPredictorModel(Module):
         self.output_head = Dense(fc, len(registry), rng=rng)
 
     def forward(self, batch: Dict[str, np.ndarray]):
-        b, m = (int(x) for x in batch["shape"][:2])
-        enc_state = self.value_encoder(batch["input_tokens"], batch["input_mask"])
-        enc_output = self.value_encoder(batch["output_tokens"], batch["output_mask"])
-        example_vec = self.example_dense(concat([enc_state, enc_output], axis=-1))
-        combined = example_vec.reshape(b, m, self.config.fc_dim).mean(axis=1)
-        return self.output_head(self.hidden_head(combined))
+        # the batch's input rows hold each example's current state value
+        return self.output_head(self.hidden_head(encode_examples(self, batch).mean(axis=1)))
 
     def compute_loss(self, batch: Dict[str, np.ndarray]):
         logits = self.forward(batch)

@@ -2,8 +2,10 @@
 
 The paper compares against PushGP (Perkis, 1994), a stack-based GP
 system.  The published NetSyn evaluation gives no implementation details
-beyond the citation, so this reimplementation keeps the aspects that make
-PushGP behave differently from NetSyn's GA (documented in DESIGN.md):
+beyond the citation, so this reimplementation evolves programs of NetSyn's
+own DSL instead of Push's stack instructions (both searches then spend one
+budget on the same candidate space) and keeps the aspects that make
+PushGP's search behave differently from NetSyn's GA:
 
 * variable-length linear genomes (between 1 and twice the target length),
 * tournament selection instead of Roulette Wheel,

@@ -28,6 +28,7 @@ from repro.dsl.functions import FunctionRegistry, REGISTRY
 from repro.dsl.interpreter import Interpreter
 from repro.dsl.program import Program
 from repro.fitness.features import FeatureEncoder, value_vocabulary_size
+from repro.fitness.models import encode_examples
 from repro.ga.budget import SearchBudget
 from repro.nn.autograd import concat, no_grad
 from repro.nn.layers import Dense, Embedding
@@ -66,11 +67,7 @@ class ProgramDecoderModel(Module):
     # -- context -----------------------------------------------------------
     def encode_context(self, batch: Dict[str, np.ndarray]):
         """IO-conditioned context vector ``(B, fc_dim)``."""
-        b, m = (int(x) for x in batch["shape"][:2])
-        enc_input = self.value_encoder(batch["input_tokens"], batch["input_mask"])
-        enc_output = self.value_encoder(batch["output_tokens"], batch["output_mask"])
-        example_vec = self.example_dense(concat([enc_input, enc_output], axis=-1))
-        return example_vec.reshape(b, m, self.config.fc_dim).mean(axis=1)
+        return encode_examples(self, batch).mean(axis=1)
 
     def decode_step(self, context, prefix_tokens: np.ndarray):
         """Logits for the next token given padded prefix tokens ``(B, k)``.

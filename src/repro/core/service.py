@@ -276,7 +276,9 @@ class SynthesisSession:
                 method, self.store, self.config, program_length=program_length
             )
             backend.progress_every = self.service_config.progress_every
-            snapshot = self._cache_snapshots.get(_snapshot_key(method, program_length))
+            # released once loaded: from here on the backend's cache holds
+            # the entries (and the worker payload snapshots that cache)
+            snapshot = self._cache_snapshots.pop(_snapshot_key(method, program_length), None)
             if snapshot:
                 backend.load_cache_snapshot(snapshot)
             # persisted-snapshot loads count as writes; open a fresh dirty
@@ -460,37 +462,39 @@ class SynthesisSession:
             self._pool_finalizer = weakref.finalize(self, pool.close)
         return self._pool
 
+    def _fan_out(self, event: ProgressEvent, job: Optional[SynthesisJob]) -> None:
+        """Hand one event to every session listener.
+
+        A listener raising :class:`JobCancelled` cancels ``job`` (serial
+        semantics translated to the remote flag); on an event with no job
+        (a startup event) it is logged like any other exception.  Other
+        listener exceptions are logged and swallowed: the pump thread and
+        the supervisor must keep going, or the run would lose events.
+        """
+        for session_listener in self._listeners:
+            try:
+                session_listener(event)
+            except Exception as exc:  # noqa: BLE001 - the run must survive listeners
+                if isinstance(exc, JobCancelled) and job is not None:
+                    job.cancel()
+                else:
+                    logger.exception("session listener failed on %s", event.kind)
+
     def _deliver_events(self, job: SynthesisJob, events: Sequence[ProgressEvent]) -> None:
         """Record worker-streamed events on ``job`` and fan them out.
 
         Called on the pool's pump thread, exactly like the serial
-        listener: a session listener raising :class:`JobCancelled`
-        requests cancellation of that job (serial semantics translated
-        to the remote flag); any other listener exception is logged and
-        swallowed — the pump must keep draining or the run would lose
-        events.
+        listener (see :meth:`_fan_out`).
         """
         self._record_events(job, events)
         for event in events:
-            for session_listener in self._listeners:
-                try:
-                    session_listener(event)
-                except JobCancelled:
-                    job.cancel()
-                except Exception:  # noqa: BLE001 - the pump must survive listeners
-                    logger.exception("session listener failed on %s", event.kind)
+            self._fan_out(event, job)
 
     def _flush_startup_events(self) -> None:
         """Deliver pre-listener recovery events (once) to session listeners."""
-        if not self.startup_events:
-            return
         events, self.startup_events = self.startup_events, []
         for event in events:
-            for session_listener in self._listeners:
-                try:
-                    session_listener(event)
-                except Exception:  # noqa: BLE001 - startup flush must not fail the run
-                    logger.exception("session listener failed on %s", event.kind)
+            self._fan_out(event, None)
 
     def _supervision_listener(
         self, pending: List[SynthesisJob]
@@ -508,14 +512,7 @@ class SynthesisSession:
             job = by_id.get(event.job_id)
             if job is not None:
                 self._record_events(job, (event,))
-            for session_listener in self._listeners:
-                try:
-                    session_listener(event)
-                except JobCancelled:
-                    if job is not None:
-                        job.cancel()
-                except Exception:  # noqa: BLE001 - supervision must survive listeners
-                    logger.exception("session listener failed on %s", event.kind)
+            self._fan_out(event, job)
 
         return listener
 
@@ -549,10 +546,6 @@ class SynthesisSession:
             raise JobCancelled(job.job_id)
         assert job.result is not None
         return job.result
-
-    def save_artifacts(self, directory) -> None:
-        """Persist this session's trained artifacts for later warm starts."""
-        self.store.save(directory)
 
     # ------------------------------------------------------------------
     def save_caches(self, directory=None) -> Optional[Path]:

@@ -230,7 +230,9 @@ def _parallel_worker_init(
     np.random.seed((int(seed) * 1_000_003 + os.getpid()) % (2**32))
     store, config, snapshots, service_config = payload
     session = SynthesisSession(config, store, methods=(), service_config=service_config)
-    session._cache_snapshots = snapshots
+    # a copy: building a backend releases its snapshot from the session,
+    # and replacement workers start from the pool's unchanged payload
+    session._cache_snapshots = dict(snapshots)
     _WORKER_STATE["session"] = session
     _WORKER_STATE["channel"] = channel
     _WORKER_STATE["cancel_flags"] = cancel_flags

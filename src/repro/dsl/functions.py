@@ -94,11 +94,6 @@ class DSLFunction:
         """The (argument types, return type) pair."""
         return (self.arg_types, self.return_type)
 
-    @property
-    def produces_int(self) -> bool:
-        """True when the function returns a singleton integer."""
-        return self.return_type is INT
-
     def __call__(self, *args: Value) -> Value:
         return self.impl(*args)
 
@@ -378,10 +373,6 @@ class FunctionRegistry:
         ``(arg_types, return_type)`` agree position by position.
         """
         return tuple(map(self._signature_id_by_fid.__getitem__, fids))
-
-    def ids_with_signature(self, signature: Signature) -> Tuple[int, ...]:
-        """Ids of all functions with the exact ``signature``."""
-        return tuple(f.fid for f in self._functions if f.signature == signature)
 
     def singleton_producing_ids(self) -> Tuple[int, ...]:
         """Ids of functions whose output is a single integer (1..12 minus list ones).

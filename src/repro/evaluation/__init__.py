@@ -1,7 +1,6 @@
 """Evaluation harness: metrics, experiment runner, tables and figure series.
 
-Each artifact of the paper's evaluation section maps to a function here
-(see DESIGN.md's per-experiment index):
+Each artifact of the paper's evaluation section maps to a function here:
 
 * Figure 4(a)-(c) / Table 4 — :func:`search_space_percentiles`
 * Figure 4(d)-(f)           — :func:`synthesis_rate_distribution`

@@ -28,7 +28,7 @@ from repro.config import NNConfig
 from repro.dsl.functions import FunctionRegistry, REGISTRY
 from repro.dsl.program import Program
 from repro.fitness.features import FeatureEncoder, FitnessSample, value_vocabulary_size
-from repro.fitness.models import TraceFitnessModel
+from repro.fitness.models import TraceFitnessModel, encode_examples
 from repro.nn.autograd import Tensor, concat, no_grad
 from repro.nn.layers import Dense
 from repro.nn.losses import mse_loss, sigmoid_binary_cross_entropy, softmax_cross_entropy
@@ -58,29 +58,8 @@ class RegressionFitnessModel(TraceFitnessModel):
         rng = rng or np.random.default_rng(0)
         self.regression_head = Dense(self.config.fc_dim, 1, rng=rng)
 
-    def _hidden(self, batch: Dict[str, np.ndarray]):
-        """The pre-head hidden representation shared with the parent model."""
-        b, m, length = (int(x) for x in batch["shape"])
-        hidden = self.config.hidden_dim
-        enc_input = self.value_encoder(batch["input_tokens"], batch["input_mask"])
-        enc_output = self.value_encoder(batch["output_tokens"], batch["output_mask"])
-        enc_steps = self.value_encoder(batch["step_value_tokens"], batch["step_value_mask"]).reshape(
-            b * m, length, hidden
-        )
-        func_embedded = self.function_embedding(batch["step_functions"])
-        step_features = concat([func_embedded, enc_steps], axis=-1)
-        from repro.nn.lstm import LSTM
-
-        if isinstance(self.step_encoder, LSTM):
-            trace_vec = self.step_encoder(step_features, mask=batch["step_mask"])
-        else:
-            trace_vec = self.step_encoder(step_features, batch["step_mask"])
-        example_vec = self.example_dense(concat([enc_input, enc_output, trace_vec], axis=-1))
-        combined = example_vec.reshape(b, m, self.config.fc_dim).mean(axis=1)
-        return self.hidden_head(combined)
-
     def forward(self, batch: Dict[str, np.ndarray]) -> Tensor:  # type: ignore[override]
-        return self.regression_head(self._hidden(batch))
+        return self.regression_head(self.hidden(batch))
 
     def compute_loss(self, batch: Dict[str, np.ndarray]):  # type: ignore[override]
         predictions = self.forward(batch)
@@ -193,40 +172,21 @@ class PairwiseRankingModel(Module):
         fc = self.encoder_model.config.fc_dim
         self.comparison_head = Dense(2 * fc, 2, rng=rng)
 
-    def _embed(self, batch: Dict[str, np.ndarray]):
-        """Hidden vector (pre output head) of the underlying trace model."""
-        model = self.encoder_model
-        b, m, length = (int(x) for x in batch["shape"])
-        hidden = model.config.hidden_dim
-        enc_input = model.value_encoder(batch["input_tokens"], batch["input_mask"])
-        enc_output = model.value_encoder(batch["output_tokens"], batch["output_mask"])
-        enc_steps = model.value_encoder(batch["step_value_tokens"], batch["step_value_mask"]).reshape(
-            b * m, length, hidden
-        )
-        func_embedded = model.function_embedding(batch["step_functions"])
-        step_features = concat([func_embedded, enc_steps], axis=-1)
-        from repro.nn.lstm import LSTM
-
-        if isinstance(model.step_encoder, LSTM):
-            trace_vec = model.step_encoder(step_features, mask=batch["step_mask"])
-        else:
-            trace_vec = model.step_encoder(step_features, batch["step_mask"])
-        example_vec = model.example_dense(concat([enc_input, enc_output, trace_vec], axis=-1))
-        combined = example_vec.reshape(b, m, model.config.fc_dim).mean(axis=1)
-        return model.hidden_head(combined)
+    def forward(self, batch_a: Dict[str, np.ndarray], batch_b: Dict[str, np.ndarray]) -> Tensor:
+        """Logits ``(B, 2)``; class 1 is "the first candidate is better"."""
+        hidden = concat([self.encoder_model.hidden(batch_a), self.encoder_model.hidden(batch_b)], axis=-1)
+        return self.comparison_head(hidden)
 
     def compute_loss(self, batch_pair: Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray], np.ndarray]):
         batch_a, batch_b, labels = batch_pair
-        hidden = concat([self._embed(batch_a), self._embed(batch_b)], axis=-1)
-        logits = self.comparison_head(hidden)
+        logits = self.forward(batch_a, batch_b)
         loss = softmax_cross_entropy(logits, labels)
         accuracy = float((logits.data.argmax(axis=1) == labels).mean())
         return loss, {"accuracy": accuracy}
 
     def predict_first_better(self, batch_a, batch_b) -> np.ndarray:
         with no_grad():
-            hidden = concat([self._embed(batch_a), self._embed(batch_b)], axis=-1)
-            logits = self.comparison_head(hidden)
+            logits = self.forward(batch_a, batch_b)
         return logits.data.argmax(axis=1) == 1
 
 
@@ -299,12 +259,7 @@ class BigramMembershipModel(Module):
         return matrix.reshape(-1)
 
     def forward(self, batch: Dict[str, np.ndarray]):
-        b, m = (int(x) for x in batch["shape"][:2])
-        enc_input = self.value_encoder(batch["input_tokens"], batch["input_mask"])
-        enc_output = self.value_encoder(batch["output_tokens"], batch["output_mask"])
-        example_vec = self.example_dense(concat([enc_input, enc_output], axis=-1))
-        combined = example_vec.reshape(b, m, self.config.fc_dim).mean(axis=1)
-        return self.output_head(self.hidden_head(combined))
+        return self.output_head(self.hidden_head(encode_examples(self, batch).mean(axis=1)))
 
     def compute_loss(self, batch: Dict[str, np.ndarray]):
         if "bigram_targets" not in batch:

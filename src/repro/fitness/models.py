@@ -1,4 +1,4 @@
-"""Neural fitness models.
+"""Neural fitness models and the encoder stack every NN shares.
 
 :class:`TraceFitnessModel` is the NN-FF of Figure 2: per IO example it
 encodes the input, the output and the candidate's execution trace
@@ -11,24 +11,35 @@ predictor): it looks only at the IO examples and predicts, for each of the
 41 DSL functions, the probability that the function appears in the target
 program.
 
-Differences from the paper, both documented in DESIGN.md:
+Every model reads its inputs through one of two shared paths:
 
-* per-example vectors are combined by averaging instead of a second LSTM
-  (order over IO examples carries no information);
+* :meth:`TraceFitnessModel.hidden` (the trace encoder): the NN-FF and the
+  ablations ``RegressionFitnessModel``, ``PairwiseRankingModel`` and
+  ``TwoTierFitnessModel`` of :mod:`repro.fitness.ablations`;
+* :func:`encode_examples` (the IO-example block): ``hidden`` itself, the
+  FP model, ``BigramMembershipModel``, PCCoder's ``StepPredictorModel``
+  and RobustFill's ``ProgramDecoderModel.encode_context``.
+
+Differences from the paper:
+
+* per-example vectors are combined by averaging instead of a second LSTM:
+  the IO examples are an unordered set, so an order over them carries no
+  information, and the mean is invariant to it;
 * a faster mean-pool encoder can replace the LSTM encoders via
-  ``NNConfig.encoder = "pooled"``.
+  ``NNConfig.encoder = "pooled"`` for quick experiments and tests;
+  ``"lstm"`` (the default) is Figure 2's encoder.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.config import NNConfig
 from repro.dsl.functions import FunctionRegistry, REGISTRY
 from repro.nn.autograd import Tensor, concat, no_grad
-from repro.nn.layers import Dense, Dropout, Embedding, active_length
+from repro.nn.layers import Dense, Dropout, Embedding, active_length, masked_mean
 from repro.nn.losses import (
     sigmoid_binary_cross_entropy,
     softmax_cross_entropy,
@@ -48,11 +59,18 @@ class _PooledStepEncoder(Module):
         self.projection = Dense(input_dim, hidden_dim, activation="tanh", rng=rng)
 
     def forward(self, features: Tensor, mask: np.ndarray) -> Tensor:
-        mask = np.asarray(mask, dtype=np.float64)
-        counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-        weights = mask / counts
-        pooled = (features * Tensor(weights[:, :, None])).sum(axis=1)
-        return self.projection(pooled)
+        return self.projection(masked_mean(features, mask))
+
+
+def encode_examples(model: Module, batch: Dict[str, np.ndarray], *extra: Tensor) -> Tensor:
+    """Per-example vectors ``(B, m, fc_dim)``: ``model.example_dense`` over
+    the encoded input, the encoded output and any ``extra`` ``(B*m, ·)``
+    features of each example (the trace model passes its trace vector)."""
+    b, m = (int(x) for x in batch["shape"][:2])
+    enc_input = model.value_encoder(batch["input_tokens"], batch["input_mask"])
+    enc_output = model.value_encoder(batch["output_tokens"], batch["output_mask"])
+    example_vec = model.example_dense(concat([enc_input, enc_output, *extra], axis=-1))
+    return example_vec.reshape(b, m, model.config.fc_dim)
 
 
 class TraceFitnessModel(Module):
@@ -104,8 +122,9 @@ class TraceFitnessModel(Module):
         self.output_head = Dense(fc, n_classes, rng=rng)
 
     # ------------------------------------------------------------------
-    def forward(self, batch: Dict[str, np.ndarray]) -> Tensor:
-        """Logits ``(B, n_classes)`` for an encoded trace batch."""
+    def hidden(self, batch: Dict[str, np.ndarray]) -> Tensor:
+        """Pre-head vector ``(B, fc_dim)`` of a trace batch; every head over
+        the trace encoder (``output_head``, the ablation heads) reads it."""
         b, m, length = (int(x) for x in batch["shape"])
         hidden = self.config.hidden_dim
 
@@ -130,22 +149,15 @@ class TraceFitnessModel(Module):
             ].reshape(b * m * effective, width)
             length = effective
 
-        enc_input = self.value_encoder(batch["input_tokens"], batch["input_mask"])
-        enc_output = self.value_encoder(batch["output_tokens"], batch["output_mask"])
-        enc_steps_flat = self.value_encoder(step_value_tokens, step_value_mask)
-        enc_steps = enc_steps_flat.reshape(b * m, length, hidden)
-
+        enc_steps = self.value_encoder(step_value_tokens, step_value_mask).reshape(b * m, length, hidden)
         func_embedded = self.function_embedding(step_functions)  # (B*m, L, emb)
-        step_features = concat([func_embedded, enc_steps], axis=-1)
-        if isinstance(self.step_encoder, LSTM):
-            trace_vec = self.step_encoder(step_features, mask=step_mask)
-        else:
-            trace_vec = self.step_encoder(step_features, step_mask)
+        trace_vec = self.step_encoder(concat([func_embedded, enc_steps], axis=-1), step_mask)
+        example_vec = self.dropout(encode_examples(self, batch, trace_vec))
+        return self.hidden_head(example_vec.mean(axis=1))
 
-        example_vec = self.example_dense(concat([enc_input, enc_output, trace_vec], axis=-1))
-        example_vec = self.dropout(example_vec)
-        combined = example_vec.reshape(b, m, self.config.fc_dim).mean(axis=1)
-        return self.output_head(self.hidden_head(combined))
+    def forward(self, batch: Dict[str, np.ndarray]) -> Tensor:
+        """Logits ``(B, n_classes)`` for an encoded trace batch."""
+        return self.output_head(self.hidden(batch))
 
     # ------------------------------------------------------------------
     def compute_loss(self, batch: Dict[str, np.ndarray]) -> Tuple[Tensor, Dict[str, float]]:
@@ -214,13 +226,8 @@ class FunctionProbabilityModel(Module):
     # ------------------------------------------------------------------
     def forward(self, batch: Dict[str, np.ndarray]) -> Tensor:
         """Logits ``(B, |ΣDSL|)`` for an encoded IO batch."""
-        b, m = (int(x) for x in batch["shape"][:2])
-        enc_input = self.value_encoder(batch["input_tokens"], batch["input_mask"])
-        enc_output = self.value_encoder(batch["output_tokens"], batch["output_mask"])
-        example_vec = self.example_dense(concat([enc_input, enc_output], axis=-1))
-        example_vec = self.dropout(example_vec)
-        combined = example_vec.reshape(b, m, self.config.fc_dim).mean(axis=1)
-        return self.output_head(self.hidden_head(combined))
+        example_vec = self.dropout(encode_examples(self, batch))
+        return self.output_head(self.hidden_head(example_vec.mean(axis=1)))
 
     # ------------------------------------------------------------------
     def compute_loss(self, batch: Dict[str, np.ndarray]) -> Tuple[Tensor, Dict[str, float]]:

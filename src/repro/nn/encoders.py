@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.autograd import Tensor
-from repro.nn.layers import Dense, Embedding, active_length
+from repro.nn.layers import Dense, Embedding, active_length, masked_mean
 from repro.nn.lstm import LSTM
 from repro.nn.module import Module
 
@@ -53,7 +53,6 @@ class LSTMSequenceEncoder(Module):
         rng = rng or np.random.default_rng(0)
         self.embedding = Embedding(vocab_size, embedding_dim, rng=rng)
         self.lstm = LSTM(embedding_dim, hidden_dim, rng=rng)
-        self.output_dim = hidden_dim
 
     def forward(self, tokens: np.ndarray, mask: Optional[np.ndarray] = None) -> Tensor:
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -78,23 +77,16 @@ class MeanPoolEncoder(Module):
         rng = rng or np.random.default_rng(0)
         self.embedding = Embedding(vocab_size, embedding_dim, rng=rng)
         self.projection = Dense(embedding_dim, hidden_dim, activation="tanh", rng=rng)
-        self.output_dim = hidden_dim
 
     def forward(self, tokens: np.ndarray, mask: Optional[np.ndarray] = None) -> Tensor:
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 2:
             raise ValueError("tokens must be (batch, time)")
         tokens, mask = _trim_padding(tokens, mask)
-        batch, time = tokens.shape
         embedded = self.embedding(tokens)  # (batch, time, embedding_dim)
         if mask is None:
-            mask = np.ones((batch, time), dtype=np.float64)
-        else:
-            mask = np.asarray(mask, dtype=np.float64)
-        counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)  # (batch, 1)
-        weights = mask / counts  # per-token averaging weights
-        pooled = (embedded * Tensor(weights[:, :, None])).sum(axis=1)
-        return self.projection(pooled)
+            mask = np.ones(tokens.shape)
+        return self.projection(masked_mean(embedded, mask))
 
 
 def make_sequence_encoder(

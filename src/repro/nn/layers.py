@@ -34,6 +34,15 @@ def active_length(mask: Optional[np.ndarray], time: int) -> int:
     return int(active[-1]) + 1 if active.size else 1
 
 
+def masked_mean(values: Tensor, mask: np.ndarray) -> Tensor:
+    """Mean of ``values`` ``(batch, time, features)`` over each row's unmasked
+    timesteps; a row with no unmasked timestep pools to zeros."""
+    mask = np.asarray(mask, dtype=np.float64)
+    counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
+    weights = mask / counts
+    return (values * Tensor(weights[:, :, None])).sum(axis=1)
+
+
 class Dense(Module):
     """A fully connected layer ``y = x W + b`` with optional activation.
 

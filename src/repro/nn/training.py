@@ -10,11 +10,10 @@ models in :mod:`repro.fitness` implement exactly that pair of hooks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import Dict, Iterator, List, Optional, Protocol
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
 from repro.nn.module import Module
 from repro.nn.optimizers import Optimizer
 from repro.utils.logging import get_logger
@@ -28,16 +27,6 @@ class BatchDataset(Protocol):
     def __len__(self) -> int: ...
 
     def get_batch(self, indices: np.ndarray): ...
-
-
-class TrainableModel(Protocol):
-    """A module the trainer knows how to optimize."""
-
-    def compute_loss(self, batch) -> Tuple[Tensor, Dict[str, float]]: ...
-
-    def parameters(self): ...
-
-    def zero_grad(self) -> None: ...
 
 
 def iterate_minibatches(

@@ -670,6 +670,33 @@ class TestPersistedSessionCaches:
             generations = [e for e in b.events if e.kind == "generation"]
             assert generations and generations[-1].cache_misses == 0
 
+    def test_building_a_backend_releases_its_persisted_snapshot(
+        self, tmp_path, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_task
+    ):
+        """A reopened session keeps a persisted snapshot only until the
+        backend it belongs to is built: then the backend's cache holds the
+        entries and the session holds no second copy."""
+        service_config = self._service_config(tmp_path)
+        store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
+        store.save(service_config.artifact_dir)
+        first_session = SynthesisSession(
+            tiny_netsyn_config, store, methods=("netsyn_cf",), service_config=service_config
+        )
+        first_session.submit(tiny_task, budget=300, seed=0)
+        first_session.run()
+
+        reopened = SynthesisSession(
+            tiny_netsyn_config,
+            ArtifactStore.load(service_config.artifact_dir),
+            methods=("netsyn_cf",),
+            service_config=service_config,
+        )
+        persisted = reopened._cache_snapshots["netsyn_cf:None"]["evaluation"]
+        assert persisted
+        backend = reopened.backend("netsyn_cf")
+        assert "netsyn_cf:None" not in reopened._cache_snapshots
+        assert backend.cache_snapshot()["evaluation"] == persisted
+
     def test_stale_weights_fall_back_to_cold_start(
         self, tmp_path, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_task
     ):
