@@ -110,7 +110,8 @@ def _bare_pool_reference(config, tasks):
     channel = WorkerSupervisor(
         N_WORKERS, session.service_config, config.seed, _worker_payload(session), context=context
     )
-    specs, _routes = channel._prepare_fan_out(session, jobs)
+    specs = [channel._dispatch(job).spec for job in jobs]
+    channel._sink = session._deliver_events  # as a running loop routes events
     events = context.Queue()
 
     def drain():

@@ -128,7 +128,7 @@ def _append_trajectory(record: dict) -> None:
 def test_serving_throughput():
     rounds = []
     with SynthesisServer(
-        _edit_session(), ServingConfig(batch_window=0.05, max_pending_jobs=256)
+        _edit_session(), ServingConfig(max_pending_jobs=256)
     ) as server:
         for n_clients in CLIENT_COUNTS:
             rounds.append(_drive_clients(server, n_clients))

@@ -131,12 +131,12 @@ def _journal_overhead() -> dict:
     with tempfile.TemporaryDirectory() as journal_root:
         for sample in range(ROUNDS):
             with SynthesisServer(
-                plain_session, ServingConfig(batch_window=0.05)
+                plain_session, ServingConfig()
             ) as server:
                 plain_times.append(_drive_round(server))
             journal_dir = Path(journal_root) / f"round-{sample}"
             with SynthesisServer(
-                journal_session, ServingConfig(batch_window=0.05, journal_dir=journal_dir)
+                journal_session, ServingConfig(journal_dir=journal_dir)
             ) as server:
                 journal_times.append(_drive_round(server))
                 appends = server._journal.appends
@@ -165,7 +165,7 @@ def _settled_template() -> tuple:
     """One real settled (admit payload, job wire form) pair to replicate."""
     with tempfile.TemporaryDirectory() as journal_dir:
         with SynthesisServer(
-            _edit_session(), ServingConfig(batch_window=0.01, journal_dir=journal_dir)
+            _edit_session(), ServingConfig(journal_dir=journal_dir)
         ) as server:
             with RemoteSynthesisSession(server.address) as client:
                 client.run([client.submit(
@@ -232,7 +232,6 @@ def _spawn_server(port: int, journal_dir: str) -> subprocess.Popen:
         [
             sys.executable, "-m", "repro.serving",
             "--port", str(port), "--journal-dir", journal_dir,
-            "--batch-window", "0.05",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,

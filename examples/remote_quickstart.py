@@ -10,7 +10,8 @@ demonstrate the serving-layer guarantees:
 1. **Concurrent remote clients** — two clients connect at once, each
    submitting its own task and streaming its own ordered per-job event
    feed (``started`` … ``generation`` … ``finished``) over the wire
-   while the server coalesces both submissions into one batch.
+   while the server runs each job on its own worker of a 2-worker pool
+   the moment it is admitted.
 2. **Stream parity** — the remotely streamed events are the *same
    events* a local session emits: the saved log is byte-compatible with
    ``EventLog`` JSON from any other example.
@@ -53,7 +54,7 @@ def main() -> None:
     ]
     log = EventLog()
 
-    with SynthesisServer(session, ServingConfig(batch_window=0.5)) as server:
+    with SynthesisServer(session, ServingConfig(n_workers=2)) as server:
         print(f"\nPhase 2: serving on {server.address}; driving 2 concurrent clients ...")
         start = time.time()
         finished: dict = {}

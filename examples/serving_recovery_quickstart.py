@@ -96,7 +96,6 @@ def spawn_server(port: int, journal_dir: Path) -> subprocess.Popen:
         [
             sys.executable, "-m", "repro.serving",
             "--port", str(port), "--journal-dir", str(journal_dir),
-            "--batch-window", "0.05",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
@@ -120,7 +119,7 @@ def main() -> None:
 
     print("Phase 1: reference — the same jobs against an uninterrupted server ...")
     start = time.time()
-    with SynthesisServer(edit_session(), ServingConfig(batch_window=0.05)) as clean:
+    with SynthesisServer(edit_session(), ServingConfig()) as clean:
         with RemoteSynthesisSession(clean.address) as client:
             reference = [client.submit(t, budget=20_000, seed=1) for t in tasks]
             client.run(reference)

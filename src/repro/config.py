@@ -396,13 +396,10 @@ class ServingConfig:
     max_pending_jobs: int = 64
     #: retry hint (seconds) returned with ``over_capacity`` rejections
     retry_after: float = 0.5
-    #: worker-process count the server schedules each batch with
-    #: (forwarded to ``SynthesisSession.run``); 1 = serial in-server
+    #: worker processes of the session's pool the server dispatches
+    #: each admitted job to (forwarded to ``SynthesisSession.serve``);
+    #: 1 = serial in-server
     n_workers: int = 1
-    #: how long the scheduler waits after the first queued job for more
-    #: submissions before starting the batch — the micro-batching window
-    #: that lets concurrent clients coalesce into one parallel run
-    batch_window: float = 0.05
     #: honour ``shutdown`` frames from clients (tests and examples);
     #: production servers keep this off and stop from their own process
     allow_remote_shutdown: bool = False
@@ -431,8 +428,6 @@ class ServingConfig:
             raise ValueError("retry_after must be non-negative")
         if self.n_workers < 1:
             raise ValueError("n_workers must be at least 1")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be non-negative")
         if self.drain_timeout < 0:
             raise ValueError("drain_timeout must be non-negative")
 

@@ -18,8 +18,11 @@ them.  This module turns that shape into an explicit API:
     serially in submission order or dispatches them to the session's
     supervised worker pool (:class:`~repro.core.supervisor.WorkerSupervisor`;
     records identical to a serial run — every job is explicitly seeded).
-    The pool is forked at the first parallel run and lives until
-    :meth:`SynthesisSession.close` (or the session's garbage
+    :meth:`SynthesisSession.serve` is the one loop behind the parallel
+    path: it takes jobs from a :class:`JobFeed` (a closed list, or a
+    server's admission queue) as workers go idle and settles each the
+    moment it ends.  The pool is forked at the first dispatched job and
+    lives until :meth:`SynthesisSession.close` (or the session's garbage
     collection): its workers keep their warm backends between runs,
     stream per-generation events back live, and ship the cache entries
     they computed back into the session, which hands a repeated task's
@@ -50,7 +53,9 @@ from __future__ import annotations
 
 import enum
 import re
+import threading
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -73,6 +78,54 @@ logger = get_logger("core.service")
 #: most recent events retained on each job (older ones are dropped so
 #: paper-scale budgets cannot grow ``job.events`` without bound)
 MAX_EVENTS_PER_JOB = 10_000
+
+#: longest sleep of :meth:`SynthesisSession.serve` on an empty feed that
+#: nobody rang (a producer rings the feed when it adds a job or closes)
+_FEED_WAIT = 0.5
+
+
+class JobFeed:
+    """The jobs a :meth:`SynthesisSession.serve` loop takes, one at a time.
+
+    :meth:`take` returns the next job, or None when none is ready now;
+    :attr:`closed` is True once no job will follow.  A producer calls
+    :meth:`ring` after it adds a job or closes the feed, and the worker
+    pool rings it when a worker reports, so a loop sleeping in
+    :meth:`wait` wakes for either.
+    """
+
+    def __init__(self) -> None:
+        self._bell = threading.Event()
+
+    def take(self) -> Optional["SynthesisJob"]:
+        raise NotImplementedError
+
+    @property
+    def closed(self) -> bool:
+        raise NotImplementedError
+
+    def ring(self) -> None:
+        self._bell.set()
+
+    def wait(self, timeout: Optional[float]) -> None:
+        """Sleep until rung (or ``timeout``); a ring before the call counts."""
+        self._bell.wait(timeout)
+        self._bell.clear()
+
+
+class ListFeed(JobFeed):
+    """A closed list of jobs: the feed of a local :meth:`SynthesisSession.run`."""
+
+    def __init__(self, jobs: Sequence["SynthesisJob"]) -> None:
+        super().__init__()
+        self._jobs = deque(jobs)
+
+    def take(self) -> Optional["SynthesisJob"]:
+        return self._jobs.popleft() if self._jobs else None
+
+    @property
+    def closed(self) -> bool:
+        return not self._jobs
 
 
 def _snapshot_key(method: str, program_length: Optional[int]) -> str:
@@ -204,10 +257,12 @@ class SynthesisSession:
         self._backends: Dict[Tuple[str, Optional[int]], SynthesisBackend] = {}
         self._listeners: List[ProgressListener] = []
         self._next_job_number = 0
-        #: the supervised worker pool (built at the first parallel run)
+        #: the supervised worker pool (built at the first dispatched job)
         #: and the finalizer that closes it with this session
         self._pool: Optional[WorkerSupervisor] = None
         self._pool_finalizer: Optional[weakref.finalize] = None
+        #: held while the pool has live jobs: one feed drives it at a time
+        self._pool_lock = threading.Lock()
         # Persisted warm caches: snapshots written by a previous process
         # next to the artifacts, keyed by model hash (stale snapshots are
         # discarded by ArtifactStore.load_caches).  Applied lazily as
@@ -413,20 +468,22 @@ class SynthesisSession:
     ) -> List[SynthesisJob]:
         """Execute pending jobs, serially (in submission order) or in parallel.
 
-        With ``n_workers > 1`` the pending jobs are dispatched to the
-        session's supervised worker pool (retries, heartbeats, deadlines
-        and serial degradation — see :mod:`repro.core.supervisor`);
-        results (and the order of the returned list) are identical to a
-        serial run.  The pool is forked at the first parallel run and
-        serves every later one until :meth:`close`; it is rebuilt when
-        ``n_workers`` changes and after a run that degraded to serial.
-        Worker-side progress events stream back live over each worker's
-        channel, so session listeners observe remote jobs
+        With ``n_workers > 1`` and more than one pending job the jobs go
+        through :meth:`serve` over a closed list: each is dispatched to
+        the session's supervised worker pool as soon as a worker is idle
+        (retries, heartbeats, deadlines and serial degradation — see
+        :mod:`repro.core.supervisor`), and settles the moment its own
+        outcome lands.  Results (and the order of the returned list) are
+        identical to a serial run.  The pool is forked at the first
+        dispatched job and serves every later one until :meth:`close`;
+        it is rebuilt when ``n_workers`` changes and after it degraded
+        to serial.  Worker-side progress events stream back live over
+        each worker's channel, so session listeners observe remote jobs
         per-generation exactly like local ones; ``job.cancel()`` reaches
         running workers through a shared cancellation flag, and cache
         entries computed by workers are merged back into this session's
-        backends when each job completes.  Each dispatched job carries
-        only the merged entries of its own task.  With a configured
+        backends as each job settles.  Each dispatched job carries only
+        the merged entries of its own task.  With a configured
         ``artifact_dir`` the merged caches are persisted for later
         sessions (``ServiceConfig.persist_caches``).
         """
@@ -438,26 +495,84 @@ class SynthesisSession:
         pending = [j for j in (jobs if jobs is not None else self.jobs) if j.state is JobState.PENDING]
         n_workers = self.service_config.n_workers if n_workers is None else int(n_workers)
         if n_workers > 1 and len(pending) > 1:
-            pool = self._pool_for(n_workers, len(pending))
-            pool._run_supervised(self, pending)
-            if pool.degraded:
-                self.close()  # the next parallel run gets a fresh pool
+            self.serve(ListFeed(pending), n_workers)
         else:
             for job in pending:
                 self.run_job(job)
         self._persist_caches()
         return pending
 
-    def _pool_for(self, n_workers: int, n_jobs: int) -> WorkerSupervisor:
-        """The session's pool, (re)built when it cannot serve this run."""
+    def serve(
+        self,
+        feed: "JobFeed",
+        n_workers: Optional[int] = None,
+        on_settled: Optional[Callable[[SynthesisJob], None]] = None,
+    ) -> None:
+        """Run every job ``feed`` yields until the feed closes.
+
+        The one scheduling loop of the session.  With ``n_workers > 1``
+        each job is dispatched to the worker pool as soon as a worker is
+        idle — the pool takes from the feed only as many jobs as it has
+        idle workers, so the rest wait in the feed — and settles the
+        moment its own outcome lands; otherwise each runs in this thread
+        through :meth:`run_job`.  A job that is no longer pending when it
+        is taken (cancelled while queued) settles without running.
+
+        Settling a job calls ``on_settled(job)`` first (a server journals
+        and publishes the job's end there), then merges the job's worker
+        cache delta into this session's backend and appends its L3
+        segment (``ServiceConfig.persist_caches``).  When the pool
+        degrades, its unfinished jobs run here serially and the next job
+        gets a fresh pool.
+        """
+        if self.service_config.fault_plan is not None:
+            faults.install(self.service_config.fault_plan, role="parent")
+        n_workers = self.service_config.n_workers if n_workers is None else int(n_workers)
+
+        def settle(job: SynthesisJob, cache_delta: Optional[dict] = None) -> None:
+            if on_settled is not None:
+                on_settled(job)
+            if cache_delta:
+                self.backend(job.method, job.program_length).load_cache_snapshot(cache_delta)
+            self._persist_caches()
+
+        while True:
+            job = feed.take()
+            if job is None:
+                if feed.closed:
+                    return
+                feed.wait(_FEED_WAIT)
+                continue
+            self._flush_startup_events()
+            if n_workers <= 1 or job.state is not JobState.PENDING:
+                self.run_job(job)  # a no-op for a job cancelled while queued
+                settle(job)
+                continue
+            with self._pool_lock:
+                pool = self._pool_for(n_workers)
+                settled = pool.run(self, feed, job)
+                while settled:
+                    for done, cache_delta in settled:
+                        if done.state is JobState.PENDING:
+                            # the pool degraded before this job finished:
+                            # run it on the serial path (same backend, same
+                            # seed — the result is what the worker would
+                            # have produced)
+                            self.run_job(done)
+                        settle(done, cache_delta)
+                    if pool.degraded:
+                        self.close()  # the next job gets a fresh pool
+                        break
+                    settled = pool.run(self, feed)
+
+    def _pool_for(self, n_workers: int) -> WorkerSupervisor:
+        """The session's pool, (re)built when it cannot serve ``n_workers``."""
         from repro.core.supervisor import WorkerSupervisor
 
-        if self._pool is not None and not self._pool.serves(
-            n_workers, n_jobs, self.service_config
-        ):
+        if self._pool is not None and not self._pool.serves(n_workers, self.service_config):
             self.close()
         if self._pool is None:
-            pool = WorkerSupervisor.for_session(self, n_workers, n_jobs)
+            pool = WorkerSupervisor.for_session(self, n_workers)
             self._pool = pool
             self._pool_finalizer = weakref.finalize(self, pool.close)
         return self._pool
@@ -496,25 +611,17 @@ class SynthesisSession:
         for event in events:
             self._fan_out(event, None)
 
-    def _supervision_listener(
-        self, pending: List[SynthesisJob]
-    ) -> Callable[[ProgressEvent], None]:
-        """Consumer for the supervisor's recovery events.
+    def _supervision_event(self, event: ProgressEvent, job: Optional[SynthesisJob]) -> None:
+        """Consume one of the supervisor's recovery events.
 
-        Job-scoped events (retries, quarantines, deadlines) are recorded
-        on the job like any of its own events; all supervision events fan
-        out to session listeners.  A listener raising
-        :class:`JobCancelled` on a supervision event cancels that job.
+        A job-scoped event (retry, quarantine, deadline, restart) is
+        recorded on ``job`` like any of its own events; every supervision
+        event fans out to session listeners.  A listener raising
+        :class:`JobCancelled` on a job-scoped event cancels that job.
         """
-        by_id = {job.job_id: job for job in pending}
-
-        def listener(event: ProgressEvent) -> None:
-            job = by_id.get(event.job_id)
-            if job is not None:
-                self._record_events(job, (event,))
-            self._fan_out(event, job)
-
-        return listener
+        if job is not None:
+            self._record_events(job, (event,))
+        self._fan_out(event, job)
 
     # ------------------------------------------------------------------
     def solve(

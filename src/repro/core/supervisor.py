@@ -9,13 +9,20 @@ managed worker processes instead, keeps them for the lifetime of the
 :class:`~repro.core.service.SynthesisSession` that owns it, and adds the
 failure discipline a serving layer needs:
 
-* **Lifetime.**  The pool is built at a session's first parallel
-  ``run()`` (never at session or server start).  Its workers keep their
-  backends, L1 caches and persistent tries between runs; every later
-  run hands its specs to the same workers.  The pump thread and the
-  cancel-flag array live as long as the pool; a flag slot is cleared
-  before a new job reuses it.  The session closes
-  the pool (``SynthesisSession.close()``, its context manager, or a
+* **One supervise loop.**  :meth:`WorkerSupervisor.run` takes jobs
+  from a feed (:class:`~repro.core.service.JobFeed`: a local ``run()``'s
+  closed list, or a server's admission queue) only while a worker is
+  idle, and returns each job's outcome the moment it lands — no job
+  waits for another.  A run is one busy period: the calls from a job
+  dispatched to an idle pool until no dispatched job is left unsettled.
+* **Lifetime.**  The pool is built at a session's first dispatched job
+  (never at session or server start), and a worker is forked when a job
+  finds no idle one.  Its workers keep their backends, L1 caches and
+  persistent tries between runs; every later run hands its specs to the
+  same workers.  The pump thread and the cancel-flag array live as long
+  as the pool; a job holds a flag slot from dispatch to settle, and the
+  slot is cleared before a new job reuses it.  The session closes the
+  pool (``SynthesisSession.close()``, its context manager, or a
   finalizer when it is garbage-collected) and rebuilds it when
   ``n_workers`` changes or after a run that degraded to serial.
 * **Shipping.**  Every worker gets one payload, ``(store, config,
@@ -63,10 +70,10 @@ failure discipline a serving layer needs:
   overruns are not retried.
 * **Degradation.**  When one run accumulates more than
   ``ServiceConfig.max_pool_crashes`` worker crashes, the supervisor
-  stops feeding the pool, kills the survivors, and hands the remaining
+  stops feeding the pool, kills the survivors, and hands the unfinished
   jobs back to the session to run serially in the parent
   (``"degraded_serial"``) — slower, but immune to whatever was killing
-  the workers.  The next parallel run gets a fresh pool.
+  the workers.  The next job gets a fresh pool.
 
 With no faults and default knobs the supervisor is pure bookkeeping on
 the parent side.  Each worker builds one private
@@ -88,7 +95,7 @@ import time
 from collections import OrderedDict, deque
 from multiprocessing.connection import wait
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -109,8 +116,9 @@ logger = get_logger("core.supervisor")
 #: are re-checked while waiting for results
 _TICK = 0.02
 
-#: cancel-flag slots of a new pool; a run with more jobs rebuilds the
-#: pool with the next power of two
+#: cancel-flag slots of a new pool: the most jobs dispatched and not yet
+#: settled at once (a pool never has more than its workers plus the
+#: retries waiting out their backoff)
 _FLAG_SLOTS = 256
 
 #: seconds between a job's cooperative deadline cancel and the hard kill
@@ -155,10 +163,8 @@ class FailureReport:
 
 @dataclass
 class SupervisedOutcome:
-    """Terminal per-job record the session applies after a supervised run."""
+    """Terminal per-job record the supervisor applies when a job settles."""
 
-    #: the job's terminal state; ``PENDING`` when a degraded run hands
-    #: the unfinished job back to the session's serial path
     state: JobState
     result: Optional[SynthesisResult] = None
     error: Optional[str] = None
@@ -545,29 +551,40 @@ class _FlagRaiser:
         self._flags[self._index] = 1
 
 
-class _Route:
-    """Where the pump delivers one dispatched job's streamed events."""
+class _Live:
+    """One dispatched job, from its dispatch to its settle."""
 
-    __slots__ = ("dispatch", "job", "key", "sink")
+    __slots__ = (
+        "job", "key", "spec", "attempts", "crash_workers", "first_start",
+        "deadline_fired", "deadline_kill_at",
+    )
 
-    def __init__(self, dispatch: int, job: Any, key: Tuple,
-                 sink: Callable[[Any, List[ProgressEvent]], None]) -> None:
-        self.dispatch = dispatch
+    def __init__(self, job: Any, key: Tuple, spec: _ServiceJobSpec) -> None:
         self.job = job
         #: the job's task key (see :class:`_TaskCacheRouter`)
         self.key = key
-        #: the session's event sink: records and fans out (pump thread)
-        self.sink = sink
+        self.spec = spec
+        #: attempts started (or queued to start) so far
+        self.attempts = 0
+        #: ids of the workers that died running it, in order
+        self.crash_workers: List[int] = []
+        self.first_start = 0.0
+        self.deadline_fired = False
+        self.deadline_kill_at = 0.0
+
+    @property
+    def dispatch(self) -> int:
+        return self.spec[0]
 
 
 class WorkerSupervisor:
-    """The supervised worker pool of one session, serving all its runs.
+    """The supervised worker pool of one session, serving all its jobs.
 
     Parameters
     ----------
     n_workers:
-        Target pool size.  Workers are forked by :meth:`run`, as many as
-        the run has specs (up to ``n_workers``), and then kept.
+        Target pool size.  A worker is forked when a dispatched job finds
+        no idle one, up to ``n_workers``, and is then kept.
     config:
         The session's :class:`~repro.config.ServiceConfig`: the pool
         reads ``max_job_retries``, ``retry_backoff``,
@@ -580,9 +597,6 @@ class WorkerSupervisor:
         Handed once to every worker's :func:`_parallel_worker_init`:
         :func:`_worker_payload`'s ``(store, config, snapshots,
         service_config)``.
-    slots:
-        Size of the shared cancellation-flag array: the most jobs one
-        run may dispatch.
     route_bound:
         Most merged cache entries held for per-task shipping (see
         :class:`_TaskCacheRouter`).
@@ -590,8 +604,9 @@ class WorkerSupervisor:
     The pool owns, for its whole life, its workers — each with its own
     task queue (parent to worker) and :class:`_Channel` (worker to
     parent) — the pump thread that reads every channel, and the flag
-    array.  It holds no reference to its session outside
-    :meth:`_run_supervised`, so the session's finalizer can close it.
+    array of :data:`_FLAG_SLOTS` slots, the most jobs dispatched at once.
+    It holds a reference to its session only while a job is live, so
+    the session's finalizer can close it.
     """
 
     def __init__(
@@ -601,7 +616,6 @@ class WorkerSupervisor:
         seed: int,
         payload: _WorkerPayload,
         context: Any = None,
-        slots: int = _FLAG_SLOTS,
         route_bound: int = 0,
     ) -> None:
         import multiprocessing
@@ -616,11 +630,10 @@ class WorkerSupervisor:
         self.total_crashes = 0
         # one shared byte per job slot: the parent raises it, workers
         # poll it at every emitted event (no lock needed for a flag)
-        self.cancel_flags = self._context.Array("b", int(slots), lock=False)
+        self.cancel_flags = self._context.Array("b", _FLAG_SLOTS, lock=False)
         #: worker_id -> {"process", "tasks": its own task queue,
-        #:               "job": None | (index, attempt, t0),
-        #:               "kill_reason": str}; index -1 marks a spec of an
-        #:               earlier run still finishing (a raced duplicate)
+        #:               "job": None | (dispatch, attempt, t0),
+        #:               "kill_reason": str}
         self._workers: Dict[int, dict] = {}
         #: read end of each live worker's channel; the pump reads them
         #: and alone closes them, once it has read a worker's last item
@@ -632,11 +645,20 @@ class WorkerSupervisor:
         self._next_worker_id = 0
         self._next_dispatch = 0
         self._router = _TaskCacheRouter(route_bound)
-        #: dispatch_index -> route of the jobs whose events are awaited
-        self._routes: Dict[int, _Route] = {}
-        self._emit_cb: Optional[Callable[[ProgressEvent], None]] = None
-        self._specs: List[Tuple] = []
-        self._run_lock = threading.Lock()
+        #: dispatch index -> every job dispatched and not yet settled; the
+        #: pump routes their streamed events
+        self._live: Dict[int, _Live] = {}
+        #: retries waiting out their backoff: (due_time, dispatch)
+        self._delayed: List[Tuple[float, int]] = []
+        #: attempts waiting for an idle worker: (dispatch, attempt)
+        self._ready: "deque[Tuple[int, int]]" = deque()
+        # set while a job is live: the session's event sink, the feed's
+        # bell and the supervision-event sink
+        self._sink: Optional[Callable[[Any, List[ProgressEvent]], None]] = None
+        self._ring: Optional[Callable[[], None]] = None
+        self._emit_cb: Optional[Callable[[ProgressEvent, Any], None]] = None
+        #: (job, cache delta) of the jobs settled since run() was entered
+        self._settled: List[Tuple[Any, Optional[dict]]] = []
         self._owner_pid = os.getpid()
         self._stopping = threading.Event()
         #: wakes the pump when a channel is added or the pool closes
@@ -647,28 +669,23 @@ class WorkerSupervisor:
         self._pump.start()
 
     @classmethod
-    def for_session(cls, session: Any, n_workers: int, n_jobs: int) -> "WorkerSupervisor":
-        """A new pool for ``session``: its payload, flag slots and route bound."""
-        slots = _FLAG_SLOTS
-        while slots < n_jobs:
-            slots *= 2
+    def for_session(cls, session: Any, n_workers: int) -> "WorkerSupervisor":
+        """A new pool for ``session``: its payload and route bound."""
         return cls(
             n_workers,
             session.service_config,
             session.config.seed,
             _worker_payload(session),
-            slots=slots,
             route_bound=DEFAULT_MAX_ENTRIES,
         )
 
-    def serves(self, n_workers: int, n_jobs: int, config: ServiceConfig) -> bool:
-        """Whether this pool can take a run of ``n_jobs`` as configured."""
+    def serves(self, n_workers: int, config: ServiceConfig) -> bool:
+        """Whether this pool can take jobs for ``n_workers`` as configured."""
         return (
             not self.closed
             and not self.degraded
             and self.n_workers == n_workers
             and self.config is config
-            and n_jobs <= len(self.cancel_flags)
         )
 
     def close(self) -> None:
@@ -694,61 +711,54 @@ class WorkerSupervisor:
             pass
 
     # ------------------------------------------------------------------
-    # fan-out (the session's side of one run)
-    def _prepare_fan_out(self, session: Any, pending: Sequence[Any]) -> Tuple[List[_ServiceJobSpec], List[_Route]]:
-        """Specs, event routes, cleared flag slots and state transitions.
+    # dispatch and event routing
+    def _dispatch(self, job: Any) -> _Live:
+        """Give ``job`` a dispatch index, a cleared flag slot and its spec.
 
-        Each spec carries the cache entries merged for its own task; a
-        job cancelled before this point gets its flag raised so the
-        worker never runs it.  Opens the fan-out: the pump delivers the
-        jobs' events to ``session._deliver_events`` until
-        :meth:`_run_supervised` removes their routes.
+        The index is unique over the pool's lifetime and its flag slot
+        (``index % len(cancel_flags)``) is held by no other unsettled
+        job.  The spec carries the cache entries merged for the job's own
+        task.  From here until its settle the pump delivers the job's
+        events to the running loop's session.
         """
         flags = self.cancel_flags
-        specs: List[_ServiceJobSpec] = []
-        routes: List[_Route] = []
-        for job in pending:
-            dispatch = self._next_dispatch
+        held = {dispatch % len(flags) for dispatch in self._live}
+        while self._next_dispatch % len(flags) in held:
             self._next_dispatch += 1
-            slot = dispatch % len(flags)
-            flags[slot] = 0
-            key = _task_key(job.method, job.program_length, job.task)
-            specs.append((
-                dispatch, job.job_id, job.method, job.program_length, job.task, job.seed,
-                job.budget_limit, self._router.entries(key),
-            ))
-            route = _Route(dispatch, job, key, session._deliver_events)
-            routes.append(route)
-            self._routes[dispatch] = route
-            if job.state is not JobState.PENDING:
-                # cancelled between collecting the pending list and this
-                # fan-out: keep the terminal state and make sure the
-                # worker never runs the job
-                flags[slot] = 1
-                continue
-            job.state = JobState.RUNNING
-            job._remote_cancel = _FlagRaiser(flags, slot)
-            if job._cancel_requested:  # cancelled between submit and fan-out
-                flags[slot] = 1
-        return specs, routes
+        dispatch = self._next_dispatch
+        self._next_dispatch += 1
+        slot = dispatch % len(flags)
+        flags[slot] = 0
+        key = _task_key(job.method, job.program_length, job.task)
+        spec = (
+            dispatch, job.job_id, job.method, job.program_length, job.task, job.seed,
+            job.budget_limit, self._router.entries(key),
+        )
+        live = _Live(job, key, spec)
+        self._live[dispatch] = live
+        job.state = JobState.RUNNING
+        job._remote_cancel = _FlagRaiser(flags, slot)
+        if job._cancel_requested:  # cancelled between the take and this flip
+            flags[slot] = 1
+        return live
 
     def _pump_events(self) -> None:
         """Read every worker's channel live (the pool's daemon thread).
 
         Each item is ``(index, payload)``; a job's events arrive as
-        :class:`_EventEmitter`'s coalesced lists.  Events of a job routed
-        by the open fan-out go to the session's sink, which records them on the
-        job and fans them out to session listeners exactly like the
-        serial path, while the main thread blocks in :meth:`run`; events
-        of dispatches no longer routed (a stale duplicate of an earlier
-        run) are dropped.  Heartbeats refresh their worker's age and are
-        never recorded on a job — per-job streams stay identical to
-        serial runs.  Lifecycle messages go on to :meth:`run`.  A
-        worker's items are handled in the order it sent them, so a job's
-        events are all delivered before its outcome is handed on: when
-        :meth:`run` returns, every event of every final attempt has been
-        observed.  A new worker's channel and :meth:`close` wake the
-        pump through a pipe of its own.
+        :class:`_EventEmitter`'s coalesced lists.  Events of a dispatched,
+        unsettled job go to the running loop's session sink, which
+        records them on the job and fans them out to session listeners
+        exactly like the serial path; events of a job no longer live (a
+        cut-short attempt, a raced duplicate) are dropped.  Heartbeats
+        refresh their worker's age and are never recorded on a job —
+        per-job streams stay identical to serial runs.  Lifecycle
+        messages go on to :meth:`run`, and ring the running loop's feed.
+        A worker's items are handled in the order it sent them, so a
+        job's events are all delivered before its outcome is handed on:
+        when a job settles, every event of its final attempt has been
+        observed.  A new worker's channel and :meth:`close` wake the pump
+        through a pipe of its own.
         """
         while not self._stopping.is_set():
             for conn in wait([self._wake, *self._channels]):
@@ -773,166 +783,177 @@ class WorkerSupervisor:
 
     def _deliver(self, job_index: int, payload: Any) -> None:
         """Route one channel item (a method, so no route outlives its
-        call: a route references the session, which must stay collectable)."""
+        call: the sink references the session, which must stay collectable)."""
         if job_index == _LIFECYCLE:
             self._lifecycle.put(payload)
+            ring = self._ring
+            if ring is not None:
+                ring()
             return
         if job_index == _HEARTBEAT:
             self._heartbeats[payload.worker_id] = time.monotonic()
             return
-        route = self._routes.get(job_index)
-        if route is None:
+        live = self._live.get(job_index)
+        sink = self._sink
+        if live is None or sink is None:
             return
         try:
-            route.sink(route.job, payload)
+            sink(live.job, payload)
         except Exception:  # noqa: BLE001 - the pump must keep draining
-            logger.exception("event sink failed for %s", route.job.job_id)
-
-    def _run_supervised(self, session: Any, pending: List[Any]) -> None:
-        """Fan ``pending`` out over the pool and apply the outcomes to ``session``.
-
-        Cache deltas merge into the session's backends (and into the
-        per-task routes of later specs); jobs a degraded run handed back
-        run serially in the parent with the same backend and seed.  One
-        run at a time: a concurrent caller waits for the pool.
-        """
-        with self._run_lock:
-            specs, routes = self._prepare_fan_out(session, pending)
-            self._emit_cb = session._supervision_listener(pending)
-            try:
-                outcomes = self.run(specs)
-            finally:
-                self._emit_cb = None
-                for route in routes:
-                    route.job._remote_cancel = None
-                    # every final attempt's events were delivered before
-                    # its outcome; whatever still arrives is a cut-short
-                    # attempt's and is dropped
-                    self._routes.pop(route.dispatch, None)
-            for route, outcome in zip(routes, outcomes):
-                job = route.job
-                if outcome.cache_delta:
-                    session.backend(job.method, job.program_length).load_cache_snapshot(
-                        outcome.cache_delta
-                    )
-                    self._router.merge(route.key, outcome.cache_delta)
-                job.state, job.result, job.error = outcome.state, outcome.result, outcome.error
-                job.failure = outcome.failure
-                if job.state is JobState.CANCELLED:
-                    logger.info("job %s cancelled in worker", job.job_id)
-                elif job.state is JobState.FAILED:
-                    logger.warning("job %s failed: %s", job.job_id, job.error)
-                    if outcome.failure is not None:
-                        # the worker died (or was killed) before it could
-                        # flush a terminal event: synthesize one so the job's
-                        # stream still settles with an observable ending
-                        session._supervision_listener([job])(
-                            ProgressEvent(
-                                kind="failed",
-                                method=job.method,
-                                task_id=job.task.task_id,
-                                job_id=job.job_id,
-                                attempt=outcome.attempts,
-                                reason=outcome.failure.kind,
-                            )
-                        )
-            for job in pending:
-                if job.state is JobState.PENDING:
-                    # the pool degraded before this job finished: run it on
-                    # the serial path (same backend, same seed — the result
-                    # is what the worker would have produced)
-                    session.run_job(job)
+            logger.exception("event sink failed for %s", live.job.job_id)
 
     # ------------------------------------------------------------------
-    def _emit(self, kind: str, *, job_index: Optional[int] = None,
+    def _emit(self, kind: str, *, live: Optional[_Live] = None,
               worker_id: int = -1, attempt: int = 0, reason: str = "") -> None:
         if self._emit_cb is None:
             return
         event = ProgressEvent(
             kind=kind, worker_id=worker_id, attempt=attempt, reason=reason
         )
-        if job_index is not None:
-            spec = self._specs[job_index]
-            event.job_id = spec[1]
-            event.method = spec[2]
-            event.task_id = spec[4].task_id
+        job = None
+        if live is not None:
+            job = live.job
+            event.job_id = job.job_id
+            event.method = job.method
+            event.task_id = job.task.task_id
         try:
-            self._emit_cb(event)
+            self._emit_cb(event, job)
         except Exception:  # noqa: BLE001 - supervision must survive listeners
             logger.exception("supervision listener failed on %s", kind)
 
     # ------------------------------------------------------------------
-    def run(self, specs: Sequence[Tuple]) -> List[SupervisedOutcome]:
-        """Execute every spec to a terminal outcome (never hangs).
+    @property
+    def busy(self) -> bool:
+        """Whether a dispatched job has not settled yet."""
+        return bool(self._live)
 
-        Returns one :class:`SupervisedOutcome` per spec, in spec order.
-        Workers that died while the pool was idle are replaced first
-        (``worker_restarted``), and the pool is topped up to
-        ``min(n_workers, len(specs))`` workers; the workers stay alive
-        afterwards.  On degradation the workers are shut down and
-        unfinished jobs come back ``PENDING`` for the caller to run
-        in-process.
+    def run(self, session: Any, feed: Any, first: Any = None) -> List[Tuple[Any, Optional[dict]]]:
+        """Supervise the pool's jobs until one settles; return it at once.
+
+        The one supervise loop (never hangs).  ``first`` (when given) and
+        the jobs taken from ``feed`` are dispatched; a job is taken only
+        when a worker is idle (or one more may be forked), so the rest
+        wait in the feed.  Returns, as soon as at least one job settled,
+        every settled job with the cache delta its worker shipped, in the
+        order their outcomes landed: each job's terminal state, result,
+        error and failure report are already set.  A job taken after it
+        was cancelled settles without reaching a worker.  Call again
+        while :attr:`busy`; an empty list means no job is live and the
+        feed has none ready.
+
+        A call that finds no job live starts a run: workers that died
+        while the pool was idle are replaced (``worker_restarted``) and
+        heartbeat ages and the crash count restart.  The workers stay
+        alive afterwards.  When the pool degrades its workers are shut
+        down and its unfinished jobs are returned ``PENDING``, in
+        dispatch order, for the caller to run in-process.
         """
-        self._specs = list(specs)
-        n = len(self._specs)
-        #: dispatch_index -> position in this run
-        self._index = {spec[0]: index for index, spec in enumerate(self._specs)}
-        self._outcomes: List[Optional[SupervisedOutcome]] = [None] * n
-        self._attempts = [0] * n
-        self._crash_workers: List[List[int]] = [[] for _ in range(n)]
-        self._first_start = [0.0] * n
-        self._deadline_fired = [False] * n
-        self._deadline_kill_at = [0.0] * n
-        #: retries waiting out their backoff: (due_time, job_index)
-        self._delayed: List[Tuple[float, int]] = []
-        #: specs waiting for an idle worker: (job_index, attempt)
-        self._ready: "deque[Tuple[int, int]]" = deque()
-        self.total_crashes = 0
-
-        now = time.monotonic()
-        for worker_id, state in self._workers.items():
-            # an idle gap is not a hang: heartbeat ages restart now
-            self._heartbeats[worker_id] = now
-            if state["job"] is not None:
-                # still finishing a raced duplicate of the previous run
-                state["job"] = (-1, state["job"][1], state["job"][2])
-        for index in range(n):
-            self._enqueue(index)
-        self._reap_dead_workers()
-        while len(self._workers) < min(self.n_workers, max(1, n)):
-            self._spawn_worker()
+        self._settled = []
         try:
-            self._supervise()
+            if not self._live:
+                self._sink = session._deliver_events
+                self._ring = feed.ring
+                self._emit_cb = session._supervision_event
+                self.total_crashes = 0
+                self._delayed.clear()
+                self._ready.clear()
+                now = time.monotonic()
+                for worker_id in self._workers:
+                    # an idle gap is not a hang: heartbeat ages restart now
+                    self._heartbeats[worker_id] = now
+                self._reap_dead_workers(replace=True)
+            if first is not None:
+                self._take_job(first)
+            self._supervise(feed)
         except BaseException:
             self.close()  # an unfinished run leaves no workers behind
+            self._live.clear()
             raise
-        if self.degraded:
-            self._shutdown()
-            for index in range(n):
-                if self._outcomes[index] is None:
-                    self._outcomes[index] = SupervisedOutcome(
-                        state=JobState.PENDING, attempts=self._attempts[index]
+        finally:
+            settled, self._settled = self._settled, []
+            if self.degraded:
+                self._shutdown()
+                for live in list(self._live.values()):
+                    self._retire(live)
+                    live.job.state = JobState.PENDING
+                    settled.append((live.job, None))
+            if not self._live:
+                self._sink = self._ring = self._emit_cb = None
+        return settled
+
+    def _supervise(self, feed: Any) -> None:
+        while True:
+            if self._delayed:
+                # release retries whose backoff expired
+                now = time.monotonic()
+                due = [dispatch for (t, dispatch) in self._delayed if t <= now]
+                self._delayed = [(t, dispatch) for (t, dispatch) in self._delayed if t > now]
+                for dispatch in due:
+                    live = self._live.get(dispatch)
+                    if live is None:
+                        continue  # settled while it waited (a raced outcome)
+                    self._emit(
+                        "job_retry", live=live, attempt=live.attempts, reason="backoff_elapsed"
                     )
-        return [outcome for outcome in self._outcomes]  # all set by now
+                    self._enqueue(live)
+            self._drain_results()
+            self._reap_dead_workers(replace=bool(self._live) or not feed.closed)
+            self._check_deadlines()
+            self._check_heartbeats()
+            if self.total_crashes > self.config.max_pool_crashes:
+                self._degrade()
+                return
+            self._assign()
+            self._take(feed)
+            if self._settled or not self._live:
+                return
+            feed.wait(_TICK)
 
     # ------------------------------------------------------------------
-    def _enqueue(self, job_index: int) -> None:
-        self._ready.append((job_index, self._attempts[job_index]))
-        self._attempts[job_index] += 1
+    def _take(self, feed: Any) -> None:
+        """Take jobs from ``feed`` while a worker is free for one."""
+        while len(self._live) < len(self.cancel_flags):
+            idle = sum(
+                1 for state in self._workers.values()
+                if state["job"] is None and not state["kill_reason"]
+            )
+            if idle + self.n_workers - len(self._workers) <= len(self._ready):
+                return
+            job = feed.take()
+            if job is None:
+                return
+            self._take_job(job)
+            self._assign()
+
+    def _take_job(self, job: Any) -> None:
+        if job.state is not JobState.PENDING:
+            # cancelled while it waited in the feed: it never reaches a worker
+            self._settled.append((job, None))
+            return
+        self._enqueue(self._dispatch(job))
+
+    def _enqueue(self, live: _Live) -> None:
+        self._ready.append((live.dispatch, live.attempts))
+        live.attempts += 1
 
     def _assign(self) -> None:
-        """Hand ready specs to idle workers, one each."""
-        idle = [
-            state for state in self._workers.values()
-            if state["job"] is None and not state["kill_reason"]
-        ]
-        while idle and self._ready:
-            job_index, attempt = self._ready.popleft()
-            if self._outcomes[job_index] is not None:
-                continue  # decided while it waited (a raced retry)
-            state = idle.pop()
-            state["tasks"].put((self._specs[job_index], attempt))
-            state["job"] = (job_index, attempt, time.monotonic())
+        """Hand ready attempts to idle workers, forking one when none is idle."""
+        while self._ready:
+            state = next(
+                (state for state in self._workers.values()
+                 if state["job"] is None and not state["kill_reason"]),
+                None,
+            )
+            if state is None:
+                if len(self._workers) >= self.n_workers:
+                    return
+                state = self._workers[self._spawn_worker()]
+            dispatch, attempt = self._ready.popleft()
+            live = self._live.get(dispatch)
+            if live is None:
+                continue  # settled while it waited (a raced retry)
+            state["tasks"].put((live.spec, attempt))
+            state["job"] = (dispatch, attempt, time.monotonic())
 
     def _spawn_worker(self) -> int:
         worker_id = self._next_worker_id
@@ -965,9 +986,6 @@ class WorkerSupervisor:
         self._heartbeats[worker_id] = time.monotonic()
         return worker_id
 
-    def _pending(self) -> int:
-        return sum(1 for outcome in self._outcomes if outcome is None)
-
     def _backoff(self, attempt: int) -> float:
         """Seconds a job waits before retry ``attempt`` (1-based)."""
         return min(
@@ -976,110 +994,105 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------------
     def _drain_results(self) -> None:
-        """Handle every lifecycle message that arrives within one tick."""
-        try:
-            self._handle(self._lifecycle.get(timeout=_TICK))
-            while True:
-                self._handle(self._lifecycle.get_nowait())
-        except queue.Empty:
-            pass
-
-    def _supervise(self) -> None:
-        self._assign()
-        while self._pending() > 0:
-            now = time.monotonic()
-            # release retries whose backoff expired
-            if self._delayed:
-                due = [j for (t, j) in self._delayed if t <= now]
-                self._delayed = [(t, j) for (t, j) in self._delayed if t > now]
-                for job_index in due:
-                    self._emit(
-                        "job_retry",
-                        job_index=job_index,
-                        attempt=self._attempts[job_index],
-                        reason="backoff_elapsed",
-                    )
-                    self._enqueue(job_index)
-            self._drain_results()
-            self._reap_dead_workers()
-            self._check_deadlines()
-            self._check_heartbeats()
-            if self.total_crashes > self.config.max_pool_crashes:
-                self._degrade()
+        """Handle every lifecycle message the pump has forwarded."""
+        while True:
+            try:
+                message = self._lifecycle.get_nowait()
+            except queue.Empty:
                 return
-            if not self._workers and self._pending() > 0:
-                # every worker is gone and none may be replaced: degrade
-                # rather than spin forever (can only happen when spawns
-                # fail or the crash budget exactly drained the pool)
-                self._degrade()  # pragma: no cover - defensive
-                return
-            self._assign()
+            self._handle(message)
 
     def _handle(self, message: Tuple) -> None:
         kind = message[0]
-        # messages name a dispatch index; one this run did not dispatch
-        # is a raced duplicate of an earlier run's job finishing late
+        now = time.monotonic()
+        # a message naming a dispatch that is no longer live is a raced
+        # duplicate of a job that already settled
         if kind == "started":
             _, worker_id, dispatch, attempt = message
-            job_index = self._index.get(dispatch, -1)
             state = self._workers.get(worker_id)
             if state is not None:
                 # the deadline clock starts when the job does
-                state["job"] = (job_index, attempt, time.monotonic())
-            self._heartbeats[worker_id] = time.monotonic()
-            if job_index >= 0 and self._first_start[job_index] == 0.0:
-                self._first_start[job_index] = time.monotonic()
+                state["job"] = (dispatch, attempt, now)
+            self._heartbeats[worker_id] = now
+            live = self._live.get(dispatch)
+            if live is not None and live.first_start == 0.0:
+                live.first_start = now
         elif kind == "outcome":
             _, worker_id, dispatch, attempt, outcome = message
             state = self._workers.get(worker_id)
             if state is not None:
                 state["job"] = None
-            self._heartbeats[worker_id] = time.monotonic()
-            job_index = self._index.get(dispatch)
-            if job_index is None or self._outcomes[job_index] is not None:
-                return  # stale duplicate from a raced retry
-            state, result, error, delta = outcome
-            if state is JobState.CANCELLED and self._deadline_fired[job_index]:
+            self._heartbeats[worker_id] = now
+            live = self._live.get(dispatch)
+            if live is None:
+                return
+            job_state, result, error, delta = outcome
+            if job_state is JobState.CANCELLED and live.deadline_fired:
                 # the cancellation the worker observed was the deadline
                 # enforcement, not a user request
-                self._fail(job_index, "deadline", delta=delta)
+                self._fail(live, "deadline", delta=delta)
                 return
-            self._outcomes[job_index] = SupervisedOutcome(
-                state=state,
-                result=result,
-                error=error,
-                cache_delta=delta,
-                attempts=self._attempts[job_index],
-            )
+            self._settle(live, SupervisedOutcome(
+                state=job_state, result=result, error=error, cache_delta=delta,
+                attempts=live.attempts,
+            ))
 
-    def _fail(self, job_index: int, kind: str, message: str = "",
+    def _retire(self, live: _Live) -> None:
+        """Stop routing ``live``'s events and free its flag slot."""
+        del self._live[live.dispatch]
+        live.job._remote_cancel = None
+
+    def _settle(self, live: _Live, outcome: SupervisedOutcome) -> None:
+        """Apply ``outcome`` to its job, for :meth:`run` to return it."""
+        job = live.job
+        self._retire(live)
+        job.state, job.result, job.error = outcome.state, outcome.result, outcome.error
+        job.failure = outcome.failure
+        if job.state is JobState.CANCELLED:
+            logger.info("job %s cancelled in worker", job.job_id)
+        elif job.state is JobState.FAILED:
+            logger.warning("job %s failed: %s", job.job_id, job.error)
+            if outcome.failure is not None:
+                # the worker died (or was killed) before it could flush a
+                # terminal event: synthesize one so the job's stream still
+                # settles with an observable ending
+                self._emit(
+                    "failed", live=live, attempt=outcome.attempts,
+                    reason=outcome.failure.kind,
+                )
+        if outcome.cache_delta:
+            self._router.merge(live.key, outcome.cache_delta)
+        self._settled.append((job, outcome.cache_delta))
+
+    def _fail(self, live: _Live, kind: str, message: str = "",
               delta: Optional[dict] = None) -> None:
-        """End ``job_index`` ``FAILED`` with a :class:`FailureReport`.
+        """Settle ``live`` ``FAILED`` with a :class:`FailureReport`.
 
         ``kind`` is ``"crash"``, ``"hung"`` or ``"deadline"``; a deadline
         report states the deadline, the others carry ``message``.
         """
         if kind == "deadline":
             message = f"exceeded the {self.config.job_deadline:.1f}s wall-clock deadline"
-        first_start = self._first_start[job_index]
         report = FailureReport(
-            job_id=self._specs[job_index][1],
+            job_id=live.job.job_id,
             kind=kind,
-            attempts=self._attempts[job_index],
+            attempts=live.attempts,
             message=message,
-            worker_ids=tuple(self._crash_workers[job_index]),
-            elapsed=time.monotonic() - first_start if first_start else 0.0,
+            worker_ids=tuple(live.crash_workers),
+            elapsed=time.monotonic() - live.first_start if live.first_start else 0.0,
         )
-        self._outcomes[job_index] = SupervisedOutcome(
+        self._settle(live, SupervisedOutcome(
             state=JobState.FAILED,
             error=str(report),
             cache_delta=delta,
             failure=report,
             attempts=report.attempts,
-        )
+        ))
 
     # ------------------------------------------------------------------
-    def _reap_dead_workers(self) -> None:
+    def _reap_dead_workers(self, replace: bool) -> None:
+        """Account for dead workers; replace them while ``replace`` (work
+        is, or may come, left) and the crash budget allows."""
         dead = [
             (worker_id, state)
             for worker_id, state in self._workers.items()
@@ -1091,58 +1104,49 @@ class WorkerSupervisor:
             self._release(state)
             reason = state["kill_reason"] or "worker_crash"
             job = state["job"]
-            if job is not None and job[0] < 0:
-                job = None  # it was finishing an earlier run's duplicate
+            live = self._live.get(job[0]) if job is not None else None
             self.total_crashes += 1
-            if job is not None:
-                job_index, attempt, _t0 = job
-                if self._outcomes[job_index] is None:
-                    self._job_lost(job_index, worker_id, reason)
-            # replace the worker while there is (or may be) work left
             if (
-                not self.degraded
+                replace
+                and not self.degraded
                 and self.total_crashes <= self.config.max_pool_crashes
-                and self._pending() > 0
             ):
                 new_id = self._spawn_worker()
-                self._emit(
-                    "worker_restarted",
-                    worker_id=new_id,
-                    reason=reason,
-                    job_index=job[0] if job is not None else None,
-                )
+                self._emit("worker_restarted", worker_id=new_id, reason=reason, live=live)
                 logger.warning(
                     "worker %d died (%s); restarted as worker %d",
                     worker_id, reason, new_id,
                 )
+            if live is not None:
+                self._job_lost(live, worker_id, reason)
 
-    def _job_lost(self, job_index: int, worker_id: int, reason: str) -> None:
-        """A worker died while running ``job_index``: retry or give up."""
-        self._crash_workers[job_index].append(worker_id)
-        if self._deadline_fired[job_index]:
-            self._fail(job_index, "deadline")
+    def _job_lost(self, live: _Live, worker_id: int, reason: str) -> None:
+        """A worker died while running ``live``: retry or give up."""
+        live.crash_workers.append(worker_id)
+        if live.deadline_fired:
+            self._fail(live, "deadline")
             return
-        attempt = self._attempts[job_index]  # attempts already started
+        attempt = live.attempts  # attempts already started
         if attempt > self.config.max_job_retries:
-            self._fail(
-                job_index,
-                "hung" if reason == "heartbeat_timeout" else "crash",
-                f"worker died ({reason}) on every attempt; "
-                f"quarantined after {attempt} attempt(s)",
-            )
             self._emit(
                 "job_quarantined",
-                job_index=job_index,
+                live=live,
                 worker_id=worker_id,
                 attempt=attempt,
                 reason=reason,
             )
+            self._fail(
+                live,
+                "hung" if reason == "heartbeat_timeout" else "crash",
+                f"worker died ({reason}) on every attempt; "
+                f"quarantined after {attempt} attempt(s)",
+            )
             return
         delay = self._backoff(attempt)
-        self._delayed.append((time.monotonic() + delay, job_index))
+        self._delayed.append((time.monotonic() + delay, live.dispatch))
         logger.info(
             "job %s lost to %s (attempt %d); retrying in %.3fs",
-            self._specs[job_index][1], reason, attempt, delay,
+            live.job.job_id, reason, attempt, delay,
         )
 
     def _check_deadlines(self) -> None:
@@ -1152,26 +1156,24 @@ class WorkerSupervisor:
         now = time.monotonic()
         for worker_id, state in list(self._workers.items()):
             job = state["job"]
-            if job is None or job[0] < 0:
+            live = self._live.get(job[0]) if job is not None else None
+            if live is None:
                 continue
-            job_index, _attempt, started = job
-            if self._outcomes[job_index] is not None:
-                continue
-            overdue = now - started - deadline
+            overdue = now - job[2] - deadline
             if overdue <= 0:
                 continue
-            if not self._deadline_fired[job_index]:
-                self._deadline_fired[job_index] = True
-                self._deadline_kill_at[job_index] = now + DEADLINE_GRACE
-                self.cancel_flags[self._specs[job_index][0] % len(self.cancel_flags)] = 1
+            if not live.deadline_fired:
+                live.deadline_fired = True
+                live.deadline_kill_at = now + DEADLINE_GRACE
+                self.cancel_flags[live.dispatch % len(self.cancel_flags)] = 1
                 self._emit(
                     "deadline_exceeded",
-                    job_index=job_index,
+                    live=live,
                     worker_id=worker_id,
-                    attempt=self._attempts[job_index],
+                    attempt=live.attempts,
                     reason=f"deadline {deadline:.1f}s",
                 )
-            elif now >= self._deadline_kill_at[job_index]:
+            elif now >= live.deadline_kill_at:
                 # the cooperative cancel went unheeded: hard kill; the
                 # reaper converts the death into a deadline failure
                 state["kill_reason"] = "deadline_kill"

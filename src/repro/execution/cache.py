@@ -248,12 +248,23 @@ class EvaluationCache:
         The input streams through a staging dict bounded by
         ``max_entries``, so loading a snapshot far larger than the cache
         (e.g. a long-lived L3 log) keeps only the newest entries without
-        ever materializing the whole snapshot in memory.
+        ever materializing the whole snapshot in memory.  A list with no
+        duplicate key that fits beside the stored entries (a worker's
+        per-job delta) is inserted with one ``dict.update`` instead: no
+        entry can be evicted then, so the result is the same.
         """
         if not self.enabled:
             for _ in items:
                 pass
             return 0
+        if isinstance(items, list) and len(self._store) + len(items) <= self.max_entries:
+            delta = dict(items)
+            if len(delta) == len(items):
+                before = len(self._store)
+                self._store.update(delta)
+                self._fresh += len(self._store) - before
+                self.stats.stores += len(delta)
+                return len(delta)
         staged = stage_newest(items, self.max_entries)
         for (namespace, key), value in staged.items():
             self.put(namespace, key, value)

@@ -53,7 +53,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--journal-fsync", action="store_true")
     parser.add_argument("--n-workers", type=int, default=1)
-    parser.add_argument("--batch-window", type=float, default=0.05)
     parser.add_argument("--max-pending-jobs", type=int, default=64)
     parser.add_argument("--drain-timeout", type=float, default=30.0)
     parser.add_argument("--allow-remote-shutdown", action="store_true")
@@ -87,7 +86,6 @@ def main(argv=None) -> int:
             host=args.host,
             port=args.port,
             n_workers=args.n_workers,
-            batch_window=args.batch_window,
             max_pending_jobs=args.max_pending_jobs,
             journal_dir=args.journal_dir,
             journal_fsync=args.journal_fsync,

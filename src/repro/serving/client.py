@@ -70,6 +70,9 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("serving.client")
 
+#: most bytes one read of the main connection takes off the socket
+_RECV_BYTES = 64 * 1024
+
 
 class RemoteError(RuntimeError):
     """The server answered with an ``error`` frame."""
@@ -212,6 +215,8 @@ class RemoteSynthesisSession:
         self.reconnects = 0
         self._listeners: List[ProgressListener] = []
         self._sock: Optional[socket.socket] = None
+        #: bytes read off the main connection and not yet parsed
+        self._buffer = bytearray()
 
     # ------------------------------------------------------------------
     # plumbing
@@ -238,7 +243,7 @@ class RemoteSynthesisSession:
                 sock = self._connection()
                 sock.settimeout(self.timeout)
                 protocol.send_frame(sock, dict(frame))
-                return _raise_on_error(protocol.recv_frame(sock))
+                return _raise_on_error(self._next_frame(sock))
             except (ConnectionError, OSError) as error:
                 self.close()
                 if attempt >= self.reconnect_attempts:
@@ -283,6 +288,7 @@ class RemoteSynthesisSession:
 
     def close(self) -> None:
         sock, self._sock = self._sock, None
+        self._buffer = bytearray()
         if sock is not None:
             try:
                 sock.close()
@@ -431,41 +437,58 @@ class RemoteSynthesisSession:
             except Exception:  # noqa: BLE001 - mirror the pump's tolerance
                 logger.exception("session listener failed on %s", event.kind)
 
-    def _recv_stream_frame(self, sock: socket.socket) -> dict:
-        """One stream frame, with keepalive: instead of blocking on the
-        read forever, wake every ``keepalive_interval`` and ping the
-        server on a side connection.  A failed ping means the server is
-        gone — raise ``ConnectionError`` so the stream loop reconnects.
+    def _next_frame(self, sock: socket.socket, stream: bool = False) -> dict:
+        """The next frame of the main connection, parsed out of buffered reads.
+
+        One read takes up to :data:`_RECV_BYTES` off the socket, and
+        every frame it completes is served from the buffer without
+        another read.  A frame that has started arriving must finish
+        within the control ``timeout``.  On a ``stream`` read, an empty
+        buffer waits with keepalive: instead of blocking forever, it
+        wakes every ``keepalive_interval`` and pings the server on a side
+        connection.  A failed ping means the server is gone — raise
+        ``ConnectionError`` so the stream loop reconnects.
         ``stream_timeout`` (server alive but silent too long) raises
-        :class:`StreamTimeout` instead, which is terminal."""
+        :class:`StreamTimeout` instead, which is terminal; a server
+        stalling *mid-frame* counts as dead.
+        """
         deadline = (
-            None if self.stream_timeout is None else time.monotonic() + self.stream_timeout
+            None if not stream or self.stream_timeout is None
+            else time.monotonic() + self.stream_timeout
         )
         while True:
-            wait = self.keepalive_interval
-            if deadline is not None:
-                remaining = max(deadline - time.monotonic(), 0.001)
-                wait = remaining if wait is None else min(wait, remaining)
-            sock.settimeout(wait)
-            try:
-                first = sock.recv(1)
-            except socket.timeout:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise StreamTimeout(
-                        f"no stream frame within stream_timeout={self.stream_timeout}s"
-                    ) from None
-                if not self._server_alive():
-                    raise ConnectionError("keepalive ping failed on idle stream") from None
-                continue
-            if not first:
-                raise ConnectionError("connection closed mid-stream")
-            # the frame started arriving: read the rest under the control
-            # timeout (a server stalling *mid-frame* counts as dead)
-            sock.settimeout(self.timeout)
-            try:
-                return protocol.recv_frame(sock, prefix=first)
-            except socket.timeout as error:
-                raise ConnectionError(f"server stalled mid-frame: {error}") from error
+            frame = protocol.pop_frame(self._buffer)
+            if frame is not None:
+                return frame
+            if self._buffer or not stream:
+                sock.settimeout(self.timeout)
+                try:
+                    chunk = sock.recv(_RECV_BYTES)
+                except socket.timeout as error:
+                    if stream:
+                        raise ConnectionError(f"server stalled mid-frame: {error}") from error
+                    raise
+            else:
+                wait = self.keepalive_interval
+                if deadline is not None:
+                    remaining = max(deadline - time.monotonic(), 0.001)
+                    wait = remaining if wait is None else min(wait, remaining)
+                sock.settimeout(wait)
+                try:
+                    chunk = sock.recv(_RECV_BYTES)
+                except socket.timeout:
+                    if deadline is not None and time.monotonic() >= deadline:
+                        raise StreamTimeout(
+                            f"no stream frame within stream_timeout={self.stream_timeout}s"
+                        ) from None
+                    if not self._server_alive():
+                        raise ConnectionError("keepalive ping failed on idle stream") from None
+                    continue
+            if not chunk:
+                raise ConnectionError(
+                    "connection closed mid-frame" if self._buffer else "connection closed mid-stream"
+                )
+            self._buffer += chunk
 
     def _stream_job(self, job: RemoteJob) -> None:
         """Stream ``job`` to its terminal state, transparently resuming
@@ -483,7 +506,7 @@ class RemoteSynthesisSession:
                     {"type": "events", "job_id": job.job_id, "since": len(job.events)},
                 )
                 while True:
-                    frame = _raise_on_error(self._recv_stream_frame(sock))
+                    frame = _raise_on_error(self._next_frame(sock, stream=True))
                     if interrupted:
                         # the resumed stream is flowing again: surface the
                         # outage to listeners without touching job.events

@@ -103,6 +103,26 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
     return message
 
 
+def pop_frame(buffer: bytearray, max_frame_bytes: int = MAX_FRAME_BYTES) -> Optional[Dict[str, Any]]:
+    """Decode and remove the first frame of ``buffer``; None until it is complete.
+
+    Lets a reader parse every frame out of one buffered read.  An
+    oversized length header raises :class:`ProtocolError` as soon as it
+    is buffered, before any of the body is waited for.
+    """
+    if len(buffer) < _LENGTH.size:
+        return None
+    (length,) = _LENGTH.unpack_from(buffer)
+    if length > max_frame_bytes:
+        raise ProtocolError(f"incoming frame of {length} bytes exceeds the {max_frame_bytes}-byte bound")
+    end = _LENGTH.size + length
+    if len(buffer) < end:
+        return None
+    payload = bytes(buffer[_LENGTH.size:end])
+    del buffer[:end]
+    return decode_payload(payload)
+
+
 # -- blocking-socket side (the client) --------------------------------------
 
 

@@ -6,9 +6,11 @@ Architecture (three kinds of thread, one asyncio loop)::
         accepts connections, parses frames, answers control requests,
         writes event streams.  Never runs synthesis.
     scheduler thread (netsyn-serving-scheduler)
-        drains the admission queue, micro-batches submissions inside
-        ``batch_window`` so concurrent clients coalesce into one
-        parallel ``session.run``, then settles each job's stream.
+        runs :meth:`~repro.core.service.SynthesisSession.serve` over the
+        admission queue: each admitted job goes to the session's worker
+        pool as soon as a worker is idle (or runs in this thread with
+        ``n_workers=1``) and settles the moment its own outcome lands —
+        no job waits for another.
     the session's own machinery
         the supervised worker pool, event pump and caches of
         :class:`~repro.core.service.SynthesisSession` — unchanged; the
@@ -16,12 +18,15 @@ Architecture (three kinds of thread, one asyncio loop)::
 
 Event routing: the server registers one session listener.  Every event
 carries its ``job_id``; the listener appends it (in emission order) to
-that job's stream buffer and wakes any subscribed connections through
-``loop.call_soon_threadsafe``.  Because the buffer holds the complete
-ordered stream, a client may subscribe before, during or after the run —
-late subscribers replay the backlog first, so the observed per-job
-stream is identical regardless of timing, and a disconnected client can
-reconnect and resume from any sequence number.
+that job's stream buffer and wakes each subscribed connection through
+``loop.call_soon_threadsafe`` — once per burst: a subscriber already
+woken is not woken again until it has read the buffer, and then writes
+every frame it has not sent yet with one write and one drain.  Because
+the buffer holds the complete ordered stream, a client may subscribe
+before, during or after the run — late subscribers replay the backlog
+first, so the observed per-job stream is identical regardless of timing,
+and a disconnected client can reconnect and resume from any sequence
+number.
 
 Backpressure is rejection, not stalling: a ``submit`` beyond
 ``max_pending_jobs`` unsettled jobs is answered with an
@@ -52,10 +57,10 @@ import queue
 import signal
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.config import ServingConfig
-from repro.core.service import JobState, SynthesisJob, SynthesisSession
+from repro.core.service import JobFeed, JobState, SynthesisJob, SynthesisSession
 from repro.events import ProgressEvent
 from repro.serving import protocol
 from repro.serving.journal import JobJournal
@@ -64,19 +69,79 @@ from repro.utils.logging import get_logger
 logger = get_logger("serving.server")
 
 
+class _Subscriber:
+    """One connection reading a job's stream."""
+
+    __slots__ = ("loop", "ready", "woken")
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        self.loop = loop
+        #: set (on the loop) when the stream has frames it has not read
+        self.ready = asyncio.Event()
+        #: a wake is on its way (guarded by the stream's lock)
+        self.woken = False
+
+
 class _JobStream:
     """The buffered, subscribable event stream of one job."""
 
-    __slots__ = ("lock", "frames", "subscribers", "terminal")
+    __slots__ = ("lock", "frames", "subscribers", "terminal", "settling")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         #: ordered ``event`` frames (wire form), seq == index
         self.frames: List[dict] = []
-        #: live consumers: (loop, queue) pairs fed via call_soon_threadsafe
-        self.subscribers: List[Tuple[asyncio.AbstractEventLoop, "asyncio.Queue[dict]"]] = []
+        #: live consumers, woken via call_soon_threadsafe
+        self.subscribers: List[_Subscriber] = []
         #: the ``end`` frame once the job settled (None while running)
         self.terminal: Optional[dict] = None
+        #: the job's settle has begun (it settles once)
+        self.settling = False
+
+    def unwoken(self) -> List[_Subscriber]:
+        """Subscribers to wake now, marked woken (call under the lock)."""
+        wake = [subscriber for subscriber in self.subscribers if not subscriber.woken]
+        for subscriber in wake:
+            subscriber.woken = True
+        return wake
+
+
+def _wake(subscribers: List[_Subscriber]) -> None:
+    for subscriber in subscribers:
+        try:
+            subscriber.loop.call_soon_threadsafe(subscriber.ready.set)
+        except RuntimeError:  # that connection's loop is gone
+            pass
+
+
+class _AdmissionFeed(JobFeed):
+    """The admission queue as the session's job feed.
+
+    Closed once the server drains or stops: the jobs still queued then
+    stay in the queue (journaled, or settled as cancelled).  Remembers
+    the jobs it handed out until they settle.
+    """
+
+    def __init__(self, jobs: "queue.Queue[SynthesisJob]", draining: threading.Event) -> None:
+        super().__init__()
+        self._jobs = jobs
+        self._draining = draining
+        #: job_id -> job taken and not yet settled
+        self.taken: Dict[str, SynthesisJob] = {}
+
+    def take(self) -> Optional[SynthesisJob]:
+        if self.closed:
+            return None
+        try:
+            job = self._jobs.get_nowait()
+        except queue.Empty:
+            return None
+        self.taken[job.job_id] = job
+        return job
+
+    @property
+    def closed(self) -> bool:
+        return self._draining.is_set()
 
 
 class SynthesisServer:
@@ -96,11 +161,12 @@ class SynthesisServer:
         #: admitted-but-unsettled job count (the admission bound)
         self._active = 0
         self._admission_lock = threading.Lock()
-        self._queue: "queue.Queue[Optional[SynthesisJob]]" = queue.Queue()
+        self._queue: "queue.Queue[SynthesisJob]" = queue.Queue()
         self._stopping = threading.Event()
         #: set while draining: admissions and side requests answer
         #: ``server_draining``; event streams of running jobs keep flowing
         self._draining = threading.Event()
+        self._feed = _AdmissionFeed(self._queue, self._draining)
         self._started = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -191,6 +257,7 @@ class SynthesisServer:
                 self._settle(job)
             else:
                 self._queue.put(job)
+                self._feed.ring()
         if self.recovered_jobs or state.skipped:
             self._record_recovery_event(
                 ProgressEvent(
@@ -254,7 +321,7 @@ class SynthesisServer:
         """Initiate shutdown without joining (safe from any thread)."""
         self._draining.set()  # in-flight side requests answer server_draining
         self._stopping.set()
-        self._queue.put(None)
+        self._feed.ring()
         if self._loop is not None:
             try:
                 self._loop.call_soon_threadsafe(self._schedule_graceful_shutdown)
@@ -288,15 +355,16 @@ class SynthesisServer:
         """Begin a graceful drain (safe from any thread, idempotent).
 
         Admissions and side requests start answering ``server_draining``;
-        the scheduler finishes the batch it is running and exits; queued
-        jobs that never ran stay journaled for the next server run (with
-        no journal they are settled as cancelled so no client hangs).
+        the scheduler dispatches no further job, lets the running ones
+        finish and exits; queued jobs that never ran stay journaled for
+        the next server run (with no journal they are settled as
+        cancelled so no client hangs).
         """
         if self._draining.is_set():
             return
         self._draining.set()
         logger.info("drain requested: admissions stopped, running jobs finishing")
-        self._queue.put(None)
+        self._feed.ring()
 
     def drain_and_stop(self) -> None:
         """Graceful SIGTERM path: drain, bounded wait, then stop.
@@ -339,10 +407,12 @@ class SynthesisServer:
     def stop(self) -> None:
         """Shut down the server and join its threads (idempotent).
 
-        Jobs still queued at the stop are settled as cancelled when the
-        server has no journal (so no client hangs); with one they stay
-        journaled as pending and the next server run re-admits them.
-        Use :meth:`drain_and_stop` to finish running jobs first.
+        No queued job is dispatched after the stop; the running ones
+        finish (the join waits up to 30 s for them).  Jobs still queued
+        are settled as cancelled when the server has no journal (so no
+        client hangs); with one they stay journaled as pending and the
+        next server run re-admits them.  :meth:`drain_and_stop` waits
+        ``drain_timeout`` instead.
         """
         self._request_stop()
         if self._scheduler is not None and self._scheduler is not threading.current_thread():
@@ -369,22 +439,26 @@ class SynthesisServer:
         with stream.lock:
             frame["seq"] = len(stream.frames)
             stream.frames.append(frame)
-            subscribers = list(stream.subscribers)
-        for loop, q in subscribers:
-            try:
-                loop.call_soon_threadsafe(q.put_nowait, frame)
-            except RuntimeError:  # that connection's loop is gone
-                pass
+            wake = stream.unwoken()
+        _wake(wake)
 
     def _settle(self, job: SynthesisJob) -> None:
         """Publish a job's terminal frame and release its admission slot.
 
-        With a journal, the terminal outcome is made durable *before*
-        subscribers see the end frame — a crash between the two costs a
-        re-delivery (the journaled result answers the resumed stream),
-        never a lost result.
+        Called once the job is terminal, from the scheduler thread (or
+        the loop thread, for a job cancelled while queued); a job settles
+        once, whoever calls first.  With a journal, the terminal outcome
+        is made durable *before* subscribers see the end frame — a crash
+        between the two costs a re-delivery (the journaled result answers
+        the resumed stream), never a lost result.
         """
+        self._feed.taken.pop(job.job_id, None)
         stream = self._streams.get(job.job_id)
+        if stream is not None:
+            with stream.lock:
+                if stream.settling:
+                    return
+                stream.settling = True
         end = {"type": "end", "job": protocol.job_to_wire(job)}
         if self._journal is not None:
             try:
@@ -402,12 +476,8 @@ class SynthesisServer:
         if stream is not None:
             with stream.lock:
                 stream.terminal = end
-                subscribers = list(stream.subscribers)
-            for loop, q in subscribers:
-                try:
-                    loop.call_soon_threadsafe(q.put_nowait, end)
-                except RuntimeError:
-                    pass
+                wake = stream.unwoken()
+            _wake(wake)
         with self._admission_lock:
             self._active -= 1
 
@@ -415,28 +485,19 @@ class SynthesisServer:
     # scheduling (the scheduler thread)
 
     def _schedule_loop(self) -> None:
-        while not self._stopping.is_set():
+        while True:
             try:
-                first = self._queue.get(timeout=0.2)
-            except queue.Empty:
-                continue
-            if first is None:
+                self.session.serve(
+                    self._feed, n_workers=self.config.n_workers, on_settled=self._settle
+                )
                 break
-            batch = [first]
-            deadline = time.monotonic() + self.config.batch_window
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if item is None:
-                    self._stopping.set()
-                    break
-                batch.append(item)
-            self._run_batch(batch)
+            except Exception as error:  # noqa: BLE001 - the server must survive it
+                logger.exception("scheduling failed; failing its unsettled jobs")
+                for job in list(self._feed.taken.values()):
+                    if not job.done:
+                        job.state = JobState.FAILED
+                        job.error = f"{type(error).__name__}: {error}"
+                    self._settle(job)
         # leftovers still queued: with a journal they stay pending on
         # disk — the next server run re-admits them — so their work is
         # never discarded; without one they are settled as cancelled so
@@ -447,8 +508,6 @@ class SynthesisServer:
                 job = self._queue.get_nowait()
             except queue.Empty:
                 break
-            if job is None:
-                continue
             if self._journal is not None and not job.done:
                 leftover += 1
                 continue
@@ -459,18 +518,6 @@ class SynthesisServer:
             logger.info(
                 "%d queued job(s) left journaled for the next server run", leftover
             )
-
-    def _run_batch(self, batch: List[SynthesisJob]) -> None:
-        try:
-            self.session.run(batch, n_workers=self.config.n_workers)
-        except Exception as error:  # noqa: BLE001 - server must survive a bad batch
-            logger.exception("batch of %d job(s) failed", len(batch))
-            for job in batch:
-                if not job.done:
-                    job.state = JobState.FAILED
-                    job.error = f"{type(error).__name__}: {error}"
-        for job in batch:
-            self._settle(job)
 
     # ------------------------------------------------------------------
     # connections (the asyncio loop)
@@ -668,6 +715,7 @@ class SynthesisServer:
             if key is not None:
                 self._key_to_job[key] = job.job_id
         self._queue.put(job)
+        self._feed.ring()
         return {"type": "submitted", "job_id": job.job_id, "method": job.method}
 
     # -- status / cancel ------------------------------------------------
@@ -688,7 +736,12 @@ class SynthesisServer:
         response = {"type": "job", "job": None}
         if cancel:
             was_terminal = job.done
+            was_queued = job.state is JobState.PENDING
             response["accepted"] = job.cancel()
+            if was_queued and job.state is JobState.CANCELLED:
+                # cancelled while queued: it ends now and never reaches a
+                # worker (the scheduler skips it when it comes up)
+                self._settle(job)
             if self._journal is not None and not was_terminal and not job.done:
                 # the job is live and now carries a cancel request: make
                 # the request durable so a crash before it lands still
@@ -721,36 +774,40 @@ class SynthesisServer:
             return
         since = frame.get("since", 0)
         since = since if isinstance(since, int) and since >= 0 else 0
-        loop = asyncio.get_running_loop()
-        live: "asyncio.Queue[dict]" = asyncio.Queue()
-        subscription = (loop, live)
-        # snapshot + subscribe atomically: everything before the snapshot
-        # is replayed from the buffer, everything after arrives on the
-        # queue — no gap, no duplicate, regardless of subscribe timing
+        subscriber = _Subscriber(asyncio.get_running_loop())
+        # the cursor indexes stream.frames (seq == index), so a recovered
+        # job's re-run, which regenerates its stream from seq 0, is not
+        # re-sent to a client resuming with since= from before the crash
+        # (the regenerated events are identical: seeded synthesis is
+        # deterministic).  Reading the buffer and (re-)arming the wake
+        # under one lock keeps the stream gap-free and duplicate-free
+        # regardless of subscribe timing.
+        cursor = since
         with stream.lock:
-            backlog = stream.frames[since:]
-            terminal = stream.terminal
-            if terminal is None:
-                stream.subscribers.append(subscription)
+            if stream.terminal is None:
+                stream.subscribers.append(subscriber)
         try:
-            for event_frame in backlog:
-                await protocol.write_frame(writer, event_frame)
-            if terminal is not None:
-                await protocol.write_frame(writer, terminal)
-                return
             while True:
-                event_frame = await live.get()
-                # a recovered job's re-run regenerates its stream from
-                # seq 0; a client resuming with since= from before the
-                # crash must not be re-sent events it already has —
-                # deliver only from its resume point (the regenerated
-                # events are identical: seeded synthesis is deterministic)
-                if event_frame.get("type") == "event" and event_frame.get("seq", 0) < since:
-                    continue
-                await protocol.write_frame(writer, event_frame)
-                if event_frame.get("type") == "end":
+                with stream.lock:
+                    subscriber.woken = False
+                    pending = stream.frames[cursor:]
+                    terminal = stream.terminal
+                cursor += len(pending)
+                if terminal is not None:
+                    pending.append(terminal)
+                if pending:
+                    await self._write_frames(writer, pending)
+                if terminal is not None:
                     return
+                await subscriber.ready.wait()
+                subscriber.ready.clear()
         finally:
             with stream.lock:
-                if subscription in stream.subscribers:
-                    stream.subscribers.remove(subscription)
+                if subscriber in stream.subscribers:
+                    stream.subscribers.remove(subscriber)
+
+    @staticmethod
+    async def _write_frames(writer: asyncio.StreamWriter, frames: List[dict]) -> None:
+        """Send ``frames`` with one write and one drain."""
+        writer.write(b"".join(protocol.encode_frame(frame) for frame in frames))
+        await writer.drain()

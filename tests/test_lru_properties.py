@@ -159,3 +159,39 @@ def test_load_snapshot_reports_surviving_entries(max_entries, items):
     expected = dict(items)
     for full_key in survivors:
         assert cache.peek(*full_key) == expected[full_key]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    max_entries=st.integers(min_value=1, max_value=10),
+    before=st.lists(st.tuples(_FULL_KEYS, st.integers()), max_size=12),
+    window=st.lists(st.tuples(_FULL_KEYS, st.integers()), max_size=6),
+    items=st.lists(st.tuples(_FULL_KEYS, st.integers()), max_size=12),
+)
+def test_bulk_delta_load_matches_the_per_entry_path(max_entries, before, window, items):
+    """A list without duplicate keys that fits beside the stored entries
+    is inserted with one ``dict.update``; every other input streams
+    through ``stage_newest`` and ``put``.  An iterator always takes the
+    second path, so loading the same items as a list and as an iterator
+    into equal caches must leave equal caches: store order, the open
+    delta window (``_fresh``), ``stores``, ``evictions`` and the return
+    value.  Duplicate keys and loads past ``max_entries`` are drawn
+    too, and the dirty window is already open when the load lands."""
+    caches = []
+    for as_list in (True, False):
+        cache = EvaluationCache(max_entries=max_entries)
+        for (namespace, key), value in before:
+            cache.put(namespace, key, value)
+        cache.clear_dirty()
+        for (namespace, key), value in window:
+            cache.put(namespace, key, value)
+        retained = cache.load_snapshot(list(items) if as_list else iter(items))
+        caches.append((cache, retained))
+    (bulk, bulk_retained), (per_entry, per_entry_retained) = caches
+    assert bulk_retained == per_entry_retained
+    assert bulk.snapshot() == per_entry.snapshot()
+    assert bulk._fresh == per_entry._fresh
+    assert bulk.dirty_snapshot() == per_entry.dirty_snapshot()
+    assert (bulk.stats.stores, bulk.stats.evictions) == (
+        per_entry.stats.stores, per_entry.stats.evictions
+    )

@@ -553,16 +553,18 @@ class TestPoolLifetime:
             edit_config, [tiny_suite[0:3]]
         )
 
-    def test_a_run_larger_than_the_flag_array_rebuilds_the_pool(
+    def test_a_run_larger_than_the_flag_array_reuses_slots(
         self, edit_config, tiny_suite, monkeypatch
     ):
+        # a slot is held from a job's dispatch to its settle only, so a
+        # run of more jobs than slots waits for a free one on the same pool
         monkeypatch.setattr(supervisor, "_FLAG_SLOTS", 2)
         with _edit_session(edit_config) as session:
             small, _ = _run_batches(session, [tiny_suite[0:2]])
             first = session._pool
             large, _ = _run_batches(session, [tiny_suite[1:4]])
-            assert session._pool is not first and first.closed
-            assert len(session._pool.cancel_flags) == 4
+            assert session._pool is first and not first.closed
+            assert len(session._pool.cancel_flags) == 2
         assert [_signature(job) for job in small + large] == _serial_signatures(
             edit_config, [tiny_suite[0:2], tiny_suite[1:4]]
         )
@@ -589,15 +591,23 @@ class TestPerTaskShipping:
         self, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite,
         stray_pids, monkeypatch,
     ):
-        runs = []
-        original = WorkerSupervisor.run
+        runs = []  # the specs each session.run() dispatched
+        original_dispatch = WorkerSupervisor._dispatch
 
-        def recording_run(self, specs):
-            outcomes = original(self, specs)
-            runs.append(list(zip(specs, outcomes)))
-            return outcomes
+        def recording_dispatch(self, job):
+            live = original_dispatch(self, job)
+            runs[-1].append(live.spec)
+            return live
 
-        monkeypatch.setattr(WorkerSupervisor, "run", recording_run)
+        monkeypatch.setattr(WorkerSupervisor, "_dispatch", recording_dispatch)
+        deltas = {}
+        original_router_merge = supervisor._TaskCacheRouter.merge
+
+        def recording_merge(self, key, delta):
+            deltas.setdefault(key, delta)
+            return original_router_merge(self, key, delta)
+
+        monkeypatch.setattr(supervisor._TaskCacheRouter, "merge", recording_merge)
         store = ArtifactStore(cf=tiny_trace_artifacts, fp=tiny_fp_artifacts)
         log = EventLog()
         with SynthesisSession(
@@ -607,24 +617,26 @@ class TestPerTaskShipping:
             session.add_listener(log)
             tasks = list(tiny_suite)
             first = [session.submit(task, budget=300, seed=1) for task in tasks[:3]]
+            runs.append([])
             session.run(n_workers=2)
             # the workers that computed task 0 die while idle: whoever runs
             # its repeat starts from the pool's (empty) warm snapshot
             _kill_and_reap(_child_pids() - stray_pids)
             repeat = session.submit(tasks[0], budget=300, seed=1)
             fresh = session.submit(tasks[3], budget=300, seed=1)
+            runs.append([])
             session.run([repeat, fresh], n_workers=2)
 
         def shipped(spec):
             return sum(len(entries) for entries in (spec[-1] or {}).values())
 
         # N distinct tasks: nothing to ship to any of them
-        assert [shipped(spec) for spec, _outcome in runs[0]] == [0, 0, 0]
-        (repeat_spec, _), (fresh_spec, _) = runs[1]
+        assert [shipped(spec) for spec in runs[0]] == [0, 0, 0]
+        repeat_spec, fresh_spec = runs[1]
         assert shipped(fresh_spec) == 0
         # the repeat carries exactly its task's merged delta, all of it
         # keyed by the task's io key
-        delta = runs[0][0][1].cache_delta
+        delta = deltas[supervisor._task_key("netsyn_cf", None, tasks[0])]
         assert shipped(repeat_spec) == sum(len(entries) for entries in delta.values()) > 0
         io_key = io_set_key(tasks[0].io_set)
         for (namespace, key), _value in repeat_spec[-1]["evaluation"]:

@@ -431,9 +431,10 @@ class TestJobLifecycle:
         monkeypatch.setattr(service, "MAX_EVENTS_PER_JOB", 2)
         session = SynthesisSession(edit_config, ArtifactStore(), methods=("edit",))
         job = session.submit(tiny_task, budget=200, seed=0)
-        listener = session._supervision_listener([job])
         for attempt in (1, 2, 3):
-            listener(ProgressEvent(kind="job_retry", job_id=job.job_id, attempt=attempt))
+            session._supervision_event(
+                ProgressEvent(kind="job_retry", job_id=job.job_id, attempt=attempt), job
+            )
         assert [event.attempt for event in job.events] == [2, 3]
 
     def test_parallel_worker_failure_marks_job_failed(self, edit_config, tiny_suite):

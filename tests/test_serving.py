@@ -12,24 +12,28 @@ Everything network-bound runs against an ephemeral-port server on
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import NetSynConfig, ServiceConfig, ServingConfig, parse_address
 from repro.core.artifacts import ArtifactStore
 from repro.core.result import SynthesisResult
 from repro.core.service import JobState, SynthesisSession
-from repro.core.supervisor import FailureReport
+from repro.core.supervisor import FailureReport, WorkerSupervisor
 from repro.data.tasks import SynthesisTask, make_synthesis_task
 from repro.dsl.equivalence import IOExample
 from repro.dsl.program import Program
 from repro.events import EVENT_SCHEMA_VERSION, EventLog, ProgressEvent
-from repro.execution.faults import FaultPlan
+from repro.execution.faults import Fault, FaultPlan
 from repro.serving import (
     ProtocolError,
     RemoteSynthesisSession,
@@ -37,17 +41,25 @@ from repro.serving import (
     SynthesisServer,
 )
 from repro.serving import protocol
-from repro.serving.client import RemoteError
+from repro.serving import server as serving_server
+from repro.serving.client import RemoteError, RemoteJob
 from repro.serving.journal import JobJournal
 
 
 EDIT_CONFIG = NetSynConfig.small().replace(fitness_kind="edit", fp_guided_mutation=False)
 
+#: the edit config without its generation cap: an impossible_task() then
+#: searches until its budget is spent or it is cancelled, which is how a
+#: test holds a job unsettled
+HOLD_CONFIG = EDIT_CONFIG.replace(
+    ga=dataclasses.replace(EDIT_CONFIG.ga, max_generations=1_000_000)
+)
 
-def edit_session(**service_kwargs) -> SynthesisSession:
+
+def edit_session(config: NetSynConfig = EDIT_CONFIG, **service_kwargs) -> SynthesisSession:
     service_kwargs.setdefault("persist_caches", False)
     return SynthesisSession(
-        EDIT_CONFIG,
+        config,
         ArtifactStore(),
         methods=("edit",),
         service_config=ServiceConfig(**service_kwargs),
@@ -267,7 +279,7 @@ class TestCancelIdempotence:
 # ---------------------------------------------------------------------------
 
 
-SERVING_FAST = ServingConfig(batch_window=0.01)
+SERVING_FAST = ServingConfig()
 
 
 class TestServerRoundTrip:
@@ -307,7 +319,7 @@ class TestServerRoundTrip:
         tasks = [make_synthesis_task(length=3, seed=s) for s in (10, 11)]
         results: dict = {}
         errors: list = []
-        with SynthesisServer(edit_session(), ServingConfig(batch_window=0.25)) as server:
+        with SynthesisServer(edit_session(), ServingConfig(n_workers=2)) as server:
 
             def drive(index: int) -> None:
                 try:
@@ -434,16 +446,18 @@ class TestServerRoundTrip:
         assert job.result is None
 
     def test_admission_rejection_with_retry_after(self):
-        serving = ServingConfig(max_pending_jobs=1, batch_window=5.0, retry_after=0.75)
-        with SynthesisServer(edit_session(), serving) as server:
+        serving = ServingConfig(max_pending_jobs=1, retry_after=0.75)
+        with SynthesisServer(edit_session(HOLD_CONFIG), serving) as server:
             # submit_attempts=1 disables the client's automatic retry loop:
             # this test asserts the raw rejection surface
             with RemoteSynthesisSession(server.address, submit_attempts=1) as client:
-                first = client.submit(make_synthesis_task(length=3, seed=1), budget=200)
+                # an unsolvable job at a large budget holds the only slot
+                first = client.submit(impossible_task(), budget=50_000)
                 with pytest.raises(ServerOverloaded) as excinfo:
                     client.submit(make_synthesis_task(length=3, seed=2), budget=200)
                 assert excinfo.value.retry_after == pytest.approx(0.75)
                 assert first.job_id  # the admitted job is unaffected
+                assert first.cancel() is True
 
     def test_shutdown_forbidden_by_default(self):
         with SynthesisServer(edit_session(), SERVING_FAST) as server:
@@ -452,7 +466,7 @@ class TestServerRoundTrip:
                 assert client.ping()["type"] == "pong"
 
     def test_remote_shutdown_when_allowed(self):
-        serving = ServingConfig(batch_window=0.01, allow_remote_shutdown=True)
+        serving = ServingConfig(allow_remote_shutdown=True)
         server = SynthesisServer(edit_session(), serving).start_background()
         with RemoteSynthesisSession(server.address) as client:
             assert client.shutdown_server() is True
@@ -468,7 +482,7 @@ class TestServerFailurePaths:
             max_job_retries=0,
             heartbeat_timeout=5.0,
         )
-        serving = ServingConfig(n_workers=2, batch_window=0.5)
+        serving = ServingConfig(n_workers=2)
         tasks = [make_synthesis_task(length=3, seed=s) for s in (20, 21)]
         with SynthesisServer(session, serving) as server:
             with RemoteSynthesisSession(server.address) as client:
@@ -482,7 +496,7 @@ class TestServerFailurePaths:
         assert victim.error
         # the stream still settled with an observable terminal event
         assert victim.events[-1].kind == "failed"
-        # the other job of the same batch is untouched
+        # the job running beside it is untouched
         assert bystander.state in (JobState.SOLVED, JobState.EXHAUSTED)
         assert bystander.result is not None
 
@@ -496,12 +510,12 @@ class TestServerFailurePaths:
 
     def test_non_positive_budget_rejected_before_journal(self, tmp_path):
         task = make_synthesis_task(length=3, seed=22)
-        serving = ServingConfig(batch_window=0.5, journal_dir=str(tmp_path))
+        serving = ServingConfig(journal_dir=str(tmp_path))
         with SynthesisServer(edit_session(), serving) as server:
             with RemoteSynthesisSession(server.address) as good_client:
                 good = good_client.submit(task, budget=1500, seed=0)
-                # a second client's bad submit lands inside the good job's
-                # batch window
+                # a second client's bad submit lands while the good job is
+                # admitted and unsettled
                 with RemoteSynthesisSession(server.address) as bad_client:
                     with pytest.raises(RemoteError) as excinfo:
                         bad_client.submit(task, budget=0, seed=0)
@@ -513,3 +527,290 @@ class TestServerFailurePaths:
         # only the valid job was ever admitted
         assert not state.pending
         assert list(state.settled) == [good.job_id]
+
+
+# ---------------------------------------------------------------------------
+# per-job scheduling: dispatch when a worker is idle, settle on the outcome
+# ---------------------------------------------------------------------------
+
+
+#: budget of a job held unsettled (an impossible_task() on HOLD_CONFIG);
+#: every test that submits one cancels it
+HOLD_BUDGET = 1_000_000
+
+
+def _wait_until_running(client: RemoteSynthesisSession, job: RemoteJob) -> None:
+    """Poll the job's server-side state until it left the queue."""
+    while client.status(job).state is JobState.PENDING:
+        time.sleep(0.01)
+
+
+class TestPerJobScheduling:
+    def test_short_job_settles_while_a_long_one_runs(self):
+        with SynthesisServer(edit_session(HOLD_CONFIG), ServingConfig(n_workers=2)) as server:
+            with RemoteSynthesisSession(server.address) as client:
+                long = client.submit(impossible_task(), budget=HOLD_BUDGET, seed=0)
+                short = client.submit(make_synthesis_task(length=3, seed=5), budget=1500, seed=1)
+                client.run([short])
+                assert short.state in (JobState.SOLVED, JobState.EXHAUSTED)
+                assert short.events[-1].kind == "finished"
+                # the short job did not wait for the long one to settle
+                assert client.status(long).state is JobState.RUNNING
+                assert long.cancel() is True
+                client.run([long])
+        assert long.state is JobState.CANCELLED
+
+    def test_lone_job_runs_on_the_pool(self):
+        session = edit_session()
+        with SynthesisServer(session, ServingConfig(n_workers=2)) as server:
+            with RemoteSynthesisSession(server.address) as client:
+                job = client.submit(make_synthesis_task(length=3, seed=5), budget=1500, seed=1)
+                client.run([job])
+            assert session._pool is not None
+        assert job.state in (JobState.SOLVED, JobState.EXHAUSTED)
+        assert job.events[-1].kind == "finished"
+
+    def test_job_cancelled_while_queued_never_reaches_a_worker(self, monkeypatch):
+        dispatched = []
+        dispatch = WorkerSupervisor._dispatch
+
+        def recording_dispatch(pool, job):
+            dispatched.append(job.job_id)
+            return dispatch(pool, job)
+
+        monkeypatch.setattr(WorkerSupervisor, "_dispatch", recording_dispatch)
+        with SynthesisServer(edit_session(HOLD_CONFIG), ServingConfig(n_workers=2)) as server:
+            with RemoteSynthesisSession(server.address) as client:
+                holders = [
+                    client.submit(impossible_task(f"hold-{n}"), budget=HOLD_BUDGET, seed=n)
+                    for n in range(2)
+                ]
+                for holder in holders:
+                    _wait_until_running(client, holder)
+                # both workers are busy: the next job waits in the queue
+                queued = client.submit(make_synthesis_task(length=3, seed=5), budget=1500)
+                assert client.health()["queue_depth"] == 1
+                assert queued.cancel() is True
+                client.run([queued])
+                assert queued.state is JobState.CANCELLED
+                assert queued.events == [] and queued.result is None
+                for holder in holders:
+                    assert holder.cancel() is True
+                client.run(holders)
+                assert all(holder.state is JobState.CANCELLED for holder in holders)
+            assert server._streams[queued.job_id].terminal["job"]["state"] == "cancelled"
+        assert sorted(dispatched) == sorted(holder.job_id for holder in holders)
+
+    def test_drain_finishes_running_jobs_and_keeps_queued_ones_journaled(self, tmp_path):
+        serving = ServingConfig(journal_dir=str(tmp_path))
+        with SynthesisServer(edit_session(HOLD_CONFIG), serving) as server:
+            with RemoteSynthesisSession(server.address, submit_attempts=1) as client:
+                # exhausts its budget on its own, after the drain begins
+                running = client.submit(impossible_task(), budget=50_000, seed=0)
+                _wait_until_running(client, running)
+                queued = client.submit(make_synthesis_task(length=3, seed=5), budget=1500)
+                server.request_drain()
+                client.run([running])
+                assert running.state is JobState.EXHAUSTED
+                assert running.events[-1].kind == "finished"
+            assert server.session.jobs[-1].state is JobState.PENDING
+        with JobJournal(tmp_path) as journal:
+            state = journal.replay()
+        assert list(state.pending) == [queued.job_id]
+        assert state.settled[running.job_id]["state"] == JobState.EXHAUSTED.value
+
+    def test_degraded_pool_hands_back_its_jobs_and_the_next_job_gets_a_fresh_pool(
+        self, monkeypatch
+    ):
+        pools = []
+        for_session = WorkerSupervisor.for_session.__func__
+
+        def recording_for_session(cls, session, n_workers):
+            pools.append(for_session(cls, session, n_workers))
+            return pools[-1]
+
+        monkeypatch.setattr(WorkerSupervisor, "for_session", classmethod(recording_for_session))
+        tasks = [make_synthesis_task(length=3, seed=s) for s in (20, 21, 22)]
+        serial = edit_session()
+        reference = [serial.submit(task, budget=1500, seed=0) for task in tasks]
+        serial.run()
+        plan = FaultPlan(faults=[
+            Fault("worker_start", action="crash", match="job-1:", count=100),
+            Fault("worker_start", action="crash", match="job-2:", count=100),
+        ])
+        session = edit_session(fault_plan=plan, max_pool_crashes=1)
+        log = EventLog()
+        session.add_listener(log)
+        with SynthesisServer(session, ServingConfig(n_workers=2)) as server:
+            with RemoteSynthesisSession(server.address) as client:
+                doomed = [client.submit(task, budget=1500, seed=0) for task in tasks[:2]]
+                client.run(doomed)
+                after = client.submit(tasks[2], budget=1500, seed=0)
+                client.run([after])
+        assert log.of_kind("degraded_serial")
+        assert len(pools) == 2 and pools[0].degraded and pools[0].closed
+        assert not pools[1].degraded
+        served = doomed + [after]
+        assert [job.state for job in served] == [job.state for job in reference]
+        assert [job.result.candidates_used for job in served] == [
+            job.result.candidates_used for job in reference
+        ]
+        assert all(job.events[-1].kind == "finished" for job in served)
+
+
+# ---------------------------------------------------------------------------
+# the client parses frames out of buffered reads
+# ---------------------------------------------------------------------------
+
+
+class _ChunkedStreamServer:
+    """Answers two ``events`` requests for one job over real sockets.
+
+    The stream is sent in ``chunks``-sized pieces, so frames arrive
+    coalesced and split at arbitrary byte offsets.  The first connection
+    is cut after ``cut`` bytes; the second resumes from the request's
+    ``since`` and ends the stream.
+    """
+
+    def __init__(self, events, end, cut, chunks):
+        self.frames = [
+            protocol.encode_frame({"type": "event", "seq": seq, "event": event.to_dict()})
+            for seq, event in enumerate(events)
+        ]
+        self.end = protocol.encode_frame({"type": "end", "job": end})
+        self.cut = cut
+        self.chunks = chunks
+        self.requests = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        for connection in range(2):
+            conn, _address = self.listener.accept()
+            with conn:
+                request = protocol.recv_frame(conn)
+                self.requests.append(request)
+                payload = b"".join(self.frames[request["since"]:]) + self.end
+                if connection == 0:
+                    payload = payload[: self.cut]
+                offset, n = 0, 0
+                while offset < len(payload):
+                    size = self.chunks[n % len(self.chunks)]
+                    conn.sendall(payload[offset:offset + size])
+                    offset += size
+                    n += 1
+
+    def close(self):
+        self.thread.join(timeout=30)
+        self.listener.close()
+        assert not self.thread.is_alive()
+
+
+class TestBufferedStreamReads:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_events=st.integers(min_value=1, max_value=40),
+        cut_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        chunks=st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=6),
+    )
+    def test_split_and_coalesced_frames_resume_without_gap_or_duplicate(
+        self, n_events, cut_fraction, chunks
+    ):
+        events = [ProgressEvent(kind="started", job_id="job-1")] + [
+            ProgressEvent(kind="generation", job_id="job-1", generation=g, best_fitness=g / 7)
+            for g in range(1, n_events)
+        ] + [ProgressEvent(kind="finished", job_id="job-1", found=False)]
+        task = make_synthesis_task(length=3, seed=5)
+        end = {
+            "job_id": "job-1", "method": "edit", "task_id": task.task_id, "seed": 0,
+            "budget_limit": 10, "program_length": None, "state": "exhausted",
+            "error": None, "failure": None, "result": None, "n_events": len(events),
+        }
+        sizes = [
+            len(protocol.encode_frame({"type": "event", "seq": seq, "event": e.to_dict()}))
+            for seq, e in enumerate(events)
+        ]
+        cut = int(cut_fraction * sum(sizes))
+        server = _ChunkedStreamServer(events, end, cut, chunks)
+        seen = []
+        try:
+            with RemoteSynthesisSession(
+                f"127.0.0.1:{server.port}", keepalive_interval=None,
+                backoff_base=0.001, backoff_cap=0.002,
+            ) as client:
+                client.add_listener(seen.append)
+                job = RemoteJob("job-1", "edit", task, 0, 10, _session=client)
+                client.run_job(job)
+        finally:
+            server.close()
+        assert [e.to_dict() for e in job.events] == [e.to_dict() for e in events]
+        assert [e.to_dict() for e in seen if e.kind != "server_recovered"] == [
+            e.to_dict() for e in events
+        ]
+        assert job.state is JobState.EXHAUSTED
+        # the resume asked for exactly the events the cut connection
+        # delivered whole
+        whole = sum(1 for n in range(len(sizes)) if sum(sizes[: n + 1]) <= cut)
+        assert [request["since"] for request in server.requests] == [0, whole]
+
+
+class TestStreamWakeStress:
+    def test_every_subscriber_reads_each_stream_once_in_order(self):
+        """Publisher threads append to job streams and settle them while
+        raw subscribers (from seq 0 or mid-stream) read them; with a
+        tiny switch interval and more threads than cores, a lost wake
+        would hang a subscriber and a race on the cursor would skip or
+        repeat a frame."""
+        n_jobs, n_events = 4, 300
+        task = make_synthesis_task(length=3, seed=5)
+        interval = sys.getswitchinterval()
+        with SynthesisServer(edit_session(), SERVING_FAST) as server:
+            jobs = [server.session.submit(task, budget=100) for _ in range(n_jobs)]
+            for job in jobs:
+                job.state = JobState.EXHAUSTED  # settled by the publisher below
+                server._streams[job.job_id] = serving_server._JobStream()
+            received: dict = {}
+
+            def publish(job):
+                stream = server._streams[job.job_id]
+                while len(stream.subscribers) < 2:  # both subscribers wait live
+                    time.sleep(0.001)
+                for generation in range(n_events):
+                    server._on_event(
+                        ProgressEvent(kind="generation", job_id=job.job_id, generation=generation)
+                    )
+                    if generation % 25 == 0:
+                        time.sleep(0)  # let the subscribers read mid-stream
+                server._settle(job)
+
+            def subscribe(job, since):
+                with socket.create_connection(("127.0.0.1", server.port), timeout=60) as sock:
+                    protocol.send_frame(
+                        sock, {"type": "events", "job_id": job.job_id, "since": since}
+                    )
+                    seqs = []
+                    while True:
+                        frame = protocol.recv_frame(sock)
+                        if frame["type"] == "end":
+                            break
+                        seqs.append(frame["seq"])
+                received[(job.job_id, since)] = seqs
+
+            threads = [
+                threading.Thread(target=subscribe, args=(job, since))
+                for job in jobs for since in (0, n_events // 2)
+            ] + [threading.Thread(target=publish, args=(job,)) for job in jobs]
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        assert len(received) == 2 * n_jobs
+        for (_job_id, since), seqs in received.items():
+            assert seqs == list(range(since, n_events))

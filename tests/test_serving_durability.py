@@ -26,6 +26,7 @@ in-process against ephemeral-port servers on 127.0.0.1.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -46,6 +47,7 @@ from repro.serving import (
     JobJournal,
     RemoteError,
     RemoteSynthesisSession,
+    ServerOverloaded,
     SynthesisServer,
 )
 from repro.serving import protocol
@@ -55,9 +57,17 @@ from repro.serving.journal import JOURNAL_FILE, _HEADER, _MAGIC
 EDIT_CONFIG = NetSynConfig.small().replace(fitness_kind="edit", fp_guided_mutation=False)
 
 
-def edit_session() -> SynthesisSession:
+#: the edit config without its generation cap: an impossible_task() then
+#: searches until its budget is spent or it is cancelled, which is how a
+#: test holds a job unsettled
+HOLD_CONFIG = EDIT_CONFIG.replace(
+    ga=dataclasses.replace(EDIT_CONFIG.ga, max_generations=1_000_000)
+)
+
+
+def edit_session(config: NetSynConfig = EDIT_CONFIG) -> SynthesisSession:
     return SynthesisSession(
-        EDIT_CONFIG,
+        config,
         ArtifactStore(),
         methods=("edit",),
         service_config=ServiceConfig(persist_caches=False),
@@ -223,7 +233,6 @@ class TestJobJournal:
 
 
 def serving_config(tmp_path, **kwargs) -> ServingConfig:
-    kwargs.setdefault("batch_window", 0.01)
     kwargs.setdefault("journal_dir", str(tmp_path))
     return ServingConfig(**kwargs)
 
@@ -262,7 +271,7 @@ class TestServerRecovery:
         import socket as socketlib
 
         task = make_synthesis_task(length=3, seed=5)
-        with SynthesisServer(edit_session(), ServingConfig(batch_window=0.01)) as clean:
+        with SynthesisServer(edit_session(), ServingConfig()) as clean:
             with RemoteSynthesisSession(clean.address) as client:
                 reference = client.submit(task, budget=2000, seed=1)
                 client.run([reference])
@@ -343,10 +352,13 @@ class TestServerRecovery:
 class TestGracefulDrain:
     def test_drain_rejects_submits_but_streams_flow(self, tmp_path):
         task = make_synthesis_task(length=3, seed=5)
-        serving = serving_config(tmp_path, batch_window=3.0)
+        serving = serving_config(tmp_path)
         with SynthesisServer(edit_session(), serving) as server:
             with RemoteSynthesisSession(server.address, submit_attempts=1) as client:
                 job = client.submit(task, budget=2000, seed=1)
+                # a drain dispatches nothing more: let the job leave the queue
+                while client.status(job).state is JobState.PENDING:
+                    time.sleep(0.01)
                 server.request_drain()
                 health = client.health()
                 assert health["state"] in ("draining", "stopping")
@@ -360,7 +372,7 @@ class TestGracefulDrain:
                 assert job.events[-1].kind == "finished"
 
     def test_draining_submit_retries_then_raises(self, tmp_path):
-        serving = serving_config(tmp_path, batch_window=3.0, retry_after=0.05)
+        serving = serving_config(tmp_path, retry_after=0.05)
         with SynthesisServer(edit_session(), serving) as server:
             server.request_drain()
             with RemoteSynthesisSession(server.address, submit_attempts=3) as client:
@@ -379,7 +391,7 @@ class TestGracefulDrain:
 
 class TestClientResilience:
     def test_duplicate_submit_same_live_job(self):
-        with SynthesisServer(edit_session(), ServingConfig(batch_window=0.2)) as server:
+        with SynthesisServer(edit_session(HOLD_CONFIG), ServingConfig()) as server:
             with RemoteSynthesisSession(server.address) as client:
                 task = impossible_task()
                 first = client.submit(task, budget=50_000, seed=0, idempotency_key="dup")
@@ -391,7 +403,7 @@ class TestClientResilience:
                 assert first.state is JobState.CANCELLED
 
     def test_reconnect_exhaustion_raises_connection_error(self):
-        with SynthesisServer(edit_session(), ServingConfig(batch_window=0.5)) as server:
+        with SynthesisServer(edit_session(), ServingConfig()) as server:
             address = server.address
             client = RemoteSynthesisSession(
                 address, reconnect_attempts=2, backoff_base=0.02, backoff_cap=0.05
@@ -405,18 +417,30 @@ class TestClientResilience:
         client.close()
 
     def test_submit_retry_waits_out_capacity(self):
-        """over_capacity during a slow batch window resolves once the
-        first job settles; the retrying submit then lands."""
-        serving = ServingConfig(max_pending_jobs=1, batch_window=0.05, retry_after=0.2)
-        with SynthesisServer(edit_session(), serving) as server:
+        """over_capacity while the first job holds the only slot resolves
+        once that job settles; the retrying submit then lands."""
+        serving = ServingConfig(max_pending_jobs=1, retry_after=0.2)
+        with SynthesisServer(edit_session(HOLD_CONFIG), serving) as server:
             with RemoteSynthesisSession(server.address, submit_attempts=20) as client:
-                first = client.submit(make_synthesis_task(length=3, seed=5),
-                                      budget=2000, seed=1)
+                # an unsolvable job at a large budget holds the slot until
+                # the rejection below cancels it
+                first = client.submit(impossible_task(), budget=50_000, seed=1)
+                request = client._request
+
+                def cancel_first_when_rejected(frame):
+                    try:
+                        return request(frame)
+                    except ServerOverloaded:
+                        first.cancel()
+                        raise
+
+                client._request = cancel_first_when_rejected
                 # second submit hits the bound, retries until the slot frees
                 second = client.submit(make_synthesis_task(length=3, seed=6),
                                        budget=2000, seed=1)
                 client.run([first, second])
                 assert first.done and second.done
+                assert first.state is JobState.CANCELLED
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +455,6 @@ def _spawn_server(port: int, journal_dir: Path) -> subprocess.Popen:
         [
             sys.executable, "-m", "repro.serving",
             "--port", str(port), "--journal-dir", str(journal_dir),
-            "--batch-window", "0.05",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
@@ -471,7 +494,7 @@ class TestKillRestartEndToEnd:
         kill provably lands while it is mid-run (generation 2 of ~50)."""
         tasks = [impossible_task(), make_synthesis_task(length=3, seed=5)]
         # reference: an uninterrupted run of the same grid
-        with SynthesisServer(edit_session(), ServingConfig(batch_window=0.05)) as clean:
+        with SynthesisServer(edit_session(), ServingConfig()) as clean:
             with RemoteSynthesisSession(clean.address) as client:
                 reference = [client.submit(t, budget=20_000, seed=1) for t in tasks]
                 client.run(reference)
