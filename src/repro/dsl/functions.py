@@ -34,7 +34,7 @@ program in the DSL valid by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.dsl.types import DSLType, INT, LIST, Value, clamp_int, clamp_list
 
@@ -307,6 +307,8 @@ class FunctionRegistry:
     def __init__(self, functions: Sequence[DSLFunction] | None = None) -> None:
         self._functions: Tuple[DSLFunction, ...] = tuple(functions) if functions else _build_functions()
         self._by_fid: Dict[int, DSLFunction] = {f.fid: f for f in self._functions}
+        #: every function id, for one C-level subset test per program
+        self.fid_set: FrozenSet[int] = frozenset(self._by_fid)
         self._by_name: Dict[str, DSLFunction] = {f.name: f for f in self._functions}
         # dense per-registry signature ids: a tuple of ids is a
         # cheap-to-hash stand-in for a sequence of signatures

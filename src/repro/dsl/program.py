@@ -21,20 +21,27 @@ class Program:
     Parameters
     ----------
     function_ids:
-        Sequence of 1-based DSL function ids, executed in order.
+        Sequence of 1-based DSL function ids, executed in order; each is
+        coerced with ``int()``.
     registry:
         Function registry to resolve ids against (defaults to the paper's
         41-function registry).
+
+    Raises
+    ------
+    ValueError
+        If an id is not in ``registry``: every ``Program``, the GA's
+        children included, holds only ids of its registry.
     """
 
     function_ids: Tuple[int, ...]
     registry: FunctionRegistry = REGISTRY
 
     def __init__(self, function_ids: Iterable[int], registry: FunctionRegistry = REGISTRY) -> None:
-        ids = tuple(int(i) for i in function_ids)
-        for fid in ids:
-            if fid not in registry:
-                raise ValueError(f"unknown DSL function id {fid}")
+        ids = tuple(map(int, function_ids))
+        if not registry.fid_set.issuperset(ids):
+            unknown = next(fid for fid in ids if fid not in registry.fid_set)
+            raise ValueError(f"unknown DSL function id {unknown}")
         object.__setattr__(self, "function_ids", ids)
         object.__setattr__(self, "registry", registry)
 
@@ -76,6 +83,11 @@ class Program:
     def output_type(self):
         """Type of the program's final output (type of its last function).
 
+        Every DSL function's implementation returns its declared
+        ``return_type``, so this is the type of every value the program
+        outputs; the solution check relies on it to reject a program
+        without running it.
+
         Raises
         ------
         ValueError
@@ -93,12 +105,14 @@ class Program:
 
     # -- edits (return new programs) -----------------------------------------
     def with_replacement(self, index: int, fid: int) -> "Program":
-        """Return a copy with the function at ``index`` replaced by ``fid``."""
+        """Return a copy with the function at ``index`` replaced by ``fid``.
+
+        Raises ``ValueError`` if ``fid`` is not in the registry.
+        """
         if not 0 <= index < len(self):
             raise IndexError(index)
-        ids = list(self.function_ids)
-        ids[index] = fid
-        return Program(ids, self.registry)
+        ids = self.function_ids
+        return Program(ids[:index] + (fid,) + ids[index + 1 :], self.registry)
 
     def concatenated(self, other: "Program") -> "Program":
         """Return the concatenation ``self ++ other``."""

@@ -153,10 +153,13 @@ class ProgressEvent:
         ``kind`` entirely deserializes as an ``"unknown"`` event rather
         than raising, so one foreign record cannot poison a whole log.
         """
-        known = {f.name for f in fields(cls)}
-        kept = {key: value for key, value in data.items() if key in known}
+        kept = {key: value for key, value in data.items() if key in _EVENT_FIELDS}
         kept.setdefault("kind", "unknown")
         return cls(**kept)
+
+
+#: the field names :meth:`ProgressEvent.from_dict` keeps, computed once
+_EVENT_FIELDS = frozenset(f.name for f in fields(ProgressEvent))
 
 
 #: anything that consumes progress events

@@ -21,17 +21,23 @@ All results are deterministic functions of ``(program, io_set)``, so
 caching never changes the semantics of a run — seeded GA runs are
 bit-identical with and without the cache (tested in
 ``tests/test_execution_engine.py``).
+
+The solution check starts with a static verdict: every DSL function's
+implementation returns its declared ``return_type``, so a non-empty
+program's output type is its last function's, and a program whose
+output type cannot equal every example's output is rejected without
+running it, looking it up or caching anything (:func:`output_types`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.dsl.compiler import compile_program, input_signature
 from repro.dsl.equivalence import IOSet
 from repro.dsl.interpreter import ExecutionTrace
 from repro.dsl.program import Program
-from repro.dsl.types import Value, values_equal
+from repro.dsl.types import DSLType, INT, LIST, Value, values_equal
 from repro.execution.cache import EvaluationCache, io_set_key, program_key
 
 #: cache namespaces (defined here only; the columnar engine and the
@@ -39,6 +45,28 @@ from repro.execution.cache import EvaluationCache, io_set_key, program_key
 _NS_OUTPUTS = "outputs"
 _NS_TRACES = "traces"
 _NS_SOLUTIONS = "solutions"
+
+
+def output_types(io_set: IOSet) -> FrozenSet[DSLType]:
+    """The output types a program needs to reproduce every example.
+
+    ``values_equal`` never equals an int to a list, so a program can only
+    satisfy ``io_set`` when its output type is the type of every example
+    output: the one type they share, none when they mix ints and lists,
+    and either type for an IO set without examples.
+    """
+    kinds = {LIST if isinstance(example.output, (list, tuple)) else INT for example in io_set}
+    if not kinds:
+        return frozenset((INT, LIST))
+    return frozenset(kinds) if len(kinds) == 1 else frozenset()
+
+
+def may_satisfy(program: Program, matchable: FrozenSet[DSLType]) -> bool:
+    """False when ``program`` cannot satisfy an IO set whose
+    :func:`output_types` are ``matchable``: a non-empty program outputs
+    its last function's declared ``return_type``.  The empty program
+    outputs the default int and is left to the execution path."""
+    return not program.function_ids or program.output_type() in matchable
 
 
 class ExecutionEngine:
@@ -58,22 +86,27 @@ class ExecutionEngine:
     def __init__(self, cache: Optional[EvaluationCache] = None, compiled: bool = True) -> None:
         self.cache = cache if cache is not None else EvaluationCache()
         self.compiled = bool(compiled)
-        # identity-keyed memo of io_set -> structural key; a run touches a
-        # handful of specifications, each looked up thousands of times.
-        # Holding the io_set strongly pins its id, so ids cannot be reused.
-        self._io_key_memo: List[Tuple[IOSet, Tuple]] = []
+        # identity-keyed memo of io_set -> (structural key, output types);
+        # a run touches a handful of specifications, each looked up
+        # thousands of times.  Holding the io_set strongly pins its id, so
+        # ids cannot be reused.
+        self._io_memo: List[Tuple[IOSet, Tuple, FrozenSet[DSLType]]] = []
 
     # ------------------------------------------------------------------
+    def _io_entry(self, io_set: IOSet) -> Tuple[IOSet, Tuple, FrozenSet[DSLType]]:
+        """``(io_set, io_key, output_types)`` of ``io_set``, memoized."""
+        for entry in self._io_memo:
+            if entry[0] is io_set:
+                return entry
+        entry = (io_set, io_set_key(io_set), output_types(io_set))
+        if len(self._io_memo) >= 32:
+            del self._io_memo[0]
+        self._io_memo.append(entry)
+        return entry
+
     def io_key(self, io_set: IOSet) -> Tuple:
         """The structural key of ``io_set`` (exposed for fitness caches)."""
-        for seen, key in self._io_key_memo:
-            if seen is io_set:
-                return key
-        key = io_set_key(io_set)
-        if len(self._io_key_memo) >= 32:
-            del self._io_key_memo[0]
-        self._io_key_memo.append((io_set, key))
-        return key
+        return self._io_entry(io_set)[1]
 
     # ------------------------------------------------------------------
     def _execute_output(self, program: Program, inputs: Sequence[Value]) -> Value:
@@ -127,11 +160,21 @@ class ExecutionEngine:
     def satisfies(self, program: Program, io_set: IOSet, io_key: Optional[Tuple] = None) -> bool:
         """True when ``program`` reproduces every example of ``io_set``.
 
-        This is the GA's solution check; it shares the cached outputs
-        with fitness scoring, so checking a candidate that a fitness
-        function already executed costs one dictionary lookup.
+        This is the GA's solution check.  A non-empty program whose
+        output type (its last function's declared ``return_type``, which
+        every DSL function's implementation returns) cannot equal every
+        example's output is answered False first, with no cache lookup,
+        execution or store.  Otherwise it shares the cached outputs with
+        fitness scoring, so checking a candidate that a fitness function
+        already executed costs one dictionary lookup.
         """
-        resolved = self.io_key(io_set) if io_key is None else io_key
+        _, key, matchable = self._io_entry(io_set)
+        if not may_satisfy(program, matchable):
+            return False
+        return self._checked(program, io_set, key if io_key is None else io_key)
+
+    def _checked(self, program: Program, io_set: IOSet, resolved: Tuple) -> bool:
+        """The cached verdict of a program that passed :func:`may_satisfy`."""
         key = (program_key(program), resolved)
         cached = self.cache.get(_NS_SOLUTIONS, key)
         if cached is not None:
@@ -166,9 +209,14 @@ class ExecutionEngine:
     def satisfies_batch(
         self, programs: Sequence[Program], io_set: IOSet, io_key: Optional[Tuple] = None
     ) -> List[bool]:
-        """:meth:`satisfies` for each of ``programs``."""
-        resolved = self.io_key(io_set) if io_key is None else io_key
-        return [self.satisfies(program, io_set, io_key=resolved) for program in programs]
+        """:meth:`satisfies` for each of ``programs``: the static verdict
+        rejects wrong-typed programs before any cache lookup."""
+        _, key, matchable = self._io_entry(io_set)
+        resolved = key if io_key is None else io_key
+        return [
+            may_satisfy(program, matchable) and self._checked(program, io_set, resolved)
+            for program in programs
+        ]
 
     # ------------------------------------------------------------------
     # generic per-(program, io_set) memo slots for the fitness layer

@@ -38,8 +38,9 @@ and verdicts land in the same ``outputs``/``solutions`` cache namespaces
 with the same per-program hit/miss accounting, so the per-process cache,
 the L3 cache log, snapshots and the fitness layer see vectorized traffic
 exactly like serial traffic.  Traces come back as :class:`TraceColumns`,
-gathered from the trie levels the solution check already filled, never
-decoded into ``StepRecord`` objects.  Values and traces are
+gathered from the trie levels the solution check already filled (plus
+the wrong-typed programs it rejected without running), never decoded
+into ``StepRecord`` objects.  Values and traces are
 bit-identical to the compiled and reference paths
 (``tests/test_vectorized.py``).  The engine decides once per IO set and
 registry whether the trie can serve: every example has the same input
@@ -65,7 +66,13 @@ from repro.dsl.program import Program
 from repro.dsl.types import DSLType, Value, default_for, values_equal
 from repro.dsl.vector_ops import SAFE_INT_BOUND, batch_impl_for
 from repro.execution.cache import EvaluationCache, program_key
-from repro.execution.engine import _NS_OUTPUTS, _NS_SOLUTIONS, _NS_TRACES, ExecutionEngine
+from repro.execution.engine import (
+    _NS_OUTPUTS,
+    _NS_SOLUTIONS,
+    _NS_TRACES,
+    ExecutionEngine,
+    may_satisfy,
+)
 
 _INT = DSLType.INT
 _DEFAULT_INT = default_for(_INT)
@@ -787,13 +794,16 @@ class BatchExecutionEngine(ExecutionEngine):
     """An :class:`ExecutionEngine` whose population methods run columnar.
 
     ``outputs_batch`` / ``satisfies_batch`` answer for a whole population
-    in one call: cached programs are served from the usual namespaces
-    (with the same hit/miss accounting as the serial methods), the misses
-    — deduplicated by program key — are evaluated in one columnar pass,
-    and the results are stored back so every cache tier, snapshot and
-    sibling consumer observes exactly what a serial run would have
-    produced.  ``traces_batch`` returns :class:`TraceColumns` read off the
-    same persistent trie and caches nothing.
+    in one call: ``satisfies_batch`` first rejects every non-empty
+    program whose output type cannot match (as
+    :meth:`ExecutionEngine.satisfies` does), cached programs are served
+    from the usual namespaces (with the same hit/miss accounting as the
+    serial methods), the misses — deduplicated by registry and program
+    key — are evaluated in one columnar pass, and the results are stored
+    back so every cache tier, snapshot and sibling consumer observes
+    exactly what a serial run would have produced.  ``traces_batch``
+    returns :class:`TraceColumns` read off the same persistent trie and
+    caches nothing.
 
     One :class:`ColumnarEvaluator` per IO set serves a batch when every
     example has the same input signature, every input lies within
@@ -826,8 +836,9 @@ class BatchExecutionEngine(ExecutionEngine):
         )
         #: the counters of evicted evaluators, so kernel_stats() only grows
         self._evicted_stats = KernelStats()
-        #: batches answered entirely from cache, short-circuited before
-        #: any dedup bookkeeping or trie packing
+        #: batches that needed no execution (answered from cache or by
+        #: the static output-type verdict), short-circuited before any
+        #: dedup bookkeeping or trie packing
         self.batch_full_hits = 0
 
     # ------------------------------------------------------------------
@@ -893,6 +904,8 @@ class BatchExecutionEngine(ExecutionEngine):
             return []
         resolved = self.io_key(io_set) if io_key is None else io_key
         results: List[Optional[Tuple[Value, ...]]] = [None] * len(programs)
+        # in-batch dedup by registry and fids: equal fids of two registries
+        # name different programs.  The cache key stays the fids alone.
         pending: "OrderedDict[Tuple, List[int]]" = OrderedDict()
         pending_programs: List[Program] = []
         cache = self.cache
@@ -918,9 +931,10 @@ class BatchExecutionEngine(ExecutionEngine):
                     cache.put(_NS_OUTPUTS, key, outputs)
                     results[idx] = outputs
                     continue
-            positions = pending.get(pkey)
+            dedup = (id(program.registry), pkey)
+            positions = pending.get(dedup)
             if positions is None:
-                pending[pkey] = [idx]
+                pending[dedup] = [idx]
                 pending_programs.append(program)
             else:
                 positions.append(idx)
@@ -930,7 +944,7 @@ class BatchExecutionEngine(ExecutionEngine):
             self.batch_full_hits += 1
             return results
         evaluated = self._batch_outputs(pending_programs, io_set, resolved)
-        for (pkey, positions), out in zip(pending.items(), evaluated):
+        for ((_registry, pkey), positions), out in zip(pending.items(), evaluated):
             outputs = tuple(out)
             self.cache.put(_NS_OUTPUTS, (pkey, resolved), outputs)
             for idx in positions:
@@ -945,7 +959,8 @@ class BatchExecutionEngine(ExecutionEngine):
 
         The columns are gathered from the persistent trie the solution
         check (:meth:`satisfies_batch`) has already filled, so tracing a
-        checked population executes nothing.  Nothing is stored in the
+        checked population executes only the programs that check rejected
+        by output type without running them.  Nothing is stored in the
         evaluation cache: regathering is a few array reads, and the
         fitness layer memoizes its predicted scores above this call.
         Where no trie can serve, the inherited per-program method answers
@@ -960,14 +975,24 @@ class BatchExecutionEngine(ExecutionEngine):
     def satisfies_batch(
         self, programs: Sequence[Program], io_set: IOSet, io_key: Optional[Tuple] = None
     ) -> List[bool]:
-        """:meth:`~ExecutionEngine.satisfies` for a whole population."""
+        """:meth:`~ExecutionEngine.satisfies` for a whole population.
+
+        Wrong-typed programs are answered False before any cache lookup,
+        trie insert or kernel dispatch, so they add no ``outputs`` or
+        ``solutions`` entry (nor a worker delta or L3 segment entry).
+        """
         if not programs:
             return []
-        resolved = self.io_key(io_set) if io_key is None else io_key
+        _, key, matchable = self._io_entry(io_set)
+        resolved = key if io_key is None else io_key
         results: List[Optional[bool]] = [None] * len(programs)
         pending: List[int] = []
+        get = self.cache.get
         for idx, program in enumerate(programs):
-            cached = self.cache.get(_NS_SOLUTIONS, (program_key(program), resolved))
+            if not may_satisfy(program, matchable):
+                results[idx] = False
+                continue
+            cached = get(_NS_SOLUTIONS, (program_key(program), resolved))
             if cached is not None:
                 results[idx] = cached
             else:

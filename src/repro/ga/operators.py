@@ -65,7 +65,7 @@ class GeneOperators:
     def random_gene(self) -> Program:
         """A uniformly random gene of length ``L`` without dead code."""
         for _ in range(self.max_attempts):
-            ids = [int(fid) for fid in self.rng.choice(self._all_ids, size=self.program_length)]
+            ids = self.rng.choice(self._all_ids, size=self.program_length).tolist()
             program = Program(ids, self.registry)
             if self._accept(program):
                 return program

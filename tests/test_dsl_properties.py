@@ -15,12 +15,17 @@ from repro.dsl import (
     type_of,
     values_equal,
 )
+from repro.dsl.compiler import compile_program, input_signature
 from repro.dsl.types import DSLType
 from repro.fitness.ideal import common_functions, lcs_length, levenshtein
 
 function_ids = st.integers(min_value=1, max_value=41)
 programs = st.lists(function_ids, min_size=1, max_size=6).map(Program)
 input_lists = st.lists(st.integers(min_value=-64, max_value=64), min_size=0, max_size=8)
+#: one to three program inputs, each an int or a list
+program_inputs = st.lists(
+    st.one_of(st.integers(min_value=-64, max_value=64), input_lists), min_size=1, max_size=3
+)
 
 _interpreter = Interpreter()
 
@@ -42,6 +47,22 @@ def test_interpreter_is_deterministic(program, values):
     first = _interpreter.run(program, [values]).output
     second = _interpreter.run(program, [values]).output
     assert values_equal(first, second)
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs, program_inputs)
+def test_outputs_have_the_declared_return_type(program, inputs):
+    """Every DSL function returns its declared type, on the reference
+    interpreter and on the compiled path: the solution check's static
+    verdict rejects a program by its last function's ``return_type``."""
+    declared = program.output_type()
+    trace = Interpreter(trace=True, compiled=False).run(program, inputs)
+    for step in trace.steps:
+        assert type_of(step.output) is REGISTRY.by_id(step.fid).return_type
+    assert type_of(trace.output) is declared
+    compiled = compile_program(program, input_signature(inputs))
+    assert type_of(compiled.output(inputs)) is declared
+    assert type_of(compiled.run(inputs, trace=False).output) is declared
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,7 +28,9 @@ from repro.dsl import (
     input_signature,
 )
 from repro.dsl.equivalence import IOExample
+from repro.dsl.types import DSLType, values_equal
 from repro.execution import (
+    BatchExecutionEngine,
     EvaluationCache,
     ExecutionEngine,
     freeze_value,
@@ -253,6 +255,115 @@ class TestExecutionEngine:
         engine = uncached_engine()
         engine.outputs(tiny_task.target, tiny_task.io_set)
         assert len(engine.cache) == 0
+
+
+def _reference_verdicts(programs, io_set) -> list:
+    """Verdicts from reference-interpreter outputs and ``values_equal`` alone."""
+    reference = Interpreter(trace=False, compiled=False)
+    return [
+        all(values_equal(reference.output_of(program, ex.inputs), ex.output) for ex in io_set)
+        for program in programs
+    ]
+
+
+class TestStaticOutputTypeVerdict:
+    """A non-empty program whose last function's ``return_type`` cannot
+    equal every example's output is answered False before any cache
+    lookup or execution; every verdict still equals the reference's."""
+
+    INPUTS = ([[3, -1, 4, 1, -5]], [[2, 7, -1]], [[0, 6]])
+    LIST_TARGET = Program.from_names(["FILTER(>0)", "SORT"])
+    INT_TARGET = Program.from_names(["SORT", "HEAD"])
+
+    def _spec(self, outputs) -> list:
+        return [IOExample(inputs=tuple(i), output=o) for i, o in zip(self.INPUTS, outputs)]
+
+    def _outputs(self, program) -> list:
+        reference = Interpreter(trace=False, compiled=False)
+        return [reference.output_of(program, inputs) for inputs in self.INPUTS]
+
+    def _io_sets(self) -> dict:
+        list_outputs, int_outputs = self._outputs(self.LIST_TARGET), self._outputs(self.INT_TARGET)
+        return {
+            "list": self._spec(list_outputs),
+            "int": self._spec(int_outputs),
+            # the empty program outputs the default int on every example
+            "zeros": self._spec([0, 0, 0]),
+            "mixed": self._spec([list_outputs[0], int_outputs[1], list_outputs[2]]),
+            "no examples": [],
+        }
+
+    def _population(self, seed: int) -> list:
+        rng = np.random.default_rng(seed)
+        population = [_random_program(rng) for _ in range(40)]
+        population += [self.LIST_TARGET, self.INT_TARGET, Program([]), self.LIST_TARGET, Program([])]
+        return population
+
+    @staticmethod
+    def _engines() -> list:
+        return [
+            ExecutionEngine(),
+            ExecutionEngine(cache=EvaluationCache(max_entries=0), compiled=False),
+            BatchExecutionEngine(),
+            BatchExecutionEngine(cache=EvaluationCache(max_entries=0)),
+        ]
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_both_engines_match_reference_verdicts(self, seed):
+        population = self._population(seed)
+        kinds = {program.output_type() for program in population if len(program)}
+        assert kinds == {DSLType.INT, DSLType.LIST}
+        for name, io_set in self._io_sets().items():
+            expected = _reference_verdicts(population, io_set)
+            if name == "mixed":
+                assert not any(expected)
+            else:
+                assert any(expected), name
+            for engine in self._engines():
+                # twice: the second batch is answered from whatever the
+                # first one cached
+                for _ in range(2):
+                    assert engine.satisfies_batch(population, io_set) == expected, (name, engine)
+                assert [engine.satisfies(p, io_set) for p in population] == expected, (name, engine)
+
+    @pytest.mark.parametrize("spec, last_names", [("list", ["SUM"]), ("mixed", ["SUM", "SORT"])])
+    def test_wrong_typed_batch_touches_no_counter(self, spec, last_names):
+        io_set = self._io_sets()[spec]
+        rng = np.random.default_rng(21)
+        wrong = [
+            Program([int(fid) for fid in rng.integers(1, 42, size=3)] + [REGISTRY.by_name(name).fid])
+            for _ in range(15)
+            for name in last_names
+        ]
+        for engine in (ExecutionEngine(), BatchExecutionEngine()):
+            # warm: the cache holds entries and the trie has levels
+            engine.satisfies_batch(self._population(5), io_set)
+            before_stats = engine.stats.to_dict()
+            before_kernels = engine.kernel_stats() if isinstance(engine, BatchExecutionEngine) else {}
+            entries = len(engine.cache)
+            assert engine.satisfies_batch(wrong, io_set) == [False] * len(wrong)
+            assert not any(engine.satisfies(p, io_set) for p in wrong)
+            assert len(engine.cache) == entries
+            after_stats = engine.stats.to_dict()
+            for counter in ("hits", "misses", "stores", "by_namespace"):
+                assert after_stats[counter] == before_stats[counter], counter
+            if before_kernels:
+                after_kernels = engine.kernel_stats()
+                for counter in ("trie_nodes_inserted", "dispatch_count", "trie_leaf_lookups"):
+                    assert after_kernels[counter] == before_kernels[counter], counter
+
+    def test_wrong_typed_programs_are_still_traced(self):
+        # CF scores every gene, including the ones the check rejected
+        # without running: their traces come from the trie all the same
+        io_set = self._io_sets()["list"]
+        batch = [self.INT_TARGET, Program.from_names(["SORT", "SUM"]), self.LIST_TARGET]
+        engine = BatchExecutionEngine()
+        assert engine.satisfies_batch(batch, io_set) == [False, False, True]
+        got = engine.traces_batch(batch, io_set)
+        want = ExecutionEngine(compiled=False).traces_batch(batch, io_set)
+        for name in ("fids", "lengths", "values", "sizes"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        assert engine.kernel_stats()["dispatch_count"] > 0
 
 
 def _make_ga(executor: ExecutionEngine, with_ns: bool = True):

@@ -311,6 +311,61 @@ class TestGeneOperators:
         total[:] = favouring("MAP(*2)")
         assert self._replacements(operators, gene, total) == {REGISTRY.by_name("MAP(*2)").fid}
 
+    @staticmethod
+    def _assert_checked_equal(child, registry):
+        """``child`` equals what the validating constructor builds from
+        its ids: a tuple of plain ints of ``registry``."""
+        rebuilt = Program(child.function_ids, registry)
+        assert child == rebuilt
+        assert child.registry is rebuilt.registry is registry
+        assert type(child.function_ids) is tuple
+        assert all(type(fid) is int for fid in child.function_ids)
+        assert hash(child) == hash(rebuilt)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_operator_children_equal_checked_programs(self, seed):
+        rng = np.random.default_rng(seed)
+        probability_map = rng.random(41)
+        operators = GeneOperators(program_length=4, rng=rng)
+        genes = operators.random_population(12)
+        children = list(genes)
+        for i in range(30):
+            a, b = genes[i % len(genes)], genes[(3 * i + 1) % len(genes)]
+            children.append(operators.crossover(a, b))
+            children.append(operators.mutate(a))
+            children.append(operators.mutate(b, probability_map=probability_map))
+        for child in children:
+            self._assert_checked_equal(child, REGISTRY)
+
+    def test_children_of_a_custom_registry_hold_its_ids(self, rng):
+        custom = FunctionRegistry([REGISTRY.by_name(n) for n in ("SORT", "REVERSE", "SUM", "HEAD")])
+        operators = GeneOperators(program_length=3, registry=custom, rng=rng, forbid_dead_code=False)
+        genes = operators.random_population(6)
+        for child in genes + [operators.crossover(genes[0], genes[1]), operators.mutate(genes[2])]:
+            self._assert_checked_equal(child, custom)
+
+    def test_crossover_of_foreign_parents_is_checked(self, rng):
+        # a child holding ids its registry lacks is refused, as every Program is
+        custom = FunctionRegistry([REGISTRY.by_name(n) for n in ("SORT", "REVERSE")])
+        operators = GeneOperators(program_length=2, registry=custom, rng=rng, forbid_dead_code=False)
+        foreign = Program.from_names(["SUM", "HEAD"])
+        with pytest.raises(ValueError):
+            operators.crossover(foreign, foreign)
+
+    def test_public_constructors_still_reject_unknown_ids(self):
+        with pytest.raises(ValueError):
+            Program([3, 99])
+        with pytest.raises(ValueError, match="id 0"):
+            Program([3, 0, 99])
+        gene = Program.from_names(["SORT", "REVERSE"])
+        with pytest.raises(ValueError):
+            gene.with_replacement(1, 99)
+        with pytest.raises(ValueError):
+            gene.with_replacement(0, 0)
+        assert gene.with_replacement(1, np.int64(11)) == Program([gene[0], 11])
+        with pytest.raises(IndexError):
+            gene.with_replacement(2, 11)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_probability_map_raises(self, rng, bad):
         operators = GeneOperators(program_length=3, rng=rng)

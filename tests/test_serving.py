@@ -229,6 +229,29 @@ class TestEventSchema:
     def test_from_dict_without_kind_is_unknown(self):
         assert ProgressEvent.from_dict({"generation": 1}).kind == "unknown"
 
+    def test_from_dict_round_trips_every_field(self):
+        event = ProgressEvent(
+            kind="finished", method="netsyn_cf", task_id="t-3", job_id="job-9",
+            generation=4, mean_fitness=0.25, best_fitness=0.75, candidates_used=120,
+            budget_limit=500, cache_hits=11, cache_misses=13, cache_hit_rate=11 / 24,
+            shared_hits=2, shared_cross_hits=1, found=True, found_by="neighborhood",
+            worker_id=1, attempt=2, reason="retried",
+        )
+        default = ProgressEvent(kind="")
+        names = {f.name for f in dataclasses.fields(ProgressEvent)}
+        # every field is set away from its default, and to_dict carries it
+        assert all(getattr(event, name) != getattr(default, name) for name in names)
+        data = event.to_dict()
+        assert set(data) == names | {"v"}
+        assert ProgressEvent.from_dict(data) == event
+        # the version marker and unknown keys are dropped, repeatedly
+        for _ in range(2):
+            noisy = dict(data, v=EVENT_SCHEMA_VERSION + 1, from_the_future=[1])
+            assert ProgressEvent.from_dict(noisy) == event
+        assert ProgressEvent.from_dict({"v": 1, "job_id": "job-2"}) == ProgressEvent(
+            kind="unknown", job_id="job-2"
+        )
+
     def test_event_log_reloads_newer_records(self, tmp_path):
         log = EventLog()
         log(ProgressEvent(kind="started", method="edit"))

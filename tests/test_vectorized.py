@@ -401,6 +401,18 @@ class TestNonCatalogRegistries:
         engine = _assert_engine_matches_reference(population, _io_set(example_inputs, population[2]))
         assert engine.kernel_stats()["dispatch_count"] == 0
 
+    def test_equal_fids_of_two_registries_keep_their_own_outputs(self):
+        # Program([1]) is ACCESS over REGISTRY and CONST7 over the custom
+        # registry: one batch must not dedup them into one evaluation
+        custom = self._registry()
+        example_inputs = [[[4, -9, 12, 3]], [[7]]]
+        ours, theirs = Program([1]), Program([1], registry=custom)
+        io_set = _io_set(example_inputs, ours)
+        engine = BatchExecutionEngine()
+        expected = [tuple(_reference_outputs(p, example_inputs)) for p in (ours, theirs, ours)]
+        assert expected[0] != expected[1]
+        assert engine.outputs_batch([ours, theirs, ours], io_set) == expected
+
     def test_inputs_past_the_safe_bound_take_the_compiled_path(self):
         # an input the int64 columns cannot hold exactly: no trie serves
         # the IO set, so no kernel is dispatched
