@@ -1,9 +1,9 @@
-"""Cache-log costs: L3 append vs whole-file rewrite, and compaction.
+"""Cache-log costs: L3 append vs whole-file rewrite.
 
 The L3 tier replaced the whole-file ``cache_snapshots.pkl`` rewrite with
-an append-only segment log: persisting after a run now costs O(new
-entries) instead of O(accumulated cache).  This benchmark measures both
-ways at a configurable cache size, plus the cost of folding the log.
+an append-only log: persisting after a run now costs O(new entries)
+instead of O(accumulated cache).  This benchmark measures both ways at a
+configurable cache size.
 
 Results are appended to ``BENCH_cache_tiers.json`` at the repository
 root so the trajectory across PRs is preserved.
@@ -85,24 +85,14 @@ def test_l3_append_vs_whole_file_rewrite():
         legacy_elapsed = (time.perf_counter() - start) / ROUNDS
 
         # -- L3: seed once, then append only each run's dirty entries
-        # (threshold kept above ROUNDS so compaction is timed separately)
         log_dir = workdir / "log"
         log_dir.mkdir()
         store.save_caches(log_dir, {"netsyn_cf:None": {"evaluation": base}})
         start = time.perf_counter()
         for round_index in range(ROUNDS):
             delta = _entries(N_ENTRIES + round_index * dirty, dirty)
-            store.save_caches(
-                log_dir,
-                {"netsyn_cf:None": {"evaluation": delta}},
-                compact_threshold=ROUNDS + 2,
-            )
+            store.save_caches(log_dir, {"netsyn_cf:None": {"evaluation": delta}})
         append_elapsed = (time.perf_counter() - start) / ROUNDS
-
-        # the occasional cost appends amortize: folding the whole log
-        start = time.perf_counter()
-        store.compact_cache_log(log_dir)
-        compact_elapsed = time.perf_counter() - start
 
         # the log still reloads to the same contents the rewrite holds
         merged = store.load_caches(log_dir)
@@ -117,7 +107,6 @@ def test_l3_append_vs_whole_file_rewrite():
         "rounds": ROUNDS,
         "legacy_rewrite_seconds_per_run": legacy_elapsed,
         "l3_append_seconds_per_run": append_elapsed,
-        "l3_compaction_seconds": compact_elapsed,
         "append_speedup_vs_rewrite": legacy_elapsed / append_elapsed,
     }
     _append_trajectory(record)

@@ -22,7 +22,7 @@ serving-path guarantees of the session layer:
    re-running the same requests finishes with ``cache_misses == 0`` on
    each job's last generation event.
 4. **The L3 cache log + warm restart** — each ``run()`` appends one
-   segment to ``cache_log/`` (no whole-file rewrite); a re-opened
+   frame to ``cache_log/cache.log`` (no whole-file rewrite); a re-opened
    session loads the log (keyed by model hash), and its first run — on
    a fresh 2-worker pool, which gets the persisted entries in its warm
    payload — repeats the requests bit-identically from cache, again
@@ -35,21 +35,20 @@ artifact directory and the event-log path.
 **Chaos mode** (the CI ``chaos-smoke`` job): set ``NETSYN_FAULTS`` to a
 ``FaultPlan.parse`` spec — e.g.
 ``"worker_start:crash:job-1#0;l3_append:truncate::1"`` for one worker
-crash plus one torn L3 segment — and the same script must still complete
+crash plus one torn L3 log frame — and the same script must still complete
 every phase: the crashed job is retried and solves, the warm restart
-skips the torn segment, and the saved event log records the recovery
+skips the torn frame, and the saved event log records the recovery
 (``worker_restarted``, ``job_retry``, ``cache_segment_skipped``).  See
 ``docs/robustness.md``.
 """
 
-import json
 import multiprocessing
 import os
 import time
 from pathlib import Path
 
 from repro import NetSynConfig, ServiceConfig, SynthesisService
-from repro.core.artifacts import CACHE_LOG_DIR, CACHE_LOG_MANIFEST
+from repro.core.artifacts import CACHE_LOG_DIR, CACHE_LOG_FILE
 from repro.core.service import JobState
 from repro.data import make_synthesis_task
 from repro.data.tasks import SynthesisTask
@@ -170,17 +169,18 @@ def main() -> None:
             assert last_generation(job).cache_misses == 0, f"{job.job_id} missed the cache"
     print(f"  repeated 3 jobs in {elapsed:.1f}s on the same pool, served from merged worker deltas")
 
-    # -- the L3 cache log: appended segments, no whole-file rewrite ------
-    manifest_path = Path(artifact_dir) / CACHE_LOG_DIR / CACHE_LOG_MANIFEST
-    manifest = json.loads(manifest_path.read_text())
-    assert manifest["segments"], "each run() should append a cache-log segment"
-    print(f"  L3 cache log: {len(manifest['segments'])} segment(s), "
-          f"{sum(s['entries'] for s in manifest['segments'])} entries ({manifest_path})")
+    # -- the L3 cache log: appended frames, no whole-file rewrite --------
+    log_path = Path(artifact_dir) / CACHE_LOG_DIR / CACHE_LOG_FILE
+    persisted = session.store.load_caches(artifact_dir)
+    entries = sum(len(rows) for parts in persisted.values() for rows in parts.values())
+    assert entries, "each run() should append its new entries to the cache log"
+    print(f"  L3 cache log: {entries} entries under {len(persisted)} key(s), "
+          f"{log_path.stat().st_size} bytes ({log_path})")
 
     print("\nWarm restart: re-opening the session from persisted artifacts + cache log ...")
     start = time.time()
     warm = service.open_session(methods=("netsyn_cf",))
-    warm.add_listener(log)  # warm startup events (e.g. skipped segments) too
+    warm.add_listener(log)  # warm startup events (e.g. skipped log frames) too
     warm_jobs = [warm.submit(task, budget=3_000, seed=3) for task in tasks]
     warm.run(n_workers=2)
     elapsed = time.time() - start
@@ -197,11 +197,11 @@ def main() -> None:
           "bit-identical to the cold run, served from the persisted cache log")
 
     if fault_plan is not None and any(f.site == "l3_append" for f in fault_plan.faults):
-        # the torn segment was skipped on the warm load — and surfaced as
+        # the torn frame was skipped on the warm load — and surfaced as
         # an event — while the repeat above still matched bit-for-bit
         skipped = log.of_kind("cache_segment_skipped")
-        assert skipped, "chaos: the torn L3 segment was not reported"
-        print(f"  chaos: torn cache segment skipped ({skipped[0].reason})")
+        assert skipped, "chaos: the torn L3 log frame was not reported"
+        print(f"  chaos: torn cache-log frame skipped ({skipped[0].reason})")
 
     session.close()
     warm.close()

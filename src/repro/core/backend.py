@@ -88,7 +88,7 @@ class SynthesisBackend(abc.ABC):
     # -- the warm-cache contract -----------------------------------------
     # The service layer ships warm caches between processes and sessions
     # through these four methods: snapshots to start pool workers warm,
-    # per-job deltas merged back from workers, and L3 log segments.  A
+    # per-job deltas merged back from workers, and L3 log frames.  A
     # backend without memo caches keeps these no-op defaults, so it has
     # nothing to ship and every cache path skips it.
     def cache_snapshot(self, dirty_only: bool = False) -> Optional[dict]:

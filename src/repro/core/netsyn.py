@@ -227,7 +227,7 @@ class NetSynBackend(SynthesisBackend):
         With ``dirty_only`` only entries first written since the last
         :meth:`begin_cache_delta` are exported — the per-job merge-back
         payload of a parallel worker (and the parent's per-run L3 log
-        segment), bounded by the work actually done rather than by the
+        frame), bounded by the work actually done rather than by the
         cache capacity.
         """
         if self._shared_executor is None:

@@ -273,13 +273,13 @@ class SynthesisSession:
         #: model re-hash and full cache re-pickle entirely
         self._persisted_version: Optional[int] = None
         #: recovery events observed before any listener could attach
-        #: (e.g. corrupt L3 segments skipped while loading warm caches);
+        #: (e.g. corrupt L3 log frames skipped while loading warm caches);
         #: flushed to session listeners at the next :meth:`run`
         self.startup_events: List[ProgressEvent] = []
         if self.service_config.persist_caches and self.service_config.artifact_dir:
             self._cache_snapshots = self.store.load_caches(
                 self.service_config.artifact_dir,
-                on_skip=self._record_skipped_segment,
+                on_skip=self._record_skipped_frame,
             )
             if self._cache_snapshots:
                 logger.info(
@@ -289,9 +289,8 @@ class SynthesisSession:
                 )
 
     # ------------------------------------------------------------------
-    def _record_skipped_segment(self, name: str, reason: str) -> None:
-        """Remember a corrupt/truncated L3 segment skipped during load."""
-        logger.warning("cache log: skipped segment %s (%s)", name, reason)
+    def _record_skipped_frame(self, name: str, reason: str) -> None:
+        """Remember a corrupt/truncated L3 log frame skipped during load."""
         self.startup_events.append(
             ProgressEvent(kind="cache_segment_skipped", reason=f"{name}: {reason}")
         )
@@ -337,7 +336,7 @@ class SynthesisSession:
             if snapshot:
                 backend.load_cache_snapshot(snapshot)
             # persisted-snapshot loads count as writes; open a fresh dirty
-            # window so the next L3 segment holds only entries this
+            # window so the next L3 frame holds only entries this
             # session actually computes (or merges from workers)
             backend.begin_cache_delta()
             self._backends[key] = backend
@@ -521,7 +520,7 @@ class SynthesisSession:
         Settling a job calls ``on_settled(job)`` first (a server journals
         and publishes the job's end there), then merges the job's worker
         cache delta into this session's backend and appends its L3
-        segment (``ServiceConfig.persist_caches``).  When the pool
+        log frame (``ServiceConfig.persist_caches``).  When the pool
         degrades, its unfinished jobs run here serially and the next job
         gets a fresh pool.
         """
@@ -658,7 +657,7 @@ class SynthesisSession:
     def save_caches(self, directory=None) -> Optional[Path]:
         """Append this session's new cache entries to the L3 cache log.
 
-        Each call appends one segment under ``<directory>/cache_log/``
+        Each call appends one frame to ``<directory>/cache_log/cache.log``
         (defaulting to the configured ``artifact_dir``) holding only the
         entries written since the previous persist — the dirty windows
         of every built backend — never the whole accumulated cache.
@@ -667,8 +666,8 @@ class SynthesisSession:
         log is keyed by the store's model hash; entries loaded
         from disk by earlier sessions stay in the log untouched, so
         sessions serving different (method, length) pairs against one
-        artifact directory accumulate naturally.  Returns the appended
-        segment's path, or None when there is nowhere to write or
+        artifact directory accumulate naturally.  Returns the log's
+        path, or None when there is nowhere to write or
         nothing new to save.
         """
         directory = directory or self.service_config.artifact_dir
@@ -683,7 +682,7 @@ class SynthesisSession:
             return None
         path = self.store.save_caches(directory, deltas)
         # the appended entries are durable now: open fresh dirty windows
-        # so the next segment only carries work done after this point
+        # so the next frame only carries work done after this point
         for backend in self._backends.values():
             backend.begin_cache_delta()
         return path
@@ -693,11 +692,11 @@ class SynthesisSession:
         return sum(backend.cache_version() for backend in self._backends.values())
 
     def _persist_caches(self) -> None:
-        """Append an L3 segment after a run when the configuration asks.
+        """Append an L3 log frame after a run when the configuration asks.
 
         Skipped when no backend wrote a cache entry since the last save —
         a fully-warm ``run()`` costs no model re-hash and no pickling at
-        all.  The appended segment holds only this run's dirty entries
+        all.  The appended frame holds only this run's dirty entries
         (see :meth:`save_caches`), so persist cost scales with new work,
         not with the accumulated cache size.
         """

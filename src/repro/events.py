@@ -28,7 +28,7 @@ is unaffected): ``"heartbeat"`` (one per worker per heartbeat interval),
 ``"deadline_exceeded"`` (a job hit its wall-clock deadline),
 ``"degraded_serial"`` (the pool crashed too often and the run fell back
 to serial execution), ``"cache_segment_skipped"`` (a corrupt, truncated
-or unframed L3 cache-log segment was skipped on load), and a synthesized ``"failed"``
+or unframed L3 cache-log frame was skipped on load), and a synthesized ``"failed"``
 terminal event that settles the stream of a job whose worker died before
 flushing its own.  Supervision events carry ``worker_id`` / ``attempt`` /
 ``reason`` where applicable.

@@ -217,7 +217,7 @@ class EvaluationCache:
     def dirty_snapshot(self, namespaces: Optional[Tuple[str, ...]] = None) -> list:
         """Entries first inserted since :meth:`clear_dirty`, store order.
 
-        The per-job merge-back payload and the parent's L3 segment: it
+        The per-job merge-back payload and the parent's L3 log frame: it
         reads only the store's newest entries, so it costs O(new entries),
         not O(cache size).  Evicted-after-write keys are absent.  A
         rewrite of a key already resident before the window is not

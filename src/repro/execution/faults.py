@@ -1,7 +1,7 @@
 """Deterministic fault injection for the fault-tolerance harness.
 
 Every recovery path in the service layer — worker restarts, job retries,
-quarantine, truncated-segment skips — exists to
+quarantine, torn cache-log frame skips — exists to
 survive failures that are rare and non-deterministic in production.  To
 *test* those paths they must be neither: this module lets a
 :class:`FaultPlan` fire precisely-targeted faults at named **sites** the
@@ -23,10 +23,11 @@ runtime code instruments with :func:`fire`:
     ``"<job_id>"``).  A ``raise`` here simulates a broken event pipe;
     the emitter degrades to not streaming instead of failing the job.
 ``l3_append``
-    In the parent, after an L3 cache-log segment is written (target is
-    the segment file name).  A ``truncate`` here simulates the process
-    being killed mid-write, leaving a torn segment for the CRC framing
-    to reject on the next load.
+    In the parent, after a frame is appended to the L3 cache log (target
+    is the log's file name).  A ``truncate`` here simulates the process
+    being killed mid-write: it halves that frame only, leaving a torn
+    frame for the CRC framing to reject on the next load while the
+    frames before and after it still load.
 
 Plans are plain picklable dataclasses so they travel to worker processes
 with the rest of the job payload, and firing is counted per site *per
@@ -179,12 +180,13 @@ def reset() -> None:
     install(None)
 
 
-def fire(site: str, target: str = "", path=None) -> None:
+def fire(site: str, target: str = "", path=None, offset: int = 0) -> None:
     """Arrival hook the runtime calls at an instrumented site.
 
     No-op (one global load) when no plan is installed.  When a fault
     matches, its action executes: ``raise`` raises :class:`FaultInjected`
-    (an ``OSError``), ``truncate`` halves the file at ``path``, ``crash``
+    (an ``OSError``), ``truncate`` halves what the file at ``path``
+    holds past ``offset`` (the start of the record just written), ``crash``
     calls ``os._exit`` — but **only in worker role**; in the parent the
     process under test must survive, so crash/hang/freeze degrade to
     :class:`FaultInjected`.
@@ -204,15 +206,15 @@ def fire(site: str, target: str = "", path=None) -> None:
         _COUNTS[key] = arrival
         if fault.nth <= arrival < fault.nth + fault.count:
             _FIRED.append((site, fault.action, target))
-            _execute(fault, target, path)
+            _execute(fault, target, path, offset)
 
 
-def _execute(fault: Fault, target: str, path) -> None:
+def _execute(fault: Fault, target: str, path, offset: int) -> None:
     action = fault.action
     if action == "truncate" and path is not None:
         size = os.path.getsize(path)
         with open(path, "r+b") as handle:
-            handle.truncate(max(1, size // 2))
+            handle.truncate(offset + max(1, (size - offset) // 2))
         return
     if action == "raise" or _ROLE != "worker":
         # crash/hang/freeze must never take down the parent (that is the

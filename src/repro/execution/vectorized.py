@@ -979,7 +979,7 @@ class BatchExecutionEngine(ExecutionEngine):
 
         Wrong-typed programs are answered False before any cache lookup,
         trie insert or kernel dispatch, so they add no ``outputs`` or
-        ``solutions`` entry (nor a worker delta or L3 segment entry).
+        ``solutions`` entry (nor a worker delta or L3 log entry).
         """
         if not programs:
             return []

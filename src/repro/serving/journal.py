@@ -12,11 +12,12 @@ Record framing (one append-only file, ``journal.log``)::
 
     MAGIC ("NSJL1\\0") | length:u32 | crc32:u32 | payload (UTF-8 JSON)
 
-the same discipline as the L3 cache-log segments in
-:mod:`repro.core.artifacts`: a writer killed mid-append leaves a torn
-tail the reader skips with a warning, and a flipped bit mid-file fails
-its record's CRC — the reader resynchronizes on the next magic marker,
-so one bad record costs itself, never the rest of the journal.  Payloads
+framed and scanned by :mod:`repro.utils.frames`, the codec the L3 cache
+log in :mod:`repro.core.artifacts` uses too: a writer killed mid-append
+leaves a torn record the reader skips with a warning, and a flipped bit
+mid-file fails its record's CRC — either way the reader resynchronizes on
+the next magic marker, so one bad record costs itself, never the rest of
+the journal nor the records a restarted server appends after it.  Payloads
 are JSON (the wire forms of :mod:`repro.serving.protocol`), so a journal
 is debuggable with ``strings`` and a JSON pretty-printer.
 
@@ -52,13 +53,12 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import threading
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+from repro.utils.frames import HEADER, frame, scan
 from repro.utils.logging import get_logger
 
 logger = get_logger("serving.journal")
@@ -67,7 +67,8 @@ logger = get_logger("serving.journal")
 JOURNAL_FILE = "journal.log"
 
 _MAGIC = b"NSJL1\0"
-_HEADER = struct.Struct("<II")
+#: the record header after the magic (tests hand-build records with it)
+_HEADER = HEADER
 
 #: default size past which :meth:`JobJournal.maybe_compact` folds the log
 DEFAULT_COMPACT_BYTES = 4 * 1024 * 1024
@@ -123,8 +124,7 @@ class JobJournal:
 
     @staticmethod
     def _frame(payload: dict) -> bytes:
-        data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        return _MAGIC + _HEADER.pack(len(data), zlib.crc32(data)) + data
+        return frame(_MAGIC, json.dumps(payload, separators=(",", ":")).encode("utf-8"))
 
     def _append(self, payload: dict) -> None:
         with self._lock:
@@ -190,8 +190,10 @@ class JobJournal:
         """Recover the journal's state, skipping (never raising on) damage.
 
         ``on_skip(reason)`` is called once per unreadable record — a torn
-        tail left by a crash mid-append, or a CRC-failing record mid-file
-        (the scan resynchronizes on the next magic marker).  An empty or
+        record left by a crash mid-append, or a CRC-failing record
+        mid-file.  The scan resynchronizes on the next magic marker after
+        either, so records a restarted server appended after a torn one
+        still replay.  An empty or
         absent journal replays to an empty state with no warnings.
         """
         state = JournalState()
@@ -206,44 +208,19 @@ class JobJournal:
             if on_skip is not None:
                 on_skip(reason)
 
-        pos = 0
-        size = len(data)
-        while pos < size:
-            if not data.startswith(_MAGIC, pos):
-                nxt = data.find(_MAGIC, pos + 1)
-                if nxt < 0:
-                    skip(f"unframed trailing bytes at offset {pos}")
-                    break
-                skip(f"unframed bytes at offset {pos}")
-                pos = nxt
-                continue
-            header_end = pos + len(_MAGIC) + _HEADER.size
-            if size < header_end:
-                skip(f"torn record header at offset {pos}")
-                break
-            length, crc = _HEADER.unpack(data[pos + len(_MAGIC) : header_end])
-            payload = data[header_end : header_end + length]
-            if len(payload) < length:
-                skip(f"torn record tail at offset {pos}")
-                break
-            if zlib.crc32(payload) != crc:
-                skip(f"CRC mismatch at offset {pos}")
-                nxt = data.find(_MAGIC, pos + 1)
-                if nxt < 0:
-                    break
-                pos = nxt
+        for offset, payload, reason in scan(data, _MAGIC):
+            if reason is not None:
+                skip(f"{reason} at offset {offset}")
                 continue
             try:
-                record = json.loads(payload.decode("utf-8"))
+                record = json.loads(bytes(payload).decode("utf-8"))
             except (ValueError, UnicodeDecodeError):
                 # a CRC-valid but undecodable record means the writer was
                 # broken, not the disk; skip it the same way
-                skip(f"undecodable record at offset {pos}")
-                pos = header_end + length
+                skip(f"undecodable record at offset {offset}")
                 continue
             if isinstance(record, dict):
                 self._apply(state, record)
-            pos = header_end + length
         return state
 
     @staticmethod

@@ -20,8 +20,9 @@ The fault matrix exercised here (via the deterministic
   ends ``failed`` with a ``deadline`` report while its siblings finish;
 * a broken worker event pipe stops that job's stream where it broke,
   while the job itself and every other job's stream complete;
-* a truncated L3 cache-log segment is skipped (with a
-  ``cache_segment_skipped`` event), never crashing a load;
+* a torn L3 cache-log frame is skipped (with a
+  ``cache_segment_skipped`` event), never crashing a load, and costs only
+  its own entries;
 * between runs the pool is idle, not hung: an idle gap longer than
   ``heartbeat_timeout`` kills no worker, a worker killed while idle is
   replaced at the next run (``worker_restarted``), and a run that
@@ -35,7 +36,7 @@ so "completes at all" is itself an assertion.
 from __future__ import annotations
 
 import dataclasses
-import json
+import multiprocessing
 import os
 import pickle
 import signal
@@ -47,12 +48,13 @@ import pytest
 import repro.config
 from repro.config import ServiceConfig
 from repro.core import ArtifactStore, JobState, SynthesisSession, supervisor
-from repro.core.artifacts import CACHE_LOG_DIR, CACHE_LOG_MANIFEST
+from repro.core.artifacts import _CACHE_LOG_MAGIC
 from repro.data.tasks import SynthesisTask
 from repro.dsl.equivalence import IOExample
 from repro.events import EventLog, ProgressEvent
 from repro.execution import faults
 from repro.execution.faults import Fault, FaultInjected, FaultPlan
+from repro.utils.frames import frame
 
 
 @pytest.fixture(autouse=True)
@@ -573,7 +575,7 @@ class TestIdlePool:
 
 
 # ---------------------------------------------------------------------------
-# Crash-safe persisted state (the L3 segment log)
+# Crash-safe persisted state (the L3 cache log)
 # ---------------------------------------------------------------------------
 
 
@@ -581,23 +583,49 @@ def _tiny_snapshot(tag: int) -> dict:
     return {"edit:None": {"evaluation": [((tag,), tag)]}}
 
 
+def _append_tiny_snapshots(directory, first_tag: int, count: int) -> None:
+    """One appender of the concurrency test: ``count`` one-entry frames."""
+    store = ArtifactStore()
+    for tag in range(first_tag, first_tag + count):
+        store.save_caches(directory, _tiny_snapshot(tag))
+
+
 class TestCrashSafeCacheLog:
     def test_truncated_segment_is_skipped_not_fatal(self, tmp_path):
         store = ArtifactStore()
-        store.save_caches(tmp_path, _tiny_snapshot(1))
-        path = store.save_caches(tmp_path, _tiny_snapshot(2))
-        # tear the newest segment mid-write
+        path = store.save_caches(tmp_path, _tiny_snapshot(1))
+        start = path.stat().st_size
+        store.save_caches(tmp_path, _tiny_snapshot(2))
+        # tear the newest frame mid-write
         data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
+        path.write_bytes(data[: (start + len(data)) // 2])
         skipped = []
-        loaded = store.load_caches(tmp_path, on_skip=lambda name, status: skipped.append((name, status)))
-        assert skipped == [(path.name, "corrupt")]
+        loaded = store.load_caches(tmp_path, on_skip=lambda name, reason: skipped.append((name, reason)))
+        assert skipped == [(path.name, f"torn frame at offset {start}")]
         assert loaded["edit:None"]["evaluation"] == [((1,), 1)]
+
+    def test_truncate_fault_tears_only_the_appended_frame(self, tmp_path):
+        """The ``l3_append`` truncate halves the frame just appended: the
+        frames before it still load, the torn one is reported once, and
+        a later append lands after it and loads too."""
+        store = ArtifactStore()
+        path = store.save_caches(tmp_path, _tiny_snapshot(1))
+        start = path.stat().st_size
+        faults.install(FaultPlan.single("l3_append", action="truncate"), role="parent")
+        store.save_caches(tmp_path, _tiny_snapshot(2))
+        assert faults.fired() == [("l3_append", "truncate", path.name)]
+        assert start < path.stat().st_size
+        faults.reset()
+        store.save_caches(tmp_path, _tiny_snapshot(3))
+        skipped = []
+        loaded = store.load_caches(tmp_path, on_skip=lambda name, reason: skipped.append((name, reason)))
+        assert len(skipped) == 1 and skipped[0][1].endswith(f"at offset {start}")
+        assert loaded["edit:None"]["evaluation"] == [((1,), 1), ((3,), 3)]
 
     def test_l3_truncate_fault_surfaces_startup_event(self, edit_config, tmp_path, tiny_suite):
         """End to end: a session whose L3 append is torn by the truncate
         fault; the next session over the same directory skips the torn
-        segment and reports it as a ``cache_segment_skipped`` event."""
+        frame and reports it as a ``cache_segment_skipped`` event."""
         plan = FaultPlan.single("l3_append", action="truncate")
         config = ServiceConfig(artifact_dir=str(tmp_path), fault_plan=plan)
         first = SynthesisSession(
@@ -627,62 +655,52 @@ class TestCrashSafeCacheLog:
     def test_unframed_segment_is_skipped_as_corrupt(self, tmp_path):
         store = ArtifactStore()
         path = store.save_caches(tmp_path, _tiny_snapshot(1))
+        unframed_at = path.stat().st_size
+        # a bare pickle (no magic/length/CRC header), then a CRC-valid
+        # frame whose payload is not a pickle
+        bare = pickle.dumps({"format_version": 2, "snapshots": _tiny_snapshot(9)})
+        with path.open("ab") as handle:
+            handle.write(bare)
+            handle.write(frame(_CACHE_LOG_MAGIC, b"not a pickle"))
         store.save_caches(tmp_path, _tiny_snapshot(2))
-        # an unframed segment (a bare pickle, no magic/length/CRC header)
-        path.write_bytes(pickle.dumps({"format_version": 2, "snapshots": _tiny_snapshot(1)}))
         skipped = []
-        loaded = store.load_caches(tmp_path, on_skip=lambda name, status: skipped.append((name, status)))
-        assert skipped == [(path.name, "corrupt")]
-        assert loaded["edit:None"]["evaluation"] == [((2,), 2)]
+        loaded = store.load_caches(tmp_path, on_skip=lambda name, reason: skipped.append((name, reason)))
+        assert skipped == [
+            (path.name, f"unframed bytes at offset {unframed_at}"),
+            (path.name, f"unreadable payload at offset {unframed_at + len(bare)}"),
+        ]
+        assert loaded["edit:None"]["evaluation"] == [((1,), 1), ((2,), 2)]
 
-    def test_manifest_write_is_atomic_no_tmp_left(self, tmp_path):
-        store = ArtifactStore()
-        store.save_caches(tmp_path, _tiny_snapshot(1))
-        leftovers = list((tmp_path / CACHE_LOG_DIR).glob("*.tmp"))
-        assert leftovers == []
-
-    def test_compaction_racing_concurrent_save(self, tmp_path):
-        """Two sessions over one cache_log/: one compacting, one
-        appending.  Exclusive segment creation plus the reconcile-merge
-        manifest swap must leave a consistent log — every load succeeds
-        and the last writer's entries are present."""
-        store_a = ArtifactStore()
-        store_b = ArtifactStore()
-        for index in range(4):
-            store_a.save_caches(tmp_path, _tiny_snapshot(index))
-        errors = []
-        barrier = threading.Barrier(2)
-
-        def compact_loop():
-            try:
-                barrier.wait()
-                for _ in range(8):
-                    store_a.compact_cache_log(tmp_path)
-            except Exception as error:  # noqa: BLE001
-                errors.append(error)
-
-        def append_loop():
-            try:
-                barrier.wait()
-                for index in range(8):
-                    store_b.save_caches(tmp_path, _tiny_snapshot(100 + index))
-            except Exception as error:  # noqa: BLE001
-                errors.append(error)
-
+    def test_concurrent_appenders_lose_nothing(self, tmp_path):
+        """Four threads and two processes append 25 frames each to one
+        log at once: the exclusive lock serializes the appends, so all
+        150 entries load, each appender's in its own order, with no
+        frame skipped."""
+        context = multiprocessing.get_context("spawn")  # no fork under threads
+        processes = [
+            context.Process(target=_append_tiny_snapshots, args=(str(tmp_path), first, 25))
+            for first in (1000, 2000)
+        ]
+        for process in processes:
+            process.start()
         threads = [
-            threading.Thread(target=compact_loop),
-            threading.Thread(target=append_loop),
+            threading.Thread(target=_append_tiny_snapshots, args=(tmp_path, first, 25))
+            for first in (0, 100, 200, 300)
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(30)
-        assert errors == []
-        # the log is loadable and holds the final appended entry; missing
-        # segments (compacted away mid-race) were retried, not raised
-        loaded = store_a.load_caches(tmp_path)
-        entries = dict(loaded.get("edit:None", {}).get("evaluation", []))
-        assert entries.get((107,)) == 107
-        manifest = json.loads((tmp_path / CACHE_LOG_DIR / CACHE_LOG_MANIFEST).read_text())
-        for record in manifest["segments"]:
-            assert (tmp_path / CACHE_LOG_DIR / record["file"]).stat().st_size > 0
+            thread.join(60)
+            assert not thread.is_alive()
+        for process in processes:
+            process.join(60)
+            assert process.exitcode == 0
+        skipped = []
+        loaded = ArtifactStore().load_caches(tmp_path, on_skip=lambda *skip: skipped.append(skip))
+        assert skipped == []
+        tags = [tag for (tag,), _ in loaded["edit:None"]["evaluation"]]
+        for first in (0, 100, 200, 300, 1000, 2000):
+            assert [tag for tag in tags if first <= tag < first + 25] == list(
+                range(first, first + 25)
+            )
+        assert len(tags) == 150

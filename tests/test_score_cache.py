@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from controls import UnmemoizedNetSynBackend
 from repro.config import ServiceConfig
-from repro.core.artifacts import ArtifactStore
+from repro.core.artifacts import CACHE_LOG_DIR, CACHE_LOG_FILE, ArtifactStore
 from repro.core.netsyn import NetSynBackend
 from repro.core.service import SynthesisSession
 from repro.events import EventLog
@@ -561,31 +561,38 @@ def _score_entries(start, count):
 _HOT = ("score:m", (("hot",), ("io",)))
 
 
+def _load_newest(entries, capacity=100):
+    """What a session holds after a bounded load of ``entries``."""
+    cache = EvaluationCache(max_entries=capacity)
+    cache.load_snapshot(entries)
+    return dict(cache.snapshot())
+
+
 class TestCacheLog:
-    def _manifest(self, directory):
-        import json
+    """The L3 cache log: one append-only file of CRC frames."""
 
-        from repro.core.artifacts import CACHE_LOG_DIR, CACHE_LOG_MANIFEST
+    @staticmethod
+    def _log(directory):
+        return directory / CACHE_LOG_DIR / CACHE_LOG_FILE
 
-        path = directory / CACHE_LOG_DIR / CACHE_LOG_MANIFEST
-        return json.loads(path.read_text()) if path.is_file() else None
-
-    def test_each_save_appends_a_segment(self, tmp_path):
+    def test_appends_never_rewrite_earlier_bytes(self, tmp_path):
         store = ArtifactStore()
+        before = b""
         for round_index in range(3):
             path = store.save_caches(
                 tmp_path,
                 {"m:None": {"evaluation": _score_entries(round_index * 10, 4)}},
             )
-            assert path.is_file()
-        manifest = self._manifest(tmp_path)
-        assert len(manifest["segments"]) == 3
-        assert [record["entries"] for record in manifest["segments"]] == [4, 4, 4]
+            assert path == self._log(tmp_path)
+            data = path.read_bytes()
+            assert data.startswith(before) and len(data) > len(before)
+            before = data
+        assert [p.name for p in (tmp_path / CACHE_LOG_DIR).iterdir()] == [CACHE_LOG_FILE]
+        # frames load oldest first: a reload ends with the newest entries
         merged = store.load_caches(tmp_path)
-        assert len(merged["m:None"]["evaluation"]) == 12
-        # appended segments concatenate oldest first: a reload ends with
-        # the newest entries
-        assert merged["m:None"]["evaluation"][-1] == _score_entries(20, 4)[-1]
+        assert merged["m:None"]["evaluation"] == (
+            _score_entries(0, 4) + _score_entries(10, 4) + _score_entries(20, 4)
+        )
 
     def test_log_is_keyed_by_model_hash(self, tmp_path, tiny_fp_artifacts):
         empty = ArtifactStore()
@@ -599,7 +606,7 @@ class TestCacheLog:
         assert merged["m:None"]["evaluation"] == _score_entries(50, 1)
         assert empty.load_caches(tmp_path) == {}
 
-    def test_compaction_folds_and_dedupes_newest_wins(self, tmp_path):
+    def test_newest_wins_at_load(self, tmp_path):
         store = ArtifactStore()
         # the same key re-written every round, plus one fresh key
         for round_index in range(10):
@@ -609,28 +616,57 @@ class TestCacheLog:
                     + _score_entries(100 + round_index, 1)
                 }
             }
-            store.save_caches(tmp_path, snapshots, compact_threshold=4)
-        manifest = self._manifest(tmp_path)
-        assert len(manifest["segments"]) <= 5
-        merged = store.load_caches(tmp_path)
-        scores = dict(merged["m:None"]["evaluation"])
-        # newest value of the re-written key survived compaction
+            store.save_caches(tmp_path, snapshots)
+        scores = _load_newest(store.load_caches(tmp_path)["m:None"]["evaluation"])
         assert scores[_HOT] == 9.0
-        # and every distinct fresh key survived
         assert all(
             scores[("score:m", ((100 + i,), ("io",)))] == float(100 + i) for i in range(10)
         )
 
     def test_corrupt_manifest_or_segment_is_a_cold_start(self, tmp_path):
-        from repro.core.artifacts import CACHE_LOG_DIR, CACHE_LOG_MANIFEST
+        """A ``cache_log/`` of the earlier layout (``manifest.json`` plus
+        ``segment-*.pkl`` files, intact or broken) and a log whose header
+        is damaged both load as a cold start; the next save starts over."""
+        import json
+        import pickle
+        import struct
+        import zlib
 
         store = ArtifactStore()
-        store.save_caches(tmp_path, {"m:None": {"evaluation": _score_entries(0, 2)}})
-        segment = next((tmp_path / CACHE_LOG_DIR).glob("segment-*.pkl"))
-        segment.write_bytes(b"not a pickle")
+        log_dir = tmp_path / CACHE_LOG_DIR
+        log_dir.mkdir()
+        payload = pickle.dumps(
+            {"format_version": 3, "snapshots": {"m:None": {"evaluation": _score_entries(0, 2)}}}
+        )
+        (log_dir / "segment-000001.pkl").write_bytes(
+            b"NSL3SEG1" + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload
+        )
+        (log_dir / "segment-000002.pkl").write_bytes(b"not a pickle")
+        manifest = {
+            "format_version": 1,
+            "model_hash": store.model_hash(),
+            "next_seq": 3,
+            "segments": [
+                {"file": "segment-000001.pkl", "entries": 2},
+                {"file": "segment-000002.pkl", "entries": 0},
+            ],
+        }
+        (log_dir / "manifest.json").write_text(json.dumps(manifest))
         assert store.load_caches(tmp_path) == {}
-        (tmp_path / CACHE_LOG_DIR / CACHE_LOG_MANIFEST).write_text("{broken")
+        assert not ArtifactStore.caches_saved_at(tmp_path)
+        (log_dir / "manifest.json").write_text("{broken")
         assert store.load_caches(tmp_path) == {}
+
+        store.save_caches(tmp_path, {"m:None": {"evaluation": _score_entries(5, 1)}})
+        assert store.load_caches(tmp_path) == {"m:None": {"evaluation": _score_entries(5, 1)}}
+        # one flipped bit in the header frame: the log is not trusted
+        path = self._log(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[20] ^= 0x01
+        path.write_bytes(bytes(data))
+        assert store.load_caches(tmp_path) == {}
+        store.save_caches(tmp_path, {"m:None": {"evaluation": _score_entries(7, 1)}})
+        assert store.load_caches(tmp_path) == {"m:None": {"evaluation": _score_entries(7, 1)}}
 
     def test_session_runs_append_segments_not_rewrites(
         self, tmp_path, tiny_netsyn_config, tiny_trace_artifacts, tiny_fp_artifacts, tiny_suite
@@ -640,150 +676,70 @@ class TestCacheLog:
         session = SynthesisSession(
             tiny_netsyn_config, store, methods=("netsyn_cf",), service_config=service_config
         )
+        path = self._log(tmp_path)
         session.submit(tiny_suite[0], budget=300, seed=0)
         session.run()
-        manifest = self._manifest(tmp_path)
-        assert len(manifest["segments"]) == 1
-        # new work appends; the existing segment is never rewritten
-        first_segment_bytes = (
-            tmp_path / "cache_log" / manifest["segments"][0]["file"]
-        ).read_bytes()
+        first = path.read_bytes()
+        # new work appends; the bytes already in the log are never rewritten
         session.submit(tiny_suite[1], budget=300, seed=0)
         session.run()
-        manifest = self._manifest(tmp_path)
-        assert len(manifest["segments"]) == 2
-        assert (
-            tmp_path / "cache_log" / manifest["segments"][0]["file"]
-        ).read_bytes() == first_segment_bytes
+        second = path.read_bytes()
+        assert second.startswith(first) and len(second) > len(first)
         # a fully-warm run appends nothing
         session.submit(tiny_suite[0], budget=300, seed=0)
         session.run()
-        assert len(self._manifest(tmp_path)["segments"]) == 2
+        assert path.read_bytes() == second
 
-
-class TestCacheLogFold:
-    """Compaction concatenates segment bytes; loads stay identical."""
-
-    def _log_dir(self, directory):
-        from repro.core.artifacts import CACHE_LOG_DIR
-
-        return directory / CACHE_LOG_DIR
-
-    def _segments(self, directory):
-        return ArtifactStore._read_manifest(self._log_dir(directory))["segments"]
-
-    def _segment_files(self, directory):
-        return [record["file"] for record in self._segments(directory)]
-
-    def _build_log(self, directory):
-        """Five segments: a re-written key, a corrupt file and a legacy
-        single-frame file written byte for byte in the original format."""
-        import pickle
-        import struct
-        import zlib
-
+    def test_a_torn_frame_costs_only_its_own_entries(self, tmp_path):
+        """Five appends, the third torn by a crash mid-write before the
+        last two: the load skips the torn frame alone, and the entries of
+        the others load in append order with the newest value winning."""
         store = ArtifactStore()
         rounds = [
             {"m:None": {"evaluation": [(_HOT, 0.0)] + _score_entries(0, 3)
                         + [(("outputs", (1, 2)), [4])]}},
             {"m:None": {"evaluation": [(_HOT, 1.0)] + _score_entries(3, 2)},
              "m:5": {"evaluation": _score_entries(50, 2)}},
-            {"m:None": {"evaluation": _score_entries(90, 2)}},
+            {"m:None": {"evaluation": [(_HOT, 9.0)] + _score_entries(90, 2)}},
             {"m:None": {"evaluation": _score_entries(5, 2)
                         + [(("solutions", (1, 2)), True)]}},
             {"m:None": {"evaluation": [(_HOT, 2.0)] + _score_entries(7, 1)}},
         ]
-        for snapshots in rounds:
-            store.save_caches(directory, snapshots, compact_threshold=100)
-        log_dir = self._log_dir(directory)
-        files = self._segment_files(directory)
-        # the third segment is torn mid-payload
-        torn = log_dir / files[2]
-        torn.write_bytes(torn.read_bytes()[:-7])
-        # the fourth is rewritten as a legacy segment: one frame of magic,
-        # little-endian (length, crc32) and the pickled payload
-        payload = pickle.dumps({"format_version": 3, "snapshots": rounds[3]})
-        (log_dir / files[3]).write_bytes(
-            b"NSL3SEG1" + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload
-        )
-        return store, files
-
-    @staticmethod
-    def _loaded(merged, capacity):
-        """The cache contents a session would hold after loading ``merged``."""
-        loaded = {}
-        for key, parts in merged.items():
-            cache = EvaluationCache(max_entries=capacity)
-            cache.load_snapshot(parts.get("evaluation", []))
-            loaded[key] = cache.snapshot()
-        return loaded
-
-    def test_fold_keeps_loads_identical_without_unpickling(self, tmp_path, monkeypatch):
-        import pickle
-
-        store, files = self._build_log(tmp_path)
+        path = self._log(tmp_path)
+        for index, snapshots in enumerate(rounds):
+            start = path.stat().st_size if path.exists() else 0
+            store.save_caches(tmp_path, snapshots)
+            if index == 2:
+                torn_at = start
+                with path.open("r+b") as handle:
+                    handle.truncate(start + (path.stat().st_size - start) // 2)
         skipped = []
-        before = store.load_caches(tmp_path, on_skip=lambda *skip: skipped.append(skip))
-        assert skipped == [(files[2], "corrupt")]
+        merged = store.load_caches(tmp_path, on_skip=lambda *skip: skipped.append(skip))
+        # the later appends outrun the torn frame's declared length, so its
+        # CRC fails; the scan resynchronizes on the fourth frame's magic
+        assert skipped == [(CACHE_LOG_FILE, f"CRC mismatch at offset {torn_at}")]
+        good = [rounds[i] for i in (0, 1, 3, 4)]
+        assert list(merged) == ["m:None", "m:5"]
+        assert merged["m:None"]["evaluation"] == [
+            entry for snapshots in good for entry in snapshots["m:None"]["evaluation"]
+        ]
+        assert merged["m:5"]["evaluation"] == _score_entries(50, 2)
+        assert _load_newest(merged["m:None"]["evaluation"])[_HOT] == 2.0
 
-        real_loads = pickle.loads
-        calls = []
-
-        def counting_loads(*args, **kwargs):
-            calls.append(1)
-            return real_loads(*args, **kwargs)
-
-        monkeypatch.setattr(pickle, "loads", counting_loads)
-        assert store.compact_cache_log(tmp_path)
-        monkeypatch.setattr(pickle, "loads", real_loads)
-        assert calls == []
-
-        folded = self._segment_files(tmp_path)
-        assert len(folded) == 1 and folded[0] not in files
-        assert sorted(p.name for p in self._log_dir(tmp_path).glob("segment-*.pkl")) == folded
-        skipped.clear()
-        after = store.load_caches(tmp_path, on_skip=lambda *skip: skipped.append(skip))
-        assert skipped == []
-        assert after == before
-        assert list(after) == list(before)
-        for capacity in (3, 100):
-            assert self._loaded(after, capacity) == self._loaded(before, capacity)
-        # newest wins at load: the hot key holds its last value
-        assert dict(self._loaded(after, 100)["m:None"])[_HOT] == 2.0
-        # entry counts of the four good segments (the torn one is dropped)
-        assert self._segments(tmp_path)[0]["entries"] == 5 + 5 + 3 + 2
-
-    def test_folding_a_folded_log_appends_its_frames(self, tmp_path):
-        store, _ = self._build_log(tmp_path)
-        store.compact_cache_log(tmp_path)
-        before = store.load_caches(tmp_path)
-        store.save_caches(tmp_path, {"m:None": {"evaluation": _score_entries(200, 2)}})
-        store.compact_cache_log(tmp_path)
-        after = store.load_caches(tmp_path)
-        assert after["m:None"]["evaluation"] == (
-            before["m:None"]["evaluation"] + _score_entries(200, 2)
-        )
-        assert len(self._segment_files(tmp_path)) == 1
-
-    def test_a_truncated_last_frame_makes_the_file_corrupt(self, tmp_path):
-        store, _ = self._build_log(tmp_path)
-        store.compact_cache_log(tmp_path)
-        (name,) = self._segment_files(tmp_path)
-        path = self._log_dir(tmp_path) / name
-        path.write_bytes(path.read_bytes()[:-1])
-        skipped = []
-        assert store.load_caches(tmp_path, on_skip=lambda *skip: skipped.append(skip)) == {}
-        assert skipped == [(name, "corrupt")]
-        # a later fold drops the file whole, like the load did
-        store.save_caches(tmp_path, {"m:None": {"evaluation": _score_entries(300, 1)}})
-        store.compact_cache_log(tmp_path)
-        assert store.load_caches(tmp_path) == {"m:None": {"evaluation": _score_entries(300, 1)}}
-
-    def test_trailing_bytes_after_the_last_frame_are_corrupt(self, tmp_path):
+    def test_trailing_bytes_cost_no_frame(self, tmp_path):
         store = ArtifactStore()
-        path = store.save_caches(tmp_path, {"m:None": {"evaluation": _score_entries(0, 2)}})
+        first = {"m:None": {"evaluation": _score_entries(0, 2)}}
+        path = store.save_caches(tmp_path, first)
         path.write_bytes(path.read_bytes() + b"NSL3")
-        assert store.load_caches(tmp_path) == {}
+        skipped = []
+        assert store.load_caches(tmp_path, on_skip=lambda *skip: skipped.append(skip)) == first
+        assert len(skipped) == 1 and skipped[0][1].startswith("unframed bytes")
+        # a later append lands after the stray bytes and still loads
+        store.save_caches(tmp_path, {"m:None": {"evaluation": _score_entries(10, 1)}})
+        skipped.clear()
+        merged = store.load_caches(tmp_path, on_skip=lambda *skip: skipped.append(skip))
+        assert merged["m:None"]["evaluation"] == _score_entries(0, 2) + _score_entries(10, 1)
+        assert len(skipped) == 1
 
 
 class TestBoundedSnapshotLoad:
